@@ -30,7 +30,8 @@ use std::path::{Path, PathBuf};
 const BIN: &str = "bench_gate";
 
 /// The benchmark documents the gate knows about.
-const DOCS: &[&str] = &["BENCH_trace.json", "BENCH_kernels.json", "BENCH_scale.json"];
+const DOCS: &[&str] =
+    &["BENCH_trace.json", "BENCH_kernels.json", "BENCH_scale.json", "BENCH_controllers.json"];
 
 fn usage() -> ! {
     eprintln!(

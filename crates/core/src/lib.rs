@@ -43,8 +43,11 @@
 mod controller;
 mod hierarchical;
 pub mod model;
+mod node_map;
 mod power_aware;
 mod probing;
+#[cfg(test)]
+mod reference;
 mod seesaw;
 mod static_alloc;
 mod time_aware;
@@ -59,7 +62,8 @@ pub use seesaw::{EwmaMode, SeeSaw, SeeSawConfig};
 pub use static_alloc::StaticAlloc;
 pub use time_aware::{TimeAware, TimeAwareConfig};
 pub use types::{
-    split_with_limits, Allocation, Limits, NodeSample, PartitionView, Role, SyncObservation,
+    split_with_limits, Allocation, CapLookup, Limits, NodeSample, PartitionView, Role,
+    SyncObservation,
 };
 pub use waterfill::{water_fill, water_fill_uniform};
 

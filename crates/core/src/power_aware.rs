@@ -14,8 +14,8 @@
 //! window `w` applies.
 
 use crate::controller::Controller;
-use crate::types::{Allocation, Limits, Role, SyncObservation};
-use std::collections::BTreeMap;
+use crate::node_map::NodeMap;
+use crate::types::{Allocation, Limits, SyncObservation};
 
 /// Power-aware configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +51,16 @@ impl PowerAwareConfig {
 #[derive(Debug, Clone)]
 pub struct PowerAware {
     cfg: PowerAwareConfig,
-    /// Current per-node caps (node id → watts).
-    caps: BTreeMap<usize, f64>,
-    /// Measured power accumulated over the window (node id → sum).
-    window_power: BTreeMap<usize, f64>,
+    /// Current per-node caps, watts.
+    caps: NodeMap,
+    /// Measured power summed over the window so far.
+    window_power: NodeMap,
     window_count: usize,
     allocations: u64,
+    /// Per-decision scratch: below-cap nodes with their mean power, and
+    /// the nodes pinned at their cap.
+    donors: Vec<(usize, f64)>,
+    claimants: Vec<usize>,
 }
 
 impl PowerAware {
@@ -65,10 +69,12 @@ impl PowerAware {
         assert!(cfg.window >= 1);
         PowerAware {
             cfg,
-            caps: BTreeMap::new(),
-            window_power: BTreeMap::new(),
+            caps: NodeMap::default(),
+            window_power: NodeMap::default(),
             window_count: 0,
             allocations: 0,
+            donors: Vec::new(),
+            claimants: Vec::new(),
         }
     }
 
@@ -77,50 +83,48 @@ impl PowerAware {
         self.allocations
     }
 
-    /// Pull assigned caps back under the (possibly shrunk) budget by taking
-    /// an equal share from every node that still has room above δ_min.
-    fn shrink_caps_to_budget(&mut self) {
-        for _ in 0..8 {
-            let assigned: f64 = self.caps.values().sum();
-            let excess = assigned - self.cfg.budget_w;
-            if excess <= 1e-9 {
-                break;
-            }
-            let adjustable: Vec<usize> = self
-                .caps
-                .iter()
-                .filter(|&(_, &w)| w > self.cfg.limits.min_w + 1e-12)
-                .map(|(&n, _)| n)
-                .collect();
-            if adjustable.is_empty() {
-                break;
-            }
-            let share = excess / adjustable.len() as f64;
-            for n in adjustable {
-                let w = self.caps[&n];
-                self.caps.insert(n, (w - share).max(self.cfg.limits.min_w));
+    /// Shift the window's excess from donors to claimants. Returns whether
+    /// any cap moved. `denom` is the number of syncs in the window.
+    fn rebalance(&mut self, obs: &SyncObservation, denom: f64) -> bool {
+        // Partition nodes into donors (below cap) and claimants (at cap).
+        self.donors.clear();
+        self.claimants.clear();
+        for s in &obs.nodes {
+            let cap = self.caps.get(s.node);
+            let p = self.window_power.get(s.node) / denom;
+            if p >= cap - self.cfg.at_cap_margin_w {
+                self.claimants.push(s.node);
+            } else if cap - p > self.cfg.headroom_w {
+                self.donors.push((s.node, p));
             }
         }
-    }
-
-    fn build_allocation(&self, obs: &SyncObservation) -> Allocation {
-        let mean = |role: Role| {
-            let (sum, n) = obs
-                .nodes
-                .iter()
-                .filter(|s| s.role == role)
-                .fold((0.0, 0usize), |(sum, n), s| (sum + self.caps[&s.node], n + 1));
-            if n == 0 {
-                0.0
-            } else {
-                sum / n as f64
-            }
-        };
-        Allocation {
-            sim_node_w: mean(Role::Simulation),
-            analysis_node_w: mean(Role::Analysis),
-            per_node_w: self.caps.iter().map(|(&n, &w)| (n, w)).collect(),
+        // SLURM only acts when someone is pinned at the cap.
+        if self.claimants.is_empty() || self.donors.is_empty() {
+            return false;
         }
+        // Harvest excess from donors.
+        let mut pool = 0.0;
+        for &(n, p) in &self.donors {
+            let cap = self.caps.get_mut(n);
+            let floor = (p + self.cfg.headroom_w).max(self.cfg.limits.min_w);
+            let give = (*cap - floor).max(0.0);
+            if give > 0.0 {
+                *cap -= give;
+                pool += give;
+            }
+        }
+        if pool <= 0.0 {
+            return false;
+        }
+        // Divide evenly among claimants, respecting δ_max; watts a claimant
+        // cannot absorb stay unallocated this round (SLURM re-harvests next
+        // interval).
+        let share = pool / self.claimants.len() as f64;
+        for &n in &self.claimants {
+            let cap = self.caps.get_mut(n);
+            *cap = self.cfg.limits.clamp(*cap + share);
+        }
+        true
     }
 }
 
@@ -135,63 +139,23 @@ impl Controller for PowerAware {
         }
         // Forget dropped nodes, then seed cap state from the observation on
         // first contact.
-        self.caps.retain(|n, _| obs.nodes.iter().any(|s| s.node == *n));
+        self.caps.sync_to(&obs.nodes);
         for s in &obs.nodes {
-            self.caps.entry(s.node).or_insert(s.cap_w);
-        }
-        for s in &obs.nodes {
-            *self.window_power.entry(s.node).or_insert(0.0) += s.power_w;
+            *self.window_power.entry_or(s.node, 0.0) += s.power_w;
         }
         self.window_count += 1;
         if self.window_count < self.cfg.window {
             return None;
         }
         let denom = self.window_count as f64;
-        let mean_power: BTreeMap<usize, f64> =
-            self.window_power.iter().map(|(&n, &p)| (n, p / denom)).collect();
-        self.window_power.clear();
         self.window_count = 0;
-
-        // Partition nodes into donors (below cap) and claimants (at cap).
-        let mut donors: Vec<usize> = Vec::new();
-        let mut claimants: Vec<usize> = Vec::new();
-        for s in &obs.nodes {
-            let cap = self.caps[&s.node];
-            let p = mean_power[&s.node];
-            if p >= cap - self.cfg.at_cap_margin_w {
-                claimants.push(s.node);
-            } else if cap - p > self.cfg.headroom_w {
-                donors.push(s.node);
-            }
-        }
-        // SLURM only acts when someone is pinned at the cap.
-        if claimants.is_empty() || donors.is_empty() {
+        let moved = self.rebalance(obs, denom);
+        self.window_power.clear();
+        if !moved {
             return None;
-        }
-        // Harvest excess from donors.
-        let mut pool = 0.0;
-        for &n in &donors {
-            let cap = self.caps[&n];
-            let floor = (mean_power[&n] + self.cfg.headroom_w).max(self.cfg.limits.min_w);
-            let give = (cap - floor).max(0.0);
-            if give > 0.0 {
-                self.caps.insert(n, cap - give);
-                pool += give;
-            }
-        }
-        if pool <= 0.0 {
-            return None;
-        }
-        // Divide evenly among claimants, respecting δ_max; watts a claimant
-        // cannot absorb stay unallocated this round (SLURM re-harvests next
-        // interval).
-        let share = pool / claimants.len() as f64;
-        for &n in &claimants {
-            let cap = self.caps[&n];
-            self.caps.insert(n, self.cfg.limits.clamp(cap + share));
         }
         self.allocations += 1;
-        Some(self.build_allocation(obs))
+        Some(self.caps.allocation(obs))
     }
 
     fn reset(&mut self) {
@@ -208,7 +172,7 @@ impl Controller for PowerAware {
     fn set_budget_w(&mut self, budget_w: f64) {
         if budget_w.is_finite() && budget_w > 0.0 {
             self.cfg.budget_w = budget_w;
-            self.shrink_caps_to_budget();
+            self.caps.shrink_to_budget(budget_w, self.cfg.limits.min_w);
         }
     }
 }
@@ -216,7 +180,7 @@ impl Controller for PowerAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeSample;
+    use crate::types::{NodeSample, Role};
 
     fn sample(node: usize, role: Role, power_w: f64, cap_w: f64) -> NodeSample {
         NodeSample { node, role, time_s: 1.0, power_w, cap_w }

@@ -17,8 +17,8 @@
 //! the window `w` has no effect.
 
 use crate::controller::Controller;
-use crate::types::{Allocation, Limits, Role, SyncObservation};
-use std::collections::BTreeMap;
+use crate::node_map::NodeMap;
+use crate::types::{Allocation, Limits, SyncObservation};
 
 /// Time-aware configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +59,7 @@ impl TimeAwareConfig {
 #[derive(Debug, Clone)]
 pub struct TimeAware {
     cfg: TimeAwareConfig,
-    caps: BTreeMap<usize, f64>,
+    caps: NodeMap,
     step_w: f64,
     allocations: u64,
 }
@@ -69,7 +69,7 @@ impl TimeAware {
     pub fn new(cfg: TimeAwareConfig) -> Self {
         assert!(cfg.margin >= 0.0 && cfg.margin < 1.0);
         assert!(cfg.step_decay > 0.0 && cfg.step_decay <= 1.0);
-        TimeAware { cfg, caps: BTreeMap::new(), step_w: cfg.initial_step_w, allocations: 0 }
+        TimeAware { cfg, caps: NodeMap::default(), step_w: cfg.initial_step_w, allocations: 0 }
     }
 
     /// Current power step, watts.
@@ -80,52 +80,6 @@ impl TimeAware {
     /// Number of reallocations performed so far.
     pub fn allocations(&self) -> u64 {
         self.allocations
-    }
-
-    /// Pull assigned caps back under the (possibly shrunk) budget by taking
-    /// an equal share from every node that still has room above δ_min.
-    fn shrink_caps_to_budget(&mut self) {
-        for _ in 0..8 {
-            let assigned: f64 = self.caps.values().sum();
-            let excess = assigned - self.cfg.budget_w;
-            if excess <= 1e-9 {
-                break;
-            }
-            let adjustable: Vec<usize> = self
-                .caps
-                .iter()
-                .filter(|&(_, &w)| w > self.cfg.limits.min_w + 1e-12)
-                .map(|(&n, _)| n)
-                .collect();
-            if adjustable.is_empty() {
-                break;
-            }
-            let share = excess / adjustable.len() as f64;
-            for n in adjustable {
-                let w = self.caps[&n];
-                self.caps.insert(n, (w - share).max(self.cfg.limits.min_w));
-            }
-        }
-    }
-
-    fn build_allocation(&self, obs: &SyncObservation) -> Allocation {
-        let mean = |role: Role| {
-            let (sum, n) = obs
-                .nodes
-                .iter()
-                .filter(|s| s.role == role)
-                .fold((0.0, 0usize), |(sum, n), s| (sum + self.caps[&s.node], n + 1));
-            if n == 0 {
-                0.0
-            } else {
-                sum / n as f64
-            }
-        };
-        Allocation {
-            sim_node_w: mean(Role::Simulation),
-            analysis_node_w: mean(Role::Analysis),
-            per_node_w: self.caps.iter().map(|(&n, &w)| (n, w)).collect(),
-        }
     }
 }
 
@@ -140,45 +94,40 @@ impl Controller for TimeAware {
         }
         // Forget nodes that have left the observation (dropouts): their
         // assigned watts must return to the slack pool, not stay reserved.
-        self.caps.retain(|n, _| obs.nodes.iter().any(|s| s.node == *n));
-        for s in &obs.nodes {
-            self.caps.entry(s.node).or_insert(s.cap_w);
-        }
+        self.caps.sync_to(&obs.nodes);
         let max_t = obs.nodes.iter().map(|s| s.time_s).fold(f64::MIN, f64::max);
         if max_t <= 0.0 || max_t.is_nan() {
             return None;
         }
         let target = (1.0 - self.cfg.margin) * max_t;
+        let limits = self.cfg.limits;
 
         // Fast nodes donate up to one step (down to δ_min); slow nodes
         // receive. The donation scales with how far below the target a node
         // sits (GEOPM lowers a node's budget *until its runtime meets the
-        // target*, so nodes already near it barely move).
-        let donors: Vec<(usize, f64)> = obs
-            .nodes
-            .iter()
-            .filter(|s| s.time_s < target)
-            .map(|s| {
-                let deficit = ((target - s.time_s) / (0.1 * target)).clamp(0.0, 1.0);
-                (s.node, deficit)
-            })
-            .collect();
-        let receivers: Vec<usize> =
-            obs.nodes.iter().filter(|s| s.time_s >= target).map(|s| s.node).collect();
+        // target*, so nodes already near it barely move). Who donates and
+        // who receives depends on the observed times alone, so the donors
+        // give in this pass and the receivers are only counted.
         let mut pool = 0.0;
-        for &(n, deficit) in &donors {
-            let cap = self.caps[&n];
-            let give = (cap - self.cfg.limits.min_w).min(self.step_w * deficit).max(0.0);
-            if give > 0.0 {
-                self.caps.insert(n, cap - give);
-                pool += give;
+        let mut receivers = 0usize;
+        for s in &obs.nodes {
+            if s.time_s < target {
+                let deficit = ((target - s.time_s) / (0.1 * target)).clamp(0.0, 1.0);
+                let cap = self.caps.get_mut(s.node);
+                let give = (*cap - limits.min_w).min(self.step_w * deficit).max(0.0);
+                if give > 0.0 {
+                    *cap -= give;
+                    pool += give;
+                }
+            } else if s.time_s >= target {
+                receivers += 1;
             }
         }
-        if !receivers.is_empty() && pool > 0.0 {
-            let share = pool / receivers.len() as f64;
-            for &n in &receivers {
-                let cap = self.caps[&n];
-                self.caps.insert(n, self.cfg.limits.clamp(cap + share));
+        if receivers > 0 && pool > 0.0 {
+            let share = pool / receivers as f64;
+            for s in obs.nodes.iter().filter(|s| s.time_s >= target) {
+                let cap = self.caps.get_mut(s.node);
+                *cap = limits.clamp(*cap + share);
             }
         }
         // Redistribute slack (budget minus what is currently assigned)
@@ -187,16 +136,14 @@ impl Controller for TimeAware {
         let slack = self.cfg.budget_w - assigned;
         if slack > 1e-9 {
             let share = slack / self.caps.len() as f64;
-            let keys: Vec<usize> = self.caps.keys().copied().collect();
-            for n in keys {
-                let cap = self.caps[&n];
-                self.caps.insert(n, self.cfg.limits.clamp(cap + share));
+            for cap in self.caps.values_mut() {
+                *cap = limits.clamp(*cap + share);
             }
         }
         // Decay the rate of change down to the configured minimum.
         self.step_w = (self.step_w * self.cfg.step_decay).max(self.cfg.min_step_w);
         self.allocations += 1;
-        Some(self.build_allocation(obs))
+        Some(self.caps.allocation(obs))
     }
 
     fn reset(&mut self) {
@@ -212,7 +159,7 @@ impl Controller for TimeAware {
     fn set_budget_w(&mut self, budget_w: f64) {
         if budget_w.is_finite() && budget_w > 0.0 {
             self.cfg.budget_w = budget_w;
-            self.shrink_caps_to_budget();
+            self.caps.shrink_to_budget(budget_w, self.cfg.limits.min_w);
         }
     }
 }
@@ -220,7 +167,7 @@ impl Controller for TimeAware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeSample;
+    use crate::types::{NodeSample, Role};
 
     fn sample(node: usize, role: Role, time_s: f64, cap_w: f64) -> NodeSample {
         NodeSample { node, role, time_s, power_w: cap_w - 1.0, cap_w }

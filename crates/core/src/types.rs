@@ -1,5 +1,7 @@
 //! Shared vocabulary for power controllers.
 
+use std::borrow::Cow;
+
 /// Whether a node (or rank) belongs to the simulation or analysis partition
 /// of a space-shared in-situ job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,8 +128,7 @@ impl Limits {
 
 /// A power allocation decision: uniform per-node caps for each partition
 /// (power is divided evenly within a partition — paper §IV-A), plus
-/// optional per-node overrides used by the node-granular power-aware
-/// scheme.
+/// optional per-node overrides used by the node-granular schemes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Per-node cap for simulation nodes, watts.
@@ -136,6 +137,11 @@ pub struct Allocation {
     pub analysis_node_w: f64,
     /// If non-empty, exact per-node caps `(node, cap_w)` that override the
     /// uniform values (the SLURM-style scheme caps nodes individually).
+    ///
+    /// Contract: every controller in this crate lists each node at most
+    /// once, in ascending node id. A hand-built list may be in any order
+    /// and may repeat a node, in which case the *first* entry for that
+    /// node wins. A node that is not listed gets its role's uniform cap.
     pub per_node_w: Vec<(usize, f64)>,
 }
 
@@ -145,14 +151,60 @@ impl Allocation {
         Allocation { sim_node_w, analysis_node_w, per_node_w: Vec::new() }
     }
 
-    /// Cap for a given node under this allocation.
+    /// A resolver for looking up many nodes' caps (O(nodes) to build, then
+    /// O(1) per node asked in ascending order). Borrows `per_node_w` when
+    /// it honours the ascending-unique contract and allocates only to
+    /// normalize a hand-built list that does not.
+    pub fn caps(&self) -> CapLookup<'_> {
+        let ascending_unique = self.per_node_w.windows(2).all(|w| w[0].0 < w[1].0);
+        let overrides = if ascending_unique {
+            Cow::Borrowed(self.per_node_w.as_slice())
+        } else {
+            // Stable sort, then keep the first of each run: first match wins.
+            let mut sorted = self.per_node_w.clone();
+            sorted.sort_by_key(|&(n, _)| n);
+            sorted.dedup_by_key(|&mut (n, _)| n);
+            Cow::Owned(sorted)
+        };
+        CapLookup { alloc: self, overrides, cursor: 0 }
+    }
+
+    /// Cap for one node under this allocation. Costs a pass over
+    /// `per_node_w`; to resolve many nodes use [`Allocation::caps`].
     pub fn cap_for(&self, node: usize, role: Role) -> f64 {
-        if let Some(&(_, w)) = self.per_node_w.iter().find(|&&(n, _)| n == node) {
-            return w;
+        self.caps().cap_for(node, role)
+    }
+}
+
+/// Per-node cap resolver over one [`Allocation`] — see [`Allocation::caps`].
+#[derive(Debug, Clone)]
+pub struct CapLookup<'a> {
+    alloc: &'a Allocation,
+    /// The overrides in strictly ascending node order.
+    overrides: Cow<'a, [(usize, f64)]>,
+    /// Where the next node is expected: producers list nodes ascending and
+    /// callers ask in the same order, so the walk stays in lock-step.
+    cursor: usize,
+}
+
+impl CapLookup<'_> {
+    /// Cap for a given node: its override if listed, else its role's
+    /// uniform cap.
+    pub fn cap_for(&mut self, node: usize, role: Role) -> f64 {
+        // Out of step (a gap, an unlisted node, a caller jumping around):
+        // find where `node` is, or would be.
+        if self.overrides.get(self.cursor).is_none_or(|&(n, _)| n != node) {
+            self.cursor = self.overrides.partition_point(|&(n, _)| n < node);
         }
-        match role {
-            Role::Simulation => self.sim_node_w,
-            Role::Analysis => self.analysis_node_w,
+        match self.overrides.get(self.cursor) {
+            Some(&(n, w)) if n == node => {
+                self.cursor += 1;
+                w
+            }
+            _ => match role {
+                Role::Simulation => self.alloc.sim_node_w,
+                Role::Analysis => self.alloc.analysis_node_w,
+            },
         }
     }
 }
@@ -288,6 +340,63 @@ mod tests {
         assert_eq!(a.cap_for(0, Role::Simulation), 120.0);
         assert_eq!(a.cap_for(2, Role::Analysis), 100.0);
         assert_eq!(a.cap_for(3, Role::Analysis), 98.0);
+    }
+
+    /// The `per_node_w` contract: the resolver (walked in any order, and
+    /// through the one-off `cap_for`) answers exactly like a linear
+    /// first-match scan, for ascending-unique lists as the controllers
+    /// produce them and for unsorted, duplicate-bearing hand-built ones.
+    #[test]
+    fn cap_lookup_equals_linear_first_match_on_random_allocations() {
+        use crate::reference::linear_cap_for;
+        let mut rng = des::Rng::seed_from_u64(0xCA9_F02);
+        for case in 0..400 {
+            let span = 1 + rng.next_below(40) as usize;
+            let len = rng.next_below(60) as usize;
+            let mut a = Allocation::uniform(rng.uniform(98.0, 215.0), rng.uniform(98.0, 215.0));
+            match case % 3 {
+                // As produced: ascending, unique, possibly with gaps.
+                0 => {
+                    for n in 0..span {
+                        if rng.next_f64() < 0.7 {
+                            a.per_node_w.push((n, rng.uniform(98.0, 215.0)));
+                        }
+                    }
+                }
+                // Hand-built: any order, repeats likely.
+                _ => {
+                    for _ in 0..len {
+                        let n = rng.next_below(span as u64) as usize;
+                        a.per_node_w.push((n, rng.uniform(98.0, 215.0)));
+                    }
+                }
+            }
+            let role = |n: usize| if n & 1 == 0 { Role::Simulation } else { Role::Analysis };
+            // Ascending walk (the runtime's cap-apply order), two past the end.
+            let mut caps = a.caps();
+            for n in 0..span + 2 {
+                let want = linear_cap_for(&a, n, role(n));
+                assert_eq!(caps.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
+                assert_eq!(a.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
+            }
+            // Random-order walk with repeats on one resolver.
+            let mut caps = a.caps();
+            for _ in 0..3 * span {
+                let n = rng.next_below(span as u64 + 2) as usize;
+                let want = linear_cap_for(&a, n, role(n));
+                assert_eq!(caps.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn cap_lookup_first_match_wins_and_absent_falls_back() {
+        let mut a = Allocation::uniform(120.0, 100.0);
+        a.per_node_w = vec![(5, 101.0), (2, 102.0), (5, 103.0), (2, 104.0)];
+        assert_eq!(a.cap_for(5, Role::Simulation), 101.0);
+        assert_eq!(a.cap_for(2, Role::Analysis), 102.0);
+        assert_eq!(a.cap_for(3, Role::Simulation), 120.0);
+        assert_eq!(a.cap_for(9, Role::Analysis), 100.0);
     }
 
     #[test]

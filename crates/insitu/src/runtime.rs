@@ -18,7 +18,7 @@ use crate::result::{RunResult, SyncRecord};
 use crate::stepper::{self, NodeCtx};
 use des::{SimDuration, SimTime};
 use faults::{FaultEvent, FaultKind, RecoveryEvent, RecoveryKind};
-use mdsim::workload::{AnalyticWorkload, StepWork, WorkloadGen};
+use mdsim::workload::{AnalyticWorkload, WorkloadGen};
 use mpisim::{Communicator, JobLayout, NetworkModel};
 use polimer::{ExchangeFaults, NodeInterval, PowerManager};
 use seesaw::{
@@ -114,6 +114,38 @@ pub struct Runtime {
     fault_log: Vec<FaultEvent>,
     recovery_log: Vec<RecoveryEvent>,
     halted: bool,
+    scratch: SyncScratch,
+}
+
+/// The buffers one interval works over, owned by the runtime and reused,
+/// so that once they have grown to the job's size a fault-free
+/// [`Runtime::step_sync`] allocates nothing.
+#[derive(Default)]
+struct SyncScratch {
+    /// This interval's slice of the fault plan.
+    events: Vec<FaultEvent>,
+    /// Surviving nodes of each partition with their stepping inputs.
+    sim_ctx: Vec<NodeCtx>,
+    ana_ctx: Vec<NodeCtx>,
+    /// The simulation's phases over the interval's steps, flattened in
+    /// step order, and the sync step's analysis phases.
+    sim_phases: Vec<Work>,
+    ana_phases: Vec<Work>,
+    sim_arrivals: Vec<(usize, SimTime)>,
+    ana_arrivals: Vec<(usize, SimTime)>,
+    /// Per arriving node, simulation partition first: the cap in force
+    /// during the interval and the node's true feedback.
+    feedback: Vec<NodeFeedback>,
+}
+
+/// What the runtime knows about one node at the rendezvous.
+struct NodeFeedback {
+    node: usize,
+    role: Role,
+    /// Requested cap in force during the interval, watts.
+    cap_w: f64,
+    /// True (noise-free) mean power over the node's active window, watts.
+    true_power_w: f64,
 }
 
 impl Runtime {
@@ -174,7 +206,7 @@ impl Runtime {
         // and the measurement exchange still runs over one rank per node.
         let world = Communicator::world(JobLayout::new(2 * n, 2));
         let sim_count = spec.sim_nodes;
-        let manager = PowerManager::init_with_controller(
+        let mut manager = PowerManager::init_with_controller(
             &world,
             move |rank| if rank / 2 < sim_count { Role::Simulation } else { Role::Analysis },
             controller,
@@ -182,6 +214,7 @@ impl Runtime {
             5.0e-6,
         );
         let sync_count = spec.sync_count();
+        manager.reserve_syncs(sync_count as usize);
         let all_nodes: Vec<usize> = (0..n).collect();
         let machine = cfg.machine.clone();
         let sparse = cfg.step == StepMode::Auto && cluster.noise().is_quiet();
@@ -202,6 +235,7 @@ impl Runtime {
             fault_log: Vec::new(),
             recovery_log: Vec::new(),
             halted: false,
+            scratch: SyncScratch::default(),
         }
     }
 
@@ -309,233 +343,71 @@ impl Runtime {
             return false;
         }
         let _t = obs::profile::timer("insitu.step_sync");
-        let j = self.cfg.workload.sync_every;
         let sync_k = self.next_sync;
         self.next_sync += 1;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.run_interval(sync_k, &mut scratch);
+        self.scratch = scratch;
+        true
+    }
 
+    /// The body of [`Runtime::step_sync`] for the 1-based interval `sync_k`.
+    fn run_interval(&mut self, sync_k: u64, sc: &mut SyncScratch) {
+        let j = self.cfg.workload.sync_every;
+        let t0 = self.t;
+        // Fault plans index intervals 0-based; sync_k is 1-based.
+        let sync0 = sync_k - 1;
+        self.tracer.set_now(t0);
+        if self.tracer.is_enabled() {
+            if sync_k == 1 {
+                // Run context header: what the audit layer checks budget
+                // conservation and cap ranges against.
+                self.tracer.emit(obs::Event::RunStart {
+                    sim_nodes: self.sim_nodes.len(),
+                    analysis_nodes: self.ana_nodes.len(),
+                    budget_w: self.cfg.budget_w(),
+                    min_cap_w: self.machine.min_cap_w,
+                    max_cap_w: self.machine.max_cap_w(),
+                    actuation_ns: self.machine.cap_actuation.as_nanos(),
+                });
+            }
+            self.tracer.emit(obs::Event::SyncStart { sync: sync_k });
+        }
+        let faults_before = self.fault_log.len();
+        let recoveries_before = self.recovery_log.len();
+        sc.events.clear();
+        sc.events.extend(self.cfg.faults.events_at(sync0).copied());
+        let sf = self.inject_faults(&sc.events);
+        if self.tracer.is_enabled() {
+            // Trace-side sync indices are uniformly 1-based (matching
+            // SyncStart/SyncEnd); only the fault *plan* and the result
+            // logs keep the 0-based interval numbering.
+            for ev in &self.fault_log[faults_before..] {
+                self.tracer.emit(obs::Event::Fault {
+                    sync: sync_k,
+                    node: ev.node,
+                    tag: ev.kind.tag(),
+                });
+            }
+        }
+
+        // --- Watchdog: a partition with no survivors ends the coupled
+        // job gracefully (nothing left to synchronize against). The
+        // interval still closes with a balanced SyncEnd/SyncEnergy —
+        // zero overhead, zero energy, no time elapsed — so the trace
+        // needs no halted-run special case downstream.
+        for (nodes, ctx) in [(&self.sim_nodes, &mut sc.sim_ctx), (&self.ana_nodes, &mut sc.ana_ctx)]
         {
-            let t0 = self.t;
-            // Fault plans index intervals 0-based; sync_k is 1-based.
-            let sync0 = sync_k - 1;
-            self.tracer.set_now(t0);
+            ctx.clear();
+            ctx.extend(nodes.iter().filter(|&&n| self.manager.is_alive(n)).map(|&node| NodeCtx {
+                node,
+                sigma_scale: self.low_cap_jitter_scale(node),
+                stretch: sf.straggle_factor(node),
+            }));
+        }
+        if sc.sim_ctx.is_empty() || sc.ana_ctx.is_empty() {
+            self.halted = true;
             if self.tracer.is_enabled() {
-                if sync_k == 1 {
-                    // Run context header: what the audit layer checks budget
-                    // conservation and cap ranges against.
-                    self.tracer.emit(obs::Event::RunStart {
-                        sim_nodes: self.sim_nodes.len(),
-                        analysis_nodes: self.ana_nodes.len(),
-                        budget_w: self.cfg.budget_w(),
-                        min_cap_w: self.machine.min_cap_w,
-                        max_cap_w: self.machine.max_cap_w(),
-                        actuation_ns: self.machine.cap_actuation.as_nanos(),
-                    });
-                }
-                self.tracer.emit(obs::Event::SyncStart { sync: sync_k });
-            }
-            let faults_before = self.fault_log.len();
-            let recoveries_before = self.recovery_log.len();
-            let events: Vec<FaultEvent> = self.cfg.faults.events_at(sync0).copied().collect();
-            let sf = self.inject_faults(events);
-            if self.tracer.is_enabled() {
-                // Trace-side sync indices are uniformly 1-based (matching
-                // SyncStart/SyncEnd); only the fault *plan* and the result
-                // logs keep the 0-based interval numbering.
-                for ev in &self.fault_log[faults_before..] {
-                    self.tracer.emit(obs::Event::Fault {
-                        sync: sync_k,
-                        node: ev.node,
-                        tag: ev.kind.tag(),
-                    });
-                }
-            }
-
-            // --- Watchdog: a partition with no survivors ends the coupled
-            // job gracefully (nothing left to synchronize against). The
-            // interval still closes with a balanced SyncEnd/SyncEnergy —
-            // zero overhead, zero energy, no time elapsed — so the trace
-            // needs no halted-run special case downstream.
-            let sim_alive: Vec<usize> =
-                self.sim_nodes.iter().copied().filter(|&n| self.manager.is_alive(n)).collect();
-            let ana_alive: Vec<usize> =
-                self.ana_nodes.iter().copied().filter(|&n| self.manager.is_alive(n)).collect();
-            if sim_alive.is_empty() || ana_alive.is_empty() {
-                self.halted = true;
-                if self.tracer.is_enabled() {
-                    self.cluster.flush_trace();
-                    for rec in &self.recovery_log[recoveries_before..] {
-                        self.tracer.emit(obs::Event::Recovery {
-                            sync: sync_k,
-                            node: rec.node,
-                            tag: rec.kind.tag(),
-                        });
-                    }
-                    self.tracer.emit(obs::Event::SyncEnd { sync: sync_k, overhead_s: 0.0 });
-                    self.tracer.emit(obs::Event::SyncEnergy { sync: sync_k, energy_j: 0.0 });
-                }
-                return true;
-            }
-
-            // Gather this interval's per-step work (simulation runs all j
-            // steps; analysis phases appear on the sync step).
-            let steps: Vec<StepWork> =
-                ((sync_k - 1) * j + 1..=sync_k * j).map(|s| self.workload.step_work(s)).collect();
-
-            // --- Simulation partition executes its phases (flattened in
-            // step order, exactly the order the per-node walk runs them).
-            let sim_phases: Vec<Work> =
-                steps.iter().flat_map(|sw| sw.sim_phases.iter().copied()).collect();
-            let sim_ctx: Vec<NodeCtx> = sim_alive
-                .iter()
-                .map(|&node| NodeCtx {
-                    node,
-                    sigma_scale: self.low_cap_jitter_scale(node),
-                    stretch: sf.straggle_factor(node),
-                })
-                .collect();
-            let mut sim_arrivals = Vec::with_capacity(sim_alive.len());
-            stepper::advance_partition(
-                &mut self.cluster,
-                &self.machine,
-                &sim_ctx,
-                &sim_phases,
-                t0,
-                self.sparse,
-                &mut sim_arrivals,
-            );
-
-            // --- Analysis partition executes the sync step's phases.
-            let ana_phases: &[Work] =
-                steps.last().map(|s| s.analysis_phases.as_slice()).unwrap_or(&[]);
-            let ana_ctx: Vec<NodeCtx> = ana_alive
-                .iter()
-                .map(|&node| NodeCtx {
-                    node,
-                    sigma_scale: self.low_cap_jitter_scale(node),
-                    stretch: sf.straggle_factor(node),
-                })
-                .collect();
-            let mut ana_arrivals = Vec::with_capacity(ana_alive.len());
-            stepper::advance_partition(
-                &mut self.cluster,
-                &self.machine,
-                &ana_ctx,
-                ana_phases,
-                t0,
-                self.sparse,
-                &mut ana_arrivals,
-            );
-
-            // --- Rendezvous: the earlier side waits.
-            let sim_latest = sim_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
-            let ana_latest = ana_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
-            let rendezvous = sim_latest.max(ana_latest);
-            let sim_time = sim_latest.saturating_since(t0).as_secs_f64();
-            let ana_time = ana_latest.saturating_since(t0).as_secs_f64();
-            let slack_den = sim_time.max(ana_time).max(MIN_INTERVAL_S);
-            if self.tracer.is_enabled() {
-                for (&(node, arrival), role) in sim_arrivals
-                    .iter()
-                    .map(|x| (x, Role::Simulation))
-                    .chain(ana_arrivals.iter().map(|x| (x, Role::Analysis)))
-                {
-                    self.tracer.emit_at(
-                        arrival,
-                        obs::Event::Arrival {
-                            sync: sync_k,
-                            node,
-                            role: role.tag(),
-                            time_s: arrival.saturating_since(t0).as_secs_f64(),
-                        },
-                    );
-                }
-                self.tracer.emit_at(
-                    rendezvous,
-                    obs::Event::Rendezvous {
-                        sync: sync_k,
-                        sim_time_s: sim_time,
-                        analysis_time_s: ana_time,
-                        slack: (sim_time - ana_time).abs() / slack_den,
-                    },
-                );
-            }
-            for &(node, arrival) in sim_arrivals.iter().chain(&ana_arrivals) {
-                self.cluster.node_mut(node).wait_until(&self.machine, arrival, rendezvous);
-            }
-            // Manager/controller events below are stamped at the rendezvous.
-            self.tracer.set_now(rendezvous);
-
-            // --- Feedback: time to arrival, measured power over the active
-            // window, current requested cap. Monitor-side corruption
-            // (injected NaN/spike/dropout) happens here, before PoLiMER's
-            // plausibility gate — rejected samples never reach Eq. 1.
-            let mut caps_now = Vec::with_capacity(sim_arrivals.len() + ana_arrivals.len());
-            for (&(node, arrival), role) in sim_arrivals
-                .iter()
-                .map(|x| (x, Role::Simulation))
-                .chain(ana_arrivals.iter().map(|x| (x, Role::Analysis)))
-            {
-                let time_s = arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S);
-                let mut power_w = self.cluster.measured_total_power(
-                    &[node],
-                    t0,
-                    arrival.max(t0 + SimDuration::from_nanos(1)),
-                );
-                let cap_w = self.cluster.node(node).rapl().requested_cap();
-                caps_now.push((node, role, cap_w));
-                if sf.dropout.contains(&node) {
-                    // The monitor missed the window: nothing to record.
-                    self.recovery_log.push(RecoveryEvent {
-                        sync: sync0,
-                        node,
-                        kind: RecoveryKind::SampleRejected,
-                    });
-                    continue;
-                }
-                if sf.nan.contains(&node) {
-                    power_w = f64::NAN;
-                }
-                if let Some(factor) = sf.spike_factor(node) {
-                    power_w *= factor;
-                }
-                if !self.manager.record(NodeInterval { node, role, time_s, power_w, cap_w }) {
-                    self.recovery_log.push(RecoveryEvent {
-                        sync: sync0,
-                        node,
-                        kind: RecoveryKind::SampleRejected,
-                    });
-                }
-            }
-
-            // --- poli_power_alloc(): exchange, decide, apply.
-            let outcome = self.manager.power_alloc_with(&sf.exchange);
-            self.recovery_log.extend(outcome.recoveries.iter().copied());
-            if let Some(alloc) = &outcome.allocation {
-                for &(node, role, _) in &caps_now {
-                    let target = alloc.cap_for(node, role);
-                    if sf.write_error.contains(&node) {
-                        // Transient EIO on the powercap write; the retried
-                        // write lands ~1 ms late but the cap does apply.
-                        self.cluster.node_mut(node).rapl_mut().inject_extra_latency(1.0e-3);
-                        self.recovery_log.push(RecoveryEvent {
-                            sync: sync0,
-                            node,
-                            kind: RecoveryKind::CapWriteRetried,
-                        });
-                    }
-                    self.cluster.node_mut(node).request_cap(&self.machine, rendezvous, target);
-                }
-            }
-            // All nodes block while the allocation call runs.
-            let t_end = rendezvous + outcome.overhead;
-            for &(node, _, _) in &caps_now {
-                self.cluster.node_mut(node).wait_until(&self.machine, rendezvous, t_end);
-            }
-            self.t = t_end;
-            self.tracer.set_now(t_end);
-            if self.tracer.is_enabled() {
-                // Land every node's batched span events (phases, waits,
-                // cap requests) before this interval's sync_end.
                 self.cluster.flush_trace();
                 for rec in &self.recovery_log[recoveries_before..] {
                     self.tracer.emit(obs::Event::Recovery {
@@ -544,57 +416,207 @@ impl Runtime {
                         tag: rec.kind.tag(),
                     });
                 }
-                self.tracer.emit(obs::Event::SyncEnd {
+                self.tracer.emit(obs::Event::SyncEnd { sync: sync_k, overhead_s: 0.0 });
+                self.tracer.emit(obs::Event::SyncEnergy { sync: sync_k, energy_j: 0.0 });
+            }
+            return;
+        }
+
+        // Gather this interval's per-step work (simulation runs all j
+        // steps, flattened in step order — exactly the order the per-node
+        // walk runs them; analysis phases are the sync step's, i.e. the
+        // last step's).
+        sc.sim_phases.clear();
+        sc.ana_phases.clear();
+        for step in (sync_k - 1) * j + 1..=sync_k * j {
+            self.workload.step_phases_into(step, &mut sc.sim_phases, &mut sc.ana_phases);
+        }
+
+        // --- Each partition executes its phases.
+        for (ctx, phases, arrivals) in [
+            (&sc.sim_ctx, &sc.sim_phases, &mut sc.sim_arrivals),
+            (&sc.ana_ctx, &sc.ana_phases, &mut sc.ana_arrivals),
+        ] {
+            arrivals.clear();
+            stepper::advance_partition(
+                &mut self.cluster,
+                &self.machine,
+                ctx,
+                phases,
+                t0,
+                self.sparse,
+                arrivals,
+            );
+        }
+        let (sim_arrivals, ana_arrivals) = (&sc.sim_arrivals, &sc.ana_arrivals);
+        let by_role = || {
+            let sim = sim_arrivals.iter().map(|x| (x, Role::Simulation));
+            sim.chain(ana_arrivals.iter().map(|x| (x, Role::Analysis)))
+        };
+
+        // --- Rendezvous: the earlier side waits.
+        let sim_latest = sim_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
+        let ana_latest = ana_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
+        let rendezvous = sim_latest.max(ana_latest);
+        let sim_time = sim_latest.saturating_since(t0).as_secs_f64();
+        let ana_time = ana_latest.saturating_since(t0).as_secs_f64();
+        let slack_den = sim_time.max(ana_time).max(MIN_INTERVAL_S);
+        if self.tracer.is_enabled() {
+            for (&(node, arrival), role) in by_role() {
+                self.tracer.emit_at(
+                    arrival,
+                    obs::Event::Arrival {
+                        sync: sync_k,
+                        node,
+                        role: role.tag(),
+                        time_s: arrival.saturating_since(t0).as_secs_f64(),
+                    },
+                );
+            }
+            self.tracer.emit_at(
+                rendezvous,
+                obs::Event::Rendezvous {
                     sync: sync_k,
-                    overhead_s: outcome.overhead.as_secs_f64(),
+                    sim_time_s: sim_time,
+                    analysis_time_s: ana_time,
+                    slack: (sim_time - ana_time).abs() / slack_den,
+                },
+            );
+        }
+        for &(node, arrival) in sim_arrivals.iter().chain(ana_arrivals) {
+            self.cluster.node_mut(node).wait_until(&self.machine, arrival, rendezvous);
+        }
+        // Manager/controller events below are stamped at the rendezvous.
+        self.tracer.set_now(rendezvous);
+
+        // --- Feedback: time to arrival, measured power over the active
+        // window, current requested cap. Monitor-side corruption
+        // (injected NaN/spike/dropout) happens here, before PoLiMER's
+        // plausibility gate — rejected samples never reach Eq. 1.
+        sc.feedback.clear();
+        for (&(node, arrival), role) in by_role() {
+            let time_s = arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S);
+            let (true_power_w, mut power_w) = self.cluster.measure_node_power(
+                node,
+                t0,
+                arrival.max(t0 + SimDuration::from_nanos(1)),
+            );
+            let cap_w = self.cluster.node(node).rapl().requested_cap();
+            sc.feedback.push(NodeFeedback { node, role, cap_w, true_power_w });
+            if sf.dropout.contains(&node) {
+                // The monitor missed the window: nothing to record.
+                self.recovery_log.push(RecoveryEvent {
+                    sync: sync0,
+                    node,
+                    kind: RecoveryKind::SampleRejected,
                 });
-                // True interval energy (a pure read of the draw series):
-                // the per-sync series tiles [0, T], so the audit layer can
-                // close it against the run total.
-                self.tracer.emit(obs::Event::SyncEnergy {
-                    sync: sync_k,
-                    energy_j: self.cluster.total_energy(&self.all_nodes, t0, t_end),
+                continue;
+            }
+            if sf.nan.contains(&node) {
+                power_w = f64::NAN;
+            }
+            if let Some(factor) = sf.spike_factor(node) {
+                power_w *= factor;
+            }
+            if !self.manager.record(NodeInterval { node, role, time_s, power_w, cap_w }) {
+                self.recovery_log.push(RecoveryEvent {
+                    sync: sync0,
+                    node,
+                    kind: RecoveryKind::SampleRejected,
                 });
             }
+        }
 
-            // --- Record.
-            let mean_power = |arrivals: &[(usize, SimTime)], cluster: &Cluster| -> f64 {
-                arrivals
-                    .iter()
-                    .map(|&(n, a)| {
-                        cluster.node(n).mean_power(t0, a.max(t0 + SimDuration::from_nanos(1)))
-                    })
-                    .sum::<f64>()
-                    / arrivals.len() as f64
-            };
-            // Caps during the interval: read before new caps take effect is
-            // awkward post-request; use the recorded values instead.
-            let cap_of = |role: Role| -> f64 {
-                let (sum, n) = caps_now
-                    .iter()
-                    .filter(|&&(_, r, _)| r == role)
-                    .fold((0.0, 0usize), |(s, n), &(_, _, c)| (s + c, n + 1));
-                if n == 0 {
-                    0.0
-                } else {
-                    sum / n as f64
+        // --- poli_power_alloc(): exchange, decide, apply.
+        let outcome = self.manager.power_alloc_with(&sf.exchange);
+        self.recovery_log.extend(outcome.recoveries.iter().copied());
+        if let Some(alloc) = &outcome.allocation {
+            // Feedback is in ascending node order, like the allocation's
+            // per-node list: the lookup walks the two in lock-step.
+            let mut caps = alloc.caps();
+            for fb in &sc.feedback {
+                let target = caps.cap_for(fb.node, fb.role);
+                if sf.write_error.contains(&fb.node) {
+                    // Transient EIO on the powercap write; the retried
+                    // write lands ~1 ms late but the cap does apply.
+                    self.cluster.node_mut(fb.node).rapl_mut().inject_extra_latency(1.0e-3);
+                    self.recovery_log.push(RecoveryEvent {
+                        sync: sync0,
+                        node: fb.node,
+                        kind: RecoveryKind::CapWriteRetried,
+                    });
                 }
-            };
-            self.syncs.push(SyncRecord {
-                index: sync_k,
-                start_s: t0.as_secs_f64(),
-                end_s: t_end.as_secs_f64(),
-                sim_time_s: sim_time,
-                analysis_time_s: ana_time,
-                sim_cap_w: cap_of(Role::Simulation),
-                analysis_cap_w: cap_of(Role::Analysis),
-                sim_power_w: mean_power(&sim_arrivals, &self.cluster),
-                analysis_power_w: mean_power(&ana_arrivals, &self.cluster),
-                slack: (sim_time - ana_time).abs() / slack_den,
+                self.cluster.node_mut(fb.node).request_cap(&self.machine, rendezvous, target);
+            }
+        }
+        // All nodes block while the allocation call runs.
+        let t_end = rendezvous + outcome.overhead;
+        for fb in &sc.feedback {
+            self.cluster.node_mut(fb.node).wait_until(&self.machine, rendezvous, t_end);
+        }
+        self.t = t_end;
+        self.tracer.set_now(t_end);
+        if self.tracer.is_enabled() {
+            // Land every node's batched span events (phases, waits,
+            // cap requests) before this interval's sync_end.
+            self.cluster.flush_trace();
+            for rec in &self.recovery_log[recoveries_before..] {
+                self.tracer.emit(obs::Event::Recovery {
+                    sync: sync_k,
+                    node: rec.node,
+                    tag: rec.kind.tag(),
+                });
+            }
+            self.tracer.emit(obs::Event::SyncEnd {
+                sync: sync_k,
                 overhead_s: outcome.overhead.as_secs_f64(),
             });
+            // True interval energy (a pure read of the draw series):
+            // the per-sync series tiles [0, T], so the audit layer can
+            // close it against the run total.
+            self.tracer.emit(obs::Event::SyncEnergy {
+                sync: sync_k,
+                energy_j: self.cluster.total_energy(&self.all_nodes, t0, t_end),
+            });
         }
-        true
+
+        // --- Record.
+        if rendezvous == t0 {
+            // Nobody did any work: every active window was padded to 1 ns
+            // and so reaches past the rendezvous, into the allocation wait
+            // recorded since the feedback read it. Read the windows again.
+            for (fb, (&(node, arrival), _)) in sc.feedback.iter_mut().zip(by_role()) {
+                let end = arrival.max(t0 + SimDuration::from_nanos(1));
+                fb.true_power_w = self.cluster.node(node).mean_power(t0, end);
+            }
+        }
+        // Feedback lists the simulation partition first.
+        let (sim_fb, ana_fb) = sc.feedback.split_at(sim_arrivals.len());
+        let mean_power = |fb: &[NodeFeedback]| -> f64 {
+            fb.iter().map(|f| f.true_power_w).sum::<f64>() / fb.len() as f64
+        };
+        // Caps during the interval: read before new caps take effect is
+        // awkward post-request; use the recorded values instead.
+        let mean_cap = |fb: &[NodeFeedback]| -> f64 {
+            if fb.is_empty() {
+                0.0
+            } else {
+                fb.iter().fold(0.0, |s, f| s + f.cap_w) / fb.len() as f64
+            }
+        };
+        self.syncs.push(SyncRecord {
+            index: sync_k,
+            start_s: t0.as_secs_f64(),
+            end_s: t_end.as_secs_f64(),
+            sim_time_s: sim_time,
+            analysis_time_s: ana_time,
+            sim_cap_w: mean_cap(sim_fb),
+            analysis_cap_w: mean_cap(ana_fb),
+            sim_power_w: mean_power(sim_fb),
+            analysis_power_w: mean_power(ana_fb),
+            slack: (sim_time - ana_time).abs() / slack_den,
+            overhead_s: outcome.overhead.as_secs_f64(),
+        });
     }
 
     /// Consume the runtime and assemble the result from whatever has been
@@ -642,9 +664,9 @@ impl Runtime {
     /// to the target node's actuator, and the rest into the [`SyncFaults`]
     /// the interval's feedback/exchange paths consume. Only faults that
     /// actually applied (live target) are logged.
-    fn inject_faults(&mut self, events: Vec<FaultEvent>) -> SyncFaults {
+    fn inject_faults(&mut self, events: &[FaultEvent]) -> SyncFaults {
         let mut sf = SyncFaults::default();
-        for ev in events {
+        for &ev in events {
             let alive = self.manager.is_alive(ev.node);
             match ev.kind {
                 FaultKind::NodeCrash => {

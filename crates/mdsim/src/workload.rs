@@ -121,6 +121,18 @@ pub trait WorkloadGen: Send {
     fn spec(&self) -> &WorkloadSpec;
     /// Work for step `step` (1-based). Must be called in order.
     fn step_work(&mut self, step: u64) -> StepWork;
+    /// [`WorkloadGen::step_work`] into caller-owned buffers, for a caller
+    /// that walks the phases and keeps nothing else: the step's simulation
+    /// phases are appended to `sim`, its analysis phases replace the
+    /// contents of `ana`. Counts as the call for `step` (same ordering
+    /// rule). Generators whose `step_work` allocates per call can override
+    /// this to write straight into the buffers.
+    fn step_phases_into(&mut self, step: u64, sim: &mut Vec<Work>, ana: &mut Vec<Work>) {
+        let work = self.step_work(step);
+        sim.extend_from_slice(&work.sim_phases);
+        ana.clear();
+        ana.extend_from_slice(&work.analysis_phases);
+    }
 }
 
 /// Calibrated per-atom costs, reference-seconds at the 110 W evaluation cap.
@@ -302,7 +314,15 @@ impl WorkloadGen for AnalyticWorkload {
     }
 
     fn step_work(&mut self, step: u64) -> StepWork {
-        let spec = self.spec.clone();
+        let mut sim = Vec::with_capacity(6);
+        let mut ana = Vec::new();
+        self.step_phases_into(step, &mut sim, &mut ana);
+        let is_sync = step.is_multiple_of(self.spec.sync_every);
+        StepWork { step, is_sync, sim_phases: sim, analysis_phases: ana }
+    }
+
+    fn step_phases_into(&mut self, step: u64, sim: &mut Vec<Work>, ana: &mut Vec<Work>) {
+        let spec = &self.spec;
         let cost = self.cost;
         let a_sim = spec.atoms_per_sim_node();
         let a_ana = spec.atoms_per_analysis_node();
@@ -319,7 +339,6 @@ impl WorkloadGen for AnalyticWorkload {
         let util_a = analysis_utilization(a_ana);
         let comm_extra = self.comm_extra();
 
-        let mut sim = Vec::with_capacity(6);
         sim.push(Work::scaled(
             PhaseKind::Integrate,
             cost.integrate_per_atom * a_sim * setup,
@@ -350,17 +369,17 @@ impl WorkloadGen for AnalyticWorkload {
             sim.push(Work::new(PhaseKind::SyncExchange, cost.startup_log_s * n.log2().max(1.0)));
         }
 
-        let mut ana = Vec::new();
+        ana.clear();
         if is_sync {
             // Steps 3 + 5 mirror rebuild on the analysis side.
             ana.push(Work::new(
                 PhaseKind::NeighborRebuild,
                 cost.analysis_neighbor_per_atom * a_ana + comm_extra,
             ));
-            for (idx, sched) in spec.analyses.iter().enumerate() {
+            for (sched, invocations) in spec.analyses.iter().zip(&mut self.invocations) {
                 if sched.due(step) {
-                    self.invocations[idx] += 1;
-                    let warm = cost.warmup_factor(sched.kind, self.invocations[idx]);
+                    *invocations += 1;
+                    let warm = cost.warmup_factor(sched.kind, *invocations);
                     ana.push(Work::scaled(
                         sched.kind.phase_kind(),
                         cost.analysis_per_atom(sched.kind) * a_ana * warm,
@@ -369,8 +388,6 @@ impl WorkloadGen for AnalyticWorkload {
                 }
             }
         }
-
-        StepWork { step, is_sync, sim_phases: sim, analysis_phases: ana }
     }
 }
 
@@ -616,6 +633,39 @@ mod tests {
         let on = w.step_work(5);
         assert!(on.is_sync);
         assert!(!on.analysis_phases.is_empty());
+    }
+
+    /// `step_phases_into` is `step_work` into caller-owned buffers: the
+    /// analytic generator's direct form and the trait's default (through
+    /// `step_work`) must produce the same phases, step for step, with
+    /// simulation phases appended and analysis phases replaced.
+    #[test]
+    fn step_phases_into_matches_step_work() {
+        struct ViaStepWork(AnalyticWorkload);
+        impl WorkloadGen for ViaStepWork {
+            fn spec(&self) -> &WorkloadSpec {
+                self.0.spec()
+            }
+            fn step_work(&mut self, step: u64) -> StepWork {
+                self.0.step_work(step)
+            }
+        }
+        let kinds = [AnalysisKind::MsdFull, AnalysisKind::Rdf];
+        let spec = WorkloadSpec { sync_every: 3, ..WorkloadSpec::paper(16, 128, 1, &kinds) };
+        let mut owned = AnalyticWorkload::new(spec.clone());
+        let mut direct = AnalyticWorkload::new(spec.clone());
+        let mut default = ViaStepWork(AnalyticWorkload::new(spec));
+        let (mut sim_a, mut ana_a) = (Vec::new(), vec![Work::new(PhaseKind::Force, 9.0)]);
+        let (mut sim_b, mut ana_b) = (Vec::new(), vec![Work::new(PhaseKind::Force, 9.0)]);
+        let mut sim_all = Vec::new();
+        for step in 1..=12 {
+            let work = owned.step_work(step);
+            sim_all.extend_from_slice(&work.sim_phases);
+            direct.step_phases_into(step, &mut sim_a, &mut ana_a);
+            default.step_phases_into(step, &mut sim_b, &mut ana_b);
+            assert_eq!((&sim_a, &ana_a), (&sim_all, &work.analysis_phases), "step {step}");
+            assert_eq!((&sim_b, &ana_b), (&sim_all, &work.analysis_phases), "step {step}");
+        }
     }
 
     #[test]

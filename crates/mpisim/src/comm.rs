@@ -7,7 +7,6 @@
 //! model here is structural: a communicator is an ordered set of global
 //! ranks plus the global rank→node map.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Immutable description of the job's process layout.
@@ -49,13 +48,23 @@ pub struct Communicator {
     layout: Arc<JobLayout>,
     /// Global ranks in this communicator, ascending.
     ranks: Vec<usize>,
+    /// Distinct nodes hosting `ranks`, counted once at construction:
+    /// every collective prices itself by this number.
+    nnodes: usize,
 }
 
 impl Communicator {
     /// `MPI_COMM_WORLD` for the given layout.
     pub fn world(layout: JobLayout) -> Self {
         let ranks = (0..layout.nranks).collect();
-        Communicator { layout: Arc::new(layout), ranks }
+        let nnodes = layout.nnodes();
+        Communicator { layout: Arc::new(layout), ranks, nnodes }
+    }
+
+    /// A communicator over `ranks` (ascending) of the job `layout`.
+    fn from_ranks(layout: Arc<JobLayout>, ranks: Vec<usize>) -> Self {
+        let nnodes = distinct_nodes(&layout, &ranks).count();
+        Communicator { layout, ranks, nnodes }
     }
 
     /// Job layout shared by all communicators of this job.
@@ -85,13 +94,12 @@ impl Communicator {
 
     /// Distinct nodes hosting this communicator's ranks, ascending.
     pub fn nodes(&self) -> Vec<usize> {
-        let set: BTreeSet<usize> = self.ranks.iter().map(|&r| self.layout.node_of(r)).collect();
-        set.into_iter().collect()
+        distinct_nodes(&self.layout, &self.ranks).map(|(node, _)| node).collect()
     }
 
-    /// Number of distinct nodes.
+    /// Number of distinct nodes (O(1)).
     pub fn nnodes(&self) -> usize {
-        self.nodes().len()
+        self.nnodes
     }
 
     /// `MPI_Comm_split`: partition members by color. Returns the
@@ -107,7 +115,7 @@ impl Communicator {
             .map(|c| {
                 let ranks: Vec<usize> =
                     self.ranks.iter().copied().filter(|&r| color_of(r) == c).collect();
-                (c, Communicator { layout: Arc::clone(&self.layout), ranks })
+                (c, Communicator::from_ranks(Arc::clone(&self.layout), ranks))
             })
             .collect()
     }
@@ -120,21 +128,29 @@ impl Communicator {
     /// The lowest global rank on each node of this communicator — PoLiMER
     /// designates one monitor rank per node (paper §VI-B).
     pub fn node_leaders(&self) -> Vec<usize> {
-        let mut leaders = Vec::new();
-        let mut seen = BTreeSet::new();
-        for &r in &self.ranks {
-            let node = self.layout.node_of(r);
-            if seen.insert(node) {
-                leaders.push(r);
-            }
-        }
-        leaders
+        distinct_nodes(&self.layout, &self.ranks).map(|(_, leader)| leader).collect()
     }
+}
+
+/// `(node, lowest member rank on it)` for each distinct node hosting
+/// `ranks`, ascending. Placement is blocked and `ranks` ascend, so a
+/// node's ranks are adjacent: a new node starts wherever the node id
+/// changes.
+fn distinct_nodes<'a>(
+    layout: &'a JobLayout,
+    ranks: &'a [usize],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let mut last = None;
+    ranks.iter().filter_map(move |&r| {
+        let node = layout.node_of(r);
+        (last.replace(node) != Some(node)).then_some((node, r))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn world_contains_all_ranks() {
@@ -183,6 +199,46 @@ mod tests {
         let (_, front) = &subs[0];
         assert_eq!(front.nnodes(), 2);
         assert_eq!(front.nodes(), vec![0, 1]);
+    }
+
+    /// `nnodes()` is cached at construction; it must agree with a fresh
+    /// count of distinct hosting nodes however the communicator was made.
+    fn recount(c: &Communicator) -> usize {
+        c.ranks().iter().map(|&r| c.layout().node_of(r)).collect::<BTreeSet<_>>().len()
+    }
+
+    #[test]
+    fn nnodes_is_correct_for_world_split_and_dup() {
+        for (nranks, per_node) in [(1, 1), (8, 2), (12, 4), (4392, 1), (8784, 2)] {
+            let w = Communicator::world(JobLayout::new(nranks, per_node));
+            assert_eq!(w.nnodes(), nranks / per_node);
+            assert_eq!(w.nnodes(), recount(&w));
+            assert_eq!(w.dup().nnodes(), w.nnodes());
+        }
+        // Sub-communicators that cover only part of each node they touch,
+        // and only some of the nodes.
+        let w = Communicator::world(JobLayout::new(24, 4)); // 6 nodes
+        for color_of in [
+            (|r| (r % 4 == 3) as u32) as fn(usize) -> u32, // one rank of every node vs the rest
+            |r| (r / 6) as u32,                            // 6-rank bands straddling node edges
+            |r| (r % 5) as u32,                            // scattered
+            |r| if r == 13 { 1 } else { 0 },               // a single rank
+        ] {
+            for (color, sub) in w.split(color_of) {
+                assert_eq!(sub.nnodes(), recount(&sub), "color {color}: {:?}", sub.ranks());
+                assert_eq!(sub.nnodes(), sub.nodes().len());
+                assert_eq!(sub.nnodes(), sub.node_leaders().len());
+                assert_eq!(sub.dup().nnodes(), sub.nnodes());
+                // Splitting a split keeps counting from the members.
+                for (_, subsub) in sub.split(|r| (r % 2) as u32) {
+                    assert_eq!(subsub.nnodes(), recount(&subsub));
+                }
+            }
+        }
+        let bands = w.split(|r| (r / 6) as u32);
+        assert_eq!(bands[0].1.ranks(), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(bands[0].1.nnodes(), 2, "node 0 whole, node 1 half");
+        assert_eq!(bands[1].1.nodes(), vec![1, 2]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::measurement::{IntervalAccumulator, NodeInterval};
 use des::SimDuration;
 use faults::{RecoveryEvent, RecoveryKind};
-use mpisim::{coll, Communicator, NetworkModel};
-use seesaw::{Allocation, Controller, Role, UnknownController};
+use mpisim::{coll, Communicator, JobLayout, NetworkModel};
+use seesaw::{Allocation, Controller, Role, SyncObservation, UnknownController};
 
 /// Bounded retries for a timed-out measurement collective before the
 /// manager gives up for the interval and holds the last allocation.
@@ -94,8 +94,13 @@ pub struct PowerManager {
     /// restoration on `reset`.
     initial_budget_w: Option<f64>,
     net: NetworkModel,
+    /// The communicator the measurement exchange runs over: one monitor
+    /// rank per node of the job.
+    monitors: Communicator,
     compute_s: f64,
     acc: IntervalAccumulator,
+    /// The closing interval's observation (buffer reused across syncs).
+    obs: SyncObservation,
     overhead_log: Vec<(u64, SimDuration)>,
     last_allocation: Option<Allocation>,
     rejected_samples: u64,
@@ -141,8 +146,10 @@ impl PowerManager {
             controller,
             initial_budget_w,
             net,
+            monitors: Communicator::world(JobLayout::new(nnodes, 1)),
             compute_s,
             acc: IntervalAccumulator::new(),
+            obs: SyncObservation { step: 0, nodes: Vec::new() },
             overhead_log: Vec::new(),
             last_allocation: None,
             rejected_samples: 0,
@@ -180,6 +187,12 @@ impl PowerManager {
     /// Per-sync overhead log `(sync index, duration)` (Fig. 9a data).
     pub fn overhead_log(&self) -> &[(u64, SimDuration)] {
         &self.overhead_log
+    }
+
+    /// Make room for `syncs` more synchronizations' bookkeeping up front,
+    /// so a caller that knows its run length never pays a regrowth mid-run.
+    pub fn reserve_syncs(&mut self, syncs: usize) {
+        self.overhead_log.reserve(syncs);
     }
 
     /// Nodes still participating in aggregation.
@@ -316,26 +329,25 @@ impl PowerManager {
     /// times, after which the exchange is abandoned for this interval and
     /// the last allocation is held.
     pub fn power_alloc_with(&mut self, faults: &ExchangeFaults) -> AllocOutcome {
-        let Some(mut obs) = self.acc.close_interval() else {
+        if !self.acc.close_interval_into(&mut self.obs) {
             return AllocOutcome {
                 allocation: None,
                 overhead: SimDuration::ZERO,
                 recoveries: Vec::new(),
             };
-        };
-        let sync = obs.step;
+        }
+        let sync = self.obs.step;
         let mut recoveries = Vec::new();
         // Overhead: every monitor rank contributes (time, power, cap) — an
         // allgather over the job's nodes — plus the decision broadcast.
-        let layout = mpisim::JobLayout::new(self.world_nodes, 1);
-        let monitors = Communicator::world(layout);
+        let monitors = &self.monitors;
         let decide = SimDuration::from_secs_f64(self.compute_s);
 
         // Collective timeout beyond the retry budget: abandon the exchange,
         // hold the current caps, and charge the wasted retries' time.
         if faults.failed_attempts > MAX_COLLECTIVE_RETRIES {
             let overhead =
-                coll::retried_collective_cost(&self.net, &monitors, MAX_COLLECTIVE_RETRIES, 24);
+                coll::retried_collective_cost(&self.net, monitors, MAX_COLLECTIVE_RETRIES, 24);
             recoveries.push(RecoveryEvent { sync, node: 0, kind: RecoveryKind::AllocationHeld });
             self.overhead_log.push((sync, overhead));
             self.acc.charge_overhead(overhead.as_secs_f64());
@@ -350,38 +362,46 @@ impl PowerManager {
             return AllocOutcome { allocation: None, overhead, recoveries };
         }
 
-        // The measurement gather: lossy and/or retried when faulted, the
-        // plain collective otherwise (byte-identical happy path).
-        let contributions: Vec<u64> = vec![0; self.world_nodes];
+        // The measurement gather: lossy and/or retried when faulted;
+        // otherwise nothing about the payload matters and the exchange is
+        // just its price on the interconnect.
         let gather_cost = if faults.lost_nodes.is_empty() && faults.failed_attempts == 0 {
-            coll::allgather(&self.net, &monitors, &contributions, 24).cost
+            self.net.allgather(monitors.nnodes(), 24)
         } else {
             // In the monitor communicator one rank == one node.
+            let contributions: Vec<u64> = vec![0; self.world_nodes];
             let gathered =
-                coll::allgather_lossy(&self.net, &monitors, &contributions, &faults.lost_nodes, 24);
-            let before = obs.nodes.len();
-            obs.nodes.retain(|s| gathered.value.get(s.node).is_some_and(Option::is_some));
+                coll::allgather_lossy(&self.net, monitors, &contributions, &faults.lost_nodes, 24);
+            let before = self.obs.nodes.len();
+            self.obs.nodes.retain(|s| gathered.value.get(s.node).is_some_and(Option::is_some));
             for &node in &faults.lost_nodes {
                 recoveries.push(RecoveryEvent { sync, node, kind: RecoveryKind::SampleRejected });
             }
-            self.rejected_samples += (before - obs.nodes.len()) as u64;
+            self.rejected_samples += (before - self.obs.nodes.len()) as u64;
             if faults.failed_attempts > 0 {
                 recoveries.push(RecoveryEvent {
                     sync,
                     node: 0,
                     kind: RecoveryKind::CollectiveRetried,
                 });
-                coll::retried_collective_cost(&self.net, &monitors, faults.failed_attempts, 24)
+                coll::retried_collective_cost(&self.net, monitors, faults.failed_attempts, 24)
             } else {
                 gathered.cost
             }
         };
-        let apply = coll::bcast(&self.net, &monitors, &0u64, 16);
-        let overhead = gather_cost + decide + apply.cost;
+        let overhead = gather_cost + decide + self.net.bcast(monitors.nnodes(), 16);
 
-        let allocation = self.controller.on_sync(&obs);
+        let allocation = self.controller.on_sync(&self.obs);
         if let Some(a) = &allocation {
-            self.last_allocation = Some(a.clone());
+            // Keep the fallback copy in the buffer it already owns.
+            match &mut self.last_allocation {
+                Some(held) => {
+                    held.sim_node_w = a.sim_node_w;
+                    held.analysis_node_w = a.analysis_node_w;
+                    held.per_node_w.clone_from(&a.per_node_w);
+                }
+                None => self.last_allocation = Some(a.clone()),
+            }
         }
         self.overhead_log.push((sync, overhead));
         // The allocation call's cost lands in the next interval's measured
@@ -729,6 +749,50 @@ mod tests {
         let alloc = mgr.power_alloc().allocation.expect("post-reset allocation");
         let total = 2.0 * alloc.sim_node_w + 2.0 * alloc.analysis_node_w;
         assert!(total <= 440.0 + 1e-6 && total > 330.0, "restored budget in play: {total}");
+    }
+
+    /// The healthy exchange no longer materializes a contributions vector
+    /// or a per-call communicator; what it charges must not have moved:
+    /// `allgather(n, 24) + compute + bcast(n, 16)` over the job's nodes,
+    /// through the data-bearing collectives, at every sync.
+    #[test]
+    fn healthy_exchange_charges_the_collective_cost_formula_exactly() {
+        for nodes in [4usize, 128] {
+            let world = Communicator::world(JobLayout::new(2 * nodes, 2));
+            let role = move |node: usize| {
+                if node < nodes / 2 {
+                    Role::Simulation
+                } else {
+                    Role::Analysis
+                }
+            };
+            let cfg = PowerManagerConfig::with_controller("time-aware");
+            let (net, compute_s) = (cfg.net.clone(), cfg.compute_s);
+            let mut mgr = PowerManager::init(&world, |rank| role(rank / 2), cfg).expect("known");
+            let monitors = Communicator::world(JobLayout::new(nodes, 1));
+            let want = coll::allgather(&net, &monitors, &vec![0u64; nodes], 24).cost
+                + SimDuration::from_secs_f64(compute_s)
+                + coll::bcast(&net, &monitors, &0u64, 16).cost;
+            for sync in 0..1000u64 {
+                for node in 0..nodes {
+                    let time_s = if node < nodes / 2 { 4.0 } else { 2.0 + 1e-3 * sync as f64 };
+                    let iv = NodeInterval {
+                        node,
+                        role: role(node),
+                        time_s,
+                        power_w: 108.0,
+                        cap_w: 110.0,
+                    };
+                    assert!(mgr.record(iv));
+                }
+                assert_eq!(mgr.power_alloc().overhead, want);
+            }
+            let log = mgr.overhead_log();
+            assert_eq!(log.len(), 1000);
+            for (i, &(sync, overhead)) in log.iter().enumerate() {
+                assert_eq!((sync, overhead.as_nanos()), (i as u64, want.as_nanos()));
+            }
+        }
     }
 
     #[test]

@@ -61,28 +61,26 @@ impl IntervalAccumulator {
         self.sync_index
     }
 
-    /// Close the interval: build the observation and clear state.
-    /// Returns `None` if no feedback was recorded.
-    pub fn close_interval(&mut self) -> Option<SyncObservation> {
+    /// Close the interval: overwrite `obs` with the observation (reusing
+    /// its sample buffer) and clear state. Returns `false`, leaving `obs`
+    /// untouched, if no feedback was recorded.
+    pub fn close_interval_into(&mut self, obs: &mut SyncObservation) -> bool {
         if self.pending.is_empty() {
-            return None;
+            return false;
         }
         let overhead = self.carry_overhead_s;
         self.carry_overhead_s = 0.0;
-        let nodes = self
-            .pending
-            .drain(..)
-            .map(|iv| NodeSample {
-                node: iv.node,
-                role: iv.role,
-                time_s: iv.time_s + overhead,
-                power_w: iv.power_w,
-                cap_w: iv.cap_w,
-            })
-            .collect();
-        let obs = SyncObservation { step: self.sync_index, nodes };
+        obs.step = self.sync_index;
+        obs.nodes.clear();
+        obs.nodes.extend(self.pending.drain(..).map(|iv| NodeSample {
+            node: iv.node,
+            role: iv.role,
+            time_s: iv.time_s + overhead,
+            power_w: iv.power_w,
+            cap_w: iv.cap_w,
+        }));
         self.sync_index += 1;
-        Some(obs)
+        true
     }
 
     /// Reset for a fresh run.
@@ -101,16 +99,21 @@ mod tests {
         NodeInterval { node, role, time_s: t, power_w: 100.0, cap_w: 110.0 }
     }
 
+    fn close(acc: &mut IntervalAccumulator) -> Option<SyncObservation> {
+        let mut obs = SyncObservation { step: u64::MAX, nodes: Vec::new() };
+        acc.close_interval_into(&mut obs).then_some(obs)
+    }
+
     #[test]
     fn close_builds_observation_and_advances_index() {
         let mut acc = IntervalAccumulator::new();
         acc.push(iv(0, Role::Simulation, 4.0));
         acc.push(iv(1, Role::Analysis, 2.0));
-        let obs = acc.close_interval().unwrap();
+        let obs = close(&mut acc).unwrap();
         assert_eq!(obs.step, 0);
         assert_eq!(obs.nodes.len(), 2);
         assert_eq!(acc.sync_index(), 1);
-        assert!(acc.close_interval().is_none(), "drained");
+        assert!(close(&mut acc).is_none(), "drained");
     }
 
     #[test]
@@ -118,11 +121,11 @@ mod tests {
         let mut acc = IntervalAccumulator::new();
         acc.charge_overhead(0.5);
         acc.push(iv(0, Role::Simulation, 4.0));
-        let obs = acc.close_interval().unwrap();
+        let obs = close(&mut acc).unwrap();
         assert!((obs.nodes[0].time_s - 4.5).abs() < 1e-12);
         // Consumed: next interval is clean.
         acc.push(iv(0, Role::Simulation, 4.0));
-        let obs = acc.close_interval().unwrap();
+        let obs = close(&mut acc).unwrap();
         assert!((obs.nodes[0].time_s - 4.0).abs() < 1e-12);
     }
 
@@ -131,7 +134,7 @@ mod tests {
         let mut acc = IntervalAccumulator::new();
         acc.charge_overhead(-1.0);
         acc.push(iv(0, Role::Simulation, 1.0));
-        let obs = acc.close_interval().unwrap();
+        let obs = close(&mut acc).unwrap();
         assert_eq!(obs.nodes[0].time_s, 1.0);
     }
 
@@ -139,7 +142,7 @@ mod tests {
     fn reset_clears_everything() {
         let mut acc = IntervalAccumulator::new();
         acc.push(iv(0, Role::Simulation, 1.0));
-        acc.close_interval();
+        close(&mut acc);
         acc.reset();
         assert_eq!(acc.sync_index(), 0);
         assert_eq!(acc.pending(), 0);

@@ -231,10 +231,17 @@ impl Cluster {
     pub fn measured_total_power(&mut self, ids: &[usize], from: SimTime, to: SimTime) -> f64 {
         let mut total = 0.0;
         for &id in ids {
-            let true_w = self.nodes[id].mean_power(from, to);
-            total += self.noise.noisy_power(true_w);
+            total += self.measure_node_power(id, from, to).1;
         }
         total
+    }
+
+    /// One node's mean power over `[from, to)`, watts, as `(true, measured)`:
+    /// the noise-free integral and the same reading with one draw of
+    /// measurement noise applied — the integral is computed once for both.
+    pub fn measure_node_power(&mut self, id: usize, from: SimTime, to: SimTime) -> (f64, f64) {
+        let true_w = self.nodes[id].mean_power(from, to);
+        (true_w, self.noise.noisy_power(true_w))
     }
 
     /// Total true energy for `ids` over `[from, to)`, joules.

@@ -217,6 +217,12 @@ echo "==> scaling gate: scale bench (sparse epoch-rate floor, sparse >= dense)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench scale -- --quick
 test -s "$c/BENCH_scale.json"
 
+# One controller decision must stay O(nodes): ns/node at 4392 nodes may
+# not exceed 3x ns/node at 128 (a quadratic term lands near 34x).
+echo "==> controller scaling gate: controllers bench (on_sync ns/node at 4392 <= 3x at 128)"
+SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench controllers -- --quick
+test -s "$c/BENCH_controllers.json"
+
 echo "==> perf-regression gate: bench_gate vs committed baselines"
 ./target/release/bench_gate --fresh "$c" --quiet
 

@@ -1,4 +1,4 @@
-//! Zero-allocation gate for the MD hot path.
+//! Zero-allocation gate for the MD hot path and the sync stepper.
 //!
 //! This test binary registers [`mdsim::alloc_probe::CountingAlloc`] as its
 //! global allocator (its own process, so the counter sees nothing else)
@@ -9,14 +9,48 @@
 //! allocate; the kernels themselves still only write into reused buffers,
 //! which is what this gate pins down.
 //!
+//! The same holds one layer up: a warmed `insitu::Runtime` steps a
+//! synchronization interval (node walks, PoLiMER feedback and exchange,
+//! controller decision, cap apply, record, history compaction) without
+//! touching the allocator, except for the one buffer a node-granular
+//! controller hands back inside each `Allocation` it returns.
+//!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: concurrently running tests would pollute the deltas.
 
+use insitu::{build_controller, JobConfig, Runtime};
 use mdsim::alloc_probe::{allocations, CountingAlloc};
+use mdsim::workload::WorkloadSpec;
 use mdsim::{
-    compute_forces_into, water_ion_box, CoeffTable, ForceParams, ForceScratch, MdEngine,
-    NeighborList, PairTable,
+    compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams, ForceScratch,
+    MdEngine, NeighborList, PairTable,
 };
+use seesaw::{Allocation, Controller, SyncObservation};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Delegates to a controller and counts the allocations it decides on.
+struct CountDecisions(Box<dyn Controller>, Arc<AtomicU64>);
+
+impl Controller for CountDecisions {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn on_sync(&mut self, obs: &SyncObservation) -> Option<Allocation> {
+        let decided = self.0.on_sync(obs);
+        self.1.fetch_add(u64::from(decided.is_some()), Ordering::Relaxed);
+        decided
+    }
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+    fn budget_w(&self) -> Option<f64> {
+        self.0.budget_w()
+    }
+    fn set_budget_w(&mut self, budget_w: f64) {
+        self.0.set_budget_w(budget_w)
+    }
+}
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
@@ -59,5 +93,45 @@ fn hot_paths_are_allocation_free_after_warmup() {
             rebuilds += u32::from(e.step().rebuilt);
         }
         assert_eq!(allocations(), before, "engine step allocated ({rebuilds} rebuilds)");
+
+        // The sync stepper: a 128-node job under default noise, no faults,
+        // tracer off. Two warm-up intervals size every reused buffer (the
+        // runtime's scratch, PoLiMER's observation, the controllers' dense
+        // state, the nodes' draw histories).
+        const MEASURED_SYNCS: u64 = 24;
+        for name in ["static", "seesaw", "time-aware", "power-aware"] {
+            let mut spec =
+                WorkloadSpec::paper(36, 128, 1, &[AnalysisKind::Rdf, AnalysisKind::Vacf]);
+            spec.total_steps = 2 + MEASURED_SYNCS;
+            let cfg = JobConfig::new(spec, name);
+            let decisions = Arc::new(AtomicU64::new(0));
+            let ctl = build_controller(&cfg).expect("known controller");
+            let counted = CountDecisions(ctl, Arc::clone(&decisions));
+            let mut rt = Runtime::with_controller(cfg, Box::new(counted));
+            for _ in 0..2 {
+                assert!(rt.step_sync());
+                rt.compact_history();
+            }
+            let (before, decided_before) = (allocations(), decisions.load(Ordering::Relaxed));
+            for _ in 0..MEASURED_SYNCS {
+                assert!(rt.step_sync());
+                rt.compact_history();
+            }
+            let allocs = allocations() - before;
+            let decided = decisions.load(Ordering::Relaxed) - decided_before;
+            assert!(!rt.step_sync(), "{name}: the measured syncs are the rest of the run");
+            match name {
+                "static" => assert_eq!((allocs, decided), (0, 0), "{name}"),
+                // Uniform allocations carry an empty per-node list.
+                "seesaw" => assert_eq!((allocs, decided), (0, MEASURED_SYNCS), "{name}"),
+                // One buffer per decision: the returned per-node list.
+                // Time-aware decides at every sync.
+                "time-aware" => assert_eq!((allocs, decided), (MEASURED_SYNCS, MEASURED_SYNCS)),
+                _ => {
+                    assert_eq!(allocs, decided, "{name}: exactly one allocation per decision");
+                    assert!(decided > 0, "{name} never acted; the gate measured nothing");
+                }
+            }
+        }
     });
 }

@@ -6,10 +6,10 @@
 //! ([`StreamChecker::finish`]). Checker state is bounded by the run's
 //! *shape* — open spans, nodes, live jobs — never by its length, so the
 //! battery audits a multi-gigabyte trace in constant memory. The batch
-//! entry points ([`check_all`] and the per-check functions) are thin
-//! wrappers that feed a checker from an in-memory [`Trace`]: there is
-//! exactly one implementation of every invariant, which is what makes the
-//! streaming and batch audit reports byte-identical by construction.
+//! entry point ([`check_all`]) is a few-line loop that feeds the same
+//! checker from an in-memory [`Trace`]: there is exactly one
+//! implementation of every invariant, which is what makes the streaming
+//! and batch audit reports byte-identical by construction.
 //!
 //! The checks encode what the simulator *promises*, so a passing audit is
 //! evidence the run obeyed its own physics, and a failing one points at
@@ -56,8 +56,8 @@
 //! `AUDIT0001` (clock) through `AUDIT0012` (halt).
 
 use crate::diag::{self, DiagCode, Severity, Violation};
-use crate::event::{AuditEvent, EventKind};
 use crate::trace::Trace;
+use obs::{Event, Tag, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Absolute slack for watt-level comparisons (budget/cap arithmetic is
@@ -83,13 +83,10 @@ pub fn check_all(trace: &Trace) -> Vec<Violation> {
 /// Span-carrying kinds stamp themselves at explicit (possibly past)
 /// instants; everything else rides the shared clock and must be
 /// non-decreasing in buffer order.
-fn rides_shared_clock(kind: &EventKind) -> bool {
+fn rides_shared_clock(kind: &Event) -> bool {
     !matches!(
         kind,
-        EventKind::Phase { .. }
-            | EventKind::Wait { .. }
-            | EventKind::Arrival { .. }
-            | EventKind::CapRequest { .. }
+        Event::Phase { .. } | Event::Wait { .. } | Event::Arrival { .. } | Event::CapRequest { .. }
     )
 }
 
@@ -117,7 +114,7 @@ pub struct StreamChecker {
 
 impl StreamChecker {
     /// Feed one event through every checker.
-    pub fn feed(&mut self, ev: &AuditEvent) {
+    pub fn feed(&mut self, ev: &TraceEvent) {
         self.clock.feed(ev);
         self.sync.feed(ev);
         self.spans.feed(ev);
@@ -186,35 +183,26 @@ struct ClockChecker {
 }
 
 impl ClockChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let i = self.index;
         self.index += 1;
-        if rides_shared_clock(&ev.kind) {
-            if ev.t_ns < self.last {
+        if rides_shared_clock(&ev.ev) {
+            if ev.t.as_nanos() < self.last {
                 v(
                     &mut self.out,
                     diag::CLOCK,
                     format!(
                         "event {} ({}) at t={}ns precedes earlier stamp {}ns",
                         i,
-                        ev.kind.tag(),
-                        ev.t_ns,
+                        ev.ev.tag(),
+                        ev.t.as_nanos(),
                         self.last
                     ),
                 );
             }
-            self.last = self.last.max(ev.t_ns);
+            self.last = self.last.max(ev.t.as_nanos());
         }
     }
-}
-
-/// Clock monotonicity (batch wrapper).
-pub fn check_clock(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = ClockChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
 }
 
 // --- sync ----------------------------------------------------------------
@@ -228,14 +216,14 @@ struct SyncChecker {
 }
 
 impl SyncChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
         if self.seen_run_end {
-            v(out, diag::SYNC, format!("event ({}) after run_end", ev.kind.tag()));
+            v(out, diag::SYNC, format!("event ({}) after run_end", ev.ev.tag()));
             self.seen_run_end = false; // report once
         }
-        match &ev.kind {
-            EventKind::SyncStart { sync } => {
+        match &ev.ev {
+            Event::SyncStart { sync } => {
                 if let Some(k) = self.open {
                     v(out, diag::SYNC, format!("sync {sync} opened while sync {k} still open"));
                 }
@@ -246,16 +234,16 @@ impl SyncChecker {
                 self.open = Some(*sync);
                 self.next_expected = Some(*sync + 1);
             }
-            EventKind::SyncEnd { sync, .. } => match self.open.take() {
+            Event::SyncEnd { sync, .. } => match self.open.take() {
                 Some(k) if k == *sync => {}
                 Some(k) => v(out, diag::SYNC, format!("sync_end {sync} closes open sync {k}")),
                 None => v(out, diag::SYNC, format!("sync_end {sync} with no open sync")),
             },
             // Controller-plane events are 0-based: interval k runs the
             // exchange for observation k-1.
-            EventKind::ExchangeDone { sync, .. }
-            | EventKind::AllocationHeld { sync }
-            | EventKind::ControllerHold { sync, .. } => {
+            Event::ExchangeDone { sync, .. }
+            | Event::AllocationHeld { sync }
+            | Event::ControllerHold { sync, .. } => {
                 if let Some(k) = self.open.filter(|&k| k > 0) {
                     if *sync != k - 1 {
                         v(
@@ -264,14 +252,14 @@ impl SyncChecker {
                             format!(
                                 "{} carries observation index {sync} inside interval {k} \
                                  (expected {})",
-                                ev.kind.tag(),
+                                ev.ev.tag(),
                                 k - 1
                             ),
                         );
                     }
                 }
             }
-            EventKind::Decision(d) => {
+            Event::Decision(d) => {
                 if let Some(k) = self.open.filter(|&k| k > 0) {
                     if d.sync != k - 1 {
                         v(
@@ -287,7 +275,7 @@ impl SyncChecker {
                     }
                 }
             }
-            EventKind::RunEnd { .. } => self.seen_run_end = true,
+            Event::RunEnd { .. } => self.seen_run_end = true,
             _ => {}
         }
         // A final open interval is legal only as a halt (partition death);
@@ -295,40 +283,29 @@ impl SyncChecker {
     }
 }
 
-/// Interval numbering and nesting; also checks that interval-scoped
-/// controller events carry the 0-based index of the open interval (batch
-/// wrapper).
-pub fn check_sync_sequence(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = SyncChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
-}
-
 // --- spans ---------------------------------------------------------------
 
 #[derive(Debug, Default)]
 struct SpansChecker {
-    last_end: BTreeMap<u64, u64>,
+    last_end: BTreeMap<usize, u64>,
     window_start: Option<u64>,
     open_sync: Option<u64>,
     /// (node, start, end, what) of spans awaiting the interval close.
-    pending: Vec<(u64, u64, u64, &'static str)>,
+    pending: Vec<(usize, u64, u64, &'static str)>,
     out: Vec<Violation>,
 }
 
 impl SpansChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::SyncStart { sync } => {
-                self.window_start = Some(ev.t_ns);
+        match &ev.ev {
+            Event::SyncStart { sync } => {
+                self.window_start = Some(ev.t.as_nanos());
                 self.open_sync = Some(*sync);
                 self.pending.clear();
             }
-            EventKind::SyncEnd { sync, .. } => {
-                let t_end = ev.t_ns;
+            Event::SyncEnd { sync, .. } => {
+                let t_end = ev.t.as_nanos();
                 for (node, start, end, what) in self.pending.drain(..) {
                     if end > t_end {
                         v(
@@ -344,10 +321,9 @@ impl SpansChecker {
                 self.window_start = None;
                 self.open_sync = None;
             }
-            EventKind::Phase { node, start_ns, end_ns, .. }
-            | EventKind::Wait { node, start_ns, end_ns } => {
-                let what =
-                    if matches!(ev.kind, EventKind::Phase { .. }) { "phase" } else { "wait" };
+            Event::Phase { node, start_ns, end_ns, .. }
+            | Event::Wait { node, start_ns, end_ns } => {
+                let what = if matches!(ev.ev, Event::Phase { .. }) { "phase" } else { "wait" };
                 if start_ns > end_ns {
                     v(
                         out,
@@ -389,16 +365,6 @@ impl SpansChecker {
     }
 }
 
-/// Per-node span ordering plus containment in the enclosing interval
-/// (batch wrapper).
-pub fn check_spans(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = SpansChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
-}
-
 // --- budget --------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -409,20 +375,20 @@ struct BudgetChecker {
 }
 
 impl BudgetChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::RunStart { budget_w, min_cap_w, .. } => {
+        match &ev.ev {
+            Event::RunStart { budget_w, min_cap_w, .. } => {
                 self.budget = Some(*budget_w);
                 self.min_cap = Some(*min_cap_w);
             }
-            EventKind::BudgetRenormalized { budget_w } => {
+            Event::BudgetRenormalized { budget_w } => {
                 if !budget_w.is_finite() || *budget_w < 0.0 {
                     v(out, diag::BUDGET, format!("renormalized budget is not a power: {budget_w}"));
                 }
                 self.budget = Some(*budget_w);
             }
-            EventKind::Decision(d) => {
+            Event::Decision(d) => {
                 let (Some(b), Some(floor)) = (self.budget, self.min_cap) else { return };
                 let n = (d.sim_nodes + d.analysis_nodes) as f64;
                 let total =
@@ -454,15 +420,6 @@ impl BudgetChecker {
     }
 }
 
-/// Budget conservation at every decision (batch wrapper).
-pub fn check_budget(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = BudgetChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
-}
-
 // --- caps ----------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -473,14 +430,14 @@ struct CapsChecker {
 }
 
 impl CapsChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::RunStart { min_cap_w, max_cap_w, actuation_ns: a, .. } => {
+        match &ev.ev {
+            Event::RunStart { min_cap_w, max_cap_w, actuation_ns: a, .. } => {
                 self.range = Some((*min_cap_w, *max_cap_w));
                 self.actuation_ns = Some(*a);
             }
-            EventKind::CapRequest { node, requested_w, granted_w, effective_ns } => {
+            Event::CapRequest { node, requested_w, granted_w, effective_ns } => {
                 if let Some((lo, hi)) = self.range {
                     if !(*granted_w >= lo - EPS_W && *granted_w <= hi + EPS_W) {
                         v(
@@ -510,14 +467,16 @@ impl CapsChecker {
                 if let Some(a) = self.actuation_ns {
                     // Enforcement is either immediate (no-op request,
                     // stuck PCU) or at least one actuation latency out.
-                    if *effective_ns != ev.t_ns && *effective_ns < ev.t_ns + a {
+                    if *effective_ns != ev.t.as_nanos() && *effective_ns < ev.t.as_nanos() + a {
                         v(
                             out,
                             diag::ACTUATION,
                             format!(
                                 "node {node}: cap requested at {}ns enforced at {}ns, \
                                  sooner than the {}ns actuation latency",
-                                ev.t_ns, effective_ns, a
+                                ev.t.as_nanos(),
+                                effective_ns,
+                                a
                             ),
                         );
                     }
@@ -526,15 +485,6 @@ impl CapsChecker {
             _ => {}
         }
     }
-}
-
-/// RAPL grant clamping, range, and actuation latency (batch wrapper).
-pub fn check_caps(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = CapsChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
 }
 
 // --- energy --------------------------------------------------------------
@@ -550,10 +500,10 @@ struct EnergyChecker {
 }
 
 impl EnergyChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::SyncEnergy { sync, energy_j } => {
+        match &ev.ev {
+            Event::SyncEnergy { sync, energy_j } => {
                 self.have_sync = true;
                 if !energy_j.is_finite() || *energy_j < 0.0 {
                     v(
@@ -565,7 +515,7 @@ impl EnergyChecker {
                     self.sync_sum += energy_j;
                 }
             }
-            EventKind::NodeEnergy { node, energy_j } => {
+            Event::NodeEnergy { node, energy_j } => {
                 self.have_node = true;
                 if !energy_j.is_finite() || *energy_j < 0.0 {
                     v(out, diag::ENERGY, format!("node {node} energy is not physical: {energy_j}"));
@@ -573,7 +523,7 @@ impl EnergyChecker {
                     self.node_sum += energy_j;
                 }
             }
-            EventKind::RunEnd { total_energy_j, .. } => self.total = Some(*total_energy_j),
+            Event::RunEnd { total_energy_j, .. } => self.total = Some(*total_energy_j),
             _ => {}
         }
     }
@@ -606,17 +556,6 @@ impl EnergyChecker {
     }
 }
 
-/// Energy identities: interval energies and node energies each tile the
-/// run total (batch wrapper).
-pub fn check_energy(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = EnergyChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    c.finish();
-    out.append(&mut c.out);
-}
-
 // --- envelope ------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -626,11 +565,11 @@ struct EnvelopeChecker {
 }
 
 impl EnvelopeChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::MachineStart { envelope_w, .. } => self.envelope = Some(*envelope_w),
-            EventKind::MachineBudget { epoch, allocated_w, pool_w } => {
+        match &ev.ev {
+            Event::MachineStart { envelope_w, .. } => self.envelope = Some(*envelope_w),
+            Event::MachineBudget { epoch, allocated_w, pool_w } => {
                 let Some(env) = self.envelope else { return };
                 if *allocated_w < -EPS_W || *pool_w < -EPS_W {
                     v(
@@ -655,29 +594,19 @@ impl EnvelopeChecker {
     }
 }
 
-/// Machine-level envelope conservation at every epoch division (batch
-/// wrapper).
-pub fn check_envelope(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = EnvelopeChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
-}
-
 // --- faults --------------------------------------------------------------
 
 #[derive(Debug, Default)]
 struct FaultChecker {
     /// (sync, node, tag) of every recovery in the open evidence window
     /// (1-based sync, matching SyncStart/SyncEnd).
-    recoveries: BTreeSet<(u64, u64, String)>,
+    recoveries: BTreeSet<(u64, usize, Tag)>,
     /// Intervals (1-based) in the window with at least one cap request.
     cap_intervals: BTreeSet<u64>,
     /// (interval, node) pairs in the window with an accepted sample.
-    samples: BTreeSet<(u64, u64)>,
+    samples: BTreeSet<(u64, usize)>,
     /// Faults awaiting their evidence interval's close: (sync, node, tag).
-    pending: Vec<(u64, u64, String)>,
+    pending: Vec<(u64, usize, Tag)>,
     open: Option<u64>,
     out: Vec<Violation>,
 }
@@ -685,15 +614,15 @@ struct FaultChecker {
 /// Judge one fault against the currently-held evidence.
 fn judge_fault(
     out: &mut Vec<Violation>,
-    recoveries: &BTreeSet<(u64, u64, String)>,
+    recoveries: &BTreeSet<(u64, usize, Tag)>,
     cap_intervals: &BTreeSet<u64>,
-    samples: &BTreeSet<(u64, u64)>,
+    samples: &BTreeSet<(u64, usize)>,
     s: u64,
-    n: u64,
+    n: usize,
     tag: &str,
 ) {
     let interval = s;
-    let has = |t: &str| recoveries.contains(&(s, n, t.to_string()));
+    let has = |t: &'static str| recoveries.contains(&(s, n, Tag::Borrowed(t)));
     let has_any_node = |t: &str| recoveries.iter().any(|(rs, _, rt)| *rs == s && rt == t);
     let ok = match tag {
         // A crash always excludes the node.
@@ -736,10 +665,10 @@ fn judge_fault(
 }
 
 impl FaultChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
-        match &ev.kind {
-            EventKind::SyncStart { sync } => self.open = Some(*sync),
-            EventKind::SyncEnd { sync, .. } => {
+    fn feed(&mut self, ev: &TraceEvent) {
+        match &ev.ev {
+            Event::SyncStart { sync } => self.open = Some(*sync),
+            Event::SyncEnd { sync, .. } => {
                 self.open = None;
                 let k = *sync;
                 // Interval k just closed: every fault landing in sync ≤ k
@@ -766,20 +695,20 @@ impl FaultChecker {
                 self.samples.retain(|(ri, _)| *ri > k);
                 self.cap_intervals.retain(|ri| *ri > k);
             }
-            EventKind::CapRequest { .. } => {
+            Event::CapRequest { .. } => {
                 if let Some(k) = self.open {
                     self.cap_intervals.insert(k);
                 }
             }
-            EventKind::Sample { node, .. } => {
+            Event::Sample { node, .. } => {
                 if let Some(k) = self.open {
                     self.samples.insert((k, *node));
                 }
             }
-            EventKind::Recovery { sync, node, tag } => {
+            Event::Recovery { sync, node, tag } => {
                 self.recoveries.insert((*sync, *node, tag.clone()));
             }
-            EventKind::Fault { sync, node, tag } => {
+            Event::Fault { sync, node, tag } => {
                 self.pending.push((*sync, *node, tag.clone()));
             }
             _ => {}
@@ -802,19 +731,6 @@ impl FaultChecker {
     }
 }
 
-/// Fault → graceful-degradation pairing (batch wrapper). Fault and
-/// recovery events carry the 1-based sync they landed in (matching
-/// SyncStart/SyncEnd), so each fault is judged when its own interval
-/// closes.
-pub fn check_faults(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = FaultChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    c.finish();
-    out.append(&mut c.out);
-}
-
 // --- fleet ---------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -824,7 +740,7 @@ struct JobLedger {
     dispatches: u64,
     retries: u64,
     last_backoff: u64,
-    last_machine: Option<u64>,
+    last_machine: Option<usize>,
     terminal: bool,
 }
 
@@ -835,8 +751,8 @@ struct FleetChecker {
     /// single-machine trace carries `job_completed` with no fleet
     /// protocol; real fleet traces emit the header first).
     params: Option<(f64, u64, u64, u64)>,
-    jobs: BTreeMap<u64, JobLedger>,
-    down: BTreeMap<u64, bool>,
+    jobs: BTreeMap<usize, JobLedger>,
+    down: BTreeMap<usize, bool>,
     /// One renormalization group = consecutive envelope_renorm events with
     /// the same epoch; closed by any other event kind or an epoch change.
     renorm: Option<(u64, f64, f64)>,
@@ -861,15 +777,15 @@ impl FleetChecker {
         }
     }
 
-    fn feed(&mut self, ev: &AuditEvent) {
+    fn feed(&mut self, ev: &TraceEvent) {
         if self.params.is_none() {
-            if let EventKind::FleetStart {
+            if let Event::FleetStart {
                 envelope_w,
                 retry_base_epochs,
                 retry_cap_epochs,
                 max_retries,
                 ..
-            } = &ev.kind
+            } = &ev.ev
             {
                 self.params =
                     Some((*envelope_w, *retry_base_epochs, *retry_cap_epochs, *max_retries));
@@ -877,8 +793,8 @@ impl FleetChecker {
             return;
         }
         let (_, _, retry_cap, max_retries) = self.params.expect("header seen");
-        match &ev.kind {
-            EventKind::EnvelopeRenorm { epoch, .. } => {
+        match &ev.ev {
+            Event::EnvelopeRenorm { epoch, .. } => {
                 if self.renorm.as_ref().is_some_and(|(e, _, _)| e != epoch) {
                     self.close_renorm();
                 }
@@ -886,8 +802,8 @@ impl FleetChecker {
             _ => self.close_renorm(),
         }
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::MachineDown { machine, epoch } => {
+        match &ev.ev {
+            Event::MachineDown { machine, epoch } => {
                 let was_down = self.down.insert(*machine, true) == Some(true);
                 if was_down {
                     v(
@@ -897,7 +813,7 @@ impl FleetChecker {
                     );
                 }
             }
-            EventKind::MachineUp { machine, epoch } => {
+            Event::MachineUp { machine, epoch } => {
                 let was_down = self.down.insert(*machine, false) == Some(true);
                 if !was_down {
                     v(
@@ -907,7 +823,7 @@ impl FleetChecker {
                     );
                 }
             }
-            EventKind::EnvelopeRenorm { epoch, machine, share_w, cap_w } => {
+            Event::EnvelopeRenorm { epoch, machine, share_w, cap_w } => {
                 let (_, share_sum, cap_sum) = self.renorm.get_or_insert((*epoch, 0.0, 0.0));
                 *share_sum += share_w;
                 *cap_sum += cap_w;
@@ -929,10 +845,10 @@ impl FleetChecker {
                     );
                 }
             }
-            EventKind::JobArrived { job } => {
+            Event::JobArrived { job } => {
                 self.jobs.entry(*job).or_default().arrived = true;
             }
-            EventKind::JobDispatched { job, machine } => {
+            Event::JobDispatched { job, machine } => {
                 let j = self.jobs.entry(*job).or_default();
                 if !j.arrived {
                     v(out, diag::FLEET, format!("job {job} dispatched before arrival"));
@@ -966,7 +882,7 @@ impl FleetChecker {
                 j.dispatches += 1;
                 j.last_machine = Some(*machine);
             }
-            EventKind::JobRetry { job, attempt, backoff_epochs } => {
+            Event::JobRetry { job, attempt, backoff_epochs } => {
                 let j = self.jobs.entry(*job).or_default();
                 if !j.dispatched_open {
                     v(out, diag::FLEET, format!("job {job} retried without a live dispatch"));
@@ -1015,7 +931,7 @@ impl FleetChecker {
                 j.retries = *attempt;
                 j.last_backoff = *backoff_epochs;
             }
-            EventKind::JobMigrated { job, from_machine, to_machine } => {
+            Event::JobMigrated { job, from_machine, to_machine } => {
                 let j = self.jobs.entry(*job).or_default();
                 if j.last_machine != Some(*from_machine) {
                     v(
@@ -1032,7 +948,7 @@ impl FleetChecker {
                     v(out, diag::FLEET, format!("job {job} migrated to the same machine"));
                 }
             }
-            EventKind::JobCompleted { job, .. } => {
+            Event::JobCompleted { job, .. } => {
                 let j = self.jobs.entry(*job).or_default();
                 // Single-machine traces also carry job_completed; in a
                 // fleet trace completion must close a live dispatch.
@@ -1046,7 +962,7 @@ impl FleetChecker {
                 j.dispatched_open = false;
                 j.terminal = true;
             }
-            EventKind::JobFailed { job, attempts } => {
+            Event::JobFailed { job, attempts } => {
                 let j = self.jobs.entry(*job).or_default();
                 if j.terminal {
                     v(out, diag::FLEET, format!("job {job} reported failed after terminal state"));
@@ -1087,28 +1003,6 @@ impl FleetChecker {
     }
 }
 
-/// Fleet federation invariants (batch wrapper). Gated on the
-/// `fleet_start` header; single-machine and in-situ traces skip it
-/// entirely.
-///
-/// Checked per job: arrival before dispatch, at most one open dispatch at
-/// a time (no double-run), retries pair-matched with dispatches and
-/// numbered 1,2,3,… up to the retry budget, backoff non-decreasing and
-/// capped at the configured ceiling, terminal exactly once, and no job
-/// left non-terminal at end of trace (no job lost — a fleet that gives up
-/// must say `job_failed`). Checked per machine: down/up declarations
-/// alternate and dispatches never target a down machine. Checked per
-/// renormalization epoch: shares sum to `min(fleet envelope, Σ member
-/// caps)` and each member's share respects its own cap.
-pub fn check_fleet(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = FleetChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    c.finish();
-    out.append(&mut c.out);
-}
-
 // --- lifecycle -----------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -1122,13 +1016,13 @@ struct JobState {
 struct LifecycleChecker {
     /// Set by `machine_start`; fleet and in-situ traces never activate.
     active: bool,
-    jobs: BTreeMap<u64, JobState>,
+    jobs: BTreeMap<usize, JobState>,
     out: Vec<Violation>,
 }
 
 impl LifecycleChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
-        if let EventKind::MachineStart { .. } = &ev.kind {
+    fn feed(&mut self, ev: &TraceEvent) {
+        if let Event::MachineStart { .. } = &ev.ev {
             self.active = true;
             return;
         }
@@ -1136,11 +1030,11 @@ impl LifecycleChecker {
             return;
         }
         let out = &mut self.out;
-        match &ev.kind {
-            EventKind::JobArrived { job } => {
+        match &ev.ev {
+            Event::JobArrived { job } => {
                 self.jobs.entry(*job).or_default().arrived = true;
             }
-            EventKind::JobStarted { job, .. } => {
+            Event::JobStarted { job, .. } => {
                 let j = self.jobs.entry(*job).or_default();
                 if !j.arrived {
                     v(out, diag::LIFECYCLE, format!("job {job} started without arriving"));
@@ -1154,7 +1048,7 @@ impl LifecycleChecker {
                 let j = self.jobs.entry(*job).or_default();
                 j.running = true;
             }
-            EventKind::JobCompleted { job, .. } => {
+            Event::JobCompleted { job, .. } => {
                 let j = self.jobs.entry(*job).or_default();
                 if !j.running {
                     v(out, diag::LIFECYCLE, format!("job {job} completed without running"));
@@ -1166,7 +1060,7 @@ impl LifecycleChecker {
                 j.running = false;
                 j.terminal = true;
             }
-            EventKind::JobKilled { job } => {
+            Event::JobKilled { job } => {
                 let j = self.jobs.entry(*job).or_default();
                 // Killing a queued, never-started job is legal (admission
                 // kills on machine teardown).
@@ -1185,16 +1079,6 @@ impl LifecycleChecker {
     }
 }
 
-/// Machine-scheduler job lifecycle protocol (batch wrapper). Gated on the
-/// `machine_start` header; fleet and in-situ traces skip it.
-pub fn check_lifecycle(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = LifecycleChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    out.append(&mut c.out);
-}
-
 // --- halt (advisory) -----------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -1206,11 +1090,11 @@ struct HaltChecker {
 }
 
 impl HaltChecker {
-    fn feed(&mut self, ev: &AuditEvent) {
-        match &ev.kind {
-            EventKind::RunStart { .. } => self.run_start = true,
-            EventKind::SyncStart { sync } => self.last_sync = Some(*sync),
-            EventKind::RunEnd { .. } => self.run_end = true,
+    fn feed(&mut self, ev: &TraceEvent) {
+        match &ev.ev {
+            Event::RunStart { .. } => self.run_start = true,
+            Event::SyncStart { sync } => self.last_sync = Some(*sync),
+            Event::RunEnd { .. } => self.run_end = true,
             _ => {}
         }
     }
@@ -1229,30 +1113,33 @@ impl HaltChecker {
     }
 }
 
-/// Advisory halt detection (batch wrapper): a trace with a `run_start`
-/// header and at least one interval but no `run_end` epilogue.
-pub fn check_halt(trace: &Trace, out: &mut Vec<Violation>) {
-    let mut c = HaltChecker::default();
-    for ev in &trace.events {
-        c.feed(ev);
-    }
-    c.finish();
-    out.append(&mut c.out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AuditEvent, DecisionFields};
+    use des::SimTime;
+    use obs::DecisionInfo;
 
-    fn ev(t_ns: u64, kind: EventKind) -> AuditEvent {
-        AuditEvent { t_ns, kind }
+    fn ev(t_ns: u64, ev: Event) -> TraceEvent {
+        TraceEvent { t: SimTime::from_nanos(t_ns), ev }
     }
 
-    fn run_start(budget_w: f64) -> AuditEvent {
+    /// Drive one private checker alone over a trace, flush it, and return
+    /// its findings.
+    macro_rules! run_checker {
+        ($checker:ty, $trace:expr) => {{
+            let mut c = <$checker>::default();
+            for e in &$trace.events {
+                c.feed(e);
+            }
+            c.finish();
+            c.out
+        }};
+    }
+
+    fn run_start(budget_w: f64) -> TraceEvent {
         ev(
             0,
-            EventKind::RunStart {
+            Event::RunStart {
                 sim_nodes: 12,
                 analysis_nodes: 4,
                 budget_w,
@@ -1263,10 +1150,10 @@ mod tests {
         )
     }
 
-    fn decision(sync: u64, sim_w: f64, ana_w: f64) -> AuditEvent {
+    fn decision(sync: u64, sim_w: f64, ana_w: f64) -> TraceEvent {
         ev(
             10,
-            EventKind::Decision(Box::new(DecisionFields {
+            Event::Decision(Box::new(DecisionInfo {
                 sync,
                 sim_nodes: 12,
                 analysis_nodes: 4,
@@ -1288,14 +1175,14 @@ mod tests {
         let trace = Trace {
             events: vec![
                 run_start(1760.0),
-                ev(0, EventKind::SyncStart { sync: 1 }),
-                ev(0, EventKind::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5 }),
-                ev(5, EventKind::Wait { node: 0, start_ns: 5, end_ns: 8 }),
+                ev(0, Event::SyncStart { sync: 1 }),
+                ev(0, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5 }),
+                ev(5, Event::Wait { node: 0, start_ns: 5, end_ns: 8 }),
                 decision(0, 110.0, 110.0),
-                ev(10, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(10, EventKind::SyncEnergy { sync: 1, energy_j: 42.0 }),
-                ev(10, EventKind::NodeEnergy { node: 0, energy_j: 42.0 }),
-                ev(10, EventKind::RunEnd { total_time_s: 1e-8, total_energy_j: 42.0 }),
+                ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(10, Event::SyncEnergy { sync: 1, energy_j: 42.0 }),
+                ev(10, Event::NodeEnergy { node: 0, energy_j: 42.0 }),
+                ev(10, Event::RunEnd { total_time_s: 1e-8, total_energy_j: 42.0 }),
             ],
         };
         assert_eq!(check_all(&trace), Vec::new());
@@ -1305,8 +1192,8 @@ mod tests {
     fn backwards_clock_is_flagged() {
         let trace = Trace {
             events: vec![
-                ev(10, EventKind::SyncStart { sync: 1 }),
-                ev(5, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(10, Event::SyncStart { sync: 1 }),
+                ev(5, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "clock"));
@@ -1316,12 +1203,9 @@ mod tests {
     fn span_events_may_carry_past_times() {
         let trace = Trace {
             events: vec![
-                ev(10, EventKind::SyncStart { sync: 1 }),
-                ev(
-                    90,
-                    EventKind::Phase { node: 0, kind: "force".into(), start_ns: 10, end_ns: 90 },
-                ),
-                ev(95, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(10, Event::SyncStart { sync: 1 }),
+                ev(90, Event::Phase { node: 0, kind: "force".into(), start_ns: 10, end_ns: 90 }),
+                ev(95, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
             ],
         };
         assert_eq!(check_all(&trace), Vec::new());
@@ -1331,8 +1215,8 @@ mod tests {
     fn out_of_order_sync_is_flagged() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 2 }),
-                ev(1, EventKind::SyncEnd { sync: 2, overhead_s: 0.0 }),
+                ev(0, Event::SyncStart { sync: 2 }),
+                ev(1, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "sync"));
@@ -1342,9 +1226,9 @@ mod tests {
     fn trailing_open_sync_is_a_legal_halt() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 1 }),
-                ev(1, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(2, EventKind::SyncStart { sync: 2 }),
+                ev(0, Event::SyncStart { sync: 1 }),
+                ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(2, Event::SyncStart { sync: 2 }),
             ],
         };
         assert_eq!(check_all(&trace), Vec::new());
@@ -1354,8 +1238,8 @@ mod tests {
     fn overlapping_node_spans_are_flagged() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::Phase { node: 3, kind: "force".into(), start_ns: 0, end_ns: 10 }),
-                ev(0, EventKind::Phase { node: 3, kind: "neigh".into(), start_ns: 5, end_ns: 15 }),
+                ev(0, Event::Phase { node: 3, kind: "force".into(), start_ns: 0, end_ns: 10 }),
+                ev(0, Event::Phase { node: 3, kind: "neigh".into(), start_ns: 5, end_ns: 15 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "spans"));
@@ -1365,9 +1249,9 @@ mod tests {
     fn span_overrunning_its_interval_is_flagged() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 1 }),
-                ev(9, EventKind::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }),
-                ev(10, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(0, Event::SyncStart { sync: 1 }),
+                ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }),
+                ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "spans"));
@@ -1393,7 +1277,7 @@ mod tests {
         let trace = Trace {
             events: vec![
                 run_start(1760.0),
-                ev(5, EventKind::BudgetRenormalized { budget_w: 1000.0 }),
+                ev(5, Event::BudgetRenormalized { budget_w: 1000.0 }),
                 decision(1, 110.0, 110.0), // 12x110 + 4x110 = 1760 > 1000
             ],
         };
@@ -1407,7 +1291,7 @@ mod tests {
                 run_start(1760.0),
                 ev(
                     0,
-                    EventKind::CapRequest {
+                    Event::CapRequest {
                         node: 2,
                         requested_w: 120.0,
                         granted_w: 130.0,
@@ -1426,7 +1310,7 @@ mod tests {
                 run_start(1760.0),
                 ev(
                     0,
-                    EventKind::CapRequest {
+                    Event::CapRequest {
                         node: 2,
                         requested_w: 120.0,
                         granted_w: 215.0,
@@ -1445,7 +1329,7 @@ mod tests {
                 run_start(1760.0),
                 ev(
                     1_000,
-                    EventKind::CapRequest {
+                    Event::CapRequest {
                         node: 0,
                         requested_w: 120.0,
                         granted_w: 120.0,
@@ -1461,8 +1345,8 @@ mod tests {
     fn energy_identity_violation_is_flagged() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncEnergy { sync: 1, energy_j: 10.0 }),
-                ev(1, EventKind::RunEnd { total_time_s: 1.0, total_energy_j: 25.0 }),
+                ev(0, Event::SyncEnergy { sync: 1, energy_j: 10.0 }),
+                ev(1, Event::RunEnd { total_time_s: 1.0, total_energy_j: 25.0 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "energy"));
@@ -1472,8 +1356,8 @@ mod tests {
     fn envelope_leak_is_flagged() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::MachineStart { nodes: 16, envelope_w: 1760.0 }),
-                ev(0, EventKind::MachineBudget { epoch: 0, allocated_w: 1000.0, pool_w: 500.0 }),
+                ev(0, Event::MachineStart { nodes: 16, envelope_w: 1760.0 }),
+                ev(0, Event::MachineBudget { epoch: 0, allocated_w: 1000.0, pool_w: 500.0 }),
             ],
         };
         assert!(check_all(&trace).iter().any(|x| x.check() == "envelope"));
@@ -1482,22 +1366,22 @@ mod tests {
     #[test]
     fn unrecovered_crash_is_flagged_and_paired_crash_passes() {
         let bad = Trace {
-            events: vec![ev(0, EventKind::Fault { sync: 2, node: 5, tag: "node_crash".into() })],
+            events: vec![ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() })],
         };
         assert!(check_all(&bad).iter().any(|x| x.check() == "faults"));
         let good = Trace {
             events: vec![
-                ev(0, EventKind::Fault { sync: 2, node: 5, tag: "node_crash".into() }),
-                ev(0, EventKind::Recovery { sync: 2, node: 5, tag: "node_excluded".into() }),
+                ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() }),
+                ev(0, Event::Recovery { sync: 2, node: 5, tag: "node_excluded".into() }),
             ],
         };
         assert_eq!(check_all(&good), Vec::new());
     }
 
-    fn fleet_start() -> AuditEvent {
+    fn fleet_start() -> TraceEvent {
         ev(
             0,
-            EventKind::FleetStart {
+            Event::FleetStart {
                 machines: 2,
                 envelope_w: 1000.0,
                 retry_base_epochs: 1,
@@ -1514,44 +1398,19 @@ mod tests {
         let trace = Trace {
             events: vec![
                 fleet_start(),
-                ev(
-                    0,
-                    EventKind::EnvelopeRenorm {
-                        epoch: 0,
-                        machine: 0,
-                        share_w: 500.0,
-                        cap_w: 600.0,
-                    },
-                ),
-                ev(
-                    0,
-                    EventKind::EnvelopeRenorm {
-                        epoch: 0,
-                        machine: 1,
-                        share_w: 500.0,
-                        cap_w: 600.0,
-                    },
-                ),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(0, EventKind::JobDispatched { job: 0, machine: 1 }),
-                ev(5, EventKind::MachineDown { machine: 1, epoch: 3 }),
-                ev(5, EventKind::JobRetry { job: 0, attempt: 1, backoff_epochs: 1 }),
-                ev(
-                    5,
-                    EventKind::EnvelopeRenorm {
-                        epoch: 3,
-                        machine: 0,
-                        share_w: 600.0,
-                        cap_w: 600.0,
-                    },
-                ),
-                ev(9, EventKind::JobMigrated { job: 0, from_machine: 1, to_machine: 0 }),
-                ev(9, EventKind::JobDispatched { job: 0, machine: 0 }),
-                ev(20, EventKind::JobCompleted { job: 0, time_s: 12.0 }),
+                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 500.0, cap_w: 600.0 }),
+                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 500.0, cap_w: 600.0 }),
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(0, Event::JobDispatched { job: 0, machine: 1 }),
+                ev(5, Event::MachineDown { machine: 1, epoch: 3 }),
+                ev(5, Event::JobRetry { job: 0, attempt: 1, backoff_epochs: 1 }),
+                ev(5, Event::EnvelopeRenorm { epoch: 3, machine: 0, share_w: 600.0, cap_w: 600.0 }),
+                ev(9, Event::JobMigrated { job: 0, from_machine: 1, to_machine: 0 }),
+                ev(9, Event::JobDispatched { job: 0, machine: 0 }),
+                ev(20, Event::JobCompleted { job: 0, time_s: 12.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
@@ -1559,9 +1418,8 @@ mod tests {
     fn fleet_checks_are_gated_on_the_header() {
         // Without fleet_start the same events are ignored (single-machine
         // traces carry job_completed with no fleet dispatch protocol).
-        let trace = Trace { events: vec![ev(0, EventKind::JobCompleted { job: 0, time_s: 1.0 })] };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let trace = Trace { events: vec![ev(0, Event::JobCompleted { job: 0, time_s: 1.0 })] };
+        let out = run_checker!(FleetChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
@@ -1570,12 +1428,11 @@ mod tests {
         let trace = Trace {
             events: vec![
                 fleet_start(),
-                ev(0, EventKind::JobArrived { job: 7 }),
-                ev(0, EventKind::JobDispatched { job: 7, machine: 0 }),
+                ev(0, Event::JobArrived { job: 7 }),
+                ev(0, Event::JobDispatched { job: 7, machine: 0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.check() == "fleet" && x.detail.contains("lost")), "{out:?}");
     }
 
@@ -1584,14 +1441,13 @@ mod tests {
         let trace = Trace {
             events: vec![
                 fleet_start(),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(0, EventKind::JobDispatched { job: 0, machine: 0 }),
-                ev(1, EventKind::JobDispatched { job: 0, machine: 1 }),
-                ev(2, EventKind::JobCompleted { job: 0, time_s: 1.0 }),
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(0, Event::JobDispatched { job: 0, machine: 0 }),
+                ev(1, Event::JobDispatched { job: 0, machine: 1 }),
+                ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("already running")), "{out:?}");
     }
 
@@ -1600,15 +1456,14 @@ mod tests {
         let trace = Trace {
             events: vec![
                 fleet_start(),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(0, EventKind::JobDispatched { job: 0, machine: 0 }),
-                ev(1, EventKind::JobFailed { job: 0, attempts: 1 }),
-                ev(2, EventKind::JobDispatched { job: 0, machine: 1 }),
-                ev(3, EventKind::JobCompleted { job: 0, time_s: 1.0 }),
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(0, Event::JobDispatched { job: 0, machine: 0 }),
+                ev(1, Event::JobFailed { job: 0, attempts: 1 }),
+                ev(2, Event::JobDispatched { job: 0, machine: 1 }),
+                ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("zombie")), "{out:?}");
     }
 
@@ -1616,22 +1471,20 @@ mod tests {
     fn retry_schedule_violations_are_flagged() {
         let base = vec![
             fleet_start(),
-            ev(0, EventKind::JobArrived { job: 0 }),
-            ev(0, EventKind::JobDispatched { job: 0, machine: 0 }),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(0, Event::JobDispatched { job: 0, machine: 0 }),
         ];
         // Out-of-sequence attempt number.
         let mut events = base.clone();
-        events.push(ev(1, EventKind::JobRetry { job: 0, attempt: 2, backoff_epochs: 1 }));
-        events.push(ev(9, EventKind::JobFailed { job: 0, attempts: 1 }));
-        let mut out = Vec::new();
-        check_fleet(&Trace { events }, &mut out);
+        events.push(ev(1, Event::JobRetry { job: 0, attempt: 2, backoff_epochs: 1 }));
+        events.push(ev(9, Event::JobFailed { job: 0, attempts: 1 }));
+        let out = run_checker!(FleetChecker, Trace { events });
         assert!(out.iter().any(|x| x.detail.contains("out of sequence")), "{out:?}");
         // Backoff above the configured ceiling.
         let mut events = base.clone();
-        events.push(ev(1, EventKind::JobRetry { job: 0, attempt: 1, backoff_epochs: 99 }));
-        events.push(ev(9, EventKind::JobFailed { job: 0, attempts: 1 }));
-        let mut out = Vec::new();
-        check_fleet(&Trace { events }, &mut out);
+        events.push(ev(1, Event::JobRetry { job: 0, attempt: 1, backoff_epochs: 99 }));
+        events.push(ev(9, Event::JobFailed { job: 0, attempts: 1 }));
+        let out = run_checker!(FleetChecker, Trace { events });
         assert!(out.iter().any(|x| x.detail.contains("ceiling")), "{out:?}");
     }
 
@@ -1642,28 +1495,11 @@ mod tests {
                 fleet_start(),
                 // Two members capped at 600 W each: shares must sum to
                 // min(1000, 1200) = 1000, not 900.
-                ev(
-                    0,
-                    EventKind::EnvelopeRenorm {
-                        epoch: 0,
-                        machine: 0,
-                        share_w: 450.0,
-                        cap_w: 600.0,
-                    },
-                ),
-                ev(
-                    0,
-                    EventKind::EnvelopeRenorm {
-                        epoch: 0,
-                        machine: 1,
-                        share_w: 450.0,
-                        cap_w: 600.0,
-                    },
-                ),
+                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 450.0, cap_w: 600.0 }),
+                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 450.0, cap_w: 600.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("shares sum")), "{out:?}");
         assert!(out.iter().all(|x| x.code_str() == "AUDIT0010"));
     }
@@ -1673,13 +1509,12 @@ mod tests {
         let trace = Trace {
             events: vec![
                 fleet_start(),
-                ev(0, EventKind::MachineDown { machine: 0, epoch: 1 }),
-                ev(1, EventKind::MachineDown { machine: 0, epoch: 2 }),
-                ev(2, EventKind::MachineUp { machine: 1, epoch: 3 }),
+                ev(0, Event::MachineDown { machine: 0, epoch: 1 }),
+                ev(1, Event::MachineDown { machine: 0, epoch: 2 }),
+                ev(2, Event::MachineUp { machine: 1, epoch: 3 }),
             ],
         };
-        let mut out = Vec::new();
-        check_fleet(&trace, &mut out);
+        let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("while down")), "{out:?}");
         assert!(out.iter().any(|x| x.detail.contains("while up")), "{out:?}");
     }
@@ -1688,13 +1523,12 @@ mod tests {
     fn write_error_without_cap_traffic_passes() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 3 }),
-                ev(1, EventKind::Fault { sync: 3, node: 1, tag: "rapl_write_error".into() }),
-                ev(2, EventKind::SyncEnd { sync: 3, overhead_s: 0.0 }),
+                ev(0, Event::SyncStart { sync: 3 }),
+                ev(1, Event::Fault { sync: 3, node: 1, tag: "rapl_write_error".into() }),
+                ev(2, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_faults(&trace, &mut out);
+        let out = run_checker!(FaultChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
@@ -1702,11 +1536,11 @@ mod tests {
     fn spike_with_accepted_sample_passes() {
         let trace = Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 3 }),
-                ev(1, EventKind::Fault { sync: 3, node: 1, tag: "sample_spike".into() }),
+                ev(0, Event::SyncStart { sync: 3 }),
+                ev(1, Event::Fault { sync: 3, node: 1, tag: "sample_spike".into() }),
                 ev(
                     2,
-                    EventKind::Sample {
+                    Event::Sample {
                         node: 1,
                         role: "sim".into(),
                         time_s: 1.0,
@@ -1714,16 +1548,15 @@ mod tests {
                         cap_w: 110.0,
                     },
                 ),
-                ev(3, EventKind::SyncEnd { sync: 3, overhead_s: 0.0 }),
+                ev(3, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
             ],
         };
-        let mut out = Vec::new();
-        check_faults(&trace, &mut out);
+        let out = run_checker!(FaultChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
-    fn machine_start() -> AuditEvent {
-        ev(0, EventKind::MachineStart { nodes: 16, envelope_w: 1760.0 })
+    fn machine_start() -> TraceEvent {
+        ev(0, Event::MachineStart { nodes: 16, envelope_w: 1760.0 })
     }
 
     #[test]
@@ -1731,11 +1564,11 @@ mod tests {
         let trace = Trace {
             events: vec![
                 machine_start(),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(1, EventKind::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(9, EventKind::JobCompleted { job: 0, time_s: 1.0 }),
-                ev(9, EventKind::JobArrived { job: 1 }),
-                ev(10, EventKind::JobKilled { job: 1 }), // queued kill: legal
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+                ev(9, Event::JobCompleted { job: 0, time_s: 1.0 }),
+                ev(9, Event::JobArrived { job: 1 }),
+                ev(10, Event::JobKilled { job: 1 }), // queued kill: legal
             ],
         };
         assert_eq!(check_all(&trace), Vec::new());
@@ -1747,7 +1580,7 @@ mod tests {
         let t1 = Trace {
             events: vec![
                 machine_start(),
-                ev(1, EventKind::JobStarted { job: 3, nodes: 8, budget_w: 880.0 }),
+                ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 }),
             ],
         };
         let got = check_all(&t1);
@@ -1760,10 +1593,10 @@ mod tests {
         let t2 = Trace {
             events: vec![
                 machine_start(),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(1, EventKind::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(2, EventKind::JobCompleted { job: 0, time_s: 1.0 }),
-                ev(3, EventKind::JobCompleted { job: 0, time_s: 1.0 }),
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+                ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
+                ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
             ],
         };
         let got = check_all(&t2);
@@ -1775,9 +1608,9 @@ mod tests {
         let t3 = Trace {
             events: vec![
                 machine_start(),
-                ev(0, EventKind::JobArrived { job: 0 }),
-                ev(1, EventKind::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(2, EventKind::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+                ev(0, Event::JobArrived { job: 0 }),
+                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+                ev(2, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
             ],
         };
         let got = check_all(&t3);
@@ -1791,9 +1624,8 @@ mod tests {
     fn lifecycle_is_gated_on_the_machine_header() {
         // Fleet traces carry job events with no machine_start; the
         // lifecycle protocol does not apply there.
-        let trace = Trace {
-            events: vec![ev(1, EventKind::JobStarted { job: 3, nodes: 8, budget_w: 880.0 })],
-        };
+        let trace =
+            Trace { events: vec![ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 })] };
         assert_eq!(check_all(&trace), Vec::new());
     }
 
@@ -1802,9 +1634,9 @@ mod tests {
         let trace = Trace {
             events: vec![
                 run_start(1760.0),
-                ev(0, EventKind::SyncStart { sync: 1 }),
-                ev(1, EventKind::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(2, EventKind::SyncStart { sync: 2 }),
+                ev(0, Event::SyncStart { sync: 1 }),
+                ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+                ev(2, Event::SyncStart { sync: 2 }),
                 // no run_end: halted mid-interval
             ],
         };
@@ -1822,11 +1654,11 @@ mod tests {
         let trace = Trace {
             events: vec![
                 run_start(1760.0),
-                ev(0, EventKind::SyncStart { sync: 2 }), // misnumbered
-                ev(9, EventKind::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }), // overruns
+                ev(0, Event::SyncStart { sync: 2 }), // misnumbered
+                ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }), // overruns
                 decision(1, 215.0, 215.0), // over budget
-                ev(10, EventKind::SyncEnd { sync: 2, overhead_s: 0.0 }),
-                ev(11, EventKind::Fault { sync: 1, node: 5, tag: "node_crash".into() }),
+                ev(10, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
+                ev(11, Event::Fault { sync: 1, node: 5, tag: "node_crash".into() }),
             ],
         };
         let batch = check_all(&trace);
@@ -1846,7 +1678,7 @@ mod tests {
     fn errors_so_far_counts_only_errors() {
         let mut checker = StreamChecker::default();
         checker.feed(&run_start(1760.0));
-        checker.feed(&ev(0, EventKind::SyncStart { sync: 2 })); // misnumbered
+        checker.feed(&ev(0, Event::SyncStart { sync: 2 })); // misnumbered
         assert_eq!(checker.errors_so_far(), 1);
         // The halt advisory only lands at finish and is a warning.
         let out = checker.finish();

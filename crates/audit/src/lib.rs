@@ -30,19 +30,22 @@
 //!    attributes report/metrics deltas to phases, the critical path, and
 //!    registry counters (`DIFF0003`–`DIFF0005`).
 //!
-//! The parser ([`AuditEvent::parse_line`]) is strict — exact field order,
-//! nothing missing, nothing extra — so a parsed trace re-serializes
-//! byte-for-byte, and the round trip doubles as a test of the emitter.
-//! Everything is hand-rolled on top of [`json`]: the workspace carries no
-//! registry dependencies.
+//! There is one event type, [`obs::TraceEvent`], whether an event arrives
+//! live or from a file: the schema, its writer and its strict reader
+//! ([`obs::TraceEvent::parse_line`] — exact field order, nothing missing,
+//! nothing extra, so a parsed trace re-serializes byte-for-byte) are all
+//! generated from the one table in `obs`. A live event is audited in its
+//! wire form ([`obs::TraceEvent::wire_form`]), which is what makes the
+//! live, tapped and replayed audits of one run byte-identical. Everything
+//! is hand-rolled on top of [`json`] (re-exported from `obs`, where the
+//! reader lives beside the schema): the workspace carries no registry
+//! dependencies.
 
 #![warn(missing_docs)]
 
 pub mod diag;
 pub mod diff;
-pub mod event;
 pub mod invariants;
-pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod stream;
@@ -50,9 +53,9 @@ pub mod trace;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, ArtifactDiffOptions, TraceDiffer};
-pub use event::{AuditEvent, DecisionFields, EventKind};
 pub use invariants::{check_all, StreamChecker};
 pub use metrics::AuditReport;
+pub use obs::json;
 pub use registry::{Counter, ExactSum, Gauge, Histogram, Registry};
 pub use stream::{health_to_json, RunHealth, StreamAuditor, StreamOutcome};
 pub use trace::{Trace, TraceError};

@@ -327,19 +327,19 @@ fn js(v: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AuditEvent, EventKind};
+    use obs::{Event, TraceEvent};
 
-    fn ev(t_ns: u64, kind: EventKind) -> AuditEvent {
-        AuditEvent { t_ns, kind }
+    fn ev(t_ns: u64, ev: Event) -> TraceEvent {
+        TraceEvent { t: des::SimTime::from_nanos(t_ns), ev }
     }
 
     fn small_trace() -> Trace {
         Trace {
             events: vec![
-                ev(0, EventKind::SyncStart { sync: 1 }),
+                ev(0, Event::SyncStart { sync: 1 }),
                 ev(
                     0,
-                    EventKind::Phase {
+                    Event::Phase {
                         node: 0,
                         kind: "force".into(),
                         start_ns: 0,
@@ -348,19 +348,19 @@ mod tests {
                 ),
                 ev(
                     2_000_000_000,
-                    EventKind::Wait { node: 0, start_ns: 2_000_000_000, end_ns: 3_000_000_000 },
+                    Event::Wait { node: 0, start_ns: 2_000_000_000, end_ns: 3_000_000_000 },
                 ),
                 ev(
                     3_000_000_000,
-                    EventKind::Arrival { sync: 1, node: 0, role: "sim".into(), time_s: 2.0 },
+                    Event::Arrival { sync: 1, node: 0, role: "sim".into(), time_s: 2.0 },
                 ),
                 ev(
                     3_000_000_000,
-                    EventKind::Arrival { sync: 1, node: 1, role: "analysis".into(), time_s: 3.0 },
+                    Event::Arrival { sync: 1, node: 1, role: "analysis".into(), time_s: 3.0 },
                 ),
                 ev(
                     3_000_000_000,
-                    EventKind::Rendezvous {
+                    Event::Rendezvous {
                         sync: 1,
                         sim_time_s: 2.0,
                         analysis_time_s: 3.0,
@@ -369,7 +369,7 @@ mod tests {
                 ),
                 ev(
                     3_000_000_000,
-                    EventKind::Sample {
+                    Event::Sample {
                         node: 0,
                         role: "sim".into(),
                         time_s: 2.0,
@@ -379,17 +379,17 @@ mod tests {
                 ),
                 ev(
                     3_000_000_000,
-                    EventKind::CapRequest {
+                    Event::CapRequest {
                         node: 0,
                         requested_w: 120.0,
                         granted_w: 120.0,
                         effective_ns: 3_010_000_000,
                     },
                 ),
-                ev(3_100_000_000, EventKind::SyncEnd { sync: 1, overhead_s: 0.1 }),
-                ev(3_100_000_000, EventKind::NodeEnergy { node: 0, energy_j: 300.0 }),
-                ev(3_100_000_000, EventKind::NodeEnergy { node: 1, energy_j: 100.0 }),
-                ev(3_100_000_000, EventKind::RunEnd { total_time_s: 3.1, total_energy_j: 400.0 }),
+                ev(3_100_000_000, Event::SyncEnd { sync: 1, overhead_s: 0.1 }),
+                ev(3_100_000_000, Event::NodeEnergy { node: 0, energy_j: 300.0 }),
+                ev(3_100_000_000, Event::NodeEnergy { node: 1, energy_j: 100.0 }),
+                ev(3_100_000_000, Event::RunEnd { total_time_s: 3.1, total_energy_j: 400.0 }),
             ],
         }
     }

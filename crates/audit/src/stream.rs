@@ -28,12 +28,12 @@
 //! reproduces the batch result bit for bit — including float-addition
 //! order.
 
-use crate::event::{AuditEvent, EventError, EventKind};
 use crate::invariants::StreamChecker;
 use crate::metrics::{
     AuditReport, CriticalPath, LatencyStats, PartitionAttribution, PhaseAttribution, SyncStragglers,
 };
 use crate::registry::Registry;
+use obs::{Event, EventError, Tag, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -127,18 +127,18 @@ pub struct StreamAuditor {
     total_time_s: f64,
     total_energy_j: f64,
     /// Current interval's measured mean power, keyed (interval, node).
-    cur_samples: BTreeMap<(u64, u64), f64>,
+    cur_samples: BTreeMap<(u64, usize), f64>,
     /// Current interval's spans: (interval, node, kind, dur_s), record
     /// order. Spans outside any interval fold immediately instead.
-    cur_spans: Vec<(u64, u64, String, f64)>,
+    cur_spans: Vec<(u64, usize, Tag, f64)>,
     by_kind: BTreeMap<String, PhaseAttribution>,
     /// node -> partition tag (first seen).
-    roles: BTreeMap<u64, String>,
+    roles: BTreeMap<usize, Tag>,
     /// node -> whole-run energy (last write).
-    node_energy: BTreeMap<u64, f64>,
+    node_energy: BTreeMap<usize, f64>,
     /// Pending per-interval rows awaiting their interval close.
     waits: BTreeMap<u64, (f64, f64)>,
-    slowest: BTreeMap<u64, (f64, u64)>,
+    slowest: BTreeMap<u64, (f64, usize)>,
     rendezvous: BTreeMap<u64, (f64, f64, f64)>,
     stragglers: Vec<SyncStragglers>,
     critical_path: CriticalPath,
@@ -162,8 +162,7 @@ impl StreamAuditor {
     /// Parse one JSONL trace line (strict, like the batch loader) and
     /// feed it. The caller decides whether a parse failure aborts.
     pub fn feed_line(&mut self, line: &str) -> Result<(), EventError> {
-        let ev = AuditEvent::parse_line(line)?;
-        self.feed(&ev);
+        self.feed(&TraceEvent::parse_line(line)?);
         Ok(())
     }
 
@@ -180,7 +179,7 @@ impl StreamAuditor {
                 slack,
                 wait_total_s,
                 wait_max_s,
-                slowest_node: self.slowest.get(&sync).map(|&(_, n)| n),
+                slowest_node: self.slowest.get(&sync).map(|&(_, n)| n as u64),
             });
             if sim_t >= ana_t {
                 self.critical_path.sim_limited_s += sim_t;
@@ -199,8 +198,8 @@ impl StreamAuditor {
     fn fold_spans(&mut self) {
         let _t = obs::profile::timer("audit.fold_spans");
         for (interval, node, kind, dur) in self.cur_spans.drain(..) {
-            let a = self.by_kind.entry(kind.clone()).or_insert_with(|| PhaseAttribution {
-                kind,
+            let a = self.by_kind.entry(kind.to_string()).or_insert_with(|| PhaseAttribution {
+                kind: kind.into_owned(),
                 spans: 0,
                 time_s: 0.0,
                 energy_j: 0.0,
@@ -236,31 +235,36 @@ impl StreamAuditor {
         self.health.push(row);
     }
 
-    /// Feed one event: invariants, metrics, attribution, health.
-    pub fn feed(&mut self, ev: &AuditEvent) {
+    /// Feed one event: invariants, metrics, attribution, health. The one
+    /// entry for live, tapped and parsed events alike: the event is
+    /// audited in its wire form, so a live `inf` yields the findings its
+    /// serialized `null` would.
+    pub fn feed(&mut self, ev: &TraceEvent) {
+        let ev = &*ev.wire_form();
+        let t_ns = ev.t.as_nanos();
         self.checker.feed(ev);
         self.events += 1;
         self.registry.counter("events").inc();
-        if self.renorm_group.is_some() && !matches!(ev.kind, EventKind::EnvelopeRenorm { .. }) {
+        if self.renorm_group.is_some() && !matches!(ev.ev, Event::EnvelopeRenorm { .. }) {
             self.close_renorm_group();
         }
-        match &ev.kind {
-            EventKind::SyncStart { sync } => {
+        match &ev.ev {
+            Event::SyncStart { sync } => {
                 self.open = Some(*sync);
                 self.syncs += 1;
                 self.registry.counter("syncs").inc();
             }
-            EventKind::SyncEnd { sync, overhead_s } => {
+            Event::SyncEnd { sync, overhead_s } => {
                 self.open = None;
                 if overhead_s.is_finite() {
                     self.overhead_sum += *overhead_s;
                 }
                 self.fold_spans();
                 self.drain_rendezvous(*sync);
-                self.registry.gauge("jobs_running").set(ev.t_ns, self.jobs_running as f64);
-                self.snapshot(ev.t_ns, "sync", *sync);
+                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                self.snapshot(t_ns, "sync", *sync);
             }
-            EventKind::Phase { node, kind, start_ns, end_ns } => {
+            Event::Phase { node, kind, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("phase_ns").observe(end_ns.saturating_sub(*start_ns));
                 let entry = (self.open.unwrap_or(0), *node, kind.clone(), dur);
@@ -271,10 +275,10 @@ impl StreamAuditor {
                     self.fold_spans();
                 }
             }
-            EventKind::Wait { node, start_ns, end_ns } => {
+            Event::Wait { node, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("wait_ns").observe(end_ns.saturating_sub(*start_ns));
-                let entry = (self.open.unwrap_or(0), *node, "wait".to_string(), dur);
+                let entry = (self.open.unwrap_or(0), *node, Tag::Borrowed("wait"), dur);
                 if self.open.is_some() {
                     self.cur_spans.push(entry);
                 } else {
@@ -285,7 +289,7 @@ impl StreamAuditor {
                 w.0 += dur;
                 w.1 = w.1.max(dur);
             }
-            EventKind::Sample { node, role, power_w, .. } => {
+            Event::Sample { node, role, power_w, .. } => {
                 self.registry.counter("samples").inc();
                 if let Some(k) = self.open {
                     if power_w.is_finite() {
@@ -296,7 +300,7 @@ impl StreamAuditor {
                     self.roles.insert(*node, role.clone());
                 }
             }
-            EventKind::Arrival { sync, node, role, time_s } => {
+            Event::Arrival { sync, node, role, time_s } => {
                 if !self.roles.contains_key(node) {
                     self.roles.insert(*node, role.clone());
                 }
@@ -305,81 +309,81 @@ impl StreamAuditor {
                     *e = (*time_s, *node);
                 }
             }
-            EventKind::Rendezvous { sync, sim_time_s, analysis_time_s, slack } => {
+            Event::Rendezvous { sync, sim_time_s, analysis_time_s, slack } => {
                 self.rendezvous.insert(*sync, (*sim_time_s, *analysis_time_s, *slack));
             }
-            EventKind::NodeEnergy { node, energy_j } => {
+            Event::NodeEnergy { node, energy_j } => {
                 self.node_energy.insert(*node, *energy_j);
             }
-            EventKind::RunEnd { total_time_s: t, total_energy_j: e } => {
+            Event::RunEnd { total_time_s: t, total_energy_j: e } => {
                 self.total_time_s = *t;
                 self.total_energy_j = *e;
             }
-            EventKind::CapRequest { effective_ns, .. } => {
-                if *effective_ns > ev.t_ns {
+            Event::CapRequest { effective_ns, .. } => {
+                if *effective_ns > t_ns {
                     self.registry
                         .histogram("cap_actuation_latency_ns")
-                        .observe(effective_ns - ev.t_ns);
+                        .observe(effective_ns - t_ns);
                 } else {
                     self.registry.counter("cap_immediate").inc();
                 }
             }
-            EventKind::RunStart { budget_w, .. } => {
+            Event::RunStart { budget_w, .. } => {
                 self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *budget_w);
+                self.registry.gauge("budget_w").set(t_ns, *budget_w);
             }
-            EventKind::BudgetRenormalized { budget_w } => {
+            Event::BudgetRenormalized { budget_w } => {
                 self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *budget_w);
+                self.registry.gauge("budget_w").set(t_ns, *budget_w);
             }
-            EventKind::Decision(d) => {
+            Event::Decision(d) => {
                 let total =
                     d.sim_node_w * d.sim_nodes as f64 + d.analysis_node_w * d.analysis_nodes as f64;
                 self.allocated_w = total;
-                self.registry.gauge("allocated_w").set(ev.t_ns, total);
+                self.registry.gauge("allocated_w").set(t_ns, total);
             }
-            EventKind::Fault { .. } => self.registry.counter("faults").inc(),
-            EventKind::Recovery { .. } => self.registry.counter("recoveries").inc(),
-            EventKind::MachineStart { envelope_w, .. } => {
+            Event::Fault { .. } => self.registry.counter("faults").inc(),
+            Event::Recovery { .. } => self.registry.counter("recoveries").inc(),
+            Event::MachineStart { envelope_w, .. } => {
                 self.machines_up = 1;
                 self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *envelope_w);
+                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
             }
-            EventKind::MachineBudget { epoch, allocated_w, pool_w: _ } => {
+            Event::MachineBudget { epoch, allocated_w, pool_w: _ } => {
                 self.allocated_w = *allocated_w;
-                self.registry.gauge("allocated_w").set(ev.t_ns, *allocated_w);
-                self.registry.gauge("jobs_running").set(ev.t_ns, self.jobs_running as f64);
-                self.snapshot(ev.t_ns, "epoch", *epoch);
+                self.registry.gauge("allocated_w").set(t_ns, *allocated_w);
+                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                self.snapshot(t_ns, "epoch", *epoch);
             }
-            EventKind::JobStarted { .. } | EventKind::JobDispatched { .. } => {
+            Event::JobStarted { .. } | Event::JobDispatched { .. } => {
                 self.jobs_running += 1;
             }
-            EventKind::JobCompleted { .. }
-            | EventKind::JobKilled { .. }
-            | EventKind::JobRetry { .. }
-            | EventKind::JobFailed { .. } => {
+            Event::JobCompleted { .. }
+            | Event::JobKilled { .. }
+            | Event::JobRetry { .. }
+            | Event::JobFailed { .. } => {
                 self.jobs_running = self.jobs_running.saturating_sub(1);
             }
-            EventKind::FleetStart { machines, envelope_w, .. } => {
-                self.machines_up = *machines;
+            Event::FleetStart { machines, envelope_w, .. } => {
+                self.machines_up = *machines as u64;
                 self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(ev.t_ns, *envelope_w);
+                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
             }
-            EventKind::MachineDown { .. } => {
+            Event::MachineDown { .. } => {
                 self.machines_up = self.machines_up.saturating_sub(1);
             }
-            EventKind::MachineUp { .. } => self.machines_up += 1,
-            EventKind::EnvelopeRenorm { epoch, share_w, .. } => {
+            Event::MachineUp { .. } => self.machines_up += 1,
+            Event::EnvelopeRenorm { epoch, share_w, .. } => {
                 match &mut self.renorm_group {
                     Some((e, sum, t)) if *e == *epoch => {
                         *sum += share_w;
-                        *t = ev.t_ns;
+                        *t = t_ns;
                     }
                     _ => {
                         // Epoch change: the is_some guard above only fires
                         // for non-renorm events, so close here.
                         self.close_renorm_group();
-                        self.renorm_group = Some((*epoch, *share_w, ev.t_ns));
+                        self.renorm_group = Some((*epoch, *share_w, t_ns));
                     }
                 }
             }
@@ -412,8 +416,8 @@ impl StreamAuditor {
 
         let mut partitions: BTreeMap<String, PartitionAttribution> = BTreeMap::new();
         for (node, role) in &self.roles {
-            let p = partitions.entry(role.clone()).or_insert_with(|| PartitionAttribution {
-                role: role.clone(),
+            let p = partitions.entry(role.to_string()).or_insert_with(|| PartitionAttribution {
+                role: role.to_string(),
                 nodes: 0,
                 energy_j: 0.0,
             });
@@ -438,8 +442,8 @@ impl StreamAuditor {
 }
 
 impl obs::EventSubscriber for StreamAuditor {
-    fn on_event(&mut self, ev: &obs::TraceEvent) {
-        self.feed(&AuditEvent::from_obs(ev));
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.feed(ev);
     }
 }
 
@@ -450,8 +454,8 @@ mod tests {
 
     fn sample_lines() -> Vec<String> {
         let trace = {
-            use crate::event::EventKind as K;
-            let ev = |t_ns, kind| AuditEvent { t_ns, kind };
+            use Event as K;
+            let ev = |t_ns, ev| TraceEvent { t: des::SimTime::from_nanos(t_ns), ev };
             Trace {
                 events: vec![
                     ev(
@@ -600,5 +604,153 @@ mod tests {
         let replayed = replay.finish();
         assert_eq!(live.report.to_json(), replayed.report.to_json());
         assert_eq!(live.health, replayed.health);
+    }
+
+    fn outcome_docs(out: &StreamOutcome) -> [String; 3] {
+        [out.report.to_json(), health_to_json(&out.health), out.registry.to_json()]
+    }
+
+    /// The wire form of `±inf` is `null`, which reads back as NaN, and the
+    /// battery tells the two apart (`total <= inf` holds, `total <= NaN`
+    /// does not; details print the value). A live event carrying `inf`
+    /// must therefore be judged as its serialized line will be.
+    #[test]
+    fn live_non_finite_floats_audit_like_their_serialized_lines() {
+        use obs::DecisionInfo;
+        let events = [
+            Event::RunStart {
+                sim_nodes: 12,
+                analysis_nodes: 4,
+                budget_w: 1760.0,
+                min_cap_w: 98.0,
+                max_cap_w: 215.0,
+                actuation_ns: 10_000_000,
+            },
+            Event::BudgetRenormalized { budget_w: f64::INFINITY },
+            Event::SyncStart { sync: 1 },
+            Event::Decision(Box::new(DecisionInfo {
+                sync: 0,
+                sim_nodes: 12,
+                analysis_nodes: 4,
+                alpha_sim: 1.0,
+                alpha_analysis: 1.0,
+                p_opt_sim_w: 1320.0,
+                p_opt_analysis_w: 440.0,
+                blend_sim_w: 1320.0,
+                blend_analysis_w: 440.0,
+                sim_node_w: 110.0,
+                analysis_node_w: 110.0,
+                clamped: false,
+            })),
+            Event::Rendezvous {
+                sync: 1,
+                sim_time_s: 1.5,
+                analysis_time_s: f64::NAN,
+                slack: f64::NEG_INFINITY,
+            },
+            Event::SyncEnd { sync: 1, overhead_s: 0.0 },
+            Event::SyncEnergy { sync: 1, energy_j: f64::INFINITY },
+            Event::Fault { sync: 1, node: 4, tag: "straggler".into() },
+        ];
+        let events: Vec<TraceEvent> = (0..)
+            .zip(events)
+            .map(|(i, ev)| TraceEvent { t: des::SimTime::from_nanos(i), ev })
+            .collect();
+
+        let mut live = StreamAuditor::new();
+        let mut replay = StreamAuditor::new();
+        for te in &events {
+            obs::EventSubscriber::on_event(&mut live, te);
+            replay.feed_line(&te.to_json_line()).expect("emitter output parses");
+        }
+        let (live, replay) = (live.finish(), replay.finish());
+        assert_eq!(outcome_docs(&live), outcome_docs(&replay));
+        assert_eq!(live.report.violations, replay.report.violations);
+        let details: Vec<&str> = live.report.violations.iter().map(|v| &*v.detail).collect();
+        assert!(details.iter().any(|d| d.contains("budget is not a power: NaN")), "{details:?}");
+        assert!(details.iter().any(|d| d.contains("exceeds budget")), "{details:?}");
+        assert!(details.iter().any(|d| d.contains("energy is not physical: NaN")), "{details:?}");
+        // And the batch tap agrees.
+        let tapped = AuditReport::from_trace(&Trace::from_events(&events));
+        assert_eq!(tapped.to_json(), replay.report.to_json());
+    }
+
+    /// Seeded mutations of valid lines of every variant: the strict reader
+    /// answers `Ok` or an `EventError` (what `audit_trace --stream` reports
+    /// as `AUDIT0013`) and never panics, the auditor survives whatever was
+    /// accepted, and everything accepted can be written and read again.
+    /// Mutations that spell every value canonically must come back
+    /// byte-for-byte; a byte flip may leave a number in a spelling the
+    /// reader accepts and the writer would not choose (`0.120`, `1 `).
+    #[test]
+    fn mutated_lines_never_panic_the_reader_or_the_auditor() {
+        let lines: Vec<String> =
+            TraceEvent::one_of_each().iter().map(TraceEvent::to_json_line).collect();
+        // Values a field may be swapped for, each in the writer's spelling:
+        // every wire type, `null`, and integers past i64::MAX and past
+        // u64::MAX (which only a float field takes, as 2^63 and 2^64).
+        const VALUES: [&str; 9] = [
+            "7",
+            "0.5",
+            "-3",
+            "true",
+            "null",
+            "\"sim\"",
+            "9223372036854776000",
+            "18446744073709552000",
+            "[{\"k\":[]}]",
+        ];
+        let mut accepted = 0;
+        for seed in [1, 7] {
+            let mut rng = des::rng::Rng::seed_from_u64(seed);
+            let mut below = |n: usize| rng.next_below(n as u64) as usize;
+            for _ in 0..40 {
+                for line in &lines {
+                    // Split `{f0,f1,…}` into its top-level fields (no sample
+                    // value contains a comma).
+                    let mut fields: Vec<String> =
+                        line[1..line.len() - 1].split(',').map(String::from).collect();
+                    let (i, j) = (below(fields.len()), below(fields.len()));
+                    let mut canonical = true;
+                    let mutated = match below(8) {
+                        0 => line[..below(line.len())].to_string(),
+                        1 => {
+                            canonical = false;
+                            let mut bytes = line.clone().into_bytes();
+                            let at = below(bytes.len());
+                            bytes[at] = below(128) as u8;
+                            String::from_utf8(bytes).expect("ASCII stays UTF-8")
+                        }
+                        2 => format!("{}{line}{}", "[".repeat(100_000), "]".repeat(100_000)),
+                        kind => {
+                            match kind {
+                                3 => fields.swap(i, j),
+                                4 => fields.insert(i, fields[j].clone()),
+                                5 => drop(fields.remove(i)),
+                                _ => {
+                                    let (key, _) = fields[i].split_once(':').expect("key:value");
+                                    fields[i] = format!("{key}:{}", VALUES[below(VALUES.len())]);
+                                }
+                            }
+                            format!("{{{}}}", fields.join(","))
+                        }
+                    };
+                    let mut auditor = StreamAuditor::new();
+                    let fed = auditor.feed_line(&mutated);
+                    let parsed = TraceEvent::parse_line(&mutated);
+                    assert_eq!(fed.is_ok(), parsed.is_ok(), "{mutated}");
+                    auditor.finish();
+                    let Ok(ev) = parsed else { continue };
+                    accepted += 1;
+                    let rewritten = ev.to_json_line();
+                    if canonical {
+                        assert_eq!(rewritten, mutated);
+                    }
+                    let again = TraceEvent::parse_line(&rewritten).expect("writer output parses");
+                    assert_eq!(again.to_json_line(), rewritten, "from {mutated}");
+                }
+            }
+        }
+        assert!(accepted > 100, "the mutations must also exercise the accepting path");
     }
 }

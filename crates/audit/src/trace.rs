@@ -1,12 +1,12 @@
-//! The trace container: a parsed (or tapped) sequence of audit events.
+//! The trace container: a parsed (or tapped) sequence of events.
 
-use crate::event::{AuditEvent, EventError};
+use obs::{EventError, TraceEvent};
 
 /// One run's trace, in buffer order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The events, in the order they were recorded.
-    pub events: Vec<AuditEvent>,
+    pub events: Vec<TraceEvent>,
 }
 
 /// A parse failure annotated with its 1-based line number.
@@ -32,7 +32,7 @@ impl Trace {
     pub fn parse_jsonl(input: &str) -> Result<Trace, TraceError> {
         let mut events = Vec::with_capacity(input.len() / 80);
         for (i, line) in input.lines().enumerate() {
-            match AuditEvent::parse_line(line) {
+            match TraceEvent::parse_line(line) {
                 Ok(ev) => events.push(ev),
                 Err(error) => return Err(TraceError { line: i + 1, error }),
             }
@@ -40,9 +40,10 @@ impl Trace {
         Ok(Trace { events })
     }
 
-    /// Build a trace from live in-memory events (the tap path).
-    pub fn from_events(events: &[obs::TraceEvent]) -> Trace {
-        Trace { events: events.iter().map(AuditEvent::from_obs).collect() }
+    /// Build a trace from live in-memory events (the tap path), each in
+    /// its wire form so the tap equals a parse of the serialized trace.
+    pub fn from_events(events: &[TraceEvent]) -> Trace {
+        Trace { events: events.iter().map(|e| e.wire_form().into_owned()).collect() }
     }
 
     /// Snapshot a live tracer's buffer.
@@ -53,12 +54,7 @@ impl Trace {
     /// Serialize back to the exact JSONL document the emitter writes
     /// (trailing newline included when non-empty).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for ev in &self.events {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        }
-        out
+        obs::to_jsonl(&self.events)
     }
 
     /// Number of events.

@@ -147,8 +147,10 @@ impl Controller for SeeSaw {
         {
             self.rejected += 1;
             if self.tracer.is_enabled() {
-                self.tracer
-                    .emit(obs::Event::ControllerHold { sync: obs.step, reason: "corrupt_sample" });
+                self.tracer.emit(obs::Event::ControllerHold {
+                    sync: obs.step,
+                    reason: "corrupt_sample".into(),
+                });
             }
             return None;
         }
@@ -173,7 +175,7 @@ impl Controller for SeeSaw {
             if self.tracer.is_enabled() {
                 self.tracer.emit(obs::Event::ControllerHold {
                     sync: obs.step,
-                    reason: "degenerate_feedback",
+                    reason: "degenerate_feedback".into(),
                 });
             }
             return None;

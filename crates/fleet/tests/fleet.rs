@@ -2,12 +2,12 @@
 //! retry/backoff properties, and chaos soaks audited against the
 //! `AUDIT0010` fleet battery.
 
-use audit::EventKind;
 use faults::{MachineFault, MachineFaultIntensity, MachineFaultKind, MachineFaultPlan};
 use fleet::{Fleet, FleetSpec, JobStream, RetryPolicy};
 use insitu::JobConfig;
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
+use obs::Event;
 use sched::{MachineSpec, Policy};
 
 /// A 4-node job of `steps` Verlet steps, one sync per step.
@@ -47,8 +47,8 @@ fn run_traced(
     (result, trace, jsonl)
 }
 
-fn count(trace: &audit::Trace, pred: impl Fn(&EventKind) -> bool) -> usize {
-    trace.events.iter().filter(|e| pred(&e.kind)).count()
+fn count(trace: &audit::Trace, pred: impl Fn(&Event) -> bool) -> usize {
+    trace.events.iter().filter(|e| pred(&e.ev)).count()
 }
 
 #[test]
@@ -73,17 +73,14 @@ fn crash_migrates_checkpointed_job_to_survivor() {
     assert!(result.mean_recovery_epochs > 0.0);
     assert!((result.goodput() - 1.0).abs() < 1e-12);
 
-    assert_eq!(count(&trace, |k| matches!(k, EventKind::MachineDown { machine: 0, .. })), 1);
+    assert_eq!(count(&trace, |k| matches!(k, Event::MachineDown { machine: 0, .. })), 1);
     assert_eq!(
-        count(&trace, |k| matches!(
-            k,
-            EventKind::JobMigrated { from_machine: 0, to_machine: 1, .. }
-        )),
+        count(&trace, |k| matches!(k, Event::JobMigrated { from_machine: 0, to_machine: 1, .. })),
         1
     );
     // Losing a member renormalizes the envelope (initial division plus
     // the post-loss division).
-    assert!(count(&trace, |k| matches!(k, EventKind::EnvelopeRenorm { .. })) >= 3);
+    assert!(count(&trace, |k| matches!(k, Event::EnvelopeRenorm { .. })) >= 3);
 
     assert_eq!(audit::check_all(&trace), Vec::new());
 }
@@ -100,8 +97,8 @@ fn partition_heals_and_machine_rejoins() {
 
     assert_eq!(result.completed(), 2, "{result:?}");
     assert_eq!(result.machines_down, 0, "healed member must rejoin");
-    assert_eq!(count(&trace, |k| matches!(k, EventKind::MachineDown { machine: 1, .. })), 1);
-    assert_eq!(count(&trace, |k| matches!(k, EventKind::MachineUp { machine: 1, .. })), 1);
+    assert_eq!(count(&trace, |k| matches!(k, Event::MachineDown { machine: 1, .. })), 1);
+    assert_eq!(count(&trace, |k| matches!(k, Event::MachineUp { machine: 1, .. })), 1);
 
     assert_eq!(audit::check_all(&trace), Vec::new());
 }
@@ -125,7 +122,7 @@ fn slow_machine_dilates_the_fleet_clock_but_loses_nothing() {
         slowed.makespan_s,
         clean.makespan_s
     );
-    assert_eq!(count(&trace, |k| matches!(k, EventKind::MachineDown { .. })), 0);
+    assert_eq!(count(&trace, |k| matches!(k, Event::MachineDown { .. })), 0);
 
     assert_eq!(audit::check_all(&trace), Vec::new());
 }
@@ -146,13 +143,13 @@ fn exhausted_retry_budget_fails_exactly_once_with_no_zombie_resubmits() {
     let (result, trace, _) = run_traced(spec, stream, plan);
 
     assert_eq!(result.failed(), 1);
-    let failed = count(&trace, |k| matches!(k, EventKind::JobFailed { .. }));
+    let failed = count(&trace, |k| matches!(k, Event::JobFailed { .. }));
     assert_eq!(failed, 1, "failed must be reported exactly once");
     // No dispatch after the terminal report.
     let fail_idx =
-        trace.events.iter().position(|e| matches!(e.kind, EventKind::JobFailed { .. })).unwrap();
+        trace.events.iter().position(|e| matches!(e.ev, Event::JobFailed { .. })).unwrap();
     assert!(
-        !trace.events[fail_idx..].iter().any(|e| matches!(e.kind, EventKind::JobDispatched { .. })),
+        !trace.events[fail_idx..].iter().any(|e| matches!(e.ev, Event::JobDispatched { .. })),
         "zombie resubmit after terminal failure"
     );
 

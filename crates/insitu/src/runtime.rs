@@ -386,7 +386,7 @@ impl Runtime {
                 self.tracer.emit(obs::Event::Fault {
                     sync: sync_k,
                     node: ev.node,
-                    tag: ev.kind.tag(),
+                    tag: ev.kind.tag().into(),
                 });
             }
         }
@@ -413,7 +413,7 @@ impl Runtime {
                     self.tracer.emit(obs::Event::Recovery {
                         sync: sync_k,
                         node: rec.node,
-                        tag: rec.kind.tag(),
+                        tag: rec.kind.tag().into(),
                     });
                 }
                 self.tracer.emit(obs::Event::SyncEnd { sync: sync_k, overhead_s: 0.0 });
@@ -468,7 +468,7 @@ impl Runtime {
                     obs::Event::Arrival {
                         sync: sync_k,
                         node,
-                        role: role.tag(),
+                        role: role.tag().into(),
                         time_s: arrival.saturating_since(t0).as_secs_f64(),
                     },
                 );
@@ -564,7 +564,7 @@ impl Runtime {
                 self.tracer.emit(obs::Event::Recovery {
                     sync: sync_k,
                     node: rec.node,
-                    tag: rec.kind.tag(),
+                    tag: rec.kind.tag().into(),
                 });
             }
             self.tracer.emit(obs::Event::SyncEnd {

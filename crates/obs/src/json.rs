@@ -1,5 +1,7 @@
 //! A small, strict JSON parser (the workspace carries no registry
-//! dependencies, so this is hand-rolled like the emitters it audits).
+//! dependencies, so this is hand-rolled like the emitters it reads back).
+//! It lives beside the event schema, whose strict line reader is its main
+//! client; `audit::json` re-exports it.
 //!
 //! Design points that matter for auditing:
 //!
@@ -12,6 +14,8 @@
 //!   fields accept either.
 //! - **Whole-input strictness.** `parse` fails on trailing garbage, so a
 //!   truncated or concatenated line can never half-parse.
+//! - **Bounded nesting.** Containers nest at most 64 deep, so a hostile
+//!   line cannot overflow the stack of this recursive parser.
 //! - Errors carry the byte offset where parsing stopped.
 
 /// A parsed JSON value.
@@ -108,10 +112,14 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest container nesting [`parse`] accepts (every document the
+/// workspace writes stays in single digits).
+const MAX_DEPTH: usize = 64;
+
 /// Parse `input` as exactly one JSON value (leading/trailing whitespace
 /// allowed, anything else after the value is an error).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -124,6 +132,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,12 +175,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one container, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -407,6 +431,15 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("\"\\uD83D\"").is_err(), "unpaired surrogate");
         assert!(parse("01").is_err(), "leading zero");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().msg, "nesting too deep");
+        // Far past any stack the recursion could have survived.
+        assert!(parse(&"[{\"k\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! - [`Event`] / [`TraceEvent`] — the typed schema covering runtime sync
 //!   epochs, node phase/wait spans, RAPL cap actuation, power-manager
 //!   measurement and exchange, SeeSAw decision internals, and fault
-//!   injection/recovery.
+//!   injection/recovery. One table generates the enum, its JSONL writer
+//!   and its strict reader ([`TraceEvent::parse_line`], on the [`json`]
+//!   parser), so there is one event type whether an event is emitted or
+//!   read back from a file.
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.
@@ -37,12 +40,13 @@
 
 mod event;
 pub mod hist;
+pub mod json;
 mod perfetto;
 pub mod profile;
 mod report;
 mod sink;
 
-pub use event::{to_jsonl, DecisionInfo, Event, TraceEvent};
+pub use event::{to_jsonl, DecisionInfo, Event, EventError, Tag, TraceEvent};
 pub use hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
 pub use perfetto::chrome_trace;
 pub use report::Reporter;

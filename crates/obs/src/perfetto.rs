@@ -338,7 +338,7 @@ mod tests {
     fn spans_counters_and_instants_render() {
         let trace = vec![
             te(0, Event::SyncStart { sync: 1 }),
-            te(0, Event::Phase { node: 0, kind: "force", start_ns: 0, end_ns: 2_000 }),
+            te(0, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 2_000 }),
             te(
                 500,
                 Event::CapRequest {

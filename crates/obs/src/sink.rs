@@ -283,6 +283,22 @@ impl Inner {
             }),
         }
     }
+
+    /// Record one stamped event. Out of line on purpose: the inlined
+    /// `emit`/`emit_at` wrappers assemble the [`TraceEvent`] in the
+    /// caller's frame, so the event's fields are stored once and copied
+    /// once (into the buffer) instead of travelling as an `Event`, being
+    /// re-wrapped here, and copied again.
+    #[inline(never)]
+    fn record_one(&self, te: TraceEvent) {
+        let mut rec = self.rec.lock().expect("trace sink poisoned");
+        if self.buffering && rec.subscribers.is_empty() {
+            // Fast path: the seed cost of buffered tracing, a push.
+            rec.events.push(te);
+        } else {
+            rec.record(self.buffering, te);
+        }
+    }
 }
 
 /// A handle to one run's trace. Cloning is cheap (an `Arc` bump when
@@ -364,31 +380,20 @@ impl Tracer {
     }
 
     /// Record `ev` at the current sim-time stamp.
-    #[inline]
+    #[inline(always)]
     pub fn emit(&self, ev: Event) {
         if let Some(inner) = &self.0 {
             let t = SimTime::from_nanos(inner.now_ns.load(Ordering::Relaxed));
-            let mut rec = inner.rec.lock().expect("trace sink poisoned");
-            if inner.buffering && rec.subscribers.is_empty() {
-                // Fast path: the seed cost of buffered tracing, a push.
-                rec.events.push(TraceEvent { t, ev });
-            } else {
-                rec.record(inner.buffering, TraceEvent { t, ev });
-            }
+            inner.record_one(TraceEvent { t, ev });
         }
     }
 
     /// Record `ev` at an explicit instant (events that carry their own
     /// span, e.g. phases).
-    #[inline]
+    #[inline(always)]
     pub fn emit_at(&self, t: SimTime, ev: Event) {
         if let Some(inner) = &self.0 {
-            let mut rec = inner.rec.lock().expect("trace sink poisoned");
-            if inner.buffering && rec.subscribers.is_empty() {
-                rec.events.push(TraceEvent { t, ev });
-            } else {
-                rec.record(inner.buffering, TraceEvent { t, ev });
-            }
+            inner.record_one(TraceEvent { t, ev });
         }
     }
 
@@ -516,7 +521,13 @@ mod tests {
         t.emit(Event::SyncStart { sync: 1 });
         t.emit(Event::Wait { node: 0, start_ns: 0, end_ns: 1_000_000_000 });
         t.emit(Event::Wait { node: 1, start_ns: 0, end_ns: 3_000_000_000 });
-        t.emit(Event::Sample { node: 0, role: "sim", time_s: 2.5, power_w: 110.0, cap_w: 115.0 });
+        t.emit(Event::Sample {
+            node: 0,
+            role: "sim".into(),
+            time_s: 2.5,
+            power_w: 110.0,
+            cap_w: 115.0,
+        });
         let m = t.metrics();
         assert_eq!(m.events, 4);
         assert_eq!(m.counter("syncs"), 1);

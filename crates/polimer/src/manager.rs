@@ -306,7 +306,7 @@ impl PowerManager {
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::Sample {
                 node: interval.node,
-                role: interval.role.tag(),
+                role: interval.role.tag().into(),
                 time_s: interval.time_s,
                 power_w: interval.power_w,
                 cap_w: interval.cap_w,

@@ -171,7 +171,7 @@ impl Node {
                 t: start,
                 ev: obs::Event::Phase {
                     node: self.id,
-                    kind: work.kind.tag(),
+                    kind: work.kind.tag().into(),
                     start_ns: start.as_nanos(),
                     end_ns: t.as_nanos(),
                 },

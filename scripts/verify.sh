@@ -226,4 +226,7 @@ test -s "$c/BENCH_controllers.json"
 echo "==> perf-regression gate: bench_gate vs committed baselines"
 ./target/release/bench_gate --fresh "$c" --quiet
 
+echo "==> size report (informational, never a gate): non-test lines and pub items per crate"
+sh scripts/loc.sh || true
+
 echo "OK: build + tests green, clippy + fmt clean, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (batch ≡ stream ≡ live), profiler artifacts written, bench gate passed"

@@ -15,6 +15,11 @@
 //! touching the allocator, except for the one buffer a node-granular
 //! controller hands back inside each `Allocation` it returns.
 //!
+//! And in the trace emit path: a string-tag field of an event (`role`,
+//! `kind`, `reason`, `tag`) borrows the emitter's `&'static str`, so
+//! recording a tag-carrying event into a pre-sized buffer allocates
+//! nothing — the owned form exists only for events parsed from a file.
+//!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: concurrently running tests would pollute the deltas.
 
@@ -25,6 +30,7 @@ use mdsim::{
     compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams, ForceScratch,
     MdEngine, NeighborList, PairTable,
 };
+use obs::{Event, TraceEvent, Tracer};
 use seesaw::{Allocation, Controller, SyncObservation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,5 +139,30 @@ fn hot_paths_are_allocation_free_after_warmup() {
                 }
             }
         }
+
+        // The emit path for every tag-carrying variant, through both the
+        // per-event and the batched entry, into a pre-sized buffer.
+        let tracer = Tracer::enabled();
+        tracer.reserve(64);
+        let mut batch = Vec::with_capacity(2);
+        let before = allocations();
+        for sync in 1..=4 {
+            tracer.emit(Event::Arrival { sync, node: 0, role: "sim".into(), time_s: 1.0 });
+            tracer.emit(Event::ControllerHold { sync, reason: "corrupt_sample".into() });
+            tracer.emit(Event::Fault { sync, node: 1, tag: "node_crash".into() });
+            tracer.emit(Event::Recovery { sync, node: 1, tag: "node_excluded".into() });
+            let sample = Event::Sample {
+                node: 0,
+                role: "sim".into(),
+                time_s: 1.0,
+                power_w: 110.0,
+                cap_w: 115.0,
+            };
+            let phase = Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 9 };
+            batch.extend([sample, phase].map(|ev| TraceEvent { t: tracer.now(), ev }));
+            tracer.emit_drain(&mut batch);
+        }
+        assert_eq!(allocations(), before, "emitting tag-carrying events allocated");
+        assert_eq!(tracer.len(), 24);
     });
 }

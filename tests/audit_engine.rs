@@ -13,11 +13,11 @@
 //!    the same strict JSON layer and the derived attribution closes
 //!    against the run totals.
 
-use audit::{check_all, AuditReport, EventKind, Trace};
+use audit::{check_all, AuditReport, Trace};
 use insitu::{run_job_traced, FaultIntensity, FaultPlan, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
-use obs::Tracer;
+use obs::{Event, Tracer};
 use sched::{JobSpec, MachineSpec, Policy, Scheduler};
 
 fn quick_cfg() -> JobConfig {
@@ -85,15 +85,15 @@ fn machine_scheduler_run_has_zero_violations() {
 /// Mutate the first event matching `pick` and return the battery's output.
 fn mutate_and_audit(
     mut trace: Trace,
-    pick: impl Fn(&EventKind) -> bool,
-    tamper: impl Fn(&mut EventKind),
+    pick: impl Fn(&Event) -> bool,
+    tamper: impl Fn(&mut Event),
 ) -> Vec<audit::Violation> {
     let ev = trace
         .events
         .iter_mut()
-        .find(|e| pick(&e.kind))
+        .find(|e| pick(&e.ev))
         .expect("trace contains the event to tamper with");
-    tamper(&mut ev.kind);
+    tamper(&mut ev.ev);
     check_all(&trace)
 }
 
@@ -104,9 +104,9 @@ fn budget_overspend_mutation_is_caught() {
     // conservation check must fire.
     let violations = mutate_and_audit(
         quick_trace(quick_cfg()),
-        |k| matches!(k, EventKind::Decision(_)),
+        |k| matches!(k, Event::Decision(_)),
         |k| {
-            if let EventKind::Decision(d) = k {
+            if let Event::Decision(d) = k {
                 d.sim_node_w = 215.0;
                 d.analysis_node_w = 215.0;
             }
@@ -123,9 +123,9 @@ fn out_of_range_cap_mutation_is_caught() {
     // A granted cap below δ_min can only mean the clamp was bypassed.
     let violations = mutate_and_audit(
         quick_trace(quick_cfg()),
-        |k| matches!(k, EventKind::CapRequest { .. }),
+        |k| matches!(k, Event::CapRequest { .. }),
         |k| {
-            if let EventKind::CapRequest { granted_w, .. } = k {
+            if let Event::CapRequest { granted_w, .. } = k {
                 *granted_w = 40.0;
             }
         },
@@ -140,9 +140,9 @@ fn out_of_range_cap_mutation_is_caught() {
 fn energy_identity_mutation_is_caught() {
     let violations = mutate_and_audit(
         quick_trace(quick_cfg()),
-        |k| matches!(k, EventKind::SyncEnergy { .. }),
+        |k| matches!(k, Event::SyncEnergy { .. }),
         |k| {
-            if let EventKind::SyncEnergy { energy_j, .. } = k {
+            if let Event::SyncEnergy { energy_j, .. } = k {
                 *energy_j *= 2.0;
             }
         },

@@ -5,19 +5,19 @@
 //! `POLIMER_THREADS` settings — the same contract PR 1/PR 2 established
 //! for results. These tests also gate the zero-behavioural-footprint
 //! property (tracing on/off never changes what the run computes) and the
-//! exporters' well-formedness, validated by the `audit` crate's strict
-//! parser: every line must round-trip **byte-for-byte** through
-//! [`audit::AuditEvent`], and the Chrome-trace document must parse under
-//! [`audit::json`] with monotone timestamps.
+//! exporters' well-formedness, validated by the schema's strict reader:
+//! every line must round-trip **byte-for-byte** through
+//! [`obs::TraceEvent::parse_line`], and the Chrome-trace document must
+//! parse under [`audit::json`] with monotone timestamps.
 
-use audit::{AuditEvent, Trace};
+use audit::Trace;
 use insitu::{
     run_job, run_job_traced, run_paired, run_paired_traced, FaultEvent, FaultKind, FaultPlan,
     JobConfig,
 };
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
-use obs::{chrome_trace, DecisionInfo, Event, TraceEvent, Tracer};
+use obs::{chrome_trace, TraceEvent, Tracer};
 
 fn quick_cfg(controller: &str) -> JobConfig {
     let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Vacf]);
@@ -104,75 +104,30 @@ fn injected_faults_appear_on_the_trace() {
     assert!(jsonl.contains("\"ev\":\"sample_rejected\""), "plausibility gate missing");
 }
 
-/// One instance of every event variant, for schema round-trips. Keep in
-/// sync with `obs::Event` — the count assertion below fails when a new
-/// variant is added here or there alone.
-fn one_of_each() -> Vec<TraceEvent> {
-    let evs = vec![
-        Event::RunStart {
-            sim_nodes: 6,
-            analysis_nodes: 2,
-            budget_w: 1280.0,
-            min_cap_w: 98.0,
-            max_cap_w: 215.0,
-            actuation_ns: 10_000_000,
-        },
-        Event::SyncStart { sync: 1 },
-        Event::Arrival { sync: 1, node: 0, role: "sim", time_s: 1.25 },
-        Event::Rendezvous { sync: 1, sim_time_s: 1.25, analysis_time_s: 1.0, slack: 0.2 },
-        Event::SyncEnd { sync: 1, overhead_s: 0.01 },
-        Event::SyncEnergy { sync: 1, energy_j: 1034.5 },
-        Event::NodeEnergy { node: 0, energy_j: 250.25 },
-        Event::RunEnd { total_time_s: 52.5, total_energy_j: 41_380.0 },
-        Event::Phase { node: 0, kind: "force", start_ns: 0, end_ns: 1_000 },
-        Event::Wait { node: 1, start_ns: 1_000, end_ns: 2_000 },
-        Event::CapRequest { node: 0, requested_w: 120.0, granted_w: 118.5, effective_ns: 3_000 },
-        Event::Sample { node: 0, role: "sim", time_s: 1.25, power_w: 109.5, cap_w: 110.0 },
-        Event::SampleRejected { node: 2 },
-        Event::ExchangeDone { sync: 1, overhead_s: 0.001, decided: true },
-        Event::MonitorReelected { node: 2, new_rank: 5 },
-        Event::NodeExcluded { node: 3 },
-        Event::BudgetRenormalized { budget_w: 330.0 },
-        Event::AllocationHeld { sync: 2 },
-        Event::Decision(Box::new(DecisionInfo {
-            sync: 1,
-            sim_nodes: 6,
-            analysis_nodes: 2,
-            alpha_sim: 2.2e-3,
-            alpha_analysis: 4.5e-3,
-            p_opt_sim_w: 140.0,
-            p_opt_analysis_w: 80.0,
-            blend_sim_w: 130.0,
-            blend_analysis_w: 90.0,
-            sim_node_w: 122.0,
-            analysis_node_w: 98.0,
-            clamped: true,
-        })),
-        Event::ControllerHold { sync: 1, reason: "corrupt_sample" },
-        Event::MachineStart { nodes: 64, envelope_w: 8000.0 },
-        Event::JobArrived { job: 0 },
-        Event::JobStarted { job: 0, nodes: 8, budget_w: 1280.0 },
-        Event::JobCompleted { job: 0, time_s: 52.5 },
-        Event::JobKilled { job: 1 },
-        Event::MachineBudget { epoch: 3, allocated_w: 7500.0, pool_w: 500.0 },
-        Event::Fault { sync: 0, node: 1, tag: "node_crash" },
-        Event::Recovery { sync: 0, node: 1, tag: "budget_renormalized" },
-    ];
-    evs.into_iter()
-        .enumerate()
-        .map(|(i, ev)| TraceEvent { t: des::SimTime::from_nanos(i as u64 * 500), ev })
-        .collect()
-}
-
+/// One instance of every event variant comes from the schema table itself,
+/// so a new variant is covered the moment its row exists.
 #[test]
 fn every_event_variant_round_trips_byte_for_byte() {
-    let all = one_of_each();
-    assert_eq!(all.len(), 28, "one_of_each must cover every obs::Event variant");
+    let all = TraceEvent::one_of_each();
+    // The fleet events (and the boxed decision) once sat outside this gate.
+    for tag in [
+        "fleet_start",
+        "machine_down",
+        "machine_up",
+        "job_dispatched",
+        "job_retry",
+        "job_migrated",
+        "job_failed",
+        "envelope_renorm",
+        "decision",
+    ] {
+        assert!(all.iter().any(|te| te.ev.tag() == tag), "sample set lacks {tag}");
+    }
     for te in all {
         let line = te.to_json_line();
-        let parsed = AuditEvent::parse_line(&line)
-            .unwrap_or_else(|e| panic!("audit parser rejected {line}: {e}"));
-        assert_eq!(parsed.t_ns, te.t.as_nanos(), "timestamp drifted: {line}");
+        let parsed = TraceEvent::parse_line(&line)
+            .unwrap_or_else(|e| panic!("strict parser rejected {line}: {e}"));
+        assert_eq!(parsed, te, "typed round trip drifted: {line}");
         assert_eq!(parsed.to_json_line(), line, "round trip not byte-identical");
         assert!(line.contains(&format!("\"ev\":\"{}\"", te.ev.tag())), "tag missing: {line}");
         assert!(line.starts_with(&format!("{{\"t\":{}", te.t.as_nanos())), "t missing: {line}");
@@ -183,14 +138,14 @@ fn every_event_variant_round_trips_byte_for_byte() {
 fn audit_parser_rejects_schema_drift() {
     // The parser is strict: reordered, missing, or extra fields — the
     // classic silent-schema-drift failure modes — are all errors.
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1}"#).is_ok());
-    assert!(AuditEvent::parse_line(r#"{"ev":"sync_start","t":0,"sync":1}"#).is_err(), "reordered");
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start"}"#).is_err(), "missing field");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1}"#).is_ok());
+    assert!(TraceEvent::parse_line(r#"{"ev":"sync_start","t":0,"sync":1}"#).is_err(), "reordered");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start"}"#).is_err(), "missing field");
     assert!(
-        AuditEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1,"x":2}"#).is_err(),
+        TraceEvent::parse_line(r#"{"t":0,"ev":"sync_start","sync":1,"x":2}"#).is_err(),
         "extra field"
     );
-    assert!(AuditEvent::parse_line(r#"{"t":0,"ev":"no_such_event"}"#).is_err(), "unknown tag");
+    assert!(TraceEvent::parse_line(r#"{"t":0,"ev":"no_such_event"}"#).is_err(), "unknown tag");
 }
 
 /// Pull every `"ts":<number>` out of a Chrome-trace document, in order.
@@ -208,7 +163,7 @@ fn ts_values(doc: &str) -> Vec<f64> {
 
 #[test]
 fn perfetto_export_is_valid_json_with_monotone_timestamps() {
-    let doc = chrome_trace(&one_of_each());
+    let doc = chrome_trace(&TraceEvent::one_of_each());
     audit::json::parse(&doc).expect("chrome trace must be valid JSON");
     let ts = ts_values(&doc);
     assert!(!ts.is_empty(), "export has timestamped entries");

@@ -1,13 +1,23 @@
 //! Linked-cell spatial binning for O(N) neighbor construction.
 
 use crate::vec3::Vec3;
+use std::ops::Range;
+
+/// A slot range of the cell-sorted coordinate arrays may be read rounded
+/// up to a multiple of this many entries: the arrays end in
+/// `LANE_WIDTH - 1` entries of padding (whose values mean nothing).
+pub(crate) const LANE_WIDTH: usize = 4;
 
 /// A cubic cell grid over a periodic box. Cells are at least `min_cell`
 /// wide so that all pairs within `min_cell` are found in the 27-cell
 /// neighborhood.
 ///
-/// The grid owns its bin storage across rebuilds: [`CellList::rebin`]
-/// clears and refills the bins in place, so a steady-state simulation
+/// Atoms are held cell-sorted in CSR form: `start[c]..start[c + 1]` is
+/// cell `c`'s slot range in `order` (atom ids, ascending within a cell)
+/// and in the structure-of-arrays coordinate copies `sx`/`sy`/`sz`, so a
+/// cell — and a run of consecutive cells — is one contiguous range of
+/// each. The grid owns all of it across rebuilds: [`CellList::rebin`] is
+/// a counting sort into the existing arrays, so a steady-state simulation
 /// re-bins every timestep without touching the allocator.
 #[derive(Debug, Clone)]
 pub struct CellList {
@@ -15,56 +25,109 @@ pub struct CellList {
     pub cells_per_side: usize,
     /// Box side length.
     pub box_len: f64,
-    /// Particle indices per cell, cell-major.
-    bins: Vec<Vec<u32>>,
+    /// Slot range of each cell: `ncells + 1` offsets into `order`.
+    start: Vec<u32>,
+    /// Atom ids, cell-major, ascending within a cell.
+    order: Vec<u32>,
+    /// Coordinates in `order`'s order, plus `LANE_WIDTH - 1` of padding.
+    sx: Vec<f64>,
+    sy: Vec<f64>,
+    sz: Vec<f64>,
     /// Per-atom cell index scratch, persistent across rebuilds.
     atom_cells: Vec<u32>,
+    /// Range of each cell in `higher`: `ncells + 1` offsets.
+    higher_start: Vec<u32>,
+    /// Per cell, the cells of its periodic neighborhood with a larger
+    /// index, in [`CellList::neighborhood`] order, as runs of consecutive
+    /// cell indices. Fixed by the geometry.
+    higher: Vec<Range<u32>>,
 }
 
 impl CellList {
-    /// Atoms per parallel binning chunk.
-    const BIN_CHUNK: usize = 8_192;
-
     /// Build the grid and bin all positions. `min_cell` is typically the
     /// cutoff plus skin.
     pub fn build(positions: &[Vec3], box_len: f64, min_cell: f64) -> Self {
         assert!(box_len > 0.0 && min_cell > 0.0);
         let cells_per_side = ((box_len / min_cell).floor() as usize).max(1);
+        let ncells = cells_per_side.pow(3);
+        let mut higher_start = Vec::with_capacity(ncells + 1);
+        let mut higher: Vec<Range<u32>> = Vec::new();
+        higher_start.push(0);
+        for cell in 0..ncells {
+            let (nbhd, len) = Self::neighborhood(cells_per_side, cell);
+            let first_run = higher.len();
+            for &nc in nbhd[..len].iter().filter(|&&nc| nc > cell) {
+                match higher[first_run..].last_mut() {
+                    Some(run) if run.end == nc as u32 => run.end += 1,
+                    _ => higher.push(nc as u32..nc as u32 + 1),
+                }
+            }
+            higher_start.push(higher.len() as u32);
+        }
         let mut cl = CellList {
             cells_per_side,
             box_len,
-            bins: vec![Vec::new(); cells_per_side.pow(3)],
+            start: vec![0; ncells + 1],
+            order: Vec::new(),
+            sx: Vec::new(),
+            sy: Vec::new(),
+            sz: Vec::new(),
             atom_cells: Vec::new(),
+            higher_start,
+            higher,
         };
         cl.rebin(positions);
         cl
     }
 
-    /// Re-bin `positions` into the existing grid, reusing bin storage.
+    /// Re-bin `positions` into the existing grid, reusing all storage.
     /// The grid geometry (box length, cell count) is fixed at
     /// [`CellList::build`] time; positions must be wrapped into the box.
     ///
-    /// Cell indices are computed in parallel (slotted by atom); the bin
-    /// scatter itself is a serial pass in atom order, so every bin lists
-    /// its members in ascending atom index regardless of thread count —
-    /// the property the neighbor list's pair ordering (and therefore the
-    /// force kernel's reduction order) relies on.
+    /// A stable counting sort — count per cell, exclusive prefix, scatter
+    /// in atom order — so every cell lists its members in ascending atom
+    /// index: the property the neighbor list's pair ordering (and
+    /// therefore the force kernel's reduction order) relies on.
     pub fn rebin(&mut self, positions: &[Vec3]) {
-        for bin in &mut self.bins {
-            bin.clear();
-        }
         let n = self.cells_per_side;
+        let ncells = self.ncells();
         let inv = n as f64 / self.box_len;
+        let natoms = positions.len();
+        assert!(natoms <= u32::MAX as usize, "atom ids are u32");
+        // The sweep's divide-free minimum image needs |pj - pi| <= box_len.
+        debug_assert!(
+            positions
+                .iter()
+                .all(|p| [p.x, p.y, p.z].iter().all(|c| (0.0..=self.box_len).contains(c))),
+            "positions must be wrapped into the box"
+        );
         self.atom_cells.clear();
-        self.atom_cells.resize(positions.len(), 0);
-        par::global().par_fill(&mut self.atom_cells, Self::BIN_CHUNK, |start, out| {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = Self::cell_index_raw(positions[start + k], inv, n) as u32;
-            }
-        });
-        for (i, &idx) in self.atom_cells.iter().enumerate() {
-            self.bins[idx as usize].push(i as u32);
+        self.start.fill(0);
+        for &p in positions {
+            let idx = Self::cell_index_raw(p, inv, n);
+            self.atom_cells.push(idx as u32);
+            self.start[idx] += 1;
         }
+        let mut next = 0u32;
+        for slot in &mut self.start[..ncells] {
+            next += std::mem::replace(slot, next);
+        }
+        self.order.resize(natoms, 0);
+        for coords in [&mut self.sx, &mut self.sy, &mut self.sz] {
+            coords.resize(natoms + LANE_WIDTH - 1, f64::NAN);
+        }
+        // Scatter; `start[c]` is cell `c`'s write cursor and ends up at
+        // the cell's end, i.e. the next cell's start.
+        for (i, (&p, &idx)) in positions.iter().zip(&self.atom_cells).enumerate() {
+            let slot = self.start[idx as usize] as usize;
+            self.start[idx as usize] += 1;
+            self.order[slot] = i as u32;
+            self.sx[slot] = p.x;
+            self.sy[slot] = p.y;
+            self.sz[slot] = p.z;
+        }
+        self.start.copy_within(..ncells, 1);
+        self.start[0] = 0;
     }
 
     #[inline]
@@ -82,26 +145,58 @@ impl CellList {
         Self::cell_index_raw(p, self.cells_per_side as f64 / self.box_len, self.cells_per_side)
     }
 
-    /// Particles in a cell.
+    /// Slot range of cell `idx` in the cell-sorted arrays.
+    #[inline]
+    pub(crate) fn span(&self, idx: usize) -> Range<usize> {
+        self.start[idx] as usize..self.start[idx + 1] as usize
+    }
+
+    /// Particles in a cell, in ascending atom index.
     pub fn cell(&self, idx: usize) -> &[u32] {
-        &self.bins[idx]
+        &self.order[self.span(idx)]
     }
 
     /// Number of cells.
     pub fn ncells(&self) -> usize {
-        self.bins.len()
+        self.start.len() - 1
     }
 
-    /// Fill `scratch` with the periodic neighborhood (including the cell
-    /// itself) of cell `idx` and return how many distinct cells were
-    /// written. With fewer than 3 cells per side the neighborhood is
-    /// deduplicated, hence the count can be below 27. Allocation-free:
-    /// the neighbor-list builder calls this once per cell per rebuild.
-    pub fn neighborhood_into(&self, idx: usize, scratch: &mut [usize; 27]) -> usize {
-        let n = self.cells_per_side;
+    /// Atom ids in cell-sorted slot order.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Cell-sorted `x`, `y`, `z` coordinates: slot `s` holds atom
+    /// `order()[s]`; see [`LANE_WIDTH`] for the padding behind the last.
+    pub(crate) fn sorted_coords(&self) -> [&[f64]; 3] {
+        [&self.sx, &self.sy, &self.sz]
+    }
+
+    /// Slot ranges of the cells in `idx`'s periodic neighborhood with a
+    /// larger index, in [`CellList::neighborhood`] order. Consecutive
+    /// cells are adjacent in slot order too, so each run of them comes as
+    /// one range.
+    #[inline]
+    pub(crate) fn higher_neighbor_spans(
+        &self,
+        idx: usize,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        let runs = self.higher_start[idx] as usize..self.higher_start[idx + 1] as usize;
+        self.higher[runs].iter().map(|run| {
+            self.start[run.start as usize] as usize..self.start[run.end as usize] as usize
+        })
+    }
+
+    /// The periodic neighborhood (including the cell itself) of cell
+    /// `idx` in a grid of `n` cells per side, and how many distinct cells
+    /// it holds. With fewer than 3 cells per side the neighborhood is
+    /// deduplicated, hence the count can be below 27. The visiting order
+    /// is part of the pair-stream contract.
+    pub(crate) fn neighborhood(n: usize, idx: usize) -> ([usize; 27], usize) {
         let cz = idx % n;
         let cy = (idx / n) % n;
         let cx = idx / (n * n);
+        let mut cells = [0usize; 27];
         let mut len = 0;
         for dx in -1i64..=1 {
             for dy in -1i64..=1 {
@@ -110,19 +205,19 @@ impl CellList {
                         (((c as i64 + d).rem_euclid(n as i64)) as usize).min(n - 1)
                     };
                     let j = (wrap(cx, dx) * n + wrap(cy, dy)) * n + wrap(cz, dz);
-                    if !scratch[..len].contains(&j) {
-                        scratch[len] = j;
+                    if !cells[..len].contains(&j) {
+                        cells[len] = j;
                         len += 1;
                     }
                 }
             }
         }
-        len
+        (cells, len)
     }
 
     /// Total binned particles (sanity checks).
     pub fn total(&self) -> usize {
-        self.bins.iter().map(Vec::len).sum()
+        self.start[self.ncells()] as usize
     }
 }
 
@@ -147,11 +242,9 @@ mod tests {
         v
     }
 
-    /// Test shim for the removed Vec-returning `neighborhood` accessor.
     fn neighborhood(cl: &CellList, idx: usize) -> Vec<usize> {
-        let mut scratch = [0usize; 27];
-        let len = cl.neighborhood_into(idx, &mut scratch);
-        scratch[..len].to_vec()
+        let (cells, len) = CellList::neighborhood(cl.cells_per_side, idx);
+        cells[..len].to_vec()
     }
 
     #[test]

@@ -7,19 +7,18 @@
 //! flow and is communication/memory intensive on real machines.
 //!
 //! The list owns its storage across rebuilds: [`NeighborList::rebuild`]
-//! re-bins the persistent cell grid and re-scans it into the existing
-//! pair vector, so a steady-state engine rebuilds without allocating.
-//! Cells are scanned in cache-sized blocks of consecutive indices; block
-//! order equals cell order, so the pair stream is identical to a plain
-//! serial cell sweep at any thread count.
+//! re-bins the persistent cell grid and sweeps it straight into the
+//! existing pair vector, so a steady-state engine rebuilds without
+//! allocating. The sweep is one serial pass in cell order, so the pair
+//! stream does not depend on the thread count.
 
-use crate::cell_list::CellList;
-use crate::vec3::Vec3;
+use crate::cell_list::{CellList, LANE_WIDTH};
+use crate::vec3::{min_image_within_box, Vec3};
 
-/// Consecutive cells scanned per traversal block. Blocks are the unit of
-/// parallel work *and* of cache reuse: a block's member atoms and their
-/// 27-cell halos stay resident while the block is swept.
-const CELL_BLOCK: usize = 16;
+/// Candidates per hit bitmask (one `u64`). A multiple of the lane width,
+/// so a batch rounded up to whole lanes still fits the `r²` buffer.
+const BATCH: usize = u64::BITS as usize;
+const _: () = assert!(BATCH.is_multiple_of(LANE_WIDTH));
 
 /// A half neighbor list.
 #[derive(Debug, Clone)]
@@ -35,33 +34,20 @@ pub struct NeighborList {
     box_len: f64,
     /// Persistent cell grid, re-binned in place on rebuild.
     cells: CellList,
-    /// Per-block pair buffers for the parallel scan, reused across calls.
-    block_bufs: Vec<Vec<(u32, u32)>>,
 }
 
 impl NeighborList {
     /// Build from scratch. `positions` must be wrapped into the box.
     ///
-    /// Cell blocks are scanned in parallel, each producing its own pair
-    /// list; the per-block lists are concatenated in ascending block
-    /// order, which reproduces the serial cell sweep's pair ordering
-    /// exactly — and the pair ordering fixes the force kernel's
-    /// floating-point reduction order, so neighbor builds are bit-stable
-    /// at any thread count.
+    /// The pair ordering fixes the force kernel's floating-point
+    /// reduction order; `sweep` documents what pins it.
     pub fn build(positions: &[Vec3], box_len: f64, cutoff: f64, skin: f64) -> Self {
         assert!(cutoff > 0.0 && skin >= 0.0);
         let reach = cutoff + skin;
         let cells = CellList::build(positions, box_len, reach);
-        let mut nl = NeighborList {
-            cutoff,
-            skin,
-            pairs: Vec::new(),
-            ref_pos: Vec::new(),
-            box_len,
-            cells,
-            block_bufs: Vec::new(),
-        };
-        nl.scan(positions);
+        let mut nl =
+            NeighborList { cutoff, skin, pairs: Vec::new(), ref_pos: Vec::new(), box_len, cells };
+        nl.scan();
         nl.ref_pos.extend_from_slice(positions);
         nl
     }
@@ -71,38 +57,16 @@ impl NeighborList {
     /// [`NeighborList::build`]; positions must be wrapped into the box.
     pub fn rebuild(&mut self, positions: &[Vec3]) {
         self.cells.rebin(positions);
-        self.scan(positions);
+        self.scan();
         self.ref_pos.clear();
         self.ref_pos.extend_from_slice(positions);
     }
 
-    /// Scan the (already binned) cell grid into `self.pairs`.
-    fn scan(&mut self, positions: &[Vec3]) {
+    /// Sweep the (already binned) cell grid into `self.pairs`.
+    fn scan(&mut self) {
         let reach = self.cutoff + self.skin;
-        let reach_sq = reach * reach;
-        let box_len = self.box_len;
-        let cells = &self.cells;
-        let n_blocks = cells.ncells().div_ceil(CELL_BLOCK);
-        let pool = par::global();
         self.pairs.clear();
-        if pool.effective_threads() <= 1 || n_blocks <= 1 || pool.is_busy() {
-            // Serial: sweep blocks in order straight into the pair vector.
-            for block in 0..n_blocks {
-                scan_block(cells, block, positions, reach_sq, box_len, &mut self.pairs);
-            }
-            return;
-        }
-        if self.block_bufs.len() < n_blocks {
-            self.block_bufs.resize_with(n_blocks, Vec::new);
-        }
-        pool.par_fill(&mut self.block_bufs[..n_blocks], 1, |block, out| {
-            let buf = &mut out[0];
-            buf.clear();
-            scan_block(cells, block, positions, reach_sq, box_len, buf);
-        });
-        for buf in &self.block_bufs[..n_blocks] {
-            self.pairs.extend_from_slice(buf);
-        }
+        sweep(&self.cells, reach * reach, &mut self.pairs);
     }
 
     /// The half pair list.
@@ -126,39 +90,52 @@ impl NeighborList {
     }
 }
 
-/// Sweep one block of consecutive cells, appending pairs in cell order.
-fn scan_block(
-    cells: &CellList,
-    block: usize,
-    positions: &[Vec3],
-    reach_sq: f64,
-    box_len: f64,
-    out: &mut Vec<(u32, u32)>,
-) {
-    let lo = block * CELL_BLOCK;
-    let hi = (lo + CELL_BLOCK).min(cells.ncells());
-    let mut scratch = [0usize; 27];
-    for cell in lo..hi {
-        let members = cells.cell(cell);
-        let nbhd_len = cells.neighborhood_into(cell, &mut scratch);
-        for (k, &i) in members.iter().enumerate() {
-            let pi = positions[i as usize];
-            // Pairs within the same cell.
-            for &j in &members[k + 1..] {
-                let d = (positions[j as usize] - pi).minimum_image(box_len);
-                if d.norm_sq() <= reach_sq {
-                    out.push((i.min(j), i.max(j)));
-                }
-            }
-            // Pairs with higher-indexed cells (avoid double visits).
-            for &nc in &scratch[..nbhd_len] {
-                if nc <= cell {
-                    continue;
-                }
-                for &j in cells.cell(nc) {
-                    let d = (positions[j as usize] - pi).minimum_image(box_len);
-                    if d.norm_sq() <= reach_sq {
+/// Append every pair within `sqrt(reach_sq)` to `out`, in the order the
+/// force kernel's reduction is pinned to: cells ascending; within a cell
+/// its atoms in ascending id; per atom the rest of its own cell, then the
+/// higher-indexed neighbor cells in [`CellList::neighborhood`] order, each
+/// in ascending atom id.
+///
+/// Every one of those candidate sets is a contiguous slot range of the
+/// cell-sorted coordinate arrays. Per range, one branch-free loop over
+/// the three coordinate slices — which the compiler vectorizes — stores
+/// exactly `(pj - pi).minimum_image(l).norm_sq()` per candidate
+/// (positions are wrapped, so `|d| < l` and the divide-free minimum image
+/// applies); it runs whole lanes, past the range's end into the next cell
+/// or the arrays' padding. `r² <= reach²` over the range proper then
+/// folds into a bitmask, whose set bits (about one candidate in eight)
+/// are emitted lowest first.
+fn sweep(cells: &CellList, reach_sq: f64, out: &mut Vec<(u32, u32)>) {
+    let l = cells.box_len;
+    let half = 0.5 * l;
+    let [sx, sy, sz] = cells.sorted_coords();
+    let order = cells.order();
+    let mut r2 = [0.0f64; BATCH];
+    for cell in 0..cells.ncells() {
+        let own = cells.span(cell);
+        for k in own.clone() {
+            let (i, xi, yi, zi) = (order[k], sx[k], sy[k], sz[k]);
+            let ranges = std::iter::once(k + 1..own.end).chain(cells.higher_neighbor_spans(cell));
+            for range in ranges {
+                for base in range.clone().step_by(BATCH) {
+                    let n = (range.end - base).min(BATCH);
+                    let lanes = base..base + n.next_multiple_of(LANE_WIDTH);
+                    let r2 = &mut r2[..lanes.len()];
+                    let coords = sx[lanes.clone()].iter().zip(&sy[lanes.clone()]).zip(&sz[lanes]);
+                    for (r, ((&x, &y), &z)) in r2.iter_mut().zip(coords) {
+                        let dx = min_image_within_box(x - xi, l, half);
+                        let dy = min_image_within_box(y - yi, l, half);
+                        let dz = min_image_within_box(z - zi, l, half);
+                        *r = dx * dx + dy * dy + dz * dz;
+                    }
+                    let mut hits = 0u64;
+                    for (t, &r) in r2[..n].iter().enumerate() {
+                        hits |= u64::from(r <= reach_sq) << t;
+                    }
+                    while hits != 0 {
+                        let j = order[base + hits.trailing_zeros() as usize];
                         out.push((i.min(j), i.max(j)));
+                        hits &= hits - 1;
                     }
                 }
             }
@@ -185,11 +162,102 @@ pub fn brute_force_pairs(positions: &[Vec3], box_len: f64, reach: f64) -> Vec<(u
 mod tests {
     use super::*;
     use crate::system::water_ion_box;
+    use crate::vec3::tests::minimum_image_reference;
 
     fn sorted(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         v.sort_unstable();
         v.dedup();
         v
+    }
+
+    /// The scalar scan [`sweep`] replaced, kept verbatim as its oracle:
+    /// gathers through the per-cell id lists, recomputes each cell's
+    /// neighborhood, and takes the divide-and-round minimum image.
+    fn reference_scan(cells: &CellList, positions: &[Vec3], reach_sq: f64) -> Vec<(u32, u32)> {
+        let box_len = cells.box_len;
+        let mut out = Vec::new();
+        for cell in 0..cells.ncells() {
+            let members = cells.cell(cell);
+            let (scratch, nbhd_len) = CellList::neighborhood(cells.cells_per_side, cell);
+            for (k, &i) in members.iter().enumerate() {
+                let pi = positions[i as usize];
+                // Pairs within the same cell.
+                for &j in &members[k + 1..] {
+                    let d = minimum_image_reference(positions[j as usize] - pi, box_len);
+                    if d.norm_sq() <= reach_sq {
+                        out.push((i.min(j), i.max(j)));
+                    }
+                }
+                // Pairs with higher-indexed cells (avoid double visits).
+                for &nc in &scratch[..nbhd_len] {
+                    if nc <= cell {
+                        continue;
+                    }
+                    for &j in cells.cell(nc) {
+                        let d = minimum_image_reference(positions[j as usize] - pi, box_len);
+                        if d.norm_sq() <= reach_sq {
+                            out.push((i.min(j), i.max(j)));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// What the scalar scan makes of `positions` on `nl`'s grid geometry.
+    fn reference_pairs(nl: &NeighborList, positions: &[Vec3]) -> Vec<(u32, u32)> {
+        let reach = nl.cutoff + nl.skin;
+        let cells = CellList::build(positions, nl.box_len, reach);
+        reference_scan(&cells, positions, reach * reach)
+    }
+
+    #[test]
+    fn pair_stream_equals_the_scalar_scan() {
+        for dim in [1usize, 2] {
+            for seed in [3u64, 11, 42] {
+                let sys = water_ion_box(dim, 1.0, seed);
+                // Every atom displaced by up to ±0.2 per axis and re-wrapped:
+                // some change cell, so `rebuild` re-sorts for real.
+                let mut rng = des::Rng::seed_from_u64(seed);
+                let mut jitter = || rng.uniform(-0.2, 0.2);
+                let moved: Vec<Vec3> = sys
+                    .pos
+                    .iter()
+                    .map(|&p| (p + Vec3::new(jitter(), jitter(), jitter())).wrap(sys.box_len))
+                    .collect();
+                let mut want = None;
+                for threads in [1usize, 2, 4, 7] {
+                    par::with_threads(threads, || {
+                        let mut nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
+                        let (built, rebuilt) = want.get_or_insert_with(|| {
+                            (reference_pairs(&nl, &sys.pos), reference_pairs(&nl, &moved))
+                        });
+                        let what = format!("dim {dim} seed {seed} T={threads}");
+                        assert!(nl.pairs() == *built, "fresh build diverged: {what}");
+                        nl.rebuild(&moved);
+                        assert!(nl.pairs() == *rebuilt, "rebuild diverged: {what}");
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_from_one_to_four_cells_per_side() {
+        let sys = water_ion_box(1, 1.0, 5);
+        let pos = &sys.pos[..400];
+        // reach = box / n (a shade under, so the floor lands on n): the
+        // one-cell box, the deduplicated 2-grid, the smallest full
+        // 27-neighborhood, and the benchmark's own 4.
+        for n in 1..=4usize {
+            let reach = sys.box_len / n as f64 - 1e-9;
+            let nl = NeighborList::build(pos, sys.box_len, reach, 0.0);
+            assert_eq!(nl.cells.cells_per_side, n);
+            let brute = brute_force_pairs(pos, sys.box_len, reach);
+            assert_eq!(sorted(nl.pairs().to_vec()), brute, "cells_per_side {n}");
+            assert!(nl.pairs() == reference_pairs(&nl, pos), "cells_per_side {n}");
+        }
     }
 
     #[test]

@@ -116,64 +116,64 @@ impl SplitAnalysis {
     pub fn advance(&mut self) -> StepRecord {
         let step = self.step + 1;
         let synced = self.is_sync_step(step);
-        let mut rec = StepRecord {
-            step,
-            synced,
-            atoms_integrated: 0,
-            force_pairs: 0,
-            sim_neighbor_pairs: 0,
-            analysis_neighbor_pairs: 0,
-            sync_bytes: 0,
-            analysis_work: Vec::new(),
-            thermo: self.engine.thermo(),
-        };
 
         // 1. initial integration.
-        rec.atoms_integrated += self.engine.initial_integrate();
+        let mut atoms_integrated = self.engine.initial_integrate();
 
+        let (mut sync_bytes, mut sim_neighbor_pairs, mut analysis_neighbor_pairs) = (0, 0, 0);
         if synced {
             // 2. ship coordinates + velocities to A.
             let snap = Snapshot::of(&self.engine.system);
-            rec.sync_bytes += snap.wire_bytes();
+            sync_bytes += snap.wire_bytes();
             // 3. both partitions rebuild a subset of data structures —
             //    modeled as part of the neighbor work below.
             // 4. particle-count verification.
             let count = self.engine.system.len();
-            rec.sync_bytes += std::mem::size_of::<u64>() as u64;
+            sync_bytes += std::mem::size_of::<u64>() as u64;
             if let Some(prev) = self.verified_count {
                 assert_eq!(prev, count, "particle count changed between syncs");
             }
             self.verified_count = Some(count);
             // 5. both partitions update neighbor lists.
-            rec.sim_neighbor_pairs = self.engine.force_neighbor_rebuild();
+            sim_neighbor_pairs = self.engine.force_neighbor_rebuild();
             // The analysis partition rebuilds its mirror structures over the
             // same particle data (charged the same pair count).
-            rec.analysis_neighbor_pairs = rec.sim_neighbor_pairs;
+            analysis_neighbor_pairs = sim_neighbor_pairs;
         } else if let Some(pairs) = self.engine.update_neighbors() {
             // Off-sync steps rebuild only when the skin criterion fires.
-            rec.sim_neighbor_pairs = pairs;
+            sim_neighbor_pairs = pairs;
         }
 
         // 6. force + final integration.
-        rec.force_pairs = self.engine.force_and_final_integrate();
-        rec.atoms_integrated += self.engine.system.len() as u64;
+        let force_pairs = self.engine.force_and_final_integrate();
+        atoms_integrated += self.engine.system.len() as u64;
 
         // 7. S invokes A.
+        let mut analysis_work = Vec::new();
         if synced {
             let snap = Snapshot::of(&self.engine.system);
             for (sched, analysis) in &mut self.analyses {
                 if sched.due(step) {
                     let work = analysis.observe(step, &snap);
-                    rec.analysis_work.push((sched.kind, work));
+                    analysis_work.push((sched.kind, work));
                 }
             }
         }
 
         // 8. thermo output.
         self.engine.bump_step();
-        rec.thermo = self.engine.thermo();
         self.step = step;
-        rec
+        StepRecord {
+            step,
+            synced,
+            atoms_integrated,
+            force_pairs,
+            sim_neighbor_pairs,
+            analysis_neighbor_pairs,
+            sync_bytes,
+            analysis_work,
+            thermo: self.engine.thermo(),
+        }
     }
 
     /// Access a completed analysis for result extraction.

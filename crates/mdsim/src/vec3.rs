@@ -41,15 +41,24 @@ impl Vec3 {
         self.norm_sq().sqrt()
     }
 
-    /// Component-wise minimum image under a cubic box of side `l`:
-    /// wraps each component into `(-l/2, l/2]`.
+    /// Component-wise minimum image under a cubic box of side `l`
+    /// (finite, positive): maps each component to
+    /// `d - l * (d / l).round()`, i.e. into `[-l/2, l/2]`.
+    ///
+    /// Components with `|d| <= l` — every difference of two wrapped
+    /// positions — take the divide-free form of
+    /// [`min_image_within_box`], which returns the same bits.
     #[inline]
     pub fn minimum_image(self, l: f64) -> Vec3 {
-        Vec3 {
-            x: self.x - l * (self.x / l).round(),
-            y: self.y - l * (self.y / l).round(),
-            z: self.z - l * (self.z / l).round(),
-        }
+        let half = 0.5 * l;
+        let one = |d: f64| {
+            if d.abs() <= l {
+                min_image_within_box(d, l, half)
+            } else {
+                d - l * (d / l).round()
+            }
+        };
+        Vec3 { x: one(self.x), y: one(self.y), z: one(self.z) }
     }
 
     /// Wrap a position into `[0, l)` per component (periodic boundary).
@@ -57,6 +66,24 @@ impl Vec3 {
     pub fn wrap(self, l: f64) -> Vec3 {
         Vec3 { x: wrap1(self.x, l), y: wrap1(self.y, l), z: wrap1(self.z, l) }
     }
+}
+
+/// Minimum image of one component `d` with `|d| <= l` and `half == l/2`,
+/// without the divide and the round: bit-identical to
+/// `d - l * (d / l).round()` on that range (NaN stays NaN).
+///
+/// `round` is half-away-from-zero, so for `|d| <= l` it yields `1` iff
+/// the computed quotient is `>= 0.5`, `-1` iff `<= -0.5`, else `±0`.
+/// `d >= l/2` puts the exact quotient at or above `0.5`, and rounding is
+/// monotone. Conversely the largest double under `l/2` sits at least
+/// `l·2⁻⁵⁴` below it, so its exact quotient is under `0.5 - 2⁻⁵⁵` — the
+/// midpoint between `0.5` and its predecessor — and cannot round up to
+/// `0.5`. The three cases then compute `d - l`, `d + l` (as
+/// `d - (-l)`) and `d - ±0`; the trailing `+ 0.0` reproduces the `+0.0`
+/// the old expression returns for `d == -0.0`.
+#[inline(always)]
+pub(crate) fn min_image_within_box(d: f64, l: f64, half: f64) -> f64 {
+    d - (if d >= half { l } else { 0.0 }) + (if d <= -half { l } else { 0.0 })
 }
 
 #[inline]
@@ -125,8 +152,18 @@ impl Neg for Vec3 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The divide-and-round expression [`Vec3::minimum_image`] replaced,
+    /// kept as the oracle for it and for the neighbor sweep.
+    pub(crate) fn minimum_image_reference(v: Vec3, l: f64) -> Vec3 {
+        Vec3 {
+            x: v.x - l * (v.x / l).round(),
+            y: v.y - l * (v.y / l).round(),
+            z: v.z - l * (v.z / l).round(),
+        }
+    }
 
     #[test]
     fn arithmetic() {
@@ -154,6 +191,51 @@ mod tests {
         assert!((d.x - -1.0).abs() < 1e-12);
         assert!((d.y - 1.0).abs() < 1e-12);
         assert!((d.z - 4.0).abs() < 1e-12);
+    }
+
+    /// Box sides the property test sweeps: the dim-1 and dim-2 benchmark
+    /// cells (not exactly representable), an odd decimal, two powers of two.
+    fn box_sides() -> [f64; 5] {
+        let dim1 = (1568.0f64 / 0.85).cbrt();
+        [dim1, 7.3, 2.0 * dim1, 8.0, 16.0]
+    }
+
+    fn assert_same_bits(d: f64, l: f64) {
+        let v = Vec3::new(d, -d, d);
+        let (new, old) = (v.minimum_image(l), minimum_image_reference(v, l));
+        assert_eq!(
+            [new.x.to_bits(), new.y.to_bits(), new.z.to_bits()],
+            [old.x.to_bits(), old.y.to_bits(), old.z.to_bits()],
+            "d = {d:e} ({:#x}), l = {l}",
+            d.to_bits()
+        );
+    }
+
+    #[test]
+    fn minimum_image_is_bit_identical_to_divide_and_round() {
+        let mut rng = des::Rng::seed_from_u64(15);
+        for l in box_sides() {
+            // Differences of wrapped positions: |d| < l, the sweep's domain.
+            for _ in 0..200_000 {
+                let a = Vec3::new(rng.uniform(-l, 2.0 * l), 0.0, 0.0).wrap(l).x;
+                let b = Vec3::new(rng.uniform(-l, 2.0 * l), 0.0, 0.0).wrap(l).x;
+                assert_same_bits(a - b, l);
+            }
+            // Every double within 64 ulps of the two decision points.
+            for centre in [0.5 * l, l] {
+                let bits = centre.to_bits();
+                for b in bits - 64..=bits + 64 {
+                    assert_same_bits(f64::from_bits(b), l);
+                }
+            }
+            // Beyond the box the divide-and-round fallback takes over.
+            for _ in 0..10_000 {
+                assert_same_bits(rng.uniform(l, 40.0 * l), l);
+            }
+            for d in [0.0, -0.0, f64::MIN_POSITIVE, 1e300, f64::INFINITY, f64::NAN] {
+                assert_same_bits(d, l);
+            }
+        }
     }
 
     #[test]

@@ -83,9 +83,10 @@ fn hot_paths_are_allocation_free_after_warmup() {
         assert_eq!(allocations(), before, "force/neighbor hot path allocated");
 
         // A full engine: velocity-Verlet steps with skin-triggered
-        // rebuilds on moving atoms. Generous warmup so every bin and the
-        // pair list have seen their steady-state sizes (Vec growth leaves
-        // slack, so later density fluctuations stay within capacity).
+        // rebuilds on moving atoms. Generous warmup so the pair list has
+        // seen its steady-state size (Vec growth leaves slack, so later
+        // density fluctuations stay within capacity; the cell arrays are
+        // sized by the atom count and never grow).
         let mut e = MdEngine::water_ion_benchmark(1, 43);
         let mut rebuilds = 0u32;
         for _ in 0..30 {

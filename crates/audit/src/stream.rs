@@ -9,9 +9,9 @@
 //!
 //! **Byte-identical by construction.** [`AuditReport::from_trace`] is
 //! itself implemented as "feed a `StreamAuditor`, then finish", so there
-//! is one engine, not two kept in agreement. The `verify.sh` gate diffs
-//! `audit_trace` batch output against `audit_trace --stream` output on
-//! every bin's trace to keep it that way.
+//! is one engine, not two kept in agreement; `audit_trace` feeds files
+//! through it line by line, and the `verify.sh` gate diffs that replay
+//! against the live in-process audit of the same run.
 //!
 //! **Bounded state.** The invariant battery carries O(active spans +
 //! nodes + live jobs) ([`StreamChecker`]); the report accumulator buffers
@@ -676,7 +676,7 @@ mod tests {
     }
 
     /// Seeded mutations of valid lines of every variant: the strict reader
-    /// answers `Ok` or an `EventError` (what `audit_trace --stream` reports
+    /// answers `Ok` or an `EventError` (what `audit_trace` reports
     /// as `AUDIT0013`) and never panics, the auditor survives whatever was
     /// accepted, and everything accepted can be written and read again.
     /// Mutations that spell every value canonically must come back

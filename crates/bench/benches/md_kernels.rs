@@ -3,13 +3,9 @@
 //! 1568-atom benchmark cell — plus the kernel-performance record for
 //! `results/BENCH_kernels.json` in the unified [`bench::gate`] schema.
 //!
-//! The persisted document carries three gated promises per hot kernel and
+//! The persisted document carries two gated promises per hot kernel and
 //! system size:
 //!
-//! - **`*_speedup`** (force only): the dispatching entry point under
-//!   `par::with_threads(1)` versus the canonical serial kernel — the
-//!   "parallel path costs nothing at one thread" contract, gated with a
-//!   `min` floor (`BENCH0005` on violation).
 //! - **`*_serial_ns_per_pair`**: absolute nanoseconds per pair
 //!   interaction on the serial path, gated with a `max` ceiling set well
 //!   below the pre-SIMD kernel's cost so a regression to scalar-era
@@ -17,6 +13,12 @@
 //! - **`*_allocs_per_call`**: allocator requests per warmed call, counted
 //!   by the [`mdsim::alloc_probe`] global-allocator shim and gated at
 //!   zero.
+//!
+//! `*_speedup` (force only) — the dispatching entry point under
+//! `par::with_threads(1)` over the canonical serial kernel — is recorded
+//! but not gated: it is a ratio of two wall-clock timings of the same
+//! machine code, and the fact it stood for (a width-1 pool runs on the
+//! calling thread, no dispatch) is asserted structurally in `par`'s tests.
 //!
 //! Wall-clock numbers are min-over-passes with the compared modes
 //! interleaved, so machine noise hits both sides of every ratio alike.
@@ -51,11 +53,6 @@ const FORCE_NS_PER_PAIR_MAX: f64 = 26.0;
 /// minimum image runs at 11–12. The ceiling sits at about twice the new
 /// cost and well under the old, so losing the vectorized sweep fails.
 const NEIGHBOR_NS_PER_PAIR_MAX: f64 = 25.0;
-
-/// Floor on the dispatch-overhead speedup at one thread. Serial kernel
-/// and dispatching entry run the same machine code, so the true value is
-/// 1.0; the floor leaves room for timer noise only.
-const SPEEDUP_FLOOR: f64 = 0.95;
 
 fn median_us(iters: u64, mut f: impl FnMut(u64)) -> f64 {
     let mut runs = Vec::new();
@@ -153,9 +150,15 @@ struct KernelStats {
     atoms: u64,
     npairs: u64,
     serial_us: f64,
+    allocs: f64,
+}
+
+/// The force kernel's numbers plus its dispatching entry point's time at
+/// one thread and at the wide pool.
+struct ForceStats {
+    kernel: KernelStats,
     t1_us: f64,
     t4_us: f64,
-    allocs: f64,
 }
 
 impl KernelStats {
@@ -164,11 +167,11 @@ impl KernelStats {
     }
 }
 
-/// Measure the force and neighbor kernels at `dim`. The serial kernel,
-/// the dispatching entry at one thread, and the dispatching entry at
-/// `threads` workers are timed alternating call by call, each keeping
+/// Measure the force and neighbor kernels at `dim`. The serial force
+/// kernel, the dispatching entry at one thread, and the dispatching entry
+/// at `threads` workers are timed alternating call by call, each keeping
 /// its per-call minimum over `rounds` rounds.
-fn bench_hot_kernels(dim: usize, threads: usize, quick: bool) -> (KernelStats, KernelStats) {
+fn bench_hot_kernels(dim: usize, threads: usize, quick: bool) -> (ForceStats, KernelStats) {
     let sys = water_ion_box(dim, 1.0, 11);
     let atoms = sys.len() as u64;
     let params = ForceParams::default();
@@ -189,8 +192,7 @@ fn bench_hot_kernels(dim: usize, threads: usize, quick: bool) -> (KernelStats, K
     // Force: serial and T1 share one warmed (scratch, system) set — they
     // run the same kernel through different entry points, and giving each
     // its own buffers lets allocator layout put a systematic few percent
-    // between them, which is exactly the noise the speedup gate cannot
-    // afford. T4 keeps separate buffers (its merge path writes the same
+    // between them. T4 keeps separate buffers (its merge path writes the same
     // output either way).
     let (mut sc_s, mut sc_4) = (ForceScratch::new(), ForceScratch::new());
     let (mut sys_s, mut sys_4) = (sys.clone(), sys.clone());
@@ -222,61 +224,32 @@ fn bench_hot_kernels(dim: usize, threads: usize, quick: bool) -> (KernelStats, K
             black_box(compute_forces_into(&mut sc_s, &mut sys_s, &nl, &coeffs, None));
         })
     });
-    let force = KernelStats { atoms, npairs: evaluated, serial_us, t1_us, t4_us, allocs };
+    let kernel = KernelStats { atoms, npairs: evaluated, serial_us, allocs };
+    let force = ForceStats { kernel, t1_us, t4_us };
 
-    // Neighbor rebuild: one serial sweep at any thread count, so serial
-    // and t1 coincide and t4 only shows that a wider pool costs nothing.
+    // Neighbor rebuild: one serial sweep at any thread count.
     let n_rounds = rounds / 3 + 2;
     let mut nl_1 = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
-    let mut nl_4 = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
-    par::with_threads(1, || nl_1.rebuild(&sys.pos));
-    par::with_threads(threads, || nl_4.rebuild(&sys.pos));
-    let (mut n_t1_us, mut n_t4_us) = (f64::MAX, f64::MAX);
-    for _ in 0..n_rounds {
-        n_t1_us = n_t1_us.min(par::with_threads(1, || {
-            call_us(&mut || {
-                nl_1.rebuild(&sys.pos);
-                black_box(nl_1.npairs());
-            })
-        }));
-        n_t4_us = n_t4_us.min(par::with_threads(threads, || {
-            call_us(&mut || {
-                nl_4.rebuild(&sys.pos);
-                black_box(nl_4.npairs());
-            })
-        }));
-    }
-    let n_allocs = par::with_threads(1, || {
-        allocs_per_call(10, &mut || {
-            nl_1.rebuild(&sys.pos);
-            black_box(nl_1.npairs());
-        })
-    });
-    let neighbor = KernelStats {
-        atoms,
-        npairs: nl.npairs() as u64,
-        serial_us: n_t1_us,
-        t1_us: n_t1_us,
-        t4_us: n_t4_us,
-        allocs: n_allocs,
+    let mut rebuild = || {
+        nl_1.rebuild(&sys.pos);
+        black_box(nl_1.npairs());
     };
+    rebuild();
+    let n_us = (0..n_rounds).map(|_| call_us(&mut rebuild)).fold(f64::MAX, f64::min);
+    let n_allocs = allocs_per_call(10, &mut rebuild);
+    let neighbor =
+        KernelStats { atoms, npairs: nl.npairs() as u64, serial_us: n_us, allocs: n_allocs };
     (force, neighbor)
 }
 
-fn push_force_metrics(k: &KernelStats, out: &mut Vec<Metric>) {
+fn push_force_metrics(f: &ForceStats, out: &mut Vec<Metric>) {
+    let k = &f.kernel;
     let p = format!("force_eval_{}", k.atoms);
     out.push(Metric::info(&format!("{p}_serial_us"), k.serial_us, "us"));
-    out.push(Metric::info(&format!("{p}_t1_us"), k.t1_us, "us"));
-    out.push(Metric {
-        name: format!("{p}_speedup"),
-        value: k.serial_us / k.t1_us,
-        unit: "x".to_string(),
-        min: Some(SPEEDUP_FLOOR),
-        max: None,
-        tolerance_pct: None,
-    });
-    out.push(Metric::info(&format!("{p}_t4_us"), k.t4_us, "us"));
-    out.push(Metric::info(&format!("{p}_t4_speedup"), k.serial_us / k.t4_us, "x"));
+    out.push(Metric::info(&format!("{p}_t1_us"), f.t1_us, "us"));
+    out.push(Metric::info(&format!("{p}_speedup"), k.serial_us / f.t1_us, "x"));
+    out.push(Metric::info(&format!("{p}_t4_us"), f.t4_us, "us"));
+    out.push(Metric::info(&format!("{p}_t4_speedup"), k.serial_us / f.t4_us, "x"));
     out.push(Metric {
         name: format!("{p}_serial_ns_per_pair"),
         value: k.ns_per_pair(),
@@ -298,9 +271,6 @@ fn push_force_metrics(k: &KernelStats, out: &mut Vec<Metric>) {
 fn push_neighbor_metrics(k: &KernelStats, out: &mut Vec<Metric>) {
     let p = format!("neighbor_build_{}", k.atoms);
     out.push(Metric::info(&format!("{p}_serial_us"), k.serial_us, "us"));
-    out.push(Metric::info(&format!("{p}_t4_us"), k.t4_us, "us"));
-    // Historical name: serial vs. `threads` workers (≤ 1 on a 1-core host).
-    out.push(Metric::info(&format!("{p}_speedup"), k.serial_us / k.t4_us, "x"));
     out.push(Metric {
         name: format!("{p}_serial_ns_per_pair"),
         value: k.ns_per_pair(),
@@ -331,18 +301,19 @@ fn main() {
     let mut metrics = Vec::new();
     for dim in [1usize, 2] {
         let (force, neighbor) = bench_hot_kernels(dim, threads, quick);
-        for (name, k) in [("force_eval", &force), ("neighbor_build", &neighbor)] {
+        for (name, k) in [("force_eval", &force.kernel), ("neighbor_build", &neighbor)] {
             println!(
-                "{name:14} {:>6} atoms  serial {:>10.2} µs  T1 {:>10.2} µs  T{threads} \
-                 {:>10.2} µs  {:>6.2} ns/pair  {:.1} allocs/call",
+                "{name:14} {:>6} atoms  serial {:>10.2} µs  {:>6.2} ns/pair  {:.1} allocs/call",
                 k.atoms,
                 k.serial_us,
-                k.t1_us,
-                k.t4_us,
                 k.ns_per_pair(),
                 k.allocs
             );
         }
+        println!(
+            "force_eval     {:>6} atoms  T1 {:>10.2} µs  T{threads} {:>10.2} µs",
+            force.kernel.atoms, force.t1_us, force.t4_us
+        );
         push_force_metrics(&force, &mut metrics);
         push_neighbor_metrics(&neighbor, &mut metrics);
     }

@@ -2,17 +2,16 @@
 //! invariant battery, print the derived summary.
 //!
 //! ```text
-//! audit_trace [--stream] [--json DIR] [--quiet] FILE...
+//! audit_trace [--json DIR] [--quiet] FILE...
 //! ```
 //!
 //! Exits 1 when any file fails to parse or any invariant is violated —
 //! the offline counterpart of the `--audit` flag the experiment bins
-//! carry. `--stream` audits line by line in constant memory (the file is
-//! never materialized as a `Vec` of events), producing a report
-//! byte-identical to the batch path plus run-health snapshots and the
-//! metric registry under `--json`.
+//! carry. Each file is audited line by line in constant memory (never
+//! materialized as a `Vec` of events); `--json` writes the report, the
+//! run-health snapshots and the metric registry.
 
-use audit::{diag, AuditReport, Diagnostic, StreamAuditor, Trace};
+use audit::{diag, AuditReport, Diagnostic, StreamAuditor};
 use obs::Reporter;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -21,20 +20,18 @@ const BIN: &str = "audit_trace";
 
 fn usage() -> ! {
     eprintln!(
-        "usage: {BIN} [--stream] [--json DIR] [--quiet] FILE...\n\
+        "usage: {BIN} [--json DIR] [--quiet] FILE...\n\
          \n\
-         \x20 --stream     audit line by line in constant memory: the file is fed\n\
-         \x20              through the incremental checker battery as it is read,\n\
-         \x20              never held as a whole; the report is byte-identical to\n\
-         \x20              the batch path, and --json additionally writes\n\
+         \x20 --json DIR   also write audit_<file-stem>.json (the report),\n\
          \x20              health_<file-stem>.json (per-interval run-health\n\
          \x20              snapshots) and metrics_<file-stem>.json (the metric\n\
-         \x20              registry); a malformed line is reported as AUDIT0013\n\
-         \x20 --json DIR   also write audit_<file-stem>.json reports into DIR\n\
+         \x20              registry) into DIR\n\
          \x20 --quiet      only print failures\n\
          \n\
-         parses each JSONL trace strictly, runs the invariant battery, and\n\
-         prints the derived report summary; exits 1 on parse errors or violations"
+         feeds each JSONL trace line by line, in constant memory, through the\n\
+         strict parser and the invariant battery, and prints the derived report\n\
+         summary; a malformed line is reported as AUDIT0013 with its line\n\
+         number; exits 1 on parse errors or violations"
     );
     std::process::exit(2);
 }
@@ -52,30 +49,11 @@ fn write_json(rep: &Reporter, out: &Path, body: &str) -> bool {
     }
 }
 
-/// Batch path: load the whole file, parse it into a [`Trace`], audit.
-fn audit_batch(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<AuditReport, ()> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("{BIN}: cannot read {}: {e}", path.display());
-    })?;
-    let trace = Trace::parse_jsonl(&text).map_err(|e| {
-        eprintln!("{BIN}: {}: {e}", path.display());
-    })?;
-    let report = AuditReport::from_trace(&trace);
-    if let Some(dir) = json_dir {
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        if !write_json(rep, &dir.join(format!("audit_{stem}.json")), &report.to_json()) {
-            return Err(());
-        }
-    }
-    Ok(report)
-}
-
-/// Streaming path: feed the file line by line through a
-/// [`StreamAuditor`]; peak memory is one line plus the incremental
-/// checker state (O(active spans + nodes)), independent of trace length.
-/// A malformed line is diagnosed as `AUDIT0013` and, like the batch
-/// loader, aborts this file's audit.
-fn audit_stream(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<AuditReport, ()> {
+/// Feed the file line by line through a [`StreamAuditor`]; peak memory is
+/// one line plus the incremental checker state (O(active spans + nodes)),
+/// independent of trace length. A malformed line is diagnosed as
+/// `AUDIT0013` and aborts this file's audit.
+fn audit_file(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<AuditReport, ()> {
     let file = std::fs::File::open(path).map_err(|e| {
         eprintln!("{BIN}: cannot read {}: {e}", path.display());
     })?;
@@ -112,7 +90,6 @@ fn main() {
     let mut files: Vec<PathBuf> = Vec::new();
     let mut json_dir: Option<PathBuf> = None;
     let mut quiet = false;
-    let mut stream = false;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -121,7 +98,6 @@ fn main() {
                 json_dir = Some(PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| usage())));
             }
             "--quiet" => quiet = true,
-            "--stream" => stream = true,
             "--help" | "-h" => usage(),
             flag if flag.starts_with("--") => usage(),
             file => files.push(PathBuf::from(file)),
@@ -135,17 +111,9 @@ fn main() {
 
     let mut failed = false;
     for path in &files {
-        let result = if stream {
-            audit_stream(path, &rep, json_dir.as_deref())
-        } else {
-            audit_batch(path, &rep, json_dir.as_deref())
-        };
-        let report = match result {
-            Ok(r) => r,
-            Err(()) => {
-                failed = true;
-                continue;
-            }
+        let Ok(report) = audit_file(path, &rep, json_dir.as_deref()) else {
+            failed = true;
+            continue;
         };
         rep.say(format!("{}: {}", path.display(), report.summary()));
         if !report.clean() {

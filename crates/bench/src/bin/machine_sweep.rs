@@ -135,8 +135,8 @@ fn run_scenario(sc: &Scenario, policy: Policy) -> Row {
 }
 
 /// The paper's full machine: Theta's 4392 nodes in one job, quiet noise
-/// so the event-driven cluster core buckets the homogeneous partitions
-/// instead of walking every node per interval. Writes
+/// so the homogeneous partitions share a handful of walks per interval
+/// instead of walking every node. Writes
 /// `machine_sweep_theta.json`; the representative run streams through the
 /// live auditor in constant memory under `--audit`.
 fn run_theta(args: &cli::CommonArgs, rep: &Reporter) {

@@ -28,7 +28,7 @@ fn usage() -> ! {
                       [--analyses rdf,vacf,msd,msd1d,msd2d] [--budget W]
                       [--window W] [--seed S] [--sim-cap W --analysis-cap W]
                       [--no-baseline] [--dump-syncs] [--quiet]
-                      [--quiet-noise] [--step auto|dense]
+                      [--quiet-noise]
                       [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]
 
 env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply trace paths when the flags are
@@ -70,7 +70,6 @@ fn main() {
     let mut baseline = true;
     let mut dump_syncs = false;
     let mut quiet_noise = false;
-    let mut step = insitu::StepMode::Auto;
     let mut common = cli::CommonArgs::default();
 
     let mut it = args.iter();
@@ -95,16 +94,6 @@ fn main() {
             "--no-baseline" => baseline = false,
             "--dump-syncs" => dump_syncs = true,
             "--quiet-noise" => quiet_noise = true,
-            "--step" => {
-                step = match val().as_str() {
-                    "auto" => insitu::StepMode::Auto,
-                    "dense" => insitu::StepMode::Dense,
-                    other => {
-                        eprintln!("{BIN}: unknown step mode {other:?}");
-                        usage()
-                    }
-                }
-            }
             "--quiet" => common.quiet = true,
             "--trace" => common.trace = Some(val().into()),
             "--trace-perfetto" => common.perfetto = Some(val().into()),
@@ -123,8 +112,7 @@ fn main() {
     let mut spec = WorkloadSpec::paper(dim, nodes, sync_every, &[]);
     spec.analyses = kinds.iter().map(|&k| AnalysisSchedule::every_sync(k)).collect();
     spec.total_steps = steps;
-    let mut cfg =
-        JobConfig::new(spec, &controller).with_budget(budget).with_window(window).with_step(step);
+    let mut cfg = JobConfig::new(spec, &controller).with_budget(budget).with_window(window);
     if quiet_noise {
         cfg = cfg.with_quiet_noise();
     }

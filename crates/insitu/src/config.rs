@@ -4,25 +4,13 @@ use faults::FaultPlan;
 use mdsim::workload::WorkloadSpec;
 use theta_sim::{CapMode, MachineConfig, NoiseSeed};
 
-/// How the runtime advances the cluster through each sync interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepMode {
-    /// Event-driven stepping when the run qualifies (quiet noise): nodes in
-    /// identical state share one representative walk on the DES queue, and
-    /// the rest adopt it. Falls back to dense stepping — bit-identically —
-    /// whenever noise makes per-node evolution stochastic.
-    Auto,
-    /// Always walk every node phase-by-phase (the reference semantics; the
-    /// dense-vs-sparse equivalence gates pin `Auto` against this).
-    Dense,
-}
-
 /// Everything needed to execute one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobConfig {
     /// The workload (problem size, partitions, analyses, j).
     pub workload: WorkloadSpec,
-    /// Controller: `seesaw`, `power-aware`, `time-aware` or `static`.
+    /// Controller: `seesaw`, `power-aware`, `time-aware`, `static`,
+    /// `hierarchical-seesaw` or `probing-seesaw`.
     pub controller: String,
     /// Global budget per node, watts (budget C = this × total nodes).
     pub budget_per_node_w: f64,
@@ -48,11 +36,9 @@ pub struct JobConfig {
     pub faults: FaultPlan,
     /// Silence the noise model entirely (all sigmas zero, nominal
     /// efficiencies). Quiet runs evolve deterministically per node state,
-    /// which is what lets [`StepMode::Auto`] bucket homogeneous nodes —
-    /// the scaling configuration for full-Theta node counts.
+    /// so homogeneous nodes share one walk per interval — the scaling
+    /// configuration for full-Theta node counts.
     pub quiet_noise: bool,
-    /// Stepping strategy (see [`StepMode`]).
-    pub step: StepMode,
 }
 
 impl JobConfig {
@@ -71,7 +57,6 @@ impl JobConfig {
             machine: MachineConfig::theta(),
             faults: FaultPlan::none(),
             quiet_noise: false,
-            step: StepMode::Auto,
         }
     }
 
@@ -127,16 +112,10 @@ impl JobConfig {
         self
     }
 
-    /// Builder: silence the noise model (enables bucketed stepping at
-    /// scale under [`StepMode::Auto`]).
+    /// Builder: silence the noise model (homogeneous nodes then share one
+    /// walk per interval).
     pub fn with_quiet_noise(mut self) -> Self {
         self.quiet_noise = true;
-        self
-    }
-
-    /// Builder: force a stepping strategy.
-    pub fn with_step(mut self, step: StepMode) -> Self {
-        self.step = step;
         self
     }
 }

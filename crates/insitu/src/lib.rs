@@ -28,7 +28,7 @@ mod stepper;
 mod timeshared;
 
 pub use colocated::run_colocated;
-pub use config::{JobConfig, StepMode};
+pub use config::JobConfig;
 pub use result::{improvement_pct, median, variability_pct, RunResult, SyncRecord};
 pub use runtime::{
     build_controller, has_phase, median_improvement, paired_improvement, run_job, run_job_traced,

@@ -13,9 +13,9 @@
 //!    allocation overhead extends the interval, exactly as the paper
 //!    accounts it (§VI-B).
 
-use crate::config::{JobConfig, StepMode};
+use crate::config::JobConfig;
 use crate::result::{RunResult, SyncRecord};
-use crate::stepper::{self, NodeCtx};
+use crate::stepper::{self, Advance, NodeCtx, Reps};
 use des::{SimDuration, SimTime};
 use faults::{FaultEvent, FaultKind, RecoveryEvent, RecoveryKind};
 use mdsim::workload::{AnalyticWorkload, WorkloadGen};
@@ -37,14 +37,15 @@ pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownC
     let n = cfg.workload.nodes_total();
     let budget = cfg.budget_w();
     let limits = Limits { min_w: cfg.machine.min_cap_w, max_w: cfg.machine.max_cap_w() };
+    let seesaw = SeeSawConfig {
+        budget_w: budget,
+        window: cfg.window,
+        limits,
+        ewma: seesaw::EwmaMode::BlendPrevious,
+        skip_step_zero: true,
+    };
     Ok(match cfg.controller.as_str() {
-        "seesaw" => Box::new(SeeSaw::new(SeeSawConfig {
-            budget_w: budget,
-            window: cfg.window,
-            limits,
-            ewma: seesaw::EwmaMode::BlendPrevious,
-            skip_step_zero: true,
-        })),
+        "seesaw" => Box::new(SeeSaw::new(seesaw)),
         "power-aware" => Box::new(PowerAware::new(PowerAwareConfig {
             budget_w: budget,
             window: cfg.window,
@@ -62,28 +63,28 @@ pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownC
         // Paper §VIII future-work extensions.
         "hierarchical-seesaw" => {
             Box::new(seesaw::HierarchicalSeeSaw::new(seesaw::HierarchicalConfig {
-                seesaw: SeeSawConfig {
-                    budget_w: budget,
-                    window: cfg.window,
-                    limits,
-                    ewma: seesaw::EwmaMode::BlendPrevious,
-                    skip_step_zero: true,
-                },
+                seesaw,
                 gamma: 0.5,
             }))
         }
         "probing-seesaw" => Box::new(seesaw::ProbingSeeSaw::new(seesaw::ProbingConfig {
-            seesaw: SeeSawConfig {
-                budget_w: budget,
-                window: cfg.window,
-                limits,
-                ewma: seesaw::EwmaMode::BlendPrevious,
-                skip_step_zero: true,
-            },
+            seesaw,
             ..seesaw::ProbingConfig::paper_default(n)
         })),
         other => return Err(UnknownController { name: other.to_string() }),
     })
+}
+
+/// Run-to-run variability increases near the RAPL floor (paper §VII-D):
+/// nodes capped close to δ_min get amplified phase jitter.
+pub(crate) fn low_cap_jitter_scale(cluster: &Cluster, node: usize) -> f64 {
+    let cap = cluster.node(node).rapl().requested_cap();
+    let start = theta_sim::CLIFF_START_W;
+    if cap >= start {
+        1.0
+    } else {
+        1.0 + 3.0 * (start - cap) / (start - cluster.config().min_cap_w)
+    }
 }
 
 /// The runtime for one job.
@@ -104,8 +105,6 @@ pub struct Runtime {
     /// The machine model, cached off the cluster so the interval loop never
     /// clones it.
     machine: MachineConfig,
-    /// Event-driven bucketed stepping (quiet noise under [`StepMode::Auto`]).
-    sparse: bool,
     tracer: obs::Tracer,
     // Stepping state (owned here so `run` is just a step loop).
     t: SimTime,
@@ -133,6 +132,8 @@ struct SyncScratch {
     ana_phases: Vec<Work>,
     sim_arrivals: Vec<(usize, SimTime)>,
     ana_arrivals: Vec<(usize, SimTime)>,
+    /// The stepper's table of walks other nodes may adopt.
+    reps: Reps,
     /// Per arriving node, simulation partition first: the cap in force
     /// during the interval and the node's true feedback.
     feedback: Vec<NodeFeedback>,
@@ -217,7 +218,6 @@ impl Runtime {
         manager.reserve_syncs(sync_count as usize);
         let all_nodes: Vec<usize> = (0..n).collect();
         let machine = cfg.machine.clone();
-        let sparse = cfg.step == StepMode::Auto && cluster.noise().is_quiet();
         Runtime {
             cfg,
             cluster,
@@ -227,7 +227,6 @@ impl Runtime {
             ana_nodes,
             all_nodes,
             machine,
-            sparse,
             tracer: obs::Tracer::off(),
             t: SimTime::ZERO,
             next_sync: 1,
@@ -261,19 +260,6 @@ impl Runtime {
         let per_node = 4 * spec.sync_every as usize + 8;
         let estimate = spec.sync_count() as usize * (spec.nodes_total() * per_node + 12) + 64;
         self.tracer.reserve(estimate.min(1 << 24));
-    }
-
-    /// Run-to-run variability increases near the RAPL floor (paper
-    /// §VII-D): nodes capped close to δ_min get amplified phase jitter.
-    fn low_cap_jitter_scale(&self, node: usize) -> f64 {
-        let cap = self.cluster.node(node).rapl().requested_cap();
-        let m = self.cluster.config();
-        let start = theta_sim::CLIFF_START_W;
-        if cap >= start {
-            1.0
-        } else {
-            1.0 + 3.0 * (start - cap) / (start - m.min_cap_w)
-        }
     }
 
     /// Execute the run to completion. Node histories are compacted between
@@ -346,13 +332,14 @@ impl Runtime {
         let sync_k = self.next_sync;
         self.next_sync += 1;
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.run_interval(sync_k, &mut scratch);
+        self.run_interval(sync_k, &mut scratch, stepper::advance_partition);
         self.scratch = scratch;
         true
     }
 
-    /// The body of [`Runtime::step_sync`] for the 1-based interval `sync_k`.
-    fn run_interval(&mut self, sync_k: u64, sc: &mut SyncScratch) {
+    /// The body of [`Runtime::step_sync`] for the 1-based interval `sync_k`;
+    /// `advance` walks each partition through its phases.
+    fn run_interval(&mut self, sync_k: u64, sc: &mut SyncScratch, advance: Advance) {
         let j = self.cfg.workload.sync_every;
         let t0 = self.t;
         // Fault plans index intervals 0-based; sync_k is 1-based.
@@ -401,7 +388,7 @@ impl Runtime {
             ctx.clear();
             ctx.extend(nodes.iter().filter(|&&n| self.manager.is_alive(n)).map(|&node| NodeCtx {
                 node,
-                sigma_scale: self.low_cap_jitter_scale(node),
+                sigma_scale: low_cap_jitter_scale(&self.cluster, node),
                 stretch: sf.straggle_factor(node),
             }));
         }
@@ -438,15 +425,7 @@ impl Runtime {
             (&sc.ana_ctx, &sc.ana_phases, &mut sc.ana_arrivals),
         ] {
             arrivals.clear();
-            stepper::advance_partition(
-                &mut self.cluster,
-                &self.machine,
-                ctx,
-                phases,
-                t0,
-                self.sparse,
-                arrivals,
-            );
+            advance(&mut self.cluster, &self.machine, ctx, phases, t0, &mut sc.reps, arrivals);
         }
         let (sim_arrivals, ana_arrivals) = (&sc.sim_arrivals, &sc.ana_arrivals);
         let by_role = || {
@@ -842,4 +821,102 @@ pub fn median_improvement(cfg: &JobConfig, runs: u64) -> Result<f64, UnknownCont
 /// Per-phase helper used by tests: does a phase list contain a kind?
 pub fn has_phase(phases: &[Work], kind: PhaseKind) -> bool {
     phases.iter().any(|w| w.kind == kind)
+}
+
+#[cfg(test)]
+impl Runtime {
+    /// Test seam: [`Runtime::run`] with every interval stepped by the
+    /// node-major reference walk instead of the one walk.
+    fn run_reference(mut self) -> RunResult {
+        while !self.is_done() {
+            let sync_k = self.next_sync;
+            self.next_sync += 1;
+            let mut scratch = std::mem::take(&mut self.scratch);
+            self.run_interval(sync_k, &mut scratch, stepper::tests::advance_reference);
+            self.scratch = scratch;
+            self.compact_history();
+        }
+        self.finish()
+    }
+}
+
+/// Whole runs through the one walk against the same runs through the
+/// reference seam: same results, same serialized trace.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faults::FaultPlan;
+    use mdsim::workload::WorkloadSpec;
+    use mdsim::AnalysisKind as K;
+
+    fn quiet_cfg(nodes: usize, steps: u64) -> JobConfig {
+        let mut spec = WorkloadSpec::paper(16, nodes, 1, &[K::Rdf, K::Vacf]);
+        spec.total_steps = steps;
+        JobConfig::new(spec, "seesaw").with_quiet_noise()
+    }
+
+    /// Run `cfg` with a buffering tracer; return the result and the
+    /// serialized JSONL trace.
+    fn traced(cfg: JobConfig, reference: bool) -> (RunResult, String) {
+        let tracer = obs::Tracer::enabled();
+        let mut rt = Runtime::new(cfg).expect("known controller");
+        rt.set_tracer(&tracer);
+        let r = if reference { rt.run_reference() } else { rt.run() };
+        (r, tracer.to_jsonl())
+    }
+
+    /// Field-by-field equality of the pieces that matter, bitwise on
+    /// floats, plus byte equality of the traces.
+    fn assert_matches_reference(cfg: impl Fn() -> JobConfig) -> RunResult {
+        let (a, a_trace) = traced(cfg(), false);
+        let (b, b_trace) = traced(cfg(), true);
+        assert_eq!(a.total_time_s.to_bits(), b.total_time_s.to_bits(), "total time diverged");
+        assert_eq!(a.total_energy_j.to_bits(), b.total_energy_j.to_bits(), "total energy diverged");
+        assert_eq!(a.syncs, b.syncs, "per-sync records diverged");
+        assert_eq!(a.fault_events, b.fault_events, "fault logs diverged");
+        assert_eq!(a.recovery_events, b.recovery_events, "recovery logs diverged");
+        assert!(!a_trace.is_empty());
+        assert_eq!(a_trace, b_trace, "serialized traces diverged");
+        a
+    }
+
+    #[test]
+    fn one_walk_equals_reference_on_a_quiet_run() {
+        assert_matches_reference(|| quiet_cfg(12, 30));
+    }
+
+    #[test]
+    fn one_walk_equals_reference_under_faults() {
+        // Stragglers split the stretch keys, a crash shrinks a partition
+        // mid-run, RAPL faults diverge one node's actuator state, and sample
+        // corruption exercises the feedback path.
+        let plan = FaultPlan::from_events(vec![
+            FaultEvent { sync: 3, node: 1, kind: FaultKind::Straggler { factor: 1.7 } },
+            FaultEvent { sync: 5, node: 2, kind: FaultKind::RaplStuck },
+            FaultEvent { sync: 8, node: 9, kind: FaultKind::NodeCrash },
+            FaultEvent { sync: 11, node: 4, kind: FaultKind::SampleNan },
+            FaultEvent { sync: 14, node: 3, kind: FaultKind::RaplDelayed { extra_s: 0.002 } },
+        ]);
+        let r = assert_matches_reference(|| quiet_cfg(12, 30).with_faults(plan.clone()));
+        assert!(!r.fault_events.is_empty(), "plan must actually fire");
+    }
+
+    #[test]
+    fn one_walk_equals_reference_below_the_power_cliff() {
+        // Caps below CLIFF_START_W put every node in the straggler lottery
+        // (sigma_scale > 1): each walks itself, in node order, so the shared
+        // jitter stream is consumed exactly as the reference consumes it.
+        assert_matches_reference(|| {
+            quiet_cfg(8, 20).with_budget(95.0).with_initial_caps(95.0, 95.0)
+        });
+    }
+
+    #[test]
+    fn one_walk_equals_reference_on_a_noisy_run() {
+        // Under default noise every node draws, so nobody may adopt: this
+        // trips if a change lets a drawing node share a walk.
+        let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
+        spec.total_steps = 20;
+        assert_matches_reference(|| JobConfig::new(spec.clone(), "seesaw"));
+    }
 }

@@ -301,6 +301,45 @@ mod tests {
         }
     }
 
+    /// What `md_kernels`' wall-clock `*_speedup` ratio stood for, asserted
+    /// where no host can move it: at width 1 — configured, or overridden by
+    /// [`with_threads`] — every entry point runs each chunk on the calling
+    /// thread and never claims the pool, so nothing is spawned.
+    #[test]
+    fn width_one_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let check = |pool: &Pool| {
+            let here = || {
+                assert_eq!(std::thread::current().id(), caller, "dispatched off-thread");
+                assert!(!pool.is_busy(), "a width-1 call claimed the pool");
+            };
+            let mut out = vec![0u32; 64];
+            pool.par_fill(&mut out, 4, |start, chunk| {
+                here();
+                chunk.fill(start as u32);
+            });
+            assert_eq!(out[63], 60);
+            let data: Vec<u64> = (0..64).collect();
+            let sum = pool.par_chunks_fold(
+                &data,
+                4,
+                |_, c| {
+                    here();
+                    c.iter().sum::<u64>()
+                },
+                |a, b| a + b,
+            );
+            assert_eq!(sum, Some(2016));
+            let mapped = pool.par_map_indexed(64, |i| {
+                here();
+                i
+            });
+            assert_eq!(mapped[63], 63);
+        };
+        check(&Pool::new(1));
+        with_threads(1, || check(&Pool::new(4)));
+    }
+
     #[test]
     fn worker_panic_propagates_to_caller() {
         let pool = Pool::new(4);

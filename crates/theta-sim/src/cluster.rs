@@ -65,10 +65,9 @@ impl Cluster {
         Cluster { config, nodes, noise, cap_mode }
     }
 
-    /// Like [`Cluster::with_caps`] but with explicit noise sigmas. Quiet
-    /// runs (all-zero phase/measure sigmas) make node evolution fully
-    /// deterministic per state, which is what enables bucketed event-driven
-    /// stepping in `insitu`.
+    /// Like [`Cluster::with_caps`] but with explicit noise sigmas. A zero
+    /// phase sigma makes node evolution fully deterministic per state, which
+    /// is what lets `insitu` have state-identical nodes share one walk.
     pub fn with_caps_sigmas(
         config: MachineConfig,
         caps_w: &[f64],

@@ -276,7 +276,7 @@ impl Node {
         &self.draw
     }
 
-    /// Exact-state fingerprint for bucketed stepping. Nodes with equal keys
+    /// Exact-state fingerprint for shared walks. Nodes with equal keys
     /// evolve bit-identically under the same (cap, work, jitter) sequence:
     /// the key covers everything `run_phase`/`wait_until`/`request_cap`
     /// read — efficiency, the full RAPL state, the schedule horizon and the
@@ -299,7 +299,7 @@ impl Node {
         NodeHistoryMark { draw: self.draw.len(), spans: self.span_buf.len() }
     }
 
-    /// Fan-out half of bucketed stepping: make this node's state identical
+    /// The adopting half of a shared walk: make this node's state identical
     /// to `rep`'s after `rep` (which had the same [`Node::state_key`] at
     /// `mark`) advanced through one or more phases. Copies the new draw
     /// segments and retargets the new span events to this node's id; the

@@ -130,12 +130,10 @@ impl NoiseModel {
     /// (multi-×10 % stalls from OS noise that the throttled cores cannot
     /// hide) — the dominant tail effect at δ_min on KNL.
     pub fn phase_jitter_scaled(&mut self, sigma_scale: f64) -> f64 {
-        // Zero-sigma fast path: no jitter and no straggler lottery means no
-        // RNG draw at all. This is what lets the event-driven stepper skip
-        // quiet nodes entirely — a skipped node must consume zero stream —
-        // while the dense stepper stays bit-identical (the clamped normal at
-        // sigma 0 is exactly 1.0).
-        if self.sigmas.phase == 0.0 && sigma_scale <= 1.0 {
+        // Zero-draw fast path: the clamped normal at sigma 0 is exactly 1.0,
+        // so returning it without touching the stream changes no value —
+        // and lets the stepper have a non-drawing node adopt another's walk.
+        if !self.draws_phase_jitter(sigma_scale) {
             return 1.0;
         }
         let base =
@@ -159,19 +157,12 @@ impl NoiseModel {
         (true_watts * self.measure_rng.normal_clamped(1.0, self.sigmas.measure)).max(0.0)
     }
 
-    /// True when per-phase stepping consumes no randomness (phase jitter and
-    /// measurement sigmas both zero), i.e. node evolution is fully determined
-    /// by caps and work. The event-driven stepper may then advance a bucket
-    /// representative and fan the result out without desynchronizing the
-    /// shared RNG streams. Straggler draws (sigma scale > 1) still consume
-    /// the stream, so below-cliff nodes are always walked densely.
-    pub fn is_quiet(&self) -> bool {
-        self.sigmas.phase == 0.0 && self.sigmas.measure == 0.0
-    }
-
-    /// The sigma set in force.
-    pub fn sigmas(&self) -> NoiseSigmas {
-        self.sigmas
+    /// Whether [`NoiseModel::phase_jitter_scaled`] at this scale consumes
+    /// the jitter stream: phase sigma above zero, or the straggler lottery
+    /// (scale > 1). When false the jitter is exactly 1.0 with no draw, and
+    /// a node's walk is a pure function of its state, caps and work.
+    pub fn draws_phase_jitter(&self, sigma_scale: f64) -> bool {
+        !(self.sigmas.phase == 0.0 && sigma_scale <= 1.0)
     }
 }
 

@@ -156,10 +156,10 @@ impl RaplDomain {
         }
     }
 
-    /// Exact-state fingerprint for bucketed stepping: two domains with equal
+    /// Exact-state fingerprint for shared walks: two domains with equal
     /// keys respond bit-identically to the same request/advance sequence.
     /// Floats are compared by bit pattern — "close" caps are *not* the same
-    /// bucket, because `request_cap`'s no-op epsilon check would then branch
+    /// key, because `request_cap`'s no-op epsilon check would then branch
     /// differently per node.
     pub fn state_key(&self) -> (u8, u64, u64, Option<(SimTime, u64)>, u32, u64) {
         (

@@ -1,94 +1,12 @@
-//! The event-driven cluster core's contract: sparse (bucketed,
-//! DES-queue-driven) stepping is **byte-identical** to the dense
-//! reference walk — same results, same serialized trace — and node
-//! history stays O(1) per node over arbitrarily long runs.
+//! Node history stays O(1) per node over arbitrarily long runs, and
+//! compacting it between intervals changes no energy bit. (That state-
+//! identical nodes sharing one walk equals every node walking is pinned
+//! inside `insitu`, against its `#[cfg(test)]` node-major reference.)
 
 use des::SimTime;
-use insitu::{
-    run_job_traced, FaultEvent, FaultKind, FaultPlan, JobConfig, RunResult, Runtime, StepMode,
-};
+use insitu::{JobConfig, Runtime};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
-use obs::Tracer;
-
-fn quiet_cfg(nodes: usize, steps: u64) -> JobConfig {
-    let mut spec = WorkloadSpec::paper(16, nodes, 1, &[K::Rdf, K::Vacf]);
-    spec.total_steps = steps;
-    JobConfig::new(spec, "seesaw").with_quiet_noise()
-}
-
-/// Run `cfg` under the given step mode with a buffering tracer; return
-/// the result and the serialized JSONL trace.
-fn traced(cfg: JobConfig, step: StepMode) -> (RunResult, String) {
-    let tracer = Tracer::enabled();
-    let r = run_job_traced(cfg.with_step(step), &tracer).expect("known controller");
-    let jsonl = tracer.to_jsonl();
-    (r, jsonl)
-}
-
-/// Field-by-field equality of the pieces that matter, bitwise on floats.
-fn assert_identical(a: &RunResult, b: &RunResult) {
-    assert_eq!(a.total_time_s.to_bits(), b.total_time_s.to_bits(), "total time diverged");
-    assert_eq!(a.total_energy_j.to_bits(), b.total_energy_j.to_bits(), "total energy diverged");
-    assert_eq!(a.syncs, b.syncs, "per-sync records diverged");
-    assert_eq!(a.fault_events, b.fault_events, "fault logs diverged");
-    assert_eq!(a.recovery_events, b.recovery_events, "recovery logs diverged");
-}
-
-#[test]
-fn sparse_equals_dense_on_a_quiet_run() {
-    let (sparse, sparse_trace) = traced(quiet_cfg(12, 30), StepMode::Auto);
-    let (dense, dense_trace) = traced(quiet_cfg(12, 30), StepMode::Dense);
-    assert_identical(&sparse, &dense);
-    assert!(!sparse_trace.is_empty());
-    assert_eq!(sparse_trace, dense_trace, "serialized traces diverged");
-}
-
-#[test]
-fn sparse_equals_dense_under_faults() {
-    // Stragglers split the stretch buckets, a crash shrinks a partition
-    // mid-run, RAPL faults diverge one node's actuator state, and sample
-    // corruption exercises the feedback path.
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent { sync: 3, node: 1, kind: FaultKind::Straggler { factor: 1.7 } },
-        FaultEvent { sync: 5, node: 2, kind: FaultKind::RaplStuck },
-        FaultEvent { sync: 8, node: 9, kind: FaultKind::NodeCrash },
-        FaultEvent { sync: 11, node: 4, kind: FaultKind::SampleNan },
-        FaultEvent { sync: 14, node: 3, kind: FaultKind::RaplDelayed { extra_s: 0.002 } },
-    ]);
-    let cfg = || quiet_cfg(12, 30).with_faults(plan.clone());
-    let (sparse, sparse_trace) = traced(cfg(), StepMode::Auto);
-    let (dense, dense_trace) = traced(cfg(), StepMode::Dense);
-    assert!(!sparse.fault_events.is_empty(), "plan must actually fire");
-    assert_identical(&sparse, &dense);
-    assert_eq!(sparse_trace, dense_trace, "serialized traces diverged");
-}
-
-#[test]
-fn sparse_equals_dense_below_the_power_cliff() {
-    // Caps below CLIFF_START_W put every node in the straggler lottery
-    // (sigma_scale > 1), which the sparse core must walk densely in node
-    // order to keep the shared RNG stream aligned.
-    let cfg = || quiet_cfg(8, 20).with_budget(95.0).with_initial_caps(95.0, 95.0);
-    let (sparse, sparse_trace) = traced(cfg(), StepMode::Auto);
-    let (dense, dense_trace) = traced(cfg(), StepMode::Dense);
-    assert_identical(&sparse, &dense);
-    assert_eq!(sparse_trace, dense_trace, "serialized traces diverged");
-}
-
-#[test]
-fn auto_falls_back_to_dense_on_a_noisy_run() {
-    // Default (noisy) runs must take the dense path under Auto — the two
-    // modes are the same code path, so equality is exact by construction;
-    // this pins the fallback so a future "sparse anyway" change trips.
-    let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
-    spec.total_steps = 20;
-    let cfg = || JobConfig::new(spec.clone(), "seesaw");
-    let (sparse, sparse_trace) = traced(cfg(), StepMode::Auto);
-    let (dense, dense_trace) = traced(cfg(), StepMode::Dense);
-    assert_identical(&sparse, &dense);
-    assert_eq!(sparse_trace, dense_trace, "serialized traces diverged");
-}
 
 #[test]
 fn node_history_is_constant_over_ten_thousand_intervals() {

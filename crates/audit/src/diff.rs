@@ -224,11 +224,6 @@ impl TraceDiffer {
         TraceDiffer { k: context.max(1), line: 0, rings: BTreeMap::new() }
     }
 
-    /// Lines consumed so far.
-    pub fn lines_seen(&self) -> u64 {
-        self.line
-    }
-
     fn remember(&mut self, line: &str) {
         let mut labels = entities(line);
         labels.push(ANY.to_string());

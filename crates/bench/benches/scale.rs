@@ -68,21 +68,5 @@ fn main() {
             },
         ],
     };
-    let dir = bench::results_dir();
-    let path = dir.join("BENCH_scale.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_json()))
-    {
-        rep.warn(format!("cannot write {}: {e}", path.display()));
-    } else {
-        rep.note(format!("wrote {}", path.display()));
-    }
-
-    let fails = doc.check_bounds();
-    if !fails.is_empty() {
-        for f in &fails {
-            eprintln!("{f}");
-        }
-        std::process::exit(1);
-    }
+    doc.persist_and_gate("BENCH_scale.json", &rep);
 }

@@ -61,17 +61,6 @@ fn time_ms(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-fn metric(name: &str, value: f64, unit: &str, max: Option<f64>, tol: Option<f64>) -> Metric {
-    Metric {
-        name: name.to_string(),
-        value,
-        unit: unit.to_string(),
-        min: None,
-        max,
-        tolerance_pct: tol,
-    }
-}
-
 fn main() {
     let rep = obs::Reporter::default();
     let quick = bench::quick_mode();
@@ -146,31 +135,21 @@ fn main() {
         bench: "trace_overhead".to_string(),
         profile: if quick { "quick" } else { "full" }.to_string(),
         metrics: vec![
-            metric("off_ms", off_ms, "ms", None, None),
-            metric("on_ms", on_ms, "ms", None, None),
-            metric("export_ms", export_ms, "ms", None, None),
-            metric("audit_ms", audit_ms, "ms", None, None),
-            metric("events", events as f64, "count", None, Some(0.0)),
-            metric("overhead_on_pct", pct(on_ms), "pct", Some(OVERHEAD_MAX_PCT), None),
-            metric("overhead_export_pct", pct(export_ms), "pct", None, None),
-            metric("overhead_audit_pct", pct(audit_ms), "pct", Some(AUDIT_OVERHEAD_MAX_PCT), None),
+            Metric::info("off_ms", off_ms, "ms"),
+            Metric::info("on_ms", on_ms, "ms"),
+            Metric::info("export_ms", export_ms, "ms"),
+            Metric::info("audit_ms", audit_ms, "ms"),
+            Metric { tolerance_pct: Some(0.0), ..Metric::info("events", events as f64, "count") },
+            Metric {
+                max: Some(OVERHEAD_MAX_PCT),
+                ..Metric::info("overhead_on_pct", pct(on_ms), "pct")
+            },
+            Metric::info("overhead_export_pct", pct(export_ms), "pct"),
+            Metric {
+                max: Some(AUDIT_OVERHEAD_MAX_PCT),
+                ..Metric::info("overhead_audit_pct", pct(audit_ms), "pct")
+            },
         ],
     };
-    let dir = bench::results_dir();
-    let path = dir.join("BENCH_trace.json");
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_json()))
-    {
-        rep.warn(format!("cannot write {}: {e}", path.display()));
-    } else {
-        rep.note(format!("wrote {}", path.display()));
-    }
-
-    let fails = doc.check_bounds();
-    if !fails.is_empty() {
-        for f in &fails {
-            eprintln!("trace_overhead: {f}");
-        }
-        std::process::exit(1);
-    }
+    doc.persist_and_gate("BENCH_trace.json", &rep);
 }

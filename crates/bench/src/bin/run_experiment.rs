@@ -18,12 +18,12 @@ use insitu::{improvement_pct, run_job_traced, run_paired_traced, JobConfig, RunR
 use mdsim::workload::WorkloadSpec;
 use mdsim::{AnalysisKind, AnalysisSchedule};
 use obs::Reporter;
+use std::str::FromStr;
 
 const BIN: &str = "run_experiment";
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: run_experiment [--controller seesaw|time-aware|power-aware|static|hierarchical-seesaw|probing-seesaw]
+const USAGE: &str =
+    "usage: run_experiment [--controller seesaw|time-aware|power-aware|static|hierarchical-seesaw|probing-seesaw]
                       [--nodes N] [--dim D] [--steps S] [--sync-every J]
                       [--analyses rdf,vacf,msd,msd1d,msd2d] [--budget W]
                       [--window W] [--seed S] [--sim-cap W --analysis-cap W]
@@ -35,91 +35,112 @@ env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply trace paths when the flags are
 absent; SEESAW_AUDIT=1 turns on --audit (invariant battery over the controller
 run's trace; writes results/audit_run_experiment.json, exits 1 on violations);
 SEESAW_PROFILE=1 turns on --profile (wall-clock stage timers, writes
-results/profile_run_experiment.json — never byte-gated)"
-    );
-    std::process::exit(2);
+results/profile_run_experiment.json — never byte-gated)";
+
+/// What the command line asked for, range-checked: a value that would
+/// trip an `assert!` in the engine crates never leaves [`parse`].
+struct Opts {
+    cfg: JobConfig,
+    baseline: bool,
+    dump_syncs: bool,
+    common: cli::CommonArgs,
 }
 
-fn parse_kind(name: &str) -> AnalysisKind {
-    match name {
+fn parse_kind(name: &str) -> Result<AnalysisSchedule, String> {
+    Ok(AnalysisSchedule::every_sync(match name {
         "rdf" => AnalysisKind::Rdf,
         "vacf" => AnalysisKind::Vacf,
         "msd" => AnalysisKind::MsdFull,
         "msd1d" => AnalysisKind::Msd1d,
         "msd2d" => AnalysisKind::Msd2d,
-        other => {
-            eprintln!("{BIN}: unknown analysis {other:?}");
-            usage()
-        }
-    }
+        other => return Err(format!("unknown analysis {other:?}")),
+    }))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut controller = "seesaw".to_string();
-    let mut nodes = 128usize;
-    let mut dim = 16u32;
-    let mut steps = 400u64;
-    let mut sync_every = 1u64;
-    let mut kinds = vec![AnalysisKind::MsdFull];
-    let mut budget = 110.0f64;
-    let mut window = 1usize;
-    let mut seed = 1u64;
-    let mut sim_cap = None;
-    let mut analysis_cap = None;
-    let mut baseline = true;
-    let mut dump_syncs = false;
-    let mut quiet_noise = false;
-    let mut common = cli::CommonArgs::default();
+fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{flag}: not a valid number: {v:?}"))
+}
 
-    let mut it = args.iter();
+fn at_least_one<T: FromStr + PartialOrd + From<u8>>(flag: &str, v: &str) -> Result<T, String> {
+    let n: T = number(flag, v)?;
+    if n < T::from(1) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+fn watts(flag: &str, v: &str) -> Result<f64, String> {
+    let w: f64 = number(flag, v)?;
+    if !(w.is_finite() && w > 0.0) {
+        return Err(format!("{flag} must be a finite wattage above 0"));
+    }
+    Ok(w)
+}
+
+/// Parse `argv` without exiting or reading the environment; `Err` carries
+/// the message for the usage error (empty for `--help`).
+fn parse(argv: &[String]) -> Result<Opts, String> {
+    let spec = WorkloadSpec::paper(16, 128, 1, &[AnalysisKind::MsdFull]);
+    let (mut cfg, mut common) = (JobConfig::new(spec, "seesaw"), cli::CommonArgs::default());
+    let (mut baseline, mut dump_syncs) = (true, false);
+
+    let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--controller" => controller = val(),
-            "--nodes" => nodes = val().parse().unwrap_or_else(|_| usage()),
-            "--dim" => dim = val().parse().unwrap_or_else(|_| usage()),
-            "--steps" => steps = val().parse().unwrap_or_else(|_| usage()),
-            "--sync-every" => sync_every = val().parse().unwrap_or_else(|_| usage()),
-            "--budget" => budget = val().parse().unwrap_or_else(|_| usage()),
-            "--window" => window = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
-            "--sim-cap" => sim_cap = Some(val().parse::<f64>().unwrap_or_else(|_| usage())),
-            "--analysis-cap" => {
-                analysis_cap = Some(val().parse::<f64>().unwrap_or_else(|_| usage()))
+        let flag = flag.as_str();
+        let mut val = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+        match flag {
+            "--controller" => cfg.controller = val()?.clone(),
+            "--nodes" => {
+                let n: usize = number(flag, val()?)?;
+                if n < 2 || !n.is_multiple_of(2) {
+                    return Err("--nodes must be even and at least 2 (two equal partitions)".into());
+                }
+                (cfg.workload.sim_nodes, cfg.workload.analysis_nodes) = (n / 2, n / 2);
             }
+            "--dim" => cfg.workload.dim = at_least_one(flag, val()?)?,
+            "--steps" => cfg.workload.total_steps = at_least_one(flag, val()?)?,
+            "--sync-every" => cfg.workload.sync_every = at_least_one(flag, val()?)?,
+            "--budget" => cfg.budget_per_node_w = watts(flag, val()?)?,
+            "--window" => cfg.window = at_least_one(flag, val()?)?,
+            "--seed" => cfg.seed.job = number(flag, val()?)?,
+            "--sim-cap" => cfg.initial_sim_cap_w = Some(watts(flag, val()?)?),
+            "--analysis-cap" => cfg.initial_analysis_cap_w = Some(watts(flag, val()?)?),
             "--analyses" => {
-                kinds = val().split(',').map(parse_kind).collect();
+                cfg.workload.analyses =
+                    val()?.split(',').map(parse_kind).collect::<Result<_, _>>()?;
             }
             "--no-baseline" => baseline = false,
             "--dump-syncs" => dump_syncs = true,
-            "--quiet-noise" => quiet_noise = true,
+            "--quiet-noise" => cfg.quiet_noise = true,
             "--quiet" => common.quiet = true,
-            "--trace" => common.trace = Some(val().into()),
-            "--trace-perfetto" => common.perfetto = Some(val().into()),
+            "--trace" => common.trace = Some(val()?.into()),
+            "--trace-perfetto" => common.perfetto = Some(val()?.into()),
             "--audit" => common.audit = true,
             "--profile" => common.profile = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("{BIN}: unknown flag {other:?}");
-                usage()
-            }
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    if cfg.initial_sim_cap_w.is_some() != cfg.initial_analysis_cap_w.is_some() {
+        return Err("--sim-cap and --analysis-cap only come as a pair".to_string());
+    }
+    if cfg.workload.sync_count() == 0 {
+        return Err("--steps must reach the first sync (at least --sync-every)".to_string());
+    }
+    Ok(Opts { cfg, baseline, dump_syncs, common })
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Opts { cfg, baseline, dump_syncs, mut common } = parse(&argv).unwrap_or_else(|msg| {
+        if !msg.is_empty() {
+            eprintln!("{BIN}: {msg}");
+        }
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     common.env_fallback();
     let rep = common.reporter();
-
-    let mut spec = WorkloadSpec::paper(dim, nodes, sync_every, &[]);
-    spec.analyses = kinds.iter().map(|&k| AnalysisSchedule::every_sync(k)).collect();
-    spec.total_steps = steps;
-    let mut cfg = JobConfig::new(spec, &controller).with_budget(budget).with_window(window);
-    if quiet_noise {
-        cfg = cfg.with_quiet_noise();
-    }
-    cfg.seed.job = seed;
-    if let (Some(s), Some(a)) = (sim_cap, analysis_cap) {
-        cfg = cfg.with_initial_caps(s, a);
-    }
 
     // The controller run itself carries the tracer: `--trace` captures the
     // exact run being summarized, not a separate representative run. Under
@@ -127,7 +148,7 @@ fn main() {
     let session = cli::trace_session(&common);
     let tracer = session.tracer.clone();
 
-    if baseline && controller != "static" {
+    if baseline && cfg.controller != "static" {
         let (ctl, base) = match run_paired_traced(&cfg, &tracer) {
             Ok(pair) => pair,
             Err(e) => {
@@ -136,7 +157,7 @@ fn main() {
             }
         };
         let imp = improvement_pct(base.total_time_s, ctl.total_time_s);
-        print_summary(&rep, &ctl);
+        print_summary(&rep, &ctl, &tracer);
         rep.say(format!(
             "baseline (static): {:.1} s  →  improvement {:+.2} %",
             base.total_time_s, imp
@@ -152,7 +173,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        print_summary(&rep, &r);
+        print_summary(&rep, &r, &tracer);
         if dump_syncs {
             println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
         }
@@ -161,7 +182,7 @@ fn main() {
     cli::finish_session(BIN, &common, &rep, session);
 }
 
-fn print_summary(rep: &Reporter, r: &RunResult) {
+fn print_summary(rep: &Reporter, r: &RunResult, tracer: &obs::Tracer) {
     let last = r.syncs.last().expect("at least one sync");
     rep.say(format!(
         "{}: total {:.1} s, energy {:.2} MJ, {} syncs, end caps S/A {:.1}/{:.1} W, late slack {:.1} %",
@@ -173,13 +194,137 @@ fn print_summary(rep: &Reporter, r: &RunResult) {
         last.analysis_cap_w,
         r.mean_slack_from(10) * 100.0
     ));
-    if let Some(m) = &r.metrics {
-        rep.note(format!(
-            "trace: {} events, {} phases, {} samples, {} decisions",
-            m.events,
-            m.counter("phases"),
-            m.counter("samples"),
-            m.counter("decisions")
-        ));
+    // A streaming (`--audit`-only) tracer keeps no buffer; there the
+    // auditor's own summary line carries the event count.
+    let buffered = tracer.len();
+    if buffered > 0 {
+        rep.note(format!("trace: {buffered} events"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use des::Rng;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// What `main` relies on after an `Ok`: nothing downstream asserts.
+    fn assert_in_range(o: &Opts) {
+        let (cfg, w) = (&o.cfg, &o.cfg.workload);
+        assert!(w.sim_nodes >= 1 && w.sim_nodes == w.analysis_nodes);
+        assert!(w.dim >= 1 && cfg.window >= 1 && w.sync_every >= 1);
+        assert!(w.total_steps >= w.sync_every, "steps {} < j {}", w.total_steps, w.sync_every);
+        assert!(!w.analyses.is_empty());
+        assert_eq!(cfg.initial_sim_cap_w.is_some(), cfg.initial_analysis_cap_w.is_some());
+        for watts in
+            [Some(cfg.budget_per_node_w), cfg.initial_sim_cap_w, cfg.initial_analysis_cap_w]
+        {
+            assert!(watts.is_none_or(|w| w.is_finite() && w > 0.0), "wattage {watts:?}");
+        }
+    }
+
+    #[test]
+    fn defaults_and_a_full_command_line_parse() {
+        let o = parse(&[]).unwrap();
+        assert_in_range(&o);
+        let spec = WorkloadSpec::paper(16, 128, 1, &[AnalysisKind::MsdFull]);
+        assert_eq!(o.cfg.workload, spec);
+        assert!(o.baseline && !o.dump_syncs && !o.common.quiet);
+
+        let o = parse(&argv(
+            "--controller time-aware --nodes 8 --dim 4 --steps 20 --sync-every 5 \
+             --analyses rdf,msd2d --budget 105.5 --window 3 --seed 9 --sim-cap 120 \
+             --analysis-cap 100 --no-baseline --dump-syncs --quiet-noise --quiet \
+             --trace t.jsonl --audit",
+        ))
+        .unwrap();
+        assert_in_range(&o);
+        let mut spec = WorkloadSpec::paper(4, 8, 5, &[AnalysisKind::Rdf, AnalysisKind::Msd2d]);
+        spec.total_steps = 20;
+        assert_eq!(o.cfg.workload, spec);
+        assert_eq!((o.cfg.controller.as_str(), o.cfg.window, o.cfg.seed.job), ("time-aware", 3, 9));
+        assert_eq!(o.cfg.budget_per_node_w, 105.5);
+        assert_eq!(
+            (o.cfg.initial_sim_cap_w, o.cfg.initial_analysis_cap_w),
+            (Some(120.0), Some(100.0))
+        );
+        assert!(!o.baseline && o.dump_syncs && o.cfg.quiet_noise);
+        assert!(o.common.quiet && o.common.audit && o.common.wants_trace());
+    }
+
+    /// Each of these used to reach an `assert!` (or an `expect`) in the
+    /// engine crates and abort the binary with exit 101.
+    #[test]
+    fn out_of_range_flags_are_usage_errors() {
+        let hostile = [
+            "--nodes 0",
+            "--nodes 1",
+            "--nodes 3",
+            "--steps 0",
+            "--sync-every 0",
+            "--window 0",
+            "--budget nan",
+            "--budget -5",
+            "--sim-cap 120",
+            "--analysis-cap 100",
+            "--dim 0",
+            "--budget 1e999",
+            "--steps 3 --sync-every 5",
+            "--analyses rdf,",
+        ];
+        for args in hostile {
+            let msg = parse(&argv(args)).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+            assert!(!msg.is_empty(), "{args:?} must say what is wrong");
+        }
+        assert_eq!(parse(&argv("--help")).err().as_deref(), Some(""));
+    }
+
+    /// Seeded mutation of valid command lines through both argv parsers
+    /// of the `bench` crate: the outcome is `Ok` (and then in range) or
+    /// `Err(msg)`, never a panic.
+    #[test]
+    fn mutated_argv_never_panics_a_parser() {
+        let big = "9".repeat(64 << 10);
+        let tokens =
+            ["", "-1", "nan", "1e999", "18446744073709551616", "0", "--", "--nodes", big.as_str()];
+        let valid = [
+            argv(
+                "--controller seesaw --nodes 8 --dim 4 --steps 20 --sync-every 2 \
+                 --analyses rdf,vacf --budget 110 --window 2 --seed 3 --sim-cap 115 \
+                 --analysis-cap 105 --dump-syncs",
+            ),
+            argv("--quick --quiet --trace t.jsonl --trace-perfetto p.json"),
+            argv("--audit --profile --no-baseline --quiet-noise"),
+        ];
+        for seed in [1, 7] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let (mut accepted, mut rejected) = (0, 0);
+            for _ in 0..2000 {
+                let mut args = valid[rng.next_below(valid.len() as u64) as usize].clone();
+                for _ in 0..=rng.next_below(2) {
+                    let at = rng.next_below(args.len() as u64) as usize;
+                    match rng.next_below(3) {
+                        0 => drop(args.remove(at)),
+                        1 => args.insert(at, args[at].clone()),
+                        _ => args[at] = tokens[rng.next_below(tokens.len() as u64) as usize].into(),
+                    }
+                    if args.is_empty() {
+                        break;
+                    }
+                }
+                match parse(&args) {
+                    Ok(o) => {
+                        assert_in_range(&o);
+                        accepted += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+                let _ = cli::try_parse(&args);
+            }
+            assert!(accepted > 0 && rejected > 0, "seed {seed}: {accepted} ok, {rejected} err");
+        }
     }
 }

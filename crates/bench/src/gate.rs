@@ -191,6 +191,26 @@ impl BenchDoc {
         }
         out
     }
+
+    /// How every gated bench `main` ends: write the document to
+    /// `<results dir>/<file>` (`BENCH_*.json`), then check its own bounds
+    /// — a run that breaks a promise **exits the process with status 1**
+    /// at the source, before `bench_gate` ever diffs the persisted files.
+    pub fn persist_and_gate(&self, file: &str, rep: &obs::Reporter) {
+        let dir = crate::results_dir();
+        let path = dir.join(file);
+        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, self.to_json())) {
+            Ok(()) => rep.note(format!("wrote {}", path.display())),
+            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
+        }
+        let fails = self.check_bounds();
+        if !fails.is_empty() {
+            for f in &fails {
+                eprintln!("{}: {f}", self.bench);
+            }
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Compare a fresh document against the committed baseline. Returns every

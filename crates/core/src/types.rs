@@ -77,11 +77,6 @@ impl SyncObservation {
             cap_per_node_w: cap_sum / count as f64,
         })
     }
-
-    /// Number of nodes in the observation.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Aggregated view of one partition at a sync point.

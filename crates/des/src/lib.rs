@@ -1,36 +1,28 @@
-//! # des — deterministic discrete-event simulation substrate
+//! # des — deterministic simulation substrate
 //!
-//! A minimal, allocation-light discrete-event engine used by the SeeSAw
-//! reproduction to model the Theta cluster: integer-nanosecond simulated
-//! time, a deterministic event queue (total order on `(time, priority,
-//! insertion sequence)`), and time-series recording for power traces.
-//!
-//! The engine is intentionally *not* a framework: callers own their world
-//! state and dispatch popped events themselves, which keeps borrows simple
-//! and the hot loop free of dynamic dispatch.
+//! The shared vocabulary of the SeeSAw reproduction's simulators:
+//! integer-nanosecond simulated time ([`SimTime`], [`SimDuration`]), a
+//! seeded, platform-independent random-number generator ([`Rng`]) that
+//! drives both the noise models and the randomized property tests, and
+//! time-series recording for power traces ([`TimeSeries`],
+//! [`PeriodicSampler`]).
 //!
 //! ```
-//! use des::{EventQueue, SimTime, SimDuration};
+//! use des::{SimDuration, SimTime, TimeSeries};
 //!
-//! #[derive(Debug, PartialEq)]
-//! enum Ev { Tick(u32) }
-//!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::from_secs_f64(1.0), Ev::Tick(1));
-//! q.push(SimTime::from_secs_f64(0.5), Ev::Tick(0));
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, Ev::Tick(0));
-//! assert_eq!(t, SimTime::from_secs_f64(0.5));
+//! let mut power = TimeSeries::new();
+//! power.push(SimTime::ZERO, 100.0);
+//! power.push(SimTime::from_secs_f64(1.0), 120.0);
+//! let end = SimTime::ZERO + SimDuration::from_secs_f64(2.0);
+//! assert_eq!(power.integrate(SimTime::ZERO, end), 220.0);
 //! ```
 
 #![warn(missing_docs)]
 
-mod queue;
 pub mod rng;
 mod series;
 mod time;
 
-pub use queue::{EventQueue, Priority, PRIORITY_NORMAL, PRIORITY_SAMPLE};
 pub use rng::Rng;
 pub use series::{PeriodicSampler, TimeSeries};
 pub use time::{SimDuration, SimTime};
@@ -38,41 +30,6 @@ pub use time::{SimDuration, SimTime};
 #[cfg(test)]
 mod randomized {
     use super::*;
-
-    /// Events always come out in non-decreasing time order regardless of
-    /// insertion order.
-    #[test]
-    fn queue_pops_sorted() {
-        let mut rng = Rng::seed_from_u64(0x000D_E501);
-        for _case in 0..64 {
-            let len = rng.next_below(200) as usize;
-            let mut q = EventQueue::new();
-            for i in 0..len {
-                q.push(SimTime::from_nanos(rng.next_below(1_000_000)), i);
-            }
-            let mut last = SimTime::ZERO;
-            while let Some((t, _)) = q.pop() {
-                assert!(t >= last);
-                last = t;
-            }
-        }
-    }
-
-    /// Same-timestamp events preserve insertion order (stable/FIFO).
-    #[test]
-    fn queue_is_fifo_per_timestamp() {
-        let mut rng = Rng::seed_from_u64(0x000D_E502);
-        for _case in 0..32 {
-            let n = 1 + rng.next_below(99) as usize;
-            let mut q = EventQueue::new();
-            let t = SimTime::from_nanos(7);
-            for i in 0..n {
-                q.push(t, i);
-            }
-            let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(popped, (0..n).collect::<Vec<_>>());
-        }
-    }
 
     /// Integration over adjacent windows adds up to integration over the
     /// union (additivity of the energy integral).

@@ -55,18 +55,6 @@ impl TimeSeries {
         Some((*self.times.last()?, *self.values.last()?))
     }
 
-    /// Arithmetic mean of values within `[from, to)`; `None` if the window
-    /// contains no samples.
-    pub fn mean_in(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let lo = self.times.partition_point(|&t| t < from);
-        let hi = self.times.partition_point(|&t| t < to);
-        if lo == hi {
-            return None;
-        }
-        let slice = &self.values[lo..hi];
-        Some(slice.iter().sum::<f64>() / slice.len() as f64)
-    }
-
     /// Time-weighted integral of the series over `[from, to)` treating the
     /// value as piecewise-constant between samples (zero before the first
     /// sample). For a power series in watts this yields joules.
@@ -208,17 +196,6 @@ mod tests {
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![(t(0), 1.0), (t(10), 2.0)]);
         assert_eq!(s.last(), Some((t(10), 2.0)));
-    }
-
-    #[test]
-    fn mean_in_window() {
-        let mut s = TimeSeries::new();
-        for i in 0..10 {
-            s.push(t(i * 10), i as f64);
-        }
-        // window [20, 50) covers samples at 20,30,40 -> values 2,3,4
-        assert_eq!(s.mean_in(t(20), t(50)), Some(3.0));
-        assert_eq!(s.mean_in(t(95), t(99)), None);
     }
 
     #[test]

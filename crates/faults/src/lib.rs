@@ -354,11 +354,6 @@ impl FaultPlan {
         self.events.iter().filter(move |e| e.sync == sync)
     }
 
-    /// Events firing at `sync` against `node`.
-    pub fn events_for(&self, sync: u64, node: usize) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.sync == sync && e.node == node)
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()

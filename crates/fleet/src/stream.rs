@@ -33,12 +33,6 @@ impl JobStream {
         }
     }
 
-    /// Build from explicit `(arrival epoch, job)` pairs. Job ids follow
-    /// the given order; arrivals need not be sorted.
-    pub fn from_entries(entries: Vec<JobEntry>) -> Self {
-        JobStream { entries }
-    }
-
     /// Scatter arrivals uniformly over `[0, horizon_epochs]` with a
     /// seeded RNG (domain-separated from every other stream in the
     /// workspace). Deterministic in all arguments; job ids keep the
@@ -70,10 +64,5 @@ impl JobStream {
     /// True if the stream holds no jobs.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The last arrival epoch in the stream (0 when empty).
-    pub fn last_arrival_epoch(&self) -> u64 {
-        self.entries.iter().map(|e| e.arrival_epoch).max().unwrap_or(0)
     }
 }

@@ -50,8 +50,6 @@ pub struct RunResult {
     pub fault_events: Vec<FaultEvent>,
     /// Graceful-degradation actions taken in response to injected faults.
     pub recovery_events: Vec<RecoveryEvent>,
-    /// End-of-run observability summary (`None` unless the run was traced).
-    pub metrics: Option<obs::RunMetrics>,
 }
 
 impl RunResult {
@@ -172,7 +170,6 @@ mod tests {
             analysis_trace: None,
             fault_events: Vec::new(),
             recovery_events: Vec::new(),
-            metrics: None,
         };
         assert!((r.mean_slack_from(10) - 0.2).abs() < 1e-12);
     }

@@ -624,7 +624,6 @@ impl Runtime {
             }
             self.tracer.emit(obs::Event::RunEnd { total_time_s, total_energy_j });
         }
-        let metrics = if self.tracer.is_enabled() { Some(self.tracer.metrics()) } else { None };
         RunResult {
             controller: self.cfg.controller.clone(),
             total_time_s,
@@ -634,7 +633,6 @@ impl Runtime {
             analysis_trace,
             fault_events: self.fault_log,
             recovery_events: self.recovery_log,
-            metrics,
         }
     }
 

@@ -115,7 +115,6 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
         // Time-shared mode does not run the fault-injection seams.
         fault_events: Vec::new(),
         recovery_events: Vec::new(),
-        metrics: None,
     }
 }
 

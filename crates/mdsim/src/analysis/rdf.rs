@@ -37,7 +37,6 @@ pub struct Rdf {
     /// Per-frame normalization inputs captured at observe time.
     water_density: f64,
     n_hydronium: u64,
-    n_ion: u64,
 }
 
 impl Rdf {
@@ -51,7 +50,6 @@ impl Rdf {
             frames: 0,
             water_density: 0.0,
             n_hydronium: 0,
-            n_ion: 0,
         }
     }
 
@@ -119,11 +117,6 @@ impl Rdf {
         self.normalize(&self.hist_hydronium, self.n_hydronium)
     }
 
-    /// Normalized `g(r)` for ion–water.
-    pub fn g_ion(&self) -> Vec<f64> {
-        self.normalize(&self.hist_ion, self.n_ion)
-    }
-
     /// Bin centers for plotting.
     pub fn r_centers(&self) -> Vec<f64> {
         let dr = self.cfg.r_max / self.cfg.bins as f64;
@@ -141,7 +134,6 @@ impl Analysis for Rdf {
         let n_water = snap.species.iter().filter(|s| s.is_water_site()).count();
         self.water_density = n_water as f64 / snap.box_len.powi(3);
         self.n_hydronium = snap.species.iter().filter(|&&s| s == Species::Hydronium).count() as u64;
-        self.n_ion = snap.species.iter().filter(|&&s| s == Species::Ion).count() as u64;
         let mut work = Self::accumulate(
             &mut self.hist_hydronium,
             snap,
@@ -199,9 +191,9 @@ mod tests {
         let sys = water_ion_box(1, 1.0, 42);
         let mut rdf = Rdf::new(RdfConfig::default());
         let w1 = rdf.observe(0, &Snapshot::of(&sys));
-        let g1 = rdf.g_ion();
+        let g1 = rdf.g_hydronium();
         let w2 = rdf.observe(1, &Snapshot::of(&sys));
-        let g2 = rdf.g_ion();
+        let g2 = rdf.g_hydronium();
         // Same frame twice: identical normalized g, double the work.
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-12);

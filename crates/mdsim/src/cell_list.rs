@@ -140,11 +140,6 @@ impl CellList {
         (cx * n + cy) * n + cz
     }
 
-    /// Cell index for a position (must be wrapped into the box).
-    pub fn cell_of(&self, p: Vec3) -> usize {
-        Self::cell_index_raw(p, self.cells_per_side as f64 / self.box_len, self.cells_per_side)
-    }
-
     /// Slot range of cell `idx` in the cell-sorted arrays.
     #[inline]
     pub(crate) fn span(&self, idx: usize) -> Range<usize> {
@@ -224,6 +219,13 @@ impl CellList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CellList {
+        /// Cell index for a position (must be wrapped into the box).
+        fn cell_of(&self, p: Vec3) -> usize {
+            Self::cell_index_raw(p, self.cells_per_side as f64 / self.box_len, self.cells_per_side)
+        }
+    }
 
     fn grid_positions(n_per_side: usize, box_len: f64) -> Vec<Vec3> {
         let mut v = Vec::new();

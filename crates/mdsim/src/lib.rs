@@ -34,7 +34,6 @@ pub mod alloc_probe;
 pub mod analysis;
 mod bonded;
 mod cell_list;
-mod domain;
 pub mod dump;
 mod engine;
 mod force;
@@ -46,14 +45,12 @@ mod splitanalysis;
 mod system;
 mod thermo;
 mod thermostat;
-pub mod validate;
 mod vec3;
 pub mod workload;
 
 pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
 pub use bonded::{bonded_potential, compute_bonded, Angle, Bond, BondedEval, Topology};
 pub use cell_list::CellList;
-pub use domain::DomainDecomposition;
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{
     compute_forces, compute_forces_excluding, compute_forces_into, compute_forces_serial,

@@ -78,11 +78,6 @@ impl WorkloadSpec {
         self.analyses.iter().any(|s| s.kind == AnalysisKind::MsdFull)
     }
 
-    /// Synchronization step indices (1-based), e.g. `j, 2j, …`.
-    pub fn sync_steps(&self) -> impl Iterator<Item = u64> + '_ {
-        (1..=self.total_steps).filter(move |s| s % self.sync_every == 0)
-    }
-
     /// Number of synchronizations in the run.
     pub fn sync_count(&self) -> u64 {
         self.total_steps / self.sync_every
@@ -101,18 +96,6 @@ pub struct StepWork {
     /// Phases executed by each analysis node, in order (empty off-sync —
     /// the analysis partition idles between synchronizations).
     pub analysis_phases: Vec<Work>,
-}
-
-impl StepWork {
-    /// Total reference-seconds on a simulation node.
-    pub fn sim_ref_secs(&self) -> f64 {
-        self.sim_phases.iter().map(|w| w.ref_secs).sum()
-    }
-
-    /// Total reference-seconds on an analysis node.
-    pub fn analysis_ref_secs(&self) -> f64 {
-        self.analysis_phases.iter().map(|w| w.ref_secs).sum()
-    }
 }
 
 /// A source of per-step work.
@@ -488,6 +471,19 @@ impl WorkloadGen for MeasuredWorkload {
 }
 
 #[cfg(test)]
+impl StepWork {
+    /// Total reference-seconds on a simulation node.
+    fn sim_ref_secs(&self) -> f64 {
+        self.sim_phases.iter().map(|w| w.ref_secs).sum()
+    }
+
+    /// Total reference-seconds on an analysis node.
+    fn analysis_ref_secs(&self) -> f64 {
+        self.analysis_phases.iter().map(|w| w.ref_secs).sum()
+    }
+}
+
+#[cfg(test)]
 mod randomized {
     use super::*;
     use des::Rng;
@@ -717,9 +713,6 @@ mod tests {
     fn sync_count_and_steps() {
         let spec = WorkloadSpec { sync_every: 20, ..paper_msd_spec() };
         assert_eq!(spec.sync_count(), 20);
-        let steps: Vec<u64> = spec.sync_steps().collect();
-        assert_eq!(steps[0], 20);
-        assert_eq!(*steps.last().unwrap(), 400);
     }
 
     #[test]

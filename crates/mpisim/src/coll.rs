@@ -29,20 +29,6 @@ pub fn allreduce_sum(net: &NetworkModel, comm: &Communicator, vals: &[f64]) -> O
     Outcome { value: vals.iter().sum(), cost: net.allreduce(comm.nnodes(), 8) }
 }
 
-/// `MPI_Allreduce(MAX)` over one `f64` per rank.
-pub fn allreduce_max(net: &NetworkModel, comm: &Communicator, vals: &[f64]) -> Outcome<f64> {
-    check_len(comm, vals);
-    let value = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Outcome { value, cost: net.allreduce(comm.nnodes(), 8) }
-}
-
-/// `MPI_Allreduce(MIN)` over one `f64` per rank.
-pub fn allreduce_min(net: &NetworkModel, comm: &Communicator, vals: &[f64]) -> Outcome<f64> {
-    check_len(comm, vals);
-    let value = vals.iter().copied().fold(f64::INFINITY, f64::min);
-    Outcome { value, cost: net.allreduce(comm.nnodes(), 8) }
-}
-
 /// `MPI_Allgather`: every rank contributes one item of `bytes_per_item`.
 pub fn allgather<T: Clone>(
     net: &NetworkModel,
@@ -129,12 +115,12 @@ mod tests {
 
     #[test]
     fn allreduce_equals_reduce_plus_bcast_semantics() {
-        // Semantic identity: allreduce(max) == bcast(reduce(max)).
+        // Semantic identity: allreduce(sum) == bcast(reduce(sum)).
         let net = NetworkModel::aries();
         let c = world(4);
         let vals = [5.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0];
-        let red = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let all = allreduce_max(&net, &c, &vals);
+        let red: f64 = vals.iter().sum();
+        let all = allreduce_sum(&net, &c, &vals);
         let b = bcast(&net, &c, &red, 8);
         assert_eq!(all.value, b.value);
     }
@@ -199,14 +185,5 @@ mod tests {
         // Each failure costs 10× the healthy latency.
         let per_failure = (three - one).as_secs_f64() / 2.0;
         assert!((per_failure - healthy.as_secs_f64() * 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_and_max() {
-        let net = NetworkModel::aries();
-        let c = world(2);
-        let vals = [4.0, -1.0, 2.5, 9.0];
-        assert_eq!(allreduce_min(&net, &c, &vals).value, -1.0);
-        assert_eq!(allreduce_max(&net, &c, &vals).value, 9.0);
     }
 }

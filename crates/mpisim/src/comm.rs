@@ -120,11 +120,6 @@ impl Communicator {
             .collect()
     }
 
-    /// `MPI_Comm_dup`.
-    pub fn dup(&self) -> Communicator {
-        self.clone()
-    }
-
     /// The lowest global rank on each node of this communicator — PoLiMER
     /// designates one monitor rank per node (paper §VI-B).
     pub fn node_leaders(&self) -> Vec<usize> {
@@ -213,7 +208,7 @@ mod tests {
             let w = Communicator::world(JobLayout::new(nranks, per_node));
             assert_eq!(w.nnodes(), nranks / per_node);
             assert_eq!(w.nnodes(), recount(&w));
-            assert_eq!(w.dup().nnodes(), w.nnodes());
+            assert_eq!(w.clone().nnodes(), w.nnodes());
         }
         // Sub-communicators that cover only part of each node they touch,
         // and only some of the nodes.
@@ -228,7 +223,7 @@ mod tests {
                 assert_eq!(sub.nnodes(), recount(&sub), "color {color}: {:?}", sub.ranks());
                 assert_eq!(sub.nnodes(), sub.nodes().len());
                 assert_eq!(sub.nnodes(), sub.node_leaders().len());
-                assert_eq!(sub.dup().nnodes(), sub.nnodes());
+                assert_eq!(sub.clone().nnodes(), sub.nnodes());
                 // Splitting a split keeps counting from the members.
                 for (_, subsub) in sub.split(|r| (r % 2) as u32) {
                     assert_eq!(subsub.nnodes(), recount(&subsub));

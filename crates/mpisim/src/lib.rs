@@ -29,11 +29,9 @@
 
 pub mod coll;
 mod comm;
-pub mod exec;
 mod net;
 
 pub use comm::{Communicator, JobLayout};
-pub use exec::{Executor, Op, Outcome};
 pub use net::NetworkModel;
 
 #[cfg(test)]

@@ -39,11 +39,6 @@ impl NetworkModel {
         }
     }
 
-    /// Point-to-point message cost between two nodes.
-    pub fn p2p(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.sw_overhead_s + self.transfer(bytes))
-    }
-
     /// Barrier across `nodes` nodes (dissemination: ⌈log₂ n⌉ rounds).
     pub fn barrier(&self, nodes: usize) -> SimDuration {
         let t = self.sw_overhead_s + Self::rounds(nodes) as f64 * self.transfer(0);
@@ -83,15 +78,6 @@ impl NetworkModel {
     pub fn gather(&self, nodes: usize, bytes_per_node: u64) -> SimDuration {
         self.allgather(nodes, bytes_per_node)
     }
-
-    /// Halo/neighbor exchange: each node exchanges `bytes` with `neighbors`
-    /// peers concurrently (limited by injection bandwidth).
-    pub fn halo_exchange(&self, neighbors: usize, bytes: u64) -> SimDuration {
-        let t = self.sw_overhead_s
-            + self.latency_s
-            + (neighbors as u64 * bytes) as f64 / self.bandwidth_bps;
-        SimDuration::from_secs_f64(t)
-    }
 }
 
 impl Default for NetworkModel {
@@ -106,12 +92,6 @@ mod tests {
 
     fn net() -> NetworkModel {
         NetworkModel::aries()
-    }
-
-    #[test]
-    fn p2p_scales_with_bytes() {
-        let n = net();
-        assert!(n.p2p(1 << 20) > n.p2p(1 << 10));
     }
 
     #[test]
@@ -143,11 +123,5 @@ mod tests {
     fn barrier_cheaper_than_payload_allreduce() {
         let n = net();
         assert!(n.barrier(256) < n.allreduce(256, 1 << 16));
-    }
-
-    #[test]
-    fn halo_scales_with_neighbors() {
-        let n = net();
-        assert!(n.halo_exchange(6, 1 << 20) > n.halo_exchange(2, 1 << 20));
     }
 }

@@ -11,10 +11,10 @@
 //! - [`Tracer`] — a cloneable sink handle threaded through the stack.
 //!   Disabled (the default) it is a `None` branch: no allocation, no
 //!   locking, no formatting. Enabled it records typed [`Event`]s — one
-//!   lock per event (or per batch), fixed-slot counter updates, and a
-//!   `Vec` push when buffering. [`Tracer::streaming`] skips the buffer
-//!   entirely: events flow to attached [`EventSubscriber`]s and are
-//!   dropped, giving constant-memory observability for audited runs.
+//!   lock per event (or per batch) and a `Vec` push when buffering.
+//!   [`Tracer::streaming`] skips the buffer entirely: events flow to
+//!   attached [`EventSubscriber`]s and are dropped, giving
+//!   constant-memory observability for audited runs.
 //! - [`EventSubscriber`] — the subscriber seam: consumers attached via
 //!   [`Tracer::attach`] see every event in deterministic sim-time record
 //!   order without the trace ever being collected into a `Vec`.
@@ -28,8 +28,6 @@
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.
-//! - [`RunMetrics`] — the end-of-run counter/series summary embedded in
-//!   `insitu::RunResult` for traced runs.
 //! - [`Reporter`] — the quiet-aware progress printer the experiment bins
 //!   share instead of ad-hoc `println!` lines.
 //!
@@ -50,4 +48,4 @@ pub use event::{to_jsonl, DecisionInfo, Event, EventError, Tag, TraceEvent};
 pub use hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
 pub use perfetto::chrome_trace;
 pub use report::Reporter;
-pub use sink::{EventSubscriber, RunMetrics, StatSummary, Tracer};
+pub use sink::{EventSubscriber, Tracer};

@@ -17,11 +17,6 @@ impl Reporter {
         Reporter { quiet }
     }
 
-    /// Whether progress output is suppressed.
-    pub fn is_quiet(&self) -> bool {
-        self.quiet
-    }
-
     /// Print one progress/status line to stdout (suppressed by `--quiet`).
     pub fn say(&self, line: impl std::fmt::Display) {
         if !self.quiet {
@@ -47,17 +42,5 @@ impl Reporter {
     /// mode silences progress, not problems.
     pub fn warn(&self, line: impl std::fmt::Display) {
         eprintln!("warning: {line}");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Reporter;
-
-    #[test]
-    fn quiet_flag_round_trips() {
-        assert!(!Reporter::new(false).is_quiet());
-        assert!(Reporter::new(true).is_quiet());
-        assert!(!Reporter::default().is_quiet());
     }
 }

@@ -19,11 +19,10 @@
 //!   event volume.
 //!
 //! Either way the hot path is a single uncontended lock per record (one
-//! per *batch* through [`Tracer::emit_drain`]): a fixed-slot counter
-//! update, the subscriber fan-out in attach order, and — only when
-//! buffering — a `Vec` push. [`RunMetrics`] is maintained incrementally
-//! in those fixed slots, so `metrics()` works identically for buffered
-//! and streaming tracers and the summary never requires a buffer walk.
+//! per *batch* through [`Tracer::emit_drain`]): the subscriber fan-out in
+//! attach order and — only when buffering — a `Vec` push. Counting and
+//! summarizing events is a subscriber's job (`audit::StreamAuditor`), not
+//! the sink's.
 
 use crate::event::{to_jsonl, Event, TraceEvent};
 use des::SimTime;
@@ -55,200 +54,17 @@ impl<S: EventSubscriber> EventSubscriber for Arc<Mutex<S>> {
     }
 }
 
-/// Running aggregate for one named scalar series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct StatAcc {
-    count: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl StatAcc {
-    fn observe(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v;
-    }
-}
-
-impl Default for StatAcc {
-    fn default() -> Self {
-        StatAcc { count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY, sum: 0.0 }
-    }
-}
-
-/// Summary of one observed scalar series (a histogram's moments).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatSummary {
-    /// Series name (e.g. `"wait_s"`).
-    pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Sum of observations (mean = `sum / count`).
-    pub sum: f64,
-}
-
-impl StatSummary {
-    /// Mean of the series (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// End-of-run metrics summary (embedded into `insitu::RunResult` when a
-/// run was traced).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunMetrics {
-    /// Total number of trace events recorded.
-    pub events: u64,
-    /// Named counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Named scalar series summaries, sorted by name.
-    pub stats: Vec<StatSummary>,
-}
-
-/// Name-sorted counter slots; [`MetricsAcc`] relies on the order.
-const COUNTER_NAMES: [&str; 11] = [
-    "cap_requests",
-    "decisions",
-    "exchanges",
-    "faults",
-    "holds",
-    "phases",
-    "recoveries",
-    "samples",
-    "samples_rejected",
-    "syncs",
-    "waits",
-];
-
-/// The incremental accumulator behind [`RunMetrics`]: fixed counter and
-/// series slots updated with one array increment per event, no map
-/// lookups. Both the per-event hot path and the batch
-/// [`RunMetrics::from_events`] walk run through this single definition.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct MetricsAcc {
-    events: u64,
-    counts: [u64; COUNTER_NAMES.len()],
-    // Stat series, name-sorted: interval_s, overhead_s, wait_s. A series
-    // exists once its event kind occurred (even if every value was
-    // non-finite and therefore unobserved).
-    stats: [StatAcc; 3],
-    seen: [bool; 3],
-}
-
-impl MetricsAcc {
-    fn observe(&mut self, ev: &Event) {
-        self.events += 1;
-        match ev {
-            Event::SyncStart { .. } => self.counts[9] += 1,
-            Event::Phase { .. } => self.counts[5] += 1,
-            Event::Wait { start_ns, end_ns, .. } => {
-                self.counts[10] += 1;
-                self.seen[2] = true;
-                self.stats[2].observe(end_ns.saturating_sub(*start_ns) as f64 / 1e9);
-            }
-            Event::CapRequest { .. } => self.counts[0] += 1,
-            Event::Sample { time_s, .. } => {
-                self.counts[7] += 1;
-                self.seen[0] = true;
-                self.stats[0].observe(*time_s);
-            }
-            Event::SampleRejected { .. } => self.counts[8] += 1,
-            Event::ExchangeDone { overhead_s, .. } => {
-                self.counts[2] += 1;
-                self.seen[1] = true;
-                self.stats[1].observe(*overhead_s);
-            }
-            Event::Decision(_) => self.counts[1] += 1,
-            Event::ControllerHold { .. } => self.counts[4] += 1,
-            Event::Fault { .. } => self.counts[3] += 1,
-            Event::Recovery { .. } => self.counts[6] += 1,
-            _ => {}
-        }
-    }
-
-    fn summarize(&self) -> RunMetrics {
-        RunMetrics {
-            events: self.events,
-            counters: COUNTER_NAMES
-                .iter()
-                .zip(self.counts)
-                .filter(|&(_, v)| v > 0)
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            stats: ["interval_s", "overhead_s", "wait_s"]
-                .iter()
-                .zip(self.stats)
-                .zip(self.seen)
-                .filter(|&(_, s)| s)
-                .map(|((k, a), _)| StatSummary {
-                    name: k.to_string(),
-                    count: a.count,
-                    min: if a.count == 0 { 0.0 } else { a.min },
-                    max: if a.count == 0 { 0.0 } else { a.max },
-                    sum: a.sum,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl RunMetrics {
-    /// Look up a counter by name (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
-    }
-
-    /// Look up a stat series by name.
-    pub fn stat(&self, name: &str) -> Option<&StatSummary> {
-        self.stats.iter().find(|s| s.name == name)
-    }
-
-    /// Derive the counter and histogram summary from an event buffer —
-    /// the batch form of the incremental accumulation every enabled
-    /// tracer performs per event. Both paths fold the same slots in the
-    /// same order, so a buffered tracer's [`Tracer::metrics`] is
-    /// bit-identical to `from_events` over its buffer.
-    pub fn from_events(events: &[TraceEvent]) -> RunMetrics {
-        let mut acc = MetricsAcc::default();
-        for te in events {
-            acc.observe(&te.ev);
-        }
-        acc.summarize()
-    }
-}
-
-/// Everything mutated per record, under one lock: the optional buffer,
-/// the attached subscribers, and the incremental metrics slots.
+/// Everything mutated per record, under one lock: the optional buffer
+/// and the attached subscribers.
 struct Recording {
     events: Vec<TraceEvent>,
     subscribers: Vec<Box<dyn EventSubscriber>>,
-    metrics: MetricsAcc,
 }
 
 impl Recording {
-    /// Fan one event out: metrics slots (streaming tracers only — a
-    /// buffered tracer derives [`RunMetrics`] from its buffer on demand,
-    /// keeping the hot buffered path a bare push), then subscribers in
-    /// attach order, then (buffering tracers only) the buffer.
+    /// Fan one event out: subscribers in attach order, then (buffering
+    /// tracers only) the buffer.
     fn record(&mut self, buffering: bool, te: TraceEvent) {
-        if !buffering {
-            self.metrics.observe(&te.ev);
-        }
         for sub in &mut self.subscribers {
             sub.on_event(&te);
         }
@@ -276,11 +92,7 @@ impl Inner {
         Inner {
             now_ns: AtomicU64::new(0),
             buffering,
-            rec: Mutex::new(Recording {
-                events: Vec::new(),
-                subscribers: Vec::new(),
-                metrics: MetricsAcc::default(),
-            }),
+            rec: Mutex::new(Recording { events: Vec::new(), subscribers: Vec::new() }),
         }
     }
 
@@ -291,13 +103,7 @@ impl Inner {
     /// re-wrapped here, and copied again.
     #[inline(never)]
     fn record_one(&self, te: TraceEvent) {
-        let mut rec = self.rec.lock().expect("trace sink poisoned");
-        if self.buffering && rec.subscribers.is_empty() {
-            // Fast path: the seed cost of buffered tracing, a push.
-            rec.events.push(te);
-        } else {
-            rec.record(self.buffering, te);
-        }
+        self.rec.lock().expect("trace sink poisoned").record(self.buffering, te);
     }
 }
 
@@ -321,8 +127,7 @@ impl Tracer {
     /// An enabled tracer that keeps **no buffer**: every recorded event
     /// is handed to the attached [`EventSubscriber`]s and dropped. The
     /// constant-memory mode for audited runs whose trace is never
-    /// exported — `events()`/`to_jsonl()` return empty, while
-    /// [`Tracer::metrics`] still summarizes everything recorded.
+    /// exported — `events()`/`to_jsonl()` return empty.
     pub fn streaming() -> Self {
         Tracer(Some(Arc::new(Inner::new(false))))
     }
@@ -332,12 +137,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Whether recorded events are kept in the buffer (false for
-    /// disabled and streaming tracers alike).
-    pub fn is_buffering(&self) -> bool {
-        self.0.as_ref().is_some_and(|inner| inner.buffering)
     }
 
     /// Attach a subscriber to the live event stream. It sees every event
@@ -419,8 +218,8 @@ impl Tracer {
         }
     }
 
-    /// Number of buffered events (0 for streaming tracers — use
-    /// [`Tracer::metrics`]'s event count for the recorded total).
+    /// Number of buffered events (0 for streaming tracers, whose
+    /// subscribers do the counting).
     pub fn len(&self) -> usize {
         match &self.0 {
             Some(inner) => inner.rec.lock().expect("trace sink poisoned").events.len(),
@@ -449,26 +248,6 @@ impl Tracer {
             None => String::new(),
         }
     }
-
-    /// Summarize counters and stat series (plus the event count). A
-    /// buffered tracer folds its buffer through the accumulator here, on
-    /// demand; a streaming tracer (no buffer) maintained the same slots
-    /// incrementally per record. Both paths fold identical events through
-    /// one [`MetricsAcc`] definition, so the results are bit-identical —
-    /// and equal to [`RunMetrics::from_events`] over the buffered events.
-    pub fn metrics(&self) -> RunMetrics {
-        match &self.0 {
-            Some(inner) => {
-                let rec = inner.rec.lock().expect("trace sink poisoned");
-                if inner.buffering {
-                    RunMetrics::from_events(&rec.events)
-                } else {
-                    rec.metrics.summarize()
-                }
-            }
-            None => RunMetrics::default(),
-        }
-    }
 }
 
 impl fmt::Debug for Tracer {
@@ -492,7 +271,6 @@ mod tests {
         t.emit(Event::SyncStart { sync: 1 });
         assert!(!t.is_enabled());
         assert!(t.is_empty());
-        assert_eq!(t.metrics(), RunMetrics::default());
     }
 
     #[test]
@@ -513,43 +291,6 @@ mod tests {
         c.emit(Event::SyncStart { sync: 1 });
         assert_eq!(t.len(), 1);
         assert_eq!(t.now(), SimTime::from_nanos(7));
-    }
-
-    #[test]
-    fn metrics_derive_counters_and_stats_from_events() {
-        let t = Tracer::enabled();
-        t.emit(Event::SyncStart { sync: 1 });
-        t.emit(Event::Wait { node: 0, start_ns: 0, end_ns: 1_000_000_000 });
-        t.emit(Event::Wait { node: 1, start_ns: 0, end_ns: 3_000_000_000 });
-        t.emit(Event::Sample {
-            node: 0,
-            role: "sim".into(),
-            time_s: 2.5,
-            power_w: 110.0,
-            cap_w: 115.0,
-        });
-        let m = t.metrics();
-        assert_eq!(m.events, 4);
-        assert_eq!(m.counter("syncs"), 1);
-        assert_eq!(m.counter("waits"), 2);
-        assert_eq!(m.counter("samples"), 1);
-        assert_eq!(m.counter("absent"), 0);
-        let w = m.stat("wait_s").expect("series exists");
-        assert_eq!(w.count, 2);
-        assert_eq!(w.min, 1.0);
-        assert_eq!(w.max, 3.0);
-        assert_eq!(w.mean(), 2.0);
-        assert_eq!(m.stat("interval_s").expect("series exists").sum, 2.5);
-    }
-
-    #[test]
-    fn metrics_counters_are_name_sorted() {
-        let t = Tracer::enabled();
-        t.emit(Event::Wait { node: 0, start_ns: 0, end_ns: 1 });
-        t.emit(Event::SyncStart { sync: 1 });
-        let m = t.metrics();
-        let names: Vec<&str> = m.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["syncs", "waits"]);
     }
 
     #[test]
@@ -589,12 +330,8 @@ mod tests {
         assert!(t.is_empty(), "streaming tracers keep no buffer");
         assert!(t.events().is_empty());
         assert_eq!(t.to_jsonl(), "");
-        assert!(!t.is_buffering() && t.is_enabled());
+        assert!(t.is_enabled());
         assert_eq!(probe.lock().unwrap().seen, vec![3, 9, 11]);
-        // Metrics still summarize everything recorded.
-        let m = t.metrics();
-        assert_eq!(m.events, 3);
-        assert_eq!(m.counter("syncs"), 2);
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl PowerManager {
         &self.roles
     }
 
-    /// Controller name.
-    pub fn controller_name(&self) -> &'static str {
-        self.controller.name()
-    }
-
     /// Completed synchronization count.
     pub fn sync_index(&self) -> u64 {
         self.acc.sync_index()
@@ -464,7 +459,6 @@ mod tests {
             mgr.roles(),
             &[Role::Simulation, Role::Simulation, Role::Analysis, Role::Analysis]
         );
-        assert_eq!(mgr.controller_name(), "seesaw");
     }
 
     #[test]

@@ -429,11 +429,6 @@ impl Scheduler {
         Ok(job)
     }
 
-    /// Number of submitted jobs (including terminal ones).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Lifecycle state of job `job`.
     pub fn job_state(&self, job: usize) -> JobState {
         self.jobs[job].state

@@ -224,17 +224,6 @@ impl Cluster {
         ids.iter().map(|&id| self.nodes[id].mean_power(from, to)).sum()
     }
 
-    /// Measured (noisy) total power for `ids` over `[from, to)`, watts:
-    /// per-node readings each carry independent measurement noise, matching
-    /// PoLiMER's "sum of power measurements from all nodes" (§VI-B).
-    pub fn measured_total_power(&mut self, ids: &[usize], from: SimTime, to: SimTime) -> f64 {
-        let mut total = 0.0;
-        for &id in ids {
-            total += self.measure_node_power(id, from, to).1;
-        }
-        total
-    }
-
     /// One node's mean power over `[from, to)`, watts, as `(true, measured)`:
     /// the noise-free integral and the same reading with one draw of
     /// measurement noise applied — the integral is computed once for both.
@@ -321,9 +310,10 @@ mod tests {
             c.node_mut(id).run_phase(&m, SimTime::ZERO, Work::new(PhaseKind::Force, 1.0), 1.0);
         }
         let to = SimTime::from_secs_f64(1.0);
-        let truth = c.true_total_power(&[0, 1], SimTime::ZERO, to);
-        let measured = c.measured_total_power(&[0, 1], SimTime::ZERO, to);
-        assert_eq!(truth, measured);
+        for id in 0..2 {
+            let (truth, measured) = c.measure_node_power(id, SimTime::ZERO, to);
+            assert_eq!(truth, measured);
+        }
     }
 
     #[test]

@@ -259,18 +259,6 @@ impl Node {
         self.draw.len()
     }
 
-    /// Instantaneous true draw at time `t`, watts (piecewise-constant,
-    /// left-continuous view of the recorded series).
-    pub fn draw_at(&self, t: SimTime) -> f64 {
-        let times = self.draw.times();
-        let idx = times.partition_point(|&x| x <= t);
-        if idx == 0 {
-            0.0
-        } else {
-            self.draw.values()[idx - 1]
-        }
-    }
-
     /// The full draw series (for tracing).
     pub fn draw_series(&self) -> &TimeSeries {
         &self.draw
@@ -426,17 +414,6 @@ mod tests {
             slow.run_phase(&m, SimTime::ZERO, w, 1.0)
                 > nominal.run_phase(&m, SimTime::ZERO, w, 1.0)
         );
-    }
-
-    #[test]
-    fn draw_at_reflects_current_phase() {
-        let m = m();
-        let mut n = capped_node(110.0);
-        let end = n.run_phase(&m, SimTime::ZERO, Work::new(PhaseKind::SyncExchange, 1.0), 1.0);
-        // SyncExchange demand is 108 < 110 cap.
-        assert!((n.draw_at(SimTime::from_secs_f64(0.1)) - 108.0).abs() < 1e-9);
-        n.wait_until(&m, end, end + SimDuration::from_secs(1));
-        assert!((n.draw_at(end + SimDuration::from_millis(500)) - m.wait_power_w).abs() < 1e-9);
     }
 
     #[test]

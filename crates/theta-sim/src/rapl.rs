@@ -93,11 +93,6 @@ impl RaplDomain {
         }
     }
 
-    /// Whether an injected fault is still pending on this domain.
-    pub fn has_injected_fault(&self) -> bool {
-        self.ignore_requests > 0 || self.extra_latency_s > 0.0
-    }
-
     /// Request a new cap at time `now`; it takes effect after the machine's
     /// actuation latency. A newer request replaces any pending one.
     /// Returns the clamped value that was accepted.
@@ -304,7 +299,6 @@ mod tests {
         let m = m();
         let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
         d.inject_ignore_requests(2);
-        assert!(d.has_injected_fault());
         d.request_cap(&m, t(0), 130.0); // dropped
         d.advance(t(50));
         assert_eq!(d.enforced_at(t(50)), 110.0, "stuck PCU holds the old cap");
@@ -312,7 +306,6 @@ mod tests {
         d.request_cap(&m, t(60), 140.0); // dropped
         d.advance(t(120));
         assert_eq!(d.enforced_at(t(120)), 110.0);
-        assert!(!d.has_injected_fault());
         d.request_cap(&m, t(130), 125.0); // lands normally
         d.advance(t(140));
         assert_eq!(d.enforced_at(t(140)), 125.0);

@@ -10,7 +10,7 @@
 //! [`obs::TraceEvent::parse_line`], and the Chrome-trace document must
 //! parse under [`audit::json`] with monotone timestamps.
 
-use audit::Trace;
+use audit::{StreamAuditor, Trace};
 use insitu::{
     run_job, run_job_traced, run_paired, run_paired_traced, FaultEvent, FaultKind, FaultPlan,
     JobConfig,
@@ -18,6 +18,7 @@ use insitu::{
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
 use obs::{chrome_trace, TraceEvent, Tracer};
+use std::sync::{Arc, Mutex};
 
 fn quick_cfg(controller: &str) -> JobConfig {
     let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Vacf]);
@@ -78,17 +79,23 @@ fn tracing_has_zero_behavioural_footprint() {
 
 #[test]
 fn traced_run_embeds_metrics_summary() {
+    // The run's counters and series are whatever a subscriber folds from
+    // the event stream; the auditor is the one accumulator there is.
     let tracer = Tracer::enabled();
+    let auditor = Arc::new(Mutex::new(StreamAuditor::new()));
+    tracer.attach(Box::new(Arc::clone(&auditor)));
     let r = run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
-    let m = r.metrics.expect("traced run embeds metrics");
-    assert_eq!(m.counter("syncs"), r.syncs.len() as u64);
-    assert!(m.counter("phases") > 0, "phase spans recorded");
-    assert!(m.counter("samples") > 0, "power samples recorded");
-    assert!(m.counter("decisions") > 0, "seesaw made decisions");
-    assert!(m.events >= m.counter("phases"), "{m:?}");
-    assert!(m.stat("wait_s").is_some(), "wait histogram recorded");
-    // Untraced runs carry no metrics.
-    assert!(run_job(quick_cfg("seesaw")).expect("known controller").metrics.is_none());
+    let o = std::mem::take(&mut *auditor.lock().expect("auditor poisoned")).finish();
+    assert_eq!(o.report.events, tracer.len() as u64);
+    assert_eq!(o.report.syncs, r.syncs.len() as u64);
+    let phase_spans: u64 =
+        o.report.phases.iter().filter(|p| p.kind != "wait").map(|p| p.spans).sum();
+    assert!(phase_spans > 0, "phase spans recorded");
+    assert!(o.report.events >= phase_spans, "{:?}", o.report);
+    assert!(o.registry.counter_value("samples") > 0, "power samples recorded");
+    assert!(o.registry.gauge_value("allocated_w").is_some(), "seesaw made decisions");
+    let waits = o.registry.get_histogram("wait_ns").expect("wait histogram recorded");
+    assert!(waits.count > 0);
 }
 
 #[test]

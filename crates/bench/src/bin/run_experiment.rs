@@ -37,6 +37,15 @@ run's trace; writes results/audit_run_experiment.json, exits 1 on violations);
 SEESAW_PROFILE=1 turns on --profile (wall-clock stage timers, writes
 results/profile_run_experiment.json — never byte-gated)";
 
+/// Largest `--nodes`: 15× Theta's 4 392. Beyond it the cluster model
+/// dies in the allocator instead of answering.
+const MAX_NODES: usize = 65_536;
+
+/// Largest `--dim` (the paper's largest is 48). A value in the billions
+/// saturates the simulated nanosecond clock and `u64::MAX` ns is printed
+/// as if it were a result.
+const MAX_DIM: u32 = 4_096;
+
 /// What the command line asked for, range-checked: a value that would
 /// trip an `assert!` in the engine crates never leaves [`parse`].
 struct Opts {
@@ -95,9 +104,17 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
                 if n < 2 || !n.is_multiple_of(2) {
                     return Err("--nodes must be even and at least 2 (two equal partitions)".into());
                 }
+                if n > MAX_NODES {
+                    return Err(format!("--nodes must be at most {MAX_NODES}"));
+                }
                 (cfg.workload.sim_nodes, cfg.workload.analysis_nodes) = (n / 2, n / 2);
             }
-            "--dim" => cfg.workload.dim = at_least_one(flag, val()?)?,
+            "--dim" => {
+                cfg.workload.dim = at_least_one(flag, val()?)?;
+                if cfg.workload.dim > MAX_DIM {
+                    return Err(format!("--dim must be at most {MAX_DIM}"));
+                }
+            }
             "--steps" => cfg.workload.total_steps = at_least_one(flag, val()?)?,
             "--sync-every" => cfg.workload.sync_every = at_least_one(flag, val()?)?,
             "--budget" => cfg.budget_per_node_w = watts(flag, val()?)?,
@@ -215,6 +232,7 @@ mod tests {
     fn assert_in_range(o: &Opts) {
         let (cfg, w) = (&o.cfg, &o.cfg.workload);
         assert!(w.sim_nodes >= 1 && w.sim_nodes == w.analysis_nodes);
+        assert!(w.nodes_total() <= MAX_NODES && w.dim <= MAX_DIM);
         assert!(w.dim >= 1 && cfg.window >= 1 && w.sync_every >= 1);
         assert!(w.total_steps >= w.sync_every, "steps {} < j {}", w.total_steps, w.sync_every);
         assert!(!w.analyses.is_empty());
@@ -274,6 +292,8 @@ mod tests {
             "--budget 1e999",
             "--steps 3 --sync-every 5",
             "--analyses rdf,",
+            "--nodes 4000000000 --steps 2",
+            "--nodes 8 --dim 4000000000 --steps 2",
         ];
         for args in hostile {
             let msg = parse(&argv(args)).err().unwrap_or_else(|| panic!("{args:?} parsed"));
@@ -282,14 +302,29 @@ mod tests {
         assert_eq!(parse(&argv("--help")).err().as_deref(), Some(""));
     }
 
-    /// Seeded mutation of valid command lines through both argv parsers
-    /// of the `bench` crate: the outcome is `Ok` (and then in range) or
-    /// `Err(msg)`, never a panic.
+    /// Seeded mutation of valid command lines through the three argv
+    /// parsers of the `bench` crate (this bin's, the common flags',
+    /// `repro`'s): the outcome is `Ok` (and then in range) or `Err(msg)`,
+    /// never a panic.
     #[test]
     fn mutated_argv_never_panics_a_parser() {
         let big = "9".repeat(64 << 10);
-        let tokens =
-            ["", "-1", "nan", "1e999", "18446744073709551616", "0", "--", "--nodes", big.as_str()];
+        let tokens = [
+            "",
+            "-1",
+            "nan",
+            "1e999",
+            "18446744073709551616",
+            "4000000000",
+            "0",
+            "--",
+            "--nodes",
+            "--dim",
+            "--trace",
+            "fig1_trace",
+            "no_such_experiment",
+            big.as_str(),
+        ];
         let valid = [
             argv(
                 "--controller seesaw --nodes 8 --dim 4 --steps 20 --sync-every 2 \
@@ -298,10 +333,12 @@ mod tests {
             ),
             argv("--quick --quiet --trace t.jsonl --trace-perfetto p.json"),
             argv("--audit --profile --no-baseline --quiet-noise"),
+            argv("fig1_trace --quick --trace t.jsonl"),
+            argv("fig3_analyses fault_sweep --quiet --audit"),
         ];
         for seed in [1, 7] {
             let mut rng = Rng::seed_from_u64(seed);
-            let (mut accepted, mut rejected) = (0, 0);
+            let (mut accepted, mut rejected, mut selected) = (0, 0, 0);
             for _ in 0..2000 {
                 let mut args = valid[rng.next_below(valid.len() as u64) as usize].clone();
                 for _ in 0..=rng.next_below(2) {
@@ -323,8 +360,14 @@ mod tests {
                     Err(_) => rejected += 1,
                 }
                 let _ = cli::try_parse(&args);
+                if let Ok(sel) = cli::Selection::parse(&args) {
+                    assert!(!sel.experiments.is_empty());
+                    assert!(!sel.args.wants_trace() || sel.experiments.len() == 1);
+                    selected += 1;
+                }
             }
             assert!(accepted > 0 && rejected > 0, "seed {seed}: {accepted} ok, {rejected} err");
+            assert!(selected > 0, "seed {seed}: repro's parser accepted nothing");
         }
     }
 }

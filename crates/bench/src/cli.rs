@@ -11,6 +11,7 @@
 //! profiler, written to `results/profile_<bin>.json` — the one artifact
 //! deliberately excluded from the byte-determinism gates).
 
+use crate::experiments::{self, Experiment};
 use obs::Reporter;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -105,6 +106,66 @@ impl CommonArgs {
 /// Parse `argv` accepting only the common flags; `Err` carries the
 /// offending-flag message. Exposed (and exit-free) for unit tests.
 pub fn try_parse(argv: &[String]) -> Result<CommonArgs, String> {
+    parse_with(argv, unknown_flag)
+}
+
+fn unknown_flag(arg: &str) -> Result<(), String> {
+    Err(format!("unknown flag {arg:?}"))
+}
+
+/// The experiments and flags one `repro` command line asks for.
+#[derive(Debug)]
+pub struct Selection {
+    /// The experiments to run, in table order: the named ones, or all.
+    pub experiments: Vec<&'static Experiment>,
+    /// The common flags.
+    pub args: CommonArgs,
+}
+
+impl Selection {
+    /// Parse `repro`'s `argv`: the common flags plus experiment names as
+    /// positional arguments, each checked against the table. Exit-free and
+    /// blind to the environment, like [`try_parse`].
+    pub fn parse(argv: &[String]) -> Result<Selection, String> {
+        let mut named: Vec<&str> = Vec::new();
+        let args = parse_with(argv, |arg| {
+            if arg.starts_with('-') {
+                return unknown_flag(arg);
+            }
+            let known =
+                experiments::find(arg).ok_or_else(|| format!("unknown experiment {arg:?}"))?;
+            if named.contains(&known.name) {
+                return Err(format!("experiment {arg:?} named twice"));
+            }
+            named.push(known.name);
+            Ok(())
+        })?;
+        let selected = |e: &&Experiment| named.is_empty() || named.contains(&e.name);
+        let selection =
+            Selection { experiments: experiments::TABLE.iter().filter(selected).collect(), args };
+        selection.check_trace_target()?;
+        Ok(selection)
+    }
+
+    /// A trace file records one run — the representative run of one
+    /// experiment — so asking for one with any other selection is an
+    /// error. `repro` checks again once the environment has had its say.
+    pub fn check_trace_target(&self) -> Result<(), String> {
+        if self.args.wants_trace() && self.experiments.len() != 1 {
+            return Err(format!(
+                "a trace file records one experiment's representative run; {} are selected",
+                self.experiments.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The common-flag parser; anything that is not a common flag goes to `other`.
+fn parse_with(
+    argv: &[String],
+    mut other: impl FnMut(&str) -> Result<(), String>,
+) -> Result<CommonArgs, String> {
     let mut out = CommonArgs::default();
     let mut i = 0;
     while i < argv.len() {
@@ -124,14 +185,15 @@ pub fn try_parse(argv: &[String]) -> Result<CommonArgs, String> {
                 out.perfetto = Some(PathBuf::from(p));
             }
             "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other:?}")),
+            arg => other(arg)?,
         }
         i += 1;
     }
     Ok(out)
 }
 
-/// The usage text for a bin accepting only the common flags.
+/// The usage text for a bin accepting only the common flags. `<name>`
+/// in it is the bin, or for `repro` the experiment.
 pub fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--quick] [--quiet] [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]\n\
@@ -141,11 +203,11 @@ pub fn usage(bin: &str) -> String {
          \x20 --trace FILE            write the JSONL event trace of a representative run\n\
          \x20 --trace-perfetto FILE   write a Chrome-trace/Perfetto JSON export\n\
          \x20 --audit                 audit the representative run live (streaming invariant\n\
-         \x20                         battery; writes results/audit_{bin}.json plus\n\
-         \x20                         health_{bin}.json and metrics_{bin}.json, exits 1 on\n\
+         \x20                         battery; writes results/audit_<name>.json plus\n\
+         \x20                         health_<name>.json and metrics_<name>.json, exits 1 on\n\
          \x20                         violations)\n\
          \x20 --profile               time pipeline stages with monotonic wall clocks and\n\
-         \x20                         write results/profile_{bin}.json (nondeterministic by\n\
+         \x20                         write results/profile_<name>.json (nondeterministic by\n\
          \x20                         nature; never byte-diffed)\n\
          \n\
          env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply the paths when the flags are\n\
@@ -316,6 +378,36 @@ mod tests {
         assert!(err.contains("--bogus"), "{err}");
         // A value-less --trace is also an error, not a silent skip.
         assert!(try_parse(&argv(&["--trace"])).is_err());
+    }
+
+    #[test]
+    fn selection_names_are_checked_against_the_table() {
+        let all = Selection::parse(&argv(&["--quick"])).unwrap();
+        assert_eq!(all.experiments.len(), experiments::TABLE.len());
+        // Named experiments run in table order, whatever the argv order.
+        let two = Selection::parse(&argv(&["fault_sweep", "--quiet", "fig1_trace"])).unwrap();
+        let names: Vec<&str> = two.experiments.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["fig1_trace", "fault_sweep"]);
+        assert!(two.args.quiet);
+
+        let err = |args: &[&str]| Selection::parse(&argv(args)).unwrap_err();
+        assert!(err(&["no_such_experiment"]).contains("no_such_experiment"));
+        assert!(err(&["fig1_trace", "fig1_trace"]).contains("twice"));
+        assert!(err(&["--bogus"]).contains("--bogus"));
+        assert_eq!(err(&["--help"]), "");
+    }
+
+    #[test]
+    fn a_trace_file_needs_exactly_one_experiment() {
+        let parse = |args: &[&str]| Selection::parse(&argv(args));
+        assert!(parse(&["--trace", "t.jsonl"]).unwrap_err().contains("12 are selected"));
+        assert!(parse(&["fig1_trace", "ablation", "--trace-perfetto", "p.json"]).is_err());
+        assert!(parse(&["fig1_trace", "--trace", "t.jsonl"]).is_ok());
+        // The environment can name a trace file too: the check runs again
+        // on the flags as `env_fallback` left them.
+        let mut all = parse(&[]).unwrap();
+        all.args.trace = Some("t.jsonl".into());
+        assert!(all.check_trace_target().is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! model and pretty-printer. Output formatting is deterministic: object
 //! keys keep insertion order, floats print via Rust's shortest-roundtrip
 //! formatter, and indentation is fixed at two spaces — which is what the
-//! `fault_sweep` determinism check (`scripts/verify.sh`) relies on.
+//! artifact regeneration gates (`scripts/verify.sh`) rely on.
 
 use std::fmt::Write as _;
 

@@ -1,16 +1,14 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table/figure of the SeeSAw paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks (see `benches/`). Each binary prints a
-//! human-readable table mirroring the paper's presentation and writes the
-//! raw rows as JSON under `results/`.
-//!
-//! Run everything with:
+//! `repro` regenerates every table and figure of the SeeSAw paper from
+//! the table in [`experiments`]; `benches/` holds the plain-`main`
+//! micro-benchmarks behind `results/BENCH_*.json`. Each experiment prints
+//! a human-readable table mirroring the paper's presentation and writes
+//! the raw rows as JSON (some also an SVG chart) under `results/`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig3_analyses
-//! cargo run --release -p bench --bin fig4_power_alloc
-//! …
+//! cargo run --release -p bench --bin repro                  # everything
+//! cargo run --release -p bench --bin repro -- fig3_analyses fig4_power_alloc
 //! ```
 //!
 //! Every binary accepts the same common flags (parsed strictly — unknown
@@ -22,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod experiments;
 pub mod gate;
 pub mod json;
 pub mod svg;
@@ -50,22 +49,26 @@ pub fn results_dir() -> PathBuf {
 
 /// Serialize `rows` as pretty JSON into `results/<name>.json`.
 pub fn write_json<T: ToJson + ?Sized>(rep: &Reporter, name: &str, rows: &T) {
+    write_result(rep, &format!("{name}.json"), &rows.to_json().pretty());
+}
+
+/// Write `body` to `results/<file>`, creating the directory if needed.
+pub fn write_result(rep: &Reporter, file: &str, body: &str) {
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         rep.warn(format!("cannot create {dir:?}: {e}"));
         return;
     }
-    let path = dir.join(format!("{name}.json"));
-    let s = rows.to_json().pretty();
-    if let Err(e) = std::fs::write(&path, s) {
+    let path = dir.join(file);
+    if let Err(e) = std::fs::write(&path, body) {
         rep.warn(format!("cannot write {path:?}: {e}"));
     } else {
         rep.note(format!("wrote {}", display_rel(&path)));
     }
 }
 
-// Shared JSON shape for per-sync rows (`run_experiment --dump-syncs`,
-// `fault_sweep`, and any bin dumping raw sync traces).
+// Shared JSON shape for per-sync rows (`run_experiment --dump-syncs` and
+// any bin dumping raw sync traces).
 json_struct!(insitu::SyncRecord {
     index,
     start_s,
@@ -94,24 +97,18 @@ pub fn quick_mode() -> bool {
 
 /// Steps to simulate: the paper's 400, or fewer under `--quick`.
 pub fn total_steps() -> u64 {
-    if quick_mode() {
-        60
-    } else {
-        400
-    }
-}
-
-/// Repetitions for medians: the paper's 3, or 1 under `--quick`.
-pub fn repetitions() -> u64 {
-    if quick_mode() {
-        1
-    } else {
-        3
-    }
+    experiments::steps(quick_mode())
 }
 
 /// Print a markdown-style table through the reporter.
 pub fn print_table(rep: &Reporter, headers: &[&str], rows: &[Vec<String>]) {
+    for line in table_lines(headers, rows) {
+        rep.say(line);
+    }
+}
+
+/// The lines of a markdown-style table.
+pub(crate) fn table_lines(headers: &[&str], rows: &[Vec<String>]) -> Vec<String> {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -126,16 +123,13 @@ pub fn print_table(rep: &Reporter, headers: &[&str], rows: &[Vec<String>]) {
             .enumerate()
             .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(0)))
             .collect();
-        rep.say(format!("| {} |", padded.join(" | ")));
+        format!("| {} |", padded.join(" | "))
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    rep.say(format!(
-        "|{}|",
-        widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|")
-    ));
-    for row in rows {
-        line(row);
-    }
+    let rule = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|");
+    let mut lines =
+        vec![line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()), format!("|{rule}|")];
+    lines.extend(rows.iter().map(|row| line(row)));
+    lines
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled SVG charts (no plotting dependency): line series and
 //! bar charts with axes, ticks and a legend — enough to render every figure
-//! the experiment binaries regenerate into `results/*.svg`.
+//! `repro` regenerates into `results/*.svg`.
 
 use std::fmt::Write as _;
 
@@ -251,18 +251,6 @@ fn legend(svg: &mut String, series: &[Series]) {
             y + 4.0,
             s.label
         );
-    }
-}
-
-/// Write an SVG chart into `results/<name>.svg`.
-pub fn write_svg(rep: &obs::Reporter, name: &str, svg: &str) {
-    let dir = crate::results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.svg"));
-    if std::fs::write(&path, svg).is_ok() {
-        rep.note(format!("wrote {}", path.display()));
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! 1. **Determinism** — the same `(seed, intensity, nodes, syncs)` tuple
 //!    always yields the same plan, so a faulty run is exactly replayable
-//!    (`scripts/verify.sh` diffs two `fault_sweep` runs byte-for-byte).
+//!    (`scripts/verify.sh` diffs two `repro fault_sweep` runs byte-for-byte).
 //! 2. **Happy-path transparency** — an empty plan ([`FaultPlan::none`])
 //!    injects nothing and perturbs no RNG stream, so runs with faults
 //!    disabled are byte-identical to a build without this crate.

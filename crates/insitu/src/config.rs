@@ -75,6 +75,16 @@ impl JobConfig {
         self.initial_analysis_cap_w.unwrap_or(self.budget_per_node_w)
     }
 
+    /// The static baseline this run is paired with: the same job
+    /// (identical placement), controller `static`, the next run seed —
+    /// how the paper sidesteps job-to-job variability (§VII-A).
+    pub fn static_baseline(&self) -> Self {
+        let mut base = self.clone();
+        base.controller = "static".to_string();
+        base.seed.run = self.seed.run + 1;
+        base
+    }
+
     /// Builder: set the seed.
     pub fn with_seed(mut self, job: u64, run: u64) -> Self {
         self.seed = NoiseSeed::new(job, run);

@@ -775,10 +775,7 @@ pub fn run_paired_traced(
     cfg: &JobConfig,
     tracer: &obs::Tracer,
 ) -> Result<(RunResult, RunResult), UnknownController> {
-    let mut base_cfg = cfg.clone();
-    base_cfg.controller = "static".to_string();
-    base_cfg.seed.run = cfg.seed.run + 1;
-    let cfgs = [cfg.clone(), base_cfg];
+    let cfgs = [cfg.clone(), cfg.static_baseline()];
     let tracers = [tracer.clone(), obs::Tracer::off()];
     let mut results = par::global()
         .par_map_indexed(cfgs.len(), |i| {

@@ -8,7 +8,7 @@
 //! but each phase only gets the whole machine serially.
 //!
 //! This runtime exists to quantify that trade-off against the space-shared
-//! mode SeeSAw targets (see `bench/src/bin/ablation.rs`).
+//! mode SeeSAw targets (see `repro ablation`).
 
 use crate::config::JobConfig;
 use crate::result::{RunResult, SyncRecord};

@@ -31,7 +31,7 @@ pub struct NoiseSigmas {
 
 impl NoiseSigmas {
     /// Sigmas calibrated so that Table I's variability percentages are
-    /// reproduced in distribution (see `bench/src/bin/table1_variability`).
+    /// reproduced in distribution (see `repro table1_variability`).
     pub fn for_mode(mode: CapMode) -> Self {
         match mode {
             CapMode::None => NoiseSigmas { job: 0.008, run: 0.003, phase: 0.004, measure: 0.008 },

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build + tests, lint wall, and the
-# fault-injection determinism gate (same seed -> byte-identical JSON).
+# Tier-1 verification: offline build + tests, lint wall, the
+# fault-injection determinism gate (same seed -> byte-identical JSON) and
+# the regeneration gate (every committed paper artifact is what `repro`
+# writes at HEAD).
 #
 # Every byte-identity gate routes through the run explainer
 # (`trace_diff`): identical inputs are silent exit-0 exactly like `diff`,
@@ -58,14 +60,26 @@ adiff() {
         || explain_failure "$1" "$2"
 }
 
-echo "==> determinism: fault_sweep twice, byte-identical JSON"
-SEESAW_RESULTS_DIR="$a" ./target/release/fault_sweep --quick --audit >/dev/null
-SEESAW_RESULTS_DIR="$b" ./target/release/fault_sweep --quick >/dev/null
+echo "==> determinism: repro fault_sweep twice, byte-identical JSON"
+SEESAW_RESULTS_DIR="$a" ./target/release/repro fault_sweep --quick --audit >/dev/null
+SEESAW_RESULTS_DIR="$b" ./target/release/repro fault_sweep --quick >/dev/null
 adiff "$a/fault_sweep.json" "$b/fault_sweep.json"
 
-echo "==> parallel determinism: fault_sweep at POLIMER_THREADS=4 vs committed JSON"
-SEESAW_RESULTS_DIR="$c" POLIMER_THREADS=4 ./target/release/fault_sweep >/dev/null
-adiff "$c/fault_sweep.json" results/fault_sweep.json
+# results/ is a function of HEAD: one full `repro` (every distinct
+# simulation once) must reproduce all 13 JSON and 7 SVG files and its own
+# stdout, results/full_run.log — fault_sweep.json among them, which is
+# the former "fault_sweep at POLIMER_THREADS=4 vs committed" gate.
+echo "==> every paper artifact regenerates: full repro at POLIMER_THREADS=4 vs committed results/"
+mkdir -p "$c/repro"
+SEESAW_RESULTS_DIR="$c/repro" POLIMER_THREADS=4 ./target/release/repro \
+    >"$c/repro/full_run.log" 2>"$c/repro.err" || { cat "$c/repro.err"; exit 1; }
+test "$(ls "$c/repro" | wc -l)" -eq 21
+for f in "$c/repro"/*.json; do
+    adiff "$f" "results/$(basename "$f")"
+done
+for f in "$c/repro"/*.svg "$c/repro/full_run.log"; do
+    cmp "$f" "results/$(basename "$f")"
+done
 
 echo "==> scheduler invariants: cargo test -p sched"
 cargo test -q --offline -p sched
@@ -212,4 +226,4 @@ echo "==> perf-regression gate: bench_gate vs committed baselines"
 echo "==> size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK: build + tests green, clippy + fmt clean, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written, bench gate passed"
+echo "OK: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written, bench gate passed"

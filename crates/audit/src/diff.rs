@@ -27,7 +27,7 @@
 //! it never declares byte-different lines equal.
 
 use crate::diag::{self, Diagnostic};
-use crate::json::{self, Value};
+use crate::json::{self, Fields, Scalar, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -147,20 +147,34 @@ impl TraceDivergence {
     }
 }
 
-/// Entity labels a trace line involves (`node N`, `machine N`, `job N`),
-/// pulled from the parsed event object. Unparseable lines involve no
-/// entity and only land in the global window.
-fn entities(line: &str) -> Vec<String> {
-    let Ok(v) = json::parse(line) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for key in ["node", "machine", "job"] {
-        if let Some(n) = v.get(key).and_then(Value::as_u64) {
-            out.push(format!("{key} {n}"));
+/// The kinds of entity a trace line can involve, by field key.
+const ENTITY_KEYS: [&str; 3] = ["node", "machine", "job"];
+
+/// One entity, by kind (an [`ENTITY_KEYS`] entry) and id.
+type Entity = (&'static str, u64);
+
+/// The global context window's key and label (events regardless of entity).
+const ANY: Entity = ("(any)", 0);
+
+/// The entities a trace line involves, read off the line's top-level
+/// fields (for each kind, the first field of that key, if it holds a
+/// non-negative integer). Unparseable lines involve no entity and only
+/// land in the global window.
+fn entities(line: &str) -> impl Iterator<Item = Entity> {
+    fn ids(line: &str) -> Option<[Option<u64>; 3]> {
+        let mut fields = Fields::open(line).ok()??;
+        let (mut ids, mut seen) = ([None; 3], [false; 3]);
+        while let Some((key, v)) = fields.next_field().ok()? {
+            let Some(i) = ENTITY_KEYS.iter().position(|k| *k == key) else { continue };
+            if let (false, Scalar::Int(n)) = (seen[i], v) {
+                ids[i] = u64::try_from(n).ok();
+            }
+            seen[i] = true;
         }
+        Some(ids)
     }
-    out
+    let ids = ids(line).unwrap_or_default();
+    ENTITY_KEYS.into_iter().zip(ids).filter_map(|(kind, id)| Some((kind, id?)))
 }
 
 /// Name the first differing field between two parsed event lines.
@@ -199,9 +213,6 @@ fn attribute(a: &str, b: &str) -> (Aspect, Option<String>) {
     (Aspect::Value, None)
 }
 
-/// Global context-window label (events regardless of entity).
-const ANY: &str = "(any)";
-
 /// The streaming comparator: feed one line pair at a time; stops at the
 /// first divergence. Memory is O(entities × K) — constant in trace
 /// length.
@@ -209,7 +220,7 @@ const ANY: &str = "(any)";
 pub struct TraceDiffer {
     k: usize,
     line: u64,
-    rings: BTreeMap<String, VecDeque<(u64, String)>>,
+    rings: BTreeMap<Entity, VecDeque<(u64, String)>>,
 }
 
 impl Default for TraceDiffer {
@@ -225,33 +236,34 @@ impl TraceDiffer {
     }
 
     fn remember(&mut self, line: &str) {
-        let mut labels = entities(line);
-        labels.push(ANY.to_string());
-        for label in labels {
-            let ring = self.rings.entry(label).or_default();
-            if ring.len() == self.k {
-                ring.pop_front();
-            }
-            ring.push_back((self.line, line.to_string()));
+        for entity in std::iter::once(ANY).chain(entities(line)) {
+            let ring = self.rings.entry(entity).or_default();
+            // A full ring hands its oldest slot's buffer to the newcomer: a
+            // warmed-up differ copies bytes and allocates nothing.
+            let full = ring.len() == self.k;
+            let mut slot = if full { ring.pop_front().expect("k >= 1").1 } else { String::new() };
+            slot.clear();
+            slot.push_str(line);
+            ring.push_back((self.line, slot));
         }
     }
 
     /// The context windows for a divergence whose lines involve
-    /// `involved` entities (always includes the global window).
-    fn context_for(&self, involved: &[String]) -> Vec<(String, Vec<(u64, String)>)> {
-        let mut labels: Vec<&str> = vec![ANY];
-        labels.extend(involved.iter().map(String::as_str));
-        labels.sort_unstable();
-        labels.dedup();
-        labels
-            .into_iter()
-            .filter_map(|label| {
-                self.rings
-                    .get(label)
-                    .filter(|r| !r.is_empty())
-                    .map(|r| (label.to_string(), r.iter().cloned().collect()))
-            })
-            .collect()
+    /// `involved` entities (always includes the global window), in label
+    /// order.
+    fn context_for(
+        &self,
+        involved: impl Iterator<Item = Entity>,
+    ) -> Vec<(String, Vec<(u64, String)>)> {
+        // The only place an entity is spelled out as `"node 7"`.
+        let window = |e: Entity| {
+            let label = if e == ANY { e.0.to_string() } else { format!("{} {}", e.0, e.1) };
+            Some((label, self.rings.get(&e)?.iter().cloned().collect()))
+        };
+        let mut windows: Vec<_> = std::iter::once(ANY).chain(involved).filter_map(window).collect();
+        windows.sort_unstable();
+        windows.dedup();
+        windows
     }
 
     /// Feed the next line from each side (`None` = that side ended).
@@ -270,15 +282,14 @@ impl TraceDiffer {
             }
             (Some(la), Some(lb)) => {
                 let (aspect, field) = attribute(la, lb);
-                let mut involved = entities(la);
-                involved.extend(entities(lb));
+                let involved = entities(la).chain(entities(lb));
                 Some(TraceDivergence {
                     line: self.line,
                     aspect,
                     field,
                     a_line: Some(la.to_string()),
                     b_line: Some(lb.to_string()),
-                    context: self.context_for(&involved),
+                    context: self.context_for(involved),
                 })
             }
             (Some(la), None) => {
@@ -289,7 +300,7 @@ impl TraceDiffer {
                     field: None,
                     a_line: Some(la.to_string()),
                     b_line: None,
-                    context: self.context_for(&involved),
+                    context: self.context_for(involved),
                 })
             }
             (None, Some(lb)) => {
@@ -300,30 +311,40 @@ impl TraceDiffer {
                     field: None,
                     a_line: None,
                     b_line: Some(lb.to_string()),
-                    context: self.context_for(&involved),
+                    context: self.context_for(involved),
                 })
             }
         }
     }
 }
 
+/// The next line of `reader`, read into `buf` and cut where
+/// [`BufRead::lines`] cuts it; `None` at end of input.
+fn next_line<'b>(r: &mut impl BufRead, buf: &'b mut String) -> std::io::Result<Option<&'b str>> {
+    buf.clear();
+    if r.read_line(buf)? == 0 {
+        return Ok(None);
+    }
+    Ok(Some(buf.strip_suffix('\n').map_or(&**buf, |l| l.strip_suffix('\r').unwrap_or(l))))
+}
+
 /// Compare two buffered line sources to the first divergence (streaming,
-/// constant memory). `Ok(None)` means the sources are byte-identical.
+/// constant memory: one reused line buffer per side). `Ok(None)` means
+/// the sources are byte-identical.
 pub fn diff_readers(
-    a: impl BufRead,
-    b: impl BufRead,
+    mut a: impl BufRead,
+    mut b: impl BufRead,
     context: usize,
 ) -> std::io::Result<Option<TraceDivergence>> {
     let mut differ = TraceDiffer::new(context);
-    let mut la = a.lines();
-    let mut lb = b.lines();
+    let (mut buf_a, mut buf_b) = (String::new(), String::new());
     loop {
-        let na = la.next().transpose()?;
-        let nb = lb.next().transpose()?;
+        let na = next_line(&mut a, &mut buf_a)?;
+        let nb = next_line(&mut b, &mut buf_b)?;
         if na.is_none() && nb.is_none() {
             return Ok(None);
         }
-        if let Some(d) = differ.feed(na.as_deref(), nb.as_deref()) {
+        if let Some(d) = differ.feed(na, nb) {
             return Ok(Some(d));
         }
     }

@@ -95,20 +95,33 @@ pub struct Registry {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// `map[name]`, created on first use — the only time the name is copied
+/// (`entry` would want an owned key on every lookup).
+pub(crate) fn named<'m, T>(
+    map: &'m mut BTreeMap<String, T>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> &'m mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), new());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
 impl Registry {
     /// Named counter, created on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        named(&mut self.counters, name, Counter::default)
     }
 
     /// Named gauge, created on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
+        named(&mut self.gauges, name, Gauge::default)
     }
 
     /// Named histogram, created on first use.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        named(&mut self.histograms, name, Histogram::default)
     }
 
     /// Read a counter (0 when absent).

@@ -32,7 +32,7 @@ use crate::invariants::StreamChecker;
 use crate::metrics::{
     AuditReport, CriticalPath, LatencyStats, PartitionAttribution, PhaseAttribution, SyncStragglers,
 };
-use crate::registry::Registry;
+use crate::registry::{named, Registry};
 use obs::{Event, EventError, Tag, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -198,8 +198,8 @@ impl StreamAuditor {
     fn fold_spans(&mut self) {
         let _t = obs::profile::timer("audit.fold_spans");
         for (interval, node, kind, dur) in self.cur_spans.drain(..) {
-            let a = self.by_kind.entry(kind.to_string()).or_insert_with(|| PhaseAttribution {
-                kind: kind.into_owned(),
+            let a = named(&mut self.by_kind, &kind, || PhaseAttribution {
+                kind: kind.to_string(),
                 spans: 0,
                 time_s: 0.0,
                 energy_j: 0.0,

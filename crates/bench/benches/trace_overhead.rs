@@ -3,14 +3,17 @@
 //! Runs the same fixed-seed job with tracing off, tracing on, tracing on
 //! plus both serializations (JSONL + Chrome trace), and streaming-audit
 //! (a buffer-less tracer feeding the live [`audit::StreamAuditor`]
-//! subscriber). The four modes are timed **interleaved** — one round per
-//! pass, minimum over passes — so machine-wide noise hits all modes alike
-//! instead of skewing the ratio. The untraced path branches on `None` at
-//! every seam, so "off" is production cost; the off→on gap is the price
-//! of *enabled* tracing (divide by the event count for ns/event — the
-//! number DESIGN.md quotes), "on+export" adds both serializations, and
-//! "audit" is the full live invariant battery + metric registry in
-//! constant memory.
+//! subscriber) — and, with no job at all, replays the exported JSONL
+//! through a fresh auditor. The five modes are timed **interleaved** —
+//! one round per pass, minimum over passes — so machine-wide noise hits
+//! all modes alike instead of skewing the ratio. The untraced path
+//! branches on `None` at every seam, so "off" is production cost; the
+//! off→on gap is the price of *enabled* tracing (divide by the event
+//! count for ns/event — the number DESIGN.md quotes), "on+export" adds
+//! both serializations, "audit" is the full live invariant battery +
+//! metric registry in constant memory, and "replay" is the read side:
+//! the strict line reader plus the same battery (`audit_trace`'s loop),
+//! reported per event and never gated.
 //!
 //! Results land in `results/BENCH_trace.json` in the unified
 //! [`bench::gate`] schema, and the benchmark **exits nonzero** when
@@ -45,7 +48,8 @@ const OVERHEAD_MAX_PCT: f64 = 75.0;
 /// (~10 checkers + report aggregation per event), so its budget is far
 /// looser than bare tracing's but still bounded — this micro-job is
 /// nearly pure event emission, making the ratio a worst case (measured
-/// ≈550 % on the reference host; the ceiling leaves ~60 % headroom).
+/// ≈370 % on the reference host, `results/BENCH_trace.json`; the ceiling
+/// is far above it and ROADMAP's counters item owns its retirement).
 const AUDIT_OVERHEAD_MAX_PCT: f64 = 900.0;
 
 fn cfg(nodes: usize, steps: u64) -> JobConfig {
@@ -86,15 +90,26 @@ fn main() {
         black_box(auditor.finish())
     };
 
+    // The read side: every line of the exported trace through the strict
+    // reader and a fresh checker battery, `finish()` included.
+    let jsonl = run_on().to_jsonl();
+    let run_replay = || {
+        let mut auditor = audit::StreamAuditor::new();
+        for line in jsonl.lines() {
+            auditor.feed_line(line).expect("the writer's own line");
+        }
+        black_box(auditor.finish())
+    };
+
     // Warm-up, then interleaved rounds: each pass times every mode once, and
     // each mode keeps its fastest pass. The minimum is the least-noise
     // estimator for a deterministic workload, and interleaving means a slow
-    // patch of machine time inflates all three modes together rather than
+    // patch of machine time inflates all the modes together rather than
     // just one side of the off→on ratio.
     run_off();
     black_box(run_on());
-    let (mut off_ms, mut on_ms, mut export_ms, mut audit_ms) =
-        (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+    let (mut off_ms, mut on_ms, mut export_ms, mut audit_ms, mut replay_ms) =
+        (f64::MAX, f64::MAX, f64::MAX, f64::MAX, f64::MAX);
     let mut events = 0u64;
     for _ in 0..passes {
         off_ms = off_ms.min(time_ms(|| {
@@ -112,6 +127,9 @@ fn main() {
         audit_ms = audit_ms.min(time_ms(|| {
             black_box(run_audit());
         }));
+        replay_ms = replay_ms.min(time_ms(|| {
+            run_replay();
+        }));
     }
 
     let pct = |ms: f64| (ms / off_ms - 1.0) * 100.0;
@@ -127,6 +145,12 @@ fn main() {
              ({overhead:+6.2} %, {ev} events)"
         );
     }
+    let replay_ns_per_event = replay_ms * 1e6 / events.max(1) as f64;
+    println!(
+        "trace_overhead/{:10} {nodes:>4} nodes {steps:>4} steps  {replay_ms:>9.2} ms  \
+         ({replay_ns_per_event:.0} ns/event, no job run)",
+        "replay"
+    );
 
     // Wall-clock minima are still noisy across hosts → `max` only where we
     // make a hard promise, no drift tolerance. The event count is a pure
@@ -139,6 +163,8 @@ fn main() {
             Metric::info("on_ms", on_ms, "ms"),
             Metric::info("export_ms", export_ms, "ms"),
             Metric::info("audit_ms", audit_ms, "ms"),
+            Metric::info("replay_ms", replay_ms, "ms"),
+            Metric::info("replay_ns_per_event", replay_ns_per_event, "ns"),
             Metric { tolerance_pct: Some(0.0), ..Metric::info("events", events as f64, "count") },
             Metric {
                 max: Some(OVERHEAD_MAX_PCT),

@@ -58,12 +58,20 @@ fn audit_file(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<Au
         eprintln!("{BIN}: cannot read {}: {e}", path.display());
     })?;
     let mut auditor = StreamAuditor::new();
-    for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| {
+    let mut reader = std::io::BufReader::new(file);
+    // One buffer for every line, each cut where `lines()` would cut it.
+    let mut buf = String::new();
+    for line_no in 1.. {
+        buf.clear();
+        let read = reader.read_line(&mut buf).map_err(|e| {
             eprintln!("{BIN}: cannot read {}: {e}", path.display());
         })?;
-        if let Err(e) = auditor.feed_line(&line) {
-            let d = Diagnostic::new(diag::STREAM, format!("line {}: {}", i + 1, e));
+        if read == 0 {
+            break;
+        }
+        let line = buf.strip_suffix('\n').map_or(&*buf, |l| l.strip_suffix('\r').unwrap_or(l));
+        if let Err(e) = auditor.feed_line(line) {
+            let d = Diagnostic::new(diag::STREAM, format!("line {line_no}: {e}"));
             eprintln!("{BIN}: {}: {d}", path.display());
             return Err(());
         }

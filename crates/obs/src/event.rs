@@ -23,17 +23,27 @@
 //! *order* must match the writer exactly (same keys, same sequence,
 //! nothing missing, nothing extra), so a parsed line re-serializes
 //! byte-for-byte and the round trip doubles as a test of the emitter.
+//!
+//! The reader is a single pass over the line: the generated
+//! `read_fields` takes one `(key, value)` at a time from `json::Fields`
+//! and reads the value straight into the table row's field; no tree is
+//! built, and only a `decision` line allocates (its `Box`). A line with
+//! several defects is therefore reported by the first in byte order. A
+//! [`Tag`] on the `VOCABULARY` list below borrows that spelling, any
+//! other is owned and equal: the list makes replay cheap and decides
+//! nothing about what is accepted.
 
-use crate::json::{self, Value};
+use crate::json::{self, Scalar};
 use des::SimTime;
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A string-tag field (`role`, `kind`, `reason`, `tag`): borrowed from the
-/// emitting crate's fixed vocabulary on the emit path (no allocation),
-/// owned when read back from a file, whose vocabulary is whatever the
-/// file says — an unknown fault tag is the audit battery's finding to
-/// make, not a parse error.
+/// emitting crate's fixed vocabulary on the emit path (no allocation);
+/// read back from a file it borrows the same spelling from this module's
+/// list when it is on it, and is owned otherwise — a file's vocabulary is
+/// whatever the file says, and an unknown fault tag is the audit
+/// battery's finding to make, not a parse error.
 pub type Tag = Cow<'static, str>;
 
 /// A line-level parse failure.
@@ -52,6 +62,15 @@ fn err<T>(msg: impl Into<String>) -> Result<T, EventError> {
     Err(EventError(msg.into()))
 }
 
+fn invalid_json(e: json::ParseError) -> EventError {
+    EventError(format!("invalid JSON: {e}"))
+}
+
+/// A field present under the right key that is not `what` it must be.
+fn wrong_type(key: &str, what: &str) -> EventError {
+    EventError(format!("field \"{key}\" {what}"))
+}
+
 /// One wire scalar: how a field of this type is written, read back and
 /// sampled. The schema table names only field types; everything
 /// type-specific about the codec lives in these five impls.
@@ -59,7 +78,7 @@ trait Wire: Sized {
     /// Append the JSON value.
     fn write(&self, out: &mut String);
     /// Read the value back; the error says what the field is not.
-    fn read(v: &Value) -> Result<Self, &'static str>;
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str>;
     /// The `i`-th sample value ([`TraceEvent::one_of_each`]).
     fn sample(i: u64) -> Self;
     /// Whether the value is a float the wire cannot tell from NaN.
@@ -74,8 +93,11 @@ impl Wire for u64 {
     fn write(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn read(v: &Value) -> Result<Self, &'static str> {
-        v.as_u64().ok_or("is not a non-negative integer")
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
+        match v {
+            Scalar::Int(i) if *i >= 0 => Ok(*i as u64),
+            _ => Err("is not a non-negative integer"),
+        }
     }
     fn sample(i: u64) -> Self {
         i
@@ -86,7 +108,7 @@ impl Wire for usize {
     fn write(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn read(v: &Value) -> Result<Self, &'static str> {
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
         usize::try_from(u64::read(v)?).map_err(|_| "is out of range")
     }
     fn sample(i: u64) -> Self {
@@ -98,8 +120,11 @@ impl Wire for bool {
     fn write(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn read(v: &Value) -> Result<Self, &'static str> {
-        v.as_bool().ok_or("is not a boolean")
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
+        match v {
+            Scalar::Bool(b) => Ok(*b),
+            _ => Err("is not a boolean"),
+        }
     }
     fn sample(i: u64) -> Self {
         i % 2 == 1
@@ -118,8 +143,13 @@ impl Wire for f64 {
             out.push_str("null");
         }
     }
-    fn read(v: &Value) -> Result<Self, &'static str> {
-        v.as_f64().ok_or("is not a number")
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
+        match v {
+            Scalar::Int(i) => Ok(*i as f64),
+            Scalar::Num(x) => Ok(*x),
+            Scalar::Null => Ok(f64::NAN),
+            _ => Err("is not a number"),
+        }
     }
     /// Eighths: exact in binary, fractional for most `i`, integral (and so
     /// printed without a decimal point) for every eighth one.
@@ -140,8 +170,36 @@ impl Wire for f64 {
 /// characters needing JSON escaping, so the writer never escapes — and the
 /// reader refuses a string the writer could not have produced.
 fn is_plain_tag(s: &str) -> bool {
-    s.chars().all(|c| c.is_ascii_graphic() && c != '"' && c != '\\')
+    s.bytes().all(|c| c.is_ascii_graphic() && c != b'"' && c != b'\\')
 }
+
+/// The string a tag field (or `"ev"`) holds, borrowed from the line.
+fn plain_tag<'s>(v: &'s Scalar<'_>) -> Result<&'s str, &'static str> {
+    match v {
+        Scalar::Str(s) if is_plain_tag(s) => Ok(s),
+        Scalar::Str(_) => Err("is not a plain tag (unescaped printable ASCII)"),
+        _ => Err("is not a string"),
+    }
+}
+
+/// Every spelling an emitter in this workspace puts in a [`Tag`] field,
+/// commonest first. A tag read from a file borrows it from here instead
+/// of allocating; `tests/tag_vocabulary.rs` fails when one is missing.
+#[rustfmt::skip]
+const VOCABULARY: [&str; 33] = [
+    // seesaw::Role, theta_sim::PhaseKind
+    "sim", "analysis",
+    "integrate", "force", "neighbor_rebuild", "sync_exchange", "thermo_io", "analysis_rdf",
+    "analysis_vacf", "analysis_msd", "analysis_msd1d", "analysis_msd2d", "wait",
+    // `controller_hold` reasons (crates/core/src/seesaw.rs)
+    "corrupt_sample", "degenerate_feedback",
+    // faults::FaultKind
+    "node_crash", "straggler", "rapl_stuck", "rapl_delayed", "rapl_write_error", "sample_nan",
+    "sample_spike", "sample_dropout", "monitor_death", "message_loss", "collective_timeout",
+    // faults::RecoveryKind
+    "monitor_reelected", "node_excluded", "budget_renormalized", "sample_rejected",
+    "allocation_held", "cap_write_retried", "collective_retried",
+];
 
 impl Wire for Tag {
     fn write(&self, out: &mut String) {
@@ -150,12 +208,12 @@ impl Wire for Tag {
         out.push_str(self);
         out.push('"');
     }
-    fn read(v: &Value) -> Result<Self, &'static str> {
-        let s = v.as_str().ok_or("is not a string")?;
-        if !is_plain_tag(s) {
-            return Err("is not a plain tag (unescaped printable ASCII)");
-        }
-        Ok(Tag::Owned(s.to_string()))
+    fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
+        let s = plain_tag(v)?;
+        Ok(match VOCABULARY.iter().find(|known| **known == s) {
+            Some(known) => Tag::Borrowed(known),
+            None => Tag::Owned(s.to_string()),
+        })
     }
     fn sample(_: u64) -> Self {
         Tag::Borrowed("sample")
@@ -169,29 +227,37 @@ fn write_field(out: &mut String, key: &str, v: &impl Wire) {
     v.write(out);
 }
 
-/// Cursor over a parsed object's fields that enforces exact key order.
-struct Fields<'a> {
-    fields: &'a [(String, Value)],
-    next: usize,
+/// Where `read_fields` takes its values from, in wire order: the cursor
+/// over the line, or the tree the tests' reference reader walks.
+trait FieldSource {
+    /// The next field, which must be keyed `key` and hold a `T`.
+    fn read<T: Wire>(&mut self, key: &str) -> Result<T, EventError>;
 }
 
-impl Fields<'_> {
-    fn read<T: Wire>(&mut self, key: &str) -> Result<T, EventError> {
-        match self.fields.get(self.next) {
-            Some((k, v)) if k == key => {
-                self.next += 1;
-                T::read(v).map_err(|what| EventError(format!("field \"{key}\" {what}")))
-            }
+/// Cursor over a line's fields that enforces exact key order.
+struct Fields<'a>(json::Fields<'a>);
+
+impl<'a> Fields<'a> {
+    /// The next field's value; the field must be keyed `key`.
+    fn value_of(&mut self, key: &str) -> Result<Scalar<'a>, EventError> {
+        match self.0.next_field().map_err(invalid_json)? {
+            Some((k, v)) if k == key => Ok(v),
             Some((k, _)) => err(format!("expected field \"{key}\", found \"{k}\"")),
             None => err(format!("missing field \"{key}\"")),
         }
     }
 
-    fn finish(self) -> Result<(), EventError> {
-        match self.fields.get(self.next) {
+    fn finish(mut self) -> Result<(), EventError> {
+        match self.0.next_field().map_err(invalid_json)? {
             None => Ok(()),
             Some((k, _)) => err(format!("unexpected extra field \"{k}\"")),
         }
+    }
+}
+
+impl FieldSource for Fields<'_> {
+    fn read<T: Wire>(&mut self, key: &str) -> Result<T, EventError> {
+        T::read(&self.value_of(key)?).map_err(|what| wrong_type(key, what))
     }
 }
 
@@ -242,7 +308,7 @@ macro_rules! event_schema {
                 }
             }
 
-            fn read_fields(tag: &str, f: &mut Fields<'_>) -> Result<Event, EventError> {
+            fn read_fields(tag: &str, f: &mut impl FieldSource) -> Result<Event, EventError> {
                 Ok(match tag {
                     $( $tag => Event::$V { $( $f: f.read(stringify!($f))?, )* }, )*
                     $btag => Event::$BV(Box::new($S { $( $bf: f.read(stringify!($bf))?, )* })),
@@ -661,14 +727,14 @@ impl TraceEvent {
     /// must be exactly `{"t":…,"ev":"…",<payload fields in emitter
     /// order>}` with nothing missing, reordered, or extra.
     pub fn parse_line(line: &str) -> Result<TraceEvent, EventError> {
-        let value = json::parse(line).map_err(|e| EventError(format!("invalid JSON: {e}")))?;
-        let Some(obj) = value.as_obj() else {
+        let Some(cursor) = json::Fields::open(line).map_err(invalid_json)? else {
             return err("event line is not a JSON object");
         };
-        let mut f = Fields { fields: obj, next: 0 };
+        let mut f = Fields(cursor);
         let t: u64 = f.read("t")?;
-        let tag: Tag = f.read("ev")?;
-        let ev = Event::read_fields(&tag, &mut f)?;
+        let tag = f.value_of("ev")?;
+        let tag = plain_tag(&tag).map_err(|what| wrong_type("ev", what))?;
+        let ev = Event::read_fields(tag, &mut f)?;
         f.finish()?;
         Ok(TraceEvent { t: SimTime::from_nanos(t), ev })
     }
@@ -699,10 +765,15 @@ impl TraceEvent {
     }
 }
 
+/// Bytes [`to_jsonl`] reserves per event: above the 105.5 that perfbench's
+/// `obs.bytes_per_event` measures on a 32-node seesaw trace, so a typical
+/// export never regrows — and copies — the whole document.
+const JSONL_BYTES_PER_EVENT: usize = 112;
+
 /// Serialize a slice of events as JSONL (one event per line, trailing
 /// newline after the last line — the format `SEESAW_TRACE` files use).
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
+    let mut out = String::with_capacity(events.len() * JSONL_BYTES_PER_EVENT);
     for ev in events {
         ev.write_json(&mut out);
         out.push('\n');
@@ -889,6 +960,154 @@ mod tests {
             assert_eq!(format!("{:?}", *wire), format!("{round:?}"));
             assert_eq!(wire.to_json_line(), te.to_json_line());
         }
+    }
+
+    /// The reader this module had before the line cursor: the whole line
+    /// parsed into a tree, then the tree's fields walked in order. Kept as
+    /// the oracle the single-pass reader is compared against.
+    struct TreeFields<'a> {
+        fields: &'a [(String, json::Value)],
+        next: usize,
+    }
+
+    impl FieldSource for TreeFields<'_> {
+        fn read<T: Wire>(&mut self, key: &str) -> Result<T, EventError> {
+            use json::Value;
+            match self.fields.get(self.next) {
+                Some((k, v)) if k == key => {
+                    self.next += 1;
+                    let v = match v {
+                        Value::Null => Scalar::Null,
+                        Value::Bool(b) => Scalar::Bool(*b),
+                        Value::Int(i) => Scalar::Int(*i),
+                        Value::Num(x) => Scalar::Num(*x),
+                        Value::Str(s) => Scalar::Str(Cow::Borrowed(s)),
+                        Value::Arr(_) | Value::Obj(_) => Scalar::Container,
+                    };
+                    T::read(&v).map_err(|what| EventError(format!("field \"{key}\" {what}")))
+                }
+                Some((k, _)) => err(format!("expected field \"{key}\", found \"{k}\"")),
+                None => err(format!("missing field \"{key}\"")),
+            }
+        }
+    }
+
+    fn reference_parse_line(line: &str) -> Result<TraceEvent, EventError> {
+        let value = json::parse(line).map_err(|e| EventError(format!("invalid JSON: {e}")))?;
+        let Some(obj) = value.as_obj() else {
+            return err("event line is not a JSON object");
+        };
+        let mut f = TreeFields { fields: obj, next: 0 };
+        let t: u64 = f.read("t")?;
+        let tag: Tag = f.read("ev")?;
+        let ev = Event::read_fields(&tag, &mut f)?;
+        if let Some((k, _)) = f.fields.get(f.next) {
+            return err(format!("unexpected extra field \"{k}\""));
+        }
+        Ok(TraceEvent { t: SimTime::from_nanos(t), ev })
+    }
+
+    /// One seeded mutation of `line`. Field-level mutations cut the line
+    /// at its commas (no sample value contains one), whatever an earlier
+    /// mutation left of it.
+    fn mutate(line: &str, below: &mut impl FnMut(usize) -> usize) -> String {
+        // Every wire type in the writer's spelling, integers past i64::MAX
+        // and u64::MAX, containers, escapes, and three malformed numbers.
+        const VALUES: [&str; 16] = [
+            "7",
+            "0.5",
+            "-3",
+            "true",
+            "null",
+            "\"sim\"",
+            "\"gremlin\"",
+            "9223372036854776000",
+            "18446744073709552000",
+            "[{\"k\":[]}]",
+            "{}",
+            "\"a\\\"b\"",
+            "\"\\u0073im\"",
+            "01",
+            "1.",
+            "-",
+        ];
+        let at = below(line.len() + 1);
+        let insert = |s: &str| format!("{}{s}{}", &line[..at], &line[at..]);
+        match below(8) {
+            0 => line[..at].to_string(),
+            1 if !line.is_empty() => {
+                let mut bytes = line.as_bytes().to_vec();
+                bytes[at % line.len()] = below(128) as u8;
+                String::from_utf8(bytes).expect("ASCII stays UTF-8")
+            }
+            2 => insert(" "),
+            3 => insert(["{", "}", "[", "]", ",", ":", "\"", "\\"][below(8)]),
+            kind => {
+                let inner = line.get(1..line.len().saturating_sub(1)).unwrap_or("");
+                let mut fields: Vec<String> = inner.split(',').map(String::from).collect();
+                let (i, j) = (below(fields.len()), below(fields.len()));
+                match kind {
+                    4 => fields.swap(i, j),
+                    5 => fields.insert(i, fields[j].clone()),
+                    6 => drop(fields.remove(i)),
+                    _ => {
+                        let key = fields[i].split_once(':').map_or("", |(key, _)| key);
+                        fields[i] = format!("{key}:{}", VALUES[below(VALUES.len())]);
+                    }
+                }
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    /// The single-pass reader against the tree-walking one, over seeded
+    /// single and double mutations of every variant's line: the same
+    /// lines are accepted, to the same events; a rejected line gets the
+    /// same message, except that where the old reader put any syntax error
+    /// first, the new one reports the first defect in byte order — which
+    /// is to say, the same message it gives the line cut off at the syntax
+    /// error.
+    #[test]
+    fn single_pass_reader_matches_the_tree_walking_reader() {
+        let lines: Vec<String> =
+            TraceEvent::one_of_each().iter().map(TraceEvent::to_json_line).collect();
+        let (mut accepted, mut same_message, mut earlier_defect) = (0, 0, 0);
+        for seed in [1, 7] {
+            let mut rng = des::Rng::seed_from_u64(seed);
+            let mut below = |n: usize| rng.next_below(n as u64) as usize;
+            for _ in 0..140 {
+                for line in &lines {
+                    let mut mutated = mutate(line, &mut below);
+                    if below(2) == 1 {
+                        mutated = mutate(&mutated, &mut below);
+                    }
+                    match (parse(&mutated), reference_parse_line(&mutated)) {
+                        (Ok(new), Ok(old)) => {
+                            accepted += 1;
+                            // Debug tells NaN from NaN's absence and -0 from
+                            // 0, which `==` and the wire form do not.
+                            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{mutated}");
+                            assert_eq!(new.to_json_line(), old.to_json_line(), "{mutated}");
+                        }
+                        (Err(new), Err(old)) if new == old => same_message += 1,
+                        (Err(new), Err(old)) => {
+                            earlier_defect += 1;
+                            let at = old
+                                .0
+                                .strip_prefix("invalid JSON: ")
+                                .and_then(|msg| msg.rsplit_once(" at byte "))
+                                .and_then(|(_, at)| at.parse::<usize>().ok())
+                                .unwrap_or_else(|| panic!("{mutated}: {old} became {new}"));
+                            assert!(!new.0.starts_with("invalid JSON:"), "{mutated}: {new}");
+                            assert_eq!(parse(&mutated[..at]), Err(new), "{mutated}: {old}");
+                        }
+                        (new, old) => panic!("{mutated}: {old:?} became {new:?}"),
+                    }
+                }
+            }
+        }
+        assert_eq!(accepted + same_message + earlier_defect, 2 * 140 * lines.len());
+        assert!(accepted > 500 && same_message > 5000 && earlier_defect > 50, "vacuous");
     }
 
     #[test]

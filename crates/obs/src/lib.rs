@@ -22,9 +22,9 @@
 //!   epochs, node phase/wait spans, RAPL cap actuation, power-manager
 //!   measurement and exchange, SeeSAw decision internals, and fault
 //!   injection/recovery. One table generates the enum, its JSONL writer
-//!   and its strict reader ([`TraceEvent::parse_line`], on the [`json`]
-//!   parser), so there is one event type whether an event is emitted or
-//!   read back from a file.
+//!   and its strict reader ([`TraceEvent::parse_line`], one pass over
+//!   the line on the [`json`] field cursor), so there is one event type
+//!   whether an event is emitted or read back from a file.
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.

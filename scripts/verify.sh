@@ -167,6 +167,23 @@ adiff "$a/metrics_machine_sweep_theta.json" "$b/metrics_machine_sweep_theta.json
 echo "==> trace audit: invariant battery over the serialized trace"
 ./target/release/audit_trace --quiet "$c/t1.jsonl"
 
+# Every file audit_trace sees in this script is well formed; prove that a
+# malformed line is refused — nonzero exit, AUDIT0013, the right line
+# number — and that the same file with the line restored audits clean.
+echo "==> audit_trace self-test: a line truncated mid-value fails with AUDIT0013 at that line"
+bad="$(($(wc -l <"$c/t1.jsonl") / 2))"
+awk -v n="$bad" 'NR == n { print substr($0, 1, length($0) - 3); next } { print }' \
+    "$c/t1.jsonl" >"$c/doctored_malformed.jsonl"
+if ./target/release/audit_trace --quiet "$c/doctored_malformed.jsonl" 2>"$c/malformed.err"; then
+    echo "self-test FAILED: malformed line not detected"; exit 1
+fi
+grep -q 'AUDIT0013' "$c/malformed.err"
+grep -q "line ${bad}: " "$c/malformed.err"
+awk -v n="$bad" -v line="$(sed -n "${bad}p" "$c/t1.jsonl")" \
+    'NR == n { print line; next } { print }' "$c/doctored_malformed.jsonl" >"$c/restored.jsonl"
+cmp "$c/restored.jsonl" "$c/t1.jsonl"
+./target/release/audit_trace --quiet "$c/restored.jsonl"
+
 # Replaying a bin's serialized trace from disk (line by line, constant
 # memory) must reproduce the *live* in-process audit the bin just wrote,
 # snapshots and registry included.
@@ -206,7 +223,7 @@ echo "==> kernel perf gate: md_kernels ns/pair ceilings + alloc-free"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench md_kernels -- --quick
 test -s "$c/BENCH_kernels.json"
 
-echo "==> tracing overhead record: trace_overhead off/on/export/audit bench (on <75%, streaming audit <900%)"
+echo "==> tracing overhead record: trace_overhead off/on/export/audit/replay bench (on <75%, streaming audit <900%)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench trace_overhead -- --quick
 test -s "$c/BENCH_trace.json"
 

@@ -20,10 +20,19 @@
 //! recording a tag-carrying event into a pre-sized buffer allocates
 //! nothing — the owned form exists only for events parsed from a file.
 //!
+//! And in the trace read path: the strict reader walks a line without
+//! building anything and borrows every known tag, so re-reading a trace
+//! allocates exactly one `Box` per `decision` line and nothing else; the
+//! auditor looks its accumulators up by `&str`, so replaying or watching
+//! a run allocates only what grows with the interval count; and the trace
+//! differ's context rings reuse their slots once full. These are counts,
+//! functions of the input alone, not timings.
+//!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: concurrently running tests would pollute the deltas.
 
-use insitu::{build_controller, JobConfig, Runtime};
+use audit::{StreamAuditor, TraceDiffer};
+use insitu::{build_controller, run_job_traced, JobConfig, Runtime};
 use mdsim::alloc_probe::{allocations, CountingAlloc};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{
@@ -165,5 +174,47 @@ fn hot_paths_are_allocation_free_after_warmup() {
         }
         assert_eq!(allocations(), before, "emitting tag-carrying events allocated");
         assert_eq!(tracer.len(), 24);
+
+        // The read path, over the trace of one 8-node seesaw run.
+        let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Rdf, AnalysisKind::Vacf]);
+        spec.total_steps = 60;
+        let tracer = Tracer::enabled();
+        run_job_traced(JobConfig::new(spec, "seesaw"), &tracer).expect("known controller");
+        let (events, jsonl) = (tracer.events(), tracer.to_jsonl());
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let decisions = lines.iter().filter(|l| l.contains("\"ev\":\"decision\"")).count() as u64;
+        assert!(decisions > 0 && lines.len() > 1000, "{decisions} of {}", lines.len());
+        let budget = lines.len() as u64 / 10;
+
+        let before = allocations();
+        for line in &lines {
+            drop(TraceEvent::parse_line(line).expect("the writer's line"));
+        }
+        assert_eq!(allocations() - before, decisions, "one Box per decision, nothing else");
+
+        let mut replay = StreamAuditor::new();
+        let before = allocations();
+        for line in &lines {
+            replay.feed_line(line).expect("the writer's line");
+        }
+        let replayed = allocations() - before;
+        assert!(replayed <= budget, "replay audit: {replayed} allocations, {} events", lines.len());
+
+        let mut live = StreamAuditor::new();
+        let before = allocations();
+        for ev in &events {
+            live.feed(ev);
+        }
+        let watched = allocations() - before;
+        assert!(watched <= budget, "live audit: {watched} allocations, {} events", events.len());
+        assert_eq!(live.finish().report.to_json(), replay.finish().report.to_json());
+
+        let mut differ = TraceDiffer::default();
+        let before = allocations();
+        for line in &lines {
+            assert_eq!(differ.feed(Some(line), Some(line)), None);
+        }
+        let diffed = allocations() - before;
+        assert!(diffed <= 5 * budget, "differ: {diffed} allocations, {} lines", lines.len());
     });
 }

@@ -208,6 +208,8 @@ pub struct Fleet {
     migrations_total: u64,
     recovery_sum_epochs: u64,
     recovery_count: u64,
+    /// Per-member dispatch scratch: nodes promised to jobs queued on it.
+    committed: Vec<i64>,
 }
 
 impl Fleet {
@@ -257,6 +259,7 @@ impl Fleet {
             });
         }
         Ok(Fleet {
+            committed: vec![0; members.len()],
             spec,
             members,
             jobs,
@@ -338,7 +341,7 @@ impl Fleet {
         let mut membership_changed = e == 0;
 
         // 1. Machine faults scheduled for this epoch.
-        for f in self.plan.faults_at(e).copied().collect::<Vec<_>>() {
+        for f in self.plan.faults_at(e) {
             let m = &mut self.members[f.machine];
             match f.kind {
                 MachineFaultKind::Crash => m.crashed = true,
@@ -415,14 +418,14 @@ impl Fleet {
         // leased-free minus the demand already queued on it (including
         // this epoch's earlier dispatches) — ties to the lowest index.
         // A job nothing can serve stays pending.
-        let mut committed = vec![0i64; self.members.len()];
+        self.committed.fill(0);
         for t in &self.jobs {
             if let Phase::Running { machine, slot } = t.phase {
                 if matches!(
                     self.members[machine].sched.job_state(slot),
                     JobState::Waiting | JobState::Queued
                 ) {
-                    committed[machine] += t.config.workload.nodes_total() as i64;
+                    self.committed[machine] += t.config.workload.nodes_total() as i64;
                 }
             }
         }
@@ -437,7 +440,7 @@ impl Fleet {
                 if !m.serving(e) || m.nodes < nodes_needed {
                     continue;
                 }
-                let free = m.sched.free_nodes() as i64 - committed[i];
+                let free = m.sched.free_nodes() as i64 - self.committed[i];
                 if best.is_none_or(|(bf, _)| free > bf) {
                     best = Some((free, i));
                 }
@@ -459,16 +462,17 @@ impl Fleet {
                 self.members[target].sched.submit(config).expect("controller validated in new()");
             debug_assert_eq!(slot, self.members[target].slots.len());
             self.members[target].slots.push(job);
-            committed[target] += nodes_needed as i64;
+            self.committed[target] += nodes_needed as i64;
             let t = &mut self.jobs[job];
             t.phase = Phase::Running { machine: target, slot };
             t.dispatches += 1;
             t.last_machine = Some(target);
         }
 
-        // 7. Step the serving members, serially and in index order (each
-        // member fans its jobs across the worker pool internally, so the
-        // fleet stays byte-identical at any thread count).
+        // 7. Step the serving members, serially and in index order (a
+        // member leaves this thread only for an epoch above `sched`'s work
+        // grain, and slots results by index either way, so the fleet stays
+        // byte-identical at any thread count).
         for i in 0..self.members.len() {
             if self.members[i].serving(e) {
                 self.members[i].sched.step_epoch();

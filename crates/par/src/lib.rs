@@ -20,9 +20,17 @@
 //!
 //! The pool is sized by `POLIMER_THREADS` (defaulting to
 //! [`std::thread::available_parallelism`]); `POLIMER_THREADS=1` makes
-//! every primitive take its serial path. Threads are spawned with
+//! every primitive take its serial path. A region of width `w` runs on
+//! the calling thread — worker 0 — plus `w - 1` threads spawned with
 //! [`std::thread::scope`], so closures may borrow from the caller's stack
 //! and worker panics propagate to the caller.
+//!
+//! One spawn and join (a width-2 region) reads 15–60 µs on the quiet
+//! 2-core reference box and up to 105 µs on a loaded one, so a region
+//! pays only over items worth a millisecond together. Callers own that
+//! grain — `par` never guesses item cost: `mdsim::force` stays serial
+//! below `PAR_MIN_PAIRS`, `sched` steps a small machine epoch under
+//! [`with_threads`]`(1, …)`, the experiment drivers hand over whole runs.
 //!
 //! Nested use is *rejected*: a `par_*` call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)
@@ -82,8 +90,9 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// A reusable worker-pool policy: how wide to fan out, plus the busy flag
-/// that rejects nested use. Workers themselves are scoped threads spawned
-/// per parallel region — there is no persistent thread to leak or to keep
+/// that rejects nested use. The caller is worker 0 of every region and
+/// the other `width - 1` are scoped threads spawned for it — one spawn
+/// and join each, and no persistent thread to leak or to keep
 /// non-`'static` borrows alive across calls.
 #[derive(Debug)]
 pub struct Pool {
@@ -191,26 +200,21 @@ impl Pool {
         }
         let _guard = ActiveGuard(self);
 
-        // Work queue of disjoint output chunks; popped LIFO, which is fine
-        // because each item carries its own start index.
-        let queue: Mutex<Vec<(usize, &mut [R])>> = Mutex::new(
-            out.chunks_mut(chunk_size).enumerate().map(|(ci, c)| (ci * chunk_size, c)).collect(),
-        );
+        // The work queue is the chunk iterator itself, nothing collected;
+        // each item carries its own index, so who pops what is free.
+        let queue = Mutex::new(out.chunks_mut(chunk_size).enumerate());
+        let work = || loop {
+            // Lock only to pop: a panicking `fill` never poisons the queue.
+            let item = queue.lock().expect("queue lock is never held across `fill`").next();
+            match item {
+                Some((ci, chunk)) => fill(ci * chunk_size, chunk),
+                None => break,
+            }
+        };
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        loop {
-                            // Lock only to pop; `fill` runs outside it.
-                            let item = queue.lock().unwrap().pop();
-                            match item {
-                                Some((start, chunk)) => fill(start, chunk),
-                                None => break,
-                            }
-                        }
-                    })
-                })
-                .collect();
+            // The caller is worker 0: only `threads - 1` threads are spawned.
+            let handles: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            work();
             for h in handles {
                 if let Err(payload) = h.join() {
                     std::panic::resume_unwind(payload);
@@ -221,8 +225,9 @@ impl Pool {
 
     /// Compute `f(0..len)` in parallel, returning results slotted by
     /// index: `out[i] == f(i)` regardless of which worker ran `i`. The
-    /// per-item closure should be coarse (a whole trial, a whole cell);
-    /// items are batched internally to keep queue traffic low.
+    /// items together should be worth a millisecond or more (whole trials,
+    /// whole runs); a caller whose items can be smaller prices them first.
+    /// Items are batched internally to keep queue traffic low.
     pub fn par_map_indexed<R: Send>(&self, len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
         let threads = self.effective_threads().max(1);
@@ -338,6 +343,79 @@ mod tests {
         };
         check(&Pool::new(1));
         with_threads(1, || check(&Pool::new(4)));
+    }
+
+    /// Make every worker of a width-`width` region take part: a thread's
+    /// first chunk waits until `width` distinct threads hold one, so no
+    /// worker can drain the queue before another has started. The region
+    /// needs at least `width` chunks; `seen` ends as the set of threads
+    /// that ran one.
+    struct Rendezvous {
+        seen: Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+        all_in: std::sync::Barrier,
+    }
+
+    impl Rendezvous {
+        fn new(width: usize) -> Self {
+            Rendezvous { seen: Mutex::default(), all_in: std::sync::Barrier::new(width) }
+        }
+
+        fn arrive(&self) {
+            let first = self.seen.lock().unwrap().insert(std::thread::current().id());
+            if first {
+                self.all_in.wait();
+            }
+        }
+    }
+
+    /// The caller is worker 0: a width-`w` region runs on the calling
+    /// thread plus exactly `w - 1` spawned ones, and between them they
+    /// visit every chunk exactly once.
+    #[test]
+    fn region_runs_on_the_caller_plus_width_minus_one_threads() {
+        let caller = std::thread::current().id();
+        for width in [2, 3, 5] {
+            let pool = Pool::new(width);
+            let meet = Rendezvous::new(width);
+            let mut visits = vec![0u32; 4000];
+            pool.par_fill(&mut visits, 7, |start, chunk| {
+                meet.arrive();
+                assert!(pool.is_busy());
+                for (k, v) in chunk.iter_mut().enumerate() {
+                    *v += 1 + (start + k) as u32;
+                }
+            });
+            for (i, v) in visits.iter().enumerate() {
+                assert_eq!(*v, 1 + i as u32, "slot {i} not visited exactly once");
+            }
+            let seen = meet.seen.into_inner().unwrap();
+            assert_eq!(seen.len(), width, "width {width} region ran on {} threads", seen.len());
+            assert!(seen.contains(&caller), "the calling thread took no chunk");
+            assert!(!pool.is_busy());
+        }
+    }
+
+    /// A panic in a chunk the *caller* runs unwinds out of the region like
+    /// a spawned worker's does: the other workers are joined first and the
+    /// busy flag clears.
+    #[test]
+    fn caller_chunk_panic_propagates_and_clears_busy() {
+        let caller = std::thread::current().id();
+        let pool = Pool::new(3);
+        let meet = Rendezvous::new(3);
+        let mut out = vec![0u8; 256];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.par_fill(&mut out, 8, |_, chunk| {
+                meet.arrive();
+                assert!(std::thread::current().id() != caller, "injected failure");
+                chunk.fill(1);
+            });
+        }));
+        let payload = result.expect_err("the caller's own panic must leave the region");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected failure"), "payload lost");
+        assert!(!pool.is_busy());
+        // The spawned workers drained what the caller never reached.
+        assert_eq!(out.iter().filter(|&&v| v == 0).count(), 8);
     }
 
     #[test]

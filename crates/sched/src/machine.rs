@@ -5,7 +5,6 @@ use des::SimTime;
 use faults::JobFaultPlan;
 use insitu::{JobConfig, Runtime};
 use seesaw::{water_fill, UnknownController};
-use std::sync::Mutex;
 use theta_sim::MachineNodes;
 
 /// How the governor divides the envelope across running jobs.
@@ -145,6 +144,22 @@ pub struct Evacuee {
     /// Simulated job time already spent there, seconds.
     pub job_time_s: f64,
 }
+
+/// Work grain for stepping, in node-syncs per epoch — `Σ nodes ×
+/// sync_every` over the running jobs, times `syncs_per_epoch`: an epoch
+/// priced below it steps on the calling thread, one at or above it goes
+/// to the worker pool. Read off the `step_us_<jobs>x<nodes>_w{1,2}` rows
+/// of `results/BENCH_scale.json` (the stepping region at width 1 and 2 on
+/// the 2-vCPU reference box, min of 5): a node-sync costs 0.27–0.45 µs
+/// and a width-2 region 25–60 µs over the work it halves (to 105 µs on a
+/// loaded host), so the 40–80 node-syncs of a `fleet_sweep` epoch run
+/// 2–4× *slower* dispatched. Further up it depends on the second vCPU:
+/// free, width 2 leads from 640 node-syncs (×1.1–1.5) and is ×1.7–1.9 by
+/// 2 560; contended, it only draws level (×0.83–1.02) from 640 to 10 240.
+/// So dispatch only where losing is cheap: at 4 096 the serial estimate
+/// is 1.1–1.8 ms, ten times the dearest region read — a dispatch that
+/// wins nothing costs under a tenth of the epoch, one that wins halves it.
+const STEP_GRAIN_NODE_SYNCS: u64 = 4096;
 
 struct JobSlot {
     spec: JobSpec,
@@ -295,26 +310,34 @@ impl Scheduler {
         self.fire_kills(epoch);
         self.admit_arrivals(epoch);
         self.admit_queue();
+        // Nothing starts or leaves until `reap_completed`: governor and
+        // stepping share one view of who is running.
+        let running: Vec<usize> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| matches!(j.state, JobState::Running { .. }))
+            .map(|(i, _)| i)
+            .collect();
         let (allocated_w, pool_w, budgets) = {
             let _t = obs::profile::timer("sched.governor_epoch");
-            self.govern()
+            self.govern(&running)
         };
         self.tracer.set_now(self.machine_t);
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::MachineBudget { epoch, allocated_w, pool_w });
         }
-        let running = budgets.len();
         let queued = self.jobs.iter().filter(|j| matches!(j.state, JobState::Queued)).count();
         self.records.push(EpochRecord {
             epoch,
             start_s: self.machine_t.as_secs_f64(),
-            running,
+            running: running.len(),
             queued,
             allocated_w,
             pool_w,
             budgets,
         });
-        self.step_running();
+        self.step_running(&running);
         self.reap_completed();
         self.next_epoch = epoch + 1;
     }
@@ -595,17 +618,10 @@ impl Scheduler {
         }
     }
 
-    /// Divide the envelope across running jobs per the policy, push the
-    /// shares through each job's budget seam, and return
+    /// Divide the envelope across the `running` jobs per the policy, push
+    /// the shares through each job's budget seam, and return
     /// `(allocated, pool, per-job budgets)`.
-    fn govern(&mut self) -> (f64, f64, Vec<(usize, f64)>) {
-        let running: Vec<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| matches!(j.state, JobState::Running { .. }))
-            .map(|(i, _)| i)
-            .collect();
+    fn govern(&mut self, running: &[usize]) -> (f64, f64, Vec<(usize, f64)>) {
         if running.is_empty() {
             return (0.0, self.spec.envelope_w, Vec::new());
         }
@@ -665,49 +681,56 @@ impl Scheduler {
         (allocated, pool, out)
     }
 
-    /// Step every running job `syncs_per_epoch` intervals across the
-    /// worker pool. Jobs are moved into index-stable mutex slots, stepped,
-    /// and moved back, so results and RNG streams are independent of the
-    /// thread count; the machine clock advances by the slowest job's
-    /// progress (the epoch is a gang barrier).
-    fn step_running(&mut self) {
-        let running: Vec<usize> = self
-            .jobs
+    /// True when stepping the `running` jobs for one epoch is worth a
+    /// parallel region: the epoch's work, priced in node-syncs, reaches
+    /// [`STEP_GRAIN_NODE_SYNCS`].
+    fn worth_dispatching(&self, running: &[usize]) -> bool {
+        let per_sync: u64 = running
             .iter()
-            .enumerate()
-            .filter(|(_, j)| matches!(j.state, JobState::Running { .. }))
-            .map(|(i, _)| i)
-            .collect();
+            .map(|&i| {
+                let w = &self.jobs[i].spec.config.workload;
+                w.nodes_total() as u64 * w.sync_every
+            })
+            .sum();
+        per_sync * self.spec.syncs_per_epoch >= STEP_GRAIN_NODE_SYNCS
+    }
+
+    /// Step every `running` job `syncs_per_epoch` intervals: across the
+    /// worker pool when the epoch is [worth a dispatch](Self::worth_dispatching),
+    /// in index order on the calling thread otherwise — one closure through
+    /// one `par` call, and the width is all the grain decides.
+    /// Each job is one disjoint `&mut` slot that takes its own feedback,
+    /// so results and RNG streams are independent of the thread count; the
+    /// machine clock advances by the slowest job's progress (the epoch is
+    /// a gang barrier).
+    fn step_running(&mut self, running: &[usize]) {
         if running.is_empty() {
             return;
         }
+        let width =
+            if self.worth_dispatching(running) { par::global().effective_threads() } else { 1 };
         let syncs = self.spec.syncs_per_epoch;
-        let slots: Vec<Mutex<Option<Runtime>>> =
-            running.iter().map(|&i| Mutex::new(self.jobs[i].runtime.take())).collect();
-        let stepped: Vec<(f64, f64)> = par::global().par_map_indexed(running.len(), |k| {
-            let mut guard = slots[k].lock().expect("slot lock");
-            let rt = guard.as_mut().expect("running job has a runtime");
-            let t0 = rt.now();
-            for _ in 0..syncs {
-                if !rt.step_sync() {
-                    break;
+        let mut slots: Vec<&mut JobSlot> =
+            self.jobs.iter_mut().filter(|j| matches!(j.state, JobState::Running { .. })).collect();
+        par::with_threads(width, || {
+            par::global().par_fill(&mut slots, 1, |_, slot| {
+                let slot = &mut *slot[0];
+                let rt = slot.runtime.as_mut().expect("running job has a runtime");
+                let t0 = rt.now();
+                for _ in 0..syncs {
+                    if !rt.step_sync() {
+                        break;
+                    }
                 }
-            }
-            let dt = rt.now().saturating_since(t0).as_secs_f64();
-            let e = rt.energy_since(t0);
-            // The epoch's windowed read is done; prune the draw histories so
-            // long-running jobs hold O(active) segments, not O(elapsed).
-            rt.compact_history();
-            (e, dt)
+                slot.last_dt_s = rt.now().saturating_since(t0).as_secs_f64();
+                slot.last_energy_j = rt.energy_since(t0);
+                slot.has_feedback = true;
+                // The epoch's windowed read is done; prune the draw histories
+                // so long-running jobs hold O(active) segments, not O(elapsed).
+                rt.compact_history();
+            })
         });
-        let mut epoch_dt = 0.0f64;
-        for ((slot, &i), (e, dt)) in slots.into_iter().zip(&running).zip(stepped) {
-            self.jobs[i].runtime = slot.into_inner().expect("slot lock");
-            self.jobs[i].last_energy_j = e;
-            self.jobs[i].last_dt_s = dt;
-            self.jobs[i].has_feedback = true;
-            epoch_dt = epoch_dt.max(dt);
-        }
+        let epoch_dt = running.iter().map(|&i| self.jobs[i].last_dt_s).fold(0.0, f64::max);
         self.machine_t += des::SimDuration::from_secs_f64(epoch_dt * self.time_dilation);
     }
 
@@ -734,5 +757,42 @@ impl Scheduler {
                 self.tracer.emit(obs::Event::JobCompleted { job, time_s });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdsim::workload::WorkloadSpec;
+    use mdsim::AnalysisKind;
+
+    /// A scheduler over `jobs` (`(nodes, sync_every)` each); nothing runs.
+    fn priced(syncs_per_epoch: u64, jobs: &[(usize, u64)]) -> Scheduler {
+        let mut spec = MachineSpec::new(8192, 8192.0 * 110.0, Policy::EqualShare);
+        spec.syncs_per_epoch = syncs_per_epoch;
+        let jobs = jobs
+            .iter()
+            .map(|&(nodes, sync_every)| {
+                let mut w = WorkloadSpec::paper(36, 2, sync_every, &[AnalysisKind::Vacf]);
+                (w.sim_nodes, w.analysis_nodes) = (nodes.div_ceil(2), nodes / 2);
+                JobSpec::at_start(JobConfig::new(w, "seesaw"))
+            })
+            .collect();
+        Scheduler::new(spec, jobs).expect("valid controllers")
+    }
+
+    /// The grain is 4 096 node-syncs per epoch, priced as
+    /// `Σ nodes × sync_every × syncs_per_epoch`: one below it steps on the
+    /// calling thread, the grain itself dispatches.
+    #[test]
+    fn the_work_grain_sits_at_4096_node_syncs_per_epoch() {
+        assert_eq!(STEP_GRAIN_NODE_SYNCS, 4096);
+        assert!(!priced(1, &[(2048, 1), (2047, 1)]).worth_dispatching(&[0, 1]));
+        assert!(priced(1, &[(2048, 1), (2048, 1)]).worth_dispatching(&[0, 1]));
+        // Every factor of the price counts, and only running jobs do.
+        assert!(priced(4, &[(512, 1), (512, 1)]).worth_dispatching(&[0, 1]));
+        assert!(priced(2, &[(512, 2), (512, 2)]).worth_dispatching(&[0, 1]));
+        assert!(!priced(4, &[(512, 1), (512, 1)]).worth_dispatching(&[1]));
+        assert!(!priced(5, &[(4, 1), (4, 1)]).worth_dispatching(&[0, 1]));
     }
 }

@@ -8,16 +8,11 @@
 //! [`bench::gate`] schema, and the benchmark **exits nonzero** when the
 //! epoch rate falls under its floor.
 //!
-//! It also records, ungated, the table `sched`'s stepping work grain is
-//! read from: one machine epoch's stepping region — a few equal
-//! default-noise jobs, five syncs each, one `par_fill` item per job — at
-//! pool width 1 and 2, from 40 to 10 240 node-syncs per epoch.
-//!
 //! Plain timing harness (`harness = false`): the offline build carries no
 //! criterion.
 
 use bench::gate::{BenchDoc, Metric};
-use insitu::{run_job, JobConfig, Runtime};
+use insitu::{run_job, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
 use std::hint::black_box;
@@ -42,43 +37,6 @@ fn time_s(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Syncs per epoch in the stepping-region table.
-const STEP_SYNCS: u64 = 5;
-
-/// `(jobs, nodes per job)` of the stepping-region table, smallest epoch
-/// first: 40, 80, 640, 2 560, 5 120, 10 240 and 10 240 node-syncs.
-const STEP_SHAPES: [(usize, usize); 7] =
-    [(2, 4), (4, 4), (2, 64), (4, 128), (2, 512), (2, 1024), (4, 512)];
-
-/// Minimum over five epochs, in µs, of stepping `jobs` equal `nodes`-node
-/// default-noise jobs [`STEP_SYNCS`] syncs each as one `par` region of `width`
-/// workers — the region `sched::Scheduler::step_epoch` either dispatches
-/// or keeps on the calling thread. Both widths time the same syncs of
-/// the same jobs; the first epoch is warm-up.
-fn step_region_us(width: usize, jobs: usize, nodes: usize) -> f64 {
-    const EPOCHS: u64 = 6;
-    let mut runtimes: Vec<Runtime> = (0..jobs)
-        .map(|k| {
-            let mut spec = WorkloadSpec::paper(36, nodes, 1, &[K::Vacf]);
-            spec.total_steps = STEP_SYNCS * EPOCHS;
-            Runtime::new(JobConfig::new(spec, "seesaw").with_seed(k as u64, 0))
-                .expect("known controller")
-        })
-        .collect();
-    let mut epoch = || {
-        par::with_threads(width, || {
-            par::global().par_fill(&mut runtimes, 1, |_, rt| {
-                for _ in 0..STEP_SYNCS {
-                    assert!(rt[0].step_sync(), "job ran out of syncs");
-                }
-                rt[0].compact_history();
-            })
-        })
-    };
-    epoch();
-    (1..EPOCHS).map(|_| time_s(&mut epoch)).fold(f64::MAX, f64::min) * 1e6
-}
-
 fn main() {
     let rep = obs::Reporter::default();
     let quick = bench::quick_mode();
@@ -99,26 +57,16 @@ fn main() {
 
     // Wall-clock minima are noisy across hosts → a floor only where we make
     // a hard promise, no drift tolerance.
-    let mut metrics = vec![
-        Metric::info("run_s", run_s, "s"),
-        Metric { min: Some(EPOCHS_PER_S_MIN), ..Metric::info("epochs_per_s", rate, "epochs/s") },
-    ];
-    for (jobs, job_nodes) in STEP_SHAPES {
-        let serial = step_region_us(1, jobs, job_nodes);
-        let threaded = step_region_us(2, jobs, job_nodes);
-        println!(
-            "step  {jobs} x {job_nodes:>4} nodes {:>6} node-syncs  width 1 {serial:>8.1} us  \
-             width 2 {threaded:>8.1} us  (x{:.2})",
-            (jobs * job_nodes) as u64 * STEP_SYNCS,
-            serial / threaded
-        );
-        metrics.push(Metric::info(&format!("step_us_{jobs}x{job_nodes}_w1"), serial, "us"));
-        metrics.push(Metric::info(&format!("step_us_{jobs}x{job_nodes}_w2"), threaded, "us"));
-    }
     let doc = BenchDoc {
         bench: "scale".to_string(),
         profile: if quick { "quick" } else { "full" }.to_string(),
-        metrics,
+        metrics: vec![
+            Metric::info("run_s", run_s, "s"),
+            Metric {
+                min: Some(EPOCHS_PER_S_MIN),
+                ..Metric::info("epochs_per_s", rate, "epochs/s")
+            },
+        ],
     };
     doc.persist_and_gate("BENCH_scale.json", &rep);
 }

@@ -470,8 +470,7 @@ impl Fleet {
         }
 
         // 7. Step the serving members, serially and in index order (a
-        // member leaves this thread only for an epoch above `sched`'s work
-        // grain, and slots results by index either way, so the fleet stays
+        // member steps its jobs on this thread too, so the fleet is
         // byte-identical at any thread count).
         for i in 0..self.members.len() {
             if self.members[i].serving(e) {

@@ -29,8 +29,8 @@
 //! 2-core reference box and up to 105 µs on a loaded one, so a region
 //! pays only over items worth a millisecond together. Callers own that
 //! grain — `par` never guesses item cost: `mdsim::force` stays serial
-//! below `PAR_MIN_PAIRS`, `sched` steps a small machine epoch under
-//! [`with_threads`]`(1, …)`, the experiment drivers hand over whole runs.
+//! below `PAR_MIN_PAIRS`, the experiment drivers hand over whole runs,
+//! and `sched`, whose epochs are tens of microseconds, does not enter one.
 //!
 //! Nested use is *rejected*: a `par_*` call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)

@@ -19,11 +19,9 @@
 //!    [`insitu::Runtime::set_budget_w`] renormalization seam;
 //! 5. **stepping** — every running job executes `syncs_per_epoch`
 //!    synchronization intervals (epochs are gang barriers: the machine
-//!    clock advances by the slowest job's progress). An epoch priced
-//!    below a work grain of 4 096 node-syncs is stepped on the calling
-//!    thread, a larger one across the worker pool; each job is its own
-//!    index-slotted item either way, so the outcome is byte-identical at
-//!    any `POLIMER_THREADS`;
+//!    clock advances by the slowest job's progress), in index order on
+//!    the calling thread — no workload in the repo has an epoch worth a
+//!    thread spawn — so the outcome cannot depend on `POLIMER_THREADS`;
 //! 6. **departures** — completed and killed jobs release their nodes and
 //!    their budget returns to the pool for the next epoch.
 //!

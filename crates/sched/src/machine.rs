@@ -145,22 +145,6 @@ pub struct Evacuee {
     pub job_time_s: f64,
 }
 
-/// Work grain for stepping, in node-syncs per epoch — `Σ nodes ×
-/// sync_every` over the running jobs, times `syncs_per_epoch`: an epoch
-/// priced below it steps on the calling thread, one at or above it goes
-/// to the worker pool. Read off the `step_us_<jobs>x<nodes>_w{1,2}` rows
-/// of `results/BENCH_scale.json` (the stepping region at width 1 and 2 on
-/// the 2-vCPU reference box, min of 5): a node-sync costs 0.27–0.45 µs
-/// and a width-2 region 25–60 µs over the work it halves (to 105 µs on a
-/// loaded host), so the 40–80 node-syncs of a `fleet_sweep` epoch run
-/// 2–4× *slower* dispatched. Further up it depends on the second vCPU:
-/// free, width 2 leads from 640 node-syncs (×1.1–1.5) and is ×1.7–1.9 by
-/// 2 560; contended, it only draws level (×0.83–1.02) from 640 to 10 240.
-/// So dispatch only where losing is cheap: at 4 096 the serial estimate
-/// is 1.1–1.8 ms, ten times the dearest region read — a dispatch that
-/// wins nothing costs under a tenth of the epoch, one that wins halves it.
-const STEP_GRAIN_NODE_SYNCS: u64 = 4096;
-
 struct JobSlot {
     spec: JobSpec,
     state: JobState,
@@ -261,9 +245,8 @@ impl Scheduler {
         self
     }
 
-    /// Attach a trace sink. Only the scheduler emits into it (jobs run
-    /// untraced — sharing a sink across concurrently stepped jobs would
-    /// interleave their events nondeterministically).
+    /// Attach a trace sink. Only the scheduler emits into it; jobs run
+    /// untraced.
     pub fn set_tracer(&mut self, tracer: &obs::Tracer) {
         self.tracer = tracer.clone();
     }
@@ -681,56 +664,30 @@ impl Scheduler {
         (allocated, pool, out)
     }
 
-    /// True when stepping the `running` jobs for one epoch is worth a
-    /// parallel region: the epoch's work, priced in node-syncs, reaches
-    /// [`STEP_GRAIN_NODE_SYNCS`].
-    fn worth_dispatching(&self, running: &[usize]) -> bool {
-        let per_sync: u64 = running
-            .iter()
-            .map(|&i| {
-                let w = &self.jobs[i].spec.config.workload;
-                w.nodes_total() as u64 * w.sync_every
-            })
-            .sum();
-        per_sync * self.spec.syncs_per_epoch >= STEP_GRAIN_NODE_SYNCS
-    }
-
-    /// Step every `running` job `syncs_per_epoch` intervals: across the
-    /// worker pool when the epoch is [worth a dispatch](Self::worth_dispatching),
-    /// in index order on the calling thread otherwise — one closure through
-    /// one `par` call, and the width is all the grain decides.
-    /// Each job is one disjoint `&mut` slot that takes its own feedback,
-    /// so results and RNG streams are independent of the thread count; the
-    /// machine clock advances by the slowest job's progress (the epoch is
-    /// a gang barrier).
+    /// Step every `running` job `syncs_per_epoch` intervals, in index
+    /// order on the calling thread. Each job owns its runtime and RNG
+    /// streams and takes its own feedback; the machine clock advances by
+    /// the slowest job's progress (the epoch is a gang barrier).
     fn step_running(&mut self, running: &[usize]) {
-        if running.is_empty() {
-            return;
-        }
-        let width =
-            if self.worth_dispatching(running) { par::global().effective_threads() } else { 1 };
         let syncs = self.spec.syncs_per_epoch;
-        let mut slots: Vec<&mut JobSlot> =
-            self.jobs.iter_mut().filter(|j| matches!(j.state, JobState::Running { .. })).collect();
-        par::with_threads(width, || {
-            par::global().par_fill(&mut slots, 1, |_, slot| {
-                let slot = &mut *slot[0];
-                let rt = slot.runtime.as_mut().expect("running job has a runtime");
-                let t0 = rt.now();
-                for _ in 0..syncs {
-                    if !rt.step_sync() {
-                        break;
-                    }
+        let mut epoch_dt = 0.0f64;
+        for &i in running {
+            let slot = &mut self.jobs[i];
+            let rt = slot.runtime.as_mut().expect("running job has a runtime");
+            let t0 = rt.now();
+            for _ in 0..syncs {
+                if !rt.step_sync() {
+                    break;
                 }
-                slot.last_dt_s = rt.now().saturating_since(t0).as_secs_f64();
-                slot.last_energy_j = rt.energy_since(t0);
-                slot.has_feedback = true;
-                // The epoch's windowed read is done; prune the draw histories
-                // so long-running jobs hold O(active) segments, not O(elapsed).
-                rt.compact_history();
-            })
-        });
-        let epoch_dt = running.iter().map(|&i| self.jobs[i].last_dt_s).fold(0.0, f64::max);
+            }
+            slot.last_dt_s = rt.now().saturating_since(t0).as_secs_f64();
+            slot.last_energy_j = rt.energy_since(t0);
+            slot.has_feedback = true;
+            // The epoch's windowed read is done; prune the draw histories so
+            // long-running jobs hold O(active) segments, not O(elapsed).
+            rt.compact_history();
+            epoch_dt = epoch_dt.max(slot.last_dt_s);
+        }
         self.machine_t += des::SimDuration::from_secs_f64(epoch_dt * self.time_dilation);
     }
 
@@ -757,42 +714,5 @@ impl Scheduler {
                 self.tracer.emit(obs::Event::JobCompleted { job, time_s });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mdsim::workload::WorkloadSpec;
-    use mdsim::AnalysisKind;
-
-    /// A scheduler over `jobs` (`(nodes, sync_every)` each); nothing runs.
-    fn priced(syncs_per_epoch: u64, jobs: &[(usize, u64)]) -> Scheduler {
-        let mut spec = MachineSpec::new(8192, 8192.0 * 110.0, Policy::EqualShare);
-        spec.syncs_per_epoch = syncs_per_epoch;
-        let jobs = jobs
-            .iter()
-            .map(|&(nodes, sync_every)| {
-                let mut w = WorkloadSpec::paper(36, 2, sync_every, &[AnalysisKind::Vacf]);
-                (w.sim_nodes, w.analysis_nodes) = (nodes.div_ceil(2), nodes / 2);
-                JobSpec::at_start(JobConfig::new(w, "seesaw"))
-            })
-            .collect();
-        Scheduler::new(spec, jobs).expect("valid controllers")
-    }
-
-    /// The grain is 4 096 node-syncs per epoch, priced as
-    /// `Σ nodes × sync_every × syncs_per_epoch`: one below it steps on the
-    /// calling thread, the grain itself dispatches.
-    #[test]
-    fn the_work_grain_sits_at_4096_node_syncs_per_epoch() {
-        assert_eq!(STEP_GRAIN_NODE_SYNCS, 4096);
-        assert!(!priced(1, &[(2048, 1), (2047, 1)]).worth_dispatching(&[0, 1]));
-        assert!(priced(1, &[(2048, 1), (2048, 1)]).worth_dispatching(&[0, 1]));
-        // Every factor of the price counts, and only running jobs do.
-        assert!(priced(4, &[(512, 1), (512, 1)]).worth_dispatching(&[0, 1]));
-        assert!(priced(2, &[(512, 2), (512, 2)]).worth_dispatching(&[0, 1]));
-        assert!(!priced(4, &[(512, 1), (512, 1)]).worth_dispatching(&[1]));
-        assert!(!priced(5, &[(4, 1), (4, 1)]).worth_dispatching(&[0, 1]));
     }
 }

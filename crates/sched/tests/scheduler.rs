@@ -4,7 +4,7 @@
 use insitu::JobConfig;
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
-use sched::{JobSpec, MachineResult, MachineSpec, Policy, Scheduler};
+use sched::{JobSpec, MachineSpec, Policy, Scheduler};
 
 /// A small 2-node job (1 sim + 1 analysis), `syncs` synchronizations.
 fn small_job(seed: u64, syncs: u64, kind: AnalysisKind) -> JobConfig {
@@ -290,53 +290,4 @@ fn scheduler_trace_records_job_lifecycle() {
     assert!(tags.contains(&"job_started"));
     assert!(tags.contains(&"job_completed"));
     assert!(tags.contains(&"machine_budget"));
-}
-
-/// `nodes`-node default-noise job, `syncs` synchronizations.
-fn wide_job(seed: u64, nodes: usize, syncs: u64) -> JobConfig {
-    let mut spec = WorkloadSpec::paper(36, nodes, 1, &[AnalysisKind::Vacf]);
-    spec.total_steps = syncs;
-    JobConfig::new(spec, "seesaw").with_seed(seed, 0)
-}
-
-/// Run one machine of `jobs` (`(nodes, syncs)` each, all at epoch 0, five
-/// syncs per epoch) with the pool forced to `threads` workers.
-fn run_at_width(threads: usize, jobs: &[(usize, u64)]) -> MachineResult {
-    let nodes: usize = jobs.iter().map(|&(n, _)| n).sum();
-    let mut spec = MachineSpec::new(nodes, nodes as f64 * 110.0, Policy::EnergyFeedback);
-    spec.syncs_per_epoch = 5;
-    let jobs = jobs
-        .iter()
-        .enumerate()
-        .map(|(k, &(n, syncs))| JobSpec::at_start(wide_job(70 + k as u64, n, syncs)))
-        .collect();
-    let sched = Scheduler::new(spec, jobs).expect("valid controllers");
-    par::with_threads(threads, || sched.run())
-}
-
-/// Stepping is width-independent on both sides of the work grain and
-/// across it. `machine_sweep` / `fleet_sweep` scenarios all price below
-/// the grain and never leave the calling thread, so this is the gate on
-/// the threaded path: 4 × 512 nodes × 5 syncs = 10 240 node-syncs per
-/// epoch dispatches, 2 × 4 × 5 = 40 does not, and the mixed machine
-/// starts at 5 140 and drops to 2 580 when its short job completes.
-#[test]
-fn stepping_is_identical_at_any_width_on_both_sides_of_the_grain() {
-    let machines: [&[(usize, u64)]; 3] = [
-        &[(512, 20), (512, 20), (512, 20), (512, 20)],
-        &[(4, 20), (4, 20)],
-        &[(512, 10), (512, 30), (4, 30)],
-    ];
-    for jobs in machines {
-        let serial = run_at_width(1, jobs);
-        let threaded = run_at_width(4, jobs);
-        assert!(serial.epochs.len() >= 3, "run too short to mean anything");
-        assert!(serial.outcomes.iter().all(|o| o.outcome == "completed"));
-        assert_eq!(serial, threaded, "jobs {jobs:?}");
-        let bits = |r: &MachineResult| -> Vec<[u64; 2]> {
-            r.outcomes.iter().map(|o| [o.energy_j.to_bits(), o.job_time_s.to_bits()]).collect()
-        };
-        assert_eq!(bits(&serial), bits(&threaded), "jobs {jobs:?}");
-        assert_eq!(serial.makespan_s.to_bits(), threaded.makespan_s.to_bits());
-    }
 }

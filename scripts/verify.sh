@@ -81,15 +81,11 @@ for f in "$c/repro"/*.svg "$c/repro/full_run.log"; do
     cmp "$f" "results/$(basename "$f")"
 done
 
-# Also the gate on *threaded* stepping: every sweep scenario below prices
-# under sched's work grain and steps on the calling thread at any
-# POLIMER_THREADS, so stepping_is_identical_at_any_width_on_both_sides_of_the_grain
-# (widths 1 vs 4, above, below and across the grain) is what runs it.
 echo "==> scheduler invariants: cargo test -p sched"
 cargo test -q --offline -p sched
 
-# T1 vs T4 here shows the grain decision (stay serial) and everything
-# around it is width-independent; see the sched stage for the threaded path.
+# sched steps its jobs on the calling thread, so T1 vs T4 here guards
+# against a thread-count dependence creeping in, not a threaded path.
 echo "==> machine determinism: machine_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (audited)"
 SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/m1.jsonl" POLIMER_THREADS=1 \
     ./target/release/machine_sweep --quiet --audit >/dev/null
@@ -103,8 +99,7 @@ adiff "$a/metrics_machine_sweep.json" "$b/metrics_machine_sweep.json"
 echo "==> fleet invariants: cargo test -p fleet"
 cargo test -q --offline -p fleet
 
-# As for machine_sweep: 8-16 node members never reach the grain, so this
-# is the serial decision at two pool widths, not threaded stepping.
+# As for machine_sweep: members step on the calling thread at any width.
 echo "==> fleet chaos soak: fleet_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (traced + audited)"
 SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/fleet1.jsonl" POLIMER_THREADS=1 \
     ./target/release/fleet_sweep --quiet --audit >/dev/null

@@ -12,42 +12,26 @@
 //! run-health snapshots and the metric registry.
 
 use audit::{diag, AuditReport, Diagnostic, StreamAuditor};
+use bench::cli::{self, AuditTraceArgs};
 use obs::Reporter;
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const BIN: &str = "audit_trace";
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: {BIN} [--json DIR] [--quiet] FILE...\n\
-         \n\
-         \x20 --json DIR   also write audit_<file-stem>.json (the report),\n\
-         \x20              health_<file-stem>.json (per-interval run-health\n\
-         \x20              snapshots) and metrics_<file-stem>.json (the metric\n\
-         \x20              registry) into DIR\n\
-         \x20 --quiet      only print failures\n\
-         \n\
-         feeds each JSONL trace line by line, in constant memory, through the\n\
-         strict parser and the invariant battery, and prints the derived report\n\
-         summary; a malformed line is reported as AUDIT0013 with its line\n\
-         number; exits 1 on parse errors or violations"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: audit_trace [--json DIR] [--quiet] FILE...
 
-fn write_json(rep: &Reporter, out: &Path, body: &str) -> bool {
-    match std::fs::write(out, body) {
-        Ok(()) => {
-            rep.note(format!("wrote {}", out.display()));
-            true
-        }
-        Err(e) => {
-            eprintln!("{BIN}: cannot write {}: {e}", out.display());
-            false
-        }
-    }
-}
+  --json DIR   also write audit_<file-stem>.json (the report),
+               health_<file-stem>.json (per-interval run-health
+               snapshots) and metrics_<file-stem>.json (the metric
+               registry) into DIR
+  --quiet      only print failures
+
+feeds each JSONL trace line by line, in constant memory, through the
+strict parser and the invariant battery, and prints the derived report
+summary; a malformed line is reported as AUDIT0013 with its line
+number; exits 1 on parse errors or violations";
 
 /// Feed the file line by line through a [`StreamAuditor`]; peak memory is
 /// one line plus the incremental checker state (O(active spans + nodes)),
@@ -85,9 +69,7 @@ fn audit_file(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<Au
             (format!("metrics_{stem}.json"), outcome.registry.to_json()),
         ];
         for (name, body) in writes {
-            if !write_json(rep, &dir.join(name), &body) {
-                return Err(());
-            }
+            bench::write_file(rep, &dir.join(name), &body).map_err(drop)?;
         }
     }
     Ok(outcome.report)
@@ -95,26 +77,8 @@ fn audit_file(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<Au
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut json_dir: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--json" => {
-                i += 1;
-                json_dir = Some(PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| usage())));
-            }
-            "--quiet" => quiet = true,
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => usage(),
-            file => files.push(PathBuf::from(file)),
-        }
-        i += 1;
-    }
-    if files.is_empty() {
-        usage();
-    }
+    let AuditTraceArgs { files, json_dir, quiet } =
+        AuditTraceArgs::parse(&argv).unwrap_or_else(|msg| cli::exit_usage(BIN, USAGE, &msg));
     let rep = Reporter::new(quiet);
 
     let mut failed = false;

@@ -23,9 +23,10 @@
 //! moved — not just the violated bound.
 
 use audit::{diag, Diagnostic};
+use bench::cli::{self, BenchGateArgs};
 use bench::gate::{compare, BenchDoc};
 use obs::Reporter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const BIN: &str = "bench_gate";
 
@@ -33,19 +34,16 @@ const BIN: &str = "bench_gate";
 const DOCS: &[&str] =
     &["BENCH_trace.json", "BENCH_kernels.json", "BENCH_scale.json", "BENCH_controllers.json"];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: {BIN} --fresh DIR [--baseline DIR] [--quiet]\n\
-         \n\
-         \x20 --fresh DIR      directory holding freshly produced BENCH_*.json documents\n\
-         \x20 --baseline DIR   committed baselines (default: the repo's results/)\n\
-         \x20 --quiet          suppress per-document notes\n\
-         \n\
-         exits 1 when any fresh document is missing, malformed, over an absolute\n\
-         bound, or (same profile only) outside a metric's drift tolerance"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "\
+usage: bench_gate --fresh DIR [--baseline DIR] [--quiet]
+
+  --fresh DIR      directory holding freshly produced BENCH_*.json documents
+  --baseline DIR   committed baselines (default: the repo's results/)
+  --quiet          suppress per-document notes
+
+exits 1 when any fresh document is missing, malformed, over an absolute
+bound, or (same profile only) outside a metric's drift tolerance, and when
+no document was gated at all";
 
 fn load(dir: &Path, name: &str) -> Result<BenchDoc, String> {
     let path = dir.join(name);
@@ -56,33 +54,31 @@ fn load(dir: &Path, name: &str) -> Result<BenchDoc, String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut fresh_dir: Option<PathBuf> = None;
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--fresh" => {
-                i += 1;
-                fresh_dir = Some(PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| usage())));
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_dir = Some(PathBuf::from(argv.get(i).cloned().unwrap_or_else(|| usage())));
-            }
-            "--quiet" => quiet = true,
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(fresh_dir) = fresh_dir else { usage() };
-    let baseline_dir = baseline_dir.unwrap_or_else(bench::results_dir);
+    let BenchGateArgs { fresh, baseline, quiet } =
+        BenchGateArgs::parse(&argv).unwrap_or_else(|msg| cli::exit_usage(BIN, USAGE, &msg));
+    let baseline = baseline.unwrap_or_else(bench::results_dir);
     let rep = Reporter::new(quiet);
+    match gate(&fresh, &baseline, &rep) {
+        Ok(checked) => rep.say(format!("{BIN}: {checked} document(s) pass")),
+        Err(failures) => {
+            eprintln!("{BIN}: {} failure(s):", failures.len());
+            for f in &failures {
+                eprintln!("  {f}");
+            }
+            attribute_drift(&fresh, &baseline);
+            std::process::exit(1);
+        }
+    }
+}
 
+/// Gate every known document that has a committed baseline: `Ok` with
+/// the number checked, or every failure. A run that checks nothing gated
+/// nothing, and fails.
+fn gate(fresh_dir: &Path, baseline_dir: &Path, rep: &Reporter) -> Result<usize, Vec<Diagnostic>> {
     let mut failures: Vec<Diagnostic> = Vec::new();
     let mut checked = 0;
     for name in DOCS {
-        let baseline = match load(&baseline_dir, name) {
+        let baseline = match load(baseline_dir, name) {
             Ok(doc) => doc,
             Err(e) => {
                 // No committed baseline yet: nothing to gate against.
@@ -90,7 +86,7 @@ fn main() {
                 continue;
             }
         };
-        match load(&fresh_dir, name) {
+        match load(fresh_dir, name) {
             Ok(fresh) => {
                 let fails = compare(&fresh, &baseline);
                 rep.note(format!(
@@ -107,19 +103,17 @@ fn main() {
             Err(e) => failures.push(Diagnostic::new(diag::BENCH_PARSE, e)),
         }
     }
-
     if checked == 0 && failures.is_empty() {
-        rep.warn("no benchmark documents found to gate".to_string());
+        let msg = format!(
+            "no benchmark document to gate: none of {DOCS:?} in {}",
+            baseline_dir.display()
+        );
+        failures.push(Diagnostic::new(diag::BENCH_MISSING, msg));
     }
     if failures.is_empty() {
-        rep.say(format!("{BIN}: {checked} document(s) pass"));
+        Ok(checked)
     } else {
-        eprintln!("{BIN}: {} failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        attribute_drift(&fresh_dir, &baseline_dir);
-        std::process::exit(1);
+        Err(failures)
     }
 }
 
@@ -157,5 +151,26 @@ fn attribute_drift(fresh_dir: &Path, baseline_dir: &Path) {
         for note in &d.notes {
             eprintln!("  note: {note}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Gating zero documents is a failure with a named diagnostic; the
+    /// committed baselines gated against themselves all pass.
+    #[test]
+    fn a_gate_that_checks_nothing_fails() {
+        let rep = Reporter::new(true);
+        let empty = std::env::temp_dir().join(format!("bench-gate-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&empty).unwrap();
+        let failures = gate(&empty, &empty, &rep).unwrap_err();
+        std::fs::remove_dir(&empty).unwrap();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].to_string().contains("BENCH0003"), "{}", failures[0]);
+
+        let results = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
+        assert_eq!(gate(results, results, &rep), Ok(DOCS.len()));
     }
 }

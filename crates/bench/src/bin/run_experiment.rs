@@ -18,7 +18,7 @@ use insitu::{improvement_pct, run_job_traced, run_paired_traced, JobConfig, RunR
 use mdsim::workload::WorkloadSpec;
 use mdsim::{AnalysisKind, AnalysisSchedule};
 use obs::Reporter;
-use std::str::FromStr;
+use std::ops::RangeInclusive;
 
 const BIN: &str = "run_experiment";
 
@@ -46,6 +46,9 @@ const MAX_NODES: usize = 65_536;
 /// as if it were a result.
 const MAX_DIM: u32 = 4_096;
 
+/// A wattage: finite and above 0.
+const WATTS: RangeInclusive<f64> = f64::MIN_POSITIVE..=f64::MAX;
+
 /// What the command line asked for, range-checked: a value that would
 /// trip an `assert!` in the engine crates never leaves [`parse`].
 struct Opts {
@@ -66,26 +69,6 @@ fn parse_kind(name: &str) -> Result<AnalysisSchedule, String> {
     }))
 }
 
-fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("{flag}: not a valid number: {v:?}"))
-}
-
-fn at_least_one<T: FromStr + PartialOrd + From<u8>>(flag: &str, v: &str) -> Result<T, String> {
-    let n: T = number(flag, v)?;
-    if n < T::from(1) {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(n)
-}
-
-fn watts(flag: &str, v: &str) -> Result<f64, String> {
-    let w: f64 = number(flag, v)?;
-    if !(w.is_finite() && w > 0.0) {
-        return Err(format!("{flag} must be a finite wattage above 0"));
-    }
-    Ok(w)
-}
-
 /// Parse `argv` without exiting or reading the environment; `Err` carries
 /// the message for the usage error (empty for `--help`).
 fn parse(argv: &[String]) -> Result<Opts, String> {
@@ -93,45 +76,35 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
     let (mut cfg, mut common) = (JobConfig::new(spec, "seesaw"), cli::CommonArgs::default());
     let (mut baseline, mut dump_syncs) = (true, false);
 
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_str();
-        let mut val = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+    let mut args = cli::Argv::new(argv);
+    while let Some(flag) = args.next() {
         match flag {
-            "--controller" => cfg.controller = val()?.clone(),
+            "--controller" => cfg.controller = args.value(flag)?.to_string(),
             "--nodes" => {
-                let n: usize = number(flag, val()?)?;
-                if n < 2 || !n.is_multiple_of(2) {
-                    return Err("--nodes must be even and at least 2 (two equal partitions)".into());
-                }
-                if n > MAX_NODES {
-                    return Err(format!("--nodes must be at most {MAX_NODES}"));
+                let n = args.number(flag, 2..=MAX_NODES)?;
+                if !n.is_multiple_of(2) {
+                    return Err("--nodes must be even (two equal partitions)".into());
                 }
                 (cfg.workload.sim_nodes, cfg.workload.analysis_nodes) = (n / 2, n / 2);
             }
-            "--dim" => {
-                cfg.workload.dim = at_least_one(flag, val()?)?;
-                if cfg.workload.dim > MAX_DIM {
-                    return Err(format!("--dim must be at most {MAX_DIM}"));
-                }
-            }
-            "--steps" => cfg.workload.total_steps = at_least_one(flag, val()?)?,
-            "--sync-every" => cfg.workload.sync_every = at_least_one(flag, val()?)?,
-            "--budget" => cfg.budget_per_node_w = watts(flag, val()?)?,
-            "--window" => cfg.window = at_least_one(flag, val()?)?,
-            "--seed" => cfg.seed.job = number(flag, val()?)?,
-            "--sim-cap" => cfg.initial_sim_cap_w = Some(watts(flag, val()?)?),
-            "--analysis-cap" => cfg.initial_analysis_cap_w = Some(watts(flag, val()?)?),
+            "--dim" => cfg.workload.dim = args.number(flag, 1..=MAX_DIM)?,
+            "--steps" => cfg.workload.total_steps = args.number(flag, 1..=u64::MAX)?,
+            "--sync-every" => cfg.workload.sync_every = args.number(flag, 1..=u64::MAX)?,
+            "--budget" => cfg.budget_per_node_w = args.number(flag, WATTS)?,
+            "--window" => cfg.window = args.number(flag, 1..=usize::MAX)?,
+            "--seed" => cfg.seed.job = args.number(flag, 0..=u64::MAX)?,
+            "--sim-cap" => cfg.initial_sim_cap_w = Some(args.number(flag, WATTS)?),
+            "--analysis-cap" => cfg.initial_analysis_cap_w = Some(args.number(flag, WATTS)?),
             "--analyses" => {
                 cfg.workload.analyses =
-                    val()?.split(',').map(parse_kind).collect::<Result<_, _>>()?;
+                    args.value(flag)?.split(',').map(parse_kind).collect::<Result<_, _>>()?;
             }
             "--no-baseline" => baseline = false,
             "--dump-syncs" => dump_syncs = true,
             "--quiet-noise" => cfg.quiet_noise = true,
             "--quiet" => common.quiet = true,
-            "--trace" => common.trace = Some(val()?.into()),
-            "--trace-perfetto" => common.perfetto = Some(val()?.into()),
+            "--trace" => common.trace = Some(args.value(flag)?.into()),
+            "--trace-perfetto" => common.perfetto = Some(args.value(flag)?.into()),
             "--audit" => common.audit = true,
             "--profile" => common.profile = true,
             "--help" | "-h" => return Err(String::new()),
@@ -149,54 +122,40 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Opts { cfg, baseline, dump_syncs, mut common } = parse(&argv).unwrap_or_else(|msg| {
-        if !msg.is_empty() {
-            eprintln!("{BIN}: {msg}");
-        }
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
+    let Opts { cfg, baseline, dump_syncs, mut common } =
+        parse(&argv).unwrap_or_else(|msg| cli::exit_usage(BIN, USAGE, &msg));
     common.env_fallback();
     let rep = common.reporter();
 
     // The controller run itself carries the tracer: `--trace` captures the
     // exact run being summarized, not a separate representative run. Under
     // `--audit` a streaming auditor rides the subscriber seam.
-    let session = cli::trace_session(&common);
-    let tracer = session.tracer.clone();
-
-    if baseline && cfg.controller != "static" {
-        let (ctl, base) = match run_paired_traced(&cfg, &tracer) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("{BIN}: error: {e}");
-                std::process::exit(2);
-            }
+    let failures = cli::observe(BIN, &common, &rep, |tracer| {
+        let fail = |e| -> ! {
+            eprintln!("{BIN}: error: {e}");
+            std::process::exit(2);
         };
-        let imp = improvement_pct(base.total_time_s, ctl.total_time_s);
-        print_summary(&rep, &ctl, &tracer);
-        rep.say(format!(
-            "baseline (static): {:.1} s  →  improvement {:+.2} %",
-            base.total_time_s, imp
-        ));
-        if dump_syncs {
-            println!("{}", bench::json::ToJson::to_json(&ctl.syncs).pretty());
-        }
-    } else {
-        let r = match run_job_traced(cfg, &tracer) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{BIN}: error: {e}");
-                std::process::exit(2);
-            }
+        let r = if baseline && cfg.controller != "static" {
+            let (ctl, base) = run_paired_traced(&cfg, tracer).unwrap_or_else(|e| fail(e));
+            print_summary(&rep, &ctl, tracer);
+            let imp = improvement_pct(base.total_time_s, ctl.total_time_s);
+            rep.say(format!(
+                "baseline (static): {:.1} s  →  improvement {:+.2} %",
+                base.total_time_s, imp
+            ));
+            ctl
+        } else {
+            let r = run_job_traced(cfg, tracer).unwrap_or_else(|e| fail(e));
+            print_summary(&rep, &r, tracer);
+            r
         };
-        print_summary(&rep, &r, &tracer);
         if dump_syncs {
             println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
         }
+    });
+    if failures > 0 {
+        std::process::exit(1);
     }
-    drop(tracer);
-    cli::finish_session(BIN, &common, &rep, session);
 }
 
 fn print_summary(rep: &Reporter, r: &RunResult, tracer: &obs::Tracer) {
@@ -302,10 +261,10 @@ mod tests {
         assert_eq!(parse(&argv("--help")).err().as_deref(), Some(""));
     }
 
-    /// Seeded mutation of valid command lines through the three argv
-    /// parsers of the `bench` crate (this bin's, the common flags',
-    /// `repro`'s): the outcome is `Ok` (and then in range) or `Err(msg)`,
-    /// never a panic.
+    /// Seeded mutation of valid command lines through every argv parser
+    /// of the `bench` crate (this bin's, the common flags', `repro`'s,
+    /// `audit_trace`'s, `trace_diff`'s, `bench_gate`'s): the outcome is
+    /// `Ok` (and then in range) or `Err(msg)`, never a panic.
     #[test]
     fn mutated_argv_never_panics_a_parser() {
         let big = "9".repeat(64 << 10);
@@ -321,6 +280,10 @@ mod tests {
             "--nodes",
             "--dim",
             "--trace",
+            "--json",
+            "--context",
+            "--rel-tol",
+            "--fresh",
             "fig1_trace",
             "no_such_experiment",
             big.as_str(),
@@ -335,10 +298,14 @@ mod tests {
             argv("--audit --profile --no-baseline --quiet-noise"),
             argv("fig1_trace --quick --trace t.jsonl"),
             argv("fig3_analyses fault_sweep --quiet --audit"),
+            argv("--json out --quiet a.jsonl b.jsonl"),
+            argv("--artifact --context 7 --rel-tol 0.02 --quiet a.json b.json"),
+            argv("--fresh fresh --baseline results --quiet"),
         ];
         for seed in [1, 7] {
             let mut rng = Rng::seed_from_u64(seed);
             let (mut accepted, mut rejected, mut selected) = (0, 0, 0);
+            let mut tools = [0; 3];
             for _ in 0..2000 {
                 let mut args = valid[rng.next_below(valid.len() as u64) as usize].clone();
                 for _ in 0..=rng.next_below(2) {
@@ -365,9 +332,25 @@ mod tests {
                     assert!(!sel.args.wants_trace() || sel.experiments.len() == 1);
                     selected += 1;
                 }
+                if let Ok(a) = cli::AuditTraceArgs::parse(&args) {
+                    assert!(!a.files.is_empty());
+                    tools[0] += 1;
+                }
+                if let Ok(a) = cli::TraceDiffArgs::parse(&args) {
+                    assert!(a.context <= cli::TraceDiffArgs::MAX_CONTEXT);
+                    assert!(a.rel_tol.is_finite() && a.rel_tol >= 0.0, "--rel-tol {}", a.rel_tol);
+                    tools[1] += 1;
+                }
+                if cli::BenchGateArgs::parse(&args).is_ok() {
+                    tools[2] += 1;
+                }
             }
             assert!(accepted > 0 && rejected > 0, "seed {seed}: {accepted} ok, {rejected} err");
             assert!(selected > 0, "seed {seed}: repro's parser accepted nothing");
+            assert!(
+                !tools.contains(&0),
+                "seed {seed}: a tool's parser accepted nothing: {tools:?}"
+            );
         }
     }
 }

@@ -22,19 +22,11 @@
 //! across thread counts and hosts — so it can itself sit inside a
 //! determinism gate.
 
+use bench::cli::{self, TraceDiffArgs as Args};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-struct Args {
-    a: PathBuf,
-    b: PathBuf,
-    artifact: bool,
-    context: usize,
-    rel_tol: f64,
-    quiet: bool,
-}
 
 const USAGE: &str = "usage: trace_diff [--artifact] [--context K] [--rel-tol X] [--quiet] A B\n\
   \n\
@@ -42,63 +34,17 @@ const USAGE: &str = "usage: trace_diff [--artifact] [--context K] [--rel-tol X] 
   \x20                with --artifact)\n\
   \x20 --artifact     compare audit_/metrics_/health_/profile_ JSON documents and\n\
   \x20                attribute the deltas (phases, critical path, counters)\n\
-  \x20 --context K    events of causal context per involved entity (default 5)\n\
+  \x20 --context K    events of causal context per involved entity (default 5,\n\
+  \x20                at most 1000)\n\
   \x20 --rel-tol X    artifact mode: ignore numeric deltas within X relative\n\
   \x20                tolerance (default 0 = exact)\n\
   \x20 --quiet        print nothing; communicate by exit status only\n\
   \n\
   exit status: 0 identical, 1 divergent, 2 usage or I/O error";
 
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut artifact = false;
-    let mut context = audit::diff::DEFAULT_CONTEXT;
-    let mut rel_tol = 0.0f64;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--artifact" => artifact = true,
-            "--quiet" => quiet = true,
-            "--context" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--context requires a count")?;
-                context = v.parse().map_err(|_| format!("bad --context value {v:?}"))?;
-            }
-            "--rel-tol" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--rel-tol requires a number")?;
-                rel_tol = v.parse().map_err(|_| format!("bad --rel-tol value {v:?}"))?;
-                if !(rel_tol >= 0.0 && rel_tol.is_finite()) {
-                    return Err(format!("--rel-tol must be finite and >= 0, got {v}"));
-                }
-            }
-            "--help" | "-h" => return Err(String::new()),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            path => paths.push(PathBuf::from(path)),
-        }
-        i += 1;
-    }
-    if paths.len() != 2 {
-        return Err(format!("expected exactly 2 files, got {}", paths.len()));
-    }
-    let b = paths.pop().expect("len checked");
-    let a = paths.pop().expect("len checked");
-    Ok(Args { a, b, artifact, context, rel_tol, quiet })
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("trace_diff: {msg}");
-            }
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv).unwrap_or_else(|msg| cli::exit_usage("trace_diff", USAGE, &msg));
     let result = if args.artifact { run_artifact(&args) } else { run_trace(&args) };
     match result {
         Ok(identical) => {

@@ -1,22 +1,78 @@
-//! Shared CLI handling for the experiment bins.
+//! Shared CLI handling for the bins.
 //!
-//! Every bin accepts the same common flags — `--quick`, `--quiet`,
-//! `--trace FILE`, `--trace-perfetto FILE`, `--audit` — parsed strictly:
-//! an unknown flag is a usage error (exit 2), never silently ignored.
-//! When the trace flags are absent the `SEESAW_TRACE` /
-//! `SEESAW_TRACE_PERFETTO` environment variables supply the paths, so
-//! sweeps driven by scripts can opt into tracing without touching each
-//! invocation; `SEESAW_AUDIT=1` likewise turns on `--audit` and
-//! `SEESAW_PROFILE=1` turns on `--profile` (the wall-clock stage
-//! profiler, written to `results/profile_<bin>.json` — the one artifact
-//! deliberately excluded from the byte-determinism gates).
+//! Every argv parser walks one [`Argv`] cursor and returns
+//! `Result<_, String>`: a bad command line never exits from inside a
+//! parser, and each bin hands the `Err` to [`exit_usage`] (usage text,
+//! exit 2). The common flags — `--quick`, `--quiet`, `--trace FILE`,
+//! `--trace-perfetto FILE`, `--audit`, `--profile` — are parsed strictly:
+//! an unknown flag is a usage error, never silently ignored. When the
+//! trace flags are absent the `SEESAW_TRACE` / `SEESAW_TRACE_PERFETTO`
+//! environment variables supply the paths; `SEESAW_AUDIT=1` likewise
+//! turns on `--audit` and `SEESAW_PROFILE=1` turns on `--profile` (the
+//! wall-clock stage profiler, written to `results/profile_<name>.json` —
+//! the one artifact deliberately excluded from the byte-determinism
+//! gates).
 
 use crate::experiments::{self, Experiment};
 use obs::Reporter;
+use std::fmt::Debug;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
-/// Flags shared by every experiment bin.
+/// An exit-free cursor over a command line: the next token, a flag's
+/// value, or a flag's value as a number inside an inclusive range.
+pub struct Argv<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Argv<'a> {
+    /// A cursor at the first token of `argv` (program name already gone).
+    pub fn new(argv: &'a [String]) -> Self {
+        Argv(argv.iter())
+    }
+
+    /// The token after `flag`, which requires one.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The token after `flag` as a number in `range`. NaN is in no range.
+    pub fn number<T: FromStr + PartialOrd + Debug>(
+        &mut self,
+        flag: &str,
+        range: RangeInclusive<T>,
+    ) -> Result<T, String> {
+        let v = self.value(flag)?;
+        let n: T = v.parse().map_err(|_| format!("{flag}: not a valid number: {v:?}"))?;
+        if range.contains(&n) {
+            Ok(n)
+        } else if n > *range.end() {
+            Err(format!("{flag} must be at most {:?}", range.end()))
+        } else {
+            Err(format!("{flag} must be at least {:?}", range.start()))
+        }
+    }
+}
+
+impl<'a> Iterator for Argv<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+}
+
+/// Print `msg` (if any; `--help` has none) and `usage` to stderr, then
+/// exit 2: where every bin's argv `Err` ends.
+pub fn exit_usage(bin: &str, usage: &str, msg: &str) -> ! {
+    if !msg.is_empty() {
+        eprintln!("{bin}: {msg}");
+    }
+    eprintln!("{usage}");
+    std::process::exit(2);
+}
+
+/// Flags shared by `repro` and `run_experiment`.
 #[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
     /// Shrink the experiment for CI smoke tests (`--quick`).
@@ -29,31 +85,18 @@ pub struct CommonArgs {
     pub perfetto: Option<PathBuf>,
     /// Audit the representative run live (`--audit`): stream its events
     /// through the incremental invariant battery, write
-    /// `results/audit_<bin>.json` plus run-health snapshots and the
+    /// `results/audit_<name>.json` plus run-health snapshots and the
     /// metric registry, and exit nonzero on any violation.
     pub audit: bool,
     /// Profile wall-clock stage timings (`--profile`): opt-in monotonic
     /// timers around the pipeline stages feed log₂-bucket histograms,
-    /// written to `results/profile_<bin>.json`. Wall-clock readings are
+    /// written to `results/profile_<name>.json`. Wall-clock readings are
     /// inherently nondeterministic, so this artifact never enters a
     /// byte-diff gate.
     pub profile: bool,
 }
 
 impl CommonArgs {
-    /// Parse the process arguments, accepting only the common flags.
-    /// Unknown flags print a usage error and exit with status 2.
-    pub fn parse(bin: &str) -> CommonArgs {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        match try_parse(&argv) {
-            Ok(mut args) => {
-                args.env_fallback();
-                args
-            }
-            Err(msg) => usage_error(bin, &msg),
-        }
-    }
-
     /// The progress reporter configured by `--quiet`.
     pub fn reporter(&self) -> Reporter {
         Reporter::new(self.quiet)
@@ -68,8 +111,7 @@ impl CommonArgs {
     /// the audit flag from `SEESAW_AUDIT`, and the profile flag from
     /// `SEESAW_PROFILE` — then arm the process-global stage profiler to
     /// match, so stage timers deep in the engine crates need no plumbing.
-    /// Every bin (including the ones with custom argv handling) calls
-    /// this before running.
+    /// Every bin calls this once its argv has parsed.
     pub fn env_fallback(&mut self) {
         if self.trace.is_none() {
             if let Ok(p) = std::env::var("SEESAW_TRACE") {
@@ -104,13 +146,13 @@ impl CommonArgs {
 }
 
 /// Parse `argv` accepting only the common flags; `Err` carries the
-/// offending-flag message. Exposed (and exit-free) for unit tests.
+/// offending-flag message. Exit-free and blind to the environment.
 pub fn try_parse(argv: &[String]) -> Result<CommonArgs, String> {
-    parse_with(argv, unknown_flag)
+    parse_with(argv, |arg| Err(unknown_flag(arg)))
 }
 
-fn unknown_flag(arg: &str) -> Result<(), String> {
-    Err(format!("unknown flag {arg:?}"))
+fn unknown_flag(arg: &str) -> String {
+    format!("unknown flag {arg:?}")
 }
 
 /// The experiments and flags one `repro` command line asks for.
@@ -130,7 +172,7 @@ impl Selection {
         let mut named: Vec<&str> = Vec::new();
         let args = parse_with(argv, |arg| {
             if arg.starts_with('-') {
-                return unknown_flag(arg);
+                return Err(unknown_flag(arg));
             }
             let known =
                 experiments::find(arg).ok_or_else(|| format!("unknown experiment {arg:?}"))?;
@@ -167,79 +209,148 @@ fn parse_with(
     mut other: impl FnMut(&str) -> Result<(), String>,
 ) -> Result<CommonArgs, String> {
     let mut out = CommonArgs::default();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut args = Argv::new(argv);
+    while let Some(arg) = args.next() {
+        match arg {
             "--quick" => out.quick = true,
             "--quiet" => out.quiet = true,
             "--audit" => out.audit = true,
             "--profile" => out.profile = true,
-            "--trace" => {
-                i += 1;
-                let p = argv.get(i).ok_or("--trace requires a file path")?;
-                out.trace = Some(PathBuf::from(p));
-            }
-            "--trace-perfetto" => {
-                i += 1;
-                let p = argv.get(i).ok_or("--trace-perfetto requires a file path")?;
-                out.perfetto = Some(PathBuf::from(p));
-            }
+            "--trace" => out.trace = Some(args.value(arg)?.into()),
+            "--trace-perfetto" => out.perfetto = Some(args.value(arg)?.into()),
             "--help" | "-h" => return Err(String::new()),
             arg => other(arg)?,
         }
-        i += 1;
     }
     Ok(out)
 }
 
-/// The usage text for a bin accepting only the common flags. `<name>`
-/// in it is the bin, or for `repro` the experiment.
-pub fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--quick] [--quiet] [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]\n\
-         \n\
-         \x20 --quick                 shrink the experiment for smoke tests\n\
-         \x20 --quiet                 suppress progress output (results/* still written)\n\
-         \x20 --trace FILE            write the JSONL event trace of a representative run\n\
-         \x20 --trace-perfetto FILE   write a Chrome-trace/Perfetto JSON export\n\
-         \x20 --audit                 audit the representative run live (streaming invariant\n\
-         \x20                         battery; writes results/audit_<name>.json plus\n\
-         \x20                         health_<name>.json and metrics_<name>.json, exits 1 on\n\
-         \x20                         violations)\n\
-         \x20 --profile               time pipeline stages with monotonic wall clocks and\n\
-         \x20                         write results/profile_<name>.json (nondeterministic by\n\
-         \x20                         nature; never byte-diffed)\n\
-         \n\
-         env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply the paths when the flags are\n\
-         absent; SEESAW_AUDIT=1 turns on --audit; SEESAW_PROFILE=1 turns on --profile"
-    )
+/// `audit_trace`'s command line: `[--json DIR] [--quiet] FILE...`.
+#[derive(Debug)]
+pub struct AuditTraceArgs {
+    /// The traces to audit, at least one.
+    pub files: Vec<PathBuf>,
+    /// Where to write each file's report, health and metrics documents.
+    pub json_dir: Option<PathBuf>,
+    /// Only print failures.
+    pub quiet: bool,
 }
 
-/// Print `msg` (if any) and the usage text to stderr, then exit 2.
-pub fn usage_error(bin: &str, msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("{bin}: {msg}");
+impl AuditTraceArgs {
+    /// Parse `audit_trace`'s `argv`, exit-free.
+    pub fn parse(argv: &[String]) -> Result<Self, String> {
+        let mut out = AuditTraceArgs { files: Vec::new(), json_dir: None, quiet: false };
+        let mut args = Argv::new(argv);
+        while let Some(arg) = args.next() {
+            match arg {
+                "--json" => out.json_dir = Some(args.value(arg)?.into()),
+                "--quiet" => out.quiet = true,
+                "--help" | "-h" => return Err(String::new()),
+                flag if flag.starts_with("--") => return Err(unknown_flag(flag)),
+                file => out.files.push(file.into()),
+            }
+        }
+        if out.files.is_empty() {
+            return Err("no trace FILE given".into());
+        }
+        Ok(out)
     }
-    eprintln!("{}", usage(bin));
-    std::process::exit(2);
 }
 
-/// One representative run's observability wiring: a tracer for the run
-/// to emit into, plus (under `--audit`) a live [`audit::StreamAuditor`]
-/// attached as a subscriber. The tracer buffers only when a trace file
-/// was requested; `--audit` alone uses a streaming (constant-memory)
-/// tracer — events flow through the auditor and are dropped, so the
-/// audited run never materializes a full `Vec` of events.
-pub struct TraceSession {
-    /// Hand this to the run (`set_tracer` / `run_job_traced`).
-    pub tracer: obs::Tracer,
-    auditor: Option<Arc<Mutex<audit::StreamAuditor>>>,
+/// `trace_diff`'s command line: `[--artifact] [--context K] [--rel-tol X]
+/// [--quiet] A B`.
+#[derive(Debug)]
+pub struct TraceDiffArgs {
+    /// The first file.
+    pub a: PathBuf,
+    /// The second file.
+    pub b: PathBuf,
+    /// Compare JSON artifacts instead of JSONL traces.
+    pub artifact: bool,
+    /// Events of causal context kept per involved entity.
+    pub context: usize,
+    /// Artifact mode: relative tolerance for numeric deltas.
+    pub rel_tol: f64,
+    /// Print nothing; answer by exit status only.
+    pub quiet: bool,
 }
 
-/// Build the observability wiring for one representative run from the
-/// common flags. The returned session is inert (tracer off, no auditor)
-/// when neither trace files nor `--audit` were requested.
-pub fn trace_session(args: &CommonArgs) -> TraceSession {
+impl TraceDiffArgs {
+    /// Largest `--context`. The context rings are what keeps trace mode
+    /// in constant memory; an unbounded K would let them hold the trace.
+    pub const MAX_CONTEXT: usize = 1_000;
+
+    /// Parse `trace_diff`'s `argv`, exit-free.
+    pub fn parse(argv: &[String]) -> Result<Self, String> {
+        let (mut artifact, mut quiet) = (false, false);
+        let (mut context, mut rel_tol) = (audit::diff::DEFAULT_CONTEXT, 0.0);
+        let mut paths: Vec<PathBuf> = Vec::new();
+        let mut args = Argv::new(argv);
+        while let Some(arg) = args.next() {
+            match arg {
+                "--artifact" => artifact = true,
+                "--quiet" => quiet = true,
+                "--context" => context = args.number(arg, 0..=Self::MAX_CONTEXT)?,
+                "--rel-tol" => rel_tol = args.number(arg, 0.0..=f64::MAX)?,
+                "--help" | "-h" => return Err(String::new()),
+                flag if flag.starts_with("--") => return Err(unknown_flag(flag)),
+                path => paths.push(path.into()),
+            }
+        }
+        let [a, b]: [PathBuf; 2] = paths
+            .try_into()
+            .map_err(|p: Vec<PathBuf>| format!("expected exactly 2 files, got {}", p.len()))?;
+        Ok(TraceDiffArgs { a, b, artifact, context, rel_tol, quiet })
+    }
+}
+
+/// `bench_gate`'s command line: `--fresh DIR [--baseline DIR] [--quiet]`.
+#[derive(Debug)]
+pub struct BenchGateArgs {
+    /// Freshly produced `BENCH_*.json` documents.
+    pub fresh: PathBuf,
+    /// The committed baselines (default: the results directory).
+    pub baseline: Option<PathBuf>,
+    /// Suppress per-document notes.
+    pub quiet: bool,
+}
+
+impl BenchGateArgs {
+    /// Parse `bench_gate`'s `argv`, exit-free.
+    pub fn parse(argv: &[String]) -> Result<Self, String> {
+        let (mut fresh, mut baseline, mut quiet) = (None, None, false);
+        let mut args = Argv::new(argv);
+        while let Some(arg) = args.next() {
+            match arg {
+                "--fresh" => fresh = Some(args.value(arg)?.into()),
+                "--baseline" => baseline = Some(args.value(arg)?.into()),
+                "--quiet" => quiet = true,
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unexpected argument {other:?}")),
+            }
+        }
+        let fresh = fresh.ok_or("--fresh DIR is required")?;
+        Ok(BenchGateArgs { fresh, baseline, quiet })
+    }
+}
+
+/// Run `run` under the observation the common flags ask for, then write
+/// what it recorded. The tracer `run` gets buffers only when a trace file
+/// was requested; `--audit` alone streams events through a live
+/// [`audit::StreamAuditor`] and drops them, so an audited run never
+/// materializes its events; with neither it is off. Afterwards: the trace
+/// exports, `results/profile_<name>.json` under `--profile`, and under
+/// `--audit` `results/audit_<name>.json`, `health_<name>.json` (per-interval
+/// run-health snapshots) and `metrics_<name>.json` (the metric registry).
+/// Every write is attempted. Returns the number of failures — writes that
+/// failed, plus one for an audit with violations — for the caller to exit
+/// 1 on.
+pub fn observe(
+    name: &str,
+    args: &CommonArgs,
+    rep: &Reporter,
+    run: impl FnOnce(&obs::Tracer),
+) -> usize {
     let tracer = if args.wants_trace() {
         obs::Tracer::enabled()
     } else if args.audit {
@@ -247,95 +358,46 @@ pub fn trace_session(args: &CommonArgs) -> TraceSession {
     } else {
         obs::Tracer::off()
     };
-    let auditor = if args.audit {
-        let auditor = Arc::new(Mutex::new(audit::StreamAuditor::new()));
-        tracer.attach(Box::new(Arc::clone(&auditor)));
-        Some(auditor)
-    } else {
-        None
-    };
-    TraceSession { tracer, auditor }
-}
+    let auditor = args.audit.then(|| Arc::new(Mutex::new(audit::StreamAuditor::new())));
+    if let Some(auditor) = &auditor {
+        tracer.attach(Box::new(Arc::clone(auditor)));
+    }
+    run(&tracer);
 
-/// Finish a session after the run: write the requested trace exports,
-/// then (under `--audit`) finalize the streaming auditor and write
-/// `results/audit_<bin>.json`, `results/health_<bin>.json` (per-interval
-/// run-health snapshots), and `results/metrics_<bin>.json` (the metric
-/// registry). **Exits the process with status 1** when the audit finds
-/// violations.
-pub fn finish_session(bin: &str, args: &CommonArgs, rep: &Reporter, session: TraceSession) {
-    let TraceSession { tracer, auditor } = session;
-    write_trace_files(args, rep, &tracer);
-    if args.profile {
-        let path = crate::results_dir().join(format!("profile_{bin}.json"));
-        match std::fs::write(&path, obs::profile::to_json()) {
-            Ok(()) => rep.note(format!("wrote {} (wall-clock; not byte-gated)", path.display())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
-        }
-    }
-    let Some(auditor) = auditor else { return };
-    // The run may still hold tracer clones (scheduler handles), so take
-    // the auditor's state out through the shared cell rather than trying
-    // to unwrap the Arc.
-    let auditor = std::mem::take(&mut *auditor.lock().expect("auditor poisoned"));
-    let outcome = auditor.finish();
-    let dir = crate::results_dir();
-    let writes = [
-        (dir.join(format!("audit_{bin}.json")), outcome.report.to_json()),
-        (dir.join(format!("health_{bin}.json")), audit::health_to_json(&outcome.health)),
-        (dir.join(format!("metrics_{bin}.json")), outcome.registry.to_json()),
-    ];
-    for (path, body) in writes {
-        match std::fs::write(&path, body) {
-            Ok(()) => rep.note(format!("wrote {}", path.display())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
-        }
-    }
-    let report = outcome.report;
-    rep.note(report.summary());
-    if !report.clean() {
-        eprintln!("{bin}: trace audit FAILED with {} violation(s)", report.violations.len());
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Run one representative traced run of `cfg`, write the requested
-/// exports, and audit the trace when `--audit` is on — live, through the
-/// streaming subscriber seam, not by re-walking a buffered trace. Called
-/// *after* a bin's main sweep so the sweep's own output (tables,
-/// `results/*.json`) is byte-identical whether or not tracing is on —
-/// the traced run is an extra run, not an instrumented sweep member.
-///
-/// **Exits the process with status 1** when the audit finds violations.
-pub fn export_trace(bin: &str, args: &CommonArgs, rep: &Reporter, cfg: &insitu::JobConfig) {
-    if !args.wants_trace() && !args.audit && !args.profile {
-        return;
-    }
-    let session = trace_session(args);
-    if let Err(e) = insitu::run_job_traced(cfg.clone(), &session.tracer) {
-        rep.warn(format!("trace run failed: {e}"));
-        return;
-    }
-    finish_session(bin, args, rep, session);
-}
-
-/// Write the JSONL and/or Perfetto exports of an already-filled tracer.
-pub fn write_trace_files(args: &CommonArgs, rep: &Reporter, tracer: &obs::Tracer) {
+    let mut written = Vec::new();
     if let Some(path) = &args.trace {
-        match std::fs::write(path, tracer.to_jsonl()) {
-            Ok(()) => rep.note(format!("wrote trace {} ({} events)", path.display(), tracer.len())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
-        }
+        written.push(crate::write_file(rep, path, &tracer.to_jsonl()));
     }
     if let Some(path) = &args.perfetto {
-        match std::fs::write(path, obs::chrome_trace(&tracer.events())) {
-            Ok(()) => rep.note(format!("wrote perfetto trace {}", path.display())),
-            Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
+        written.push(crate::write_file(rep, path, &obs::chrome_trace(&tracer.events())));
+    }
+    let mut documents = Vec::new();
+    if args.profile {
+        documents.push((format!("profile_{name}.json"), obs::profile::to_json()));
+    }
+    let mut violated = false;
+    if let Some(auditor) = auditor {
+        // The run may have left tracer clones behind (scheduler handles),
+        // so take the auditor's state out through the shared cell rather
+        // than trying to unwrap the Arc.
+        let outcome = std::mem::take(&mut *auditor.lock().expect("auditor poisoned")).finish();
+        documents.push((format!("audit_{name}.json"), outcome.report.to_json()));
+        documents.push((format!("health_{name}.json"), audit::health_to_json(&outcome.health)));
+        documents.push((format!("metrics_{name}.json"), outcome.registry.to_json()));
+        let report = outcome.report;
+        rep.note(report.summary());
+        if !report.clean() {
+            eprintln!("{name}: trace audit FAILED with {} violation(s)", report.violations.len());
+            for v in &report.violations {
+                eprintln!("  {v}");
+            }
+            violated = true;
         }
     }
+    for (file, body) in documents {
+        written.push(crate::write_result(rep, &file, &body));
+    }
+    written.iter().filter(|w| w.is_err()).count() + usize::from(violated)
 }
 
 #[cfg(test)]
@@ -400,7 +462,7 @@ mod tests {
     #[test]
     fn a_trace_file_needs_exactly_one_experiment() {
         let parse = |args: &[&str]| Selection::parse(&argv(args));
-        assert!(parse(&["--trace", "t.jsonl"]).unwrap_err().contains("12 are selected"));
+        assert!(parse(&["--trace", "t.jsonl"]).unwrap_err().contains("15 are selected"));
         assert!(parse(&["fig1_trace", "ablation", "--trace-perfetto", "p.json"]).is_err());
         assert!(parse(&["fig1_trace", "--trace", "t.jsonl"]).is_ok());
         // The environment can name a trace file too: the check runs again
@@ -414,5 +476,14 @@ mod tests {
     fn empty_argv_is_fine() {
         let a = try_parse(&[]).unwrap();
         assert!(!a.quick && !a.quiet && !a.wants_trace());
+    }
+
+    /// A trace export that cannot be written is counted, not just warned
+    /// about: the bin exits 1 on it.
+    #[test]
+    fn a_failed_trace_write_is_a_failure() {
+        let args =
+            CommonArgs { trace: Some("/nonexistent/dir/t.jsonl".into()), ..Default::default() };
+        assert_eq!(observe("t", &args, &Reporter::new(true), |_| {}), 1);
     }
 }

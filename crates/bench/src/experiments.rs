@@ -1,5 +1,6 @@
 //! The experiment table behind `repro`: one row per table/figure of the
-//! paper's evaluation (§VII) plus the ablation and fault studies.
+//! paper's evaluation (§VII), the ablation and fault studies, and the
+//! machine and fleet sweeps.
 //!
 //! A row names its *run keys* — every simulation it needs, in a fixed
 //! order — and reduces the finished runs, positionally matching those
@@ -11,58 +12,123 @@
 
 use crate::json::{Json, ToJson};
 use crate::svg::{bar_chart, line_chart, Series};
+use fleet::FleetResult;
 use insitu::{improvement_pct, median, JobConfig, RunResult, SyncRecord};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{AnalysisKind as K, AnalysisSchedule};
+use sched::{MachineResult, Policy};
 use seesaw::EwmaMode;
 use std::fmt::Display;
 
-/// How a run key's configuration is executed.
+/// How a job key's configuration is executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Entry {
     /// [`insitu::run_job`]: space-shared, the controller named in the config.
     Job,
     /// Space-shared under a SeeSAw controller built with this Eq. 4 reading.
     Ewma(EwmaMode),
-    /// [`insitu::run_time_shared`].
+    /// [`insitu::run_time_shared`]; emits no trace events.
     TimeShared,
-    /// [`insitu::run_colocated`].
+    /// [`insitu::run_colocated`]; emits no trace events.
     Colocated,
 }
 
 /// One simulation an experiment needs. Two equal keys are the same
 /// simulation (a run is a pure function of its key) and run once.
+#[allow(clippy::large_enum_variant)] // a few hundred keys, each built once
 #[derive(Debug, Clone, PartialEq)]
-struct RunKey {
-    /// The job to run.
-    cfg: JobConfig,
-    /// The entry point to run it through.
-    entry: Entry,
+enum RunKey {
+    /// One job, through an `insitu` entry point.
+    Job(JobConfig, Entry),
+    /// One `sched` machine: scenario `scenario` of the machine sweep under
+    /// `policy`, every job `steps` steps long.
+    Machine { scenario: usize, policy: Policy, steps: u64 },
+    /// One seed of a fleet cell: storm `storm` of the fleet sweep over
+    /// `machines` members under `policy`, every job `steps` steps long.
+    Fleet { storm: usize, machines: usize, policy: Policy, seed: u64, steps: u64 },
+}
+
+impl From<JobConfig> for RunKey {
+    fn from(cfg: JobConfig) -> Self {
+        RunKey::job(cfg)
+    }
 }
 
 impl RunKey {
     fn job(cfg: JobConfig) -> Self {
-        RunKey { cfg, entry: Entry::Job }
+        RunKey::Job(cfg, Entry::Job)
     }
 
-    fn run(&self) -> RunResult {
-        let cfg = self.cfg.clone();
-        match self.entry {
-            Entry::Job => insitu::run_job(cfg).expect("known controller"),
-            Entry::Ewma(ewma) => {
-                let controller = Box::new(seesaw::SeeSaw::new(seesaw::SeeSawConfig {
-                    budget_w: cfg.budget_w(),
-                    window: cfg.window,
-                    limits: seesaw::Limits::theta(),
-                    ewma,
-                    skip_step_zero: true,
-                }));
-                insitu::Runtime::with_controller(cfg, controller).run()
+    /// Run the key with `tracer` attached: off for the batch, on for a
+    /// representative run.
+    fn run(&self, tracer: &obs::Tracer) -> Run {
+        match *self {
+            RunKey::Job(ref cfg, entry) => Run::Job(match entry {
+                Entry::Job => {
+                    insitu::run_job_traced(cfg.clone(), tracer).expect("known controller")
+                }
+                Entry::Ewma(ewma) => {
+                    let controller = Box::new(seesaw::SeeSaw::new(seesaw::SeeSawConfig {
+                        budget_w: cfg.budget_w(),
+                        window: cfg.window,
+                        limits: seesaw::Limits::theta(),
+                        ewma,
+                        skip_step_zero: true,
+                    }));
+                    let mut rt = insitu::Runtime::with_controller(cfg.clone(), controller);
+                    rt.set_tracer(tracer);
+                    rt.run()
+                }
+                Entry::TimeShared => insitu::run_time_shared(cfg.clone()),
+                Entry::Colocated => insitu::run_colocated(cfg.clone()).expect("known controller"),
+            }),
+            RunKey::Machine { scenario, policy, steps } => {
+                Run::Machine(machine_sweep::run(scenario, policy, steps, tracer))
             }
-            Entry::TimeShared => insitu::run_time_shared(cfg),
-            Entry::Colocated => insitu::run_colocated(cfg).expect("known controller"),
+            RunKey::Fleet { storm, machines, policy, seed, steps } => {
+                Run::Fleet(fleet_sweep::run(storm, machines, policy, seed, steps, tracer))
+            }
         }
     }
+}
+
+/// A finished run, of its key's family.
+#[derive(Debug)]
+enum Run {
+    Job(RunResult),
+    Machine(MachineResult),
+    Fleet(FleetResult),
+}
+
+/// A family's result type: a row's reducer reads its runs as one.
+trait Family {
+    fn of(run: &Run) -> &Self;
+}
+
+impl Family for RunResult {
+    fn of(run: &Run) -> &Self {
+        let Run::Job(r) = run else { unreachable!("a row's keys are of one family") };
+        r
+    }
+}
+
+impl Family for MachineResult {
+    fn of(run: &Run) -> &Self {
+        let Run::Machine(r) = run else { unreachable!("a row's keys are of one family") };
+        r
+    }
+}
+
+impl Family for FleetResult {
+    fn of(run: &Run) -> &Self {
+        let Run::Fleet(r) = run else { unreachable!("a row's keys are of one family") };
+        r
+    }
+}
+
+/// Hand `reduce` the runs as its family's results.
+fn reduce_as<T: Family>(reduce: fn(bool, &[&T]) -> Output, quick: bool, runs: &[&Run]) -> Output {
+    reduce(quick, &runs.iter().map(|r| T::of(r)).collect::<Vec<_>>())
 }
 
 /// What one experiment produced: its console output and its files.
@@ -85,8 +151,27 @@ impl Output {
 
     /// A table, set off from the text above it by a blank line.
     fn table(&mut self, headers: &[&str], rows: &[Vec<String>]) {
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+        for row in rows {
+            for (i, cell) in row.iter().enumerate() {
+                if i < widths.len() {
+                    widths[i] = widths[i].max(cell.len());
+                }
+            }
+        }
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(0)))
+                .collect();
+            format!("| {} |", padded.join(" | "))
+        };
+        let rule = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|");
         self.blank();
-        self.lines.extend(crate::table_lines(headers, rows));
+        self.lines.push(line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+        self.lines.push(format!("|{rule}|"));
+        self.lines.extend(rows.iter().map(|row| line(row)));
     }
 
     fn svg(&mut self, name: &str, svg: String) {
@@ -108,20 +193,27 @@ pub struct Experiment {
     keys: fn(quick: bool) -> Vec<RunKey>,
     /// From the finished runs, positionally matching `keys(quick)`, to
     /// the experiment's console output and files.
-    reduce: fn(quick: bool, runs: &[&RunResult]) -> Output,
+    reduce: fn(quick: bool, runs: &[&Run]) -> Output,
     /// The run `--trace` / `--audit` / `--profile` observe — an extra run
     /// after the sweep, so the sweep's output never depends on tracing.
-    pub representative: fn(quick: bool) -> JobConfig,
+    representative: fn(quick: bool) -> RunKey,
+}
+
+impl Experiment {
+    /// Run the representative run with `tracer` attached.
+    pub fn trace(&self, quick: bool, tracer: &obs::Tracer) {
+        (self.representative)(quick).run(tracer);
+    }
 }
 
 macro_rules! table {
     ($($name:ident),* $(,)?) => {
-        /// Every experiment, in paper order.
+        /// Every experiment: the paper's in paper order, then the sweeps.
         pub static TABLE: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             keys: $name::keys,
-            reduce: $name::reduce,
-            representative: $name::representative,
+            reduce: |quick, runs| reduce_as($name::reduce, quick, runs),
+            representative: |quick| $name::representative(quick).into(),
         }),*];
     };
 }
@@ -138,6 +230,9 @@ table!(
     fig9_overhead,
     ablation,
     fault_sweep,
+    machine_sweep,
+    machine_sweep_theta,
+    fleet_sweep,
 );
 
 /// The row called `name`.
@@ -177,9 +272,10 @@ fn plan(selected: &[&Experiment], quick: bool) -> Plan {
 /// are slotted by index, so the outputs are identical at any pool width.
 pub fn run_selection(selected: &[&Experiment], quick: bool) -> Vec<Output> {
     let Plan { distinct, index } = plan(selected, quick);
-    let results = par::global().par_map_indexed(distinct.len(), |i| distinct[i].run());
+    let results =
+        par::global().par_map_indexed(distinct.len(), |i| distinct[i].run(&obs::Tracer::off()));
     let reduce = |(e, slots): (&&Experiment, &Vec<usize>)| {
-        let runs: Vec<&RunResult> = slots.iter().map(|&i| &results[i]).collect();
+        let runs: Vec<&Run> = slots.iter().map(|&i| &results[i]).collect();
         (e.reduce)(quick, &runs)
     };
     selected.iter().zip(&index).map(reduce).collect()
@@ -188,7 +284,7 @@ pub fn run_selection(selected: &[&Experiment], quick: bool) -> Vec<Output> {
 const ALL: [K; 4] = [K::Rdf, K::Msd1d, K::Msd2d, K::Vacf];
 
 /// Steps to simulate: the paper's 400, or 60 under `--quick`.
-pub(crate) fn steps(quick: bool) -> u64 {
+fn steps(quick: bool) -> u64 {
     [400, 60][quick as usize]
 }
 
@@ -1028,14 +1124,14 @@ mod ablation {
         for (_, mode) in EWMA {
             let cfg = representative(quick).with_seed(1, 1);
             keys.push(RunKey::job(job(quick, 16, K::MsdFull, "static")));
-            keys.push(RunKey { cfg, entry: Entry::Ewma(mode) });
+            keys.push(RunKey::Job(cfg, Entry::Ewma(mode)));
         }
         // Controller family on the local-optimum-prone low-demand case.
         keys.extend(FAMILY.iter().flat_map(|ctl| paired(&job(quick, 36, K::Vacf, ctl), 1)));
         for (kind, dim) in SHARED {
             for (run, (_, ctl, entry)) in (1..).zip(SHARING) {
                 keys.push(RunKey::job(job(quick, dim, kind, "static")));
-                keys.push(RunKey { cfg: job(quick, dim, kind, ctl).with_seed(1, run), entry });
+                keys.push(RunKey::Job(job(quick, dim, kind, ctl).with_seed(1, run), entry));
             }
         }
         keys
@@ -1158,6 +1254,353 @@ mod fault_sweep {
     }
 }
 
+/// Machine sweep: how much does machine-level energy feedback buy over
+/// static power partitioning when N in-situ jobs share one envelope?
+///
+/// Each scenario is a job mix (widths, analysis weights, arrival times,
+/// an optional mid-run kill) run under the same contended machine
+/// envelope once per [`Policy`]: static equal-share, SeeSAw's energy
+/// feedback lifted to the machine level (`P_j ∝ E_j`), and SLURM-style
+/// power-aware (`P_j ∝ P̄_j`). Same job seeds, same fault plan, same
+/// admission order: the policy is the only thing that differs within a
+/// scenario.
+mod machine_sweep {
+    use super::*;
+    use faults::{JobFault, JobFaultPlan};
+    use sched::{JobSpec, MachineSpec, Scheduler};
+
+    /// (name, nodes, envelope W, kills, quiet noise): the four job mixes,
+    /// then the full Theta machine. Each mix's envelope is contended
+    /// (below `Σ nⱼ · δ_max`, above `Σ nⱼ · δ_min` for the concurrent set),
+    /// so the governor's division of power always binds.
+    pub(super) const SCENARIOS: [(&str, usize, f64, &[JobFault], bool); 5] = [
+        ("mixed", 16, 1760.0, &[], false),
+        ("uniform", 16, 1760.0, &[], false),
+        ("staggered", 8, 1100.0, &[], false),
+        ("failure", 8, 1100.0, &[JobFault { epoch: 3, job: 1 }], false),
+        ("theta-4392", 4392, 110.0 * 4392.0, &[], true),
+    ];
+    pub(super) const THETA: usize = 4;
+
+    /// (scenario, arrival epoch, seed, dim, nodes, analyses).
+    type Job = (usize, u64, u64, u32, usize, &'static [K]);
+    const JOBS: [Job; 16] = [
+        // Two heavy compute-bound RDF jobs (larger problem, high power
+        // sensitivity) next to two light VACF jobs. Energy feedback
+        // shifts watts toward the heavy jobs that pace the machine and
+        // convert them into speed almost 1:1.
+        (0, 0, 11, 24, 4, &[K::Rdf]),
+        (0, 0, 12, 24, 4, &[K::Rdf]),
+        (0, 0, 13, 16, 4, &[K::Vacf]),
+        (0, 0, 14, 16, 4, &[K::Vacf]),
+        // Four identical jobs. Feedback should at worst match equal-share
+        // here (the fair split is the right answer).
+        (1, 0, 21, 16, 4, &[K::Vacf]),
+        (1, 0, 22, 16, 4, &[K::Vacf]),
+        (1, 0, 23, 16, 4, &[K::Vacf]),
+        (1, 0, 24, 16, 4, &[K::Vacf]),
+        // Staggered arrivals over an 8-node machine: jobs queue, backfill
+        // and depart, so the governor re-divides a shifting population.
+        (2, 0, 31, 24, 4, &[K::Rdf]),
+        (2, 0, 32, 16, 2, &[K::Vacf]),
+        (2, 2, 33, 16, 2, &[K::Rdf]),
+        (2, 4, 34, 16, 4, &[K::Vacf]),
+        // A mid-run kill frees half the machine; the governor must fold
+        // the dead job's watts back into the survivors.
+        (3, 0, 41, 24, 4, &[K::Rdf]),
+        (3, 0, 42, 24, 4, &[K::Rdf]),
+        (3, 1, 43, 16, 4, &[K::Vacf]),
+        // Theta's 4392 nodes in one job, under quiet noise so the
+        // homogeneous partitions share a handful of walks per interval
+        // instead of walking every node.
+        (4, 0, 404, 48, 4392, &[K::Rdf, K::Vacf]),
+    ];
+
+    /// Scenario `index` under `policy`, every job `steps` steps long,
+    /// with `tracer` on the scheduler.
+    pub(super) fn run(
+        index: usize,
+        policy: Policy,
+        steps: u64,
+        tracer: &obs::Tracer,
+    ) -> MachineResult {
+        let (_, nodes, envelope_w, kills, quiet) = SCENARIOS[index];
+        let job = |&(_, epoch, seed, dim, width, kinds): &Job| {
+            let mut spec = WorkloadSpec::paper(dim, width, 1, kinds);
+            spec.total_steps = steps;
+            let cfg = JobConfig::new(spec, "seesaw").with_seed(seed, 0);
+            JobSpec::arriving(epoch, if quiet { cfg.with_quiet_noise() } else { cfg })
+        };
+        let jobs = JOBS.iter().filter(|j| j.0 == index).map(job).collect();
+        let spec =
+            MachineSpec { syncs_per_epoch: 5, ..MachineSpec::new(nodes, envelope_w, policy) };
+        let kills = JobFaultPlan::from_events(kills.to_vec());
+        let mut machine =
+            Scheduler::new(spec, jobs).expect("known controllers").with_job_faults(kills);
+        machine.set_tracer(tracer);
+        machine.run()
+    }
+
+    // Jobs half the paper's length: 200 steps, or 30 under `--quick`.
+    fn key(quick: bool, scenario: usize, policy: Policy) -> RunKey {
+        RunKey::Machine { scenario, policy, steps: steps(quick) / 2 }
+    }
+
+    // The mixed scenario under energy feedback.
+    pub(super) fn representative(quick: bool) -> RunKey {
+        key(quick, 0, Policy::EnergyFeedback)
+    }
+
+    pub(super) fn keys(quick: bool) -> Vec<RunKey> {
+        (0..THETA).flat_map(|s| Policy::all().map(|p| key(quick, s, p))).collect()
+    }
+
+    pub(super) fn reduce(_quick: bool, runs: &[&MachineResult]) -> Output {
+        let mut out = Output::default();
+        out.say("Machine sweep — N concurrent in-situ jobs under one power envelope");
+        let policies = Policy::all();
+        let rows = table(&mut out, 0..THETA, &policies, runs);
+        out.blank();
+        // `Policy::all()` is equal-share, energy-feedback, power-aware.
+        for ((name, ..), cell) in SCENARIOS.iter().zip(runs.chunks_exact(policies.len())) {
+            let (base, fb) = (cell[0].makespan_s, cell[1].makespan_s);
+            out.say(format!(
+                "  {name:<10} energy-feedback vs equal-share makespan: {:+.2}%",
+                100.0 * (base - fb) / base
+            ));
+        }
+        out.json("machine_sweep", &rows);
+        out
+    }
+
+    /// A table with one line per run, scenario-major over `scenarios` ×
+    /// `policies`; returns the JSON rows.
+    pub(super) fn table(
+        out: &mut Output,
+        scenarios: std::ops::Range<usize>,
+        policies: &[Policy],
+        runs: &[&MachineResult],
+    ) -> Vec<Json> {
+        let cells = scenarios.flat_map(|s| policies.iter().map(move |p| (SCENARIOS[s].0, p.tag())));
+        let (mut rows, mut table) = (Vec::new(), Vec::new());
+        for ((scenario, policy), r) in cells.zip(runs) {
+            let count = |tag| r.outcomes.iter().filter(|o| o.outcome == tag).count();
+            let (jobs, completed, killed) = (r.outcomes.len(), count("completed"), count("killed"));
+            let (makespan_s, total_energy_j) = (r.makespan_s, r.total_energy_j);
+            let mean_completion_s = r.mean_completion_s();
+            let makespan = format!("{makespan_s:.1}");
+            let (mean, mj) =
+                (format!("{mean_completion_s:.1}"), format!("{:.2}", total_energy_j / 1e6));
+            table.push(line([
+                &scenario, &policy, &jobs, &completed, &killed, &makespan, &mean, &mj,
+            ]));
+            rows.push(row!(
+                scenario,
+                policy,
+                jobs,
+                completed,
+                killed,
+                makespan_s,
+                mean_completion_s,
+                total_energy_j
+            ));
+        }
+        let headers =
+            ["scenario", "policy", "jobs", "done", "killed", "makespan s", "mean done s", "MJ"];
+        out.table(&headers, &table);
+        rows
+    }
+}
+
+/// The paper's full machine under each policy: one 4392-node job spanning
+/// Theta. Its representative run streams through the live auditor in
+/// constant memory under `--audit`.
+mod machine_sweep_theta {
+    use super::*;
+    use machine_sweep::THETA;
+
+    fn key(quick: bool, policy: Policy) -> RunKey {
+        RunKey::Machine { scenario: THETA, policy, steps: [200, 20][quick as usize] }
+    }
+
+    /// Every policy, or under `--quick` energy feedback alone.
+    fn policies(quick: bool) -> Vec<Policy> {
+        if quick {
+            vec![Policy::EnergyFeedback]
+        } else {
+            Policy::all().to_vec()
+        }
+    }
+
+    pub(super) fn representative(quick: bool) -> RunKey {
+        key(quick, Policy::EnergyFeedback)
+    }
+
+    pub(super) fn keys(quick: bool) -> Vec<RunKey> {
+        policies(quick).into_iter().map(|policy| key(quick, policy)).collect()
+    }
+
+    pub(super) fn reduce(quick: bool, runs: &[&MachineResult]) -> Output {
+        let mut out = Output::default();
+        out.say("Machine sweep — full Theta (4392 nodes), one machine-spanning job");
+        let rows = machine_sweep::table(&mut out, THETA..THETA + 1, &policies(quick), runs);
+        out.json("machine_sweep_theta", &rows);
+        out
+    }
+}
+
+/// Fleet chaos soak: what does machine loss cost a federated fleet, and
+/// how fast does it recover?
+///
+/// Seeded machine-fault storms (crash / partition / slow / mixed) hit
+/// fleets of 2 and 3 machines under every governor policy. The job
+/// stream, the storm and the scheduler are all pure functions of the
+/// seed, so every cell is replayable. Each row aggregates three seeds;
+/// the baseline `none` storm rows give the no-fault makespan and goodput
+/// the others are read against.
+mod fleet_sweep {
+    use super::*;
+    use faults::{MachineFaultIntensity as Storm, MachineFaultPlan};
+    use fleet::{Fleet, FleetSpec, JobStream};
+    use sched::MachineSpec;
+
+    const SEEDS: [u64; 3] = [1, 2, 3];
+    const MACHINES: [usize; 2] = [2, 3];
+    const STORM_EPOCHS: u64 = 40;
+    const JOBS_PER_RUN: u64 = 6;
+    const ARRIVAL_HORIZON_EPOCHS: u64 = 6;
+    /// Where [`storms`] puts the mixed weather profile.
+    const MIXED: usize = 4;
+
+    /// The storm menu: one no-fault baseline plus one storm per fault kind
+    /// and the mixed weather profile.
+    fn storms() -> [(&'static str, Storm); 5] {
+        [
+            ("none", Storm::none()),
+            ("crash", Storm { crash: 0.1, partition: 0.0, slow: 0.0 }),
+            ("partition", Storm { crash: 0.0, partition: 0.06, slow: 0.0 }),
+            ("slow", Storm { crash: 0.0, partition: 0.0, slow: 0.08 }),
+            ("mixed", Storm::storm(1.0)),
+        ]
+    }
+
+    /// One seed of a cell: a stream of 4-node jobs, each with its own
+    /// seed, under the storm's seeded plan; `tracer` on the fleet.
+    pub(super) fn run(
+        storm: usize,
+        machines: usize,
+        policy: Policy,
+        seed: u64,
+        steps: u64,
+        tracer: &obs::Tracer,
+    ) -> FleetResult {
+        let job = |k| {
+            let mut spec = WorkloadSpec::paper(16, 4, 1, &[K::Vacf]);
+            spec.total_steps = steps;
+            JobConfig::new(spec, "seesaw").with_seed(seed * 1000 + k, 0)
+        };
+        let jobs = (0..JOBS_PER_RUN).map(job).collect();
+        let stream = JobStream::seeded(seed, jobs, ARRIVAL_HORIZON_EPOCHS);
+        let plan = MachineFaultPlan::generate(seed, &storms()[storm].1, machines, STORM_EPOCHS);
+        let member = MachineSpec { syncs_per_epoch: 4, ..MachineSpec::new(8, 1100.0, policy) };
+        // Contended: below `machines × 1100 W`, so the renormalized shares
+        // actually bind and losing a member reshapes every survivor.
+        let spec = FleetSpec::new(vec![member; machines], 900.0 * machines as f64);
+        let spec = FleetSpec { max_epochs: 400, ..spec };
+        let mut fleet = Fleet::new(spec, stream, plan).expect("known controllers");
+        fleet.set_tracer(tracer);
+        fleet.run()
+    }
+
+    /// Every (storm, machines, policy) cell, in row order.
+    fn cells() -> impl Iterator<Item = (usize, usize, Policy)> {
+        let machines = |s| MACHINES.into_iter().flat_map(move |m| Policy::all().map(|p| (s, m, p)));
+        (0..storms().len()).flat_map(machines)
+    }
+
+    // Per-job steps — the fleet multiplies them: 16, or 2 under `--quick`.
+    fn key(quick: bool, (storm, machines, policy): (usize, usize, Policy), seed: u64) -> RunKey {
+        RunKey::Fleet { storm, machines, policy, seed, steps: steps(quick) / 25 }
+    }
+
+    // Three machines in the mixed storm under energy feedback.
+    pub(super) fn representative(quick: bool) -> RunKey {
+        key(quick, (MIXED, 3, Policy::EnergyFeedback), SEEDS[0])
+    }
+
+    // Each seed of a cell is its own key.
+    pub(super) fn keys(quick: bool) -> Vec<RunKey> {
+        cells().flat_map(|cell| SEEDS.map(|seed| key(quick, cell, seed))).collect()
+    }
+
+    pub(super) fn reduce(_quick: bool, runs: &[&FleetResult]) -> Output {
+        let (mut rows, mut table, mut feedback) = (Vec::new(), Vec::new(), Vec::new());
+        for ((s, machines, policy), seeds) in cells().zip(runs.chunks_exact(SEEDS.len())) {
+            let count = |f: fn(&FleetResult) -> u64| seeds.iter().map(|r| f(r)).sum::<u64>();
+            let sum = |f: fn(&FleetResult) -> f64| seeds.iter().map(|r| f(r)).sum::<f64>();
+            let avg = |f| sum(f) / SEEDS.len() as f64;
+            let (storm, jobs) = (storms()[s].0, JOBS_PER_RUN * SEEDS.len() as u64);
+            let (completed, failed) =
+                (count(|r| r.completed() as u64), count(|r| r.failed() as u64));
+            let (retries, migrations) = (count(|r| r.retries), count(|r| r.migrations));
+            let (makespan_s, goodput) = (avg(|r| r.makespan_s), avg(FleetResult::goodput));
+            let mean_recovery_epochs = avg(|r| r.mean_recovery_epochs);
+            let total_energy_j = sum(|r| r.total_energy_j);
+            if policy == Policy::EnergyFeedback {
+                feedback.push((s, machines, makespan_s, goodput, mean_recovery_epochs));
+            }
+            let policy = policy.tag();
+            let makespan = format!("{makespan_s:.1}");
+            let (g, r) = (format!("{goodput:.3}"), format!("{mean_recovery_epochs:.2}"));
+            table.push(line([
+                &storm,
+                &machines,
+                &policy,
+                &jobs,
+                &completed,
+                &failed,
+                &retries,
+                &migrations,
+                &makespan,
+                &g,
+                &r,
+            ]));
+            rows.push(row!(
+                storm,
+                machines,
+                policy,
+                jobs,
+                completed,
+                failed,
+                retries,
+                migrations,
+                makespan_s,
+                goodput,
+                mean_recovery_epochs,
+                total_energy_j
+            ));
+        }
+
+        let mut out = Output::default();
+        out.say("Fleet chaos soak — seeded machine-fault storms over a federated fleet");
+        let headers = "storm|mach|policy|jobs|done|failed|retry|migr|makespan s|goodput|recov ep";
+        out.table(&headers.split('|').collect::<Vec<_>>(), &table);
+        out.blank();
+        for machines in MACHINES {
+            let of = |storm| feedback.iter().find(|c| c.0 == storm && c.1 == machines);
+            let (&(.., base_s, base_goodput, _), &(.., mixed_s, goodput, recovery)) =
+                (of(0).expect("a cell"), of(MIXED).expect("a cell"));
+            out.say(format!(
+                "  {machines} machines: mixed-storm makespan {:+.1}% vs no faults, goodput \
+                 {goodput:.3} (from {base_goodput:.3}), mean recovery {recovery:.2} epochs",
+                100.0 * (mixed_s - base_s) / base_s,
+            ));
+        }
+        out.json("fleet_sweep", &rows);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,8 +1622,11 @@ mod tests {
         // 15 cells × 3 controllers × 3 jobs × (controller + baseline);
         // the three controllers of a cell share each job's baseline.
         assert_eq!(counts(&[find("fig3_analyses").unwrap()], false), (270, 180));
-        assert_eq!(counts(&all(), false), (539, 423));
-        assert_eq!(counts(&all(), true), (208, 177));
+        // The sweeps add 105 distinct keys (103 quick), none shared: 4
+        // scenarios × 3 policies, 3 Theta policies (1 quick), and 5 storms
+        // × 2 fleet sizes × 3 policies × 3 seeds, each seed its own key.
+        assert_eq!(counts(&all(), false), (644, 528));
+        assert_eq!(counts(&all(), true), (311, 280));
         // A key repeated inside one experiment or across two resolves to
         // the first request's slot.
         let plan = plan(&all(), true);
@@ -1202,8 +1648,11 @@ mod tests {
         let serial = par::with_threads(1, || run_selection(&all(), true));
         let wide = par::with_threads(4, || run_selection(&all(), true));
         assert!(serial == wide, "full selection differs between 1 and 4 threads");
-        for (e, together) in all().iter().zip(&serial) {
-            let alone = run_selection(&[e], true);
+        // Each experiment alone, the experiments side by side on the pool
+        // (each one's own batch then runs serially).
+        let alone =
+            par::global().par_map_indexed(TABLE.len(), |i| run_selection(&[&TABLE[i]], true));
+        for ((e, together), alone) in all().iter().zip(&serial).zip(&alone) {
             assert!(alone[0] == *together, "{} differs alone vs in the full selection", e.name);
         }
 
@@ -1222,7 +1671,7 @@ mod tests {
                 files.push(file);
             }
         }
-        assert_eq!(files.len(), 20, "13 JSON + 7 SVG: {files:?}");
+        assert_eq!(files.len(), 23, "16 JSON + 7 SVG: {files:?}");
     }
 
     /// Names are unique and resolvable, and every `--bin repro -- ARGS`
@@ -1271,12 +1720,28 @@ mod tests {
         let keys = paired(&cfg, 1);
         assert_eq!(keys, [RunKey::job(cfg.static_baseline()), RunKey::job(cfg.clone())]);
         for (key, expected) in keys.iter().zip([&base, &ctl]) {
-            let run = key.run();
+            let run = key.run(&obs::Tracer::off());
+            let run = RunResult::of(&run);
             assert_eq!(run.controller, expected.controller);
             assert_eq!(run.total_time_s.to_bits(), expected.total_time_s.to_bits());
             assert_eq!(run.total_energy_j.to_bits(), expected.total_energy_j.to_bits());
             assert_eq!(run.syncs, expected.syncs);
         }
         assert_eq!(base.controller, "static");
+    }
+
+    /// The sweep rows' representative runs — what `repro <row> --audit`
+    /// observes — stream through the live invariant battery clean.
+    #[test]
+    fn the_sweeps_representative_runs_audit_clean() {
+        for name in ["machine_sweep", "machine_sweep_theta", "fleet_sweep"] {
+            let tracer = obs::Tracer::streaming();
+            let auditor = std::sync::Arc::new(std::sync::Mutex::new(audit::StreamAuditor::new()));
+            tracer.attach(Box::new(std::sync::Arc::clone(&auditor)));
+            find(name).unwrap().trace(true, &tracer);
+            let report = std::mem::take(&mut *auditor.lock().unwrap()).finish().report;
+            assert!(report.events > 0, "{name}: no events");
+            assert!(report.clean(), "{name}: {:?}", report.violations);
+        }
     }
 }

@@ -150,12 +150,6 @@ impl ToJson for f64 {
     }
 }
 
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
         Json::Int(*self as i64)
@@ -165,12 +159,6 @@ impl ToJson for u64 {
 impl ToJson for u32 {
     fn to_json(&self) -> Json {
         Json::Int(i64::from(*self))
-    }
-}
-
-impl ToJson for i64 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
     }
 }
 
@@ -195,27 +183,6 @@ impl ToJson for &str {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
     }
 }
 

@@ -1,21 +1,24 @@
 //! # bench — the experiment harness
 //!
-//! `repro` regenerates every table and figure of the SeeSAw paper from
-//! the table in [`experiments`]; `benches/` holds the plain-`main`
-//! micro-benchmarks behind `results/BENCH_*.json`. Each experiment prints
-//! a human-readable table mirroring the paper's presentation and writes
-//! the raw rows as JSON (some also an SVG chart) under `results/`.
+//! `repro` regenerates every table and figure of the SeeSAw paper, and
+//! the machine and fleet sweeps, from the table in [`experiments`];
+//! `benches/` holds the plain-`main` micro-benchmarks behind
+//! `results/BENCH_*.json`. Each experiment prints a human-readable table
+//! mirroring the paper's presentation and writes the raw rows as JSON
+//! (some also an SVG chart) under `results/`.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro                  # everything
 //! cargo run --release -p bench --bin repro -- fig3_analyses fig4_power_alloc
+//! cargo run --release -p bench --bin repro -- machine_sweep_theta --audit
 //! ```
 //!
-//! Every binary accepts the same common flags (parsed strictly — unknown
-//! flags are a usage error): `--quick` shrinks steps/scales for
-//! smoke-testing, `--quiet` suppresses progress output, and
-//! `--trace`/`--trace-perfetto` export an event trace of a representative
-//! run (see [`cli`]).
+//! `repro` and `run_experiment` accept the same common flags (parsed
+//! strictly — unknown flags are a usage error): `--quick` shrinks
+//! steps/scales for smoke-testing, `--quiet` suppresses progress output,
+//! and `--trace`/`--trace-perfetto`/`--audit` observe a representative
+//! run (see [`cli`]). Every bin exits 1 when an output could not be
+//! written.
 
 #![warn(missing_docs)]
 
@@ -23,9 +26,8 @@ pub mod cli;
 pub mod experiments;
 pub mod gate;
 pub mod json;
-pub mod svg;
+mod svg;
 
-use json::ToJson;
 use obs::Reporter;
 use std::path::{Path, PathBuf};
 
@@ -47,28 +49,33 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// Serialize `rows` as pretty JSON into `results/<name>.json`.
-pub fn write_json<T: ToJson + ?Sized>(rep: &Reporter, name: &str, rows: &T) {
-    write_result(rep, &format!("{name}.json"), &rows.to_json().pretty());
-}
-
-/// Write `body` to `results/<file>`, creating the directory if needed.
-pub fn write_result(rep: &Reporter, file: &str, body: &str) {
+/// Write `body` to `results/<file>`, creating the directory if needed: a
+/// note on success, a warning on failure. The `Err` is for the caller to
+/// count, so that it can try every other write before exiting 1.
+pub fn write_result(rep: &Reporter, file: &str, body: &str) -> std::io::Result<()> {
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        rep.warn(format!("cannot create {dir:?}: {e}"));
-        return;
+        rep.warn(format!("cannot create {}: {e}", dir.display()));
+        return Err(e);
     }
-    let path = dir.join(file);
-    if let Err(e) = std::fs::write(&path, body) {
-        rep.warn(format!("cannot write {path:?}: {e}"));
-    } else {
-        rep.note(format!("wrote {}", display_rel(&path)));
+    write_file(rep, &dir.join(file), body)
+}
+
+/// [`write_result`] to any `path`, its directory left as it is.
+pub fn write_file(rep: &Reporter, path: &Path, body: &str) -> std::io::Result<()> {
+    match std::fs::write(path, body) {
+        Ok(()) => {
+            rep.note(format!("wrote {}", display_rel(path)));
+            Ok(())
+        }
+        Err(e) => {
+            rep.warn(format!("cannot write {}: {e}", path.display()));
+            Err(e)
+        }
     }
 }
 
-// Shared JSON shape for per-sync rows (`run_experiment --dump-syncs` and
-// any bin dumping raw sync traces).
+// Shared JSON shape for per-sync rows (`run_experiment --dump-syncs`).
 json_struct!(insitu::SyncRecord {
     index,
     start_s,
@@ -95,43 +102,6 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Steps to simulate: the paper's 400, or fewer under `--quick`.
-pub fn total_steps() -> u64 {
-    experiments::steps(quick_mode())
-}
-
-/// Print a markdown-style table through the reporter.
-pub fn print_table(rep: &Reporter, headers: &[&str], rows: &[Vec<String>]) {
-    for line in table_lines(headers, rows) {
-        rep.say(line);
-    }
-}
-
-/// The lines of a markdown-style table.
-pub(crate) fn table_lines(headers: &[&str], rows: &[Vec<String>]) -> Vec<String> {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let padded: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:width$}", c, width = widths.get(i).copied().unwrap_or(0)))
-            .collect();
-        format!("| {} |", padded.join(" | "))
-    };
-    let rule = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|");
-    let mut lines =
-        vec![line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()), format!("|{rule}|")];
-    lines.extend(rows.iter().map(|row| line(row)));
-    lines
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn table_printer_does_not_panic() {
-        print_table(&Reporter::default(), &["a", "bb"], &[vec!["1".into(), "2".into()]]);
+    fn a_write_that_fails_returns_its_error() {
+        let rep = Reporter::new(true);
+        assert!(write_file(&rep, Path::new("/nonexistent/dir/x.json"), "{}").is_err());
+        let path = std::env::temp_dir().join(format!("bench-write-{}.json", std::process::id()));
+        assert!(write_file(&rep, &path, "{}").is_ok());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 
 /// One named line series.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
     pub label: String,
     /// `(x, y)` points.
@@ -17,7 +17,7 @@ pub struct Series {
 
 impl Series {
     /// Convenience constructor.
-    pub fn new(label: &str, color: &str, points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(label: &str, color: &str, points: Vec<(f64, f64)>) -> Self {
         Series { label: label.to_string(), color: color.to_string(), points }
     }
 }
@@ -61,7 +61,7 @@ fn fmt_num(v: f64) -> String {
 }
 
 /// Render a multi-series line chart.
-pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
+pub(crate) fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -> String {
     let xs: Vec<f64> = series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
     let ys: Vec<f64> = series.iter().flat_map(|s| s.points.iter().map(|p| p.1)).collect();
     let (x_lo, x_hi) = bounds(&xs);
@@ -128,7 +128,7 @@ pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) 
 }
 
 /// Render a bar chart with per-bar labels.
-pub fn bar_chart(title: &str, y_label: &str, bars: &[(String, f64, String)]) -> String {
+pub(crate) fn bar_chart(title: &str, y_label: &str, bars: &[(String, f64, String)]) -> String {
     let ys: Vec<f64> = bars.iter().map(|b| b.1).collect();
     let (mut y_lo, mut y_hi) = bounds(&ys);
     y_lo = y_lo.min(0.0);

@@ -11,19 +11,28 @@
 # failure arrives pre-bisected. A seeded self-test doctors a real trace
 # to prove the explainer actually fails (nonzero exit, DIFF code, line
 # number, per-node context) before any gate trusts it.
+#
+# Every `==>` line carries `[T s, +D s]`: seconds since the script
+# started, and the seconds the previous stage took.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> tier-1: cargo build --release (offline)"
+mark=$SECONDS
+stage() {
+    echo "==> [${SECONDS} s, +$((SECONDS - mark)) s] $*"
+    mark=$SECONDS
+}
+
+stage "tier-1: cargo build --release (offline)"
 cargo build --release --offline
 
-echo "==> tier-1: cargo test -q (offline)"
+stage "tier-1: cargo test -q (offline)"
 cargo test -q --offline
 
-echo "==> lint: cargo clippy --all-targets -- -D warnings"
+stage "lint: cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> format: cargo fmt --check"
+stage "format: cargo fmt --check"
 cargo fmt --check
 
 a="$(mktemp -d)"
@@ -60,20 +69,20 @@ adiff() {
         || explain_failure "$1" "$2"
 }
 
-echo "==> determinism: repro fault_sweep twice, byte-identical JSON"
+stage "determinism: repro fault_sweep twice, byte-identical JSON"
 SEESAW_RESULTS_DIR="$a" ./target/release/repro fault_sweep --quick --audit >/dev/null
 SEESAW_RESULTS_DIR="$b" ./target/release/repro fault_sweep --quick >/dev/null
 adiff "$a/fault_sweep.json" "$b/fault_sweep.json"
 
 # results/ is a function of HEAD: one full `repro` (every distinct
-# simulation once) must reproduce all 13 JSON and 7 SVG files and its own
-# stdout, results/full_run.log — fault_sweep.json among them, which is
-# the former "fault_sweep at POLIMER_THREADS=4 vs committed" gate.
-echo "==> every paper artifact regenerates: full repro at POLIMER_THREADS=4 vs committed results/"
+# simulation once) must reproduce all 16 JSON and 7 SVG files and its own
+# stdout, results/full_run.log — fault_sweep.json and the three sweeps'
+# JSON among them.
+stage "every paper artifact regenerates: full repro at POLIMER_THREADS=4 vs committed results/"
 mkdir -p "$c/repro"
 SEESAW_RESULTS_DIR="$c/repro" POLIMER_THREADS=4 ./target/release/repro \
     >"$c/repro/full_run.log" 2>"$c/repro.err" || { cat "$c/repro.err"; exit 1; }
-test "$(ls "$c/repro" | wc -l)" -eq 21
+test "$(ls "$c/repro" | wc -l)" -eq 24
 for f in "$c/repro"/*.json; do
     adiff "$f" "results/$(basename "$f")"
 done
@@ -81,30 +90,24 @@ for f in "$c/repro"/*.svg "$c/repro/full_run.log"; do
     cmp "$f" "results/$(basename "$f")"
 done
 
-echo "==> scheduler invariants: cargo test -p sched"
-cargo test -q --offline -p sched
-
 # sched steps its jobs on the calling thread, so T1 vs T4 here guards
 # against a thread-count dependence creeping in, not a threaded path.
-echo "==> machine determinism: machine_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (audited)"
+stage "machine determinism: repro machine_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (audited)"
 SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/m1.jsonl" POLIMER_THREADS=1 \
-    ./target/release/machine_sweep --quiet --audit >/dev/null
-SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 ./target/release/machine_sweep --quiet --audit >/dev/null
+    ./target/release/repro machine_sweep --quiet --audit
+SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 ./target/release/repro machine_sweep --quiet --audit
 adiff "$a/machine_sweep.json" "$b/machine_sweep.json"
 adiff "$b/machine_sweep.json" results/machine_sweep.json
 adiff "$a/audit_machine_sweep.json" "$b/audit_machine_sweep.json"
 adiff "$a/health_machine_sweep.json" "$b/health_machine_sweep.json"
 adiff "$a/metrics_machine_sweep.json" "$b/metrics_machine_sweep.json"
 
-echo "==> fleet invariants: cargo test -p fleet"
-cargo test -q --offline -p fleet
-
 # As for machine_sweep: members step on the calling thread at any width.
-echo "==> fleet chaos soak: fleet_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (traced + audited)"
+stage "fleet chaos soak: repro fleet_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (traced + audited)"
 SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/fleet1.jsonl" POLIMER_THREADS=1 \
-    ./target/release/fleet_sweep --quiet --audit >/dev/null
+    ./target/release/repro fleet_sweep --quiet --audit
 SEESAW_RESULTS_DIR="$b" SEESAW_TRACE="$c/fleet4.jsonl" POLIMER_THREADS=4 \
-    ./target/release/fleet_sweep --quiet --audit >/dev/null
+    ./target/release/repro fleet_sweep --quiet --audit
 adiff "$a/fleet_sweep.json" "$b/fleet_sweep.json"
 adiff "$b/fleet_sweep.json" results/fleet_sweep.json
 tdiff "$c/fleet1.jsonl" "$c/fleet4.jsonl"
@@ -113,7 +116,7 @@ adiff "$a/audit_fleet_sweep.json" "$b/audit_fleet_sweep.json"
 adiff "$a/health_fleet_sweep.json" "$b/health_fleet_sweep.json"
 adiff "$a/metrics_fleet_sweep.json" "$b/metrics_fleet_sweep.json"
 
-echo "==> trace determinism: run_experiment JSONL + audit report at POLIMER_THREADS=1 vs 4"
+stage "trace determinism: run_experiment JSONL + audit report at POLIMER_THREADS=1 vs 4"
 SEESAW_TRACE="$c/t1.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
     ./target/release/run_experiment --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet
 SEESAW_TRACE="$c/t4.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
@@ -127,7 +130,7 @@ adiff "$a/metrics_run_experiment.json" "$b/metrics_run_experiment.json"
 # The gates above only ever feed trace_diff identical files; prove it
 # still *fails* — right code, right line, causal context — on seeded
 # doctored traces before trusting the silence.
-echo "==> trace_diff self-test: doctored traces fail with DIFF codes at the exact line"
+stage "trace_diff self-test: doctored traces fail with DIFF codes at the exact line"
 ln="$(grep -n '"ev":"phase"' "$c/t1.jsonl" | tail -1 | cut -d: -f1)"
 sed "${ln}s/\"end_ns\":/\"end_ns\":9/" "$c/t1.jsonl" > "$c/doctored_flip.jsonl"
 set +e
@@ -157,23 +160,23 @@ set -e
 test "$rt" -eq 1
 grep -q 'error\[DIFF0002\]' "$c/explain_trunc.txt"
 
-echo "==> full-Theta smoke: 4392-node machine_sweep --theta, audited streaming, T1 vs T4"
+stage "full-Theta smoke: 4392-node repro machine_sweep_theta, audited streaming, T1 vs T4"
 SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
-    ./target/release/machine_sweep --theta --quick --quiet --audit >/dev/null
+    ./target/release/repro machine_sweep_theta --quick --quiet --audit
 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
-    ./target/release/machine_sweep --theta --quick --quiet --audit >/dev/null
+    ./target/release/repro machine_sweep_theta --quick --quiet --audit
 adiff "$a/machine_sweep_theta.json" "$b/machine_sweep_theta.json"
 adiff "$a/audit_machine_sweep_theta.json" "$b/audit_machine_sweep_theta.json"
 adiff "$a/health_machine_sweep_theta.json" "$b/health_machine_sweep_theta.json"
 adiff "$a/metrics_machine_sweep_theta.json" "$b/metrics_machine_sweep_theta.json"
 
-echo "==> trace audit: invariant battery over the serialized trace"
+stage "trace audit: invariant battery over the serialized trace"
 ./target/release/audit_trace --quiet "$c/t1.jsonl"
 
 # Every file audit_trace sees in this script is well formed; prove that a
 # malformed line is refused — nonzero exit, AUDIT0013, the right line
 # number — and that the same file with the line restored audits clean.
-echo "==> audit_trace self-test: a line truncated mid-value fails with AUDIT0013 at that line"
+stage "audit_trace self-test: a line truncated mid-value fails with AUDIT0013 at that line"
 bad="$(($(wc -l <"$c/t1.jsonl") / 2))"
 awk -v n="$bad" 'NR == n { print substr($0, 1, length($0) - 3); next } { print }' \
     "$c/t1.jsonl" >"$c/doctored_malformed.jsonl"
@@ -190,7 +193,7 @@ cmp "$c/restored.jsonl" "$c/t1.jsonl"
 # Replaying a bin's serialized trace from disk (line by line, constant
 # memory) must reproduce the *live* in-process audit the bin just wrote,
 # snapshots and registry included.
-echo "==> streaming audit equivalence: file replay ≡ live, byte-identical"
+stage "streaming audit equivalence: file replay ≡ live, byte-identical"
 mkdir -p "$c/stream"
 ./target/release/audit_trace --quiet --json "$c/stream" \
     "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl"
@@ -209,9 +212,9 @@ adiff "$a/metrics_fleet_sweep.json" results/metrics_fleet_sweep.json
 
 # Wall-clock readings are inherently nondeterministic, so profile_*.json
 # is asserted present and well-formed but never byte-compared.
-echo "==> wall-clock stage profiler: profile_*.json written (existence only, never byte-diffed)"
-SEESAW_RESULTS_DIR="$a" ./target/release/machine_sweep --quick --quiet --profile >/dev/null
-SEESAW_RESULTS_DIR="$a" ./target/release/fleet_sweep --quick --quiet --profile >/dev/null
+stage "wall-clock stage profiler: profile_*.json written (existence only, never byte-diffed)"
+SEESAW_RESULTS_DIR="$a" ./target/release/repro machine_sweep --quick --quiet --profile
+SEESAW_RESULTS_DIR="$a" ./target/release/repro fleet_sweep --quick --quiet --profile
 test -s "$a/profile_machine_sweep.json"
 test -s "$a/profile_fleet_sweep.json"
 grep -q '"schema_version":1' "$a/profile_machine_sweep.json"
@@ -222,28 +225,28 @@ grep -q '"schema_version":1' "$a/profile_fleet_sweep.json"
 # absolute ns/pair ceiling or a nonzero allocations-per-call count
 # (BENCH0005). bench_gate re-checks the same bounds plus drift from the
 # persisted document below.
-echo "==> kernel perf gate: md_kernels ns/pair ceilings + alloc-free"
+stage "kernel perf gate: md_kernels ns/pair ceilings + alloc-free"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench md_kernels -- --quick
 test -s "$c/BENCH_kernels.json"
 
-echo "==> tracing overhead record: trace_overhead off/on/export/audit/replay bench (on <75%, streaming audit <900%)"
+stage "tracing overhead record: trace_overhead off/on/export/audit/replay bench (on <75%, streaming audit <900%)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench trace_overhead -- --quick
 test -s "$c/BENCH_trace.json"
 
-echo "==> scaling gate: scale bench (full-width epoch-rate floor)"
+stage "scaling gate: scale bench (full-width epoch-rate floor)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench scale -- --quick
 test -s "$c/BENCH_scale.json"
 
 # One controller decision must stay O(nodes): ns/node at 4392 nodes may
 # not exceed 3x ns/node at 128 (a quadratic term lands near 34x).
-echo "==> controller scaling gate: controllers bench (on_sync ns/node at 4392 <= 3x at 128)"
+stage "controller scaling gate: controllers bench (on_sync ns/node at 4392 <= 3x at 128)"
 SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench controllers -- --quick
 test -s "$c/BENCH_controllers.json"
 
-echo "==> perf-regression gate: bench_gate vs committed baselines"
+stage "perf-regression gate: bench_gate vs committed baselines"
 ./target/release/bench_gate --fresh "$c" --quiet
 
-echo "==> size report (informational, never a gate): non-test lines and pub items per crate"
+stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written, bench gate passed"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written, bench gate passed"

@@ -13,14 +13,15 @@
 //!   renders as a compiler-grade `DIFF0001`/`DIFF0002` diagnostic with a
 //!   causal context window: the last K events per involved node /
 //!   machine / job before the divergence point.
-//! - [`diff_artifacts`] compares two persisted JSON documents
-//!   (`audit_*` / `metrics_*` / `health_*` / `profile_*`): a byte-equal
+//! - [`diff_artifacts`] compares two persisted JSON documents (a
+//!   `run_*` run document or a `profile_*` stage profile): a byte-equal
 //!   fast path, a `schema_version` gate (`DIFF0005`), a generic
 //!   field-level walk with a relative noise threshold (`DIFF0003`), and
-//!   attribution notes — per-phase time/energy deltas, critical-path
-//!   shift, registry counter/histogram movement — so a `bench_gate`
-//!   drift failure names the phases and nodes that moved instead of
-//!   just the violated bound.
+//!   attribution notes read from a run document's `report` and `metrics`
+//!   sections — per-phase time/energy deltas, critical-path shift,
+//!   registry counter/histogram movement — so a `bench_gate` drift
+//!   failure names the phases and nodes that moved instead of just the
+//!   violated bound.
 //!
 //! The primary detector is **byte** comparison, exactly what the shell
 //! `diff` gates checked: field attribution only refines the explanation,
@@ -410,7 +411,7 @@ fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut 
         ) => {
             let (xa, xb) = (a.as_f64().unwrap_or(f64::NAN), b.as_f64().unwrap_or(f64::NAN));
             if !numbers_match(xa, xb, opts.rel_tol) {
-                out.push(format!("{path}: {} -> {}", fmt_num(xa), fmt_num(xb)));
+                out.push(format!("{path}: {} -> {}", brief(a), brief(b)));
             }
         }
         (Value::Obj(fa), Value::Obj(fb)) => {
@@ -444,23 +445,12 @@ fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut 
     }
 }
 
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
+/// A scalar as the writer prints it; a container by its size.
 fn brief(v: &Value) -> String {
     match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Num(x) => x.to_string(),
-        Value::Str(s) => format!("\"{s}\""),
         Value::Arr(xs) => format!("[{} elements]", xs.len()),
         Value::Obj(fs) => format!("{{{} fields}}", fs.len()),
+        scalar => scalar.pretty(),
     }
 }
 
@@ -591,11 +581,12 @@ fn registry_notes(a: &Value, b: &Value, notes: &mut Vec<String>) {
     }
 }
 
-/// Compare two persisted JSON artifacts (audit report, metrics registry,
-/// health series, or wall-clock profile). Byte-equal documents short
-/// circuit; otherwise both must parse (`DIFF0004`) and carry matching
-/// `schema_version`s (`DIFF0005`) before the field walk attributes the
-/// deltas (`DIFF0003`, with per-phase / critical-path / registry notes).
+/// Compare two persisted JSON artifacts (run documents or wall-clock
+/// profiles). Byte-equal documents short circuit; otherwise both must
+/// parse (`DIFF0004`) and carry matching `schema_version`s (`DIFF0005`)
+/// before the field walk attributes the deltas (`DIFF0003`, with
+/// per-phase and critical-path notes from the `report` section and
+/// registry notes from the `metrics` section).
 pub fn diff_artifacts(a_text: &str, b_text: &str, opts: &ArtifactDiffOptions) -> ArtifactDiff {
     let mut out = ArtifactDiff::default();
     if a_text == b_text {
@@ -641,9 +632,12 @@ pub fn diff_artifacts(a_text: &str, b_text: &str, opts: &ArtifactDiffOptions) ->
     if fields.len() > shown {
         out.notes.push(format!("... and {} more field deltas", fields.len() - shown));
     }
-    phase_notes(&va, &vb, &mut out.notes);
-    critical_path_notes(&va, &vb, &mut out.notes);
-    registry_notes(&va, &vb, &mut out.notes);
+    let section = |key| (va.get(key).unwrap_or(&Value::Null), vb.get(key).unwrap_or(&Value::Null));
+    let (ra, rb) = section("report");
+    phase_notes(ra, rb, &mut out.notes);
+    critical_path_notes(ra, rb, &mut out.notes);
+    let (ma, mb) = section("metrics");
+    registry_notes(ma, mb, &mut out.notes);
     out
 }
 
@@ -769,12 +763,12 @@ mod tests {
 
     #[test]
     fn artifact_differ_names_the_moved_field() {
-        let a = "{\"schema_version\":1,\"critical_path\":{\"sim_limited_syncs\":10,\"analysis_limited_syncs\":5,\"overhead_s\":1.5}}";
-        let b = "{\"schema_version\":1,\"critical_path\":{\"sim_limited_syncs\":8,\"analysis_limited_syncs\":7,\"overhead_s\":1.5}}";
+        let a = "{\"schema_version\":2,\"report\":{\"critical_path\":{\"sim_limited_syncs\":10,\"analysis_limited_syncs\":5,\"overhead_s\":1.5}}}";
+        let b = "{\"schema_version\":2,\"report\":{\"critical_path\":{\"sim_limited_syncs\":8,\"analysis_limited_syncs\":7,\"overhead_s\":1.5}}}";
         let d = diff_artifacts(a, b, &ArtifactDiffOptions::default());
         assert!(!d.identical());
         assert_eq!(d.diagnostics[0].code_str(), "DIFF0003");
-        assert!(d.diagnostics[0].detail.contains("critical_path.sim_limited_syncs"));
+        assert!(d.diagnostics[0].detail.contains("report.critical_path.sim_limited_syncs"));
         assert!(d.notes.iter().any(|n| n.contains("sim-limited 10 -> 8 syncs")), "{:?}", d.notes);
     }
 
@@ -808,8 +802,8 @@ mod tests {
 
     #[test]
     fn artifact_differ_attributes_phases_and_counters() {
-        let a = "{\"schema_version\":1,\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.0,\"energy_j\":220.0}],\"counters\":{\"events\":100}}";
-        let b = "{\"schema_version\":1,\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.5,\"energy_j\":275.0}],\"counters\":{\"events\":120}}";
+        let a = "{\"schema_version\":2,\"report\":{\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.0,\"energy_j\":220.0}]},\"metrics\":{\"counters\":{\"events\":100}}}";
+        let b = "{\"schema_version\":2,\"report\":{\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.5,\"energy_j\":275.0}]},\"metrics\":{\"counters\":{\"events\":120}}}";
         let d = diff_artifacts(a, b, &ArtifactDiffOptions::default());
         assert!(d.notes.iter().any(|n| n.contains("phase `force`") && n.contains("+0.500 s")));
         assert!(d.notes.iter().any(|n| n.contains("counter `events`: 100 -> 120 (+20)")));

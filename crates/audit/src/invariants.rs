@@ -5,11 +5,10 @@
 //! ([`StreamChecker::feed`]) and flushed once at end of stream
 //! ([`StreamChecker::finish`]). Checker state is bounded by the run's
 //! *shape* — open spans, nodes, live jobs — never by its length, so the
-//! battery audits a multi-gigabyte trace in constant memory. The batch
-//! entry point ([`check_all`]) is a few-line loop that feeds the same
-//! checker from an in-memory [`Trace`]: there is exactly one
-//! implementation of every invariant, which is what makes the streaming
-//! and batch audit reports byte-identical by construction.
+//! battery audits a multi-gigabyte trace in constant memory, and there is
+//! exactly one implementation of every invariant: whether the events
+//! arrive live, from a tracer's buffer or from a file, they are fed to
+//! the same checker.
 //!
 //! The checks encode what the simulator *promises*, so a passing audit is
 //! evidence the run obeyed its own physics, and a failing one points at
@@ -56,7 +55,6 @@
 //! `AUDIT0001` (clock) through `AUDIT0012` (halt).
 
 use crate::diag::{self, DiagCode, Severity, Violation};
-use crate::trace::Trace;
 use obs::{Event, Tag, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -69,15 +67,6 @@ const ENERGY_REL_TOL: f64 = 1e-6;
 
 fn v(out: &mut Vec<Violation>, code: DiagCode, detail: String) {
     out.push(Violation::new(code, detail));
-}
-
-/// Run the full battery over an in-memory trace.
-pub fn check_all(trace: &Trace) -> Vec<Violation> {
-    let mut checker = StreamChecker::default();
-    for ev in &trace.events {
-        checker.feed(ev);
-    }
-    checker.finish()
 }
 
 /// Span-carrying kinds stamp themselves at explicit (possibly past)
@@ -1119,6 +1108,12 @@ mod tests {
     use des::SimTime;
     use obs::DecisionInfo;
 
+    /// The full battery's findings over `events`, as the auditor reports
+    /// them.
+    fn check(events: &[TraceEvent]) -> Vec<Violation> {
+        crate::audited(events).report.violations
+    }
+
     fn ev(t_ns: u64, ev: Event) -> TraceEvent {
         TraceEvent { t: SimTime::from_nanos(t_ns), ev }
     }
@@ -1128,7 +1123,7 @@ mod tests {
     macro_rules! run_checker {
         ($checker:ty, $trace:expr) => {{
             let mut c = <$checker>::default();
-            for e in &$trace.events {
+            for e in &$trace {
                 c.feed(e);
             }
             c.finish();
@@ -1172,210 +1167,180 @@ mod tests {
 
     #[test]
     fn clean_minimal_trace_passes() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(0, Event::SyncStart { sync: 1 }),
-                ev(0, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5 }),
-                ev(5, Event::Wait { node: 0, start_ns: 5, end_ns: 8 }),
-                decision(0, 110.0, 110.0),
-                ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(10, Event::SyncEnergy { sync: 1, energy_j: 42.0 }),
-                ev(10, Event::NodeEnergy { node: 0, energy_j: 42.0 }),
-                ev(10, Event::RunEnd { total_time_s: 1e-8, total_energy_j: 42.0 }),
-            ],
-        };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![
+            run_start(1760.0),
+            ev(0, Event::SyncStart { sync: 1 }),
+            ev(0, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5 }),
+            ev(5, Event::Wait { node: 0, start_ns: 5, end_ns: 8 }),
+            decision(0, 110.0, 110.0),
+            ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+            ev(10, Event::SyncEnergy { sync: 1, energy_j: 42.0 }),
+            ev(10, Event::NodeEnergy { node: 0, energy_j: 42.0 }),
+            ev(10, Event::RunEnd { total_time_s: 1e-8, total_energy_j: 42.0 }),
+        ];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn backwards_clock_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(10, Event::SyncStart { sync: 1 }),
-                ev(5, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "clock"));
+        let trace = vec![
+            ev(10, Event::SyncStart { sync: 1 }),
+            ev(5, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "clock"));
     }
 
     #[test]
     fn span_events_may_carry_past_times() {
-        let trace = Trace {
-            events: vec![
-                ev(10, Event::SyncStart { sync: 1 }),
-                ev(90, Event::Phase { node: 0, kind: "force".into(), start_ns: 10, end_ns: 90 }),
-                ev(95, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-            ],
-        };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![
+            ev(10, Event::SyncStart { sync: 1 }),
+            ev(90, Event::Phase { node: 0, kind: "force".into(), start_ns: 10, end_ns: 90 }),
+            ev(95, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+        ];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn out_of_order_sync_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 2 }),
-                ev(1, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "sync"));
+        let trace = vec![
+            ev(0, Event::SyncStart { sync: 2 }),
+            ev(1, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "sync"));
     }
 
     #[test]
     fn trailing_open_sync_is_a_legal_halt() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 1 }),
-                ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(2, Event::SyncStart { sync: 2 }),
-            ],
-        };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![
+            ev(0, Event::SyncStart { sync: 1 }),
+            ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+            ev(2, Event::SyncStart { sync: 2 }),
+        ];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn overlapping_node_spans_are_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::Phase { node: 3, kind: "force".into(), start_ns: 0, end_ns: 10 }),
-                ev(0, Event::Phase { node: 3, kind: "neigh".into(), start_ns: 5, end_ns: 15 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "spans"));
+        let trace = vec![
+            ev(0, Event::Phase { node: 3, kind: "force".into(), start_ns: 0, end_ns: 10 }),
+            ev(0, Event::Phase { node: 3, kind: "neigh".into(), start_ns: 5, end_ns: 15 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "spans"));
     }
 
     #[test]
     fn span_overrunning_its_interval_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 1 }),
-                ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }),
-                ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "spans"));
+        let trace = vec![
+            ev(0, Event::SyncStart { sync: 1 }),
+            ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }),
+            ev(10, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "spans"));
     }
 
     #[test]
     fn over_budget_decision_is_flagged() {
-        let trace = Trace { events: vec![run_start(1760.0), decision(0, 215.0, 98.0)] };
+        let trace = vec![run_start(1760.0), decision(0, 215.0, 98.0)];
         // 12 x 215 + 4 x 98 = 2972 > 1760.
-        let violations = check_all(&trace);
+        let violations = check(&trace);
         assert!(violations.iter().any(|x| x.check() == "budget"), "{violations:?}");
     }
 
     #[test]
     fn floor_pinned_decision_under_infeasible_budget_passes() {
-        let trace = Trace { events: vec![run_start(100.0), decision(0, 98.0, 98.0)] };
+        let trace = vec![run_start(100.0), decision(0, 98.0, 98.0)];
         // 16 x 98 = 1568 > 100, but every cap is pinned at the floor.
-        assert_eq!(check_all(&trace), Vec::new());
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn renormalized_budget_is_tracked() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(5, Event::BudgetRenormalized { budget_w: 1000.0 }),
-                decision(1, 110.0, 110.0), // 12x110 + 4x110 = 1760 > 1000
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "budget"));
+        let trace = vec![
+            run_start(1760.0),
+            ev(5, Event::BudgetRenormalized { budget_w: 1000.0 }),
+            decision(1, 110.0, 110.0), // 12x110 + 4x110 = 1760 > 1000
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "budget"));
     }
 
     #[test]
     fn unclamped_grant_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(
-                    0,
-                    Event::CapRequest {
-                        node: 2,
-                        requested_w: 120.0,
-                        granted_w: 130.0,
-                        effective_ns: 0,
-                    },
-                ),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "cap_range"));
+        let trace = vec![
+            run_start(1760.0),
+            ev(
+                0,
+                Event::CapRequest {
+                    node: 2,
+                    requested_w: 120.0,
+                    granted_w: 130.0,
+                    effective_ns: 0,
+                },
+            ),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "cap_range"));
     }
 
     #[test]
     fn tdp_grant_from_uncapped_domain_passes() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(
-                    0,
-                    Event::CapRequest {
-                        node: 2,
-                        requested_w: 120.0,
-                        granted_w: 215.0,
-                        effective_ns: 0,
-                    },
-                ),
-            ],
-        };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![
+            run_start(1760.0),
+            ev(
+                0,
+                Event::CapRequest {
+                    node: 2,
+                    requested_w: 120.0,
+                    granted_w: 215.0,
+                    effective_ns: 0,
+                },
+            ),
+        ];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn too_fast_actuation_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(
-                    1_000,
-                    Event::CapRequest {
-                        node: 0,
-                        requested_w: 120.0,
-                        granted_w: 120.0,
-                        effective_ns: 5_000, // request + 4000 ns < 10 ms latency
-                    },
-                ),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "actuation"));
+        let trace = vec![
+            run_start(1760.0),
+            ev(
+                1_000,
+                Event::CapRequest {
+                    node: 0,
+                    requested_w: 120.0,
+                    granted_w: 120.0,
+                    effective_ns: 5_000, // request + 4000 ns < 10 ms latency
+                },
+            ),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "actuation"));
     }
 
     #[test]
     fn energy_identity_violation_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncEnergy { sync: 1, energy_j: 10.0 }),
-                ev(1, Event::RunEnd { total_time_s: 1.0, total_energy_j: 25.0 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "energy"));
+        let trace = vec![
+            ev(0, Event::SyncEnergy { sync: 1, energy_j: 10.0 }),
+            ev(1, Event::RunEnd { total_time_s: 1.0, total_energy_j: 25.0 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "energy"));
     }
 
     #[test]
     fn envelope_leak_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::MachineStart { nodes: 16, envelope_w: 1760.0 }),
-                ev(0, Event::MachineBudget { epoch: 0, allocated_w: 1000.0, pool_w: 500.0 }),
-            ],
-        };
-        assert!(check_all(&trace).iter().any(|x| x.check() == "envelope"));
+        let trace = vec![
+            ev(0, Event::MachineStart { nodes: 16, envelope_w: 1760.0 }),
+            ev(0, Event::MachineBudget { epoch: 0, allocated_w: 1000.0, pool_w: 500.0 }),
+        ];
+        assert!(check(&trace).iter().any(|x| x.check() == "envelope"));
     }
 
     #[test]
     fn unrecovered_crash_is_flagged_and_paired_crash_passes() {
-        let bad = Trace {
-            events: vec![ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() })],
-        };
-        assert!(check_all(&bad).iter().any(|x| x.check() == "faults"));
-        let good = Trace {
-            events: vec![
-                ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() }),
-                ev(0, Event::Recovery { sync: 2, node: 5, tag: "node_excluded".into() }),
-            ],
-        };
-        assert_eq!(check_all(&good), Vec::new());
+        let bad = vec![ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() })];
+        assert!(check(&bad).iter().any(|x| x.check() == "faults"));
+        let good = vec![
+            ev(0, Event::Fault { sync: 2, node: 5, tag: "node_crash".into() }),
+            ev(0, Event::Recovery { sync: 2, node: 5, tag: "node_excluded".into() }),
+        ];
+        assert_eq!(check(&good), Vec::new());
     }
 
     fn fleet_start() -> TraceEvent {
@@ -1395,21 +1360,19 @@ mod tests {
     /// re-dispatch, completion — zero violations.
     #[test]
     fn clean_fleet_recovery_story_passes() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 500.0, cap_w: 600.0 }),
-                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 500.0, cap_w: 600.0 }),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(0, Event::JobDispatched { job: 0, machine: 1 }),
-                ev(5, Event::MachineDown { machine: 1, epoch: 3 }),
-                ev(5, Event::JobRetry { job: 0, attempt: 1, backoff_epochs: 1 }),
-                ev(5, Event::EnvelopeRenorm { epoch: 3, machine: 0, share_w: 600.0, cap_w: 600.0 }),
-                ev(9, Event::JobMigrated { job: 0, from_machine: 1, to_machine: 0 }),
-                ev(9, Event::JobDispatched { job: 0, machine: 0 }),
-                ev(20, Event::JobCompleted { job: 0, time_s: 12.0 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 500.0, cap_w: 600.0 }),
+            ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 500.0, cap_w: 600.0 }),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(0, Event::JobDispatched { job: 0, machine: 1 }),
+            ev(5, Event::MachineDown { machine: 1, epoch: 3 }),
+            ev(5, Event::JobRetry { job: 0, attempt: 1, backoff_epochs: 1 }),
+            ev(5, Event::EnvelopeRenorm { epoch: 3, machine: 0, share_w: 600.0, cap_w: 600.0 }),
+            ev(9, Event::JobMigrated { job: 0, from_machine: 1, to_machine: 0 }),
+            ev(9, Event::JobDispatched { job: 0, machine: 0 }),
+            ev(20, Event::JobCompleted { job: 0, time_s: 12.0 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert_eq!(out, Vec::new());
     }
@@ -1418,51 +1381,45 @@ mod tests {
     fn fleet_checks_are_gated_on_the_header() {
         // Without fleet_start the same events are ignored (single-machine
         // traces carry job_completed with no fleet dispatch protocol).
-        let trace = Trace { events: vec![ev(0, Event::JobCompleted { job: 0, time_s: 1.0 })] };
+        let trace = vec![ev(0, Event::JobCompleted { job: 0, time_s: 1.0 })];
         let out = run_checker!(FleetChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
     #[test]
     fn lost_job_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                ev(0, Event::JobArrived { job: 7 }),
-                ev(0, Event::JobDispatched { job: 7, machine: 0 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            ev(0, Event::JobArrived { job: 7 }),
+            ev(0, Event::JobDispatched { job: 7, machine: 0 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.check() == "fleet" && x.detail.contains("lost")), "{out:?}");
     }
 
     #[test]
     fn double_run_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(0, Event::JobDispatched { job: 0, machine: 0 }),
-                ev(1, Event::JobDispatched { job: 0, machine: 1 }),
-                ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(0, Event::JobDispatched { job: 0, machine: 0 }),
+            ev(1, Event::JobDispatched { job: 0, machine: 1 }),
+            ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("already running")), "{out:?}");
     }
 
     #[test]
     fn zombie_resubmit_after_failure_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(0, Event::JobDispatched { job: 0, machine: 0 }),
-                ev(1, Event::JobFailed { job: 0, attempts: 1 }),
-                ev(2, Event::JobDispatched { job: 0, machine: 1 }),
-                ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(0, Event::JobDispatched { job: 0, machine: 0 }),
+            ev(1, Event::JobFailed { job: 0, attempts: 1 }),
+            ev(2, Event::JobDispatched { job: 0, machine: 1 }),
+            ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("zombie")), "{out:?}");
     }
@@ -1478,27 +1435,25 @@ mod tests {
         let mut events = base.clone();
         events.push(ev(1, Event::JobRetry { job: 0, attempt: 2, backoff_epochs: 1 }));
         events.push(ev(9, Event::JobFailed { job: 0, attempts: 1 }));
-        let out = run_checker!(FleetChecker, Trace { events });
+        let out = run_checker!(FleetChecker, events);
         assert!(out.iter().any(|x| x.detail.contains("out of sequence")), "{out:?}");
         // Backoff above the configured ceiling.
         let mut events = base.clone();
         events.push(ev(1, Event::JobRetry { job: 0, attempt: 1, backoff_epochs: 99 }));
         events.push(ev(9, Event::JobFailed { job: 0, attempts: 1 }));
-        let out = run_checker!(FleetChecker, Trace { events });
+        let out = run_checker!(FleetChecker, events);
         assert!(out.iter().any(|x| x.detail.contains("ceiling")), "{out:?}");
     }
 
     #[test]
     fn fleet_envelope_leak_is_flagged() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                // Two members capped at 600 W each: shares must sum to
-                // min(1000, 1200) = 1000, not 900.
-                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 450.0, cap_w: 600.0 }),
-                ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 450.0, cap_w: 600.0 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            // Two members capped at 600 W each: shares must sum to
+            // min(1000, 1200) = 1000, not 900.
+            ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 0, share_w: 450.0, cap_w: 600.0 }),
+            ev(0, Event::EnvelopeRenorm { epoch: 0, machine: 1, share_w: 450.0, cap_w: 600.0 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("shares sum")), "{out:?}");
         assert!(out.iter().all(|x| x.code_str() == "AUDIT0010"));
@@ -1506,14 +1461,12 @@ mod tests {
 
     #[test]
     fn down_up_alternation_is_enforced() {
-        let trace = Trace {
-            events: vec![
-                fleet_start(),
-                ev(0, Event::MachineDown { machine: 0, epoch: 1 }),
-                ev(1, Event::MachineDown { machine: 0, epoch: 2 }),
-                ev(2, Event::MachineUp { machine: 1, epoch: 3 }),
-            ],
-        };
+        let trace = vec![
+            fleet_start(),
+            ev(0, Event::MachineDown { machine: 0, epoch: 1 }),
+            ev(1, Event::MachineDown { machine: 0, epoch: 2 }),
+            ev(2, Event::MachineUp { machine: 1, epoch: 3 }),
+        ];
         let out = run_checker!(FleetChecker, trace);
         assert!(out.iter().any(|x| x.detail.contains("while down")), "{out:?}");
         assert!(out.iter().any(|x| x.detail.contains("while up")), "{out:?}");
@@ -1521,36 +1474,32 @@ mod tests {
 
     #[test]
     fn write_error_without_cap_traffic_passes() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 3 }),
-                ev(1, Event::Fault { sync: 3, node: 1, tag: "rapl_write_error".into() }),
-                ev(2, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
-            ],
-        };
+        let trace = vec![
+            ev(0, Event::SyncStart { sync: 3 }),
+            ev(1, Event::Fault { sync: 3, node: 1, tag: "rapl_write_error".into() }),
+            ev(2, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
+        ];
         let out = run_checker!(FaultChecker, trace);
         assert_eq!(out, Vec::new());
     }
 
     #[test]
     fn spike_with_accepted_sample_passes() {
-        let trace = Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 3 }),
-                ev(1, Event::Fault { sync: 3, node: 1, tag: "sample_spike".into() }),
-                ev(
-                    2,
-                    Event::Sample {
-                        node: 1,
-                        role: "sim".into(),
-                        time_s: 1.0,
-                        power_w: 900.0,
-                        cap_w: 110.0,
-                    },
-                ),
-                ev(3, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
-            ],
-        };
+        let trace = vec![
+            ev(0, Event::SyncStart { sync: 3 }),
+            ev(1, Event::Fault { sync: 3, node: 1, tag: "sample_spike".into() }),
+            ev(
+                2,
+                Event::Sample {
+                    node: 1,
+                    role: "sim".into(),
+                    time_s: 1.0,
+                    power_w: 900.0,
+                    cap_w: 110.0,
+                },
+            ),
+            ev(3, Event::SyncEnd { sync: 3, overhead_s: 0.0 }),
+        ];
         let out = run_checker!(FaultChecker, trace);
         assert_eq!(out, Vec::new());
     }
@@ -1561,59 +1510,49 @@ mod tests {
 
     #[test]
     fn clean_job_lifecycle_passes() {
-        let trace = Trace {
-            events: vec![
-                machine_start(),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(9, Event::JobCompleted { job: 0, time_s: 1.0 }),
-                ev(9, Event::JobArrived { job: 1 }),
-                ev(10, Event::JobKilled { job: 1 }), // queued kill: legal
-            ],
-        };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![
+            machine_start(),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+            ev(9, Event::JobCompleted { job: 0, time_s: 1.0 }),
+            ev(9, Event::JobArrived { job: 1 }),
+            ev(10, Event::JobKilled { job: 1 }), // queued kill: legal
+        ];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn lifecycle_protocol_breaks_are_flagged() {
         // Started without arriving.
-        let t1 = Trace {
-            events: vec![
-                machine_start(),
-                ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 }),
-            ],
-        };
-        let got = check_all(&t1);
+        let t1 =
+            vec![machine_start(), ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 })];
+        let got = check(&t1);
         assert!(
             got.iter()
                 .any(|x| x.code_str() == "AUDIT0011" && x.detail.contains("without arriving")),
             "{got:?}"
         );
         // Completed twice (second completion is after a terminal state).
-        let t2 = Trace {
-            events: vec![
-                machine_start(),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
-                ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
-            ],
-        };
-        let got = check_all(&t2);
+        let t2 = vec![
+            machine_start(),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+            ev(2, Event::JobCompleted { job: 0, time_s: 1.0 }),
+            ev(3, Event::JobCompleted { job: 0, time_s: 1.0 }),
+        ];
+        let got = check(&t2);
         assert!(
             got.iter().any(|x| x.check() == "lifecycle" && x.detail.contains("terminal")),
             "{got:?}"
         );
         // Started while already running.
-        let t3 = Trace {
-            events: vec![
-                machine_start(),
-                ev(0, Event::JobArrived { job: 0 }),
-                ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-                ev(2, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
-            ],
-        };
-        let got = check_all(&t3);
+        let t3 = vec![
+            machine_start(),
+            ev(0, Event::JobArrived { job: 0 }),
+            ev(1, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+            ev(2, Event::JobStarted { job: 0, nodes: 8, budget_w: 880.0 }),
+        ];
+        let got = check(&t3);
         assert!(
             got.iter().any(|x| x.check() == "lifecycle" && x.detail.contains("already running")),
             "{got:?}"
@@ -1624,50 +1563,49 @@ mod tests {
     fn lifecycle_is_gated_on_the_machine_header() {
         // Fleet traces carry job events with no machine_start; the
         // lifecycle protocol does not apply there.
-        let trace =
-            Trace { events: vec![ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 })] };
-        assert_eq!(check_all(&trace), Vec::new());
+        let trace = vec![ev(1, Event::JobStarted { job: 3, nodes: 8, budget_w: 880.0 })];
+        assert_eq!(check(&trace), Vec::new());
     }
 
     #[test]
     fn halted_run_with_header_draws_the_advisory() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(0, Event::SyncStart { sync: 1 }),
-                ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
-                ev(2, Event::SyncStart { sync: 2 }),
-                // no run_end: halted mid-interval
-            ],
-        };
-        let got = check_all(&trace);
+        let trace = vec![
+            run_start(1760.0),
+            ev(0, Event::SyncStart { sync: 1 }),
+            ev(1, Event::SyncEnd { sync: 1, overhead_s: 0.0 }),
+            ev(2, Event::SyncStart { sync: 2 }),
+            // no run_end: halted mid-interval
+        ];
+        let got = check(&trace);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].code_str(), "AUDIT0012");
         assert_eq!(got[0].severity(), Severity::Warning);
         assert!(got[0].detail.contains("interval 2"), "{got:?}");
     }
 
-    /// The incremental battery is insensitive to how the stream is
-    /// chunked: feeding event-by-event equals the batch wrapper.
+    /// The battery fed the whole event list at once, in memory, and the
+    /// auditor streaming the same events' serialized lines report the same
+    /// findings, several checks failing at once.
     #[test]
     fn streaming_feed_matches_batch_battery() {
-        let trace = Trace {
-            events: vec![
-                run_start(1760.0),
-                ev(0, Event::SyncStart { sync: 2 }), // misnumbered
-                ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }), // overruns
-                decision(1, 215.0, 215.0), // over budget
-                ev(10, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
-                ev(11, Event::Fault { sync: 1, node: 5, tag: "node_crash".into() }),
-            ],
-        };
-        let batch = check_all(&trace);
+        let trace = vec![
+            run_start(1760.0),
+            ev(0, Event::SyncStart { sync: 2 }), // misnumbered
+            ev(9, Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 99 }), // overruns
+            decision(1, 215.0, 215.0), // over budget
+            ev(10, Event::SyncEnd { sync: 2, overhead_s: 0.0 }),
+            ev(11, Event::Fault { sync: 1, node: 5, tag: "node_crash".into() }),
+        ];
         let mut checker = StreamChecker::default();
-        for e in &trace.events {
+        for e in &trace {
             checker.feed(e);
         }
-        let streamed = checker.finish();
-        assert_eq!(batch, streamed);
+        let batch = checker.finish();
+        let mut auditor = crate::StreamAuditor::new();
+        for e in &trace {
+            auditor.feed_line(&e.to_json_line()).expect("the writer's line");
+        }
+        assert_eq!(batch, auditor.finish().report.violations);
         assert!(batch.iter().any(|x| x.check() == "sync"));
         assert!(batch.iter().any(|x| x.check() == "spans"));
         assert!(batch.iter().any(|x| x.check() == "budget"));

@@ -5,8 +5,7 @@
 //! or parsed back from a JSONL file — and answers two questions:
 //!
 //! 1. **Did the run obey its own physics?** — the incremental checker
-//!    battery ([`StreamChecker`]; batch wrapper [`invariants::check_all`])
-//!    runs structural and physical checks one event at a time, carrying
+//!    battery ([`StreamChecker`]) runs structural and physical checks one event at a time, carrying
 //!    O(active spans + nodes) state: clock monotonicity, interval
 //!    nesting, per-node span ordering, budget conservation at every
 //!    allocation, RAPL clamp/actuation consistency, energy identities,
@@ -22,7 +21,9 @@
 //!    decomposition, the cap-actuation latency distribution), a
 //!    [`Registry`] of counters/gauges/deterministic histograms, and
 //!    per-interval [`RunHealth`] snapshots — in constant memory, interval
-//!    working sets discarded as each `sync_end` closes them.
+//!    working sets discarded as each `sync_end` closes them. The three
+//!    persist as the sections of one versioned run document,
+//!    `run_<bin>.json` ([`StreamOutcome::to_json`]).
 //! 3. **Why did two runs differ?** — the run explainer ([`diff`]):
 //!    [`TraceDiffer`] streams two JSONL traces to the first divergent
 //!    event (constant memory) and renders a `DIFF0001`/`DIFF0002`
@@ -38,7 +39,8 @@
 //! wire form ([`obs::TraceEvent::wire_form`]), which is what makes the
 //! live, tapped and replayed audits of one run byte-identical. Everything
 //! is hand-rolled on top of [`json`] (re-exported from `obs`, where the
-//! reader lives beside the schema): the workspace carries no registry
+//! reader lives beside the schema): every document is a [`json::Value`]
+//! printed by its one writer, and the workspace carries no registry
 //! dependencies.
 
 #![warn(missing_docs)]
@@ -49,13 +51,19 @@ pub mod invariants;
 pub mod metrics;
 pub mod registry;
 pub mod stream;
-pub mod trace;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, ArtifactDiffOptions, TraceDiffer};
-pub use invariants::{check_all, StreamChecker};
+pub use invariants::StreamChecker;
 pub use metrics::AuditReport;
 pub use obs::json;
 pub use registry::{Counter, ExactSum, Gauge, Histogram, Registry};
-pub use stream::{health_to_json, RunHealth, StreamAuditor, StreamOutcome};
-pub use trace::{Trace, TraceError};
+pub use stream::{RunHealth, StreamAuditor, StreamOutcome, RUN_SCHEMA_VERSION};
+
+/// Audit `events` in one pass: how the unit tests run the engine.
+#[cfg(test)]
+pub(crate) fn audited(events: &[obs::TraceEvent]) -> StreamOutcome {
+    let mut auditor = StreamAuditor::new();
+    events.iter().for_each(|e| auditor.feed(e));
+    auditor.finish()
+}

@@ -8,7 +8,8 @@
 //! interval and clearly labelled approximate otherwise.
 
 use crate::diag::{Severity, Violation};
-use crate::trace::Trace;
+use crate::json::Value;
+use obs::json_fields;
 use std::fmt::Write as _;
 
 /// Time and (approximate) energy attributed to one phase kind.
@@ -88,22 +89,6 @@ pub struct LatencyStats {
     pub p95_s: f64,
 }
 
-/// Schema version stamped into `audit_<bin>.json` (bumped on any layout
-/// change so the differs can refuse cross-version comparisons).
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
-
-/// Scrub the sign off a floating-point negative zero (`-0.0` → `0.0`;
-/// every other value, including NaN and infinities, passes through).
-///
-/// IEEE-754 addition of `-0.0 + 0.0` is `+0.0`, so `v + 0.0` is exactly
-/// this normalization. Report accumulators that can legitimately sum to
-/// an empty `-0.0` (e.g. `CriticalPath.overhead_s`) and every serialized
-/// report float go through this one audited function, so `-0` can never
-/// leak into a persisted artifact and break a byte-diff gate.
-pub fn scrub_signed_zero(v: f64) -> f64 {
-    v + 0.0
-}
-
 /// The full audit result for one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
@@ -137,116 +122,58 @@ impl AuditReport {
         self.violations.iter().all(|x| x.severity() != Severity::Error)
     }
 
-    /// Audit a trace: feed the streaming engine and take its report.
-    /// Batch and streaming audits share this one implementation, which is
-    /// what makes their reports byte-identical.
-    pub fn from_trace(trace: &Trace) -> AuditReport {
-        let mut auditor = crate::stream::StreamAuditor::new();
-        for ev in &trace.events {
-            auditor.feed(ev);
-        }
-        auditor.finish().report
+    /// The report as the `report` section of the run document.
+    pub fn to_value(&self) -> Value {
+        let violations = self.violations.iter().map(|x| {
+            Value::obj([
+                ("code", x.code_str().into()),
+                ("severity", x.severity().tag().into()),
+                ("check", x.check().into()),
+                ("detail", x.detail.as_str().into()),
+            ])
+        });
+        let phases = self.phases.iter().map(|p| json_fields!(p, kind, spans, time_s, energy_j));
+        let partitions = self.partitions.iter().map(|p| json_fields!(p, role, nodes, energy_j));
+        let stragglers = self.stragglers.iter().map(|x| {
+            json_fields!(
+                x,
+                sync,
+                sim_time_s,
+                analysis_time_s,
+                slack,
+                wait_total_s,
+                wait_max_s,
+                slowest_node
+            )
+        });
+        let (cp, cl) = (&self.critical_path, &self.cap_latency);
+        Value::obj([
+            ("events", self.events.into()),
+            ("syncs", self.syncs.into()),
+            ("total_time_s", self.total_time_s.into()),
+            ("total_energy_j", self.total_energy_j.into()),
+            ("violations", Value::Arr(violations.collect())),
+            ("phases", Value::Arr(phases.collect())),
+            ("partitions", Value::Arr(partitions.collect())),
+            ("stragglers", Value::Arr(stragglers.collect())),
+            (
+                "critical_path",
+                json_fields!(
+                    cp,
+                    sim_limited_s,
+                    analysis_limited_s,
+                    overhead_s,
+                    sim_limited_syncs,
+                    analysis_limited_syncs
+                ),
+            ),
+            ("cap_latency", json_fields!(cl, count, immediate, min_s, max_s, mean_s, p95_s)),
+        ])
     }
 
-    /// Serialize as a JSON document (hand-rolled, deterministic: same
-    /// float rules as every other persisted artifact).
+    /// [`to_value`](Self::to_value), printed.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {REPORT_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"events\": {},", self.events);
-        let _ = writeln!(s, "  \"syncs\": {},", self.syncs);
-        let _ = writeln!(s, "  \"total_time_s\": {},", jf(self.total_time_s));
-        let _ = writeln!(s, "  \"total_energy_j\": {},", jf(self.total_energy_j));
-        s.push_str("  \"violations\": [");
-        for (i, viol) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"code\": \"{}\", \"severity\": \"{}\", \"check\": \"{}\", \
-                 \"detail\": {}}}",
-                viol.code_str(),
-                viol.severity().tag(),
-                viol.check(),
-                js(&viol.detail)
-            );
-        }
-        s.push_str(if self.violations.is_empty() { "],\n" } else { "\n  ],\n" });
-        s.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"kind\": {}, \"spans\": {}, \"time_s\": {}, \"energy_j\": {}}}",
-                js(&p.kind),
-                p.spans,
-                jf(p.time_s),
-                jf(p.energy_j)
-            );
-        }
-        s.push_str(if self.phases.is_empty() { "],\n" } else { "\n  ],\n" });
-        s.push_str("  \"partitions\": [");
-        for (i, p) in self.partitions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"role\": {}, \"nodes\": {}, \"energy_j\": {}}}",
-                js(&p.role),
-                p.nodes,
-                jf(p.energy_j)
-            );
-        }
-        s.push_str(if self.partitions.is_empty() { "],\n" } else { "\n  ],\n" });
-        s.push_str("  \"stragglers\": [");
-        for (i, x) in self.stragglers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"sync\": {}, \"sim_time_s\": {}, \"analysis_time_s\": {}, \
-                 \"slack\": {}, \"wait_total_s\": {}, \"wait_max_s\": {}, \"slowest_node\": {}}}",
-                x.sync,
-                jf(x.sim_time_s),
-                jf(x.analysis_time_s),
-                jf(x.slack),
-                jf(x.wait_total_s),
-                jf(x.wait_max_s),
-                x.slowest_node.map_or("null".to_string(), |n| n.to_string())
-            );
-        }
-        s.push_str(if self.stragglers.is_empty() { "],\n" } else { "\n  ],\n" });
-        let cp = &self.critical_path;
-        let _ = writeln!(
-            s,
-            "  \"critical_path\": {{\"sim_limited_s\": {}, \"analysis_limited_s\": {}, \
-             \"overhead_s\": {}, \"sim_limited_syncs\": {}, \"analysis_limited_syncs\": {}}},",
-            jf(cp.sim_limited_s),
-            jf(cp.analysis_limited_s),
-            jf(cp.overhead_s),
-            cp.sim_limited_syncs,
-            cp.analysis_limited_syncs
-        );
-        let cl = &self.cap_latency;
-        let _ = writeln!(
-            s,
-            "  \"cap_latency\": {{\"count\": {}, \"immediate\": {}, \"min_s\": {}, \
-             \"max_s\": {}, \"mean_s\": {}, \"p95_s\": {}}}",
-            cl.count,
-            cl.immediate,
-            jf(cl.min_s),
-            jf(cl.max_s),
-            jf(cl.mean_s),
-            jf(cl.p95_s)
-        );
-        s.push_str("}\n");
-        s
+        self.to_value().pretty()
     }
 
     /// A short human summary (one paragraph, for the reporter).
@@ -294,36 +221,6 @@ impl AuditReport {
     }
 }
 
-/// JSON float: shortest-roundtrip, `null` when non-finite, signed zero
-/// scrubbed (see [`scrub_signed_zero`]).
-fn jf(v: f64) -> String {
-    let v = scrub_signed_zero(v);
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string with minimal escaping (tags and details are ASCII).
-fn js(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,70 +230,60 @@ mod tests {
         TraceEvent { t: des::SimTime::from_nanos(t_ns), ev }
     }
 
-    fn small_trace() -> Trace {
-        Trace {
-            events: vec![
-                ev(0, Event::SyncStart { sync: 1 }),
-                ev(
-                    0,
-                    Event::Phase {
-                        node: 0,
-                        kind: "force".into(),
-                        start_ns: 0,
-                        end_ns: 2_000_000_000,
-                    },
-                ),
-                ev(
-                    2_000_000_000,
-                    Event::Wait { node: 0, start_ns: 2_000_000_000, end_ns: 3_000_000_000 },
-                ),
-                ev(
-                    3_000_000_000,
-                    Event::Arrival { sync: 1, node: 0, role: "sim".into(), time_s: 2.0 },
-                ),
-                ev(
-                    3_000_000_000,
-                    Event::Arrival { sync: 1, node: 1, role: "analysis".into(), time_s: 3.0 },
-                ),
-                ev(
-                    3_000_000_000,
-                    Event::Rendezvous {
-                        sync: 1,
-                        sim_time_s: 2.0,
-                        analysis_time_s: 3.0,
-                        slack: 1.0 / 3.0,
-                    },
-                ),
-                ev(
-                    3_000_000_000,
-                    Event::Sample {
-                        node: 0,
-                        role: "sim".into(),
-                        time_s: 2.0,
-                        power_w: 110.0,
-                        cap_w: 115.0,
-                    },
-                ),
-                ev(
-                    3_000_000_000,
-                    Event::CapRequest {
-                        node: 0,
-                        requested_w: 120.0,
-                        granted_w: 120.0,
-                        effective_ns: 3_010_000_000,
-                    },
-                ),
-                ev(3_100_000_000, Event::SyncEnd { sync: 1, overhead_s: 0.1 }),
-                ev(3_100_000_000, Event::NodeEnergy { node: 0, energy_j: 300.0 }),
-                ev(3_100_000_000, Event::NodeEnergy { node: 1, energy_j: 100.0 }),
-                ev(3_100_000_000, Event::RunEnd { total_time_s: 3.1, total_energy_j: 400.0 }),
-            ],
-        }
+    fn small_trace() -> Vec<TraceEvent> {
+        vec![
+            ev(0, Event::SyncStart { sync: 1 }),
+            ev(
+                0,
+                Event::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 2_000_000_000 },
+            ),
+            ev(
+                2_000_000_000,
+                Event::Wait { node: 0, start_ns: 2_000_000_000, end_ns: 3_000_000_000 },
+            ),
+            ev(3_000_000_000, Event::Arrival { sync: 1, node: 0, role: "sim".into(), time_s: 2.0 }),
+            ev(
+                3_000_000_000,
+                Event::Arrival { sync: 1, node: 1, role: "analysis".into(), time_s: 3.0 },
+            ),
+            ev(
+                3_000_000_000,
+                Event::Rendezvous {
+                    sync: 1,
+                    sim_time_s: 2.0,
+                    analysis_time_s: 3.0,
+                    slack: 1.0 / 3.0,
+                },
+            ),
+            ev(
+                3_000_000_000,
+                Event::Sample {
+                    node: 0,
+                    role: "sim".into(),
+                    time_s: 2.0,
+                    power_w: 110.0,
+                    cap_w: 115.0,
+                },
+            ),
+            ev(
+                3_000_000_000,
+                Event::CapRequest {
+                    node: 0,
+                    requested_w: 120.0,
+                    granted_w: 120.0,
+                    effective_ns: 3_010_000_000,
+                },
+            ),
+            ev(3_100_000_000, Event::SyncEnd { sync: 1, overhead_s: 0.1 }),
+            ev(3_100_000_000, Event::NodeEnergy { node: 0, energy_j: 300.0 }),
+            ev(3_100_000_000, Event::NodeEnergy { node: 1, energy_j: 100.0 }),
+            ev(3_100_000_000, Event::RunEnd { total_time_s: 3.1, total_energy_j: 400.0 }),
+        ]
     }
 
     #[test]
     fn report_derives_attribution_and_critical_path() {
-        let r = AuditReport::from_trace(&small_trace());
+        let r = crate::audited(&small_trace()).report;
         assert_eq!(r.syncs, 1);
         assert_eq!(r.total_energy_j, 400.0);
         // Phase attribution: 2 s of force at 110 W + 1 s wait at 110 W.
@@ -424,9 +311,9 @@ mod tests {
 
     #[test]
     fn report_json_parses_back() {
-        let r = AuditReport::from_trace(&small_trace());
-        let doc = r.to_json();
-        let v = crate::json::parse(&doc).expect("report JSON parses");
+        let r = crate::audited(&small_trace()).report;
+        let v = crate::json::parse(&r.to_json()).expect("report JSON parses");
+        assert_eq!(v, r.to_value());
         assert_eq!(v.get("syncs").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("violations").unwrap().as_arr().unwrap().len(), 0);
         assert!(v.get("critical_path").unwrap().get("overhead_s").is_some());
@@ -434,7 +321,7 @@ mod tests {
 
     #[test]
     fn summary_mentions_violations() {
-        let mut r = AuditReport::from_trace(&small_trace());
+        let mut r = crate::audited(&small_trace()).report;
         assert!(r.summary().contains("0 violations"));
         r.violations.push(Violation::new(crate::diag::CLOCK, "x"));
         assert!(r.summary().contains("1 VIOLATIONS"));
@@ -445,7 +332,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_empty_report() {
-        let r = AuditReport::from_trace(&Trace::default());
+        let r = crate::audited(&[]).report;
         assert!(r.clean());
         assert_eq!(r.events, 0);
         assert_eq!(r.cap_latency.count, 0);

@@ -26,14 +26,10 @@
 //! them; they are re-exported here so `audit::{ExactSum, Histogram}`
 //! keeps working.
 
+use crate::json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 pub use obs::hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
-
-/// Schema version stamped into `metrics_<bin>.json` (bumped on any
-/// layout change so the differs can refuse cross-version comparisons).
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -156,55 +152,34 @@ impl Registry {
         }
     }
 
-    /// Serialize name-sorted as a compact JSON object — the byte-level
-    /// fingerprint the determinism tests compare. Histogram summaries
-    /// carry bucket-exact p50/p95/p99 (nearest-rank over the fixed log₂
-    /// buckets, clamped into the observed range — deterministic).
-    pub fn to_json(&self) -> String {
-        fn jf(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
+    /// The registry as the `metrics` section of the run document,
+    /// name-sorted — the fingerprint the determinism tests compare.
+    /// Histogram summaries carry bucket-exact p50/p95/p99 (nearest-rank
+    /// over the fixed log₂ buckets, clamped into the observed range —
+    /// deterministic).
+    pub fn to_value(&self) -> Value {
+        fn named<T>(map: &BTreeMap<String, T>, f: impl Fn(&T) -> Value) -> Value {
+            Value::Obj(map.iter().map(|(name, x)| (name.clone(), f(x))).collect())
         }
-        let mut out = String::from("{");
-        let _ = write!(out, "\"schema_version\":{METRICS_SCHEMA_VERSION},\"counters\":{{");
-        for (i, (name, c)) in self.counters.iter().enumerate() {
-            let _ = write!(out, "{}\"{name}\":{}", if i > 0 { "," } else { "" }, c.0);
-        }
-        let _ = write!(out, "}},\"gauges\":{{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{name}\":{{\"t_ns\":{},\"value\":{}}}",
-                if i > 0 { "," } else { "" },
-                g.t_ns,
-                jf(g.value)
-            );
-        }
-        let _ = write!(out, "}},\"histograms\":{{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{name}\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"sum_ns\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[",
-                if i > 0 { "," } else { "" },
-                h.count,
-                if h.count == 0 { 0 } else { h.min_ns },
-                h.max_ns,
-                jf(h.sum_ns()),
-                h.quantile_ns(0.50),
-                h.quantile_ns(0.95),
-                h.quantile_ns(0.99),
-            );
-            for (j, (low, c)) in h.nonzero_buckets().into_iter().enumerate() {
-                let _ = write!(out, "{}[{low},{c}]", if j > 0 { "," } else { "" });
-            }
-            let _ = write!(out, "]}}");
-        }
-        out.push_str("}}");
-        out
+        let histogram = |h: &Histogram| {
+            let buckets = h.nonzero_buckets().into_iter();
+            let buckets = buckets.map(|(low, c)| Value::Arr(vec![low.into(), c.into()]));
+            Value::obj([
+                ("count", h.count.into()),
+                ("min_ns", if h.count == 0 { 0 } else { h.min_ns }.into()),
+                ("max_ns", h.max_ns.into()),
+                ("sum_ns", h.sum_ns().into()),
+                ("p50_ns", h.quantile_ns(0.50).into()),
+                ("p95_ns", h.quantile_ns(0.95).into()),
+                ("p99_ns", h.quantile_ns(0.99).into()),
+                ("buckets", Value::Arr(buckets.collect())),
+            ])
+        };
+        Value::obj([
+            ("counters", named(&self.counters, |c| c.0.into())),
+            ("gauges", named(&self.gauges, |g| obs::json_fields!(g, t_ns, value))),
+            ("histograms", named(&self.histograms, histogram)),
+        ])
     }
 }
 
@@ -255,7 +230,7 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.to_json(), ba.to_json());
+        assert_eq!(ab.to_value().pretty(), ba.to_value().pretty());
         assert_eq!(ab.counter_value("syncs"), 7);
         assert_eq!(ab.counter_value("faults"), 1);
         assert_eq!(ab.gauge_value("allocated_w"), Some(880.0));
@@ -267,10 +242,9 @@ mod tests {
         let mut r = Registry::default();
         r.counter("zeta").inc();
         r.counter("alpha").inc();
-        let j = r.to_json();
-        assert!(j.starts_with("{\"schema_version\":1,"));
+        let j = r.to_value().pretty();
+        assert!(j.starts_with("{\n  \"counters\": {\n    \"alpha\": 1,"), "{j}");
         assert!(j.find("alpha").unwrap() < j.find("zeta").unwrap());
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 
     #[test]
@@ -288,10 +262,15 @@ mod tests {
         for _ in 0..5 {
             r.histogram("stage_ns").observe(100);
         }
-        let j = r.to_json();
+        let v = r.to_value();
+        let h = v.get("histograms").and_then(|h| h.get("stage_ns")).expect("histogram");
+        let field = |k: &str| h.get(k).and_then(Value::as_u64);
         // p50 rank 10 → bucket 1, upper edge 3; p95 rank 19 and p99 rank
         // 20 → bucket 6, upper edge 127 clamped to max 100.
-        assert!(j.contains("\"p50_ns\":3,\"p95_ns\":100,\"p99_ns\":100"), "got: {j}");
-        assert!(j.contains("\"buckets\":[[2,10],[8,5],[64,5]]"), "got: {j}");
+        assert_eq!(
+            [field("p50_ns"), field("p95_ns"), field("p99_ns")],
+            [Some(3), Some(100), Some(100)]
+        );
+        assert_eq!(h.get("buckets"), crate::json::parse("[[2,10],[8,5],[64,5]]").ok().as_ref());
     }
 }

@@ -3,15 +3,14 @@
 //! [`StreamAuditor`] consumes events one at a time — from a live
 //! [`obs::Tracer`] (it implements [`obs::EventSubscriber`]), from a JSONL
 //! file line by line ([`StreamAuditor::feed_line`]), or from an in-memory
-//! trace — and produces exactly what the batch engine produces: the full
-//! [`AuditReport`] plus a [`Registry`] of counters/gauges/histograms and
-//! the per-interval [`RunHealth`] snapshot series.
+//! trace — and produces the full [`AuditReport`] plus a [`Registry`] of
+//! counters/gauges/histograms and the per-interval [`RunHealth`] snapshot
+//! series, which [`StreamOutcome::to_json`] writes as one run document.
 //!
-//! **Byte-identical by construction.** [`AuditReport::from_trace`] is
-//! itself implemented as "feed a `StreamAuditor`, then finish", so there
-//! is one engine, not two kept in agreement; `audit_trace` feeds files
-//! through it line by line, and the `verify.sh` gate diffs that replay
-//! against the live in-process audit of the same run.
+//! **One engine.** Every audit is "feed a `StreamAuditor`, then finish":
+//! the bins' live `--audit` feeds it from the tracer, `audit_trace` feeds
+//! files through it line by line, and the `verify.sh` gate diffs that
+//! replay against the live in-process audit of the same run.
 //!
 //! **Bounded state.** The invariant battery carries O(active spans +
 //! nodes + live jobs) ([`StreamChecker`]); the report accumulator buffers
@@ -22,20 +21,20 @@
 //! grow with the interval count — that is the size of the report itself,
 //! not a function of the event count.
 //!
-//! The attribution fold order matches the batch walk exactly: every span
-//! of interval `k` precedes `sync_end k` in the record order, and the
-//! interval's samples are all in hand by then, so folding at `sync_end`
-//! reproduces the batch result bit for bit — including float-addition
-//! order.
+//! The attribution fold order is the record order: every span of
+//! interval `k` precedes `sync_end k`, and the interval's samples are all
+//! in hand by then, so folding at `sync_end` attributes each span with
+//! its own interval's power — and any chunking of the stream gives the
+//! same result bit for bit, float-addition order included.
 
 use crate::invariants::StreamChecker;
+use crate::json::Value;
 use crate::metrics::{
     AuditReport, CriticalPath, LatencyStats, PartitionAttribution, PhaseAttribution, SyncStragglers,
 };
 use crate::registry::{named, Registry};
 use obs::{Event, EventError, Tag, TraceEvent};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One run-health snapshot: the live state of the run at an interval or
 /// epoch boundary, as seen by the streaming auditor.
@@ -61,58 +60,51 @@ pub struct RunHealth {
     pub violations: u64,
 }
 
-/// Schema version stamped into `health_<bin>.json` (bumped on any layout
-/// change so the differs can refuse cross-version comparisons).
-pub const HEALTH_SCHEMA_VERSION: u32 = 1;
-
-/// Serialize a health series as a JSON document (same float rules as
-/// every other persisted artifact).
-pub fn health_to_json(rows: &[RunHealth]) -> String {
-    let mut s = String::with_capacity(256 + rows.len() * 128);
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": {HEALTH_SCHEMA_VERSION},");
-    s.push_str("  \"snapshots\": [");
-    for (i, h) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"t_ns\": {}, \"marker\": \"{}\", \"index\": {}, \"jobs_running\": {}, \
-             \"machines_up\": {}, \"allocated_w\": {}, \"budget_w\": {}, \"violations\": {}}}",
-            h.t_ns,
-            h.marker,
-            h.index,
-            h.jobs_running,
-            h.machines_up,
-            jf(h.allocated_w),
-            jf(h.budget_w),
-            h.violations
-        );
-    }
-    s.push_str(if rows.is_empty() { "]\n" } else { "\n  ]\n" });
-    s.push_str("}\n");
-    s
-}
-
-fn jf(v: f64) -> String {
-    let v = crate::metrics::scrub_signed_zero(v);
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+impl RunHealth {
+    /// One row of the run document's `health` section.
+    pub fn to_value(&self) -> Value {
+        obs::json_fields!(
+            self,
+            t_ns,
+            marker,
+            index,
+            jobs_running,
+            machines_up,
+            allocated_w,
+            budget_w,
+            violations
+        )
     }
 }
+
+/// Schema version stamped into `run_<bin>.json` (bumped on any layout
+/// change so the differs can refuse cross-version comparisons; version 1
+/// was the three separate `audit_`, `health_` and `metrics_` documents).
+pub const RUN_SCHEMA_VERSION: u64 = 2;
 
 /// Everything one streaming pass produces.
 #[derive(Debug)]
 pub struct StreamOutcome {
-    /// The audit report — byte-identical to the batch engine's.
+    /// The audit report.
     pub report: AuditReport,
     /// Per-interval run-health snapshots, record order.
     pub health: Vec<RunHealth>,
     /// The live metrics registry (counters, gauges, histograms).
     pub registry: Registry,
+}
+
+impl StreamOutcome {
+    /// The run document, `run_<bin>.json`: the report, the health series
+    /// and the metrics registry as the sections of one versioned object.
+    pub fn to_json(&self) -> String {
+        Value::obj([
+            ("schema_version", RUN_SCHEMA_VERSION.into()),
+            ("report", self.report.to_value()),
+            ("health", Value::Arr(self.health.iter().map(RunHealth::to_value).collect())),
+            ("metrics", self.registry.to_value()),
+        ])
+        .pretty()
+    }
 }
 
 /// The single-pass audit engine. Feed events, then
@@ -159,8 +151,8 @@ impl StreamAuditor {
         Self::default()
     }
 
-    /// Parse one JSONL trace line (strict, like the batch loader) and
-    /// feed it. The caller decides whether a parse failure aborts.
+    /// Parse one JSONL trace line (strictly: [`TraceEvent::parse_line`])
+    /// and feed it. The caller decides whether a parse failure aborts.
     pub fn feed_line(&mut self, line: &str) -> Result<(), EventError> {
         self.feed(&TraceEvent::parse_line(line)?);
         Ok(())
@@ -193,8 +185,8 @@ impl StreamAuditor {
         self.slowest.retain(|&k, _| k > up_to);
     }
 
-    /// Fold the closed interval's spans into the per-kind attribution
-    /// (same fold order and sample lookup as the batch walk).
+    /// Fold the closed interval's spans into the per-kind attribution, in
+    /// record order, each at its node's sampled power in its interval.
     fn fold_spans(&mut self) {
         let _t = obs::profile::timer("audit.fold_spans");
         for (interval, node, kind, dur) in self.cur_spans.drain(..) {
@@ -397,9 +389,7 @@ impl StreamAuditor {
         self.close_renorm_group();
         self.fold_spans();
         self.drain_rendezvous(u64::MAX);
-        // The empty sum's identity is -0.0; scrub it like every other
-        // serialized report float.
-        self.critical_path.overhead_s = crate::metrics::scrub_signed_zero(self.overhead_sum);
+        self.critical_path.overhead_s = self.overhead_sum;
 
         let immediate = self.registry.counter_value("cap_immediate");
         let cap_latency = match self.registry.get_histogram("cap_actuation_latency_ns") {
@@ -450,71 +440,59 @@ impl obs::EventSubscriber for StreamAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
 
-    fn sample_lines() -> Vec<String> {
-        let trace = {
-            use Event as K;
-            let ev = |t_ns, ev| TraceEvent { t: des::SimTime::from_nanos(t_ns), ev };
-            Trace {
-                events: vec![
-                    ev(
-                        0,
-                        K::RunStart {
-                            sim_nodes: 12,
-                            analysis_nodes: 4,
-                            budget_w: 1760.0,
-                            min_cap_w: 98.0,
-                            max_cap_w: 215.0,
-                            actuation_ns: 10_000_000,
-                        },
-                    ),
-                    ev(0, K::SyncStart { sync: 1 }),
-                    ev(0, K::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5_000 }),
-                    ev(5_000, K::Wait { node: 0, start_ns: 5_000, end_ns: 8_000 }),
-                    ev(
-                        8_000,
-                        K::Sample {
-                            node: 0,
-                            role: "sim".into(),
-                            time_s: 1.0,
-                            power_w: 110.0,
-                            cap_w: 115.0,
-                        },
-                    ),
-                    ev(
-                        8_000,
-                        K::Rendezvous {
-                            sync: 1,
-                            sim_time_s: 2.0,
-                            analysis_time_s: 1.0,
-                            slack: 0.5,
-                        },
-                    ),
-                    ev(10_000, K::SyncEnd { sync: 1, overhead_s: 0.25 }),
-                    ev(10_000, K::SyncEnergy { sync: 1, energy_j: 42.0 }),
-                    ev(10_000, K::NodeEnergy { node: 0, energy_j: 42.0 }),
-                    ev(10_000, K::RunEnd { total_time_s: 1e-5, total_energy_j: 42.0 }),
-                ],
-            }
-        };
-        trace.events.iter().map(|e| e.to_json_line()).collect()
+    fn sample_events() -> Vec<TraceEvent> {
+        use Event as K;
+        let ev = |t_ns, ev| TraceEvent { t: des::SimTime::from_nanos(t_ns), ev };
+        vec![
+            ev(
+                0,
+                K::RunStart {
+                    sim_nodes: 12,
+                    analysis_nodes: 4,
+                    budget_w: 1760.0,
+                    min_cap_w: 98.0,
+                    max_cap_w: 215.0,
+                    actuation_ns: 10_000_000,
+                },
+            ),
+            ev(0, K::SyncStart { sync: 1 }),
+            ev(0, K::Phase { node: 0, kind: "force".into(), start_ns: 0, end_ns: 5_000 }),
+            ev(5_000, K::Wait { node: 0, start_ns: 5_000, end_ns: 8_000 }),
+            ev(
+                8_000,
+                K::Sample {
+                    node: 0,
+                    role: "sim".into(),
+                    time_s: 1.0,
+                    power_w: 110.0,
+                    cap_w: 115.0,
+                },
+            ),
+            ev(8_000, K::Rendezvous { sync: 1, sim_time_s: 2.0, analysis_time_s: 1.0, slack: 0.5 }),
+            ev(10_000, K::SyncEnd { sync: 1, overhead_s: 0.25 }),
+            ev(10_000, K::SyncEnergy { sync: 1, energy_j: 42.0 }),
+            ev(10_000, K::NodeEnergy { node: 0, energy_j: 42.0 }),
+            ev(10_000, K::RunEnd { total_time_s: 1e-5, total_energy_j: 42.0 }),
+        ]
     }
 
+    fn sample_lines() -> Vec<String> {
+        sample_events().iter().map(TraceEvent::to_json_line).collect()
+    }
+
+    /// The whole event list fed at once, in memory, and its serialized
+    /// lines streamed one by one give the same run document.
     #[test]
     fn streamed_report_is_byte_identical_to_batch() {
-        let lines = sample_lines();
-        let joined = lines.join("\n");
-        let trace = Trace::parse_jsonl(&joined).expect("parses");
-        let batch = AuditReport::from_trace(&trace);
-
+        let batch = crate::audited(&sample_events());
         let mut auditor = StreamAuditor::new();
-        for line in &lines {
+        for line in &sample_lines() {
             auditor.feed_line(line).expect("clean line");
         }
         let out = auditor.finish();
-        assert_eq!(out.report.to_json(), batch.to_json());
-        assert_eq!(out.report, batch);
+        assert_eq!(out.to_json(), batch.to_json());
+        assert_eq!(out.report, batch.report);
     }
 
     #[test]
@@ -531,9 +509,9 @@ mod tests {
         assert_eq!(h.index, 1);
         assert_eq!(h.budget_w, 1760.0);
         assert_eq!(h.violations, 0);
-        let doc = health_to_json(&out.health);
-        let v = crate::json::parse(&doc).expect("health JSON parses");
-        assert_eq!(v.get("snapshots").unwrap().as_arr().unwrap().len(), 1);
+        let v = crate::json::parse(&out.to_json()).expect("run document parses");
+        assert_eq!(v.get("schema_version").and_then(Value::as_u64), Some(RUN_SCHEMA_VERSION));
+        assert_eq!(v.get("health").and_then(Value::as_arr).map(<[_]>::len), Some(1));
     }
 
     #[test]
@@ -574,8 +552,7 @@ mod tests {
                     auditor.feed_line(line).expect("clean line");
                 }
             }
-            let out = auditor.finish();
-            (out.report.to_json(), health_to_json(&out.health), out.registry.to_json())
+            auditor.finish().to_json()
         };
         let one_shot = feed_all(lines.len());
         for chunk in [1, 2, 3] {
@@ -602,12 +579,8 @@ mod tests {
             replay.feed_line(line).expect("clean line");
         }
         let replayed = replay.finish();
-        assert_eq!(live.report.to_json(), replayed.report.to_json());
+        assert_eq!(live.to_json(), replayed.to_json());
         assert_eq!(live.health, replayed.health);
-    }
-
-    fn outcome_docs(out: &StreamOutcome) -> [String; 3] {
-        [out.report.to_json(), health_to_json(&out.health), out.registry.to_json()]
     }
 
     /// The wire form of `±inf` is `null`, which reads back as NaN, and the
@@ -664,15 +637,19 @@ mod tests {
             replay.feed_line(&te.to_json_line()).expect("emitter output parses");
         }
         let (live, replay) = (live.finish(), replay.finish());
-        assert_eq!(outcome_docs(&live), outcome_docs(&replay));
+        assert_eq!(live.to_json(), replay.to_json());
         assert_eq!(live.report.violations, replay.report.violations);
         let details: Vec<&str> = live.report.violations.iter().map(|v| &*v.detail).collect();
         assert!(details.iter().any(|d| d.contains("budget is not a power: NaN")), "{details:?}");
         assert!(details.iter().any(|d| d.contains("exceeds budget")), "{details:?}");
         assert!(details.iter().any(|d| d.contains("energy is not physical: NaN")), "{details:?}");
-        // And the batch tap agrees.
-        let tapped = AuditReport::from_trace(&Trace::from_events(&events));
-        assert_eq!(tapped.to_json(), replay.report.to_json());
+        // And so does the tracer's buffer, audited after the run.
+        let tracer = obs::Tracer::enabled();
+        for te in &events {
+            tracer.set_now(te.t);
+            tracer.emit(te.ev.clone());
+        }
+        assert_eq!(crate::audited(&tracer.events()).to_json(), replay.to_json());
     }
 
     /// Seeded mutations of valid lines of every variant: the strict reader

@@ -8,8 +8,9 @@
 //! Exits 1 when any file fails to parse or any invariant is violated —
 //! the offline counterpart of the `--audit` flag the experiment bins
 //! carry. Each file is audited line by line in constant memory (never
-//! materialized as a `Vec` of events); `--json` writes the report, the
-//! run-health snapshots and the metric registry.
+//! materialized as a `Vec` of events); `--json` writes the run document —
+//! the report, the run-health snapshots and the metric registry — the
+//! same `run_<name>.json` a bin's live `--audit` writes.
 
 use audit::{diag, AuditReport, Diagnostic, StreamAuditor};
 use bench::cli::{self, AuditTraceArgs};
@@ -22,9 +23,8 @@ const BIN: &str = "audit_trace";
 const USAGE: &str = "\
 usage: audit_trace [--json DIR] [--quiet] FILE...
 
-  --json DIR   also write audit_<file-stem>.json (the report),
-               health_<file-stem>.json (per-interval run-health
-               snapshots) and metrics_<file-stem>.json (the metric
+  --json DIR   also write run_<file-stem>.json (the report, the
+               per-interval run-health snapshots and the metric
                registry) into DIR
   --quiet      only print failures
 
@@ -63,14 +63,8 @@ fn audit_file(path: &Path, rep: &Reporter, json_dir: Option<&Path>) -> Result<Au
     let outcome = auditor.finish();
     if let Some(dir) = json_dir {
         let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-        let writes = [
-            (format!("audit_{stem}.json"), outcome.report.to_json()),
-            (format!("health_{stem}.json"), audit::health_to_json(&outcome.health)),
-            (format!("metrics_{stem}.json"), outcome.registry.to_json()),
-        ];
-        for (name, body) in writes {
-            bench::write_file(rep, &dir.join(name), &body).map_err(drop)?;
-        }
+        let path = dir.join(format!("run_{stem}.json"));
+        bench::write_file(rep, &path, &outcome.to_json()).map_err(drop)?;
     }
     Ok(outcome.report)
 }

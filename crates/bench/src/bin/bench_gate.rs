@@ -17,10 +17,10 @@
 //! directly.
 //!
 //! When the gate fails it also runs the run explainer's attribution
-//! differ ([`audit::diff_artifacts`]) over whatever `audit_*` /
-//! `metrics_*` / `health_*` artifacts exist in both directories, so the
-//! failure names the phases, critical-path shift, and counters that
-//! moved — not just the violated bound.
+//! differ ([`audit::diff_artifacts`]) over whatever `run_*` run documents
+//! exist in both directories, so the failure names the phases,
+//! critical-path shift, and counters that moved — not just the violated
+//! bound.
 
 use audit::{diag, Diagnostic};
 use bench::cli::{self, BenchGateArgs};
@@ -117,8 +117,8 @@ fn gate(fresh_dir: &Path, baseline_dir: &Path, rep: &Reporter) -> Result<usize, 
     }
 }
 
-/// On failure, explain *where* the run moved: diff every audit/metrics/
-/// health artifact present in both directories with a loose noise
+/// On failure, explain *where* the run moved: diff every run document
+/// present in both directories with a loose noise
 /// threshold and print the attribution notes (per-phase time/energy
 /// deltas, critical-path shift, counter/histogram movement).
 fn attribute_drift(fresh_dir: &Path, baseline_dir: &Path) {
@@ -129,10 +129,7 @@ fn attribute_drift(fresh_dir: &Path, baseline_dir: &Path) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())
             .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| {
-                n.ends_with(".json")
-                    && ["audit_", "metrics_", "health_"].iter().any(|p| n.starts_with(p))
-            })
+            .filter(|n| n.starts_with("run_") && n.ends_with(".json"))
             .collect(),
         Err(_) => return,
     };

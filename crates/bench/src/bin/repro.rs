@@ -25,9 +25,8 @@ usage: repro [NAME...] [--quick] [--quiet] [--trace FILE] [--trace-perfetto FILE
   --trace FILE            write the JSONL event trace of the representative run
   --trace-perfetto FILE   write a Chrome-trace/Perfetto JSON export
   --audit                 audit each representative run live (streaming invariant
-                          battery; writes results/audit_<name>.json plus
-                          health_<name>.json and metrics_<name>.json, exits 1 on
-                          violations)
+                          battery; writes the run document results/run_<name>.json,
+                          exits 1 on violations)
   --profile               time pipeline stages with monotonic wall clocks and
                           write results/profile_<name>.json (nondeterministic by
                           nature; never byte-diffed)

@@ -33,7 +33,7 @@ const USAGE: &str =
 
 env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply trace paths when the flags are
 absent; SEESAW_AUDIT=1 turns on --audit (invariant battery over the controller
-run's trace; writes results/audit_run_experiment.json, exits 1 on violations);
+run's trace; writes results/run_run_experiment.json, exits 1 on violations);
 SEESAW_PROFILE=1 turns on --profile (wall-clock stage timers, writes
 results/profile_run_experiment.json — never byte-gated)";
 

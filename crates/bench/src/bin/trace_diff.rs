@@ -11,11 +11,12 @@
 //!   number, the field that moved, and whether it was the timestamp,
 //!   the event kind, or a payload value) plus the last K events per
 //!   involved node/machine/job before the divergence point.
-//! - **Artifact mode** (`--artifact`) compares `audit_*` / `metrics_*` /
-//!   `health_*` / `profile_*` documents: `schema_version` gate, per-field
-//!   deltas under an optional `--rel-tol` noise threshold, and
-//!   attribution notes (per-phase time/energy movement, critical-path
-//!   shift, registry counter/histogram deltas).
+//! - **Artifact mode** (`--artifact`) compares JSON documents — `run_*`
+//!   run documents, `profile_*` stage profiles, figure rows:
+//!   `schema_version` gate, per-field deltas under an optional
+//!   `--rel-tol` noise threshold, and, for run documents, attribution
+//!   notes (per-phase time/energy movement, critical-path shift, registry
+//!   counter/histogram deltas).
 //!
 //! Exit status: 0 identical, 1 divergent, 2 usage or I/O error. The
 //! output is a pure function of the two input files — byte-identical
@@ -32,8 +33,9 @@ const USAGE: &str = "usage: trace_diff [--artifact] [--context K] [--rel-tol X] 
   \n\
   \x20 A B            the two files to compare (JSONL traces, or JSON artifacts\n\
   \x20                with --artifact)\n\
-  \x20 --artifact     compare audit_/metrics_/health_/profile_ JSON documents and\n\
-  \x20                attribute the deltas (phases, critical path, counters)\n\
+  \x20 --artifact     compare JSON documents (run_/profile_ documents, figure\n\
+  \x20                rows) and attribute a run document's deltas (phases,\n\
+  \x20                critical path, counters)\n\
   \x20 --context K    events of causal context per involved entity (default 5,\n\
   \x20                at most 1000)\n\
   \x20 --rel-tol X    artifact mode: ignore numeric deltas within X relative\n\

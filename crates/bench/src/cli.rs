@@ -84,9 +84,9 @@ pub struct CommonArgs {
     /// Write a Chrome-trace/Perfetto JSON export of the same run here.
     pub perfetto: Option<PathBuf>,
     /// Audit the representative run live (`--audit`): stream its events
-    /// through the incremental invariant battery, write
-    /// `results/audit_<name>.json` plus run-health snapshots and the
-    /// metric registry, and exit nonzero on any violation.
+    /// through the incremental invariant battery, write the run document
+    /// `results/run_<name>.json` (report, run-health snapshots and metric
+    /// registry), and exit nonzero on any violation.
     pub audit: bool,
     /// Profile wall-clock stage timings (`--profile`): opt-in monotonic
     /// timers around the pipeline stages feed log₂-bucket histograms,
@@ -230,7 +230,7 @@ fn parse_with(
 pub struct AuditTraceArgs {
     /// The traces to audit, at least one.
     pub files: Vec<PathBuf>,
-    /// Where to write each file's report, health and metrics documents.
+    /// Where to write each file's run document.
     pub json_dir: Option<PathBuf>,
     /// Only print failures.
     pub quiet: bool,
@@ -340,9 +340,9 @@ impl BenchGateArgs {
 /// [`audit::StreamAuditor`] and drops them, so an audited run never
 /// materializes its events; with neither it is off. Afterwards: the trace
 /// exports, `results/profile_<name>.json` under `--profile`, and under
-/// `--audit` `results/audit_<name>.json`, `health_<name>.json` (per-interval
-/// run-health snapshots) and `metrics_<name>.json` (the metric registry).
-/// Every write is attempted. Returns the number of failures — writes that
+/// `--audit` the run document `results/run_<name>.json` (the report, the
+/// per-interval run-health snapshots and the metric registry). Every
+/// write is attempted. Returns the number of failures — writes that
 /// failed, plus one for an audit with violations — for the caller to exit
 /// 1 on.
 pub fn observe(
@@ -373,7 +373,7 @@ pub fn observe(
     }
     let mut documents = Vec::new();
     if args.profile {
-        documents.push((format!("profile_{name}.json"), obs::profile::to_json()));
+        documents.push((format!("profile_{name}.json"), obs::profile::to_value().pretty()));
     }
     let mut violated = false;
     if let Some(auditor) = auditor {
@@ -381,9 +381,7 @@ pub fn observe(
         // so take the auditor's state out through the shared cell rather
         // than trying to unwrap the Arc.
         let outcome = std::mem::take(&mut *auditor.lock().expect("auditor poisoned")).finish();
-        documents.push((format!("audit_{name}.json"), outcome.report.to_json()));
-        documents.push((format!("health_{name}.json"), audit::health_to_json(&outcome.health)));
-        documents.push((format!("metrics_{name}.json"), outcome.registry.to_json()));
+        documents.push((format!("run_{name}.json"), outcome.to_json()));
         let report = outcome.report;
         rep.note(report.summary());
         if !report.clean() {

@@ -10,12 +10,13 @@
 //! baseline shared by three controllers, or a run two figures both plot,
 //! is simulated once.
 
-use crate::json::{Json, ToJson};
+use crate::json::ToJson;
 use crate::svg::{bar_chart, line_chart, Series};
 use fleet::FleetResult;
 use insitu::{improvement_pct, median, JobConfig, RunResult, SyncRecord};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{AnalysisKind as K, AnalysisSchedule};
+use obs::json::Value;
 use sched::{MachineResult, Policy};
 use seesaw::EwmaMode;
 use std::fmt::Display;
@@ -187,7 +188,7 @@ impl Output {
 #[derive(Debug)]
 pub struct Experiment {
     /// The name on `repro`'s command line; also the `results/<name>.*`
-    /// stem and the `audit_/health_/metrics_/profile_<name>.json` suffix.
+    /// stem and the `run_/profile_<name>.json` suffix.
     pub name: &'static str,
     /// Every run the experiment needs, in a fixed order.
     keys: fn(quick: bool) -> Vec<RunKey>,
@@ -336,7 +337,7 @@ fn line<const N: usize>(cells: [&dyn Display; N]) -> Vec<String> {
 /// One JSON row: `row!(a, b = x)` is the object `{"a": a, "b": x}`.
 macro_rules! row {
     ($($key:ident $(= $val:expr)?),+ $(,)?) => {
-        Json::obj([$((stringify!($key), row!(@ $key $($val)?).to_json())),+])
+        Value::obj([$((stringify!($key), row!(@ $key $($val)?).to_json())),+])
     };
     (@ $key:ident) => { $key };
     (@ $key:ident $val:expr) => { $val };
@@ -1380,7 +1381,7 @@ mod machine_sweep {
         scenarios: std::ops::Range<usize>,
         policies: &[Policy],
         runs: &[&MachineResult],
-    ) -> Vec<Json> {
+    ) -> Vec<Value> {
         let cells = scenarios.flat_map(|s| policies.iter().map(move |p| (SCENARIOS[s].0, p.tag())));
         let (mut rows, mut table) = (Vec::new(), Vec::new());
         for ((scenario, policy), r) in cells.zip(runs) {

@@ -9,8 +9,14 @@
 //!   "bench": "trace_overhead",
 //!   "profile": "quick",
 //!   "metrics": [
-//!     {"name": "overhead_on_pct", "value": 31.2, "unit": "pct",
-//!      "max": 50, "tolerance_pct": null}
+//!     {
+//!       "name": "overhead_on_pct",
+//!       "value": 31.2,
+//!       "unit": "pct",
+//!       "min": null,
+//!       "max": 50.0,
+//!       "tolerance_pct": null
+//!     }
 //!   ]
 //! }
 //! ```
@@ -41,7 +47,6 @@
 use audit::diag;
 use audit::json::{self, Value};
 use audit::Diagnostic;
-use std::fmt::Write as _;
 
 /// One benchmark metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,33 +123,14 @@ impl BenchDoc {
         Ok(BenchDoc { bench, profile, metrics })
     }
 
-    /// Serialize (pretty, deterministic — same float rules as every other
-    /// persisted artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"bench\": \"{}\",", self.bench);
-        let _ = writeln!(s, "  \"profile\": \"{}\",", self.profile);
-        s.push_str("  \"metrics\": [");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\", \"min\": {}, \
-                 \"max\": {}, \"tolerance_pct\": {}}}",
-                m.name,
-                jf(m.value),
-                m.unit,
-                m.min.map_or("null".to_string(), jf),
-                m.max.map_or("null".to_string(), jf),
-                m.tolerance_pct.map_or("null".to_string(), jf)
-            );
-        }
-        s.push_str(if self.metrics.is_empty() { "]\n" } else { "\n  ]\n" });
-        s.push_str("}\n");
-        s
+    /// The document as it is persisted.
+    pub fn to_value(&self) -> Value {
+        let metric = |m: &Metric| obs::json_fields!(m, name, value, unit, min, max, tolerance_pct);
+        Value::obj([
+            ("bench", self.bench.as_str().into()),
+            ("profile", self.profile.as_str().into()),
+            ("metrics", Value::Arr(self.metrics.iter().map(metric).collect())),
+        ])
     }
 
     /// Check the document's own absolute bounds (`min` and `max`).
@@ -158,12 +144,7 @@ impl BenchDoc {
                         diag::BENCH_KERNEL,
                         format!(
                             "{}/{}: {} {} is below the required floor {} {}",
-                            self.bench,
-                            m.name,
-                            jf(m.value),
-                            m.unit,
-                            jf(min),
-                            m.unit
+                            self.bench, m.name, m.value, m.unit, min, m.unit
                         ),
                     ));
                 }
@@ -178,12 +159,7 @@ impl BenchDoc {
                         code,
                         format!(
                             "{}/{}: {} {} exceeds the absolute bound {} {}",
-                            self.bench,
-                            m.name,
-                            jf(m.value),
-                            m.unit,
-                            jf(max),
-                            m.unit
+                            self.bench, m.name, m.value, m.unit, max, m.unit
                         ),
                     ));
                 }
@@ -199,7 +175,9 @@ impl BenchDoc {
     pub fn persist_and_gate(&self, file: &str, rep: &obs::Reporter) {
         let dir = crate::results_dir();
         let path = dir.join(file);
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, self.to_json())) {
+        match std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, self.to_value().pretty()))
+        {
             Ok(()) => rep.note(format!("wrote {}", path.display())),
             Err(e) => rep.warn(format!("cannot write {}: {e}", path.display())),
         }
@@ -244,28 +222,13 @@ pub fn compare(fresh: &BenchDoc, baseline: &BenchDoc) -> Vec<Diagnostic> {
                     diag::BENCH_DRIFT,
                     format!(
                         "{}/{}: {} {} drifted {:.2}% from baseline {} {} (tolerance {}%)",
-                        fresh.bench,
-                        m.name,
-                        jf(m.value),
-                        m.unit,
-                        drift_pct,
-                        jf(base.value),
-                        base.unit,
-                        jf(tol)
+                        fresh.bench, m.name, m.value, m.unit, drift_pct, base.value, base.unit, tol
                     ),
                 ));
             }
         }
     }
     out
-}
-
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn req_str(v: &Value, key: &str) -> Result<String, String> {
@@ -310,7 +273,7 @@ mod tests {
     #[test]
     fn serialization_round_trips() {
         let d = doc("full", 31.25, Some(50.0), None);
-        let parsed = BenchDoc::parse(&d.to_json()).unwrap();
+        let parsed = BenchDoc::parse(&d.to_value().pretty()).unwrap();
         assert_eq!(parsed, d);
     }
 
@@ -419,7 +382,7 @@ mod tests {
     fn min_field_round_trips_and_old_documents_parse() {
         let mut d = doc("full", 1.02, None, Some(5.0));
         d.metrics[0].min = Some(0.9);
-        let parsed = BenchDoc::parse(&d.to_json()).unwrap();
+        let parsed = BenchDoc::parse(&d.to_value().pretty()).unwrap();
         assert_eq!(parsed, d);
         // Documents persisted before the `min` field existed stay valid.
         let legacy = "{\"bench\":\"trace\",\"profile\":\"full\",\"metrics\":[{\"name\":\"m\",\

@@ -5,7 +5,9 @@
 //! `benches/` holds the plain-`main` micro-benchmarks behind
 //! `results/BENCH_*.json`. Each experiment prints a human-readable table
 //! mirroring the paper's presentation and writes the raw rows as JSON
-//! (some also an SVG chart) under `results/`.
+//! (some also an SVG chart) under `results/`. Every JSON document the
+//! harness writes — figure rows, run documents, bench records, stage
+//! profiles — is an [`obs::json::Value`] printed by its one writer.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro                  # everything

@@ -7,7 +7,7 @@ use fleet::{Fleet, FleetSpec, JobStream, RetryPolicy};
 use insitu::JobConfig;
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
-use obs::Event;
+use obs::{Event, TraceEvent};
 use sched::{MachineSpec, Policy};
 
 /// A 4-node job of `steps` Verlet steps, one sync per step.
@@ -31,24 +31,31 @@ fn fleet_spec(machines: usize) -> FleetSpec {
     spec
 }
 
-/// Run a fleet with tracing on; return the result, the audit trace, and
+/// Run a fleet with tracing on; return the result, the traced events, and
 /// the raw JSONL bytes.
 fn run_traced(
     spec: FleetSpec,
     stream: JobStream,
     plan: MachineFaultPlan,
-) -> (fleet::FleetResult, audit::Trace, String) {
+) -> (fleet::FleetResult, Vec<TraceEvent>, String) {
     let tracer = obs::Tracer::enabled();
     let mut f = Fleet::new(spec, stream, plan).expect("known controllers");
     f.set_tracer(&tracer);
     let result = f.run();
-    let trace = audit::Trace::from_tracer(&tracer);
+    let trace = tracer.events();
     let jsonl = tracer.to_jsonl();
     (result, trace, jsonl)
 }
 
-fn count(trace: &audit::Trace, pred: impl Fn(&Event) -> bool) -> usize {
-    trace.events.iter().filter(|e| pred(&e.ev)).count()
+fn count(trace: &[TraceEvent], pred: impl Fn(&Event) -> bool) -> usize {
+    trace.iter().filter(|e| pred(&e.ev)).count()
+}
+
+/// The audit battery's findings over the traced events.
+fn violations(trace: &[TraceEvent]) -> Vec<audit::Violation> {
+    let mut auditor = audit::StreamAuditor::new();
+    trace.iter().for_each(|e| auditor.feed(e));
+    auditor.finish().report.violations
 }
 
 #[test]
@@ -82,7 +89,7 @@ fn crash_migrates_checkpointed_job_to_survivor() {
     // the post-loss division).
     assert!(count(&trace, |k| matches!(k, Event::EnvelopeRenorm { .. })) >= 3);
 
-    assert_eq!(audit::check_all(&trace), Vec::new());
+    assert_eq!(violations(&trace), Vec::new());
 }
 
 #[test]
@@ -100,7 +107,7 @@ fn partition_heals_and_machine_rejoins() {
     assert_eq!(count(&trace, |k| matches!(k, Event::MachineDown { machine: 1, .. })), 1);
     assert_eq!(count(&trace, |k| matches!(k, Event::MachineUp { machine: 1, .. })), 1);
 
-    assert_eq!(audit::check_all(&trace), Vec::new());
+    assert_eq!(violations(&trace), Vec::new());
 }
 
 #[test]
@@ -124,7 +131,7 @@ fn slow_machine_dilates_the_fleet_clock_but_loses_nothing() {
     );
     assert_eq!(count(&trace, |k| matches!(k, Event::MachineDown { .. })), 0);
 
-    assert_eq!(audit::check_all(&trace), Vec::new());
+    assert_eq!(violations(&trace), Vec::new());
 }
 
 #[test]
@@ -146,14 +153,13 @@ fn exhausted_retry_budget_fails_exactly_once_with_no_zombie_resubmits() {
     let failed = count(&trace, |k| matches!(k, Event::JobFailed { .. }));
     assert_eq!(failed, 1, "failed must be reported exactly once");
     // No dispatch after the terminal report.
-    let fail_idx =
-        trace.events.iter().position(|e| matches!(e.ev, Event::JobFailed { .. })).unwrap();
+    let fail_idx = trace.iter().position(|e| matches!(e.ev, Event::JobFailed { .. })).unwrap();
     assert!(
-        !trace.events[fail_idx..].iter().any(|e| matches!(e.ev, Event::JobDispatched { .. })),
+        !trace[fail_idx..].iter().any(|e| matches!(e.ev, Event::JobDispatched { .. })),
         "zombie resubmit after terminal failure"
     );
 
-    assert_eq!(audit::check_all(&trace), Vec::new());
+    assert_eq!(violations(&trace), Vec::new());
 }
 
 #[test]
@@ -170,7 +176,7 @@ fn oversized_job_is_reported_failed_not_lost() {
     assert_eq!(result.completed(), 1);
     assert_eq!(result.failed(), 1);
     assert_eq!(result.outcomes[0].dispatches, 0);
-    assert_eq!(audit::check_all(&trace), Vec::new());
+    assert_eq!(violations(&trace), Vec::new());
 }
 
 #[test]
@@ -221,7 +227,7 @@ fn chaos_soak_is_audit_clean_and_deterministic() {
                     assert_eq!(o.syncs_done, o.syncs_target, "seed {seed} storm {name}: {o:?}");
                 }
             }
-            assert_eq!(audit::check_all(&trace), Vec::new(), "seed {seed} storm {name}");
+            assert_eq!(violations(&trace), Vec::new(), "seed {seed} storm {name}");
         }
     }
 }

@@ -18,8 +18,8 @@
 //! Serialization is a hand-rolled compact JSONL line per event (the
 //! workspace carries no registry dependencies): field order is fixed per
 //! variant, floats print through Rust's shortest-roundtrip formatter, and
-//! non-finite floats serialize as `null` — the same rules `bench::json`
-//! applies to persisted results. The reader is deliberately strict: field
+//! non-finite floats serialize as `null`, as they do in every persisted
+//! document ([`crate::json::Value::pretty`]). The reader is deliberately strict: field
 //! *order* must match the writer exactly (same keys, same sequence,
 //! nothing missing, nothing extra), so a parsed line re-serializes
 //! byte-for-byte and the round trip doubles as a test of the emitter.

@@ -1,7 +1,11 @@
-//! A small, strict JSON parser (the workspace carries no registry
-//! dependencies, so this is hand-rolled like the emitters it reads back).
-//! It lives beside the event schema, whose strict line reader is its main
-//! client; `audit::json` re-exports it.
+//! The workspace's one JSON value, its strict parser and its one writer
+//! (the workspace carries no registry dependencies, so all three are
+//! hand-rolled). It lives beside the event schema, whose strict line
+//! reader is the parser's main client; `audit::json` re-exports it. Every
+//! JSON document the bins persist under `results/` — figure rows, run
+//! documents, benchmark records, stage profiles — is a [`Value`] printed
+//! by [`Value::pretty`]; only the hot-path trace formats (the JSONL event
+//! line and the Chrome-trace export) keep generated writers of their own.
 //!
 //! **One tokenizer, two consumers.** `Parser` is the only implementation
 //! of the grammar. [`parse`] builds a [`Value`] tree on it, for artifacts,
@@ -24,8 +28,12 @@
 //! - **Bounded nesting.** Containers nest at most 64 deep, so a hostile
 //!   line cannot overflow the stack of this recursive parser.
 //! - Errors carry the byte offset where parsing stopped.
+//! - **One number rule on the way out** ([`Value::pretty`]): whatever the
+//!   writer prints reads back as the value it printed, `Int` as `Int` and
+//!   `Num` as `Num`.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,18 +98,152 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Look up an object field by key (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_obj()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
+
+    /// An object from `(key, value)` pairs, in their order.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Print with two-space indentation and `": "` after each key; an
+    /// empty container prints as `[]` / `{}`. Numbers follow one rule, so
+    /// that `parse(pretty(v))` gives `v` back:
+    ///
+    /// - a non-finite float prints as `null` (persisted output carries no
+    ///   NaN or infinity), and `-0.0` as `0.0`;
+    /// - an integral float keeps a trailing `.0`, so a field's JSON type
+    ///   never flickers between runs, and from 1e15 on takes an exponent
+    ///   (`1e15`), so it still reads back as `Num`;
+    /// - any other float prints in its shortest round-trip spelling.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::Num(x) if !x.is_finite() => out.push_str("null"),
+            Value::Num(x) if *x == x.trunc() && x.abs() < 1e15 => {
+                let _ = write!(out, "{:.1}", x + 0.0);
+            }
+            Value::Num(x) if *x == x.trunc() => {
+                let _ = write!(out, "{x:e}");
+            }
+            Value::Num(x) => {
+                let _ = write!(out, "{x}");
+            }
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => {
+                write_items(out, depth, ['[', ']'], items, |out, v| v.write(out, depth + 1));
+            }
+            Value::Obj(fields) => write_items(out, depth, ['{', '}'], fields, |out, (k, v)| {
+                write_str(out, k);
+                out.push_str(": ");
+                v.write(out, depth + 1);
+            }),
+        }
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Num(x)
+    }
+}
+
+impl From<u64> for Value {
+    /// `Int`, or `Num` past `i64::MAX`.
+    fn from(n: u64) -> Value {
+        i64::try_from(n).map_or(Value::Num(n as f64), Value::Int)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    /// `None` is `null`.
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// An object of a struct's named fields, in the order listed, each
+/// converted by `Value::from`: `json_fields!(row, sync, slack)` is
+/// `{"sync": row.sync, "slack": row.slack}`.
+#[macro_export]
+macro_rules! json_fields {
+    ($s:expr, $($field:ident),+ $(,)?) => {
+        $crate::json::Value::obj([
+            $((stringify!($field), $crate::json::Value::from($s.$field.clone())),)+
+        ])
+    };
+}
+
+/// A container's items, one per line at `depth + 1`, between `open` and
+/// `close` at `depth`.
+fn write_items<T>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, x) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        indent(out, depth + 1);
+        item(out, x);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        indent(out, depth);
+    }
+    out.push(close);
+}
+
+fn indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// The one JSON string escaper: quote, backslash and the control
+/// characters, `\n` / `\r` / `\t` by name and the rest as `\u00XX`.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset it happened at.
@@ -659,6 +801,82 @@ mod tests {
         assert_eq!(parse("3.0").unwrap().as_f64(), Some(3.0));
         // Too big for i64 falls back to float.
         assert!(matches!(parse("99999999999999999999").unwrap(), Value::Num(_)));
+    }
+
+    #[test]
+    fn scalars_render() {
+        assert_eq!(Value::Null.pretty(), "null");
+        assert_eq!(Value::Bool(true).pretty(), "true");
+        assert_eq!(Value::Int(-3).pretty(), "-3");
+        assert_eq!(Value::Num(1.5).pretty(), "1.5");
+        assert_eq!(Value::Num(2.0).pretty(), "2.0");
+        assert_eq!(Value::Num(-0.0).pretty(), "0.0");
+        assert_eq!(Value::Num(1e15).pretty(), "1e15");
+        assert_eq!(Value::Num(f64::NAN).pretty(), "null");
+        assert_eq!(Value::Str("a\"b\r".into()).pretty(), "\"a\\\"b\\r\"");
+    }
+
+    #[test]
+    fn nested_pretty_format() {
+        let v = Value::obj([
+            ("name", "x".into()),
+            ("vals", Value::Arr(vec![Value::Int(1), Value::Int(2)])),
+        ]);
+        assert_eq!(v.pretty(), "{\n  \"name\": \"x\",\n  \"vals\": [\n    1,\n    2\n  ]\n}");
+    }
+
+    #[test]
+    fn empty_containers() {
+        assert_eq!(Value::Arr(vec![]).pretty(), "[]");
+        assert_eq!(Value::Obj(vec![]).pretty(), "{}");
+    }
+
+    /// What the writer prints reads back as the value it printed: `Int`
+    /// stays `Int`, `Num` stays `Num` (however large or small), strings
+    /// keep every escape — except that a non-finite float was written as
+    /// `null`.
+    #[test]
+    fn pretty_reads_back_what_it_printed() {
+        fn written(v: &Value) -> Value {
+            match v {
+                Value::Num(x) if !x.is_finite() => Value::Null,
+                Value::Arr(xs) => Value::Arr(xs.iter().map(written).collect()),
+                Value::Obj(fs) => {
+                    Value::Obj(fs.iter().map(|(k, v)| (k.clone(), written(v))).collect())
+                }
+                v => v.clone(),
+            }
+        }
+        let nums = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            0.1,
+            1e-7,
+            1e15 - 1.0,
+            1e15,
+            -1e15,
+            1e20,
+            1.5e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let strs =
+            ["", "plain", "q\"uote", "back\\slash", "n\nr\rt\t", "\u{1}\u{1f}", "héllo → ok"];
+        let mut items: Vec<Value> = nums.iter().map(|&x| Value::Num(x)).collect();
+        items.extend([i64::MIN, -1, 0, 1, i64::MAX].map(Value::Int));
+        items.extend(strs.map(Value::from));
+        items.extend([Value::Null, Value::Bool(false), Value::Arr(vec![]), Value::Obj(vec![])]);
+        let doc =
+            Value::Obj(strs.iter().map(|k| (k.to_string(), Value::Arr(items.clone()))).collect());
+        for v in items.iter().chain([&doc]) {
+            let text = v.pretty();
+            assert_eq!(parse(&text).as_ref(), Ok(&written(v)), "{text}");
+        }
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
 //!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
 //!   tracks and phase activity lanes.
+//! - [`json`] — the workspace's one JSON value: its strict parser, and
+//!   the one writer every persisted document goes through
+//!   ([`json::Value::pretty`]).
 //! - [`Reporter`] — the quiet-aware progress printer the experiment bins
 //!   share instead of ad-hoc `println!` lines.
 //!

@@ -25,8 +25,8 @@
 //!   instrumentation one line per site.
 
 use crate::hist::Histogram;
+use crate::json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -98,31 +98,27 @@ pub fn snapshot() -> Vec<(String, Histogram)> {
     t.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
 }
 
-/// Serialize the current profile as the `profile_<bin>.json` document:
-/// per-stage count, exact min/max/mean/total, and bucket-resolution
-/// p50/p95/p99. Wall-clock values — nondeterministic, never byte-diffed.
-pub fn to_json() -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"schema_version\":{PROFILE_SCHEMA_VERSION},\"stages\":{{");
-    for (i, (name, h)) in snapshot().iter().enumerate() {
-        let mean = h.mean_ns();
-        let _ = write!(
-            out,
-            "{}\"{name}\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{},\
-             \"total_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-            if i > 0 { "," } else { "" },
-            h.count,
-            if h.count == 0 { 0 } else { h.min_ns },
-            h.max_ns,
-            if mean.is_finite() { format!("{mean}") } else { "null".to_string() },
-            h.sum_ns(),
-            h.quantile_ns(0.50),
-            h.quantile_ns(0.95),
-            h.quantile_ns(0.99),
-        );
-    }
-    out.push_str("}}");
-    out
+/// The current profile as the `profile_<bin>.json` document: per-stage
+/// count, exact min/max/mean/total, and bucket-resolution p50/p95/p99.
+/// Wall-clock values — nondeterministic, never byte-diffed.
+pub fn to_value() -> Value {
+    let stage = |h: &Histogram| {
+        Value::obj([
+            ("count", h.count.into()),
+            ("min_ns", if h.count == 0 { 0 } else { h.min_ns }.into()),
+            ("max_ns", h.max_ns.into()),
+            ("mean_ns", h.mean_ns().into()),
+            ("total_ns", h.sum_ns().into()),
+            ("p50_ns", h.quantile_ns(0.50).into()),
+            ("p95_ns", h.quantile_ns(0.95).into()),
+            ("p99_ns", h.quantile_ns(0.99).into()),
+        ])
+    };
+    let stages = snapshot().iter().map(|(name, h)| (name.clone(), stage(h))).collect();
+    Value::obj([
+        ("schema_version", u64::from(PROFILE_SCHEMA_VERSION).into()),
+        ("stages", Value::Obj(stages)),
+    ])
 }
 
 #[cfg(test)]
@@ -172,10 +168,12 @@ mod tests {
         record("a.stage", 1000);
         record("a.stage", 3000);
         set_enabled(false);
-        let j = to_json();
-        assert!(j.starts_with("{\"schema_version\":1,\"stages\":{"));
-        assert!(j.contains("\"a.stage\":{\"count\":2"));
-        assert!(j.contains("\"p99_ns\":"));
+        let v = to_value();
+        assert!(v.pretty().starts_with("{\n  \"schema_version\": 1,\n  \"stages\": {"));
+        let stage = v.get("stages").and_then(|s| s.get("a.stage")).expect("stage recorded");
+        assert_eq!(stage.get("count"), Some(&Value::Int(2)));
+        assert_eq!(stage.get("total_ns"), Some(&Value::Num(4000.0)));
+        assert!(stage.get("p99_ns").is_some());
         reset();
     }
 }

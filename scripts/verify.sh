@@ -98,9 +98,7 @@ SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/m1.jsonl" POLIMER_THREADS=1 \
 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 ./target/release/repro machine_sweep --quiet --audit
 adiff "$a/machine_sweep.json" "$b/machine_sweep.json"
 adiff "$b/machine_sweep.json" results/machine_sweep.json
-adiff "$a/audit_machine_sweep.json" "$b/audit_machine_sweep.json"
-adiff "$a/health_machine_sweep.json" "$b/health_machine_sweep.json"
-adiff "$a/metrics_machine_sweep.json" "$b/metrics_machine_sweep.json"
+adiff "$a/run_machine_sweep.json" "$b/run_machine_sweep.json"
 
 # As for machine_sweep: members step on the calling thread at any width.
 stage "fleet chaos soak: repro fleet_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (traced + audited)"
@@ -112,20 +110,16 @@ adiff "$a/fleet_sweep.json" "$b/fleet_sweep.json"
 adiff "$b/fleet_sweep.json" results/fleet_sweep.json
 tdiff "$c/fleet1.jsonl" "$c/fleet4.jsonl"
 test -s "$c/fleet1.jsonl"
-adiff "$a/audit_fleet_sweep.json" "$b/audit_fleet_sweep.json"
-adiff "$a/health_fleet_sweep.json" "$b/health_fleet_sweep.json"
-adiff "$a/metrics_fleet_sweep.json" "$b/metrics_fleet_sweep.json"
+adiff "$a/run_fleet_sweep.json" "$b/run_fleet_sweep.json"
 
-stage "trace determinism: run_experiment JSONL + audit report at POLIMER_THREADS=1 vs 4"
+stage "trace determinism: run_experiment JSONL + run document at POLIMER_THREADS=1 vs 4"
 SEESAW_TRACE="$c/t1.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
     ./target/release/run_experiment --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet
 SEESAW_TRACE="$c/t4.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
     ./target/release/run_experiment --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet
 tdiff "$c/t1.jsonl" "$c/t4.jsonl"
 test -s "$c/t1.jsonl"
-adiff "$a/audit_run_experiment.json" "$b/audit_run_experiment.json"
-adiff "$a/health_run_experiment.json" "$b/health_run_experiment.json"
-adiff "$a/metrics_run_experiment.json" "$b/metrics_run_experiment.json"
+adiff "$a/run_run_experiment.json" "$b/run_run_experiment.json"
 
 # The gates above only ever feed trace_diff identical files; prove it
 # still *fails* — right code, right line, causal context — on seeded
@@ -166,9 +160,7 @@ SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
     ./target/release/repro machine_sweep_theta --quick --quiet --audit
 adiff "$a/machine_sweep_theta.json" "$b/machine_sweep_theta.json"
-adiff "$a/audit_machine_sweep_theta.json" "$b/audit_machine_sweep_theta.json"
-adiff "$a/health_machine_sweep_theta.json" "$b/health_machine_sweep_theta.json"
-adiff "$a/metrics_machine_sweep_theta.json" "$b/metrics_machine_sweep_theta.json"
+adiff "$a/run_machine_sweep_theta.json" "$b/run_machine_sweep_theta.json"
 
 stage "trace audit: invariant battery over the serialized trace"
 ./target/release/audit_trace --quiet "$c/t1.jsonl"
@@ -191,24 +183,16 @@ cmp "$c/restored.jsonl" "$c/t1.jsonl"
 ./target/release/audit_trace --quiet "$c/restored.jsonl"
 
 # Replaying a bin's serialized trace from disk (line by line, constant
-# memory) must reproduce the *live* in-process audit the bin just wrote,
-# snapshots and registry included.
+# memory) must reproduce the *live* in-process audit the bin just wrote:
+# the whole run document, snapshots and registry included.
 stage "streaming audit equivalence: file replay ≡ live, byte-identical"
 mkdir -p "$c/stream"
 ./target/release/audit_trace --quiet --json "$c/stream" \
     "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl"
-adiff "$c/stream/audit_m1.json" "$a/audit_machine_sweep.json"
-adiff "$c/stream/health_m1.json" "$a/health_machine_sweep.json"
-adiff "$c/stream/metrics_m1.json" "$a/metrics_machine_sweep.json"
-adiff "$c/stream/audit_fleet1.json" "$a/audit_fleet_sweep.json"
-adiff "$c/stream/health_fleet1.json" "$a/health_fleet_sweep.json"
-adiff "$c/stream/metrics_fleet1.json" "$a/metrics_fleet_sweep.json"
-adiff "$c/stream/audit_t1.json" "$a/audit_run_experiment.json"
-adiff "$c/stream/health_t1.json" "$a/health_run_experiment.json"
-adiff "$c/stream/metrics_t1.json" "$a/metrics_run_experiment.json"
-adiff "$a/audit_fleet_sweep.json" results/audit_fleet_sweep.json
-adiff "$a/health_fleet_sweep.json" results/health_fleet_sweep.json
-adiff "$a/metrics_fleet_sweep.json" results/metrics_fleet_sweep.json
+adiff "$c/stream/run_m1.json" "$a/run_machine_sweep.json"
+adiff "$c/stream/run_fleet1.json" "$a/run_fleet_sweep.json"
+adiff "$c/stream/run_t1.json" "$a/run_run_experiment.json"
+adiff "$a/run_fleet_sweep.json" results/run_fleet_sweep.json
 
 # Wall-clock readings are inherently nondeterministic, so profile_*.json
 # is asserted present and well-formed but never byte-compared.
@@ -217,9 +201,9 @@ SEESAW_RESULTS_DIR="$a" ./target/release/repro machine_sweep --quick --quiet --p
 SEESAW_RESULTS_DIR="$a" ./target/release/repro fleet_sweep --quick --quiet --profile
 test -s "$a/profile_machine_sweep.json"
 test -s "$a/profile_fleet_sweep.json"
-grep -q '"schema_version":1' "$a/profile_machine_sweep.json"
+grep -q '"schema_version": 1' "$a/profile_machine_sweep.json"
 grep -q '"sched.governor_epoch"' "$a/profile_machine_sweep.json"
-grep -q '"schema_version":1' "$a/profile_fleet_sweep.json"
+grep -q '"schema_version": 1' "$a/profile_fleet_sweep.json"
 
 # The bench itself exits nonzero when a kernel promise breaks: an
 # absolute ns/pair ceiling or a nonzero allocations-per-call count

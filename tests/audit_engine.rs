@@ -9,15 +9,17 @@
 //!    (a controller decision that overspends the budget; a cap outside
 //!    the RAPL range) must be caught by the matching check. An audit that
 //!    only ever passes proves nothing.
-//! 3. **Reports are well-formed** — `audit_*.json` documents parse under
+//! 3. **Reports are well-formed** — `run_*.json` documents parse under
 //!    the same strict JSON layer and the derived attribution closes
 //!    against the run totals.
 
-use audit::{check_all, AuditReport, Trace};
+mod common;
+
+use common::{audit_events, audit_jsonl};
 use insitu::{run_job_traced, FaultIntensity, FaultPlan, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
-use obs::{Event, Tracer};
+use obs::{Event, TraceEvent, Tracer};
 use sched::{JobSpec, MachineSpec, Policy, Scheduler};
 
 fn quick_cfg() -> JobConfig {
@@ -26,16 +28,16 @@ fn quick_cfg() -> JobConfig {
     JobConfig::new(spec, "seesaw")
 }
 
-/// Trace of one fixed-seed quick run.
-fn quick_trace(cfg: JobConfig) -> Trace {
+/// The events of one fixed-seed quick run.
+fn quick_trace(cfg: JobConfig) -> Vec<TraceEvent> {
     let tracer = Tracer::enabled();
     run_job_traced(cfg, &tracer).expect("known controller");
-    Trace::from_tracer(&tracer)
+    tracer.events()
 }
 
 #[test]
 fn clean_run_has_zero_violations() {
-    let report = AuditReport::from_trace(&quick_trace(quick_cfg()));
+    let report = audit_events(&quick_trace(quick_cfg())).report;
     assert!(report.clean(), "clean run must audit clean: {:?}", report.violations);
     assert_eq!(report.syncs, 40);
     assert!(report.total_time_s > 0.0 && report.total_energy_j > 0.0);
@@ -55,7 +57,7 @@ fn max_intensity_fault_run_has_zero_violations() {
     let nodes = 8;
     let plan = FaultPlan::generate(0xF00D, &FaultIntensity::scaled(1.0), nodes, 40);
     assert!(!plan.is_empty(), "max intensity must inject faults");
-    let report = AuditReport::from_trace(&quick_trace(cfg.with_faults(plan)));
+    let report = audit_events(&quick_trace(cfg.with_faults(plan))).report;
     assert!(report.clean(), "fault run must audit clean: {:?}", report.violations);
 }
 
@@ -77,24 +79,20 @@ fn machine_scheduler_run_has_zero_violations() {
         "jobs must complete: {:?}",
         result.outcomes
     );
-    let trace = Trace::from_tracer(&tracer);
-    let violations = check_all(&trace);
+    let violations = audit_events(&tracer.events()).report.violations;
     assert!(violations.is_empty(), "machine run must audit clean: {violations:?}");
 }
 
 /// Mutate the first event matching `pick` and return the battery's output.
 fn mutate_and_audit(
-    mut trace: Trace,
+    mut events: Vec<TraceEvent>,
     pick: impl Fn(&Event) -> bool,
     tamper: impl Fn(&mut Event),
 ) -> Vec<audit::Violation> {
-    let ev = trace
-        .events
-        .iter_mut()
-        .find(|e| pick(&e.ev))
-        .expect("trace contains the event to tamper with");
+    let ev =
+        events.iter_mut().find(|e| pick(&e.ev)).expect("trace contains the event to tamper with");
     tamper(&mut ev.ev);
-    check_all(&trace)
+    audit_events(&events).report.violations
 }
 
 #[test]
@@ -157,16 +155,21 @@ fn energy_identity_mutation_is_caught() {
 fn serialized_and_tapped_traces_agree() {
     let tracer = Tracer::enabled();
     run_job_traced(quick_cfg(), &tracer).expect("known controller");
-    let tapped = Trace::from_tracer(&tracer);
-    let parsed = Trace::parse_jsonl(&tracer.to_jsonl()).expect("strict parse");
-    assert_eq!(tapped.events, parsed.events, "tap and serialized path must agree");
+    let (events, jsonl) = (tracer.events(), tracer.to_jsonl());
+    let tapped: Vec<TraceEvent> = events.iter().map(|e| e.wire_form().into_owned()).collect();
+    let parsed: Result<Vec<TraceEvent>, _> = jsonl.lines().map(TraceEvent::parse_line).collect();
+    assert_eq!(Ok(tapped), parsed, "tap and serialized path must agree");
+    let replayed = audit_jsonl(&jsonl).expect("strict parse");
+    assert_eq!(audit_events(&events).to_json(), replayed.to_json(), "and audit alike");
 }
 
 #[test]
 fn audit_report_json_is_strictly_parseable() {
-    let report = AuditReport::from_trace(&quick_trace(quick_cfg()));
-    let doc = report.to_json();
-    let v = audit::json::parse(&doc).expect("audit report must be valid JSON");
+    let run = audit_events(&quick_trace(quick_cfg()));
+    let (doc, report) = (run.to_json(), run.report);
+    let v = audit::json::parse(&doc).expect("run document must be valid JSON");
+    assert_eq!(v.get("schema_version").and_then(|x| x.as_u64()), Some(audit::RUN_SCHEMA_VERSION));
+    let v = v.get("report").expect("the report section");
     assert_eq!(
         v.get("events").and_then(|x| x.as_u64()),
         Some(report.events),

@@ -1,11 +1,15 @@
 //! Gates for the streaming observability pipeline: the live audit that
-//! rides [`obs::EventSubscriber`] must be a drop-in replacement for the
-//! batch engine — same report bytes, no buffered trace — and all of its
-//! outputs (report, run-health snapshots, metric registry) must be
+//! rides [`obs::EventSubscriber`] must write the same run document as an
+//! audit of the run's buffered events after the fact and as a replay of
+//! its serialized trace — with no buffered trace of its own — and that
+//! document (report, run-health snapshots, metric registry) must be
 //! bit-identical across `POLIMER_THREADS` settings, the same contract
 //! the results and trace files already obey.
 
-use audit::{AuditReport, StreamAuditor, Trace};
+mod common;
+
+use audit::StreamAuditor;
+use common::{audit_events, audit_jsonl};
 use insitu::{run_job_traced, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
@@ -21,8 +25,8 @@ fn quick_cfg() -> JobConfig {
 /// Live-audit one fixed-seed run at a worker-pool size. The tracer is
 /// the streaming (buffer-less) one: every event flows through the
 /// subscriber and is dropped, so the audit sees the run in constant
-/// memory. Returns the three serialized outputs.
-fn live_outputs_at(threads: usize) -> (String, String, String) {
+/// memory. Returns the run document.
+fn live_outputs_at(threads: usize) -> String {
     par::with_threads(threads, || {
         let tracer = Tracer::streaming();
         let auditor = Arc::new(Mutex::new(StreamAuditor::new()));
@@ -34,33 +38,31 @@ fn live_outputs_at(threads: usize) -> (String, String, String) {
             .unwrap_or_else(|_| panic!("tracer dropped, sole auditor handle remains"))
             .into_inner()
             .expect("auditor poisoned");
-        let o = auditor.finish();
-        (o.report.to_json(), audit::health_to_json(&o.health), o.registry.to_json())
+        auditor.finish().to_json()
     })
 }
 
 #[test]
 fn live_audit_outputs_bit_identical_across_thread_counts() {
-    let (report, health, registry) = live_outputs_at(1);
-    assert!(!report.is_empty() && !health.is_empty() && !registry.is_empty());
+    let doc = live_outputs_at(1);
+    let v = audit::json::parse(&doc).expect("the run document parses");
+    assert!(["report", "health", "metrics"].iter().all(|k| v.get(k).is_some()), "{doc}");
     for threads in [2, 4, 7] {
-        let (r, h, g) = live_outputs_at(threads);
-        assert_eq!(report, r, "audit report drifted at T={threads}");
-        assert_eq!(health, h, "health snapshots drifted at T={threads}");
-        assert_eq!(registry, g, "metric registry drifted at T={threads}");
+        assert_eq!(doc, live_outputs_at(threads), "run document drifted at T={threads}");
     }
 }
 
 #[test]
 fn live_audit_matches_batch_and_file_replay() {
     // One run, observed three ways: live through the subscriber seam,
-    // batch over the parsed trace, and streamed line-by-line from the
-    // serialized file. All three reports must be byte-identical.
+    // batch over the tracer's buffered events after the run, and streamed
+    // line-by-line from the serialized file. All three run documents must
+    // be byte-identical.
     let tracer = Tracer::enabled();
     let live = Arc::new(Mutex::new(StreamAuditor::new()));
     tracer.attach(Box::new(Arc::clone(&live)));
     run_job_traced(quick_cfg(), &tracer).expect("known controller");
-    let jsonl = tracer.to_jsonl();
+    let (events, jsonl) = (tracer.events(), tracer.to_jsonl());
     assert!(!jsonl.is_empty(), "buffered tracer still serializes the run");
     drop(tracer);
 
@@ -70,23 +72,12 @@ fn live_audit_matches_batch_and_file_replay() {
         .expect("poisoned");
     let live = live.finish();
 
-    let batch = AuditReport::from_trace(&Trace::parse_jsonl(&jsonl).expect("strict parse"));
+    let batch = audit_events(&events);
+    let replay = audit_jsonl(&jsonl).expect("serialized lines re-parse");
 
-    let mut replay = StreamAuditor::new();
-    for line in jsonl.lines() {
-        replay.feed_line(line).expect("serialized lines re-parse");
-    }
-    let replay = replay.finish();
-
-    assert!(batch.clean(), "the reference run must audit clean");
-    assert_eq!(live.report.to_json(), batch.to_json(), "live vs batch report");
-    assert_eq!(replay.report.to_json(), batch.to_json(), "file replay vs batch report");
-    assert_eq!(
-        audit::health_to_json(&live.health),
-        audit::health_to_json(&replay.health),
-        "live vs replay health snapshots"
-    );
-    assert_eq!(live.registry.to_json(), replay.registry.to_json(), "live vs replay registry");
+    assert!(batch.report.clean(), "the reference run must audit clean");
+    assert_eq!(live.to_json(), batch.to_json(), "live vs batch run document");
+    assert_eq!(replay.to_json(), batch.to_json(), "file replay vs batch run document");
     assert!(!live.health.is_empty(), "a real run yields run-health snapshots");
 }
 
@@ -94,21 +85,22 @@ fn live_audit_matches_batch_and_file_replay() {
 fn doctored_trace_fails_streaming_and_batch_alike() {
     // Shrink the advertised power budget in the run header: every real
     // allocation now exceeds it, so the budget checker (AUDIT0004) must
-    // fire — identically down both engines.
+    // fire — identically whether the header is doctored in the tracer's
+    // buffered events or in the serialized file's first line.
     let tracer = Tracer::enabled();
     run_job_traced(quick_cfg(), &tracer).expect("known controller");
-    let jsonl = tracer.to_jsonl();
+    let (mut events, jsonl) = (tracer.events(), tracer.to_jsonl());
     let i = jsonl.find("\"budget_w\":").expect("run header carries a budget") + 11;
     let end = i + jsonl[i..].find(',').expect("header has more fields");
     let doctored = format!("{}1{}", &jsonl[..i], &jsonl[end..]);
     assert_ne!(doctored, jsonl, "the tamper must change the trace");
-
-    let batch = AuditReport::from_trace(&Trace::parse_jsonl(&doctored).expect("still parses"));
-    let mut auditor = StreamAuditor::new();
-    for line in doctored.lines() {
-        auditor.feed_line(line).expect("doctored lines still parse");
+    match &mut events[0].ev {
+        obs::Event::RunStart { budget_w, .. } => *budget_w = 1.0,
+        ev => panic!("the run header comes first, not {}", ev.tag()),
     }
-    let streamed = auditor.finish().report;
+
+    let batch = audit_events(&events).report;
+    let streamed = audit_jsonl(&doctored).expect("doctored lines still parse").report;
 
     assert!(!batch.clean(), "tampered budget must fail the batch audit");
     assert!(!streamed.clean(), "tampered budget must fail the streaming audit");

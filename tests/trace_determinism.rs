@@ -10,7 +10,7 @@
 //! [`obs::TraceEvent::parse_line`], and the Chrome-trace document must
 //! parse under [`audit::json`] with monotone timestamps.
 
-use audit::{StreamAuditor, Trace};
+use audit::StreamAuditor;
 use insitu::{
     run_job, run_job_traced, run_paired, run_paired_traced, FaultEvent, FaultKind, FaultPlan,
     JobConfig,
@@ -207,9 +207,14 @@ fn trace_jsonl_parses_strictly_and_round_trips() {
     let tracer = Tracer::enabled();
     run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
     let jsonl = tracer.to_jsonl();
-    let trace = Trace::parse_jsonl(&jsonl).expect("strict parse of a real trace");
-    assert!(trace.len() > 100, "expected a dense trace, got {} events", trace.len());
-    assert_eq!(trace.to_jsonl(), jsonl, "whole-trace round trip not byte-identical");
+    let parsed: Vec<TraceEvent> = jsonl
+        .lines()
+        .map(|l| TraceEvent::parse_line(l).expect("strict parse of a real trace"))
+        .collect();
+    assert!(parsed.len() > 100, "expected a dense trace, got {} events", parsed.len());
+    assert_eq!(obs::to_jsonl(&parsed), jsonl, "whole-trace round trip not byte-identical");
     // The in-memory tap must agree with the serialized path.
-    assert_eq!(Trace::from_tracer(&tracer).events, trace.events);
+    let tapped: Vec<TraceEvent> =
+        tracer.events().iter().map(|e| e.wire_form().into_owned()).collect();
+    assert_eq!(tapped, parsed);
 }

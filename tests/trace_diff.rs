@@ -12,9 +12,15 @@
 //! - the explainer's own output is byte-identical across
 //!   `POLIMER_THREADS`-style worker-pool sizes, so `trace_diff` can sit
 //!   inside a determinism gate without becoming a source of
-//!   nondeterminism itself.
+//!   nondeterminism itself;
+//! - a doctored run document is attributed to the phase and the counter
+//!   that moved, and one of the retired per-document layouts is refused.
+
+mod common;
 
 use audit::diff::{diff_readers, Aspect, TraceDivergence, DEFAULT_CONTEXT};
+use audit::json::{self, Value};
+use audit::{diff_artifacts, ArtifactDiffOptions};
 use insitu::{run_job_traced, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
@@ -137,4 +143,41 @@ fn explainer_output_is_byte_identical_across_thread_counts() {
     let serial = render_at(1);
     assert!(serial.contains("error[DIFF0001]"));
     assert_eq!(serial, render_at(4), "explainer output drifted with the worker pool");
+}
+
+/// The field at `path` (object keys and array indices) of `v`.
+fn field<'v>(v: &'v mut Value, path: &[&str]) -> &'v mut Value {
+    path.iter().fold(v, |v, key| match v {
+        Value::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect("key").1,
+        Value::Arr(items) => &mut items[key.parse::<usize>().expect("index")],
+        _ => panic!("no field {key}"),
+    })
+}
+
+#[test]
+fn doctored_run_document_is_attributed_and_the_old_layout_refused() {
+    let run = common::audit_jsonl(&trace_at(1)).expect("the writer's lines");
+    let doc = run.to_json();
+    let mut doctored = json::parse(&doc).expect("the run document parses");
+    let kind = field(&mut doctored, &["report", "phases", "0", "kind"]).clone();
+    *field(&mut doctored, &["report", "phases", "0", "time_s"]) = Value::Num(1e3);
+    *field(&mut doctored, &["metrics", "counters", "events"]) = Value::Int(7);
+
+    let d = diff_artifacts(&doc, &doctored.pretty(), &ArtifactDiffOptions::default());
+    let codes: Vec<&str> = d.diagnostics.iter().map(|x| x.code_str()).collect();
+    assert_eq!(codes, ["DIFF0003", "DIFF0003"], "{:?}", d.diagnostics);
+    let kind = kind.as_str().expect("a phase kind");
+    assert!(
+        d.notes.iter().any(|n| n.starts_with(&format!("phase `{kind}`: time "))),
+        "{:?}",
+        d.notes
+    );
+    assert!(d.notes.iter().any(|n| n.starts_with("counter `events`: ")), "{:?}", d.notes);
+
+    // The report alone, as the retired `audit_*.json` carried it.
+    let Value::Obj(mut old) = run.report.to_value() else { unreachable!("an object") };
+    old.insert(0, ("schema_version".to_string(), Value::Int(1)));
+    let d = diff_artifacts(&Value::Obj(old).pretty(), &doc, &ArtifactDiffOptions::default());
+    let codes: Vec<&str> = d.diagnostics.iter().map(|x| x.code_str()).collect();
+    assert_eq!(codes, ["DIFF0005"]);
 }

@@ -1,10 +1,12 @@
-//! Namespaced diagnostic codes for audit and bench-gate findings.
+//! Namespaced diagnostic codes for audit and run-explainer findings.
 //!
-//! Every finding the audit battery or the perf-regression gate can raise
-//! carries a stable code (`AUDIT0001`…, `BENCH0001`…), a short check name,
-//! and a severity. Codes are append-only: a code never changes meaning and
-//! is never reused, so scripts can grep a report for `AUDIT0004` across
-//! releases. The human renderer follows the compiler convention
+//! Every finding the audit battery or the run explainer can raise carries
+//! a stable code (`AUDIT0001`…, `DIFF0001`…), a short check name, and a
+//! severity. Codes are append-only: a code never changes meaning and is
+//! never reused, so scripts can grep a report for `AUDIT0004` across
+//! releases. `BENCH0001`–`BENCH0005` belonged to a wall-clock bench gate
+//! that no longer exists; those numbers stay retired and are never
+//! reused. The human renderer follows the compiler convention
 //! (`error[AUDIT0004] budget: …`); the JSON renderer emits
 //! `code`/`severity`/`check`/`detail` fields.
 
@@ -80,19 +82,6 @@ pub const HALT: DiagCode = audit_warn("AUDIT0012", "halt");
 /// `AUDIT0013` — a streamed trace line failed to parse (the streaming
 /// audit stops at the first malformed line, like the batch loader).
 pub const STREAM: DiagCode = audit("AUDIT0013", "stream");
-
-/// `BENCH0001` — a metric exceeded its absolute bound.
-pub const BENCH_BOUND: DiagCode = audit("BENCH0001", "bound");
-/// `BENCH0002` — a metric drifted beyond tolerance from its baseline.
-pub const BENCH_DRIFT: DiagCode = audit("BENCH0002", "drift");
-/// `BENCH0003` — a baseline metric is missing from the fresh document.
-pub const BENCH_MISSING: DiagCode = audit("BENCH0003", "missing");
-/// `BENCH0004` — a bench document failed to parse.
-pub const BENCH_PARSE: DiagCode = audit("BENCH0004", "parse");
-/// `BENCH0005` — a kernel-performance promise broken: an absolute
-/// ns/pair ceiling exceeded, or a metric fell below its declared floor
-/// (e.g. parallel-vs-serial speedup at one thread).
-pub const BENCH_KERNEL: DiagCode = audit("BENCH0005", "kernel");
 
 /// `DIFF0001` — two traces diverge: the first differing event, with the
 /// line number, the field that moved, and whether it was the timestamp,
@@ -204,11 +193,6 @@ mod tests {
             LIFECYCLE,
             HALT,
             STREAM,
-            BENCH_BOUND,
-            BENCH_DRIFT,
-            BENCH_MISSING,
-            BENCH_PARSE,
-            BENCH_KERNEL,
             DIFF_TRACE,
             DIFF_TRUNCATED,
             DIFF_ARTIFACT,

@@ -19,9 +19,8 @@
 //!   field-level walk with a relative noise threshold (`DIFF0003`), and
 //!   attribution notes read from a run document's `report` and `metrics`
 //!   sections — per-phase time/energy deltas, critical-path shift,
-//!   registry counter/histogram movement — so a `bench_gate` drift
-//!   failure names the phases and nodes that moved instead of just the
-//!   violated bound.
+//!   registry counter/histogram movement — so a failed artifact gate
+//!   names the phases and nodes that moved instead of just the file.
 //!
 //! The primary detector is **byte** comparison, exactly what the shell
 //! `diff` gates checked: field attribution only refines the explanation,
@@ -351,25 +350,9 @@ pub fn diff_readers(
     }
 }
 
-/// Options for the artifact differ.
-#[derive(Debug, Clone, Copy)]
-pub struct ArtifactDiffOptions {
-    /// Relative noise threshold for numeric fields: values within
-    /// `rel_tol · max(|a|,|b|)` of each other are considered equal. `0.0`
-    /// is exact (the determinism-gate setting); `bench_gate` attribution
-    /// uses a small nonzero value so float dust does not drown the
-    /// fields that actually moved.
-    pub rel_tol: f64,
-    /// Cap on per-field `DIFF0003` diagnostics (a trailing note counts
-    /// the rest).
-    pub max_findings: usize,
-}
-
-impl Default for ArtifactDiffOptions {
-    fn default() -> Self {
-        ArtifactDiffOptions { rel_tol: 0.0, max_findings: 16 }
-    }
-}
+/// Cap on per-field `DIFF0003` diagnostics (a trailing note counts the
+/// rest).
+const MAX_FINDINGS: usize = 16;
 
 /// The artifact differ's result: namespaced diagnostics (empty =
 /// identical within tolerance) plus human attribution notes.
@@ -401,7 +384,7 @@ fn numbers_match(a: f64, b: f64, rel_tol: f64) -> bool {
 
 /// Generic field-level walk: record every path where the two values
 /// disagree beyond the threshold.
-fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut Vec<String>) {
+fn walk(path: &str, a: &Value, b: &Value, rel_tol: f64, out: &mut Vec<String>) {
     match (a, b) {
         // Numeric views first so Int-vs-Num and null-vs-NaN compare by
         // value, like the emitters intend.
@@ -410,7 +393,7 @@ fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut 
             Value::Int(_) | Value::Num(_) | Value::Null,
         ) => {
             let (xa, xb) = (a.as_f64().unwrap_or(f64::NAN), b.as_f64().unwrap_or(f64::NAN));
-            if !numbers_match(xa, xb, opts.rel_tol) {
+            if !numbers_match(xa, xb, rel_tol) {
                 out.push(format!("{path}: {} -> {}", brief(a), brief(b)));
             }
         }
@@ -420,7 +403,7 @@ fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut 
                 match (fa.get(i), fb.get(i)) {
                     (Some((ka, va)), Some((kb, vb))) if ka == kb => {
                         let sub = if path.is_empty() { ka.clone() } else { format!("{path}.{ka}") };
-                        walk(&sub, va, vb, opts, out);
+                        walk(&sub, va, vb, rel_tol, out);
                     }
                     (Some((ka, _)), Some((kb, _))) => {
                         out.push(format!("{path}: field order differs ({ka} vs {kb})"));
@@ -437,7 +420,7 @@ fn walk(path: &str, a: &Value, b: &Value, opts: &ArtifactDiffOptions, out: &mut 
                 out.push(format!("{path}: {} elements -> {}", xa.len(), xb.len()));
             }
             for (i, (va, vb)) in xa.iter().zip(xb.iter()).enumerate() {
-                walk(&format!("{path}[{i}]"), va, vb, opts, out);
+                walk(&format!("{path}[{i}]"), va, vb, rel_tol, out);
             }
         }
         _ if a == b => {}
@@ -586,8 +569,10 @@ fn registry_notes(a: &Value, b: &Value, notes: &mut Vec<String>) {
 /// parse (`DIFF0004`) and carry matching `schema_version`s (`DIFF0005`)
 /// before the field walk attributes the deltas (`DIFF0003`, with
 /// per-phase and critical-path notes from the `report` section and
-/// registry notes from the `metrics` section).
-pub fn diff_artifacts(a_text: &str, b_text: &str, opts: &ArtifactDiffOptions) -> ArtifactDiff {
+/// registry notes from the `metrics` section). Numbers within
+/// `rel_tol · max(|a|,|b|)` of each other count as equal: `0.0` is exact,
+/// the determinism-gate setting (`trace_diff --rel-tol` sets it).
+pub fn diff_artifacts(a_text: &str, b_text: &str, rel_tol: f64) -> ArtifactDiff {
     let mut out = ArtifactDiff::default();
     if a_text == b_text {
         return out;
@@ -620,12 +605,12 @@ pub fn diff_artifacts(a_text: &str, b_text: &str, opts: &ArtifactDiffOptions) ->
     }
 
     let mut fields = Vec::new();
-    walk("", &va, &vb, opts, &mut fields);
+    walk("", &va, &vb, rel_tol, &mut fields);
     if fields.is_empty() {
         // Bytes differ but every field agrees within tolerance: noise.
         return out;
     }
-    let shown = fields.len().min(opts.max_findings);
+    let shown = fields.len().min(MAX_FINDINGS);
     for f in &fields[..shown] {
         out.diagnostics.push(Diagnostic::new(diag::DIFF_ARTIFACT, f.clone()));
     }
@@ -757,7 +742,7 @@ mod tests {
     #[test]
     fn artifact_differ_fast_paths_identical_documents() {
         let doc = "{\"schema_version\":1,\"x\":1.5}";
-        let d = diff_artifacts(doc, doc, &ArtifactDiffOptions::default());
+        let d = diff_artifacts(doc, doc, 0.0);
         assert!(d.identical());
     }
 
@@ -765,7 +750,7 @@ mod tests {
     fn artifact_differ_names_the_moved_field() {
         let a = "{\"schema_version\":2,\"report\":{\"critical_path\":{\"sim_limited_syncs\":10,\"analysis_limited_syncs\":5,\"overhead_s\":1.5}}}";
         let b = "{\"schema_version\":2,\"report\":{\"critical_path\":{\"sim_limited_syncs\":8,\"analysis_limited_syncs\":7,\"overhead_s\":1.5}}}";
-        let d = diff_artifacts(a, b, &ArtifactDiffOptions::default());
+        let d = diff_artifacts(a, b, 0.0);
         assert!(!d.identical());
         assert_eq!(d.diagnostics[0].code_str(), "DIFF0003");
         assert!(d.diagnostics[0].detail.contains("report.critical_path.sim_limited_syncs"));
@@ -776,18 +761,18 @@ mod tests {
     fn artifact_differ_rejects_schema_mismatch() {
         let a = "{\"schema_version\":1,\"x\":1}";
         let b = "{\"schema_version\":2,\"x\":1}";
-        let d = diff_artifacts(a, b, &ArtifactDiffOptions::default());
+        let d = diff_artifacts(a, b, 0.0);
         assert_eq!(d.diagnostics.len(), 1);
         assert_eq!(d.diagnostics[0].code_str(), "DIFF0005");
         // Absent vs present is a schema mismatch too.
         let c = "{\"x\":1}";
-        let d = diff_artifacts(a, c, &ArtifactDiffOptions::default());
+        let d = diff_artifacts(a, c, 0.0);
         assert_eq!(d.diagnostics[0].code_str(), "DIFF0005");
     }
 
     #[test]
     fn artifact_differ_reports_malformed_documents() {
-        let d = diff_artifacts("{", "{}", &ArtifactDiffOptions::default());
+        let d = diff_artifacts("{", "{}", 0.0);
         assert_eq!(d.diagnostics[0].code_str(), "DIFF0004");
     }
 
@@ -795,16 +780,15 @@ mod tests {
     fn artifact_differ_applies_noise_threshold() {
         let a = "{\"schema_version\":1,\"v\":100.0}";
         let b = "{\"schema_version\":1,\"v\":100.5}";
-        assert!(!diff_artifacts(a, b, &ArtifactDiffOptions::default()).identical());
-        let tol = ArtifactDiffOptions { rel_tol: 0.01, ..Default::default() };
-        assert!(diff_artifacts(a, b, &tol).identical());
+        assert!(!diff_artifacts(a, b, 0.0).identical());
+        assert!(diff_artifacts(a, b, 0.01).identical());
     }
 
     #[test]
     fn artifact_differ_attributes_phases_and_counters() {
         let a = "{\"schema_version\":2,\"report\":{\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.0,\"energy_j\":220.0}]},\"metrics\":{\"counters\":{\"events\":100}}}";
         let b = "{\"schema_version\":2,\"report\":{\"phases\":[{\"kind\":\"force\",\"spans\":4,\"time_s\":2.5,\"energy_j\":275.0}]},\"metrics\":{\"counters\":{\"events\":120}}}";
-        let d = diff_artifacts(a, b, &ArtifactDiffOptions::default());
+        let d = diff_artifacts(a, b, 0.0);
         assert!(d.notes.iter().any(|n| n.contains("phase `force`") && n.contains("+0.500 s")));
         assert!(d.notes.iter().any(|n| n.contains("counter `events`: 100 -> 120 (+20)")));
     }

@@ -53,7 +53,7 @@ pub mod registry;
 pub mod stream;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Violation};
-pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, ArtifactDiffOptions, TraceDiffer};
+pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, TraceDiffer};
 pub use invariants::StreamChecker;
 pub use metrics::AuditReport;
 pub use obs::json;

@@ -263,8 +263,8 @@ mod tests {
 
     /// Seeded mutation of valid command lines through every argv parser
     /// of the `bench` crate (this bin's, the common flags', `repro`'s,
-    /// `audit_trace`'s, `trace_diff`'s, `bench_gate`'s): the outcome is
-    /// `Ok` (and then in range) or `Err(msg)`, never a panic.
+    /// `audit_trace`'s, `trace_diff`'s): the outcome is `Ok` (and then in
+    /// range) or `Err(msg)`, never a panic.
     #[test]
     fn mutated_argv_never_panics_a_parser() {
         let big = "9".repeat(64 << 10);
@@ -283,7 +283,6 @@ mod tests {
             "--json",
             "--context",
             "--rel-tol",
-            "--fresh",
             "fig1_trace",
             "no_such_experiment",
             big.as_str(),
@@ -300,12 +299,11 @@ mod tests {
             argv("fig3_analyses fault_sweep --quiet --audit"),
             argv("--json out --quiet a.jsonl b.jsonl"),
             argv("--artifact --context 7 --rel-tol 0.02 --quiet a.json b.json"),
-            argv("--fresh fresh --baseline results --quiet"),
         ];
         for seed in [1, 7] {
             let mut rng = Rng::seed_from_u64(seed);
             let (mut accepted, mut rejected, mut selected) = (0, 0, 0);
-            let mut tools = [0; 3];
+            let mut tools = [0; 2];
             for _ in 0..2000 {
                 let mut args = valid[rng.next_below(valid.len() as u64) as usize].clone();
                 for _ in 0..=rng.next_below(2) {
@@ -340,9 +338,6 @@ mod tests {
                     assert!(a.context <= cli::TraceDiffArgs::MAX_CONTEXT);
                     assert!(a.rel_tol.is_finite() && a.rel_tol >= 0.0, "--rel-tol {}", a.rel_tol);
                     tools[1] += 1;
-                }
-                if cli::BenchGateArgs::parse(&args).is_ok() {
-                    tools[2] += 1;
                 }
             }
             assert!(accepted > 0 && rejected > 0, "seed {seed}: {accepted} ok, {rejected} err");

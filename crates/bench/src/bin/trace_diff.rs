@@ -91,11 +91,7 @@ fn run_artifact(args: &Args) -> Result<bool, String> {
         std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))
     };
     let (ta, tb) = (read(&args.a)?, read(&args.b)?);
-    let opts = audit::ArtifactDiffOptions {
-        rel_tol: args.rel_tol,
-        ..audit::ArtifactDiffOptions::default()
-    };
-    let d = audit::diff_artifacts(&ta, &tb, &opts);
+    let d = audit::diff_artifacts(&ta, &tb, args.rel_tol);
     if d.identical() {
         return Ok(true);
     }

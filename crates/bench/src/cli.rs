@@ -304,36 +304,6 @@ impl TraceDiffArgs {
     }
 }
 
-/// `bench_gate`'s command line: `--fresh DIR [--baseline DIR] [--quiet]`.
-#[derive(Debug)]
-pub struct BenchGateArgs {
-    /// Freshly produced `BENCH_*.json` documents.
-    pub fresh: PathBuf,
-    /// The committed baselines (default: the results directory).
-    pub baseline: Option<PathBuf>,
-    /// Suppress per-document notes.
-    pub quiet: bool,
-}
-
-impl BenchGateArgs {
-    /// Parse `bench_gate`'s `argv`, exit-free.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
-        let (mut fresh, mut baseline, mut quiet) = (None, None, false);
-        let mut args = Argv::new(argv);
-        while let Some(arg) = args.next() {
-            match arg {
-                "--fresh" => fresh = Some(args.value(arg)?.into()),
-                "--baseline" => baseline = Some(args.value(arg)?.into()),
-                "--quiet" => quiet = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unexpected argument {other:?}")),
-            }
-        }
-        let fresh = fresh.ok_or("--fresh DIR is required")?;
-        Ok(BenchGateArgs { fresh, baseline, quiet })
-    }
-}
-
 /// Run `run` under the observation the common flags ask for, then write
 /// what it recorded. The tracer `run` gets buffers only when a trace file
 /// was requested; `--audit` alone streams events through a live

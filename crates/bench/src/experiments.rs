@@ -1040,7 +1040,7 @@ mod fig8_power_caps {
 /// synchronization interval, 128 vs 1024 nodes (all analyses, dim 48,
 /// w = 1, j = 1) — the simulated cost including the measurement
 /// exchange. (9b, the pure compute cost of one allocation step on the
-/// host, is the `controllers` bench.)
+/// host, is perfbench's `core.on_sync_ns_*` and `polimer.power_alloc_us_*`.)
 mod fig9_overhead {
     use super::*;
 
@@ -1078,9 +1078,9 @@ mod fig9_overhead {
         out.say("paper reference: communication dominates at 1024 nodes — higher");
         out.say("absolute overhead, smaller relative overhead; negligible either way.");
         out.blank();
-        out.say("Fig. 9b (host-measured controller step cost across caps) is produced");
-        out.say("by `cargo bench -p bench --bench controllers`; the tracing on/off");
-        out.say("overhead comparison by `cargo bench -p bench --bench trace_overhead`.");
+        out.say("Fig. 9b (host-measured controller step cost across caps) is perfbench's");
+        out.say("`core.on_sync_ns_128`/`_4392` and `polimer.power_alloc_us_128`/`_4392`;");
+        out.say("the price of enabled tracing is its `obs.emit_ns`, per event.");
         out.json("fig9_overhead", &rows);
         out
     }

@@ -1,13 +1,13 @@
 //! # bench — the experiment harness
 //!
 //! `repro` regenerates every table and figure of the SeeSAw paper, and
-//! the machine and fleet sweeps, from the table in [`experiments`];
-//! `benches/` holds the plain-`main` micro-benchmarks behind
-//! `results/BENCH_*.json`. Each experiment prints a human-readable table
-//! mirroring the paper's presentation and writes the raw rows as JSON
-//! (some also an SVG chart) under `results/`. Every JSON document the
-//! harness writes — figure rows, run documents, bench records, stage
-//! profiles — is an [`obs::json::Value`] printed by its one writer.
+//! the machine and fleet sweeps, from the table in [`experiments`].
+//! Each experiment prints a human-readable table mirroring the paper's
+//! presentation and writes the raw rows as JSON (some also an SVG chart)
+//! under `results/`. Every JSON document the harness writes — figure
+//! rows, run documents, stage profiles — is an [`obs::json::Value`]
+//! printed by its one writer. Host timings are not this crate's job:
+//! `perfbench` reports every one of them, end to end and per layer.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro                  # everything
@@ -26,7 +26,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod gate;
 pub mod json;
 mod svg;
 
@@ -97,11 +96,6 @@ fn display_rel(path: &Path) -> String {
         .ok()
         .and_then(|cwd| path.strip_prefix(cwd).ok().map(|p| p.display().to_string()))
         .unwrap_or_else(|| path.display().to_string())
-}
-
-/// `--quick` mode: shrink the experiment for CI smoke tests.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
 }
 
 #[cfg(test)]

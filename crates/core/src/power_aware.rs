@@ -52,9 +52,9 @@ impl PowerAwareConfig {
 pub struct PowerAware {
     cfg: PowerAwareConfig,
     /// Current per-node caps, watts.
-    caps: NodeMap,
+    pub(crate) caps: NodeMap,
     /// Measured power summed over the window so far.
-    window_power: NodeMap,
+    pub(crate) window_power: NodeMap,
     window_count: usize,
     allocations: u64,
     /// Per-decision scratch: below-cap nodes with their mean power, and

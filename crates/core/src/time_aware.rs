@@ -59,7 +59,7 @@ impl TimeAwareConfig {
 #[derive(Debug, Clone)]
 pub struct TimeAware {
     cfg: TimeAwareConfig,
-    caps: NodeMap,
+    pub(crate) caps: NodeMap,
     step_w: f64,
     allocations: u64,
 }

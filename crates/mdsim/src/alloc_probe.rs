@@ -1,7 +1,7 @@
 //! A counting global-allocator shim for allocation-free hot-path gates.
 //!
 //! Install [`CountingAlloc`] as the `#[global_allocator]` in a dedicated
-//! test or bench binary, warm the code path under test, snapshot
+//! test binary, warm the code path under test, snapshot
 //! [`allocations`], run the path again, and assert the counter did not
 //! move. The counter tracks *allocator requests* (`alloc`, `alloc_zeroed`
 //! and `realloc`), which is exactly the signal a "no allocation after

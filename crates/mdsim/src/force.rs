@@ -427,9 +427,8 @@ pub fn compute_forces_into(
 
 /// The canonical serial kernel: chunks evaluated and merged one at a time
 /// through a single reused slot, in ascending chunk order. Every other
-/// execution strategy reproduces this op sequence bit for bit. Public so
-/// benches can time it against the dispatching entry point.
-pub fn compute_forces_serial(
+/// execution strategy reproduces this op sequence bit for bit.
+pub(crate) fn compute_forces_serial(
     scratch: &mut ForceScratch,
     sys: &mut System,
     nl: &NeighborList,

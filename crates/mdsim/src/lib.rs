@@ -53,8 +53,8 @@ pub use bonded::{bonded_potential, compute_bonded, Angle, Bond, BondedEval, Topo
 pub use cell_list::CellList;
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{
-    compute_forces, compute_forces_excluding, compute_forces_into, compute_forces_serial,
-    compute_potential, CoeffTable, ForceEval, ForceParams, ForceScratch,
+    compute_forces, compute_forces_excluding, compute_forces_into, compute_potential, CoeffTable,
+    ForceEval, ForceParams, ForceScratch,
 };
 pub use integrate::Integrator;
 pub use neighbor::{brute_force_pairs, NeighborList};

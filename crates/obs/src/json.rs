@@ -3,9 +3,9 @@
 //! hand-rolled). It lives beside the event schema, whose strict line
 //! reader is the parser's main client; `audit::json` re-exports it. Every
 //! JSON document the bins persist under `results/` — figure rows, run
-//! documents, benchmark records, stage profiles — is a [`Value`] printed
-//! by [`Value::pretty`]; only the hot-path trace formats (the JSONL event
-//! line and the Chrome-trace export) keep generated writers of their own.
+//! documents, stage profiles — is a [`Value`] printed by
+//! [`Value::pretty`]; only the hot-path trace formats (the JSONL event line
+//! and the Chrome-trace export) keep generated writers of their own.
 //!
 //! **One tokenizer, two consumers.** `Parser` is the only implementation
 //! of the grammar. [`parse`] builds a [`Value`] tree on it, for artifacts,

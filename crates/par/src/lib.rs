@@ -306,8 +306,8 @@ mod tests {
         }
     }
 
-    /// What `md_kernels`' wall-clock `*_speedup` ratio stood for, asserted
-    /// where no host can move it: at width 1 — configured, or overridden by
+    /// That a width-1 call costs no dispatch, asserted where no host can
+    /// move it rather than timed: at width 1 — configured, or overridden by
     /// [`with_threads`] — every entry point runs each chunk on the calling
     /// thread and never claims the pool, so nothing is spawned.
     #[test]

@@ -12,6 +12,10 @@
 # to prove the explainer actually fails (nonzero exit, DIFF code, line
 # number, per-node context) before any gate trusts it.
 #
+# No stage holds a wall-clock bound, so a busy host cannot turn it red:
+# what the code promises about work is an exact count in the tests, and
+# host timings are perfbench's (`BENCHMARK.json`).
+#
 # Every `==>` line carries `[T s, +D s]`: seconds since the script
 # started, and the seconds the previous stage took.
 set -euo pipefail
@@ -205,32 +209,7 @@ grep -q '"schema_version": 1' "$a/profile_machine_sweep.json"
 grep -q '"sched.governor_epoch"' "$a/profile_machine_sweep.json"
 grep -q '"schema_version": 1' "$a/profile_fleet_sweep.json"
 
-# The bench itself exits nonzero when a kernel promise breaks: an
-# absolute ns/pair ceiling or a nonzero allocations-per-call count
-# (BENCH0005). bench_gate re-checks the same bounds plus drift from the
-# persisted document below.
-stage "kernel perf gate: md_kernels ns/pair ceilings + alloc-free"
-SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench md_kernels -- --quick
-test -s "$c/BENCH_kernels.json"
-
-stage "tracing overhead record: trace_overhead off/on/export/audit/replay bench (on <75%, streaming audit <900%)"
-SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench trace_overhead -- --quick
-test -s "$c/BENCH_trace.json"
-
-stage "scaling gate: scale bench (full-width epoch-rate floor)"
-SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench scale -- --quick
-test -s "$c/BENCH_scale.json"
-
-# One controller decision must stay O(nodes): ns/node at 4392 nodes may
-# not exceed 3x ns/node at 128 (a quadratic term lands near 34x).
-stage "controller scaling gate: controllers bench (on_sync ns/node at 4392 <= 3x at 128)"
-SEESAW_RESULTS_DIR="$c" cargo bench --offline --bench controllers -- --quick
-test -s "$c/BENCH_controllers.json"
-
-stage "perf-regression gate: bench_gate vs committed baselines"
-./target/release/bench_gate --fresh "$c" --quiet
-
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written, bench gate passed"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written"

@@ -20,7 +20,8 @@
 //! recording a tag-carrying event into a pre-sized buffer allocates
 //! nothing — the owned form exists only for events parsed from a file.
 //!
-//! And in the trace read path: the strict reader walks a line without
+//! And in the trace read path, over a trace whose event count is pinned
+//! exactly: the strict reader walks a line without
 //! building anything and borrows every known tag, so re-reading a trace
 //! allocates exactly one `Box` per `decision` line and nothing else; the
 //! auditor looks its accumulators up by `&str`, so replaying or watching
@@ -183,7 +184,10 @@ fn hot_paths_are_allocation_free_after_warmup() {
         let (events, jsonl) = (tracer.events(), tracer.to_jsonl());
         let lines: Vec<&str> = jsonl.lines().collect();
         let decisions = lines.iter().filter(|l| l.contains("\"ev\":\"decision\"")).count() as u64;
-        assert!(decisions > 0 && lines.len() > 1000, "{decisions} of {}", lines.len());
+        assert!(decisions > 0, "no decision among {} lines", lines.len());
+        // A function of config and seed alone, so pinned exactly: an emit
+        // site gained or lost shows up here.
+        assert_eq!(lines.len(), 4_629, "events in the 8-node, 60-step seesaw trace");
         let budget = lines.len() as u64 / 10;
 
         let before = allocations();

@@ -19,8 +19,8 @@
 mod common;
 
 use audit::diff::{diff_readers, Aspect, TraceDivergence, DEFAULT_CONTEXT};
+use audit::diff_artifacts;
 use audit::json::{self, Value};
-use audit::{diff_artifacts, ArtifactDiffOptions};
 use insitu::{run_job_traced, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
@@ -163,7 +163,7 @@ fn doctored_run_document_is_attributed_and_the_old_layout_refused() {
     *field(&mut doctored, &["report", "phases", "0", "time_s"]) = Value::Num(1e3);
     *field(&mut doctored, &["metrics", "counters", "events"]) = Value::Int(7);
 
-    let d = diff_artifacts(&doc, &doctored.pretty(), &ArtifactDiffOptions::default());
+    let d = diff_artifacts(&doc, &doctored.pretty(), 0.0);
     let codes: Vec<&str> = d.diagnostics.iter().map(|x| x.code_str()).collect();
     assert_eq!(codes, ["DIFF0003", "DIFF0003"], "{:?}", d.diagnostics);
     let kind = kind.as_str().expect("a phase kind");
@@ -177,7 +177,7 @@ fn doctored_run_document_is_attributed_and_the_old_layout_refused() {
     // The report alone, as the retired `audit_*.json` carried it.
     let Value::Obj(mut old) = run.report.to_value() else { unreachable!("an object") };
     old.insert(0, ("schema_version".to_string(), Value::Int(1)));
-    let d = diff_artifacts(&Value::Obj(old).pretty(), &doc, &ArtifactDiffOptions::default());
+    let d = diff_artifacts(&Value::Obj(old).pretty(), &doc, 0.0);
     let codes: Vec<&str> = d.diagnostics.iter().map(|x| x.code_str()).collect();
     assert_eq!(codes, ["DIFF0005"]);
 }

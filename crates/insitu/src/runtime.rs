@@ -189,17 +189,10 @@ impl Runtime {
         let caps: Vec<f64> = (0..n)
             .map(|i| if i < spec.sim_nodes { cfg.sim_cap0_w() } else { cfg.analysis_cap0_w() })
             .collect();
-        let cluster = if cfg.quiet_noise {
-            Cluster::with_caps_sigmas(
-                cfg.machine.clone(),
-                &caps,
-                cfg.cap_mode,
-                NoiseSigmas::zero(),
-                cfg.seed,
-            )
-        } else {
-            Cluster::with_caps(cfg.machine.clone(), &caps, cfg.cap_mode, cfg.seed)
-        };
+        let sigmas =
+            if cfg.quiet_noise { NoiseSigmas::zero() } else { NoiseSigmas::for_mode(cfg.cap_mode) };
+        let cluster =
+            Cluster::with_caps_sigmas(cfg.machine.clone(), &caps, cfg.cap_mode, sigmas, cfg.seed);
 
         // Two ranks per node: the monitor plus a peer, so monitor death
         // has a surviving rank to promote. Per-node times are already

@@ -78,7 +78,7 @@ impl Rdf {
                 continue;
             }
             for (j, (&sj, &pj)) in snap.species.iter().zip(snap.pos).enumerate() {
-                if i == j || !sj.is_water_site() {
+                if i == j || sj != Species::Water {
                     continue;
                 }
                 let d = (pj - pi).minimum_image(snap.box_len);
@@ -131,7 +131,7 @@ impl Analysis for Rdf {
 
     fn observe(&mut self, _step: u64, snap: &Snapshot<'_>) -> AnalysisWork {
         let r_max = self.cfg.r_max.min(snap.box_len / 2.0);
-        let n_water = snap.species.iter().filter(|s| s.is_water_site()).count();
+        let n_water = snap.species.iter().filter(|&&s| s == Species::Water).count();
         self.water_density = n_water as f64 / snap.box_len.powi(3);
         self.n_hydronium = snap.species.iter().filter(|&&s| s == Species::Hydronium).count() as u64;
         let mut work = Self::accumulate(

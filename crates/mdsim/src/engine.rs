@@ -1,12 +1,11 @@
 //! The MD engine: system + neighbor list + forces + integrator, stepped
 //! with per-phase work accounting.
 
-use crate::bonded::{compute_bonded, Topology};
 use crate::force::{compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch};
 use crate::integrate::Integrator;
 use crate::neighbor::NeighborList;
 use crate::species::PairTable;
-use crate::system::{water3_box, water_ion_box, System};
+use crate::system::{water_ion_box, System};
 use crate::thermo::{thermo, ThermoRecord};
 
 /// Work counters for one engine step.
@@ -35,9 +34,6 @@ pub struct MdEngine {
     nl: NeighborList,
     last_eval: ForceEval,
     step: u64,
-    topology: Topology,
-    /// Sorted 1-2/1-3 pair list (binary-searched by the force kernel).
-    exclusions: Option<Vec<(u32, u32)>>,
 }
 
 impl MdEngine {
@@ -47,34 +43,14 @@ impl MdEngine {
         Self::from_system(system)
     }
 
-    /// Build from an existing system (no bonded terms).
-    pub fn from_system(system: System) -> Self {
-        Self::with_topology(system, Topology::none())
-    }
-
-    /// Build a flexible 3-site water box (`n_side³` molecules) with its
-    /// bonded topology and a timestep small enough for the O–H vibration.
-    pub fn flexible_water_benchmark(n_side: usize, seed: u64) -> Self {
-        let (system, topo) = water3_box(n_side, 1.0, seed);
-        let mut engine = Self::with_topology(system, topo);
-        engine.set_timestep(0.0008);
-        engine
-    }
-
-    /// Build from a system plus molecular topology: bonded forces are
-    /// evaluated every step and 1-2/1-3 pairs are excluded from the
-    /// non-bonded kernel.
-    pub fn with_topology(mut system: System, topology: Topology) -> Self {
+    /// Build from an existing system.
+    pub fn from_system(mut system: System) -> Self {
         let params = ForceParams::default();
         let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
         let mut scratch = ForceScratch::new();
         let neighbor_skin = 0.4;
-        let exclusions = if topology.is_empty() { None } else { Some(topology.exclusions()) };
         let nl = NeighborList::build(&system.pos, system.box_len, params.cutoff, neighbor_skin);
-        let mut last_eval =
-            compute_forces_into(&mut scratch, &mut system, &nl, &coeffs, exclusions.as_deref());
-        let bonded = compute_bonded(&mut system, &topology);
-        last_eval.potential += bonded.total();
+        let last_eval = compute_forces_into(&mut scratch, &mut system, &nl, &coeffs, None);
         MdEngine {
             system,
             coeffs,
@@ -83,20 +59,7 @@ impl MdEngine {
             nl,
             last_eval,
             step: 0,
-            topology,
-            exclusions,
         }
-    }
-
-    /// Override the integration timestep.
-    pub fn set_timestep(&mut self, dt: f64) {
-        assert!(dt > 0.0);
-        self.integrator = Integrator { dt };
-    }
-
-    /// The molecular topology (empty for the coarse-grained benchmark).
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Current step count.
@@ -143,17 +106,8 @@ impl MdEngine {
     /// Compute forces and run the final half-kick (flow step 6).
     pub fn force_and_final_integrate(&mut self) -> u64 {
         let _t = obs::profile::timer("md.force_eval");
-        self.last_eval = compute_forces_into(
-            &mut self.scratch,
-            &mut self.system,
-            &self.nl,
-            &self.coeffs,
-            self.exclusions.as_deref(),
-        );
-        if !self.topology.is_empty() {
-            let bonded = compute_bonded(&mut self.system, &self.topology);
-            self.last_eval.potential += bonded.total();
-        }
+        self.last_eval =
+            compute_forces_into(&mut self.scratch, &mut self.system, &self.nl, &self.coeffs, None);
         self.integrator.final_integrate(&mut self.system);
         self.last_eval.pairs_evaluated
     }
@@ -236,55 +190,5 @@ mod tests {
         e.step();
         e.step();
         assert_eq!(e.thermo().step, 2);
-    }
-
-    #[test]
-    fn flexible_water_conserves_energy() {
-        let mut e = MdEngine::flexible_water_benchmark(4, 76); // 192 atoms
-        let e0 = e.thermo().total;
-        for _ in 0..200 {
-            e.step();
-        }
-        let e1 = e.thermo().total;
-        let drift = ((e1 - e0) / e0.abs()).abs();
-        assert!(drift < 0.05, "energy drift {drift} ({e0} -> {e1})");
-    }
-
-    #[test]
-    fn flexible_water_molecules_stay_bonded() {
-        let mut e = MdEngine::flexible_water_benchmark(3, 77);
-        for _ in 0..200 {
-            e.step();
-        }
-        // Every O–H bond stays within 50% of its equilibrium length: the
-        // exclusions are working (without them, intramolecular Coulomb at
-        // 0.3 σ would blow molecules apart instantly).
-        let topo = e.topology().clone();
-        for b in &topo.bonds {
-            let d = (e.system.pos[b.i as usize] - e.system.pos[b.j as usize])
-                .minimum_image(e.system.box_len);
-            let r = d.norm();
-            assert!(
-                (r - b.r0).abs() < 0.5 * b.r0,
-                "bond {}-{} length {r} vs r0 {}",
-                b.i,
-                b.j,
-                b.r0
-            );
-        }
-    }
-
-    #[test]
-    fn atomistic_rdf_uses_oxygen_sites() {
-        use crate::analysis::{Analysis, Rdf, RdfConfig, Snapshot};
-        // Add one hydronium into a small water box and check the RDF has
-        // counts (water sites recognized as WaterO).
-        let mut e = MdEngine::flexible_water_benchmark(4, 78);
-        e.system.species[0] = crate::Species::Hydronium; // repurpose one O
-        let mut rdf = Rdf::new(RdfConfig { bins: 50, r_max: 2.0 });
-        let w = rdf.observe(0, &Snapshot::of(&e.system));
-        assert!(w.ops > 0);
-        let g = rdf.g_hydronium();
-        assert!(g.iter().any(|&x| x > 0.0), "RDF should see WaterO sites");
     }
 }

@@ -91,12 +91,12 @@ const MAX_CHUNKS: usize = 64;
 /// the inner loop: σ², 4ε and 24ε pre-multiplied, the LJ cutoff shift
 /// pre-evaluated, and the Coulomb prefactor `K·qᵢqⱼ` folded in.
 #[derive(Debug, Clone, Copy, Default)]
-struct PairCoeff {
-    sigma_sq: f64,
-    eps4: f64,
-    eps24: f64,
-    u_shift: f64,
-    kqq: f64,
+pub(crate) struct PairCoeff {
+    pub(crate) sigma_sq: f64,
+    pub(crate) eps4: f64,
+    pub(crate) eps24: f64,
+    pub(crate) u_shift: f64,
+    pub(crate) kqq: f64,
 }
 
 /// Flat per-species-pair coefficient table plus cutoff constants. Build
@@ -146,7 +146,7 @@ impl CoeffTable {
     }
 
     #[inline]
-    fn at(&self, si: u8, sj: u8) -> &PairCoeff {
+    pub(crate) fn at(&self, si: u8, sj: u8) -> &PairCoeff {
         &self.coeff[si as usize * NSPECIES + sj as usize]
     }
 }
@@ -340,25 +340,14 @@ pub fn compute_forces(
     params: ForceParams,
     table: &PairTable,
 ) -> ForceEval {
-    compute_forces_excluding(sys, nl, params, table, None)
-}
-
-/// Like [`compute_forces`], skipping the given intramolecular exclusions
-/// (1-2/1-3 pairs of a [`crate::bonded::Topology`]), stored as a sorted
-/// slice of `(min, max)` index pairs (see [`crate::bonded::Topology::exclusions`]).
-pub fn compute_forces_excluding(
-    sys: &mut System,
-    nl: &NeighborList,
-    params: ForceParams,
-    table: &PairTable,
-    exclusions: Option<&[(u32, u32)]>,
-) -> ForceEval {
     let coeffs = CoeffTable::new(table, params.cutoff);
-    compute_forces_into(&mut ForceScratch::new(), sys, nl, &coeffs, exclusions)
+    compute_forces_into(&mut ForceScratch::new(), sys, nl, &coeffs, None)
 }
 
 /// The allocation-free force kernel: evaluate forces into `sys.force`
 /// using caller-owned scratch and a prebuilt coefficient table.
+/// `exclusions`, if given, is a sorted slice of `(min, max)` index pairs
+/// the kernel skips.
 ///
 /// Dispatches to the serial path when the pool is trivial or the pair
 /// list is small; otherwise chunks are evaluated in parallel and merged

@@ -32,35 +32,29 @@
 
 pub mod alloc_probe;
 pub mod analysis;
-mod bonded;
 mod cell_list;
-pub mod dump;
 mod engine;
 mod force;
-pub mod input;
 mod integrate;
 mod neighbor;
 mod species;
 mod splitanalysis;
 mod system;
 mod thermo;
-mod thermostat;
 mod vec3;
 pub mod workload;
 
 pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
-pub use bonded::{bonded_potential, compute_bonded, Angle, Bond, BondedEval, Topology};
 pub use cell_list::CellList;
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{
-    compute_forces, compute_forces_excluding, compute_forces_into, compute_potential, CoeffTable,
-    ForceEval, ForceParams, ForceScratch,
+    compute_forces, compute_forces_into, compute_potential, CoeffTable, ForceEval, ForceParams,
+    ForceScratch,
 };
 pub use integrate::Integrator;
 pub use neighbor::{brute_force_pairs, NeighborList};
 pub use species::{PairTable, Species, NSPECIES};
 pub use splitanalysis::{AnalysisSchedule, SplitAnalysis, StepRecord};
-pub use system::{water3, water3_box, water_ion_box, System, DENSITY, UNIT_CELL_ATOMS};
+pub use system::{water_ion_box, System, DENSITY, UNIT_CELL_ATOMS};
 pub use thermo::{thermo, ThermoRecord};
-pub use thermostat::{equilibrate, Thermostat};
 pub use vec3::Vec3;

@@ -5,9 +5,13 @@
 //! counter-ion. Full atomistic water (rigid SPC/E + Ewald electrostatics)
 //! is out of scope for a controller study; we use a single-site
 //! coarse-grained water (mW-style) with Lennard-Jones interactions and
-//! Wolf-damped Coulomb for the ions. This preserves what the analyses
-//! consume: per-molecule positions and velocities of three species.
-//! Reduced Lennard-Jones units throughout (σ = ε = m_water = 1).
+//! damped shifted-force Coulomb for the ions. This preserves what the
+//! analyses consume: per-molecule positions and velocities of three
+//! species. Reduced Lennard-Jones units throughout (σ = ε = m_water = 1).
+//!
+//! [`Species::index`] (0–2) addresses the force kernel's per-pair
+//! coefficient table; a unit test pins every mixed σ, ε and q·q and every
+//! kernel coefficient bit for bit.
 
 /// Particle species.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,19 +22,14 @@ pub enum Species {
     Hydronium,
     /// Halide counter-ion, charge −1.
     Ion,
-    /// Atomistic water oxygen (3-site flexible water, SPC-like charges).
-    WaterO,
-    /// Atomistic water hydrogen.
-    WaterH,
 }
 
 /// Number of species (parameter-table dimension).
-pub const NSPECIES: usize = 5;
+pub const NSPECIES: usize = 3;
 
 impl Species {
     /// All species, in storage order.
-    pub const ALL: [Species; NSPECIES] =
-        [Species::Water, Species::Hydronium, Species::Ion, Species::WaterO, Species::WaterH];
+    pub const ALL: [Species; NSPECIES] = [Species::Water, Species::Hydronium, Species::Ion];
 
     /// Particle mass (reduced units; one water molecule = 1).
     pub fn mass(self) -> f64 {
@@ -38,8 +37,6 @@ impl Species {
             Species::Water => 1.0,
             Species::Hydronium => 1.056, // 19 amu / 18 amu
             Species::Ion => 1.97,        // ~Cl, 35.5/18
-            Species::WaterO => 16.0 / 18.0,
-            Species::WaterH => 1.0 / 18.0,
         }
     }
 
@@ -49,8 +46,6 @@ impl Species {
             Species::Water => 0.0,
             Species::Hydronium => 1.0,
             Species::Ion => -1.0,
-            Species::WaterO => -0.8476, // SPC/E
-            Species::WaterH => 0.4238,
         }
     }
 
@@ -60,8 +55,6 @@ impl Species {
             Species::Water => 1.0,
             Species::Hydronium => 0.98,
             Species::Ion => 1.18,
-            Species::WaterO => 1.0,
-            Species::WaterH => 0.35,
         }
     }
 
@@ -71,8 +64,6 @@ impl Species {
             Species::Water => 1.0,
             Species::Hydronium => 1.1,
             Species::Ion => 0.8,
-            Species::WaterO => 1.0,
-            Species::WaterH => 0.02,
         }
     }
 
@@ -82,16 +73,7 @@ impl Species {
             Species::Water => 0,
             Species::Hydronium => 1,
             Species::Ion => 2,
-            Species::WaterO => 3,
-            Species::WaterH => 4,
         }
-    }
-
-    /// True for species that act as the "water" site in analyses (RDF
-    /// targets distances to water; for atomistic water the oxygen is the
-    /// molecular site).
-    pub fn is_water_site(self) -> bool {
-        matches!(self, Species::Water | Species::WaterO)
     }
 }
 
@@ -197,6 +179,47 @@ mod tests {
     fn masses_positive() {
         for s in Species::ALL {
             assert!(s.mass() > 0.0);
+        }
+    }
+
+    /// The force kernel's input, bit for bit: every mixed σ, ε and q·q, and
+    /// every coefficient the kernel reads (σ², 4ε, 24ε, LJ shift, K·q·q) at
+    /// the default cutoff. One row per unordered pair; both orders checked.
+    #[test]
+    fn kernel_input_is_pinned_bit_for_bit() {
+        use crate::force::{CoeffTable, ForceParams};
+        use Species::{Hydronium as H, Ion as I, Water as W};
+        #[rustfmt::skip]
+        let pinned: [(Species, Species, [u64; 3], [u64; 5]); 6] = [
+            (W, W, [0x3ff0000000000000, 0x3ff0000000000000, 0x0000000000000000],
+                [0x3ff0000000000000, 0x4010000000000000, 0x4038000000000000,
+                 0xbf90b5600734bfa4, 0x0000000000000000]),
+            (W, H, [0x3fefae147ae147ae, 0x3ff0c7ebc96a56f6, 0x0000000000000000],
+                [0x3fef5cfaacd9e83e, 0x4010c7ebc96a56f6, 0x40392be1ae1f8271,
+                 0xbf9080a2fbd6b6b0, 0x0000000000000000]),
+            (W, I, [0x3ff170a3d70a3d70, 0x3fec9f25c5bfedd9, 0x8000000000000000],
+                [0x3ff3027525460aa5, 0x400c9f25c5bfedd9, 0x4035775c544ff263,
+                 0xbf98fe61f1443ee2, 0x8000000000000000]),
+            (H, H, [0x3fef5c28f5c28f5c, 0x3ff199999999999a, 0x3ff0000000000000],
+                [0x3feebb98c7e28240, 0x401199999999999a, 0x403a666666666667,
+                 0xbf9049f1f1693130, 0x4010000000000000]),
+            (H, I, [0x3ff147ae147ae148, 0x3fee04c6f553bdd8, 0xbff0000000000000],
+                [0x3ff2a9930be0ded3, 0x400e04c6f553bdd8, 0x4036839537fece62,
+                 0xbf98d0046e59d6e4, 0xc010000000000000]),
+            (I, I, [0x3ff2e147ae147ae1, 0x3fe999999999999a, 0x3ff0000000000000],
+                [0x3ff6474538ef34d6, 0x400999999999999a, 0x4033333333333334,
+                 0xbfa1ea845009f633, 0x4010000000000000]),
+        ];
+        let table = PairTable::new();
+        let coeffs = CoeffTable::new(&table, ForceParams::default().cutoff);
+        for (a, b, mixed, kernel) in pinned {
+            for (x, y) in [(a, b), (b, a)] {
+                let got = [table.sigma(x, y), table.epsilon(x, y), table.charge_product(x, y)];
+                assert_eq!(got.map(f64::to_bits), mixed, "{x:?}-{y:?}: σ, ε, q·q");
+                let c = coeffs.at(x.index() as u8, y.index() as u8);
+                let got = [c.sigma_sq, c.eps4, c.eps24, c.u_shift, c.kqq];
+                assert_eq!(got.map(f64::to_bits), kernel, "{x:?}-{y:?}: kernel coefficients");
+            }
         }
     }
 }

@@ -1,6 +1,5 @@
 //! Particle system storage and the water + ions benchmark builder.
 
-use crate::bonded::{Angle, Bond, Topology};
 use crate::species::Species;
 use crate::vec3::Vec3;
 use des::Rng;
@@ -161,84 +160,6 @@ pub fn water_ion_box(dim: usize, temperature: f64, seed: u64) -> System {
     sys
 }
 
-/// SPC-like flexible water geometry in reduced units (σ_O = 1, 1 Å ≈
-/// 0.316 σ): O–H bond 0.316 σ, H–O–H angle 109.47°.
-pub mod water3 {
-    /// O–H equilibrium bond length.
-    pub const R_OH: f64 = 0.316;
-    /// H–O–H equilibrium angle, radians.
-    pub const THETA: f64 = 1.910_633; // 109.47°
-    /// Bond force constant.
-    pub const K_BOND: f64 = 450.0;
-    /// Angle force constant.
-    pub const K_ANGLE: f64 = 55.0;
-    /// Molecular number density (≈ liquid water: 0.0334 molecules/Å³ ×
-    /// (3.16 Å)³ ≈ 1.05 per σ³).
-    pub const DENSITY: f64 = 1.05;
-}
-
-/// Build a box of `n_side³` flexible 3-site water molecules (SPC-like
-/// geometry and charges) at `temperature`, with the matching bonded
-/// [`Topology`]. Each molecule is 3 particles: O, H, H.
-pub fn water3_box(n_side: usize, temperature: f64, seed: u64) -> (System, Topology) {
-    assert!(n_side >= 1);
-    let n_mol = n_side * n_side * n_side;
-    let box_len = (n_mol as f64 / water3::DENSITY).cbrt();
-    let spacing = box_len / n_side as f64;
-    let mut rng = Rng::seed_from_u64(seed ^ 0x3517_ABCD_0000_0007);
-
-    let n = 3 * n_mol;
-    let mut species = Vec::with_capacity(n);
-    let mut pos = Vec::with_capacity(n);
-    let mut topo = Topology::none();
-    for ix in 0..n_side {
-        for iy in 0..n_side {
-            for iz in 0..n_side {
-                let o = Vec3::new(
-                    (ix as f64 + 0.5) * spacing + rng.uniform(-0.02, 0.02),
-                    (iy as f64 + 0.5) * spacing + rng.uniform(-0.02, 0.02),
-                    (iz as f64 + 0.5) * spacing + rng.uniform(-0.02, 0.02),
-                );
-                // Random molecular orientation: two O–H vectors at THETA.
-                let phi = rng.uniform(0.0, std::f64::consts::TAU);
-                let half = water3::THETA / 2.0;
-                let axis1 = Vec3::new(phi.cos() * half.sin(), phi.sin() * half.sin(), half.cos());
-                let axis2 = Vec3::new(phi.cos() * half.sin(), phi.sin() * half.sin(), -half.cos());
-                let base = pos.len() as u32;
-                species.push(Species::WaterO);
-                pos.push(o.wrap(box_len));
-                species.push(Species::WaterH);
-                pos.push((o + axis1 * water3::R_OH).wrap(box_len));
-                species.push(Species::WaterH);
-                pos.push((o + axis2 * water3::R_OH).wrap(box_len));
-                topo.bonds.push(Bond { i: base, j: base + 1, k: water3::K_BOND, r0: water3::R_OH });
-                topo.bonds.push(Bond { i: base, j: base + 2, k: water3::K_BOND, r0: water3::R_OH });
-                topo.angles.push(Angle {
-                    i: base + 1,
-                    j: base,
-                    k: base + 2,
-                    k_theta: water3::K_ANGLE,
-                    theta0: water3::THETA,
-                });
-            }
-        }
-    }
-
-    let vel: Vec<Vec3> = species
-        .iter()
-        .map(|s| {
-            let sigma = (temperature / s.mass()).sqrt();
-            Vec3::new(rng.normal() * sigma, rng.normal() * sigma, rng.normal() * sigma)
-        })
-        .collect();
-    let unwrapped = pos.clone();
-    let mut sys =
-        System { box_len, force: vec![Vec3::ZERO; species.len()], species, pos, vel, unwrapped };
-    sys.zero_momentum();
-    sys.rescale_to_temperature(temperature);
-    (sys, topo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,26 +222,5 @@ mod tests {
         let a = water_ion_box(1, 1.0, 11);
         let b = water_ion_box(1, 1.0, 12);
         assert_ne!(a.vel[0], b.vel[0]);
-    }
-
-    #[test]
-    fn water3_box_counts_and_neutrality() {
-        let (sys, topo) = water3_box(4, 1.0, 9);
-        assert_eq!(sys.len(), 3 * 64);
-        assert_eq!(sys.count(Species::WaterO), 64);
-        assert_eq!(sys.count(Species::WaterH), 128);
-        assert_eq!(topo.bonds.len(), 128);
-        assert_eq!(topo.angles.len(), 64);
-        let q: f64 = sys.species.iter().map(|s| s.charge()).sum();
-        assert!(q.abs() < 1e-9, "box must be neutral: {q}");
-    }
-
-    #[test]
-    fn water3_geometry_starts_at_equilibrium() {
-        let (sys, topo) = water3_box(3, 1.0, 10);
-        for b in &topo.bonds {
-            let d = (sys.pos[b.i as usize] - sys.pos[b.j as usize]).minimum_image(sys.box_len);
-            assert!((d.norm() - water3::R_OH).abs() < 1e-9, "{}", d.norm());
-        }
     }
 }

@@ -32,13 +32,9 @@
 
 #![warn(missing_docs)]
 
-mod api;
-mod energy;
 mod manager;
 mod measurement;
 
-pub use api::PoliSession;
-pub use energy::{EnergyLedger, RegionReport};
 pub use manager::{
     AllocOutcome, ExchangeFaults, PowerManager, PowerManagerConfig, MAX_COLLECTIVE_RETRIES,
     MAX_PLAUSIBLE_POWER_W,

@@ -2,7 +2,7 @@
 
 use crate::config::{CapMode, MachineConfig};
 use crate::node::Node;
-use crate::noise::{NoiseModel, NoiseSeed};
+use crate::noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 use crate::rapl::RaplDomain;
 use des::{PeriodicSampler, SimTime, TimeSeries};
 
@@ -17,67 +17,31 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cluster of `n` nodes, all initially capped at `initial_cap_w`
-    /// (ignored under [`CapMode::None`]).
-    pub fn new(
-        config: MachineConfig,
-        n: usize,
-        cap_mode: CapMode,
-        initial_cap_w: f64,
-        seed: NoiseSeed,
-    ) -> Self {
-        assert!(n > 0, "cluster needs at least one node");
-        let noise = NoiseModel::new(n, cap_mode, seed);
-        let nodes = (0..n)
-            .map(|id| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&config),
-                    _ => RaplDomain::capped(&config, cap_mode, initial_cap_w),
-                };
-                Node::new(id, noise.node_efficiency(id), rapl)
-            })
-            .collect();
-        Cluster { config, nodes, noise, cap_mode }
-    }
-
     /// Build with explicit initial per-node caps (e.g. an unbalanced
-    /// starting distribution, paper Fig. 7). `caps_w.len()` must equal `n`.
+    /// starting distribution, paper Fig. 7) and the noise sigmas of
+    /// `cap_mode`.
     pub fn with_caps(
         config: MachineConfig,
         caps_w: &[f64],
         cap_mode: CapMode,
         seed: NoiseSeed,
     ) -> Self {
-        assert!(!caps_w.is_empty());
-        let n = caps_w.len();
-        let noise = NoiseModel::new(n, cap_mode, seed);
-        let nodes = caps_w
-            .iter()
-            .enumerate()
-            .map(|(id, &cap)| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&config),
-                    _ => RaplDomain::capped(&config, cap_mode, cap),
-                };
-                Node::new(id, noise.node_efficiency(id), rapl)
-            })
-            .collect();
-        Cluster { config, nodes, noise, cap_mode }
+        Self::with_caps_sigmas(config, caps_w, cap_mode, NoiseSigmas::for_mode(cap_mode), seed)
     }
 
     /// Like [`Cluster::with_caps`] but with explicit noise sigmas. A zero
     /// phase sigma makes node evolution fully deterministic per state, which
     /// is what lets `insitu` have state-identical nodes share one walk.
+    /// Initial caps are ignored under [`CapMode::None`].
     pub fn with_caps_sigmas(
         config: MachineConfig,
         caps_w: &[f64],
         cap_mode: CapMode,
-        sigmas: crate::noise::NoiseSigmas,
+        sigmas: NoiseSigmas,
         seed: NoiseSeed,
     ) -> Self {
-        assert!(!caps_w.is_empty());
-        let n = caps_w.len();
-        let noise = NoiseModel::with_sigmas(n, sigmas, seed);
+        assert!(!caps_w.is_empty(), "cluster needs at least one node");
+        let noise = NoiseModel::with_sigmas(caps_w.len(), sigmas, seed);
         let nodes = caps_w
             .iter()
             .enumerate()
@@ -92,25 +56,16 @@ impl Cluster {
         Cluster { config, nodes, noise, cap_mode }
     }
 
-    /// A deterministic cluster with zero noise (unit tests).
+    /// A deterministic cluster of `n` nodes with zero noise, all capped at
+    /// `initial_cap_w` (unit tests).
     pub fn noiseless(
         config: MachineConfig,
         n: usize,
         cap_mode: CapMode,
         initial_cap_w: f64,
     ) -> Self {
-        let mut c = Self::new(config, n, cap_mode, initial_cap_w, NoiseSeed::new(0, 0));
-        c.noise = NoiseModel::silent(n);
-        c.nodes = (0..n)
-            .map(|id| {
-                let rapl = match cap_mode {
-                    CapMode::None => RaplDomain::uncapped(&c.config),
-                    _ => RaplDomain::capped(&c.config, cap_mode, initial_cap_w),
-                };
-                Node::new(id, 1.0, rapl)
-            })
-            .collect();
-        c
+        let caps = vec![initial_cap_w; n];
+        Self::with_caps_sigmas(config, &caps, cap_mode, NoiseSigmas::zero(), NoiseSeed::new(0, 0))
     }
 
     /// Machine configuration.
@@ -331,8 +286,12 @@ mod tests {
 
     #[test]
     fn noisy_cluster_efficiencies_vary() {
-        let c =
-            Cluster::new(MachineConfig::theta(), 64, CapMode::Long, 110.0, NoiseSeed::new(1, 1));
+        let c = Cluster::with_caps(
+            MachineConfig::theta(),
+            &[110.0; 64],
+            CapMode::Long,
+            NoiseSeed::new(1, 1),
+        );
         let effs: Vec<f64> = c.nodes().iter().map(|n| n.efficiency()).collect();
         let min = effs.iter().cloned().fold(f64::MAX, f64::min);
         let max = effs.iter().cloned().fold(f64::MIN, f64::max);

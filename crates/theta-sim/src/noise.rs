@@ -76,13 +76,8 @@ pub struct NoiseModel {
 }
 
 impl NoiseModel {
-    /// Build the model for `nodes` nodes under `mode`, deterministically
-    /// from `seed`.
-    pub fn new(nodes: usize, mode: CapMode, seed: NoiseSeed) -> Self {
-        Self::with_sigmas(nodes, NoiseSigmas::for_mode(mode), seed)
-    }
-
-    /// Build with explicit sigmas (tests, calibration sweeps).
+    /// Build the model for `nodes` nodes with `sigmas` (usually
+    /// [`NoiseSigmas::for_mode`]), deterministically from `seed`.
     pub fn with_sigmas(nodes: usize, sigmas: NoiseSigmas, seed: NoiseSeed) -> Self {
         let mut job_rng = Rng::seed_from_u64(seed.job.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut run_rng = Rng::seed_from_u64(
@@ -101,11 +96,6 @@ impl NoiseModel {
             seed.run.wrapping_mul(0xE703_7ED1_A0B4_28DB).wrapping_add(!seed.job),
         );
         NoiseModel { sigmas, node_efficiency, jitter_rng, measure_rng }
-    }
-
-    /// A model that adds no noise at all (unit tests).
-    pub fn silent(nodes: usize) -> Self {
-        Self::with_sigmas(nodes, NoiseSigmas::zero(), NoiseSeed::new(0, 0))
     }
 
     /// Static efficiency multiplier for a node (1.0 = nominal).
@@ -170,9 +160,13 @@ impl NoiseModel {
 mod tests {
     use super::*;
 
+    fn model(nodes: usize, mode: CapMode, seed: NoiseSeed) -> NoiseModel {
+        NoiseModel::with_sigmas(nodes, NoiseSigmas::for_mode(mode), seed)
+    }
+
     #[test]
     fn silent_model_is_exactly_nominal() {
-        let mut m = NoiseModel::silent(8);
+        let mut m = NoiseModel::with_sigmas(8, NoiseSigmas::zero(), NoiseSeed::new(0, 0));
         for n in 0..8 {
             assert_eq!(m.node_efficiency(n), 1.0);
         }
@@ -182,8 +176,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_model() {
-        let a = NoiseModel::new(16, CapMode::Long, NoiseSeed::new(3, 7));
-        let b = NoiseModel::new(16, CapMode::Long, NoiseSeed::new(3, 7));
+        let a = model(16, CapMode::Long, NoiseSeed::new(3, 7));
+        let b = model(16, CapMode::Long, NoiseSeed::new(3, 7));
         for n in 0..16 {
             assert_eq!(a.node_efficiency(n), b.node_efficiency(n));
         }
@@ -193,8 +187,8 @@ mod tests {
     fn same_job_different_run_shares_placement_up_to_run_bias() {
         // Two runs of the same job differ only by the (scalar) run bias, so
         // the per-node efficiency *ratios* are identical.
-        let a = NoiseModel::new(8, CapMode::Long, NoiseSeed::new(11, 0));
-        let b = NoiseModel::new(8, CapMode::Long, NoiseSeed::new(11, 1));
+        let a = model(8, CapMode::Long, NoiseSeed::new(11, 0));
+        let b = model(8, CapMode::Long, NoiseSeed::new(11, 1));
         let ratio0 = a.node_efficiency(0) / b.node_efficiency(0);
         for n in 1..8 {
             let r = a.node_efficiency(n) / b.node_efficiency(n);
@@ -207,7 +201,7 @@ mod tests {
         // Spread of mean efficiency across jobs must exceed spread across
         // runs within one job (this is the Table I structure).
         let mean_eff = |seed: NoiseSeed| {
-            let m = NoiseModel::new(32, CapMode::Long, seed);
+            let m = model(32, CapMode::Long, seed);
             (0..32).map(|n| m.node_efficiency(n)).sum::<f64>() / 32.0
         };
         let runs: Vec<f64> = (0..12).map(|r| mean_eff(NoiseSeed::new(5, r))).collect();
@@ -232,7 +226,7 @@ mod tests {
 
     #[test]
     fn measurement_noise_stays_positive() {
-        let mut m = NoiseModel::new(1, CapMode::LongShort, NoiseSeed::new(0, 0));
+        let mut m = model(1, CapMode::LongShort, NoiseSeed::new(0, 0));
         for _ in 0..1000 {
             assert!(m.noisy_power(0.5) >= 0.0);
         }
@@ -240,7 +234,7 @@ mod tests {
 
     #[test]
     fn phase_jitter_is_near_one() {
-        let mut m = NoiseModel::new(1, CapMode::Long, NoiseSeed::new(2, 3));
+        let mut m = model(1, CapMode::Long, NoiseSeed::new(2, 3));
         let n = 5000;
         let mean: f64 = (0..n).map(|_| m.phase_jitter()).sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.01, "{mean}");

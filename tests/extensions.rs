@@ -95,40 +95,3 @@ fn all_controllers_survive_mixed_intervals() {
         }
     }
 }
-
-/// The PoLiMER session API drives a full run's worth of feedback without
-/// leaking region state.
-#[test]
-fn poli_session_energy_accounting_over_a_run() {
-    use mpisim::{Communicator, JobLayout};
-    use polimer::{NodeInterval, PoliSession, PowerManagerConfig};
-    use seesaw::Role;
-
-    let world = Communicator::world(JobLayout::new(16, 2));
-    let mut session = PoliSession::init_power_manager(
-        &world,
-        |r| if r < 8 { Role::Simulation } else { Role::Analysis },
-        110.0,
-        PowerManagerConfig::with_controller("seesaw"),
-    )
-    .expect("known controller");
-    session.start_energy_counter("main-loop");
-    for sync in 0..20u64 {
-        for node in 0..8usize {
-            session.record(NodeInterval {
-                node,
-                role: if node < 4 { Role::Simulation } else { Role::Analysis },
-                time_s: if node < 4 { 4.0 } else { 2.0 + (sync % 3) as f64 * 0.1 },
-                power_w: 107.0,
-                cap_w: 110.0,
-            });
-        }
-        session.record_energy(4.0 * 4.0 * 107.0, 4.0 * 2.0 * 107.0, 4.0);
-        let _ = session.power_alloc();
-    }
-    let report = session.end_energy_counter("main-loop").expect("region open");
-    assert!(report.energy_j > 0.0);
-    assert_eq!(report.time_s, 80.0);
-    assert_eq!(session.manager().sync_index(), 20);
-    assert!(session.print_energy_counters().contains("main-loop"));
-}

@@ -29,13 +29,7 @@ const USAGE: &str =
                       [--window W] [--seed S] [--sim-cap W --analysis-cap W]
                       [--no-baseline] [--dump-syncs] [--quiet]
                       [--quiet-noise]
-                      [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]
-
-env: SEESAW_TRACE / SEESAW_TRACE_PERFETTO supply trace paths when the flags are
-absent; SEESAW_AUDIT=1 turns on --audit (invariant battery over the controller
-run's trace; writes results/run_run_experiment.json, exits 1 on violations);
-SEESAW_PROFILE=1 turns on --profile (wall-clock stage timers, writes
-results/profile_run_experiment.json — never byte-gated)";
+                      [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]";
 
 /// Largest `--nodes`: 15× Theta's 4 392. Beyond it the cluster model
 /// dies in the allocator instead of answering.
@@ -122,15 +116,15 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Opts { cfg, baseline, dump_syncs, mut common } =
+    let Opts { cfg, baseline, dump_syncs, common } =
         parse(&argv).unwrap_or_else(|msg| cli::exit_usage(BIN, USAGE, &msg));
-    common.env_fallback();
+    obs::profile::set_enabled(common.profile);
     let rep = common.reporter();
 
     // The controller run itself carries the tracer: `--trace` captures the
     // exact run being summarized, not a separate representative run. Under
     // `--audit` a streaming auditor rides the subscriber seam.
-    let failures = cli::observe(BIN, &common, &rep, |tracer| {
+    let (mut failures, documents) = cli::observe(BIN, &common, &rep, |tracer| {
         let fail = |e| -> ! {
             eprintln!("{BIN}: error: {e}");
             std::process::exit(2);
@@ -153,6 +147,10 @@ fn main() {
             println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
         }
     });
+    let dir = bench::results_dir();
+    for (file, body) in &documents {
+        failures += usize::from(bench::put_result(&rep, &dir, false, file, body).is_err());
+    }
     if failures > 0 {
         std::process::exit(1);
     }
@@ -283,6 +281,8 @@ mod tests {
             "--json",
             "--context",
             "--rel-tol",
+            "--check",
+            "--quick",
             "fig1_trace",
             "no_such_experiment",
             big.as_str(),
@@ -297,6 +297,8 @@ mod tests {
             argv("--audit --profile --no-baseline --quiet-noise"),
             argv("fig1_trace --quick --trace t.jsonl"),
             argv("fig3_analyses fault_sweep --quiet --audit"),
+            argv("--check --quiet"),
+            argv("fleet_sweep --check --audit --trace t.jsonl"),
             argv("--json out --quiet a.jsonl b.jsonl"),
             argv("--artifact --context 7 --rel-tol 0.02 --quiet a.json b.json"),
         ];
@@ -328,6 +330,7 @@ mod tests {
                 if let Ok(sel) = cli::Selection::parse(&args) {
                     assert!(!sel.experiments.is_empty());
                     assert!(!sel.args.wants_trace() || sel.experiments.len() == 1);
+                    assert!(!sel.check || !(sel.args.quick || sel.args.profile));
                     selected += 1;
                 }
                 if let Ok(a) = cli::AuditTraceArgs::parse(&args) {

@@ -5,13 +5,11 @@
 //! parser, and each bin hands the `Err` to [`exit_usage`] (usage text,
 //! exit 2). The common flags — `--quick`, `--quiet`, `--trace FILE`,
 //! `--trace-perfetto FILE`, `--audit`, `--profile` — are parsed strictly:
-//! an unknown flag is a usage error, never silently ignored. When the
-//! trace flags are absent the `SEESAW_TRACE` / `SEESAW_TRACE_PERFETTO`
-//! environment variables supply the paths; `SEESAW_AUDIT=1` likewise
-//! turns on `--audit` and `SEESAW_PROFILE=1` turns on `--profile` (the
-//! wall-clock stage profiler, written to `results/profile_<name>.json` —
-//! the one artifact deliberately excluded from the byte-determinism
-//! gates).
+//! an unknown flag is a usage error, never silently ignored. A flag is
+//! the only way to set one; the environment sets none. `repro` adds
+//! `--check` (compare every output with `results/` instead of writing
+//! it), which refuses `--quick` and `--profile`: the committed files are
+//! full size, and a stage profile is wall-clock, never compared.
 
 use crate::experiments::{self, Experiment};
 use obs::Reporter;
@@ -106,47 +104,10 @@ impl CommonArgs {
     pub fn wants_trace(&self) -> bool {
         self.trace.is_some() || self.perfetto.is_some()
     }
-
-    /// Fill unset trace paths from `SEESAW_TRACE` / `SEESAW_TRACE_PERFETTO`,
-    /// the audit flag from `SEESAW_AUDIT`, and the profile flag from
-    /// `SEESAW_PROFILE` — then arm the process-global stage profiler to
-    /// match, so stage timers deep in the engine crates need no plumbing.
-    /// Every bin calls this once its argv has parsed.
-    pub fn env_fallback(&mut self) {
-        if self.trace.is_none() {
-            if let Ok(p) = std::env::var("SEESAW_TRACE") {
-                if !p.is_empty() {
-                    self.trace = Some(PathBuf::from(p));
-                }
-            }
-        }
-        if self.perfetto.is_none() {
-            if let Ok(p) = std::env::var("SEESAW_TRACE_PERFETTO") {
-                if !p.is_empty() {
-                    self.perfetto = Some(PathBuf::from(p));
-                }
-            }
-        }
-        if !self.audit {
-            if let Ok(p) = std::env::var("SEESAW_AUDIT") {
-                if p == "1" || p.eq_ignore_ascii_case("true") {
-                    self.audit = true;
-                }
-            }
-        }
-        if !self.profile {
-            if let Ok(p) = std::env::var("SEESAW_PROFILE") {
-                if p == "1" || p.eq_ignore_ascii_case("true") {
-                    self.profile = true;
-                }
-            }
-        }
-        obs::profile::set_enabled(self.profile);
-    }
 }
 
 /// Parse `argv` accepting only the common flags; `Err` carries the
-/// offending-flag message. Exit-free and blind to the environment.
+/// offending-flag message. Exit-free.
 pub fn try_parse(argv: &[String]) -> Result<CommonArgs, String> {
     parse_with(argv, |arg| Err(unknown_flag(arg)))
 }
@@ -162,15 +123,23 @@ pub struct Selection {
     pub experiments: Vec<&'static Experiment>,
     /// The common flags.
     pub args: CommonArgs,
+    /// Compare every output with `results/` instead of writing it
+    /// (`--check`).
+    pub check: bool,
 }
 
 impl Selection {
-    /// Parse `repro`'s `argv`: the common flags plus experiment names as
-    /// positional arguments, each checked against the table. Exit-free and
-    /// blind to the environment, like [`try_parse`].
+    /// Parse `repro`'s `argv`: the common flags, `--check`, and experiment
+    /// names as positional arguments, each checked against the table.
+    /// Exit-free, like [`try_parse`].
     pub fn parse(argv: &[String]) -> Result<Selection, String> {
         let mut named: Vec<&str> = Vec::new();
+        let mut check = false;
         let args = parse_with(argv, |arg| {
+            if arg == "--check" {
+                check = true;
+                return Ok(());
+            }
             if arg.starts_with('-') {
                 return Err(unknown_flag(arg));
             }
@@ -183,23 +152,18 @@ impl Selection {
             Ok(())
         })?;
         let selected = |e: &&Experiment| named.is_empty() || named.contains(&e.name);
-        let selection =
-            Selection { experiments: experiments::TABLE.iter().filter(selected).collect(), args };
-        selection.check_trace_target()?;
-        Ok(selection)
-    }
-
-    /// A trace file records one run — the representative run of one
-    /// experiment — so asking for one with any other selection is an
-    /// error. `repro` checks again once the environment has had its say.
-    pub fn check_trace_target(&self) -> Result<(), String> {
-        if self.args.wants_trace() && self.experiments.len() != 1 {
+        let experiments: Vec<_> = experiments::TABLE.iter().filter(selected).collect();
+        // A trace file records one run: one experiment's representative run.
+        if args.wants_trace() && experiments.len() != 1 {
             return Err(format!(
                 "a trace file records one experiment's representative run; {} are selected",
-                self.experiments.len()
+                experiments.len()
             ));
         }
-        Ok(())
+        if check && (args.quick || args.profile) {
+            return Err("--check compares full-size outputs: no --quick, no --profile".into());
+        }
+        Ok(Selection { experiments, args, check })
     }
 }
 
@@ -305,22 +269,22 @@ impl TraceDiffArgs {
 }
 
 /// Run `run` under the observation the common flags ask for, then write
-/// what it recorded. The tracer `run` gets buffers only when a trace file
-/// was requested; `--audit` alone streams events through a live
-/// [`audit::StreamAuditor`] and drops them, so an audited run never
-/// materializes its events; with neither it is off. Afterwards: the trace
-/// exports, `results/profile_<name>.json` under `--profile`, and under
-/// `--audit` the run document `results/run_<name>.json` (the report, the
-/// per-interval run-health snapshots and the metric registry). Every
-/// write is attempted. Returns the number of failures — writes that
-/// failed, plus one for an audit with violations — for the caller to exit
-/// 1 on.
+/// the trace exports it recorded. The tracer `run` gets buffers only when
+/// a trace file was requested; `--audit` alone streams events through a
+/// live [`audit::StreamAuditor`] and drops them, so an audited run never
+/// materializes its events; with neither it is off. Returns the number of
+/// failures — trace writes that failed, plus one for an audit with
+/// violations — for the caller to exit 1 on, and the documents bound for
+/// `results/`, for the caller to put through [`crate::put_result`]:
+/// `profile_<name>.json` under `--profile`, and under `--audit` the run
+/// document `run_<name>.json` (the report, the per-interval run-health
+/// snapshots and the metric registry).
 pub fn observe(
     name: &str,
     args: &CommonArgs,
     rep: &Reporter,
     run: impl FnOnce(&obs::Tracer),
-) -> usize {
+) -> (usize, Vec<(String, String)>) {
     let tracer = if args.wants_trace() {
         obs::Tracer::enabled()
     } else if args.audit {
@@ -362,10 +326,7 @@ pub fn observe(
             violated = true;
         }
     }
-    for (file, body) in documents {
-        written.push(crate::write_result(rep, &file, &body));
-    }
-    written.iter().filter(|w| w.is_err()).count() + usize::from(violated)
+    (written.iter().filter(|w| w.is_err()).count() + usize::from(violated), documents)
 }
 
 #[cfg(test)]
@@ -433,11 +394,21 @@ mod tests {
         assert!(parse(&["--trace", "t.jsonl"]).unwrap_err().contains("15 are selected"));
         assert!(parse(&["fig1_trace", "ablation", "--trace-perfetto", "p.json"]).is_err());
         assert!(parse(&["fig1_trace", "--trace", "t.jsonl"]).is_ok());
-        // The environment can name a trace file too: the check runs again
-        // on the flags as `env_fallback` left them.
-        let mut all = parse(&[]).unwrap();
-        all.args.trace = Some("t.jsonl".into());
-        assert!(all.check_trace_target().is_err());
+    }
+
+    #[test]
+    fn check_compares_full_size_outputs_only() {
+        let parse = |args: &[&str]| Selection::parse(&argv(args));
+        assert!(!parse(&[]).unwrap().check);
+        let all = parse(&["--check", "--quiet"]).unwrap();
+        assert!(all.check && all.experiments.len() == experiments::TABLE.len());
+        let one = parse(&["fleet_sweep", "--check", "--audit", "--trace", "t.jsonl"]).unwrap();
+        assert!(one.check && one.args.audit && one.args.wants_trace());
+        for refused in [&["--check", "--quick"][..], &["fig1_trace", "--profile", "--check"]] {
+            assert!(parse(refused).unwrap_err().contains("--check"), "{refused:?}");
+        }
+        // `--check` is `repro`'s alone.
+        assert!(try_parse(&argv(&["--check"])).is_err());
     }
 
     #[test]
@@ -452,6 +423,6 @@ mod tests {
     fn a_failed_trace_write_is_a_failure() {
         let args =
             CommonArgs { trace: Some("/nonexistent/dir/t.jsonl".into()), ..Default::default() };
-        assert_eq!(observe("t", &args, &Reporter::new(true), |_| {}), 1);
+        assert_eq!(observe("t", &args, &Reporter::new(true), |_| {}).0, 1);
     }
 }

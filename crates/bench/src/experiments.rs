@@ -1641,9 +1641,15 @@ mod tests {
         }
     }
 
+    /// The rows whose representative run is committed as a run document,
+    /// `results/run_<row>.json`.
+    const SWEEPS: [&str; 3] = ["machine_sweep", "machine_sweep_theta", "fleet_sweep"];
+
     /// Dedupe and pool width never change an answer: under `--quick`,
     /// every experiment's console lines and files are identical run
-    /// alone, inside the full selection, and at 1 vs 4 threads.
+    /// alone, inside the full selection, and at 1 vs 4 threads. And the
+    /// committed `results/` holds exactly what `repro --check` compares:
+    /// the table's files, `full_run.log` and the sweeps' run documents.
     #[test]
     fn outputs_do_not_depend_on_selection_or_pool_width() {
         let serial = par::with_threads(1, || run_selection(&all(), true));
@@ -1672,7 +1678,20 @@ mod tests {
                 files.push(file);
             }
         }
-        assert_eq!(files.len(), 23, "16 JSON + 7 SVG: {files:?}");
+
+        let mut expected: Vec<String> = files.iter().map(|f| f.to_string()).collect();
+        expected.push("full_run.log".into());
+        expected.extend(SWEEPS.iter().map(|row| format!("run_{row}.json")));
+        let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+        let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}"));
+        let committed: Vec<String> =
+            entries.map(|f| f.unwrap().file_name().to_string_lossy().into_owned()).collect();
+        let stray: Vec<&String> = committed.iter().filter(|f| !expected.contains(f)).collect();
+        let missing: Vec<&String> = expected.iter().filter(|f| !committed.contains(f)).collect();
+        assert!(
+            stray.is_empty() && missing.is_empty(),
+            "results/ is not what repro writes: stray {stray:?}, missing {missing:?}"
+        );
     }
 
     /// Names are unique and resolvable, and every `--bin repro -- ARGS`
@@ -1735,7 +1754,7 @@ mod tests {
     /// observes — stream through the live invariant battery clean.
     #[test]
     fn the_sweeps_representative_runs_audit_clean() {
-        for name in ["machine_sweep", "machine_sweep_theta", "fleet_sweep"] {
+        for name in SWEEPS {
             let tracer = obs::Tracer::streaming();
             let auditor = std::sync::Arc::new(std::sync::Mutex::new(audit::StreamAuditor::new()));
             tracer.attach(Box::new(std::sync::Arc::clone(&auditor)));

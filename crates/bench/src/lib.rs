@@ -13,14 +13,17 @@
 //! cargo run --release -p bench --bin repro                  # everything
 //! cargo run --release -p bench --bin repro -- fig3_analyses fig4_power_alloc
 //! cargo run --release -p bench --bin repro -- machine_sweep_theta --audit
+//! ./target/release/repro --check                            # results/ is a function of HEAD
 //! ```
 //!
-//! `repro` and `run_experiment` accept the same common flags (parsed
-//! strictly — unknown flags are a usage error): `--quick` shrinks
-//! steps/scales for smoke-testing, `--quiet` suppresses progress output,
-//! and `--trace`/`--trace-perfetto`/`--audit` observe a representative
-//! run (see [`cli`]). Every bin exits 1 when an output could not be
-//! written.
+//! Every file bound for `results/` goes through [`put_result`], which
+//! writes it or, under `repro --check`, compares it with the committed
+//! file and writes nothing. `repro` and `run_experiment` accept the same
+//! common flags (parsed strictly — unknown flags are a usage error):
+//! `--quick` shrinks steps/scales for smoke-testing, `--quiet` suppresses
+//! progress output, and `--trace`/`--trace-perfetto`/`--audit` observe a
+//! representative run (see [`cli`]). Every bin exits 1 when an output
+//! could not be written, or did not match.
 
 #![warn(missing_docs)]
 
@@ -32,8 +35,8 @@ mod svg;
 use obs::Reporter;
 use std::path::{Path, PathBuf};
 
-/// Where experiment output lands (`results/` at the workspace root, or
-/// `$SEESAW_RESULTS_DIR`).
+/// Where experiment output lands, and where `--check` compares it
+/// (`results/` at the workspace root, or `$SEESAW_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("SEESAW_RESULTS_DIR") {
         return PathBuf::from(dir);
@@ -50,19 +53,77 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-/// Write `body` to `results/<file>`, creating the directory if needed: a
-/// note on success, a warning on failure. The `Err` is for the caller to
-/// count, so that it can try every other write before exiting 1.
-pub fn write_result(rep: &Reporter, file: &str, body: &str) -> std::io::Result<()> {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        rep.warn(format!("cannot create {}: {e}", dir.display()));
-        return Err(e);
+/// The one place a results file goes: write `body` to `dir/<file>`
+/// (creating `dir` if needed), or under `check` compare it with the file
+/// already there and write nothing. A JSON file is compared field by field
+/// ([`audit::diff_artifacts`], exact), anything else by its first
+/// differing line. A failure — a write, a missing file, a difference — is
+/// printed to stderr and returned, for the caller to count, so that it can
+/// try every other file before exiting 1.
+pub fn put_result(
+    rep: &Reporter,
+    dir: &Path,
+    check: bool,
+    file: &str,
+    body: &str,
+) -> Result<(), String> {
+    let path = dir.join(file);
+    if !check {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            rep.warn(format!("cannot create {}: {e}", dir.display()));
+            return Err(e.to_string());
+        }
+        return write_file(rep, &path, body).map_err(|e| e.to_string());
     }
-    write_file(rep, &dir.join(file), body)
+    let why = match std::fs::read_to_string(&path) {
+        Ok(committed) if committed == body => {
+            rep.note(format!("matches {}", display_rel(&path)));
+            return Ok(());
+        }
+        Ok(committed) => {
+            let mut why = Vec::new();
+            if file.ends_with(".json") {
+                let d = audit::diff_artifacts(&committed, body, 0.0);
+                why.extend(d.diagnostics.iter().map(ToString::to_string));
+                why.extend(d.notes.iter().map(|n| format!("note: {n}")));
+            }
+            if why.is_empty() {
+                why.push(first_differing_line(&committed, body));
+            }
+            format!("{} differs from this run:\n  {}", display_rel(&path), why.join("\n  "))
+        }
+        Err(e) => format!("{} is missing: {e}", display_rel(&path)),
+    };
+    eprintln!("check: {why}");
+    Err(why)
 }
 
-/// [`write_result`] to any `path`, its directory left as it is.
+/// Where two unequal texts first part: the 1-based line and column, and
+/// up to 60 characters of each from there.
+fn first_differing_line(committed: &str, produced: &str) -> String {
+    let (mut a, mut b) = (committed.split('\n'), produced.split('\n'));
+    let mut line = 1;
+    loop {
+        match (a.next(), b.next()) {
+            (Some(x), Some(y)) if x == y => line += 1,
+            (x, y) => {
+                let column = x.zip(y).map_or(0, |(x, y)| {
+                    x.chars().zip(y.chars()).take_while(|(p, q)| p == q).count()
+                });
+                let rest = |s: Option<&str>| {
+                    s.map_or("end of file".into(), |s| {
+                        format!("{:?}", s.chars().skip(column).take(60).collect::<String>())
+                    })
+                };
+                let (x, y) = (rest(x), rest(y));
+                return format!("line {line}, column {}: committed {x}, produced {y}", column + 1);
+            }
+        }
+    }
+}
+
+/// Write `body` to any `path`, its directory left as it is: a note on
+/// success, a warning on failure.
 pub fn write_file(rep: &Reporter, path: &Path, body: &str) -> std::io::Result<()> {
     match std::fs::write(path, body) {
         Ok(()) => {
@@ -116,5 +177,70 @@ mod tests {
         assert!(write_file(&rep, &path, "{}").is_ok());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    const JSON: &str = "[\n  {\n    \"sim0_w\": 120.0\n  }\n]\n";
+    const SVG: &str = "<svg>\n<rect x=\"1\"/>\n</svg>\n";
+    const LOG: &str = "=== fig1_trace ===\nrow\n";
+
+    /// A directory holding `JSON`, `SVG` and `LOG`, written through the
+    /// sink as `repro` writes them.
+    fn committed(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (file, body) in [("f.json", JSON), ("f.svg", SVG), ("full_run.log", LOG)] {
+            put_result(&Reporter::new(true), &dir, false, file, body).unwrap();
+        }
+        dir
+    }
+
+    fn check(dir: &Path, file: &str, body: &str) -> Result<(), String> {
+        put_result(&Reporter::new(true), dir, true, file, body)
+    }
+
+    #[test]
+    fn a_check_of_identical_files_is_clean_and_writes_nothing() {
+        let dir = committed("check-clean");
+        for (file, body) in [("f.json", JSON), ("f.svg", SVG), ("full_run.log", LOG)] {
+            assert_eq!(check(&dir, file, body), Ok(()), "{file}");
+        }
+        assert!(check(&dir, "f.svg", "<svg/>\n").is_err());
+        assert_eq!(std::fs::read_to_string(dir.join("f.svg")).unwrap(), SVG);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_doctored_json_number_names_the_file_and_the_field() {
+        let dir = committed("check-json");
+        let err = check(&dir, "f.json", &JSON.replace("120.0", "9120.0")).unwrap_err();
+        assert!(err.contains("f.json differs"), "{err}");
+        assert!(err.contains("error[DIFF0003] artifact: [0].sim0_w: 120.0 -> 9120.0"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_doctored_svg_or_log_names_the_file_and_the_line() {
+        let dir = committed("check-text");
+        let err = check(&dir, "f.svg", &SVG.replace("x=\"1\"", "x=\"2\"")).unwrap_err();
+        assert!(err.contains("f.svg differs"), "{err}");
+        assert!(err.contains(r#"line 2, column 10: committed "1\"/>", produced "2\"/>""#), "{err}");
+        let err = check(&dir, "full_run.log", &LOG.replace("row", "rose")).unwrap_err();
+        assert!(err.contains("full_run.log differs"), "{err}");
+        assert!(err.contains(r#"line 2, column 3: committed "w", produced "se""#), "{err}");
+        let err = check(&dir, "full_run.log", "=== fig1_trace ===").unwrap_err();
+        assert!(
+            err.contains(r#"line 2, column 1: committed "row", produced end of file"#),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_missing_file_is_named() {
+        let dir = committed("check-missing");
+        let err = check(&dir, "run_fleet_sweep.json", JSON).unwrap_err();
+        assert!(err.contains("run_fleet_sweep.json is missing"), "{err}");
+        assert!(!dir.join("run_fleet_sweep.json").exists(), "a check writes nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -771,7 +771,7 @@ impl TraceEvent {
 const JSONL_BYTES_PER_EVENT: usize = 112;
 
 /// Serialize a slice of events as JSONL (one event per line, trailing
-/// newline after the last line — the format `SEESAW_TRACE` files use).
+/// newline after the last line — the format `--trace FILE` writes).
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * JSONL_BYTES_PER_EVENT);
     for ev in events {

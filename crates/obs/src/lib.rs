@@ -35,8 +35,7 @@
 //!   share instead of ad-hoc `println!` lines.
 //!
 //! Activation: the bins accept `--trace <path>` (JSONL) and
-//! `--trace-perfetto <path>`, or the `SEESAW_TRACE` /
-//! `SEESAW_TRACE_PERFETTO` environment variables.
+//! `--trace-perfetto <path>`.
 #![warn(missing_docs)]
 
 mod event;

@@ -42,9 +42,8 @@ fn table() -> &'static Mutex<BTreeMap<String, Histogram>> {
     TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-/// Turn the profiler on or off process-wide. The bins call this from
-/// their `--profile` / `SEESAW_PROFILE=1` plumbing; everything else just
-/// plants timers.
+/// Turn the profiler on or off process-wide. The bins call this once
+/// their `--profile` flag has parsed; everything else just plants timers.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

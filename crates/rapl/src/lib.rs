@@ -92,9 +92,6 @@ impl PowercapFs for SysFs {
 pub struct MockFs {
     files: BTreeMap<PathBuf, String>,
     domains: Vec<PathBuf>,
-    /// Fault injection: the next `write_errors` writes fail with `EIO`
-    /// (transient sysfs write failures seen under PCU firmware load).
-    write_errors: u32,
 }
 
 impl MockFs {
@@ -130,17 +127,6 @@ impl MockFs {
     pub fn get(&self, path: &Path) -> Option<&str> {
         self.files.get(path).map(String::as_str)
     }
-
-    /// Fault injection: make the next `n` writes fail with `EIO` before
-    /// the filesystem recovers (a transient sysfs failure).
-    pub fn inject_write_errors(&mut self, n: u32) {
-        self.write_errors = self.write_errors.saturating_add(n);
-    }
-
-    /// Injected write errors still pending.
-    pub fn pending_write_errors(&self) -> u32 {
-        self.write_errors
-    }
 }
 
 impl PowercapFs for MockFs {
@@ -152,11 +138,6 @@ impl PowercapFs for MockFs {
     }
 
     fn write(&mut self, path: &Path, value: &str) -> io::Result<()> {
-        if self.write_errors > 0 {
-            self.write_errors -= 1;
-            // EIO, as the kernel reports when the PCU rejects the MSR write.
-            return Err(io::Error::from_raw_os_error(5));
-        }
         if !self.files.contains_key(path) {
             return Err(io::Error::new(io::ErrorKind::NotFound, format!("{path:?}")));
         }
@@ -267,41 +248,6 @@ impl<F: PowercapFs> RaplReader<F> {
         let uw = (watts * 1e6).round() as u64;
         self.fs.write(&path, &uw.to_string())
     }
-
-    /// Set a power limit with bounded retries on transient I/O errors
-    /// (`EIO`/`EAGAIN` from a busy PCU). Returns the number of retries it
-    /// took; permanent errors (bad input, missing file) are returned
-    /// immediately without retrying.
-    pub fn set_power_limit_w_with_retry(
-        &mut self,
-        domain: usize,
-        window: Window,
-        watts: f64,
-        max_retries: u32,
-    ) -> io::Result<u32> {
-        let mut attempt = 0;
-        loop {
-            match self.set_power_limit_w(domain, window, watts) {
-                Ok(()) => return Ok(attempt),
-                Err(e) => {
-                    let transient =
-                        matches!(e.raw_os_error(), Some(5) /* EIO */ | Some(11) /* EAGAIN */)
-                            || e.kind() == io::ErrorKind::Interrupted;
-                    if !transient || attempt >= max_retries {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// The long-term time window, seconds.
-    pub fn time_window_s(&self, domain: usize, window: Window) -> io::Result<f64> {
-        let c = window.constraint_index();
-        let path = self.domains[domain].path.join(format!("constraint_{c}_time_window_us"));
-        Ok(parse_u64(&self.fs.read(&path)?)? as f64 * 1e-6)
-    }
 }
 
 fn parse_u64(s: &str) -> io::Result<u64> {
@@ -367,50 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn windows_expose_theta_like_values() {
-        let r = reader_with_one_package();
-        assert_eq!(r.time_window_s(0, Window::Long).unwrap(), 1.0);
-        assert!((r.time_window_s(0, Window::Short).unwrap() - 0.009766).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_elapsed_gives_zero_power() {
         let mut r = reader_with_one_package();
         assert_eq!(r.power_w(0, 0.0).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn transient_eio_is_retried_to_success() {
-        let mut r = reader_with_one_package();
-        r.fs_mut().inject_write_errors(2);
-        let retries = r
-            .set_power_limit_w_with_retry(0, Window::Long, 105.0, 3)
-            .expect("two transient EIOs then success");
-        assert_eq!(retries, 2);
-        assert_eq!(r.power_limit_w(0, Window::Long).unwrap(), 105.0);
-        assert_eq!(r.fs_mut().pending_write_errors(), 0);
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_surfaces_the_error() {
-        let mut r = reader_with_one_package();
-        r.fs_mut().inject_write_errors(5);
-        let err = r
-            .set_power_limit_w_with_retry(0, Window::Long, 105.0, 2)
-            .expect_err("3 attempts cannot clear 5 injected errors");
-        assert_eq!(err.raw_os_error(), Some(5), "EIO surfaces: {err}");
-        // The limit is unchanged.
-        assert_eq!(r.power_limit_w(0, Window::Long).unwrap(), 100.0);
-    }
-
-    #[test]
-    fn permanent_errors_are_not_retried() {
-        let mut r = reader_with_one_package();
-        // Invalid input fails immediately, consuming no retry budget.
-        let err = r
-            .set_power_limit_w_with_retry(0, Window::Long, f64::NAN, 10)
-            .expect_err("NaN is permanent");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

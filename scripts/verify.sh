@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build + tests, lint wall, the
-# fault-injection determinism gate (same seed -> byte-identical JSON) and
-# the regeneration gate (every committed paper artifact is what `repro`
-# writes at HEAD).
+# Tier-1 verification: offline build + tests, lint wall, and the
+# regeneration gate — every committed file under results/ is what `repro`
+# produces at HEAD, at any POLIMER_THREADS.
 #
-# Every byte-identity gate routes through the run explainer
-# (`trace_diff`): identical inputs are silent exit-0 exactly like `diff`,
-# but a divergence names the first differing line, the field that moved,
-# and the last events per involved node before the break — so a gate
-# failure arrives pre-bisected. A seeded self-test doctors a real trace
-# to prove the explainer actually fails (nonzero exit, DIFF code, line
-# number, per-node context) before any gate trusts it.
+# `repro --check` is that gate: it runs the selection, compares every
+# output with results/ in-process (JSON field by field, anything else by
+# its first differing line) and exits 1 naming each file that differs or
+# is missing. Since every width must equal the committed bytes, two widths
+# agree with each other without a diff of their own. The remaining
+# byte-identity gates (traces, run documents outside results/) go through
+# the run explainer, `trace_diff`, which names the first differing line
+# and field; seeded self-tests prove it, and `audit_trace`, fail on
+# doctored input before any gate trusts their silence.
 #
 # No stage holds a wall-clock bound, so a busy host cannot turn it red:
 # what the code promises about work is an exact count in the tests, and
@@ -39,91 +40,32 @@ cargo clippy --all-targets --offline -- -D warnings
 stage "format: cargo fmt --check"
 cargo fmt --check
 
-a="$(mktemp -d)"
-b="$(mktemp -d)"
 c="$(mktemp -d)"
-trap 'rm -rf "$a" "$b" "$c"' EXIT
+trap 'rm -rf "$c"' EXIT
+mkdir -p "$c/1" "$c/4" "$c/replay"
 
-# Divergence diagnostics land here; CI sets SEESAW_DIAG_DIR to a
-# persistent path and uploads it as an artifact when a gate fails.
-DIAG="${SEESAW_DIAG_DIR:-$c/diag}"
-mkdir -p "$DIAG"
+stage "every committed artifact regenerates: repro --check at POLIMER_THREADS=4"
+POLIMER_THREADS=4 ./target/release/repro --check --quiet
 
-# On divergence: print the explanation, and bank it plus the tails of
-# both inputs for the CI artifact.
-explain_failure() {
-    cat "$DIAG/last.txt"
-    {
-        echo "=== $1 vs $2 ==="
-        cat "$DIAG/last.txt"
-        echo "--- tail $1 ---"
-        tail -n 20 "$1"
-        echo "--- tail $2 ---"
-        tail -n 20 "$2"
-    } >>"$DIAG/divergence.txt"
-    return 1
-}
-# Trace gate: streaming line-by-line comparison (constant memory).
-tdiff() {
-    ./target/release/trace_diff "$1" "$2" >"$DIAG/last.txt" 2>&1 || explain_failure "$1" "$2"
-}
-# Artifact gate: exact (rel-tol 0) JSON document comparison.
-adiff() {
-    ./target/release/trace_diff --artifact "$1" "$2" >"$DIAG/last.txt" 2>&1 \
-        || explain_failure "$1" "$2"
-}
-
-stage "determinism: repro fault_sweep twice, byte-identical JSON"
-SEESAW_RESULTS_DIR="$a" ./target/release/repro fault_sweep --quick --audit >/dev/null
-SEESAW_RESULTS_DIR="$b" ./target/release/repro fault_sweep --quick >/dev/null
-adiff "$a/fault_sweep.json" "$b/fault_sweep.json"
-
-# results/ is a function of HEAD: one full `repro` (every distinct
-# simulation once) must reproduce all 16 JSON and 7 SVG files and its own
-# stdout, results/full_run.log — fault_sweep.json and the three sweeps'
-# JSON among them.
-stage "every paper artifact regenerates: full repro at POLIMER_THREADS=4 vs committed results/"
-mkdir -p "$c/repro"
-SEESAW_RESULTS_DIR="$c/repro" POLIMER_THREADS=4 ./target/release/repro \
-    >"$c/repro/full_run.log" 2>"$c/repro.err" || { cat "$c/repro.err"; exit 1; }
-test "$(ls "$c/repro" | wc -l)" -eq 24
-for f in "$c/repro"/*.json; do
-    adiff "$f" "results/$(basename "$f")"
+# The sweep rows again, audited and traced: their run documents are
+# committed too, and each trace is replayed below.
+stage "sweeps: repro <row> --check --audit --trace at POLIMER_THREADS=1 and 4"
+for t in 1 4; do
+    for row in machine_sweep machine_sweep_theta fleet_sweep; do
+        POLIMER_THREADS=$t ./target/release/repro "$row" --check --audit --quiet \
+            --trace "$c/$t/$row.jsonl"
+    done
 done
-for f in "$c/repro"/*.svg "$c/repro/full_run.log"; do
-    cmp "$f" "results/$(basename "$f")"
-done
-
-# sched steps its jobs on the calling thread, so T1 vs T4 here guards
-# against a thread-count dependence creeping in, not a threaded path.
-stage "machine determinism: repro machine_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (audited)"
-SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/m1.jsonl" POLIMER_THREADS=1 \
-    ./target/release/repro machine_sweep --quiet --audit
-SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 ./target/release/repro machine_sweep --quiet --audit
-adiff "$a/machine_sweep.json" "$b/machine_sweep.json"
-adiff "$b/machine_sweep.json" results/machine_sweep.json
-adiff "$a/run_machine_sweep.json" "$b/run_machine_sweep.json"
-
-# As for machine_sweep: members step on the calling thread at any width.
-stage "fleet chaos soak: repro fleet_sweep at POLIMER_THREADS=1 vs 4 vs committed JSON (traced + audited)"
-SEESAW_RESULTS_DIR="$a" SEESAW_TRACE="$c/fleet1.jsonl" POLIMER_THREADS=1 \
-    ./target/release/repro fleet_sweep --quiet --audit
-SEESAW_RESULTS_DIR="$b" SEESAW_TRACE="$c/fleet4.jsonl" POLIMER_THREADS=4 \
-    ./target/release/repro fleet_sweep --quiet --audit
-adiff "$a/fleet_sweep.json" "$b/fleet_sweep.json"
-adiff "$b/fleet_sweep.json" results/fleet_sweep.json
-tdiff "$c/fleet1.jsonl" "$c/fleet4.jsonl"
-test -s "$c/fleet1.jsonl"
-adiff "$a/run_fleet_sweep.json" "$b/run_fleet_sweep.json"
+./target/release/trace_diff "$c/1/fleet_sweep.jsonl" "$c/4/fleet_sweep.jsonl"
 
 stage "trace determinism: run_experiment JSONL + run document at POLIMER_THREADS=1 vs 4"
-SEESAW_TRACE="$c/t1.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
-    ./target/release/run_experiment --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet
-SEESAW_TRACE="$c/t4.jsonl" SEESAW_AUDIT=1 SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
-    ./target/release/run_experiment --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet
-tdiff "$c/t1.jsonl" "$c/t4.jsonl"
+for t in 1 4; do
+    SEESAW_RESULTS_DIR="$c/$t" POLIMER_THREADS=$t ./target/release/run_experiment \
+        --nodes 8 --dim 16 --steps 40 --analyses vacf --quiet --audit --trace "$c/t$t.jsonl"
+done
+./target/release/trace_diff "$c/t1.jsonl" "$c/t4.jsonl"
 test -s "$c/t1.jsonl"
-adiff "$a/run_run_experiment.json" "$b/run_run_experiment.json"
+./target/release/trace_diff --artifact "$c/1/run_run_experiment.json" "$c/4/run_run_experiment.json"
 
 # The gates above only ever feed trace_diff identical files; prove it
 # still *fails* — right code, right line, causal context — on seeded
@@ -158,14 +100,6 @@ set -e
 test "$rt" -eq 1
 grep -q 'error\[DIFF0002\]' "$c/explain_trunc.txt"
 
-stage "full-Theta smoke: 4392-node repro machine_sweep_theta, audited streaming, T1 vs T4"
-SEESAW_RESULTS_DIR="$a" POLIMER_THREADS=1 \
-    ./target/release/repro machine_sweep_theta --quick --quiet --audit
-SEESAW_RESULTS_DIR="$b" POLIMER_THREADS=4 \
-    ./target/release/repro machine_sweep_theta --quick --quiet --audit
-adiff "$a/machine_sweep_theta.json" "$b/machine_sweep_theta.json"
-adiff "$a/run_machine_sweep_theta.json" "$b/run_machine_sweep_theta.json"
-
 stage "trace audit: invariant battery over the serialized trace"
 ./target/release/audit_trace --quiet "$c/t1.jsonl"
 
@@ -186,30 +120,27 @@ awk -v n="$bad" -v line="$(sed -n "${bad}p" "$c/t1.jsonl")" \
 cmp "$c/restored.jsonl" "$c/t1.jsonl"
 ./target/release/audit_trace --quiet "$c/restored.jsonl"
 
-# Replaying a bin's serialized trace from disk (line by line, constant
-# memory) must reproduce the *live* in-process audit the bin just wrote:
-# the whole run document, snapshots and registry included.
+# Replaying a saved trace from disk (line by line, constant memory) must
+# reproduce the live in-process audit of the same run. `--check` has shown
+# the sweeps' live run documents equal the committed ones, so each replay
+# is compared with the committed file.
 stage "streaming audit equivalence: file replay ≡ live, byte-identical"
-mkdir -p "$c/stream"
-./target/release/audit_trace --quiet --json "$c/stream" \
-    "$c/m1.jsonl" "$c/fleet1.jsonl" "$c/t1.jsonl"
-adiff "$c/stream/run_m1.json" "$a/run_machine_sweep.json"
-adiff "$c/stream/run_fleet1.json" "$a/run_fleet_sweep.json"
-adiff "$c/stream/run_t1.json" "$a/run_run_experiment.json"
-adiff "$a/run_fleet_sweep.json" results/run_fleet_sweep.json
+./target/release/audit_trace --quiet --json "$c/replay" "$c"/1/*.jsonl "$c/t1.jsonl"
+for row in machine_sweep machine_sweep_theta fleet_sweep; do
+    ./target/release/trace_diff --artifact "$c/replay/run_$row.json" "results/run_$row.json"
+done
+./target/release/trace_diff --artifact "$c/replay/run_t1.json" "$c/1/run_run_experiment.json"
 
 # Wall-clock readings are inherently nondeterministic, so profile_*.json
 # is asserted present and well-formed but never byte-compared.
 stage "wall-clock stage profiler: profile_*.json written (existence only, never byte-diffed)"
-SEESAW_RESULTS_DIR="$a" ./target/release/repro machine_sweep --quick --quiet --profile
-SEESAW_RESULTS_DIR="$a" ./target/release/repro fleet_sweep --quick --quiet --profile
-test -s "$a/profile_machine_sweep.json"
-test -s "$a/profile_fleet_sweep.json"
-grep -q '"schema_version": 1' "$a/profile_machine_sweep.json"
-grep -q '"sched.governor_epoch"' "$a/profile_machine_sweep.json"
-grep -q '"schema_version": 1' "$a/profile_fleet_sweep.json"
+for row in machine_sweep fleet_sweep; do
+    SEESAW_RESULTS_DIR="$c" ./target/release/repro "$row" --quick --quiet --profile
+    grep -q '"schema_version": 1' "$c/profile_$row.json"
+done
+grep -q '"sched.governor_epoch"' "$c/profile_machine_sweep.json"
 
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every paper artifact regenerated byte-identical, sweeps/traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written"

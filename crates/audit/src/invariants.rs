@@ -1,14 +1,16 @@
 //! The invariant battery: structural and physical consistency checks over
-//! one trace, implemented as **incremental checkers**.
+//! one trace, fed one event at a time.
 //!
-//! Every check is a small state machine fed one event at a time
-//! ([`StreamChecker::feed`]) and flushed once at end of stream
-//! ([`StreamChecker::finish`]). Checker state is bounded by the run's
-//! *shape* — open spans, nodes, live jobs — never by its length, so the
-//! battery audits a multi-gigabyte trace in constant memory, and there is
-//! exactly one implementation of every invariant: whether the events
-//! arrive live, from a tracer's buffer or from a file, they are fed to
-//! the same checker.
+//! Every check judges each event against the run's protocol state as it
+//! stood before the event ([`Ledger`]: headers, budget in force, open
+//! interval, `run_end`, renormalization group, jobs, machines down), then
+//! the ledger applies the event. A check keeps only what belongs to it
+//! alone: the clock's high-water mark, each node's last span end and the
+//! open interval's spans, the energy sums, and the fault-evidence window.
+//! All of it is bounded by the run's *shape* — open spans, nodes, live
+//! jobs — never by its length, so the battery audits a multi-gigabyte
+//! trace in constant memory, whether the events arrive live, from a
+//! tracer's buffer or from a file.
 //!
 //! The checks encode what the simulator *promises*, so a passing audit is
 //! evidence the run obeyed its own physics, and a failing one points at
@@ -21,7 +23,7 @@
 //! - **spans**: per node, phase/wait spans are ordered and non-overlapping,
 //!   and every span lies inside its enclosing interval.
 //! - **budget**: at every decision, the granted per-node caps times the
-//!   partition sizes stay within the current budget (renormalizations
+//!   partition sizes stay within the budget in force (renormalizations
 //!   tracked), except when the budget sits below the feasibility floor
 //!   `n · δ_min` — then every cap must be pinned at `δ_min`.
 //! - **cap_range** / **actuation**: every RAPL grant is the clamp of its
@@ -32,11 +34,10 @@
 //!   total (the intervals tile `[0, T]`).
 //! - **envelope**: machine-level epoch divisions sum to the envelope.
 //! - **faults**: every injected fault that mandates a graceful-degradation
-//!   action got one. Streaming note: the evidence for the fault at plan
-//!   ordinal `s` lives in interval `s + 1`, so the checker judges each
-//!   fault when that interval closes (or at end of stream) and then
-//!   prunes the closed interval's evidence — the lookback window is one
-//!   interval, not the whole trace.
+//!   action got one. The evidence for the fault at plan ordinal `s` lives
+//!   in interval `s + 1`, so each fault is judged when that interval
+//!   closes (or at end of stream), and the closed interval's evidence is
+//!   then pruned — the lookback window is one interval.
 //! - **fleet**: across machine failures, no job is lost or double-run, the
 //!   retry/backoff schedule is monotone, capped, and pair-matched with
 //!   dispatches, machine down/up declarations alternate, and every
@@ -55,6 +56,7 @@
 //! `AUDIT0001` (clock) through `AUDIT0012` (halt).
 
 use crate::diag::{self, DiagCode, Severity, Violation};
+use crate::ledger::{Ledger, RenormGroup};
 use obs::{Event, Tag, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,220 +81,228 @@ fn rides_shared_clock(kind: &Event) -> bool {
     )
 }
 
-/// The full incremental battery: feed events in stream order, then
-/// [`finish`](StreamChecker::finish) for the concatenated findings in
-/// battery order (clock, sync, spans, budget, caps, energy, envelope,
-/// faults, fleet, lifecycle, halt).
-///
-/// State held between events is O(active spans + nodes + live jobs +
-/// one fault-evidence window) — independent of trace length.
+/// The battery and the ledger it reads. [`judge`](StreamChecker::judge)
+/// each event, then apply it to the ledger; [`finish`](StreamChecker::finish)
+/// returns the findings in battery order (clock, sync, spans, budget,
+/// caps, energy, envelope, faults, fleet, lifecycle, halt), each check's
+/// in event order.
 #[derive(Debug, Default)]
-pub struct StreamChecker {
-    clock: ClockChecker,
-    sync: SyncChecker,
-    spans: SpansChecker,
-    budget: BudgetChecker,
-    caps: CapsChecker,
-    energy: EnergyChecker,
-    envelope: EnvelopeChecker,
-    faults: FaultChecker,
-    fleet: FleetChecker,
-    lifecycle: LifecycleChecker,
-    halt: HaltChecker,
+pub(crate) struct StreamChecker {
+    /// The run's protocol state, which every check reads.
+    pub(crate) ledger: Ledger,
+    /// The clock's high-water mark, ns.
+    clock_ns: u64,
+    spans: Spans,
+    energy: Energy,
+    faults: Faults,
+    /// Findings per check, battery order.
+    out: [Vec<Violation>; 11],
 }
 
 impl StreamChecker {
-    /// Feed one event through every checker.
-    pub fn feed(&mut self, ev: &TraceEvent) {
-        self.clock.feed(ev);
-        self.sync.feed(ev);
-        self.spans.feed(ev);
-        self.budget.feed(ev);
-        self.caps.feed(ev);
-        self.energy.feed(ev);
-        self.envelope.feed(ev);
-        self.faults.feed(ev);
-        self.fleet.feed(ev);
-        self.lifecycle.feed(ev);
-        self.halt.feed(ev);
+    /// Judge one event against the ledger as it stands; the caller then
+    /// applies the event. Returns the renormalization group the event
+    /// closed (already judged by the fleet check).
+    pub(crate) fn judge(&mut self, ev: &TraceEvent) -> Option<RenormGroup> {
+        let closed = self.ledger.close_renorm(&ev.ev);
+        let l = &self.ledger;
+        let [clock, sync, spans, budget, caps, energy, envelope, faults, fleet, lifecycle, _] =
+            &mut self.out;
+        check_clock(&mut self.clock_ns, l.events, ev, clock);
+        check_sync(l, ev, sync);
+        self.spans.feed(l, ev, spans);
+        check_budget(l, ev, budget);
+        check_caps(l, ev, caps);
+        self.energy.feed(ev, energy);
+        check_envelope(l, ev, envelope);
+        self.faults.feed(l, ev, faults);
+        check_fleet(l, closed.as_ref(), ev, fleet);
+        check_lifecycle(l, ev, lifecycle);
+        closed
     }
 
-    /// Error-severity findings accumulated so far (advisories excluded).
-    /// Checks that only conclude at end of stream (energy identities, the
-    /// lost-job scan) are not yet reflected — this is the live count a
-    /// health snapshot quotes mid-run.
-    pub fn errors_so_far(&self) -> u64 {
-        [
-            &self.clock.out,
-            &self.sync.out,
-            &self.spans.out,
-            &self.budget.out,
-            &self.caps.out,
-            &self.energy.out,
-            &self.envelope.out,
-            &self.faults.out,
-            &self.fleet.out,
-            &self.lifecycle.out,
-            &self.halt.out,
-        ]
-        .iter()
-        .flat_map(|o| o.iter())
-        .filter(|x| x.severity() == Severity::Error)
-        .count() as u64
+    /// Judge one event, then apply it.
+    #[cfg(test)]
+    pub(crate) fn feed(&mut self, ev: &TraceEvent) {
+        self.judge(ev);
+        self.ledger.apply(ev);
     }
 
-    /// Flush end-of-stream checks and return every finding, battery order.
-    pub fn finish(mut self) -> Vec<Violation> {
-        self.energy.finish();
-        self.faults.finish();
-        self.fleet.finish();
-        self.halt.finish();
-        let mut out = self.clock.out;
-        out.append(&mut self.sync.out);
-        out.append(&mut self.spans.out);
-        out.append(&mut self.budget.out);
-        out.append(&mut self.caps.out);
-        out.append(&mut self.energy.out);
-        out.append(&mut self.envelope.out);
-        out.append(&mut self.faults.out);
-        out.append(&mut self.fleet.out);
-        out.append(&mut self.lifecycle.out);
-        out.append(&mut self.halt.out);
-        out
+    /// Error-severity findings so far (advisories excluded). Checks that
+    /// only conclude at end of stream (energy identities, the lost-job
+    /// scan) are not yet reflected — this is the live count a health
+    /// snapshot quotes mid-run.
+    pub(crate) fn errors_so_far(&self) -> u64 {
+        let errors = self.out.iter().flatten().filter(|x| x.severity() == Severity::Error);
+        errors.count() as u64
+    }
+
+    /// Run the end-of-stream checks; every finding, per check.
+    fn close(mut self) -> [Vec<Violation>; 11] {
+        let closed = self.ledger.renorm.take();
+        let l = &self.ledger;
+        let [.., energy, _, faults, fleet, _, halt] = &mut self.out;
+        self.energy.finish(l, energy);
+        self.faults.finish(faults);
+        if let Some(f) = l.fleet {
+            if let Some(g) = &closed {
+                judge_renorm(f.envelope_w, g, fleet);
+            }
+            for (job, j) in &l.jobs {
+                if j.arrived && !j.terminal {
+                    v(
+                        fleet,
+                        diag::FLEET,
+                        format!(
+                            "job {job} lost: arrived but neither completed nor reported failed"
+                        ),
+                    );
+                }
+            }
+        }
+        if let (Some(_), Some(k), None) = (l.run, l.last_opened, l.run_end) {
+            v(
+                halt,
+                diag::HALT,
+                format!(
+                    "run halted: interval {k} is the last opened and run_end was never \
+                     recorded (legal under partition death, otherwise a lost epilogue)"
+                ),
+            );
+        }
+        self.out
+    }
+
+    /// Run the end-of-stream checks; every finding, battery order.
+    pub(crate) fn finish(self) -> Vec<Violation> {
+        self.close().into_iter().flatten().collect()
     }
 }
 
-// --- clock ---------------------------------------------------------------
-
+/// One check's findings from the whole battery: how the unit tests drive
+/// a check alone (`Only<7>` is faults, `Only<8>` fleet).
+#[cfg(test)]
 #[derive(Debug, Default)]
-struct ClockChecker {
-    index: u64,
-    last: u64,
+struct Only<const CHECK: usize> {
+    battery: StreamChecker,
     out: Vec<Violation>,
 }
 
-impl ClockChecker {
+#[cfg(test)]
+impl<const CHECK: usize> Only<CHECK> {
     fn feed(&mut self, ev: &TraceEvent) {
-        let i = self.index;
-        self.index += 1;
-        if rides_shared_clock(&ev.ev) {
-            if ev.t.as_nanos() < self.last {
-                v(
-                    &mut self.out,
-                    diag::CLOCK,
-                    format!(
-                        "event {} ({}) at t={}ns precedes earlier stamp {}ns",
-                        i,
-                        ev.ev.tag(),
-                        ev.t.as_nanos(),
-                        self.last
-                    ),
-                );
-            }
-            self.last = self.last.max(ev.t.as_nanos());
+        self.battery.feed(ev);
+    }
+
+    fn finish(&mut self) {
+        self.out = std::mem::take(&mut std::mem::take(&mut self.battery).close()[CHECK]);
+    }
+}
+
+#[cfg(test)]
+type FaultChecker = Only<7>;
+#[cfg(test)]
+type FleetChecker = Only<8>;
+
+// --- clock ---------------------------------------------------------------
+
+fn check_clock(last: &mut u64, i: u64, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    if rides_shared_clock(&ev.ev) {
+        if ev.t.as_nanos() < *last {
+            v(
+                out,
+                diag::CLOCK,
+                format!(
+                    "event {} ({}) at t={}ns precedes earlier stamp {}ns",
+                    i,
+                    ev.ev.tag(),
+                    ev.t.as_nanos(),
+                    last
+                ),
+            );
         }
+        *last = (*last).max(ev.t.as_nanos());
     }
 }
 
 // --- sync ----------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct SyncChecker {
-    open: Option<u64>,
-    next_expected: Option<u64>,
-    seen_run_end: bool,
-    out: Vec<Violation>,
-}
-
-impl SyncChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
-        if self.seen_run_end {
-            v(out, diag::SYNC, format!("event ({}) after run_end", ev.ev.tag()));
-            self.seen_run_end = false; // report once
-        }
-        match &ev.ev {
-            Event::SyncStart { sync } => {
-                if let Some(k) = self.open {
-                    v(out, diag::SYNC, format!("sync {sync} opened while sync {k} still open"));
-                }
-                let next_expected = self.next_expected.unwrap_or(1);
-                if *sync != next_expected {
-                    v(out, diag::SYNC, format!("sync {sync} opened, expected {next_expected}"));
-                }
-                self.open = Some(*sync);
-                self.next_expected = Some(*sync + 1);
-            }
-            Event::SyncEnd { sync, .. } => match self.open.take() {
-                Some(k) if k == *sync => {}
-                Some(k) => v(out, diag::SYNC, format!("sync_end {sync} closes open sync {k}")),
-                None => v(out, diag::SYNC, format!("sync_end {sync} with no open sync")),
-            },
-            // Controller-plane events are 0-based: interval k runs the
-            // exchange for observation k-1.
-            Event::ExchangeDone { sync, .. }
-            | Event::AllocationHeld { sync }
-            | Event::ControllerHold { sync, .. } => {
-                if let Some(k) = self.open.filter(|&k| k > 0) {
-                    if *sync != k - 1 {
-                        v(
-                            out,
-                            diag::SYNC,
-                            format!(
-                                "{} carries observation index {sync} inside interval {k} \
-                                 (expected {})",
-                                ev.ev.tag(),
-                                k - 1
-                            ),
-                        );
-                    }
-                }
-            }
-            Event::Decision(d) => {
-                if let Some(k) = self.open.filter(|&k| k > 0) {
-                    if d.sync != k - 1 {
-                        v(
-                            out,
-                            diag::SYNC,
-                            format!(
-                                "decision carries observation index {} inside interval {k} \
-                                 (expected {})",
-                                d.sync,
-                                k - 1
-                            ),
-                        );
-                    }
-                }
-            }
-            Event::RunEnd { .. } => self.seen_run_end = true,
-            _ => {}
-        }
-        // A final open interval is legal only as a halt (partition death);
-        // the advisory halt checker reports that case separately.
+fn check_sync(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    // Reported once, on the event right after run_end.
+    if l.run_end.is_some_and(|r| r.event + 1 == l.events) {
+        v(out, diag::SYNC, format!("event ({}) after run_end", ev.ev.tag()));
     }
+    let open = l.open.map(|(k, _)| k);
+    match &ev.ev {
+        Event::SyncStart { sync } => {
+            if let Some(k) = open {
+                v(out, diag::SYNC, format!("sync {sync} opened while sync {k} still open"));
+            }
+            let next_expected = l.last_opened.map_or(1, |k| k + 1);
+            if *sync != next_expected {
+                v(out, diag::SYNC, format!("sync {sync} opened, expected {next_expected}"));
+            }
+        }
+        Event::SyncEnd { sync, .. } => match open {
+            Some(k) if k == *sync => {}
+            Some(k) => v(out, diag::SYNC, format!("sync_end {sync} closes open sync {k}")),
+            None => v(out, diag::SYNC, format!("sync_end {sync} with no open sync")),
+        },
+        // Controller-plane events are 0-based: interval k runs the
+        // exchange for observation k-1.
+        Event::ExchangeDone { sync, .. }
+        | Event::AllocationHeld { sync }
+        | Event::ControllerHold { sync, .. } => {
+            if let Some(k) = open.filter(|&k| k > 0) {
+                if *sync != k - 1 {
+                    v(
+                        out,
+                        diag::SYNC,
+                        format!(
+                            "{} carries observation index {sync} inside interval {k} \
+                             (expected {})",
+                            ev.ev.tag(),
+                            k - 1
+                        ),
+                    );
+                }
+            }
+        }
+        Event::Decision(d) => {
+            if let Some(k) = open.filter(|&k| k > 0) {
+                if d.sync != k - 1 {
+                    v(
+                        out,
+                        diag::SYNC,
+                        format!(
+                            "decision carries observation index {} inside interval {k} \
+                             (expected {})",
+                            d.sync,
+                            k - 1
+                        ),
+                    );
+                }
+            }
+        }
+        _ => {}
+    }
+    // A final open interval is legal only as a halt (partition death);
+    // the advisory halt check reports that case separately.
 }
 
 // --- spans ---------------------------------------------------------------
 
 #[derive(Debug, Default)]
-struct SpansChecker {
+struct Spans {
     last_end: BTreeMap<usize, u64>,
-    window_start: Option<u64>,
-    open_sync: Option<u64>,
     /// (node, start, end, what) of spans awaiting the interval close.
     pending: Vec<(usize, u64, u64, &'static str)>,
-    out: Vec<Violation>,
 }
 
-impl SpansChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
+impl Spans {
+    fn feed(&mut self, l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
         match &ev.ev {
-            Event::SyncStart { sync } => {
-                self.window_start = Some(ev.t.as_nanos());
-                self.open_sync = Some(*sync);
-                self.pending.clear();
-            }
+            Event::SyncStart { .. } => self.pending.clear(),
             Event::SyncEnd { sync, .. } => {
                 let t_end = ev.t.as_nanos();
                 for (node, start, end, what) in self.pending.drain(..) {
@@ -307,8 +317,6 @@ impl SpansChecker {
                         );
                     }
                 }
-                self.window_start = None;
-                self.open_sync = None;
             }
             Event::Phase { node, start_ns, end_ns, .. }
             | Event::Wait { node, start_ns, end_ns } => {
@@ -335,7 +343,7 @@ impl SpansChecker {
                     );
                 }
                 *prev = (*prev).max(*end_ns);
-                if let (Some(w0), Some(k)) = (self.window_start, self.open_sync) {
+                if let Some((k, w0)) = l.open {
                     if *start_ns < w0 {
                         v(
                             out,
@@ -356,144 +364,104 @@ impl SpansChecker {
 
 // --- budget --------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct BudgetChecker {
-    budget: Option<f64>,
-    min_cap: Option<f64>,
-    out: Vec<Violation>,
-}
-
-impl BudgetChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
-        match &ev.ev {
-            Event::RunStart { budget_w, min_cap_w, .. } => {
-                self.budget = Some(*budget_w);
-                self.min_cap = Some(*min_cap_w);
-            }
-            Event::BudgetRenormalized { budget_w } => {
-                if !budget_w.is_finite() || *budget_w < 0.0 {
-                    v(out, diag::BUDGET, format!("renormalized budget is not a power: {budget_w}"));
-                }
-                self.budget = Some(*budget_w);
-            }
-            Event::Decision(d) => {
-                let (Some(b), Some(floor)) = (self.budget, self.min_cap) else { return };
-                let n = (d.sim_nodes + d.analysis_nodes) as f64;
-                let total =
-                    d.sim_node_w * d.sim_nodes as f64 + d.analysis_node_w * d.analysis_nodes as f64;
-                let tol = EPS_W * n.max(1.0);
-                // Below the feasibility floor the allocator pins every cap
-                // at δ_min and the total legitimately exceeds the budget.
-                let at_floor = d.sim_node_w <= floor + tol && d.analysis_node_w <= floor + tol;
-                if !(total <= b + tol || at_floor) {
-                    v(
-                        out,
-                        diag::BUDGET,
-                        format!(
-                            "decision at observation {}: allocation {:.6} W exceeds budget \
-                             {:.6} W ({} sim nodes x {:.6} W + {} analysis nodes x {:.6} W)",
-                            d.sync,
-                            total,
-                            b,
-                            d.sim_nodes,
-                            d.sim_node_w,
-                            d.analysis_nodes,
-                            d.analysis_node_w
-                        ),
-                    );
-                }
-            }
-            _ => {}
+fn check_budget(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    match &ev.ev {
+        Event::BudgetRenormalized { budget_w } if !budget_w.is_finite() || *budget_w < 0.0 => {
+            v(out, diag::BUDGET, format!("renormalized budget is not a power: {budget_w}"));
         }
+        Event::Decision(d) => {
+            let Some(run) = l.run else { return };
+            let (b, floor) = (l.budget_w, run.min_cap_w);
+            let n = (d.sim_nodes + d.analysis_nodes) as f64;
+            let total =
+                d.sim_node_w * d.sim_nodes as f64 + d.analysis_node_w * d.analysis_nodes as f64;
+            let tol = EPS_W * n.max(1.0);
+            // Below the feasibility floor the allocator pins every cap
+            // at δ_min and the total legitimately exceeds the budget.
+            let at_floor = d.sim_node_w <= floor + tol && d.analysis_node_w <= floor + tol;
+            if !(total <= b + tol || at_floor) {
+                v(
+                    out,
+                    diag::BUDGET,
+                    format!(
+                        "decision at observation {}: allocation {:.6} W exceeds budget \
+                         {:.6} W ({} sim nodes x {:.6} W + {} analysis nodes x {:.6} W)",
+                        d.sync,
+                        total,
+                        b,
+                        d.sim_nodes,
+                        d.sim_node_w,
+                        d.analysis_nodes,
+                        d.analysis_node_w
+                    ),
+                );
+            }
+        }
+        _ => {}
     }
 }
 
 // --- caps ----------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct CapsChecker {
-    range: Option<(f64, f64)>,
-    actuation_ns: Option<u64>,
-    out: Vec<Violation>,
-}
-
-impl CapsChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
-        match &ev.ev {
-            Event::RunStart { min_cap_w, max_cap_w, actuation_ns: a, .. } => {
-                self.range = Some((*min_cap_w, *max_cap_w));
-                self.actuation_ns = Some(*a);
-            }
-            Event::CapRequest { node, requested_w, granted_w, effective_ns } => {
-                if let Some((lo, hi)) = self.range {
-                    if !(*granted_w >= lo - EPS_W && *granted_w <= hi + EPS_W) {
-                        v(
-                            out,
-                            diag::CAP_RANGE,
-                            format!(
-                                "node {node}: granted cap {granted_w} W outside \
-                                 [{lo}, {hi}] W"
-                            ),
-                        );
-                    }
-                    let clamp = requested_w.clamp(lo, hi);
-                    // An uncapped domain (CapMode::None) reports its TDP
-                    // regardless of the request.
-                    let ok = (granted_w - clamp).abs() <= EPS_W || (granted_w - hi).abs() <= EPS_W;
-                    if !ok {
-                        v(
-                            out,
-                            diag::CAP_RANGE,
-                            format!(
-                                "node {node}: granted cap {granted_w} W is neither \
-                                 clamp({requested_w}) = {clamp} W nor the TDP {hi} W"
-                            ),
-                        );
-                    }
-                }
-                if let Some(a) = self.actuation_ns {
-                    // Enforcement is either immediate (no-op request,
-                    // stuck PCU) or at least one actuation latency out.
-                    if *effective_ns != ev.t.as_nanos() && *effective_ns < ev.t.as_nanos() + a {
-                        v(
-                            out,
-                            diag::ACTUATION,
-                            format!(
-                                "node {node}: cap requested at {}ns enforced at {}ns, \
-                                 sooner than the {}ns actuation latency",
-                                ev.t.as_nanos(),
-                                effective_ns,
-                                a
-                            ),
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
+fn check_caps(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    let (Event::CapRequest { node, requested_w, granted_w, effective_ns }, Some(run)) =
+        (&ev.ev, l.run)
+    else {
+        return;
+    };
+    let (lo, hi, a) = (run.min_cap_w, run.max_cap_w, run.actuation_ns);
+    if !(*granted_w >= lo - EPS_W && *granted_w <= hi + EPS_W) {
+        v(
+            out,
+            diag::CAP_RANGE,
+            format!("node {node}: granted cap {granted_w} W outside [{lo}, {hi}] W"),
+        );
+    }
+    let clamp = requested_w.clamp(lo, hi);
+    // An uncapped domain (CapMode::None) reports its TDP regardless of
+    // the request.
+    let ok = (granted_w - clamp).abs() <= EPS_W || (granted_w - hi).abs() <= EPS_W;
+    if !ok {
+        v(
+            out,
+            diag::CAP_RANGE,
+            format!(
+                "node {node}: granted cap {granted_w} W is neither \
+                 clamp({requested_w}) = {clamp} W nor the TDP {hi} W"
+            ),
+        );
+    }
+    // Enforcement is either immediate (no-op request, stuck PCU) or at
+    // least one actuation latency out.
+    if *effective_ns != ev.t.as_nanos() && *effective_ns < ev.t.as_nanos() + a {
+        v(
+            out,
+            diag::ACTUATION,
+            format!(
+                "node {node}: cap requested at {}ns enforced at {}ns, \
+                 sooner than the {}ns actuation latency",
+                ev.t.as_nanos(),
+                effective_ns,
+                a
+            ),
+        );
     }
 }
 
 // --- energy --------------------------------------------------------------
 
+/// Σ interval and Σ node energies; `None` until the first of each kind.
 #[derive(Debug, Default)]
-struct EnergyChecker {
-    sync_sum: f64,
-    node_sum: f64,
-    have_sync: bool,
-    have_node: bool,
-    total: Option<f64>,
-    out: Vec<Violation>,
+struct Energy {
+    sync: Option<f64>,
+    node: Option<f64>,
 }
 
-impl EnergyChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
+impl Energy {
+    fn feed(&mut self, ev: &TraceEvent, out: &mut Vec<Violation>) {
         match &ev.ev {
             Event::SyncEnergy { sync, energy_j } => {
-                self.have_sync = true;
+                let sum = self.sync.get_or_insert(0.0);
                 if !energy_j.is_finite() || *energy_j < 0.0 {
                     v(
                         out,
@@ -501,44 +469,32 @@ impl EnergyChecker {
                         format!("interval {sync} energy is not physical: {energy_j}"),
                     );
                 } else {
-                    self.sync_sum += energy_j;
+                    *sum += energy_j;
                 }
             }
             Event::NodeEnergy { node, energy_j } => {
-                self.have_node = true;
+                let sum = self.node.get_or_insert(0.0);
                 if !energy_j.is_finite() || *energy_j < 0.0 {
                     v(out, diag::ENERGY, format!("node {node} energy is not physical: {energy_j}"));
                 } else {
-                    self.node_sum += energy_j;
+                    *sum += energy_j;
                 }
             }
-            Event::RunEnd { total_energy_j, .. } => self.total = Some(*total_energy_j),
             _ => {}
         }
     }
 
-    fn finish(&mut self) {
-        let Some(total) = self.total else { return };
+    fn finish(&self, l: &Ledger, out: &mut Vec<Violation>) {
+        let Some(total) = l.run_end.map(|r| r.energy_j) else { return };
         let tol = ENERGY_REL_TOL * total.abs().max(1.0);
-        if self.have_sync && (self.sync_sum - total).abs() > tol {
+        for (sum, what) in [(self.sync, "interval"), (self.node, "node")] {
+            let Some(sum) = sum.filter(|s| (s - total).abs() > tol) else { continue };
             v(
-                &mut self.out,
+                out,
                 diag::ENERGY,
                 format!(
-                    "interval energies sum to {} J but the run total is {total} J \
-                     (tolerance {tol} J)",
-                    self.sync_sum
-                ),
-            );
-        }
-        if self.have_node && (self.node_sum - total).abs() > tol {
-            v(
-                &mut self.out,
-                diag::ENERGY,
-                format!(
-                    "node energies sum to {} J but the run total is {total} J \
-                     (tolerance {tol} J)",
-                    self.node_sum
+                    "{what} energies sum to {sum} J but the run total is {total} J \
+                     (tolerance {tol} J)"
                 ),
             );
         }
@@ -547,46 +503,37 @@ impl EnergyChecker {
 
 // --- envelope ------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct EnvelopeChecker {
-    envelope: Option<f64>,
-    out: Vec<Violation>,
-}
-
-impl EnvelopeChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        let out = &mut self.out;
-        match &ev.ev {
-            Event::MachineStart { envelope_w, .. } => self.envelope = Some(*envelope_w),
-            Event::MachineBudget { epoch, allocated_w, pool_w } => {
-                let Some(env) = self.envelope else { return };
-                if *allocated_w < -EPS_W || *pool_w < -EPS_W {
-                    v(
-                        out,
-                        diag::ENVELOPE,
-                        format!("epoch {epoch}: negative power ({allocated_w} W allocated, {pool_w} W pool)"),
-                    );
-                }
-                if (allocated_w + pool_w - env).abs() > EPS_W * env.max(1.0) {
-                    v(
-                        out,
-                        diag::ENVELOPE,
-                        format!(
-                            "epoch {epoch}: allocated {allocated_w} W + pool {pool_w} W does \
-                             not sum to the envelope {env} W"
-                        ),
-                    );
-                }
-            }
-            _ => {}
-        }
+fn check_envelope(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    let (Event::MachineBudget { epoch, allocated_w, pool_w }, Some(env)) =
+        (&ev.ev, l.machine_envelope_w)
+    else {
+        return;
+    };
+    if *allocated_w < -EPS_W || *pool_w < -EPS_W {
+        v(
+            out,
+            diag::ENVELOPE,
+            format!("epoch {epoch}: negative power ({allocated_w} W allocated, {pool_w} W pool)"),
+        );
+    }
+    if (allocated_w + pool_w - env).abs() > EPS_W * env.max(1.0) {
+        v(
+            out,
+            diag::ENVELOPE,
+            format!(
+                "epoch {epoch}: allocated {allocated_w} W + pool {pool_w} W does \
+                 not sum to the envelope {env} W"
+            ),
+        );
     }
 }
 
 // --- faults --------------------------------------------------------------
 
+/// The fault-evidence window: everything recorded for intervals that have
+/// not closed yet, and the faults awaiting their evidence.
 #[derive(Debug, Default)]
-struct FaultChecker {
+struct Faults {
     /// (sync, node, tag) of every recovery in the open evidence window
     /// (1-based sync, matching SyncStart/SyncEnd).
     recoveries: BTreeSet<(u64, usize, Tag)>,
@@ -596,509 +543,319 @@ struct FaultChecker {
     samples: BTreeSet<(u64, usize)>,
     /// Faults awaiting their evidence interval's close: (sync, node, tag).
     pending: Vec<(u64, usize, Tag)>,
-    open: Option<u64>,
-    out: Vec<Violation>,
 }
 
-/// Judge one fault against the currently-held evidence.
-fn judge_fault(
-    out: &mut Vec<Violation>,
-    recoveries: &BTreeSet<(u64, usize, Tag)>,
-    cap_intervals: &BTreeSet<u64>,
-    samples: &BTreeSet<(u64, usize)>,
-    s: u64,
-    n: usize,
-    tag: &str,
-) {
-    let interval = s;
-    let has = |t: &'static str| recoveries.contains(&(s, n, Tag::Borrowed(t)));
-    let has_any_node = |t: &str| recoveries.iter().any(|(rs, _, rt)| *rs == s && rt == t);
-    let ok = match tag {
-        // A crash always excludes the node.
-        "node_crash" => has("node_excluded"),
-        // A dead monitor is re-elected — unless its node crashed in
-        // the same interval and got excluded instead.
-        "monitor_death" => has("monitor_reelected") || has("node_excluded"),
-        // Corrupt samples must be rejected by the plausibility gate.
-        "sample_nan" | "sample_dropout" => has("sample_rejected"),
-        // A spike is rejected when it leaves the plausible range; a
-        // small spike factor may keep the sample plausible, in which
-        // case the sample must actually have been accepted.
-        "sample_spike" => has("sample_rejected") || samples.contains(&(interval, n)),
-        // A failed cap write is retried — but only if a cap write was
-        // attempted at all in that interval (the controller may have
-        // held).
-        "rapl_write_error" => has("cap_write_retried") || !cap_intervals.contains(&interval),
-        // A timed-out collective is retried, or the exchange is
-        // abandoned and the previous allocation held.
-        "collective_timeout" => {
-            has_any_node("collective_retried") || has_any_node("allocation_held")
+impl Faults {
+    /// Judge one fault against the currently-held evidence.
+    fn judge(&self, out: &mut Vec<Violation>, s: u64, n: usize, tag: &str) {
+        let interval = s;
+        let has = |t: &'static str| self.recoveries.contains(&(s, n, Tag::Borrowed(t)));
+        let has_any_node = |t: &str| self.recoveries.iter().any(|(rs, _, rt)| *rs == s && rt == t);
+        let ok = match tag {
+            // A crash always excludes the node.
+            "node_crash" => has("node_excluded"),
+            // A dead monitor is re-elected — unless its node crashed in
+            // the same interval and got excluded instead.
+            "monitor_death" => has("monitor_reelected") || has("node_excluded"),
+            // Corrupt samples must be rejected by the plausibility gate.
+            "sample_nan" | "sample_dropout" => has("sample_rejected"),
+            // A spike is rejected when it leaves the plausible range; a
+            // small spike factor may keep the sample plausible, in which
+            // case the sample must actually have been accepted.
+            "sample_spike" => has("sample_rejected") || self.samples.contains(&(interval, n)),
+            // A failed cap write is retried — but only if a cap write was
+            // attempted at all in that interval (the controller may have
+            // held).
+            "rapl_write_error" => {
+                has("cap_write_retried") || !self.cap_intervals.contains(&interval)
+            }
+            // A timed-out collective is retried, or the exchange is
+            // abandoned and the previous allocation held.
+            "collective_timeout" => {
+                has_any_node("collective_retried") || has_any_node("allocation_held")
+            }
+            // Perturbations the stack absorbs without a discrete action.
+            "straggler" | "rapl_stuck" | "rapl_delayed" | "message_loss" => true,
+            other => {
+                v(out, diag::FAULTS, format!("unknown fault tag \"{other}\" in sync {s}"));
+                true
+            }
+        };
+        if !ok {
+            v(
+                out,
+                diag::FAULTS,
+                format!(
+                    "fault \"{tag}\" on node {n} in sync {s} has no matching \
+                     graceful-degradation action"
+                ),
+            );
         }
-        // Perturbations the stack absorbs without a discrete action.
-        "straggler" | "rapl_stuck" | "rapl_delayed" | "message_loss" => true,
-        other => {
-            v(out, diag::FAULTS, format!("unknown fault tag \"{other}\" in sync {s}"));
-            true
-        }
-    };
-    if !ok {
-        v(
-            out,
-            diag::FAULTS,
-            format!(
-                "fault \"{tag}\" on node {n} in sync {s} has no matching \
-                 graceful-degradation action"
-            ),
-        );
     }
-}
 
-impl FaultChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
+    fn feed(&mut self, l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+        let open = l.open.map(|(k, _)| k);
         match &ev.ev {
-            Event::SyncStart { sync } => self.open = Some(*sync),
-            Event::SyncEnd { sync, .. } => {
-                self.open = None;
-                let k = *sync;
+            Event::SyncEnd { sync: k, .. } => {
                 // Interval k just closed: every fault landing in sync ≤ k
                 // has its full evidence window in hand — judge it now, then
                 // prune the evidence the remaining (later) faults can no
                 // longer need.
-                let pending = std::mem::take(&mut self.pending);
-                for (s, n, tag) in pending {
-                    if s <= k {
-                        judge_fault(
-                            &mut self.out,
-                            &self.recoveries,
-                            &self.cap_intervals,
-                            &self.samples,
-                            s,
-                            n,
-                            &tag,
-                        );
+                for (s, n, tag) in std::mem::take(&mut self.pending) {
+                    if s <= *k {
+                        self.judge(out, s, n, &tag);
                     } else {
                         self.pending.push((s, n, tag));
                     }
                 }
-                self.recoveries.retain(|(rs, _, _)| *rs > k);
-                self.samples.retain(|(ri, _)| *ri > k);
-                self.cap_intervals.retain(|ri| *ri > k);
+                self.recoveries.retain(|(rs, _, _)| rs > k);
+                self.samples.retain(|(ri, _)| ri > k);
+                self.cap_intervals.retain(|ri| ri > k);
             }
-            Event::CapRequest { .. } => {
-                if let Some(k) = self.open {
-                    self.cap_intervals.insert(k);
-                }
-            }
-            Event::Sample { node, .. } => {
-                if let Some(k) = self.open {
-                    self.samples.insert((k, *node));
-                }
-            }
+            Event::CapRequest { .. } => self.cap_intervals.extend(open),
+            Event::Sample { node, .. } => self.samples.extend(open.map(|k| (k, *node))),
             Event::Recovery { sync, node, tag } => {
                 self.recoveries.insert((*sync, *node, tag.clone()));
             }
-            Event::Fault { sync, node, tag } => {
-                self.pending.push((*sync, *node, tag.clone()));
-            }
+            Event::Fault { sync, node, tag } => self.pending.push((*sync, *node, tag.clone())),
             _ => {}
         }
     }
 
-    fn finish(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for (s, n, tag) in pending {
-            judge_fault(
-                &mut self.out,
-                &self.recoveries,
-                &self.cap_intervals,
-                &self.samples,
-                s,
-                n,
-                &tag,
-            );
+    fn finish(&mut self, out: &mut Vec<Violation>) {
+        for (s, n, tag) in std::mem::take(&mut self.pending) {
+            self.judge(out, s, n, &tag);
         }
     }
 }
 
 // --- fleet ---------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct JobLedger {
-    arrived: bool,
-    dispatched_open: bool,
-    dispatches: u64,
-    retries: u64,
-    last_backoff: u64,
-    last_machine: Option<usize>,
-    terminal: bool,
+/// A closed renormalization group hands out min(envelope, Σ member caps).
+fn judge_renorm(fleet_envelope_w: f64, g: &RenormGroup, out: &mut Vec<Violation>) {
+    let (epoch, share_sum, cap_sum) = (g.epoch, g.share_w, g.cap_w);
+    let expected = fleet_envelope_w.min(cap_sum);
+    if (share_sum - expected).abs() > EPS_W * expected.max(1.0) {
+        v(
+            out,
+            diag::FLEET,
+            format!(
+                "renorm at epoch {epoch}: shares sum to {share_sum} W, expected \
+                 min(envelope {fleet_envelope_w} W, member caps {cap_sum} W) = {expected} W"
+            ),
+        );
+    }
 }
 
-#[derive(Debug, Default)]
-struct FleetChecker {
-    /// (envelope, retry_base, retry_cap, max_retries) from `fleet_start`.
-    /// Until the header arrives every fleet event is ignored (a
-    /// single-machine trace carries `job_completed` with no fleet
-    /// protocol; real fleet traces emit the header first).
-    params: Option<(f64, u64, u64, u64)>,
-    jobs: BTreeMap<usize, JobLedger>,
-    down: BTreeMap<usize, bool>,
-    /// One renormalization group = consecutive envelope_renorm events with
-    /// the same epoch; closed by any other event kind or an epoch change.
-    renorm: Option<(u64, f64, f64)>,
-    out: Vec<Violation>,
-}
-
-impl FleetChecker {
-    fn close_renorm(&mut self) {
-        let Some((fleet_envelope_w, ..)) = self.params else { return };
-        if let Some((epoch, share_sum, cap_sum)) = self.renorm.take() {
-            let expected = fleet_envelope_w.min(cap_sum);
-            if (share_sum - expected).abs() > EPS_W * expected.max(1.0) {
+/// Until `fleet_start` arrives every fleet event is ignored (a
+/// single-machine trace carries `job_completed` with no fleet protocol;
+/// real fleet traces emit the header first).
+fn check_fleet(
+    l: &Ledger,
+    closed: Option<&RenormGroup>,
+    ev: &TraceEvent,
+    out: &mut Vec<Violation>,
+) {
+    let Some(f) = l.fleet else { return };
+    if let Some(g) = closed {
+        judge_renorm(f.envelope_w, g, out);
+    }
+    match &ev.ev {
+        Event::MachineDown { machine, epoch } if l.down.contains(machine) => {
+            v(
+                out,
+                diag::FLEET,
+                format!("machine {machine} declared down at epoch {epoch} while down"),
+            );
+        }
+        Event::MachineUp { machine, epoch } if !l.down.contains(machine) => {
+            v(out, diag::FLEET, format!("machine {machine} declared up at epoch {epoch} while up"));
+        }
+        Event::EnvelopeRenorm { epoch, machine, share_w, cap_w } => {
+            if *share_w > cap_w + EPS_W {
                 v(
-                    &mut self.out,
+                    out,
                     diag::FLEET,
                     format!(
-                        "renorm at epoch {epoch}: shares sum to {share_sum} W, expected \
-                         min(envelope {fleet_envelope_w} W, member caps {cap_sum} W) = {expected} W"
+                        "renorm at epoch {epoch}: machine {machine} share {share_w} W \
+                         exceeds its cap {cap_w} W"
+                    ),
+                );
+            }
+            if l.down.contains(machine) {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!("renorm at epoch {epoch}: down machine {machine} got a share"),
+                );
+            }
+        }
+        Event::JobDispatched { job, machine } => {
+            let j = l.job(*job);
+            if !j.arrived {
+                v(out, diag::FLEET, format!("job {job} dispatched before arrival"));
+            }
+            if j.terminal {
+                v(out, diag::FLEET, format!("terminal job {job} dispatched again (zombie)"));
+            }
+            if j.dispatched {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!("job {job} dispatched to machine {machine} while already running"),
+                );
+            }
+            if j.dispatches != j.retries {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job}: dispatch {} not pair-matched with retries ({})",
+                        j.dispatches + 1,
+                        j.retries
+                    ),
+                );
+            }
+            if l.down.contains(machine) {
+                v(out, diag::FLEET, format!("job {job} dispatched to down machine {machine}"));
+            }
+        }
+        Event::JobRetry { job, attempt, backoff_epochs } => {
+            let j = l.job(*job);
+            if !j.dispatched {
+                v(out, diag::FLEET, format!("job {job} retried without a live dispatch"));
+            }
+            if *attempt != j.retries + 1 {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job}: retry attempt {attempt} out of sequence (expected {})",
+                        j.retries + 1
+                    ),
+                );
+            }
+            if *attempt > f.max_retries {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job}: retry attempt {attempt} exceeds the budget {}",
+                        f.max_retries
+                    ),
+                );
+            }
+            if *backoff_epochs < j.last_backoff {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job}: backoff {backoff_epochs} epochs shrank from {}",
+                        j.last_backoff
+                    ),
+                );
+            }
+            if *backoff_epochs > f.retry_cap_epochs {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job}: backoff {backoff_epochs} epochs exceeds the ceiling {}",
+                        f.retry_cap_epochs
                     ),
                 );
             }
         }
-    }
-
-    fn feed(&mut self, ev: &TraceEvent) {
-        if self.params.is_none() {
-            if let Event::FleetStart {
-                envelope_w,
-                retry_base_epochs,
-                retry_cap_epochs,
-                max_retries,
-                ..
-            } = &ev.ev
-            {
-                self.params =
-                    Some((*envelope_w, *retry_base_epochs, *retry_cap_epochs, *max_retries));
-            }
-            return;
-        }
-        let (_, _, retry_cap, max_retries) = self.params.expect("header seen");
-        match &ev.ev {
-            Event::EnvelopeRenorm { epoch, .. } => {
-                if self.renorm.as_ref().is_some_and(|(e, _, _)| e != epoch) {
-                    self.close_renorm();
-                }
-            }
-            _ => self.close_renorm(),
-        }
-        let out = &mut self.out;
-        match &ev.ev {
-            Event::MachineDown { machine, epoch } => {
-                let was_down = self.down.insert(*machine, true) == Some(true);
-                if was_down {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!("machine {machine} declared down at epoch {epoch} while down"),
-                    );
-                }
-            }
-            Event::MachineUp { machine, epoch } => {
-                let was_down = self.down.insert(*machine, false) == Some(true);
-                if !was_down {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!("machine {machine} declared up at epoch {epoch} while up"),
-                    );
-                }
-            }
-            Event::EnvelopeRenorm { epoch, machine, share_w, cap_w } => {
-                let (_, share_sum, cap_sum) = self.renorm.get_or_insert((*epoch, 0.0, 0.0));
-                *share_sum += share_w;
-                *cap_sum += cap_w;
-                if *share_w > cap_w + EPS_W {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "renorm at epoch {epoch}: machine {machine} share {share_w} W \
-                             exceeds its cap {cap_w} W"
-                        ),
-                    );
-                }
-                if self.down.get(machine).copied().unwrap_or(false) {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!("renorm at epoch {epoch}: down machine {machine} got a share"),
-                    );
-                }
-            }
-            Event::JobArrived { job } => {
-                self.jobs.entry(*job).or_default().arrived = true;
-            }
-            Event::JobDispatched { job, machine } => {
-                let j = self.jobs.entry(*job).or_default();
-                if !j.arrived {
-                    v(out, diag::FLEET, format!("job {job} dispatched before arrival"));
-                }
-                if j.terminal {
-                    v(out, diag::FLEET, format!("terminal job {job} dispatched again (zombie)"));
-                }
-                if j.dispatched_open {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!("job {job} dispatched to machine {machine} while already running"),
-                    );
-                }
-                if j.dispatches != j.retries {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job}: dispatch {} not pair-matched with retries ({})",
-                            j.dispatches + 1,
-                            j.retries
-                        ),
-                    );
-                }
-                if self.down.get(machine).copied().unwrap_or(false) {
-                    v(out, diag::FLEET, format!("job {job} dispatched to down machine {machine}"));
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.dispatched_open = true;
-                j.dispatches += 1;
-                j.last_machine = Some(*machine);
-            }
-            Event::JobRetry { job, attempt, backoff_epochs } => {
-                let j = self.jobs.entry(*job).or_default();
-                if !j.dispatched_open {
-                    v(out, diag::FLEET, format!("job {job} retried without a live dispatch"));
-                }
-                j.dispatched_open = false;
-                if *attempt != j.retries + 1 {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job}: retry attempt {attempt} out of sequence (expected {})",
-                            j.retries + 1
-                        ),
-                    );
-                }
-                if *attempt > max_retries {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job}: retry attempt {attempt} exceeds the budget {max_retries}"
-                        ),
-                    );
-                }
-                if *backoff_epochs < j.last_backoff {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job}: backoff {backoff_epochs} epochs shrank from {}",
-                            j.last_backoff
-                        ),
-                    );
-                }
-                if *backoff_epochs > retry_cap {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job}: backoff {backoff_epochs} epochs exceeds the ceiling \
-                             {retry_cap}"
-                        ),
-                    );
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.retries = *attempt;
-                j.last_backoff = *backoff_epochs;
-            }
-            Event::JobMigrated { job, from_machine, to_machine } => {
-                let j = self.jobs.entry(*job).or_default();
-                if j.last_machine != Some(*from_machine) {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job} migrated from machine {from_machine} but last ran on \
-                             machine {:?}",
-                            j.last_machine
-                        ),
-                    );
-                }
-                if from_machine == to_machine {
-                    v(out, diag::FLEET, format!("job {job} migrated to the same machine"));
-                }
-            }
-            Event::JobCompleted { job, .. } => {
-                let j = self.jobs.entry(*job).or_default();
-                // Single-machine traces also carry job_completed; in a
-                // fleet trace completion must close a live dispatch.
-                if !j.dispatched_open {
-                    v(out, diag::FLEET, format!("job {job} completed without a live dispatch"));
-                }
-                if j.terminal {
-                    v(out, diag::FLEET, format!("job {job} completed twice"));
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.dispatched_open = false;
-                j.terminal = true;
-            }
-            Event::JobFailed { job, attempts } => {
-                let j = self.jobs.entry(*job).or_default();
-                if j.terminal {
-                    v(out, diag::FLEET, format!("job {job} reported failed after terminal state"));
-                }
-                if *attempts != j.dispatches {
-                    v(
-                        out,
-                        diag::FLEET,
-                        format!(
-                            "job {job} failed after {attempts} attempts but {} dispatches \
-                             were traced",
-                            j.dispatches
-                        ),
-                    );
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.dispatched_open = false;
-                j.terminal = true;
-            }
-            _ => {}
-        }
-    }
-
-    fn finish(&mut self) {
-        if self.params.is_none() {
-            return;
-        }
-        self.close_renorm();
-        for (job, j) in &self.jobs {
-            if j.arrived && !j.terminal {
+        Event::JobMigrated { job, from_machine, to_machine } => {
+            let j = l.job(*job);
+            if j.last_machine != Some(*from_machine) {
                 v(
-                    &mut self.out,
+                    out,
                     diag::FLEET,
-                    format!("job {job} lost: arrived but neither completed nor reported failed"),
+                    format!(
+                        "job {job} migrated from machine {from_machine} but last ran on \
+                         machine {:?}",
+                        j.last_machine
+                    ),
+                );
+            }
+            if from_machine == to_machine {
+                v(out, diag::FLEET, format!("job {job} migrated to the same machine"));
+            }
+        }
+        Event::JobCompleted { job, .. } => {
+            let j = l.job(*job);
+            // Single-machine traces also carry job_completed; in a
+            // fleet trace completion must close a live dispatch.
+            if !j.dispatched {
+                v(out, diag::FLEET, format!("job {job} completed without a live dispatch"));
+            }
+            if j.terminal {
+                v(out, diag::FLEET, format!("job {job} completed twice"));
+            }
+        }
+        Event::JobFailed { job, attempts } => {
+            let j = l.job(*job);
+            if j.terminal {
+                v(out, diag::FLEET, format!("job {job} reported failed after terminal state"));
+            }
+            if *attempts != j.dispatches {
+                v(
+                    out,
+                    diag::FLEET,
+                    format!(
+                        "job {job} failed after {attempts} attempts but {} dispatches \
+                         were traced",
+                        j.dispatches
+                    ),
                 );
             }
         }
+        _ => {}
     }
 }
 
 // --- lifecycle -----------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct JobState {
-    arrived: bool,
-    running: bool,
-    terminal: bool,
-}
-
-#[derive(Debug, Default)]
-struct LifecycleChecker {
-    /// Set by `machine_start`; fleet and in-situ traces never activate.
-    active: bool,
-    jobs: BTreeMap<usize, JobState>,
-    out: Vec<Violation>,
-}
-
-impl LifecycleChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        if let Event::MachineStart { .. } = &ev.ev {
-            self.active = true;
-            return;
-        }
-        if !self.active {
-            return;
-        }
-        let out = &mut self.out;
-        match &ev.ev {
-            Event::JobArrived { job } => {
-                self.jobs.entry(*job).or_default().arrived = true;
-            }
-            Event::JobStarted { job, .. } => {
-                let j = self.jobs.entry(*job).or_default();
-                if !j.arrived {
-                    v(out, diag::LIFECYCLE, format!("job {job} started without arriving"));
-                }
-                if j.terminal {
-                    v(out, diag::LIFECYCLE, format!("job {job} started after terminal state"));
-                }
-                if j.running {
-                    v(out, diag::LIFECYCLE, format!("job {job} started while already running"));
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.running = true;
-            }
-            Event::JobCompleted { job, .. } => {
-                let j = self.jobs.entry(*job).or_default();
-                if !j.running {
-                    v(out, diag::LIFECYCLE, format!("job {job} completed without running"));
-                }
-                if j.terminal {
-                    v(out, diag::LIFECYCLE, format!("job {job} completed after terminal state"));
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.running = false;
-                j.terminal = true;
-            }
-            Event::JobKilled { job } => {
-                let j = self.jobs.entry(*job).or_default();
-                // Killing a queued, never-started job is legal (admission
-                // kills on machine teardown).
-                if !j.arrived {
-                    v(out, diag::LIFECYCLE, format!("job {job} killed without arriving"));
-                }
-                if j.terminal {
-                    v(out, diag::LIFECYCLE, format!("job {job} killed after terminal state"));
-                }
-                let j = self.jobs.entry(*job).or_default();
-                j.running = false;
-                j.terminal = true;
-            }
-            _ => {}
-        }
+/// Gated on `machine_start`; fleet and in-situ traces never activate it.
+fn check_lifecycle(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
+    if l.machine_envelope_w.is_none() {
+        return;
     }
-}
-
-// --- halt (advisory) -----------------------------------------------------
-
-#[derive(Debug, Default)]
-struct HaltChecker {
-    run_start: bool,
-    last_sync: Option<u64>,
-    run_end: bool,
-    out: Vec<Violation>,
-}
-
-impl HaltChecker {
-    fn feed(&mut self, ev: &TraceEvent) {
-        match &ev.ev {
-            Event::RunStart { .. } => self.run_start = true,
-            Event::SyncStart { sync } => self.last_sync = Some(*sync),
-            Event::RunEnd { .. } => self.run_end = true,
-            _ => {}
+    match &ev.ev {
+        Event::JobStarted { job, .. } => {
+            let j = l.job(*job);
+            if !j.arrived {
+                v(out, diag::LIFECYCLE, format!("job {job} started without arriving"));
+            }
+            if j.terminal {
+                v(out, diag::LIFECYCLE, format!("job {job} started after terminal state"));
+            }
+            if j.running {
+                v(out, diag::LIFECYCLE, format!("job {job} started while already running"));
+            }
         }
-    }
-
-    fn finish(&mut self) {
-        if let (true, Some(k), false) = (self.run_start, self.last_sync, self.run_end) {
-            v(
-                &mut self.out,
-                diag::HALT,
-                format!(
-                    "run halted: interval {k} is the last opened and run_end was never \
-                     recorded (legal under partition death, otherwise a lost epilogue)"
-                ),
-            );
+        Event::JobCompleted { job, .. } => {
+            let j = l.job(*job);
+            if !j.running {
+                v(out, diag::LIFECYCLE, format!("job {job} completed without running"));
+            }
+            if j.terminal {
+                v(out, diag::LIFECYCLE, format!("job {job} completed after terminal state"));
+            }
         }
+        Event::JobKilled { job } => {
+            let j = l.job(*job);
+            // Killing a queued, never-started job is legal (admission
+            // kills on machine teardown).
+            if !j.arrived {
+                v(out, diag::LIFECYCLE, format!("job {job} killed without arriving"));
+            }
+            if j.terminal {
+                v(out, diag::LIFECYCLE, format!("job {job} killed after terminal state"));
+            }
+        }
+        _ => {}
     }
 }
 

@@ -4,17 +4,20 @@
 //! [`obs::EventSubscriber`] seam, from a tapped [`obs::Tracer`] buffer,
 //! or parsed back from a JSONL file — and answers two questions:
 //!
-//! 1. **Did the run obey its own physics?** — the incremental checker
-//!    battery ([`StreamChecker`]) runs structural and physical checks one event at a time, carrying
-//!    O(active spans + nodes) state: clock monotonicity, interval
-//!    nesting, per-node span ordering, budget conservation at every
-//!    allocation, RAPL clamp/actuation consistency, energy identities,
+//! 1. **Did the run obey its own physics?** — an invariant battery judges
+//!    one event at a time against one ledger of the run's protocol state
+//!    (headers, budget in force, open interval, `run_end`, envelope
+//!    renormalization, jobs, machines down), carrying O(active spans +
+//!    nodes + live jobs) state: clock monotonicity, interval nesting,
+//!    per-node span ordering, budget conservation at every allocation,
+//!    RAPL clamp/actuation consistency, energy identities,
 //!    machine-envelope conservation, fault → graceful-degradation
 //!    pairing, the fleet federation contract (no job lost or double-run,
 //!    retry/backoff in bounds, fleet-envelope conservation), the machine
 //!    job-lifecycle protocol, and a halted-run advisory. Every finding
 //!    carries a namespaced diagnostic code ([`diag`]):
-//!    `AUDIT0001`…`AUDIT0013`.
+//!    `AUDIT0001`…`AUDIT0013`. The battery runs inside
+//!    [`StreamAuditor`], whose health rows read the same ledger.
 //! 2. **Where did the time and energy go?** — [`StreamAuditor`] folds the
 //!    same stream into [`AuditReport`] (per-phase and per-partition
 //!    attribution, a per-interval straggler breakdown, a critical-path
@@ -47,17 +50,17 @@
 
 pub mod diag;
 pub mod diff;
-pub mod invariants;
+mod invariants;
+mod ledger;
 pub mod metrics;
 pub mod registry;
 pub mod stream;
 
 pub use diag::{DiagCode, Diagnostic, Severity, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, TraceDiffer};
-pub use invariants::StreamChecker;
 pub use metrics::AuditReport;
 pub use obs::json;
-pub use registry::{Counter, ExactSum, Gauge, Histogram, Registry};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use stream::{RunHealth, StreamAuditor, StreamOutcome, RUN_SCHEMA_VERSION};
 
 /// Audit `events` in one pass: how the unit tests run the engine.

@@ -2,34 +2,23 @@
 //! deterministic histograms maintained incrementally as events stream
 //! past — the constant-memory replacement for whole-trace report walks.
 //!
-//! Two properties carry the whole design:
-//!
-//! - **Determinism.** Every accumulator is a pure fold over its inputs
-//!   with no wall-clock, no hashing, no allocation-order dependence:
-//!   fixed bucket edges (powers of two over nanoseconds), exact
-//!   compensated sums (Shewchuk partials, so addition is associative up
-//!   to the final collapse), and `BTreeMap` name tables. Feeding the same
-//!   events always yields bit-identical state.
-//! - **Merge-order independence.** [`Registry::merge`] combines two
-//!   registries by summing counts, taking the later gauge write (total
-//!   order on `(t_ns, value)` bits), and adding histograms
-//!   bucket-by-bucket. Counter/histogram merge is commutative and
-//!   associative, so a `par` fan-in over per-run registries produces the
-//!   same bytes regardless of which worker finishes first.
+//! **Determinism.** Every accumulator is a pure fold over its inputs
+//! with no wall-clock, no hashing, no allocation-order dependence: fixed
+//! bucket edges (powers of two over nanoseconds), integer sums, and
+//! `BTreeMap` name tables. Feeding the same events always yields
+//! bit-identical state.
 //!
 //! State is O(names × buckets) — independent of event volume — which is
 //! what lets an at-scale sweep keep its metrics without keeping its
 //! trace.
 //!
-//! The numeric accumulators themselves ([`ExactSum`], [`Histogram`])
-//! live in [`obs::hist`] so the wall-clock stage profiler can share
-//! them; they are re-exported here so `audit::{ExactSum, Histogram}`
-//! keeps working.
+//! The [`Histogram`] itself lives in [`obs::hist`] so the wall-clock
+//! stage profiler can share it; it is re-exported here.
 
 use crate::json::Value;
 use std::collections::BTreeMap;
 
-pub use obs::hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
+pub use obs::hist::{Histogram, HISTOGRAM_BUCKETS};
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,9 +38,9 @@ impl Counter {
 
 /// A last-write-wins sampled value, ordered by sim-time stamp.
 ///
-/// Merging two gauges keeps the write with the larger `(t_ns, value)`
-/// key — `value` compared by `total_cmp` so ties at the same instant
-/// resolve identically on every merge order.
+/// A write is kept if its `(t_ns, value)` key is at least the retained
+/// one's — `value` compared by `total_cmp`, so of two writes at the same
+/// instant the larger value wins whichever comes first.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gauge {
     /// Sim-time of the retained write, nanoseconds.
@@ -66,11 +55,6 @@ impl Gauge {
         if (t_ns, value.total_cmp(&self.value)) >= (self.t_ns, std::cmp::Ordering::Equal) {
             *self = Gauge { t_ns, value };
         }
-    }
-
-    /// Keep the later of two writes.
-    pub fn merge(&mut self, other: &Gauge) {
-        self.set(other.t_ns, other.value);
     }
 }
 
@@ -135,23 +119,6 @@ impl Registry {
         self.histograms.get(name)
     }
 
-    /// Fold another registry in: counters add, gauges keep the later
-    /// write, histograms add bucket-by-bucket. Commutative and
-    /// associative for counters and histograms; gauges resolve by the
-    /// total `(t_ns, value)` order, so fan-in order cannot change the
-    /// result.
-    pub fn merge(&mut self, other: &Registry) {
-        for (name, c) in &other.counters {
-            self.counter(name).add(c.0);
-        }
-        for (name, g) in &other.gauges {
-            self.gauge(name).merge(g);
-        }
-        for (name, h) in &other.histograms {
-            self.histogram(name).merge(h);
-        }
-    }
-
     /// The registry as the `metrics` section of the run document,
     /// name-sorted — the fingerprint the determinism tests compare.
     /// Histogram summaries carry bucket-exact p50/p95/p99 (nearest-rank
@@ -189,52 +156,20 @@ mod tests {
 
     #[test]
     fn gauge_keeps_the_latest_write_in_any_merge_order() {
+        // Later stamps win whatever order the writes arrive in.
         let mut a = Gauge::default();
-        a.set(10, 5.0);
         a.set(30, 7.5);
-        let mut b = Gauge::default();
-        b.set(20, 100.0);
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.value, 7.5);
-        // Same-instant tie: larger value (by total_cmp) wins regardless of
-        // which side merges into which.
-        let mut x = Gauge::default();
-        x.set(40, 1.0);
-        let mut y = Gauge::default();
-        y.set(40, 2.0);
-        let mut xy = x;
-        xy.merge(&y);
-        let mut yx = y;
-        yx.merge(&x);
-        assert_eq!(xy, yx);
-        assert_eq!(xy.value, 2.0);
-    }
-
-    #[test]
-    fn registry_merge_is_order_independent_bytes() {
-        let mut a = Registry::default();
-        a.counter("syncs").add(3);
-        a.gauge("allocated_w").set(100, 440.0);
-        a.histogram("wait_ns").observe(1_000);
-        a.histogram("wait_ns").observe(9_000);
-        let mut b = Registry::default();
-        b.counter("syncs").add(4);
-        b.counter("faults").inc();
-        b.gauge("allocated_w").set(200, 880.0);
-        b.histogram("wait_ns").observe(2_000_000);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.to_value().pretty(), ba.to_value().pretty());
-        assert_eq!(ab.counter_value("syncs"), 7);
-        assert_eq!(ab.counter_value("faults"), 1);
-        assert_eq!(ab.gauge_value("allocated_w"), Some(880.0));
-        assert_eq!(ab.get_histogram("wait_ns").unwrap().count, 3);
+        a.set(10, 5.0);
+        a.set(20, 100.0);
+        assert_eq!(a, Gauge { t_ns: 30, value: 7.5 });
+        // Same-instant tie: the larger value (by total_cmp) wins in either
+        // order.
+        for (first, second) in [(1.0, 2.0), (2.0, 1.0)] {
+            let mut x = Gauge::default();
+            x.set(40, first);
+            x.set(40, second);
+            assert_eq!(x, Gauge { t_ns: 40, value: 2.0 });
+        }
     }
 
     #[test]

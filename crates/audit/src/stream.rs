@@ -12,14 +12,14 @@
 //! files through it line by line, and the `verify.sh` gate diffs that
 //! replay against the live in-process audit of the same run.
 //!
-//! **Bounded state.** The invariant battery carries O(active spans +
-//! nodes + live jobs) ([`StreamChecker`]); the report accumulator buffers
-//! only the *current* interval's spans and samples (folded into the
-//! per-kind attribution when the interval closes), per-node maps, and the
-//! fixed-size registry. Nothing holds a `Vec` of all events. The outputs
-//! that are per-interval by nature (straggler rows, health snapshots)
-//! grow with the interval count — that is the size of the report itself,
-//! not a function of the event count.
+//! **Bounded state.** The invariant battery and the ledger of protocol
+//! state it reads carry O(active spans + nodes + live jobs); the report
+//! accumulator buffers only the *current* interval's spans and samples
+//! (folded into the per-kind attribution when the interval closes),
+//! per-node maps, and the fixed-size registry. Nothing holds a `Vec` of
+//! all events. The outputs that are per-interval by nature (straggler
+//! rows, health snapshots) grow with the interval count — that is the
+//! size of the report itself, not a function of the event count.
 //!
 //! The attribution fold order is the record order: every span of
 //! interval `k` precedes `sync_end k`, and the interval's samples are all
@@ -29,6 +29,7 @@
 
 use crate::invariants::StreamChecker;
 use crate::json::Value;
+use crate::ledger::RenormGroup;
 use crate::metrics::{
     AuditReport, CriticalPath, LatencyStats, PartitionAttribution, PhaseAttribution, SyncStragglers,
 };
@@ -111,13 +112,9 @@ impl StreamOutcome {
 /// [`finish`](StreamAuditor::finish).
 #[derive(Debug, Default)]
 pub struct StreamAuditor {
+    /// The battery, and the ledger of protocol state the report also reads.
     checker: StreamChecker,
     registry: Registry,
-    events: u64,
-    syncs: u64,
-    open: Option<u64>,
-    total_time_s: f64,
-    total_energy_j: f64,
     /// Current interval's measured mean power, keyed (interval, node).
     cur_samples: BTreeMap<(u64, usize), f64>,
     /// Current interval's spans: (interval, node, kind, dur_s), record
@@ -135,14 +132,9 @@ pub struct StreamAuditor {
     stragglers: Vec<SyncStragglers>,
     critical_path: CriticalPath,
     overhead_sum: f64,
-    // Live health state.
     health: Vec<RunHealth>,
-    jobs_running: u64,
-    machines_up: u64,
+    /// Watts allocated by the last decision, epoch division or renorm.
     allocated_w: f64,
-    budget_w: f64,
-    /// Open fleet renormalization group: (epoch, Σshare_w, last t_ns).
-    renorm_group: Option<(u64, f64, u64)>,
 }
 
 impl StreamAuditor {
@@ -205,23 +197,23 @@ impl StreamAuditor {
         self.cur_samples.clear();
     }
 
-    fn close_renorm_group(&mut self) {
-        if let Some((epoch, share_sum, t_ns)) = self.renorm_group.take() {
-            self.allocated_w = share_sum;
-            self.registry.gauge("allocated_w").set(t_ns, share_sum);
-            self.snapshot(t_ns, "renorm", epoch);
-        }
+    /// A renormalization group closed: its shares are what is allocated.
+    fn close_renorm(&mut self, g: RenormGroup) {
+        self.allocated_w = g.share_w;
+        self.registry.gauge("allocated_w").set(g.t_ns, g.share_w);
+        self.snapshot(g.t_ns, "renorm", g.epoch);
     }
 
     fn snapshot(&mut self, t_ns: u64, marker: &'static str, index: u64) {
+        let l = &self.checker.ledger;
         let row = RunHealth {
             t_ns,
             marker,
             index,
-            jobs_running: self.jobs_running,
-            machines_up: self.machines_up,
+            jobs_running: l.jobs_running,
+            machines_up: l.machines_up,
             allocated_w: self.allocated_w,
-            budget_w: self.budget_w,
+            budget_w: l.budget_w,
             violations: self.checker.errors_so_far(),
         };
         self.health.push(row);
@@ -231,59 +223,55 @@ impl StreamAuditor {
     /// entry for live, tapped and parsed events alike: the event is
     /// audited in its wire form, so a live `inf` yields the findings its
     /// serialized `null` would.
+    ///
+    /// The battery judges the event against the ledger as it stood
+    /// before it (closing any renormalization group the event ends, whose
+    /// health row reads that same state and counts this event's
+    /// findings); then the ledger applies the event and the report folds
+    /// it.
     pub fn feed(&mut self, ev: &TraceEvent) {
         let ev = &*ev.wire_form();
         let t_ns = ev.t.as_nanos();
-        self.checker.feed(ev);
-        self.events += 1;
-        self.registry.counter("events").inc();
-        if self.renorm_group.is_some() && !matches!(ev.ev, Event::EnvelopeRenorm { .. }) {
-            self.close_renorm_group();
+        if let Some(g) = self.checker.judge(ev) {
+            self.close_renorm(g);
         }
+        self.checker.ledger.apply(ev);
+        self.registry.counter("events").inc();
+        let open = self.checker.ledger.open.map(|(k, _)| k);
         match &ev.ev {
-            Event::SyncStart { sync } => {
-                self.open = Some(*sync);
-                self.syncs += 1;
-                self.registry.counter("syncs").inc();
-            }
+            Event::SyncStart { .. } => self.registry.counter("syncs").inc(),
             Event::SyncEnd { sync, overhead_s } => {
-                self.open = None;
                 if overhead_s.is_finite() {
                     self.overhead_sum += *overhead_s;
                 }
                 self.fold_spans();
                 self.drain_rendezvous(*sync);
-                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                let running = self.checker.ledger.jobs_running as f64;
+                self.registry.gauge("jobs_running").set(t_ns, running);
                 self.snapshot(t_ns, "sync", *sync);
             }
             Event::Phase { node, kind, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("phase_ns").observe(end_ns.saturating_sub(*start_ns));
-                let entry = (self.open.unwrap_or(0), *node, kind.clone(), dur);
-                if self.open.is_some() {
-                    self.cur_spans.push(entry);
-                } else {
-                    self.cur_spans.push(entry);
+                self.cur_spans.push((open.unwrap_or(0), *node, kind.clone(), dur));
+                if open.is_none() {
                     self.fold_spans();
                 }
             }
             Event::Wait { node, start_ns, end_ns } => {
                 let dur = end_ns.saturating_sub(*start_ns) as f64 / 1e9;
                 self.registry.histogram("wait_ns").observe(end_ns.saturating_sub(*start_ns));
-                let entry = (self.open.unwrap_or(0), *node, Tag::Borrowed("wait"), dur);
-                if self.open.is_some() {
-                    self.cur_spans.push(entry);
-                } else {
-                    self.cur_spans.push(entry);
+                self.cur_spans.push((open.unwrap_or(0), *node, Tag::Borrowed("wait"), dur));
+                if open.is_none() {
                     self.fold_spans();
                 }
-                let w = self.waits.entry(self.open.unwrap_or(0)).or_insert((0.0, 0.0));
+                let w = self.waits.entry(open.unwrap_or(0)).or_insert((0.0, 0.0));
                 w.0 += dur;
                 w.1 = w.1.max(dur);
             }
             Event::Sample { node, role, power_w, .. } => {
                 self.registry.counter("samples").inc();
-                if let Some(k) = self.open {
+                if let Some(k) = open {
                     if power_w.is_finite() {
                         self.cur_samples.insert((k, *node), *power_w);
                     }
@@ -307,10 +295,6 @@ impl StreamAuditor {
             Event::NodeEnergy { node, energy_j } => {
                 self.node_energy.insert(*node, *energy_j);
             }
-            Event::RunEnd { total_time_s: t, total_energy_j: e } => {
-                self.total_time_s = *t;
-                self.total_energy_j = *e;
-            }
             Event::CapRequest { effective_ns, .. } => {
                 if *effective_ns > t_ns {
                     self.registry
@@ -320,13 +304,11 @@ impl StreamAuditor {
                     self.registry.counter("cap_immediate").inc();
                 }
             }
-            Event::RunStart { budget_w, .. } => {
-                self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(t_ns, *budget_w);
-            }
-            Event::BudgetRenormalized { budget_w } => {
-                self.budget_w = *budget_w;
-                self.registry.gauge("budget_w").set(t_ns, *budget_w);
+            Event::RunStart { .. }
+            | Event::BudgetRenormalized { .. }
+            | Event::MachineStart { .. }
+            | Event::FleetStart { .. } => {
+                self.registry.gauge("budget_w").set(t_ns, self.checker.ledger.budget_w);
             }
             Event::Decision(d) => {
                 let total =
@@ -336,48 +318,12 @@ impl StreamAuditor {
             }
             Event::Fault { .. } => self.registry.counter("faults").inc(),
             Event::Recovery { .. } => self.registry.counter("recoveries").inc(),
-            Event::MachineStart { envelope_w, .. } => {
-                self.machines_up = 1;
-                self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
-            }
             Event::MachineBudget { epoch, allocated_w, pool_w: _ } => {
                 self.allocated_w = *allocated_w;
                 self.registry.gauge("allocated_w").set(t_ns, *allocated_w);
-                self.registry.gauge("jobs_running").set(t_ns, self.jobs_running as f64);
+                let running = self.checker.ledger.jobs_running as f64;
+                self.registry.gauge("jobs_running").set(t_ns, running);
                 self.snapshot(t_ns, "epoch", *epoch);
-            }
-            Event::JobStarted { .. } | Event::JobDispatched { .. } => {
-                self.jobs_running += 1;
-            }
-            Event::JobCompleted { .. }
-            | Event::JobKilled { .. }
-            | Event::JobRetry { .. }
-            | Event::JobFailed { .. } => {
-                self.jobs_running = self.jobs_running.saturating_sub(1);
-            }
-            Event::FleetStart { machines, envelope_w, .. } => {
-                self.machines_up = *machines as u64;
-                self.budget_w = *envelope_w;
-                self.registry.gauge("budget_w").set(t_ns, *envelope_w);
-            }
-            Event::MachineDown { .. } => {
-                self.machines_up = self.machines_up.saturating_sub(1);
-            }
-            Event::MachineUp { .. } => self.machines_up += 1,
-            Event::EnvelopeRenorm { epoch, share_w, .. } => {
-                match &mut self.renorm_group {
-                    Some((e, sum, t)) if *e == *epoch => {
-                        *sum += share_w;
-                        *t = t_ns;
-                    }
-                    _ => {
-                        // Epoch change: the is_some guard above only fires
-                        // for non-renorm events, so close here.
-                        self.close_renorm_group();
-                        self.renorm_group = Some((*epoch, *share_w, t_ns));
-                    }
-                }
             }
             _ => {}
         }
@@ -386,7 +332,11 @@ impl StreamAuditor {
     /// Flush end-of-stream state and produce the report, the health
     /// series, and the metrics registry.
     pub fn finish(mut self) -> StreamOutcome {
-        self.close_renorm_group();
+        // The last group's row counts the findings so far, not the
+        // end-of-stream ones; the battery judges the group at finish.
+        if let Some(g) = self.checker.ledger.renorm {
+            self.close_renorm(g);
+        }
         self.fold_spans();
         self.drain_rendezvous(u64::MAX);
         self.critical_path.overhead_s = self.overhead_sum;
@@ -415,11 +365,12 @@ impl StreamAuditor {
             p.energy_j += self.node_energy.get(node).copied().unwrap_or(0.0);
         }
 
+        let l = &self.checker.ledger;
         let report = AuditReport {
-            events: self.events,
-            syncs: self.syncs,
-            total_time_s: self.total_time_s,
-            total_energy_j: self.total_energy_j,
+            events: l.events,
+            syncs: self.registry.counter_value("syncs"),
+            total_time_s: l.run_end.map_or(0.0, |r| r.time_s),
+            total_energy_j: l.run_end.map_or(0.0, |r| r.energy_j),
             violations: self.checker.finish(),
             phases: self.by_kind.into_values().collect(),
             partitions: partitions.into_values().collect(),

@@ -23,7 +23,7 @@ use std::ops::RangeInclusive;
 const BIN: &str = "run_experiment";
 
 const USAGE: &str =
-    "usage: run_experiment [--controller seesaw|time-aware|power-aware|static|hierarchical-seesaw|probing-seesaw]
+    "usage: run_experiment [--controller seesaw|time-aware|power-aware|static|hierarchical-seesaw]
                       [--nodes N] [--dim D] [--steps S] [--sync-every J]
                       [--analyses rdf,vacf,msd,msd1d,msd2d] [--budget W]
                       [--window W] [--seed S] [--sim-cap W --analysis-cap W]

@@ -1093,7 +1093,7 @@ mod fig9_overhead {
 ///   the optimum) vs the evident intent (blend with the previous
 ///   allocation);
 /// * **controller extensions** — plain SeeSAw vs the §VIII future-work
-///   variants (hierarchical level-2, local-optimum probing);
+///   hierarchical level-2 variant;
 /// * **sharing mode** — space-shared (the paper's setting) vs time-shared
 ///   vs per-half-socket co-located execution of the same workload (§III).
 mod ablation {
@@ -1101,7 +1101,7 @@ mod ablation {
 
     const EWMA: [(&str, EwmaMode); 2] =
         [("paper-literal", EwmaMode::PaperLiteral), ("blend-previous", EwmaMode::BlendPrevious)];
-    const FAMILY: [&str; 4] = ["seesaw", "hierarchical-seesaw", "probing-seesaw", "time-aware"];
+    const FAMILY: [&str; 3] = ["seesaw", "hierarchical-seesaw", "time-aware"];
     /// After the space-shared static run 0 of a job, its runs 1–3.
     const SHARING: [(&str, &str, Entry); 3] = [
         ("space-shared seesaw", "seesaw", Entry::Job),
@@ -1626,8 +1626,8 @@ mod tests {
         // The sweeps add 105 distinct keys (103 quick), none shared: 4
         // scenarios × 3 policies, 3 Theta policies (1 quick), and 5 storms
         // × 2 fleet sizes × 3 policies × 3 seeds, each seed its own key.
-        assert_eq!(counts(&all(), false), (644, 528));
-        assert_eq!(counts(&all(), true), (311, 280));
+        assert_eq!(counts(&all(), false), (642, 527));
+        assert_eq!(counts(&all(), true), (309, 279));
         // A key repeated inside one experiment or across two resolves to
         // the first request's slot.
         let plan = plan(&all(), true);

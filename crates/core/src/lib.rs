@@ -45,7 +45,6 @@ mod hierarchical;
 pub mod model;
 mod node_map;
 mod power_aware;
-mod probing;
 #[cfg(test)]
 mod reference;
 mod seesaw;
@@ -57,7 +56,6 @@ pub mod waterfill;
 pub use controller::Controller;
 pub use hierarchical::{HierarchicalConfig, HierarchicalSeeSaw};
 pub use power_aware::{PowerAware, PowerAwareConfig};
-pub use probing::{ProbingConfig, ProbingSeeSaw};
 pub use seesaw::{EwmaMode, SeeSaw, SeeSawConfig};
 pub use static_alloc::StaticAlloc;
 pub use time_aware::{TimeAware, TimeAwareConfig};
@@ -68,8 +66,8 @@ pub use types::{
 pub use waterfill::{water_fill, water_fill_uniform};
 
 /// The controller names [`controller_by_name`] accepts.
-pub const CONTROLLER_NAMES: [&str; 6] =
-    ["seesaw", "power-aware", "time-aware", "static", "hierarchical-seesaw", "probing-seesaw"];
+pub const CONTROLLER_NAMES: [&str; 5] =
+    ["seesaw", "power-aware", "time-aware", "static", "hierarchical-seesaw"];
 
 /// A controller name that [`controller_by_name`] does not recognize.
 ///
@@ -98,8 +96,8 @@ impl std::error::Error for UnknownController {}
 
 /// Construct a controller from a name, as used by the experiment binaries:
 /// the paper's four (`seesaw`, `power-aware`, `time-aware`, `static`) plus
-/// the §VIII future-work extensions (`hierarchical-seesaw`,
-/// `probing-seesaw`). Unrecognized names yield [`UnknownController`].
+/// the §VIII future-work extension `hierarchical-seesaw`. Unrecognized
+/// names yield [`UnknownController`].
 pub fn controller_by_name(
     name: &str,
     n_nodes: usize,
@@ -112,7 +110,6 @@ pub fn controller_by_name(
         "hierarchical-seesaw" => {
             Ok(Box::new(HierarchicalSeeSaw::new(HierarchicalConfig::paper_default(n_nodes))))
         }
-        "probing-seesaw" => Ok(Box::new(ProbingSeeSaw::new(ProbingConfig::paper_default(n_nodes)))),
         other => Err(UnknownController { name: other.to_string() }),
     }
 }

@@ -9,8 +9,7 @@ use theta_sim::{CapMode, MachineConfig, NoiseSeed};
 pub struct JobConfig {
     /// The workload (problem size, partitions, analyses, j).
     pub workload: WorkloadSpec,
-    /// Controller: `seesaw`, `power-aware`, `time-aware`, `static`,
-    /// `hierarchical-seesaw` or `probing-seesaw`.
+    /// Controller: one of [`seesaw::CONTROLLER_NAMES`].
     pub controller: String,
     /// Global budget per node, watts (budget C = this × total nodes).
     pub budget_per_node_w: f64,

@@ -92,14 +92,7 @@ mod randomized {
     #[test]
     fn determinism_for_every_controller() {
         let mut rng = Rng::seed_from_u64(0x0017_5102);
-        for ctl in [
-            "seesaw",
-            "time-aware",
-            "power-aware",
-            "static",
-            "hierarchical-seesaw",
-            "probing-seesaw",
-        ] {
+        for ctl in seesaw::CONTROLLER_NAMES {
             let seed = rng.next_below(100);
             let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Rdf]);
             spec.total_steps = 8;

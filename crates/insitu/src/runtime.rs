@@ -60,17 +60,13 @@ pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownC
             ..TimeAwareConfig::paper_default(n)
         })),
         "static" => Box::new(StaticAlloc::new()),
-        // Paper §VIII future-work extensions.
+        // Paper §VIII future-work extension.
         "hierarchical-seesaw" => {
             Box::new(seesaw::HierarchicalSeeSaw::new(seesaw::HierarchicalConfig {
                 seesaw,
                 gamma: 0.5,
             }))
         }
-        "probing-seesaw" => Box::new(seesaw::ProbingSeeSaw::new(seesaw::ProbingConfig {
-            seesaw,
-            ..seesaw::ProbingConfig::paper_default(n)
-        })),
         other => return Err(UnknownController { name: other.to_string() }),
     })
 }

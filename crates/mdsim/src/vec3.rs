@@ -47,7 +47,7 @@ impl Vec3 {
     ///
     /// Components with `|d| <= l` — every difference of two wrapped
     /// positions — take the divide-free form of
-    /// [`min_image_within_box`], which returns the same bits.
+    /// `min_image_within_box` (crate-private), which returns the same bits.
     #[inline]
     pub fn minimum_image(self, l: f64) -> Vec3 {
         let half = 0.5 * l;

@@ -1,104 +1,10 @@
-//! Deterministic numeric accumulators shared by the metrics registry
+//! The fixed-bucket log₂ histogram shared by the metrics registry
 //! (`audit::registry`) and the wall-clock stage profiler
-//! ([`crate::profile`]): an exactly-rounded compensated sum and a
-//! fixed-bucket log₂ histogram.
+//! ([`crate::profile`]).
 //!
-//! These live in `obs` (the bottom of the observability stack) so both
-//! the audit layer above and the profiler here can share one audited
-//! implementation. `audit::registry` re-exports them, so existing
-//! `audit::{ExactSum, Histogram}` paths keep working.
-
-/// Exactly-rounded running sum (Shewchuk's growing-expansion algorithm).
-///
-/// Keeps the running total as a list of non-overlapping partials whose
-/// sum is the *exact* real-number sum of everything observed; `value()`
-/// collapses the partials with one rounding. Because the partial
-/// representation is canonical for a given exact sum, adding the same
-/// multiset of values in any order — or merging two `ExactSum`s either
-/// way around — lands on identical partials, which is what makes every
-/// mean and total in the registry merge-order independent.
-///
-/// Non-finite inputs are counted but not summed (one infinity would
-/// poison the partials); the report layer decides how to surface them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExactSum {
-    partials: Vec<f64>,
-}
-
-impl ExactSum {
-    /// Add one value (non-finite values are ignored).
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        let mut x = x;
-        let mut i = 0;
-        for j in 0..self.partials.len() {
-            let mut y = self.partials[j];
-            if x.abs() < y.abs() {
-                std::mem::swap(&mut x, &mut y);
-            }
-            let hi = x + y;
-            let lo = y - (hi - x);
-            if lo != 0.0 {
-                self.partials[i] = lo;
-                i += 1;
-            }
-            x = hi;
-        }
-        self.partials.truncate(i);
-        if x != 0.0 {
-            self.partials.push(x);
-        }
-    }
-
-    /// Fold another exact sum in (adds its partials; exactness is
-    /// preserved, so merge order cannot matter).
-    pub fn merge(&mut self, other: &ExactSum) {
-        for &p in &other.partials {
-            self.add(p);
-        }
-    }
-
-    /// The correctly-rounded sum.
-    ///
-    /// The partial *decomposition* is not canonical across insertion
-    /// orders (only the exact value it represents is), so a naive fold
-    /// over the partials could round differently. This is the `fsum`
-    /// final pass: descend from the largest partial until the running sum
-    /// goes inexact, then resolve the round-half-even tie against the
-    /// next partial's sign — the result depends only on the exact sum.
-    pub fn value(&self) -> f64 {
-        let p = &self.partials;
-        let mut n = p.len();
-        if n == 0 {
-            return 0.0;
-        }
-        n -= 1;
-        let mut hi = p[n];
-        let mut lo = 0.0;
-        while n > 0 {
-            let x = hi;
-            n -= 1;
-            let y = p[n];
-            hi = x + y;
-            let yr = hi - x;
-            lo = y - yr;
-            if lo != 0.0 {
-                break;
-            }
-        }
-        if n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0)) {
-            let y = lo * 2.0;
-            let x = hi + y;
-            let yr = x - hi;
-            if y == yr {
-                hi = x;
-            }
-        }
-        hi
-    }
-}
+//! It lives in `obs` (the bottom of the observability stack) so both the
+//! audit layer above and the profiler here can share one implementation;
+//! `audit::registry` re-exports it.
 
 /// Number of log2 buckets: one per possible leading-bit position of a
 /// `u64` nanosecond value, plus a zero bucket folded into index 0.
@@ -108,8 +14,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 ///
 /// Buckets are powers of two: bucket *b* holds values whose
 /// floor(log2(v)) is *b* (v=0 lands in bucket 0), so the edges are a
-/// property of the type, not the data — two histograms always share a
-/// bucketing and merge by adding counts. Exact min/max/sum ride along so
+/// property of the type, not the data. Exact min/max/sum ride along so
 /// the summary stats the reports quote (`min`, `max`, `mean`) stay exact
 /// while the quantiles are bucket-resolution, clamped into the observed
 /// range.
@@ -122,18 +27,13 @@ pub struct Histogram {
     pub min_ns: u64,
     /// Exact largest observation (0 when empty).
     pub max_ns: u64,
-    sum: ExactSum,
+    /// Σ observations: a `u128` cannot overflow on `u64` inputs.
+    sum: u128,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            counts: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-            sum: ExactSum::default(),
-        }
+        Histogram { counts: [0; HISTOGRAM_BUCKETS], count: 0, min_ns: u64::MAX, max_ns: 0, sum: 0 }
     }
 }
 
@@ -149,32 +49,21 @@ impl Histogram {
         self.count += 1;
         self.min_ns = self.min_ns.min(v_ns);
         self.max_ns = self.max_ns.max(v_ns);
-        self.sum.add(v_ns as f64);
+        self.sum += u128::from(v_ns);
     }
 
-    /// Add another histogram's observations (commutative, associative).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.sum.merge(&other.sum);
-    }
-
-    /// Exact mean in nanoseconds (0 when empty).
+    /// Mean in nanoseconds (0 when empty): the rounded sum over the count.
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.sum.value() / self.count as f64
+            self.sum_ns() / self.count as f64
         }
     }
 
-    /// Exact sum in nanoseconds.
+    /// Sum in nanoseconds, correctly rounded to `f64` (exact below 2⁵³).
     pub fn sum_ns(&self) -> f64 {
-        self.sum.value()
+        self.sum as f64
     }
 
     /// Quantile estimate, bucket resolution: walks the fixed buckets to
@@ -216,59 +105,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_sum_is_order_independent() {
-        // A pathological cancellation set: naive summation gives different
-        // bytes depending on order; the exact sum cannot.
-        let values = [1e16, 1.0, -1e16, 2.5e-10, 3.0, -3.0, 1e-300, 7.25];
-        let mut fwd = ExactSum::default();
-        for &v in &values {
-            fwd.add(v);
-        }
-        let mut rev = ExactSum::default();
-        for &v in values.iter().rev() {
-            rev.add(v);
-        }
-        assert_eq!(fwd.value().to_bits(), rev.value().to_bits());
-        // The correctly-rounded sum: one rounding of the exact value
-        // (naive left-to-right association lands one ulp high here).
-        assert_eq!(fwd.value(), 8.25 + 2.5e-10);
-    }
-
-    #[test]
-    fn exact_sum_merge_matches_one_shot() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64) * 0.1 - 3.7).collect();
-        let mut one = ExactSum::default();
-        for &v in &values {
-            one.add(v);
-        }
-        let (a_half, b_half) = values.split_at(37);
-        let mut a = ExactSum::default();
-        let mut b = ExactSum::default();
-        for &v in a_half {
-            a.add(v);
-        }
-        for &v in b_half {
-            b.add(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.value().to_bits(), one.value().to_bits());
-        assert_eq!(ba.value().to_bits(), one.value().to_bits());
-    }
-
-    #[test]
-    fn exact_sum_skips_non_finite() {
-        let mut s = ExactSum::default();
-        s.add(1.5);
-        s.add(f64::INFINITY);
-        s.add(f64::NAN);
-        s.add(2.5);
-        assert_eq!(s.value(), 4.0);
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
         assert_eq!(bucket(0), 0);
         assert_eq!(bucket(1), 0);
@@ -293,30 +129,13 @@ mod tests {
         assert_eq!(h.min_ns, 10_000_000);
         assert_eq!(h.max_ns, 40_000_000);
         assert_eq!(h.mean_ns(), 25_000_000.0);
-    }
-
-    #[test]
-    fn histogram_merge_matches_one_shot_feed() {
-        let values: Vec<u64> = (0..200).map(|i| (i * i * 97 + 13) % 50_000_000).collect();
-        let mut one = Histogram::default();
-        for &v in &values {
-            one.observe(v);
+        // The sum is kept in integers and rounded once: 2⁵³ + 1 + 1 is
+        // 2⁵³ + 2, where adding in f64 would round back to 2⁵³ each time.
+        let mut big = Histogram::default();
+        for v in [1 << 53, 1, 1] {
+            big.observe(v);
         }
-        let (left, right) = values.split_at(71);
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        for &v in left {
-            a.observe(v);
-        }
-        for &v in right {
-            b.observe(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, one);
-        assert_eq!(ba, one);
+        assert_eq!(big.sum_ns(), 9_007_199_254_740_994.0);
     }
 
     #[test]

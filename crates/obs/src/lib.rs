@@ -47,7 +47,7 @@ mod report;
 mod sink;
 
 pub use event::{to_jsonl, DecisionInfo, Event, EventError, Tag, TraceEvent};
-pub use hist::{ExactSum, Histogram, HISTOGRAM_BUCKETS};
+pub use hist::{Histogram, HISTOGRAM_BUCKETS};
 pub use perfetto::chrome_trace;
 pub use report::Reporter;
 pub use sink::{EventSubscriber, Tracer};

@@ -38,8 +38,8 @@ impl ExchangeFaults {
 /// Manager configuration.
 #[derive(Debug, Clone)]
 pub struct PowerManagerConfig {
-    /// Controller name (resolved via [`seesaw::controller_by_name`]):
-    /// `seesaw`, `power-aware`, `time-aware` or `static`.
+    /// Controller name, one of [`seesaw::CONTROLLER_NAMES`] (resolved via
+    /// [`seesaw::controller_by_name`]).
     pub controller: String,
     /// Interconnect model used to charge measurement-exchange overhead.
     pub net: NetworkModel,

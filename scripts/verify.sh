@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build + tests, lint wall, and the
-# regeneration gate — every committed file under results/ is what `repro`
+# Tier-1 verification: offline build + tests, lint wall (clippy, fmt,
+# rustdoc), and the regeneration gate — every committed file under results/ is what `repro`
 # produces at HEAD, at any POLIMER_THREADS.
 #
 # `repro --check` is that gate: it runs the selection, compares every
@@ -39,6 +39,11 @@ cargo clippy --all-targets --offline -- -D warnings
 
 stage "format: cargo fmt --check"
 cargo fmt --check
+
+# Broken intra-doc links (an item renamed, deleted or made private) fail
+# here instead of rendering as plain text.
+stage "docs: cargo doc --no-deps with rustdoc warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 c="$(mktemp -d)"
 trap 'rm -rf "$c"' EXIT
@@ -143,4 +148,4 @@ grep -q '"sched.governor_epoch"' "$c/profile_machine_sweep.json"
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt + rustdoc clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), profiler artifacts written"

@@ -27,13 +27,6 @@ pub struct HierarchicalConfig {
     pub gamma: f64,
 }
 
-impl HierarchicalConfig {
-    /// Paper-style defaults with a gentle intra-partition correction.
-    pub fn paper_default(n_nodes: usize) -> Self {
-        HierarchicalConfig { seesaw: SeeSawConfig::paper_default(n_nodes), gamma: 0.5 }
-    }
-}
-
 /// The two-level controller.
 #[derive(Debug, Clone)]
 pub struct HierarchicalSeeSaw {

@@ -71,10 +71,8 @@ pub const CONTROLLER_NAMES: [&str; 5] =
 
 /// A controller name that [`controller_by_name`] does not recognize.
 ///
-/// The typed replacement for the panics that used to live in
-/// `polimer::PowerManager::init` and `insitu`'s controller factory:
-/// callers get a recoverable error listing the valid names instead of an
-/// abort.
+/// `polimer::PowerManager::init` and `insitu::build_controller` return it:
+/// a recoverable error listing the valid names instead of an abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownController {
     /// The rejected name, verbatim.
@@ -94,24 +92,30 @@ impl std::fmt::Display for UnknownController {
 
 impl std::error::Error for UnknownController {}
 
-/// Construct a controller from a name, as used by the experiment binaries:
-/// the paper's four (`seesaw`, `power-aware`, `time-aware`, `static`) plus
-/// the §VIII future-work extension `hierarchical-seesaw`. Unrecognized
-/// names yield [`UnknownController`].
+/// Construct a controller from a name — the paper's four (`seesaw`,
+/// `power-aware`, `time-aware`, `static`) plus the §VIII extension
+/// `hierarchical-seesaw` — over a job's budget, window and per-node limits;
+/// every other parameter keeps its paper default. Unknown names yield
+/// [`UnknownController`].
 pub fn controller_by_name(
     name: &str,
-    n_nodes: usize,
+    budget_w: f64,
+    window: usize,
+    limits: Limits,
 ) -> Result<Box<dyn Controller>, UnknownController> {
-    match name {
-        "seesaw" => Ok(Box::new(SeeSaw::new(SeeSawConfig::paper_default(n_nodes)))),
-        "power-aware" => Ok(Box::new(PowerAware::new(PowerAwareConfig::paper_default(n_nodes)))),
-        "time-aware" => Ok(Box::new(TimeAware::new(TimeAwareConfig::paper_default(n_nodes)))),
-        "static" => Ok(Box::new(StaticAlloc::new())),
-        "hierarchical-seesaw" => {
-            Ok(Box::new(HierarchicalSeeSaw::new(HierarchicalConfig::paper_default(n_nodes))))
-        }
-        other => Err(UnknownController { name: other.to_string() }),
-    }
+    let seesaw = SeeSawConfig { budget_w, window, limits, ..SeeSawConfig::paper_default(0) };
+    let pa = PowerAwareConfig { budget_w, window, limits, ..PowerAwareConfig::paper_default(0) };
+    // Time-aware runs at every sync, so w has no effect (§VI-B).
+    let ta = TimeAwareConfig { budget_w, limits, ..TimeAwareConfig::paper_default(0) };
+    let hierarchical = HierarchicalConfig { seesaw, gamma: 0.5 };
+    Ok(match name {
+        "seesaw" => Box::new(SeeSaw::new(seesaw)),
+        "power-aware" => Box::new(PowerAware::new(pa)),
+        "time-aware" => Box::new(TimeAware::new(ta)),
+        "static" => Box::new(StaticAlloc::new()),
+        "hierarchical-seesaw" => Box::new(HierarchicalSeeSaw::new(hierarchical)),
+        other => return Err(UnknownController { name: other.to_string() }),
+    })
 }
 
 #[cfg(test)]
@@ -240,7 +244,8 @@ mod randomized {
         let per_node = 110.0;
         for name in ["seesaw", "time-aware", "power-aware", "static"] {
             for _case in 0..24 {
-                let mut ctl = controller_by_name(name, total).expect("known controller");
+                let mut ctl = controller_by_name(name, per_node * total as f64, 1, Limits::theta())
+                    .expect("known controller");
                 let mut alive = vec![true; total];
                 let mut caps = vec![per_node; total];
                 let budget0 = per_node * total as f64;

@@ -31,7 +31,7 @@ impl Role {
 }
 
 /// Per-node feedback gathered over one synchronization interval.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSample {
     /// Node index within the job.
     pub node: usize,

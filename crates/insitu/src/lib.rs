@@ -31,8 +31,8 @@ pub use colocated::run_colocated;
 pub use config::JobConfig;
 pub use result::{improvement_pct, median, variability_pct, RunResult, SyncRecord};
 pub use runtime::{
-    build_controller, has_phase, median_improvement, paired_improvement, run_job, run_job_traced,
-    run_paired, run_paired_traced, Runtime,
+    build_controller, median_improvement, paired_improvement, run_job, run_job_traced, run_paired,
+    run_paired_traced, Runtime,
 };
 pub use timeshared::run_time_shared;
 

@@ -19,13 +19,10 @@ use crate::stepper::{self, Advance, NodeCtx, Reps};
 use des::{SimDuration, SimTime};
 use faults::{FaultEvent, FaultKind, RecoveryEvent, RecoveryKind};
 use mdsim::workload::{AnalyticWorkload, WorkloadGen};
-use mpisim::{Communicator, JobLayout, NetworkModel};
+use mpisim::{Communicator, JobLayout};
 use polimer::{ExchangeFaults, NodeInterval, PowerManager};
-use seesaw::{
-    Controller, Limits, PowerAware, PowerAwareConfig, Role, SeeSaw, SeeSawConfig, StaticAlloc,
-    TimeAware, TimeAwareConfig, UnknownController,
-};
-use theta_sim::{Cluster, MachineConfig, NoiseSigmas, PhaseKind, Work};
+use seesaw::{Controller, Limits, Role, UnknownController};
+use theta_sim::{Cluster, MachineConfig, NoiseSigmas, Work};
 
 /// Minimum accounted interval time (guards division by zero on degenerate
 /// configurations).
@@ -34,41 +31,8 @@ const MIN_INTERVAL_S: f64 = 1e-9;
 /// Build the controller described by a job config. Unrecognized names
 /// yield a typed [`UnknownController`] error instead of a panic.
 pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownController> {
-    let n = cfg.workload.nodes_total();
-    let budget = cfg.budget_w();
     let limits = Limits { min_w: cfg.machine.min_cap_w, max_w: cfg.machine.max_cap_w() };
-    let seesaw = SeeSawConfig {
-        budget_w: budget,
-        window: cfg.window,
-        limits,
-        ewma: seesaw::EwmaMode::BlendPrevious,
-        skip_step_zero: true,
-    };
-    Ok(match cfg.controller.as_str() {
-        "seesaw" => Box::new(SeeSaw::new(seesaw)),
-        "power-aware" => Box::new(PowerAware::new(PowerAwareConfig {
-            budget_w: budget,
-            window: cfg.window,
-            limits,
-            ..PowerAwareConfig::paper_default(n)
-        })),
-        // The paper's time-aware implementation is invoked at every sync and
-        // w has no effect (§VI-B).
-        "time-aware" => Box::new(TimeAware::new(TimeAwareConfig {
-            budget_w: budget,
-            limits,
-            ..TimeAwareConfig::paper_default(n)
-        })),
-        "static" => Box::new(StaticAlloc::new()),
-        // Paper §VIII future-work extension.
-        "hierarchical-seesaw" => {
-            Box::new(seesaw::HierarchicalSeeSaw::new(seesaw::HierarchicalConfig {
-                seesaw,
-                gamma: 0.5,
-            }))
-        }
-        other => return Err(UnknownController { name: other.to_string() }),
-    })
+    seesaw::controller_by_name(&cfg.controller, cfg.budget_w(), cfg.window, limits)
 }
 
 /// Run-to-run variability increases near the RAPL floor (paper §VII-D):
@@ -196,15 +160,12 @@ impl Runtime {
         // and the measurement exchange still runs over one rank per node.
         let world = Communicator::world(JobLayout::new(2 * n, 2));
         let sim_count = spec.sim_nodes;
-        let mut manager = PowerManager::init_with_controller(
+        let manager = PowerManager::init_with_controller(
             &world,
             move |rank| if rank / 2 < sim_count { Role::Simulation } else { Role::Analysis },
             controller,
-            NetworkModel::aries(),
-            5.0e-6,
         );
         let sync_count = spec.sync_count();
-        manager.reserve_syncs(sync_count as usize);
         let all_nodes: Vec<usize> = (0..n).collect();
         let machine = cfg.machine.clone();
         Runtime {
@@ -800,11 +761,6 @@ pub fn median_improvement(cfg: &JobConfig, runs: u64) -> Result<f64, UnknownCont
         .into_iter()
         .collect();
     Ok(crate::result::median(&vals?))
-}
-
-/// Per-phase helper used by tests: does a phase list contain a kind?
-pub fn has_phase(phases: &[Work], kind: PhaseKind) -> bool {
-    phases.iter().any(|w| w.kind == kind)
 }
 
 #[cfg(test)]

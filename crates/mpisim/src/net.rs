@@ -23,7 +23,7 @@ pub struct NetworkModel {
 impl NetworkModel {
     /// Aries-like defaults: 1.3 µs latency, 8 GB/s effective injection
     /// bandwidth, 2 µs software overhead.
-    pub fn aries() -> Self {
+    pub const fn aries() -> Self {
         NetworkModel { latency_s: 1.3e-6, bandwidth_bps: 8.0e9, sw_overhead_s: 2.0e-6 }
     }
 
@@ -39,12 +39,6 @@ impl NetworkModel {
         }
     }
 
-    /// Barrier across `nodes` nodes (dissemination: ⌈log₂ n⌉ rounds).
-    pub fn barrier(&self, nodes: usize) -> SimDuration {
-        let t = self.sw_overhead_s + Self::rounds(nodes) as f64 * self.transfer(0);
-        SimDuration::from_secs_f64(t)
-    }
-
     /// Broadcast of `bytes` from one node to `nodes` nodes (binomial tree).
     pub fn bcast(&self, nodes: usize, bytes: u64) -> SimDuration {
         let t = self.sw_overhead_s + Self::rounds(nodes) as f64 * self.transfer(bytes);
@@ -57,11 +51,6 @@ impl NetworkModel {
         SimDuration::from_secs_f64(t)
     }
 
-    /// Reduce to a root (same shape as allreduce for a tree reduction).
-    pub fn reduce(&self, nodes: usize, bytes: u64) -> SimDuration {
-        self.allreduce(nodes, bytes)
-    }
-
     /// Allgather where each node contributes `bytes_per_node`
     /// (recursive-doubling: log rounds, data doubles each round — total
     /// traffic ≈ (n−1)·b, latency term log n).
@@ -72,17 +61,6 @@ impl NetworkModel {
         let lat = Self::rounds(nodes) as f64 * self.latency_s;
         let data = (nodes as u64 - 1) * bytes_per_node;
         SimDuration::from_secs_f64(self.sw_overhead_s + lat + data as f64 / self.bandwidth_bps)
-    }
-
-    /// Gather to a root (root receives (n−1)·b serialized through its NIC).
-    pub fn gather(&self, nodes: usize, bytes_per_node: u64) -> SimDuration {
-        self.allgather(nodes, bytes_per_node)
-    }
-}
-
-impl Default for NetworkModel {
-    fn default() -> Self {
-        Self::aries()
     }
 }
 
@@ -115,13 +93,7 @@ mod tests {
     #[test]
     fn single_node_collectives_are_cheap() {
         let n = net();
-        assert!((n.barrier(1).as_secs_f64() - n.sw_overhead_s).abs() < 1e-12);
+        assert!((n.bcast(1, 16).as_secs_f64() - n.sw_overhead_s).abs() < 1e-12);
         assert!((n.allgather(1, 4096).as_secs_f64() - n.sw_overhead_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn barrier_cheaper_than_payload_allreduce() {
-        let n = net();
-        assert!(n.barrier(256) < n.allreduce(256, 1 << 16));
     }
 }

@@ -20,7 +20,7 @@
 //! let mut mgr = PowerManager::init(
 //!     &world,
 //!     |rank| if rank < 4 { Role::Simulation } else { Role::Analysis },
-//!     PowerManagerConfig::paper_default(4),
+//!     PowerManagerConfig::with_controller("seesaw"),
 //! )
 //! .expect("known controller");
 //! assert_eq!(mgr.monitor_ranks().len(), 4); // one per node
@@ -33,10 +33,14 @@
 #![warn(missing_docs)]
 
 mod manager;
-mod measurement;
 
 pub use manager::{
     AllocOutcome, ExchangeFaults, PowerManager, PowerManagerConfig, MAX_COLLECTIVE_RETRIES,
     MAX_PLAUSIBLE_POWER_W,
 };
-pub use measurement::{IntervalAccumulator, NodeInterval};
+
+/// Raw feedback for one node over one synchronization interval: the
+/// slowest rank's time on the node, its measured mean power and the cap in
+/// force. The manager hands it to the controller as is, with the previous
+/// exchange's overhead added to its time.
+pub type NodeInterval = seesaw::NodeSample;

@@ -1,10 +1,10 @@
 //! The power manager: PoLiMER's core object.
 
-use crate::measurement::{IntervalAccumulator, NodeInterval};
+use crate::NodeInterval;
 use des::SimDuration;
 use faults::{RecoveryEvent, RecoveryKind};
-use mpisim::{coll, Communicator, JobLayout, NetworkModel};
-use seesaw::{Allocation, Controller, Role, SyncObservation, UnknownController};
+use mpisim::{Communicator, NetworkModel};
+use seesaw::{Allocation, Controller, Limits, Role, SyncObservation, UnknownController};
 
 /// Bounded retries for a timed-out measurement collective before the
 /// manager gives up for the interval and holds the last allocation.
@@ -15,24 +15,32 @@ pub const MAX_COLLECTIVE_RETRIES: u32 = 3;
 /// approaches a kilowatt).
 pub const MAX_PLAUSIBLE_POWER_W: f64 = 1000.0;
 
+/// The interconnect the measurement exchange is priced on.
+const NET: NetworkModel = NetworkModel::aries();
+
+/// Local compute time of one allocation decision, seconds (the arithmetic
+/// is trivial; the paper's Fig. 9b measures ~µs–ms dominated by RAPL
+/// interaction, which the runtime models separately).
+const DECIDE_S: f64 = 5.0e-6;
+
+/// Bytes each monitor contributes to the measurement gather: time, power
+/// and cap.
+const SAMPLE_BYTES: u64 = 24;
+
+/// Bytes of the decision broadcast.
+const DECISION_BYTES: u64 = 16;
+
 /// Faults affecting one measurement-exchange round, as decided by the
 /// fault plan the runtime carries. The default (no losses, no timeouts)
 /// leaves `power_alloc` byte-identical to the fault-free path.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeFaults {
-    /// Nodes whose monitor contribution is lost in the allgather.
+    /// Nodes whose monitor contribution is lost in the gather.
     pub lost_nodes: Vec<usize>,
     /// Collective attempts that time out before one succeeds. Beyond
     /// [`MAX_COLLECTIVE_RETRIES`] the whole exchange is abandoned for the
     /// interval.
     pub failed_attempts: u32,
-}
-
-impl ExchangeFaults {
-    /// The fault-free exchange.
-    pub fn none() -> Self {
-        Self::default()
-    }
 }
 
 /// Manager configuration.
@@ -41,27 +49,12 @@ pub struct PowerManagerConfig {
     /// Controller name, one of [`seesaw::CONTROLLER_NAMES`] (resolved via
     /// [`seesaw::controller_by_name`]).
     pub controller: String,
-    /// Interconnect model used to charge measurement-exchange overhead.
-    pub net: NetworkModel,
-    /// Estimated local compute time of one allocation decision, seconds
-    /// (the arithmetic is trivial; the paper's Fig. 9b measures ~µs–ms
-    /// dominated by RAPL interaction, which the runtime models separately).
-    pub compute_s: f64,
 }
 
 impl PowerManagerConfig {
-    /// Paper defaults with the SeeSAw controller for an `n`-node job.
-    pub fn paper_default(_n_nodes: usize) -> Self {
-        PowerManagerConfig {
-            controller: "seesaw".to_string(),
-            net: NetworkModel::aries(),
-            compute_s: 5.0e-6,
-        }
-    }
-
-    /// Same, choosing a controller by name.
+    /// Choose the controller by name.
     pub fn with_controller(name: &str) -> Self {
-        PowerManagerConfig { controller: name.to_string(), ..Self::paper_default(0) }
+        PowerManagerConfig { controller: name.to_string() }
     }
 }
 
@@ -86,23 +79,19 @@ pub struct PowerManager {
     /// Participation mask: nodes marked dead are excluded from aggregation
     /// and their budget share is released to the survivors.
     alive: Vec<bool>,
-    /// Per-node rank liveness (`[node][local_rank]`): ranks whose monitor
-    /// died stay dead and are skipped at the next re-election.
-    dead_ranks: Vec<Vec<bool>>,
+    /// Per-rank liveness, indexed by global rank: ranks whose monitor died
+    /// stay dead and are skipped at the next re-election.
+    dead_ranks: Vec<bool>,
     controller: Box<dyn Controller>,
-    /// The controller's budget at init, for survivor renormalization and
-    /// restoration on `reset`.
+    /// The job's baseline budget, for survivor renormalization.
     initial_budget_w: Option<f64>,
-    net: NetworkModel,
-    /// The communicator the measurement exchange runs over: one monitor
-    /// rank per node of the job.
-    monitors: Communicator,
-    compute_s: f64,
-    acc: IntervalAccumulator,
-    /// The closing interval's observation (buffer reused across syncs).
+    /// The open interval's samples; `step` is its sync index. The buffer
+    /// is reused across syncs.
     obs: SyncObservation,
-    overhead_log: Vec<(u64, SimDuration)>,
-    last_allocation: Option<Allocation>,
+    /// The previous exchange's overhead, seconds, folded into every time
+    /// recorded for the open interval (the paper includes allocation time
+    /// in the measured interval, §VI-B).
+    carry_s: f64,
     rejected_samples: u64,
     tracer: obs::Tracer,
 }
@@ -111,15 +100,18 @@ impl PowerManager {
     /// Initialize: mirrors `poli_init_power_manager(comm, rank, master,
     /// cap)`. `role_of` classifies each global rank (the `master` flag in
     /// the paper's instrumentation); one monitor rank per node is
-    /// designated automatically. An unrecognized controller name is a
-    /// recoverable [`UnknownController`] error, not a panic.
+    /// designated automatically. The controller runs at the paper's
+    /// defaults: 110 W per node, `w = 1`, Theta's limits. An unrecognized
+    /// controller name is a recoverable [`UnknownController`] error, not a
+    /// panic.
     pub fn init<F: Fn(usize) -> Role>(
         world: &Communicator,
         role_of: F,
         cfg: PowerManagerConfig,
     ) -> Result<Self, UnknownController> {
-        let controller = seesaw::controller_by_name(&cfg.controller, world.nnodes())?;
-        Ok(Self::init_with_controller(world, role_of, controller, cfg.net, cfg.compute_s))
+        let budget_w = 110.0 * world.nnodes() as f64;
+        let controller = seesaw::controller_by_name(&cfg.controller, budget_w, 1, Limits::theta())?;
+        Ok(Self::init_with_controller(world, role_of, controller))
     }
 
     /// Initialize with an explicitly constructed controller (custom budget,
@@ -128,30 +120,22 @@ impl PowerManager {
         world: &Communicator,
         role_of: F,
         controller: Box<dyn Controller>,
-        net: NetworkModel,
-        compute_s: f64,
     ) -> Self {
         let monitor_ranks = world.node_leaders();
         let nnodes = world.nnodes();
         let roles = monitor_ranks.iter().map(|&r| role_of(r)).collect();
         let initial_budget_w = controller.budget_w();
-        let ranks_per_node = world.size() / nnodes;
         PowerManager {
             roles,
             monitor_ranks,
             world_nodes: nnodes,
-            ranks_per_node,
+            ranks_per_node: world.size() / nnodes,
             alive: vec![true; nnodes],
-            dead_ranks: vec![vec![false; ranks_per_node]; nnodes],
+            dead_ranks: vec![false; world.size()],
             controller,
             initial_budget_w,
-            net,
-            monitors: Communicator::world(JobLayout::new(nnodes, 1)),
-            compute_s,
-            acc: IntervalAccumulator::new(),
             obs: SyncObservation { step: 0, nodes: Vec::new() },
-            overhead_log: Vec::new(),
-            last_allocation: None,
+            carry_s: 0.0,
             rejected_samples: 0,
             tracer: obs::Tracer::off(),
         }
@@ -176,18 +160,7 @@ impl PowerManager {
 
     /// Completed synchronization count.
     pub fn sync_index(&self) -> u64 {
-        self.acc.sync_index()
-    }
-
-    /// Per-sync overhead log `(sync index, duration)` (Fig. 9a data).
-    pub fn overhead_log(&self) -> &[(u64, SimDuration)] {
-        &self.overhead_log
-    }
-
-    /// Make room for `syncs` more synchronizations' bookkeeping up front,
-    /// so a caller that knows its run length never pays a regrowth mid-run.
-    pub fn reserve_syncs(&mut self, syncs: usize) {
-        self.overhead_log.reserve(syncs);
+        self.obs.step
     }
 
     /// Nodes still participating in aggregation.
@@ -205,12 +178,6 @@ impl PowerManager {
         self.rejected_samples
     }
 
-    /// The most recent allocation the controller produced (held as the
-    /// fallback when an exchange is abandoned).
-    pub fn last_allocation(&self) -> Option<&Allocation> {
-        self.last_allocation.as_ref()
-    }
-
     /// Exclude a crashed node from aggregation and release its budget
     /// share to the survivors. Returns the recovery actions taken (empty
     /// if the node was already dead or out of range).
@@ -219,7 +186,7 @@ impl PowerManager {
             return Vec::new();
         }
         self.alive[node] = false;
-        let sync = self.acc.sync_index();
+        let sync = self.obs.step;
         let mut events = vec![RecoveryEvent { sync, node, kind: RecoveryKind::NodeExcluded }];
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::NodeExcluded { node });
@@ -237,8 +204,8 @@ impl PowerManager {
     }
 
     /// The monitor rank on `node` died: promote the node's next *live*
-    /// rank to monitor. Dead ranks are remembered per node, so repeated
-    /// monitor deaths on the same node never re-elect an earlier casualty.
+    /// rank to monitor. Dead ranks are remembered, so repeated monitor
+    /// deaths on the same node never re-elect an earlier casualty.
     /// Returns the new monitor rank and the recovery event, or `None`
     /// when no live rank remains to promote (single-rank nodes, or every
     /// rank already dead — callers should treat that as a node failure).
@@ -248,13 +215,13 @@ impl PowerManager {
         }
         let base = node * self.ranks_per_node;
         let old_local = self.monitor_ranks[node] - base;
-        self.dead_ranks[node][old_local] = true;
+        self.dead_ranks[base + old_local] = true;
         let next_local = (1..self.ranks_per_node)
             .map(|k| (old_local + k) % self.ranks_per_node)
-            .find(|&k| !self.dead_ranks[node][k])?;
+            .find(|&k| !self.dead_ranks[base + k])?;
         let new = base + next_local;
         self.monitor_ranks[node] = new;
-        let sync = self.acc.sync_index();
+        let sync = self.obs.step;
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::MonitorReelected { node, new_rank: new });
         }
@@ -262,9 +229,9 @@ impl PowerManager {
     }
 
     /// Rebase the job's power budget (machine-level scheduling seam): the
-    /// new value becomes the baseline for survivor renormalization and
-    /// `reset`, and the controller sees the share of it owned by the nodes
-    /// currently alive.
+    /// new value becomes the baseline for survivor renormalization, and
+    /// the controller sees the share of it owned by the nodes currently
+    /// alive.
     pub fn set_budget_w(&mut self, budget_w: f64) {
         self.initial_budget_w = Some(budget_w);
         let share = budget_w / self.world_nodes as f64;
@@ -282,7 +249,8 @@ impl PowerManager {
     /// reading is implausible (non-finite or non-positive time/power, or
     /// power beyond [`MAX_PLAUSIBLE_POWER_W`]). Rejected samples never
     /// reach the controller — α = 1/(T·P) in Eq. 1 must only ever see
-    /// finite, positive energy.
+    /// finite, positive energy. An accepted sample's time gains the
+    /// previous exchange's overhead.
     pub fn record(&mut self, interval: NodeInterval) -> bool {
         debug_assert!(interval.node < self.world_nodes);
         let plausible = interval.time_s.is_finite()
@@ -307,7 +275,7 @@ impl PowerManager {
                 cap_w: interval.cap_w,
             });
         }
-        self.acc.push(interval);
+        self.obs.nodes.push(NodeInterval { time_s: interval.time_s + self.carry_s, ..interval });
         true
     }
 
@@ -315,93 +283,64 @@ impl PowerManager {
     /// return the decision and its overhead. Called immediately before each
     /// simulation↔analysis synchronization (paper §VI-C).
     pub fn power_alloc(&mut self) -> AllocOutcome {
-        self.power_alloc_with(&ExchangeFaults::none())
+        self.power_alloc_with(&ExchangeFaults::default())
     }
 
     /// `power_alloc` under injected exchange faults. Message loss drops
     /// the affected contributions (aggregation proceeds over the rest);
     /// collective timeouts are retried up to [`MAX_COLLECTIVE_RETRIES`]
     /// times, after which the exchange is abandoned for this interval and
-    /// the last allocation is held.
+    /// the caps in force are held.
     pub fn power_alloc_with(&mut self, faults: &ExchangeFaults) -> AllocOutcome {
-        if !self.acc.close_interval_into(&mut self.obs) {
+        if self.obs.nodes.is_empty() {
             return AllocOutcome {
                 allocation: None,
                 overhead: SimDuration::ZERO,
                 recoveries: Vec::new(),
             };
         }
-        let sync = self.obs.step;
+        let (sync, n) = (self.obs.step, self.world_nodes);
         let mut recoveries = Vec::new();
-        // Overhead: every monitor rank contributes (time, power, cap) — an
-        // allgather over the job's nodes — plus the decision broadcast.
-        let monitors = &self.monitors;
-        let decide = SimDuration::from_secs_f64(self.compute_s);
-
-        // Collective timeout beyond the retry budget: abandon the exchange,
-        // hold the current caps, and charge the wasted retries' time.
-        if faults.failed_attempts > MAX_COLLECTIVE_RETRIES {
-            let overhead =
-                coll::retried_collective_cost(&self.net, monitors, MAX_COLLECTIVE_RETRIES, 24);
+        let (overhead, allocation) = if faults.failed_attempts > MAX_COLLECTIVE_RETRIES {
+            // Abandon the exchange, hold the current caps, and charge the
+            // wasted retries' time.
             recoveries.push(RecoveryEvent { sync, node: 0, kind: RecoveryKind::AllocationHeld });
-            self.overhead_log.push((sync, overhead));
-            self.acc.charge_overhead(overhead.as_secs_f64());
             if self.tracer.is_enabled() {
                 self.tracer.emit(obs::Event::AllocationHeld { sync });
-                self.tracer.emit(obs::Event::ExchangeDone {
-                    sync,
-                    overhead_s: overhead.as_secs_f64(),
-                    decided: false,
-                });
             }
-            return AllocOutcome { allocation: None, overhead, recoveries };
-        }
-
-        // The measurement gather: lossy and/or retried when faulted;
-        // otherwise nothing about the payload matters and the exchange is
-        // just its price on the interconnect.
-        let gather_cost = if faults.lost_nodes.is_empty() && faults.failed_attempts == 0 {
-            self.net.allgather(monitors.nnodes(), 24)
+            (retried_gather_cost(n, MAX_COLLECTIVE_RETRIES), None)
         } else {
-            // In the monitor communicator one rank == one node.
-            let contributions: Vec<u64> = vec![0; self.world_nodes];
-            let gathered =
-                coll::allgather_lossy(&self.net, monitors, &contributions, &faults.lost_nodes, 24);
-            let before = self.obs.nodes.len();
-            self.obs.nodes.retain(|s| gathered.value.get(s.node).is_some_and(Option::is_some));
-            for &node in &faults.lost_nodes {
-                recoveries.push(RecoveryEvent { sync, node, kind: RecoveryKind::SampleRejected });
+            if !faults.lost_nodes.is_empty() {
+                let before = self.obs.nodes.len();
+                self.obs.nodes.retain(|s| !faults.lost_nodes.contains(&s.node));
+                self.rejected_samples += (before - self.obs.nodes.len()) as u64;
+                for &node in &faults.lost_nodes {
+                    recoveries.push(RecoveryEvent {
+                        sync,
+                        node,
+                        kind: RecoveryKind::SampleRejected,
+                    });
+                }
             }
-            self.rejected_samples += (before - self.obs.nodes.len()) as u64;
             if faults.failed_attempts > 0 {
                 recoveries.push(RecoveryEvent {
                     sync,
                     node: 0,
                     kind: RecoveryKind::CollectiveRetried,
                 });
-                coll::retried_collective_cost(&self.net, monitors, faults.failed_attempts, 24)
-            } else {
-                gathered.cost
             }
+            // Every monitor rank contributes its sample — an allgather over
+            // the job's nodes — then the decision is broadcast.
+            let overhead = retried_gather_cost(n, faults.failed_attempts)
+                + SimDuration::from_secs_f64(DECIDE_S)
+                + NET.bcast(n, DECISION_BYTES);
+            (overhead, self.controller.on_sync(&self.obs))
         };
-        let overhead = gather_cost + decide + self.net.bcast(monitors.nnodes(), 16);
-
-        let allocation = self.controller.on_sync(&self.obs);
-        if let Some(a) = &allocation {
-            // Keep the fallback copy in the buffer it already owns.
-            match &mut self.last_allocation {
-                Some(held) => {
-                    held.sim_node_w = a.sim_node_w;
-                    held.analysis_node_w = a.analysis_node_w;
-                    held.per_node_w.clone_from(&a.per_node_w);
-                }
-                None => self.last_allocation = Some(a.clone()),
-            }
-        }
-        self.overhead_log.push((sync, overhead));
         // The allocation call's cost lands in the next interval's measured
         // times (paper §VI-B).
-        self.acc.charge_overhead(overhead.as_secs_f64());
+        self.carry_s = overhead.as_secs_f64();
+        self.obs.step += 1;
+        self.obs.nodes.clear();
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::ExchangeDone {
                 sync,
@@ -411,20 +350,15 @@ impl PowerManager {
         }
         AllocOutcome { allocation, overhead, recoveries }
     }
+}
 
-    /// Reset for a fresh run with the same configuration.
-    pub fn reset(&mut self) {
-        self.controller.reset();
-        if let Some(b0) = self.initial_budget_w {
-            self.controller.set_budget_w(b0);
-        }
-        self.acc.reset();
-        self.overhead_log.clear();
-        self.alive = vec![true; self.world_nodes];
-        self.dead_ranks = vec![vec![false; self.ranks_per_node]; self.world_nodes];
-        self.last_allocation = None;
-        self.rejected_samples = 0;
-    }
+/// Simulated cost of a measurement gather over `nodes` that times out
+/// `failed_attempts` times before it succeeds: a timeout is detected only
+/// well past the expected completion, so each failed attempt burns 10×
+/// the healthy gather, and the final attempt pays the normal price.
+fn retried_gather_cost(nodes: usize, failed_attempts: u32) -> SimDuration {
+    let healthy = NET.allgather(nodes, SAMPLE_BYTES);
+    healthy + healthy * 10.0 * u64::from(failed_attempts)
 }
 
 #[cfg(test)]
@@ -486,10 +420,20 @@ mod tests {
     #[test]
     fn overhead_is_positive_and_logged() {
         let mut mgr = manager("static");
+        let tracer = obs::Tracer::enabled();
+        mgr.set_tracer(&tracer);
         feed(&mut mgr, 1.0, 1.0);
         let out = mgr.power_alloc();
         assert!(out.overhead > SimDuration::ZERO);
-        assert_eq!(mgr.overhead_log().len(), 1);
+        let logged: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.ev {
+                obs::Event::ExchangeDone { sync, overhead_s, .. } => Some((sync, overhead_s)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(logged, [(0, out.overhead.as_secs_f64())]);
     }
 
     #[test]
@@ -497,10 +441,9 @@ mod tests {
         let mut mgr = manager("time-aware");
         feed(&mut mgr, 4.0, 2.0);
         let o1 = mgr.power_alloc();
-        // Feed equal raw times; the observation the controller sees should
-        // include the previous call's overhead. We can't peek inside, but
-        // overhead accumulation is covered by IntervalAccumulator tests;
-        // here we just confirm repeated calls work.
+        // Feed equal raw times; the observation the controller sees
+        // includes the previous call's overhead (pinned bit for bit by
+        // `tests/exchange_pin.rs`); here we just confirm repeated calls work.
         feed(&mut mgr, 4.0, 2.0);
         let o2 = mgr.power_alloc();
         assert!(o1.overhead > SimDuration::ZERO && o2.overhead > SimDuration::ZERO);
@@ -513,16 +456,6 @@ mod tests {
             feed(&mut mgr, 3.0, 1.0);
             assert!(mgr.power_alloc().allocation.is_none());
         }
-    }
-
-    #[test]
-    fn reset_restarts_sync_numbering() {
-        let mut mgr = manager("seesaw");
-        feed(&mut mgr, 4.0, 2.0);
-        mgr.power_alloc();
-        mgr.reset();
-        assert_eq!(mgr.sync_index(), 0);
-        assert!(mgr.overhead_log().is_empty());
     }
 
     #[test]
@@ -641,9 +574,6 @@ mod tests {
         let (b, _) = wide.mark_monitor_dead(1).expect("rank 5 promotes, skipping dead 3");
         assert_eq!(b, 5);
         assert!(wide.mark_monitor_dead(1).is_none(), "all three ranks dead");
-        // Reset clears rank liveness.
-        wide.reset();
-        assert!(wide.mark_monitor_dead(1).is_some(), "reset revives ranks");
     }
 
     #[test]
@@ -709,46 +639,41 @@ mod tests {
     }
 
     #[test]
-    fn collective_timeout_beyond_retries_holds_last_allocation() {
+    fn collective_timeout_beyond_retries_holds_the_caps() {
         let mut mgr = manager("seesaw");
         feed(&mut mgr, 4.0, 2.0);
         let _skip = mgr.power_alloc();
         feed(&mut mgr, 4.0, 2.0);
         let good = mgr.power_alloc();
-        let held = good.allocation.expect("healthy round allocates");
+        assert!(good.allocation.is_some(), "healthy round allocates");
         feed(&mut mgr, 4.0, 2.0);
         let faults =
             ExchangeFaults { lost_nodes: Vec::new(), failed_attempts: MAX_COLLECTIVE_RETRIES + 1 };
         let out = mgr.power_alloc_with(&faults);
+        // No new allocation: the caller keeps the caps in force.
         assert!(out.allocation.is_none(), "exchange abandoned");
         assert!(out.recoveries.iter().any(|r| r.kind == faults::RecoveryKind::AllocationHeld));
-        assert_eq!(mgr.last_allocation(), Some(&held), "fallback is the held allocation");
         assert!(out.overhead > good.overhead, "wasted retries are charged");
+        // The next healthy exchange decides again.
+        feed(&mut mgr, 4.0, 2.0);
+        assert!(mgr.power_alloc().allocation.is_some());
     }
 
     #[test]
-    fn reset_revives_nodes_and_restores_budget() {
-        let mut mgr = manager("seesaw");
-        mgr.mark_node_dead(0);
-        mgr.mark_node_dead(3);
-        assert_eq!(mgr.alive_nodes(), 2);
-        mgr.reset();
-        assert_eq!(mgr.alive_nodes(), 4);
-        assert_eq!(mgr.rejected_samples(), 0);
-        assert!(mgr.last_allocation().is_none());
-        // Full-budget allocations resume.
-        feed(&mut mgr, 4.0, 2.0);
-        let _skip = mgr.power_alloc();
-        feed(&mut mgr, 4.0, 2.0);
-        let alloc = mgr.power_alloc().allocation.expect("post-reset allocation");
-        let total = 2.0 * alloc.sim_node_w + 2.0 * alloc.analysis_node_w;
-        assert!(total <= 440.0 + 1e-6 && total > 330.0, "restored budget in play: {total}");
+    fn retried_collective_cost_grows_with_failures() {
+        let healthy = retried_gather_cost(8, 0);
+        assert_eq!(healthy, NET.allgather(8, SAMPLE_BYTES));
+        let one = retried_gather_cost(8, 1);
+        let three = retried_gather_cost(8, 3);
+        assert!(one > healthy);
+        assert!(three > one);
+        // Each failure costs 10× the healthy latency.
+        let per_failure = (three - one).as_secs_f64() / 2.0;
+        assert!((per_failure - healthy.as_secs_f64() * 10.0).abs() < 1e-12);
     }
 
-    /// The healthy exchange no longer materializes a contributions vector
-    /// or a per-call communicator; what it charges must not have moved:
-    /// `allgather(n, 24) + compute + bcast(n, 16)` over the job's nodes,
-    /// through the data-bearing collectives, at every sync.
+    /// Every healthy exchange charges `allgather(n, 24) + compute +
+    /// bcast(n, 16)` over the job's nodes, at every sync.
     #[test]
     fn healthy_exchange_charges_the_collective_cost_formula_exactly() {
         for nodes in [4usize, 128] {
@@ -761,12 +686,10 @@ mod tests {
                 }
             };
             let cfg = PowerManagerConfig::with_controller("time-aware");
-            let (net, compute_s) = (cfg.net.clone(), cfg.compute_s);
             let mut mgr = PowerManager::init(&world, |rank| role(rank / 2), cfg).expect("known");
-            let monitors = Communicator::world(JobLayout::new(nodes, 1));
-            let want = coll::allgather(&net, &monitors, &vec![0u64; nodes], 24).cost
-                + SimDuration::from_secs_f64(compute_s)
-                + coll::bcast(&net, &monitors, &0u64, 16).cost;
+            let want = NET.allgather(nodes, 24)
+                + SimDuration::from_secs_f64(5.0e-6)
+                + NET.bcast(nodes, 16);
             for sync in 0..1000u64 {
                 for node in 0..nodes {
                     let time_s = if node < nodes / 2 { 4.0 } else { 2.0 + 1e-3 * sync as f64 };
@@ -779,13 +702,9 @@ mod tests {
                     };
                     assert!(mgr.record(iv));
                 }
-                assert_eq!(mgr.power_alloc().overhead, want);
+                assert_eq!(mgr.power_alloc().overhead, want, "sync {sync}");
             }
-            let log = mgr.overhead_log();
-            assert_eq!(log.len(), 1000);
-            for (i, &(sync, overhead)) in log.iter().enumerate() {
-                assert_eq!((sync, overhead.as_nanos()), (i as u64, want.as_nanos()));
-            }
+            assert_eq!(mgr.sync_index(), 1000);
         }
     }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Size of the workspace, per crate: non-test Rust lines and `pub` items.
 # Informational (CHANGES.md quotes it per PR so the trend is visible);
-# never a gate. POSIX sh plus awk, grep and wc only: no network, no build.
+# never a gate. POSIX sh plus awk, grep, sed and coreutils: no network, no
+# build.
 #
 # "Non-test" = every line of crates/<crate>/src/**/*.rs except the items
 # an unindented `#[cfg(test)]` annotates: the attribute, any attributes
@@ -53,23 +54,56 @@ for dir in crates/*/; do
 done
 printf '%-12s %8d %8d\n' total "$total_lines" "$total_pub"
 
-# Worklist for ROADMAP's "Delete what no gate distinguishes": every
-# non-test `pub fn` that nothing calls — its name word-matches nowhere
-# else in its file's non-test lines and in no other .rs file under
-# crates/, tests/ or examples/. A name shared with an unrelated item
-# elsewhere hides a candidate; a listed one is reached, at most, by its
-# own file's unit tests.
+# Worklists for ROADMAP's "Delete what no gate distinguishes", over every
+# non-test `pub fn`. Naming a function in a `pub use` re-export is not a
+# call, so re-exports are dropped before anything is matched.
+#
+# "nothing calls": its name word-matches nowhere else in its file's
+# non-test lines and in no other .rs file under crates/, tests/ or
+# examples/; it is reached, at most, by its own file's unit tests.
+#
+# "reached only from tests": not in the first list, and its name
+# word-matches no non-test, non-comment line of crates/*/src/ or
+# examples/ but its own declaration: only `#[cfg(test)]` items, tests/
+# and doc comments reach it.
+#
+# A name shared with an unrelated item elsewhere hides a candidate.
+no_reexports() {
+    awk '
+        skip { if (/;/) skip = 0; next }
+        /^([0-9]+:)?[[:space:]]*pub use / { if (!/;/) skip = 1; next }
+        { print }
+    '
+}
 all_rs="$(find crates tests examples -name '*.rs' | sort)"
-printf '\npub fn nothing calls:\n'
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/all"
+for f in $all_rs; do
+    mkdir -p "$tmp/all/${f%/*}"
+    no_reexports <"$f" >"$tmp/all/$f"
+    case "$f" in
+        crates/*/src/*) non_test "$f" | cut -d: -f2- ;;
+        examples/*) cat "$f" ;;
+        *) continue ;;
+    esac | no_reexports | grep -v -E '^[[:space:]]*//' >>"$tmp/production" || true
+done
 for f in $all_rs; do
     case "$f" in crates/*/src/*) ;; *) continue ;; esac
     kept="$(non_test "$f")"
     printf '%s\n' "$kept" | grep -o -E '^[0-9]+:[[:space:]]*pub fn [A-Za-z0-9_]+' |
         while IFS=: read -r line decl; do
             name="${decl##* }"
-            [ "$(printf '%s\n' "$kept" | grep -c -w -e "$name")" -eq 1 ] || continue
-            # shellcheck disable=SC2086
-            others="$(grep -l -w -e "$name" $all_rs | grep -v -x -F "$f" || true)"
-            [ -n "$others" ] || printf '  %s:%s %s\n' "$f" "$line" "$name"
+            [ "$(grep -c -w -e "$name" "$tmp/production")" -eq 1 ] || continue
+            list=tests
+            if [ "$(printf '%s\n' "$kept" | no_reexports | grep -c -w -e "$name")" -eq 1 ] &&
+                ! grep -r -l -w -e "$name" "$tmp/all" | grep -v -x -F "$tmp/all/$f" >/dev/null; then
+                list=nothing
+            fi
+            printf '%s %s:%s %s\n' "$list" "$f" "$line" "$name"
         done
-done
+done >"$tmp/worklist"
+printf '\npub fn nothing calls:\n'
+sed -n 's/^nothing /  /p' "$tmp/worklist"
+printf '\npub fn reached only from tests:\n'
+sed -n 's/^tests /  /p' "$tmp/worklist"

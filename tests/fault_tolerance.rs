@@ -3,8 +3,8 @@
 //! SeeSAw still beating the static baseline on the survivors.
 
 use insitu::{
-    improvement_pct, run_job, FaultEvent, FaultIntensity, FaultKind, FaultPlan, JobConfig,
-    RecoveryKind,
+    improvement_pct, run_job, run_job_traced, FaultEvent, FaultIntensity, FaultKind, FaultPlan,
+    JobConfig, RecoveryKind,
 };
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
@@ -89,6 +89,42 @@ fn losing_a_whole_partition_ends_the_run_gracefully() {
     assert_eq!(r.syncs.len(), 5, "run ends at the sync the partition vanished");
     assert_eq!(r.recovery_count(RecoveryKind::NodeExcluded), 4);
     assert!(r.total_time_s > 0.0);
+}
+
+#[test]
+fn abandoned_exchange_holds_the_caps_until_the_next_healthy_sync() {
+    // Every collective attempt at sync 5 times out, one more than the
+    // retry budget: the exchange is abandoned and nobody's cap moves.
+    let k = 5;
+    let failures = polimer::MAX_COLLECTIVE_RETRIES + 1;
+    let kind = FaultKind::CollectiveTimeout { failures };
+    let plan = FaultPlan::from_events(vec![FaultEvent { sync: k, node: 0, kind }]);
+    let tracer = obs::Tracer::enabled();
+    let r =
+        run_job_traced(quick_cfg("seesaw").with_faults(plan), &tracer).expect("known controller");
+    let held: Vec<u64> = r
+        .recovery_events
+        .iter()
+        .filter(|e| e.kind == RecoveryKind::AllocationHeld)
+        .map(|e| e.sync)
+        .collect();
+    assert_eq!(held, [k]);
+    let (at_k, next) = (&r.syncs[k as usize], &r.syncs[k as usize + 1]);
+    assert_eq!(next.sim_cap_w.to_bits(), at_k.sim_cap_w.to_bits());
+    assert_eq!(next.analysis_cap_w.to_bits(), at_k.analysis_cap_w.to_bits());
+    // Seesaw decides at every sync but step 0 (w = 1); only sync k holds.
+    let decided: Vec<(u64, bool)> = tracer
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.ev {
+            obs::Event::ExchangeDone { sync, decided, .. } => Some((sync, decided)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decided.len(), r.syncs.len());
+    for (sync, decided) in decided {
+        assert_eq!(decided, sync != 0 && sync != k, "sync {sync}");
+    }
 }
 
 #[test]

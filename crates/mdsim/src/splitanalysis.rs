@@ -272,6 +272,49 @@ mod tests {
         assert!(d.analysis(AnalysisKind::Msd2d).is_none());
     }
 
+    fn fnv(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Every analysis at every step (j = 1), in and out of cache: 110
+    /// steps at 1 568 atoms wrap the full MSD's origin ring (20 origins
+    /// × 5 frames), 12 steps at 12 544 atoms run the benchmark's large
+    /// RDF. One FNV-1a digest over each step's work counts and every
+    /// analysis's final result bits.
+    #[test]
+    fn analysis_partition_is_pinned_bit_for_bit() {
+        use crate::analysis::{Msd, Rdf, Vacf};
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (dim, steps) in [(1usize, 110), (2, 12)] {
+            let engine = MdEngine::water_ion_benchmark(dim, 42);
+            let schedules = AnalysisKind::ALL.map(AnalysisSchedule::every_sync).to_vec();
+            let mut d = SplitAnalysis::new(engine, schedules, 1);
+            for _ in 0..steps {
+                for (kind, work) in d.advance().analysis_work {
+                    fnv(&mut h, kind as u64);
+                    fnv(&mut h, work.ops);
+                }
+            }
+            let any = |kind| d.analysis(kind).expect("scheduled").as_any();
+            let rdf = any(AnalysisKind::Rdf).downcast_ref::<Rdf>().expect("rdf");
+            rdf.g_hydronium().iter().for_each(|g| fnv(&mut h, g.to_bits()));
+            rdf.histograms().iter().flat_map(|hist| hist.iter()).for_each(|&c| fnv(&mut h, c));
+            for kind in [AnalysisKind::MsdFull, AnalysisKind::Msd1d, AnalysisKind::Msd2d] {
+                let msd = any(kind).downcast_ref::<Msd>().expect("msd");
+                msd.binned().iter().for_each(|v| fnv(&mut h, v.to_bits()));
+                fnv(&mut h, msd.overall().to_bits());
+            }
+            let vacf = any(AnalysisKind::Vacf).downcast_ref::<Vacf>().expect("vacf");
+            for &(lag, c) in vacf.series() {
+                fnv(&mut h, lag);
+                fnv(&mut h, c.to_bits());
+            }
+        }
+        assert_eq!(h, 0x801e_e702_0e60_4a6f, "analysis partition digest");
+    }
+
     #[test]
     fn both_partitions_rebuild_at_sync() {
         let mut d = driver(2);

@@ -68,15 +68,12 @@ pub struct AnalysisWork {
     /// Arithmetic operations on particle data (distance evaluations, dot
     /// products, …).
     pub ops: u64,
-    /// Bytes of particle/histogram state touched (memory intensity).
-    pub bytes_touched: u64,
 }
 
 impl AnalysisWork {
     /// Accumulate.
     pub fn add(&mut self, other: AnalysisWork) {
         self.ops += other.ops;
-        self.bytes_touched += other.bytes_touched;
     }
 }
 

@@ -54,19 +54,20 @@ impl MsdConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Origin {
-    unwrapped: Vec<Vec3>,
-}
-
-/// MSD accumulator.
+/// MSD accumulator. Every buffer is reused across frames, so a warmed
+/// accumulator observes without allocating.
 #[derive(Debug, Clone)]
 pub struct Msd {
     cfg: MsdConfig,
-    origins: Vec<Origin>,
+    /// Unwrapped positions at each live time origin, oldest first.
+    origins: Vec<Vec<Vec3>>,
     /// Bin assignment by initial position (index into 1-D or 2-D bins).
     bin_of: Vec<usize>,
     frames: u64,
+    /// One origin's per-bin displacement sums (scratch).
+    sums: Vec<f64>,
+    /// Per-bin sample counts over all origins (scratch).
+    counts: Vec<u64>,
     /// Latest per-bin MSD values.
     last_binned: Vec<f64>,
     /// Latest all-particle MSD (averaged over origins for Full).
@@ -82,6 +83,8 @@ impl Msd {
             origins: Vec::new(),
             bin_of: Vec::new(),
             frames: 0,
+            sums: Vec::new(),
+            counts: Vec::new(),
             last_binned: Vec::new(),
             last_overall: 0.0,
         }
@@ -130,30 +133,36 @@ impl Msd {
             .collect();
     }
 
-    /// MSD against one origin, returning (per-bin sums, per-bin counts,
-    /// overall mean).
-    fn against_origin(
-        &self,
-        origin: &Origin,
-        snap: &Snapshot<'_>,
-    ) -> (Vec<f64>, Vec<u64>, f64, AnalysisWork) {
+    /// Capture `unwrapped` as the newest origin, recycling the oldest
+    /// origin's buffer once `max_origins` are live.
+    fn push_origin(&mut self, unwrapped: &[Vec3]) {
+        if self.origins.len() == self.cfg.max_origins {
+            self.origins.rotate_left(1);
+            let newest = self.origins.last_mut().expect("max_origins > 0");
+            unwrapped.clone_into(newest);
+        } else {
+            self.origins.push(unwrapped.to_vec());
+        }
+    }
+
+    /// MSD against one origin: per-bin sums into `self.sums` (zeroed
+    /// first), per-bin counts added to `self.counts`; returns the overall
+    /// mean.
+    fn against_origin(&mut self, origin: usize, snap: &Snapshot<'_>) -> f64 {
         let n = snap.len();
         let one_d = self.cfg.bins;
-        let mut sums = vec![0.0; self.nbins_total()];
-        let mut counts = vec![0u64; self.nbins_total()];
+        let (sums, counts) = (&mut self.sums, &mut self.counts);
+        sums.fill(0.0);
         let mut total = 0.0;
-        let mut work = AnalysisWork::default();
-        for i in 0..n {
-            let d = snap.unwrapped[i] - origin.unwrapped[i];
+        for (i, &o) in self.origins[origin].iter().enumerate() {
+            let d = snap.unwrapped[i] - o;
             let msd = d.norm_sq();
             total += msd;
-            work.ops += 1;
             match self.cfg.variant {
                 MsdVariant::OneD | MsdVariant::TwoD => {
                     let b = self.bin_of[i];
                     sums[b] += msd;
                     counts[b] += 1;
-                    work.bytes_touched += 16;
                 }
                 MsdVariant::Full => {
                     // 1-D component bins by x, 2-D by (x, y): recompute both.
@@ -167,11 +176,10 @@ impl Msd {
                     let b2 = one_d + cx * self.cfg.bins + cy;
                     sums[b2] += msd;
                     counts[b2] += 1;
-                    work.bytes_touched += 32;
                 }
             }
         }
-        (sums, counts, total / n.max(1) as f64, work)
+        total / n.max(1) as f64
     }
 }
 
@@ -193,42 +201,35 @@ impl Analysis for Msd {
             self.assign_bins(snap);
             self.origins.clear();
         }
-        if self.origins.is_empty() {
-            self.origins.push(Origin { unwrapped: snap.unwrapped.to_vec() });
-        } else if self.cfg.variant == MsdVariant::Full
-            && self.cfg.origin_interval > 0
-            && self.frames.is_multiple_of(self.cfg.origin_interval)
+        if self.origins.is_empty()
+            || (self.cfg.variant == MsdVariant::Full
+                && self.cfg.origin_interval > 0
+                && self.frames.is_multiple_of(self.cfg.origin_interval))
         {
-            if self.origins.len() == self.cfg.max_origins {
-                self.origins.remove(0);
-            }
-            self.origins.push(Origin { unwrapped: snap.unwrapped.to_vec() });
+            self.push_origin(snap.unwrapped);
         }
 
-        let mut work = AnalysisWork::default();
-        let mut agg_sums = vec![0.0; self.nbins_total()];
-        let mut agg_counts = vec![0u64; self.nbins_total()];
+        let nbins = self.nbins_total();
+        self.sums.resize(nbins, 0.0);
+        self.counts.clear();
+        self.counts.resize(nbins, 0);
+        // Summed per bin over the origins, oldest first.
+        self.last_binned.clear();
+        self.last_binned.resize(nbins, 0.0);
         let mut overall = 0.0;
-        for origin in &self.origins {
-            let (sums, counts, mean, w) = self.against_origin(origin, snap);
-            for ((a, b), (c, d)) in
-                agg_sums.iter_mut().zip(&sums).zip(agg_counts.iter_mut().zip(&counts))
-            {
-                *a += *b;
-                *c += *d;
+        for origin in 0..self.origins.len() {
+            overall += self.against_origin(origin, snap);
+            for (a, s) in self.last_binned.iter_mut().zip(&self.sums) {
+                *a += *s;
             }
-            overall += mean;
-            work.add(w);
         }
-        let n_origins = self.origins.len() as f64;
-        self.last_overall = overall / n_origins;
-        self.last_binned = agg_sums
-            .iter()
-            .zip(&agg_counts)
-            .map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
-            .collect();
+        let n_origins = self.origins.len();
+        self.last_overall = overall / n_origins as f64;
+        for (v, &c) in self.last_binned.iter_mut().zip(&self.counts) {
+            *v = if c > 0 { *v / c as f64 } else { 0.0 };
+        }
         self.frames += 1;
-        work
+        AnalysisWork { ops: (snap.len() * n_origins) as u64 }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -44,7 +44,7 @@ impl Vacf {
     }
 
     fn set_origin(&mut self, snap: &Snapshot<'_>) {
-        self.origin_vel = snap.vel.to_vec();
+        snap.vel.clone_into(&mut self.origin_vel);
         self.origin_norm =
             snap.vel.iter().map(|v| v.norm_sq()).sum::<f64>() / snap.len().max(1) as f64;
         self.frames_since_origin = 0;
@@ -72,7 +72,7 @@ impl Analysis for Vacf {
         let c = if self.origin_norm > 0.0 { corr / self.origin_norm } else { 0.0 };
         self.series.push((self.frames_since_origin, c));
         self.frames_since_origin += 1;
-        AnalysisWork { ops: n as u64, bytes_touched: (n * 24) as u64 }
+        AnalysisWork { ops: n as u64 }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -458,54 +458,52 @@ pub(crate) fn compute_forces_serial(
     ForceEval { potential, virial, pairs_evaluated: evaluated }
 }
 
-/// Potential energy only (no force mutation) — for gradient tests.
-///
-/// Shares the lane-batched chunk kernel with [`compute_forces_into`] and
-/// reduces chunk partials in ascending chunk order
-/// ([`par::Pool::par_chunks_fold`]), so the value is bit-identical at any
-/// thread count. Allocates a species cache per call; this is a
-/// test/diagnostic path, not the engine hot loop.
-pub fn compute_potential(
-    sys: &System,
-    nl: &NeighborList,
-    params: ForceParams,
-    table: &PairTable,
-) -> f64 {
-    let coeffs = CoeffTable::new(table, params.cutoff);
-    let sp: Vec<u8> = sys.species.iter().map(|s| s.index() as u8).collect();
-    let ctx = LaneCtx {
-        pos: &sys.pos,
-        sp: &sp,
-        coeffs: &coeffs,
-        exclusions: None,
-        box_len: sys.box_len,
-        inv_box: 1.0 / sys.box_len,
-    };
-    par::global()
-        .par_chunks_fold(
-            nl.pairs(),
-            PAIR_CHUNK,
-            |_, chunk| {
-                let mut u_acc = [0.0f64; LANES];
-                for window in chunk.chunks(LANES) {
-                    let g = eval_lane_group(&ctx, window);
-                    for (acc, u) in u_acc.iter_mut().zip(g.u) {
-                        *acc += u;
-                    }
-                }
-                // Same ascending-lane fold as `eval_chunk`.
-                u_acc.iter().copied().fold(0.0, |a, b| a + b)
-            },
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::neighbor::NeighborList;
     use crate::system::water_ion_box;
+
+    /// Potential energy only (no force mutation), the gradient tests' oracle.
+    ///
+    /// Shares the lane-batched chunk kernel with `compute_forces_into` and
+    /// reduces chunk partials in ascending chunk order, so the value is
+    /// bit-identical at any thread count.
+    fn compute_potential(
+        sys: &System,
+        nl: &NeighborList,
+        params: ForceParams,
+        table: &PairTable,
+    ) -> f64 {
+        let coeffs = CoeffTable::new(table, params.cutoff);
+        let sp: Vec<u8> = sys.species.iter().map(|s| s.index() as u8).collect();
+        let ctx = LaneCtx {
+            pos: &sys.pos,
+            sp: &sp,
+            coeffs: &coeffs,
+            exclusions: None,
+            box_len: sys.box_len,
+            inv_box: 1.0 / sys.box_len,
+        };
+        par::global()
+            .par_chunks_fold(
+                nl.pairs(),
+                PAIR_CHUNK,
+                |_, chunk| {
+                    let mut u_acc = [0.0f64; LANES];
+                    for window in chunk.chunks(LANES) {
+                        let g = eval_lane_group(&ctx, window);
+                        for (acc, u) in u_acc.iter_mut().zip(g.u) {
+                            *acc += u;
+                        }
+                    }
+                    // Same ascending-lane fold as `eval_chunk`.
+                    u_acc.iter().copied().fold(0.0, |a, b| a + b)
+                },
+                |a, b| a + b,
+            )
+            .unwrap_or(0.0)
+    }
 
     fn setup() -> (System, NeighborList, ForceParams, PairTable) {
         let sys = water_ion_box(1, 1.0, 13);

@@ -48,11 +48,10 @@ pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
 pub use cell_list::CellList;
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{
-    compute_forces, compute_forces_into, compute_potential, CoeffTable, ForceEval, ForceParams,
-    ForceScratch,
+    compute_forces, compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch,
 };
 pub use integrate::Integrator;
-pub use neighbor::{brute_force_pairs, NeighborList};
+pub use neighbor::NeighborList;
 pub use species::{PairTable, Species, NSPECIES};
 pub use splitanalysis::{AnalysisSchedule, SplitAnalysis, StepRecord};
 pub use system::{water_ion_box, System, DENSITY, UNIT_CELL_ATOMS};

@@ -143,26 +143,26 @@ fn sweep(cells: &CellList, reach_sq: f64, out: &mut Vec<(u32, u32)>) {
     }
 }
 
-/// Reference O(N²) pair enumeration for correctness tests.
-pub fn brute_force_pairs(positions: &[Vec3], box_len: f64, reach: f64) -> Vec<(u32, u32)> {
-    let reach_sq = reach * reach;
-    let mut out = Vec::new();
-    for i in 0..positions.len() {
-        for j in (i + 1)..positions.len() {
-            let d = (positions[j] - positions[i]).minimum_image(box_len);
-            if d.norm_sq() <= reach_sq {
-                out.push((i as u32, j as u32));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::water_ion_box;
     use crate::vec3::tests::minimum_image_reference;
+
+    /// Reference O(N²) pair enumeration for correctness tests.
+    fn brute_force_pairs(positions: &[Vec3], box_len: f64, reach: f64) -> Vec<(u32, u32)> {
+        let reach_sq = reach * reach;
+        let mut out = Vec::new();
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                let d = (positions[j] - positions[i]).minimum_image(box_len);
+                if d.norm_sq() <= reach_sq {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
 
     fn sorted(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         v.sort_unstable();

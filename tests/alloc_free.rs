@@ -15,6 +15,10 @@
 //! touching the allocator, except for the one buffer a node-granular
 //! controller hands back inside each `Allocation` it returns.
 //!
+//! The analysis partition's RDF and MSD accumulators reuse their frame,
+//! scratch and origin buffers, so a warmed accumulator observes a frame
+//! without allocating.
+//!
 //! And in the trace emit path: a string-tag field of an event (`role`,
 //! `kind`, `reason`, `tag`) borrows the emitter's `&'static str`, so
 //! recording a tag-carrying event into a pre-sized buffer allocates
@@ -37,8 +41,8 @@ use insitu::{build_controller, run_job_traced, JobConfig, Runtime};
 use mdsim::alloc_probe::{allocations, CountingAlloc};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{
-    compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams, ForceScratch,
-    MdEngine, NeighborList, PairTable,
+    analysis, compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams,
+    ForceScratch, MdEngine, NeighborList, PairTable, Snapshot,
 };
 use obs::{Event, TraceEvent, Tracer};
 use seesaw::{Allocation, Controller, SyncObservation};
@@ -110,6 +114,26 @@ fn hot_paths_are_allocation_free_after_warmup() {
             rebuilds += u32::from(e.step().rebuilt);
         }
         assert_eq!(allocations(), before, "engine step allocated ({rebuilds} rebuilds)");
+
+        // The analysis partition: 110 frames wrap the full MSD's origin
+        // ring (20 origins × 5 frames), after which RDF and every MSD
+        // variant reuse their buffers. VACF's series grows by design.
+        let kinds =
+            [AnalysisKind::Rdf, AnalysisKind::MsdFull, AnalysisKind::Msd1d, AnalysisKind::Msd2d];
+        let mut analyses = kinds.map(analysis::build);
+        let mut e = MdEngine::water_ion_benchmark(1, 44);
+        let mut observed = [0u64; 4];
+        for frame in 0..130 {
+            e.step();
+            for (a, allocs) in analyses.iter_mut().zip(&mut observed) {
+                let before = allocations();
+                a.observe(frame, &Snapshot::of(&e.system));
+                if frame >= 110 {
+                    *allocs += allocations() - before;
+                }
+            }
+        }
+        assert_eq!(observed, [0; 4], "RDF, MSD full/1-D/2-D observe allocated after warm-up");
 
         // The sync stepper: a 128-node job under default noise, no faults,
         // tracer off. Two warm-up intervals size every reused buffer (the

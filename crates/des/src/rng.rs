@@ -90,6 +90,13 @@ impl Rng {
     /// `N(mean, sigma)` truncated to ±4σ (keeps one unlucky draw from
     /// dominating a simulated run).
     pub fn normal_clamped(&mut self, mean: f64, sigma: f64) -> f64 {
+        if sigma == 0.0 && mean != 0.0 {
+            // `mean + ±0.0` is `mean` whatever the finite sample: consume
+            // the sample's two uniforms, skip its transcendentals.
+            self.next_u64();
+            self.next_u64();
+            return mean;
+        }
         mean + sigma * self.normal().clamp(-4.0, 4.0)
     }
 
@@ -169,6 +176,17 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn zero_sigma_normal_matches_the_full_draw() {
+        let mut fast = Rng::seed_from_u64(9);
+        let mut full = fast.clone();
+        for mean in [1.0, -2.5, 1e-300, 0.0, -0.0] {
+            let z = full.normal().clamp(-4.0, 4.0);
+            assert_eq!(fast.normal_clamped(mean, 0.0).to_bits(), (mean + 0.0 * z).to_bits());
+            assert_eq!(fast.next_u64(), full.next_u64(), "stream position after mean {mean}");
+        }
     }
 
     #[test]

@@ -80,67 +80,6 @@ impl TimeSeries {
         acc += cur_v * to.saturating_since(cur_t).as_secs_f64();
         acc
     }
-
-    /// Continue an [`integrate`](Self::integrate) fold from a seeded
-    /// accumulator: integrates `[first sample, to)` but starts the
-    /// accumulator at `seed` instead of zero.
-    ///
-    /// This is the query half of history compaction: after
-    /// [`compact_before`](Self::compact_before) returns the exact fold
-    /// prefix of the dropped samples, `integrate_seeded(prefix, to)`
-    /// reproduces the *same floating-point operation sequence* the
-    /// unpruned `integrate(ZERO, to)` would have performed, so the result
-    /// is bit-identical — not merely close.
-    pub fn integrate_seeded(&self, seed: f64, to: SimTime) -> f64 {
-        let Some(&first) = self.times.first() else { return seed };
-        if to <= first {
-            return seed;
-        }
-        let mut acc = seed;
-        let mut cur_t = first;
-        // The value in force before the first retained sample is the same
-        // zero-width or zero-valued term the unpruned fold adds (+0.0),
-        // so starting at 0.0 keeps the op sequence exact.
-        let mut cur_v = 0.0;
-        for (t, v) in self.iter() {
-            if t >= to {
-                break;
-            }
-            acc += cur_v * t.saturating_since(cur_t).as_secs_f64();
-            cur_t = t;
-            cur_v = v;
-        }
-        acc += cur_v * to.saturating_since(cur_t).as_secs_f64();
-        acc
-    }
-
-    /// Drop every sample before the one in force at `before`, folding the
-    /// dropped full segments into `acc` with exactly the operation order
-    /// [`integrate`](Self::integrate)`(ZERO, ·)` uses. Returns the updated
-    /// accumulator (the exact fold prefix over everything dropped so far
-    /// when `acc` chains previous compactions).
-    ///
-    /// The cut happens only at sample boundaries: the sample governing
-    /// `before` is retained, so later `integrate(from, to)` queries with
-    /// `from >= before` are untouched and
-    /// [`integrate_seeded`](Self::integrate_seeded) reproduces
-    /// `integrate(ZERO, to)` bit-for-bit.
-    pub fn compact_before(&mut self, before: SimTime, mut acc: f64) -> f64 {
-        // Index of the sample in force at `before` (last sample <= before).
-        let cut = self.times.partition_point(|&t| t <= before).saturating_sub(1);
-        if cut == 0 {
-            return acc;
-        }
-        for i in 0..cut {
-            // Full term i of the reference fold: value i held until
-            // sample i+1. (The fold's leading `0.0 * t0` term is an exact
-            // +0.0 and needs no replay.)
-            acc += self.values[i] * self.times[i + 1].saturating_since(self.times[i]).as_secs_f64();
-        }
-        self.times.drain(..cut);
-        self.values.drain(..cut);
-        acc
-    }
 }
 
 /// Generates periodic sampling instants (e.g. a 200 ms power monitor).
@@ -224,53 +163,6 @@ mod tests {
         let mut s = TimeSeries::new();
         s.push(t(0), 5.0);
         assert_eq!(s.integrate(t(50), t(50)), 0.0);
-    }
-
-    #[test]
-    fn compacted_integrate_is_bit_identical() {
-        // Irregular sample times and awkward float values so any deviation
-        // in the fold's operation order would show up in the bits.
-        let mut full = TimeSeries::new();
-        let mut state = 0x9E37_79B9u64;
-        let mut when = 0u64;
-        for _ in 0..200 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            when += 1 + (state >> 58);
-            full.push(t(when * 1_000_003), 90.0 + (state % 1000) as f64 / 7.0);
-        }
-        let end = t(when * 1_000_003 + 12345);
-        let reference = full.integrate(SimTime::ZERO, end);
-
-        // Compact in several chained rounds at arbitrary cut points.
-        let mut pruned = full.clone();
-        let mut acc = 0.0;
-        for cut_ms in [40, 90, 90, 170] {
-            acc = pruned.compact_before(t(cut_ms * 1_000_003 * 7), acc);
-        }
-        assert!(pruned.len() < full.len());
-        let seeded = pruned.integrate_seeded(acc, end);
-        assert_eq!(reference.to_bits(), seeded.to_bits());
-
-        // Windows at/after the last cut are served from retained samples,
-        // also bit-identically.
-        let from = t(170 * 1_000_003 * 7);
-        assert_eq!(full.integrate(from, end).to_bits(), pruned.integrate(from, end).to_bits());
-    }
-
-    #[test]
-    fn compact_before_first_sample_is_a_no_op() {
-        let mut s = TimeSeries::new();
-        s.push(t(100), 5.0);
-        s.push(t(200), 7.0);
-        let acc = s.compact_before(t(50), 0.0);
-        assert_eq!(acc, 0.0);
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn integrate_seeded_on_empty_returns_seed() {
-        let s = TimeSeries::new();
-        assert_eq!(s.integrate_seeded(3.5, t(100)), 3.5);
     }
 
     #[test]

@@ -115,6 +115,7 @@ impl SimDuration {
     }
 }
 
+#[inline]
 fn secs_to_nanos(s: f64) -> u64 {
     if s.is_nan() || s <= 0.0 {
         return 0;

@@ -683,8 +683,8 @@ impl Scheduler {
             slot.last_dt_s = rt.now().saturating_since(t0).as_secs_f64();
             slot.last_energy_j = rt.energy_since(t0);
             slot.has_feedback = true;
-            // The epoch's windowed read is done; prune the draw histories so
-            // long-running jobs hold O(active) segments, not O(elapsed).
+            // The epoch's windowed read is done; the next epoch's window
+            // starts here.
             rt.compact_history();
             epoch_dt = epoch_dt.max(slot.last_dt_s);
         }

@@ -33,11 +33,11 @@ mod rapl;
 pub use cluster::Cluster;
 pub use config::{CapMode, MachineConfig};
 pub use machine::{MachineNodes, NodeLease};
-pub use node::{Node, NodeHistoryMark, NodeStateKey};
+pub use node::NodeMut;
 pub use noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 pub use phase::{PhaseKind, Work};
 pub use power::{
-    cliff_factor, duration_secs, operating_point, rate, OperatingPoint, CLIFF_FLOOR_FACTOR,
+    cliff_factor, duration_secs, operating_point, rate, OpMemo, OperatingPoint, CLIFF_FLOOR_FACTOR,
     CLIFF_START_W, MIN_RATE,
 };
 pub use rapl::RaplDomain;
@@ -78,7 +78,7 @@ mod randomized {
             let mut c = Cluster::noiseless(m, 1, CapMode::Long, cap);
             let cfg = c.config().clone();
             let end = c.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
-            let mean = c.node(0).mean_power(SimTime::ZERO, end);
+            let mean = c.mean_power(0, SimTime::ZERO, end);
             assert!(mean <= cap + 1e-9, "mean {mean} cap {cap}");
         }
     }
@@ -96,8 +96,8 @@ mod randomized {
             let cfg = c.config().clone();
             let end = c.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
             let dt = end.as_secs_f64();
-            let e = c.node(0).energy(SimTime::ZERO, end);
-            let p = c.node(0).mean_power(SimTime::ZERO, end);
+            let e = c.energy(0, SimTime::ZERO, end);
+            let p = c.mean_power(0, SimTime::ZERO, end);
             assert!((e - p * dt).abs() < 1e-6 * e.max(1.0));
         }
     }

@@ -56,20 +56,68 @@ pub fn cliff_factor(m: &MachineConfig, enforced_cap_w: f64) -> f64 {
 
 /// Evaluate phase progress under an *effective* (enforced) cap.
 pub fn operating_point(m: &MachineConfig, work: Work, enforced_cap_w: f64) -> OperatingPoint {
-    let demand = work.demand_w(m);
-    if work.kind.is_wait() {
-        // Waiting makes no progress and draws the wait power (capped).
-        return OperatingPoint { draw_w: demand.min(enforced_cap_w), rate: 0.0 };
+    let mut phase = OpMemo::default();
+    phase.reset(m, work);
+    phase.evaluate(m, enforced_cap_w)
+}
+
+/// One phase's operating points, evaluated once per distinct enforced cap
+/// (by bit pattern) for the first `CAPS` caps a phase meets and on every
+/// use beyond them. A partition under one cap per role meets one cap a
+/// phase, two when a pending change lands in it.
+#[derive(Debug, Default)]
+pub struct OpMemo {
+    /// The phase's cap-independent terms: its demand, its draw above the
+    /// floor at the reference cap, its sensitivity, and whether it waits.
+    demand: f64,
+    denom: f64,
+    sensitivity: f64,
+    wait: bool,
+    /// `(cap bits, point)`, most recently evaluated last.
+    points: Vec<(u64, OperatingPoint)>,
+    /// `operating_point` evaluations so far.
+    pub evaluations: u64,
+}
+
+impl OpMemo {
+    const CAPS: usize = 4;
+
+    /// Forget every point: phase `work` of machine `m` begins.
+    pub fn reset(&mut self, m: &MachineConfig, work: Work) {
+        self.demand = work.demand_w(m);
+        self.denom = self.demand.min(m.ref_power_w) - m.floor_w;
+        self.sensitivity = work.kind.sensitivity();
+        self.wait = work.kind.is_wait();
+        debug_assert!(self.wait || self.denom > 0.0, "phase demand must exceed the floor");
+        self.points.clear();
     }
-    let draw = demand.min(enforced_cap_w);
-    // Reference operating point: the phase's speed at the reference cap.
-    let pref = demand.min(m.ref_power_w);
-    let denom = pref - m.floor_w;
-    debug_assert!(denom > 0.0, "phase demand must exceed the floor");
-    let linear = (draw - m.floor_w) / denom;
-    let s = work.kind.sensitivity();
-    let rate = (((1.0 - s) + s * linear) * cliff_factor(m, enforced_cap_w)).max(MIN_RATE);
-    OperatingPoint { draw_w: draw, rate }
+
+    /// `operating_point(m, work, cap)` of the phase begun by `reset`.
+    #[inline]
+    pub(crate) fn point(&mut self, m: &MachineConfig, cap: f64) -> OperatingPoint {
+        let key = cap.to_bits();
+        if let Some(&(_, point)) = self.points.iter().rev().find(|&&(k, _)| k == key) {
+            return point;
+        }
+        let point = self.evaluate(m, cap);
+        self.evaluations += 1;
+        if self.points.len() < Self::CAPS {
+            self.points.push((key, point));
+        }
+        point
+    }
+
+    fn evaluate(&self, m: &MachineConfig, enforced_cap_w: f64) -> OperatingPoint {
+        let draw = self.demand.min(enforced_cap_w);
+        if self.wait {
+            // Waiting makes no progress and draws the wait power (capped).
+            return OperatingPoint { draw_w: draw, rate: 0.0 };
+        }
+        let linear = (draw - m.floor_w) / self.denom;
+        let s = self.sensitivity;
+        let rate = (((1.0 - s) + s * linear) * cliff_factor(m, enforced_cap_w)).max(MIN_RATE);
+        OperatingPoint { draw_w: draw, rate }
+    }
 }
 
 /// Duration in seconds for `work` under a constant enforced cap, on a node

@@ -150,22 +150,6 @@ impl RaplDomain {
             _ => None,
         }
     }
-
-    /// Exact-state fingerprint for shared walks: two domains with equal
-    /// keys respond bit-identically to the same request/advance sequence.
-    /// Floats are compared by bit pattern — "close" caps are *not* the same
-    /// key, because `request_cap`'s no-op epsilon check would then branch
-    /// differently per node.
-    pub fn state_key(&self) -> (u8, u64, u64, Option<(SimTime, u64)>, u32, u64) {
-        (
-            self.mode as u8,
-            self.active_cap.to_bits(),
-            self.requested.to_bits(),
-            self.pending.map(|(at, cap)| (at, cap.to_bits())),
-            self.ignore_requests,
-            self.extra_latency_s.to_bits(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!
 //! The same holds one layer up: a warmed `insitu::Runtime` steps a
 //! synchronization interval (node walks, PoLiMER feedback and exchange,
-//! controller decision, cap apply, record, history compaction) without
+//! controller decision, cap apply, record, `energy_since` window restart) without
 //! touching the allocator, except for the one buffer a node-granular
 //! controller hands back inside each `Allocation` it returns.
 //!
@@ -138,7 +138,7 @@ fn hot_paths_are_allocation_free_after_warmup() {
         // The sync stepper: a 128-node job under default noise, no faults,
         // tracer off. Two warm-up intervals size every reused buffer (the
         // runtime's scratch, PoLiMER's observation, the controllers' dense
-        // state, the nodes' draw histories).
+        // state, the walk's operating-point memo).
         const MEASURED_SYNCS: u64 = 24;
         for name in ["static", "seesaw", "time-aware", "power-aware"] {
             let mut spec =

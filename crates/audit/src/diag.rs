@@ -13,7 +13,7 @@
 /// How bad a diagnostic is. Errors fail the audit (or the gate); warnings
 /// are advisory and never flip an exit code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
+pub(crate) enum Severity {
     /// A broken invariant or exceeded bound.
     Error,
     /// Advisory: worth a look, not a failure.
@@ -22,7 +22,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable lowercase tag (`"error"` / `"warning"`).
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
@@ -38,7 +38,7 @@ pub struct DiagCode {
     /// Short check name, e.g. `"budget"`.
     pub check: &'static str,
     /// Default severity of findings under this code.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
 }
 
 const fn audit(code: &'static str, check: &'static str) -> DiagCode {
@@ -50,35 +50,35 @@ const fn audit_warn(code: &'static str, check: &'static str) -> DiagCode {
 }
 
 /// `AUDIT0001` — the shared sim-time clock ran backwards.
-pub const CLOCK: DiagCode = audit("AUDIT0001", "clock");
+pub(crate) const CLOCK: DiagCode = audit("AUDIT0001", "clock");
 /// `AUDIT0002` — synchronization intervals misnumbered or badly nested.
-pub const SYNC: DiagCode = audit("AUDIT0002", "sync");
+pub(crate) const SYNC: DiagCode = audit("AUDIT0002", "sync");
 /// `AUDIT0003` — per-node spans overlap or escape their interval.
-pub const SPANS: DiagCode = audit("AUDIT0003", "spans");
+pub(crate) const SPANS: DiagCode = audit("AUDIT0003", "spans");
 /// `AUDIT0004` — a decision allocated more power than the budget.
-pub const BUDGET: DiagCode = audit("AUDIT0004", "budget");
+pub(crate) const BUDGET: DiagCode = audit("AUDIT0004", "budget");
 /// `AUDIT0005` — a RAPL grant left the `[δ_min, δ_max]` range.
-pub const CAP_RANGE: DiagCode = audit("AUDIT0005", "cap_range");
+pub(crate) const CAP_RANGE: DiagCode = audit("AUDIT0005", "cap_range");
 /// `AUDIT0006` — a cap was enforced faster than the actuation latency.
-pub const ACTUATION: DiagCode = audit("AUDIT0006", "actuation");
+pub(crate) const ACTUATION: DiagCode = audit("AUDIT0006", "actuation");
 /// `AUDIT0007` — interval/node energies do not tile the run total.
-pub const ENERGY: DiagCode = audit("AUDIT0007", "energy");
+pub(crate) const ENERGY: DiagCode = audit("AUDIT0007", "energy");
 /// `AUDIT0008` — a machine epoch division leaked or overdrew envelope.
-pub const ENVELOPE: DiagCode = audit("AUDIT0008", "envelope");
+pub(crate) const ENVELOPE: DiagCode = audit("AUDIT0008", "envelope");
 /// `AUDIT0009` — an injected fault lacks its graceful-degradation pair.
-pub const FAULTS: DiagCode = audit("AUDIT0009", "faults");
+pub(crate) const FAULTS: DiagCode = audit("AUDIT0009", "faults");
 /// `AUDIT0010` — a fleet invariant broke: job lost or double-run, retry
 /// schedule out of contract, or fleet-envelope conservation violated.
-pub const FLEET: DiagCode = audit("AUDIT0010", "fleet");
+pub(crate) const FLEET: DiagCode = audit("AUDIT0010", "fleet");
 
 /// `AUDIT0011` — a machine-scheduler job lifecycle broke: started without
 /// arriving, completed without running, killed or completed after a
 /// terminal state, or started twice.
-pub const LIFECYCLE: DiagCode = audit("AUDIT0011", "lifecycle");
+pub(crate) const LIFECYCLE: DiagCode = audit("AUDIT0011", "lifecycle");
 /// `AUDIT0012` — advisory: the run opened intervals but never reached its
 /// `run_end` epilogue (a halt — legal under partition death, worth a
 /// look otherwise).
-pub const HALT: DiagCode = audit_warn("AUDIT0012", "halt");
+pub(crate) const HALT: DiagCode = audit_warn("AUDIT0012", "halt");
 /// `AUDIT0013` — a streamed trace line failed to parse (the streaming
 /// audit stops at the first malformed line, like the batch loader).
 pub const STREAM: DiagCode = audit("AUDIT0013", "stream");
@@ -86,19 +86,19 @@ pub const STREAM: DiagCode = audit("AUDIT0013", "stream");
 /// `DIFF0001` — two traces diverge: the first differing event, with the
 /// line number, the field that moved, and whether it was the timestamp,
 /// the event kind, or a payload value.
-pub const DIFF_TRACE: DiagCode = audit("DIFF0001", "trace");
+pub(crate) const DIFF_TRACE: DiagCode = audit("DIFF0001", "trace");
 /// `DIFF0002` — one trace is a strict prefix of the other (a line was
 /// dropped, or a run ended early).
-pub const DIFF_TRUNCATED: DiagCode = audit("DIFF0002", "truncated");
+pub(crate) const DIFF_TRUNCATED: DiagCode = audit("DIFF0002", "truncated");
 /// `DIFF0003` — two report/metrics/health artifacts differ beyond the
 /// noise threshold: names the path of the first offending field.
-pub const DIFF_ARTIFACT: DiagCode = audit("DIFF0003", "artifact");
+pub(crate) const DIFF_ARTIFACT: DiagCode = audit("DIFF0003", "artifact");
 /// `DIFF0004` — an artifact handed to the differ is unreadable or not
 /// comparable (malformed JSON, mismatched document shapes).
-pub const DIFF_PARSE: DiagCode = audit("DIFF0004", "artifact_parse");
+pub(crate) const DIFF_PARSE: DiagCode = audit("DIFF0004", "artifact_parse");
 /// `DIFF0005` — the two artifacts carry different `schema_version`s; the
 /// differ refuses to attribute deltas across schema changes.
-pub const DIFF_SCHEMA: DiagCode = audit("DIFF0005", "schema");
+pub(crate) const DIFF_SCHEMA: DiagCode = audit("DIFF0005", "schema");
 
 /// One finding: a code plus the specifics of where and how it fired.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +129,7 @@ impl Diagnostic {
     }
 
     /// The finding's severity.
-    pub fn severity(&self) -> Severity {
+    pub(crate) fn severity(&self) -> Severity {
         self.code.severity
     }
 }

@@ -50,7 +50,7 @@ pub enum Aspect {
 
 impl Aspect {
     /// Human tag for diagnostics.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             Aspect::Time => "time",
             Aspect::EventKind => "event kind",
@@ -231,7 +231,7 @@ impl Default for TraceDiffer {
 
 impl TraceDiffer {
     /// A differ retaining the last `context` events per entity.
-    pub fn new(context: usize) -> Self {
+    pub(crate) fn new(context: usize) -> Self {
         TraceDiffer { k: context.max(1), line: 0, rings: BTreeMap::new() }
     }
 

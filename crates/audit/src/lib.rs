@@ -47,20 +47,21 @@
 //! dependencies.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod diag;
 pub mod diff;
 mod invariants;
 mod ledger;
-pub mod metrics;
+mod metrics;
 pub mod registry;
-pub mod stream;
+mod stream;
 
-pub use diag::{DiagCode, Diagnostic, Severity, Violation};
+pub use diag::{DiagCode, Diagnostic, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, TraceDiffer};
 pub use metrics::AuditReport;
 pub use obs::json;
-pub use registry::{Counter, Gauge, Histogram, Registry};
+pub use registry::{Histogram, Registry};
 pub use stream::{RunHealth, StreamAuditor, StreamOutcome, RUN_SCHEMA_VERSION};
 
 /// Audit `events` in one pass: how the unit tests run the engine.

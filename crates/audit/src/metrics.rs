@@ -38,7 +38,7 @@ pub struct PartitionAttribution {
 
 /// Barrier-wait breakdown for one synchronization interval.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SyncStragglers {
+pub(crate) struct SyncStragglers {
     /// 1-based synchronization index.
     pub sync: u64,
     /// Simulation-partition interval time (slowest node), seconds.
@@ -58,7 +58,7 @@ pub struct SyncStragglers {
 /// Whole-run critical-path decomposition: every interval is limited by
 /// exactly one partition, and allocation overhead is serial on top.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CriticalPath {
+pub(crate) struct CriticalPath {
     /// Time on intervals where simulation was the slower partition, seconds.
     pub sim_limited_s: f64,
     /// Time on intervals where analysis was the slower partition, seconds.
@@ -74,7 +74,7 @@ pub struct CriticalPath {
 /// Summary of the observed cap-actuation latency distribution
 /// (request → enforcement, over requests that actually changed the cap).
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LatencyStats {
+pub(crate) struct LatencyStats {
     /// Actuated requests (latency > 0).
     pub count: u64,
     /// Requests that were no-ops or swallowed (latency = 0).
@@ -107,11 +107,11 @@ pub struct AuditReport {
     /// Per-partition exact energy attribution, sorted by role.
     pub partitions: Vec<PartitionAttribution>,
     /// Per-interval barrier-wait breakdown.
-    pub stragglers: Vec<SyncStragglers>,
+    pub(crate) stragglers: Vec<SyncStragglers>,
     /// Critical-path decomposition.
-    pub critical_path: CriticalPath,
+    pub(crate) critical_path: CriticalPath,
     /// Cap-actuation latency distribution.
-    pub cap_latency: LatencyStats,
+    pub(crate) cap_latency: LatencyStats,
 }
 
 impl AuditReport {

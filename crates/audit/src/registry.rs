@@ -22,17 +22,12 @@ pub use obs::hist::{Histogram, HISTOGRAM_BUCKETS};
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
+pub(crate) struct Counter(pub u64);
 
 impl Counter {
     /// Add one.
-    pub fn inc(&mut self) {
+    pub(crate) fn inc(&mut self) {
         self.0 += 1;
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
     }
 }
 
@@ -42,7 +37,7 @@ impl Counter {
 /// one's — `value` compared by `total_cmp`, so of two writes at the same
 /// instant the larger value wins whichever comes first.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     /// Sim-time of the retained write, nanoseconds.
     pub t_ns: u64,
     /// The retained value.
@@ -51,7 +46,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// Record a write at `t_ns` (kept only if it is the latest so far).
-    pub fn set(&mut self, t_ns: u64, value: f64) {
+    pub(crate) fn set(&mut self, t_ns: u64, value: f64) {
         if (t_ns, value.total_cmp(&self.value)) >= (self.t_ns, std::cmp::Ordering::Equal) {
             *self = Gauge { t_ns, value };
         }
@@ -90,17 +85,17 @@ pub(crate) fn named<'m, T>(
 
 impl Registry {
     /// Named counter, created on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
+    pub(crate) fn counter(&mut self, name: &str) -> &mut Counter {
         named(&mut self.counters, name, Counter::default)
     }
 
     /// Named gauge, created on first use.
-    pub fn gauge(&mut self, name: &str) -> &mut Gauge {
+    pub(crate) fn gauge(&mut self, name: &str) -> &mut Gauge {
         named(&mut self.gauges, name, Gauge::default)
     }
 
     /// Named histogram, created on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
+    pub(crate) fn histogram(&mut self, name: &str) -> &mut Histogram {
         named(&mut self.histograms, name, Histogram::default)
     }
 

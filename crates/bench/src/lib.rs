@@ -26,6 +26,7 @@
 //! could not be written, or did not match.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
 pub mod experiments;

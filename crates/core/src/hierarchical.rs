@@ -18,7 +18,7 @@ use crate::types::{Allocation, Role, SyncObservation};
 
 /// Hierarchical configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HierarchicalConfig {
+pub(crate) struct HierarchicalConfig {
     /// The partition-level SeeSAw configuration.
     pub seesaw: SeeSawConfig,
     /// Intra-partition skew exponent: per-node weight is
@@ -29,14 +29,14 @@ pub struct HierarchicalConfig {
 
 /// The two-level controller.
 #[derive(Debug, Clone)]
-pub struct HierarchicalSeeSaw {
+pub(crate) struct HierarchicalSeeSaw {
     cfg: HierarchicalConfig,
     inner: SeeSaw,
 }
 
 impl HierarchicalSeeSaw {
     /// Build the controller.
-    pub fn new(cfg: HierarchicalConfig) -> Self {
+    pub(crate) fn new(cfg: HierarchicalConfig) -> Self {
         assert!(cfg.gamma >= 0.0, "gamma must be non-negative");
         HierarchicalSeeSaw { cfg, inner: SeeSaw::new(cfg.seesaw) }
     }

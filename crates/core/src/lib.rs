@@ -14,12 +14,14 @@
 //!   partitions arrive together (Eqs. 1–4);
 //! * [`PowerAware`] — the SLURM-style baseline that shifts power from
 //!   below-cap nodes to at-cap nodes;
-//! * [`TimeAware`] — the GEOPM power-balancer-style baseline that shifts
-//!   power from fast nodes to slow nodes with a decaying step;
-//! * [`StaticAlloc`] — the equal, never-changing split;
+//! * `TimeAware` (`"time-aware"`) — the GEOPM power-balancer-style
+//!   baseline that shifts power from fast nodes to slow nodes with a
+//!   decaying step;
+//! * `StaticAlloc` (`"static"`) — the equal, never-changing split;
 //! * [`model`] — the analytic two-task model behind the formulation.
 //!
-//! All controllers implement [`Controller`] and are driven by the runtime
+//! [`controller_by_name`] builds any of them by name. All controllers
+//! implement [`Controller`] and are driven by the runtime
 //! (crate `polimer`) at each simulation↔analysis synchronization.
 //!
 //! ```
@@ -39,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod controller;
 mod hierarchical;
@@ -51,19 +54,18 @@ mod seesaw;
 mod static_alloc;
 mod time_aware;
 mod types;
-pub mod waterfill;
+mod waterfill;
+
+use hierarchical::{HierarchicalConfig, HierarchicalSeeSaw};
+use power_aware::PowerAwareConfig;
+use static_alloc::StaticAlloc;
+use time_aware::{TimeAware, TimeAwareConfig};
 
 pub use controller::Controller;
-pub use hierarchical::{HierarchicalConfig, HierarchicalSeeSaw};
-pub use power_aware::{PowerAware, PowerAwareConfig};
+pub use power_aware::PowerAware;
 pub use seesaw::{EwmaMode, SeeSaw, SeeSawConfig};
-pub use static_alloc::StaticAlloc;
-pub use time_aware::{TimeAware, TimeAwareConfig};
-pub use types::{
-    split_with_limits, Allocation, CapLookup, Limits, NodeSample, PartitionView, Role,
-    SyncObservation,
-};
-pub use waterfill::{water_fill, water_fill_uniform};
+pub use types::{Allocation, CapLookup, Limits, NodeSample, Role, SyncObservation};
+pub use waterfill::water_fill;
 
 /// The controller names [`controller_by_name`] accepts.
 pub const CONTROLLER_NAMES: [&str; 5] =

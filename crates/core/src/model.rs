@@ -23,7 +23,7 @@ impl LinearTask {
     }
 
     /// The paper's α parameter: `α = 1/(T·P) = 1/E` (Eq. 1).
-    pub fn alpha(&self) -> f64 {
+    pub(crate) fn alpha(&self) -> f64 {
         1.0 / self.energy_j
     }
 

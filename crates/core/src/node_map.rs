@@ -150,7 +150,9 @@ impl NodeMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Controller, PowerAware, PowerAwareConfig, TimeAware, TimeAwareConfig};
+    use crate::power_aware::PowerAwareConfig;
+    use crate::time_aware::{TimeAware, TimeAwareConfig};
+    use crate::{Controller, PowerAware};
 
     fn sample(node: usize, cap_w: f64) -> NodeSample {
         NodeSample { node, role: Role::Simulation, time_s: 1.0, power_w: 100.0, cap_w }

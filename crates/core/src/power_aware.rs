@@ -19,7 +19,7 @@ use crate::types::{Allocation, Limits, SyncObservation};
 
 /// Power-aware configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerAwareConfig {
+pub(crate) struct PowerAwareConfig {
     /// Global power budget, watts (only used to seed missing cap state).
     pub budget_w: f64,
     /// Reallocate every `window` synchronizations.
@@ -36,7 +36,7 @@ pub struct PowerAwareConfig {
 
 impl PowerAwareConfig {
     /// Defaults mirroring the paper's setup.
-    pub fn paper_default(n_nodes: usize) -> Self {
+    pub(crate) fn paper_default(n_nodes: usize) -> Self {
         PowerAwareConfig {
             budget_w: 110.0 * n_nodes as f64,
             window: 1,
@@ -56,7 +56,6 @@ pub struct PowerAware {
     /// Measured power summed over the window so far.
     pub(crate) window_power: NodeMap,
     window_count: usize,
-    allocations: u64,
     /// Per-decision scratch: below-cap nodes with their mean power, and
     /// the nodes pinned at their cap.
     donors: Vec<(usize, f64)>,
@@ -65,22 +64,16 @@ pub struct PowerAware {
 
 impl PowerAware {
     /// Build a controller.
-    pub fn new(cfg: PowerAwareConfig) -> Self {
+    pub(crate) fn new(cfg: PowerAwareConfig) -> Self {
         assert!(cfg.window >= 1);
         PowerAware {
             cfg,
             caps: NodeMap::default(),
             window_power: NodeMap::default(),
             window_count: 0,
-            allocations: 0,
             donors: Vec::new(),
             claimants: Vec::new(),
         }
-    }
-
-    /// Number of reallocations performed so far.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
     }
 
     /// Shift the window's excess from donors to claimants. Returns whether
@@ -154,7 +147,6 @@ impl Controller for PowerAware {
         if !moved {
             return None;
         }
-        self.allocations += 1;
         Some(self.caps.allocation(obs))
     }
 
@@ -162,7 +154,6 @@ impl Controller for PowerAware {
         self.caps.clear();
         self.window_power.clear();
         self.window_count = 0;
-        self.allocations = 0;
     }
 
     fn budget_w(&self) -> Option<f64> {

@@ -341,8 +341,9 @@ impl Controller for RefPowerAware {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time_aware::TimeAware;
     use crate::types::NodeSample;
-    use crate::{PowerAware, TimeAware};
+    use crate::PowerAware;
     use des::Rng;
 
     /// An allocation flattened to exact bits: both uniform caps, then

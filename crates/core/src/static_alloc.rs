@@ -8,11 +8,11 @@ use crate::types::{Allocation, SyncObservation};
 /// A controller that never reallocates. The initial caps (set at job
 /// launch by the runtime) remain in force for the whole job.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StaticAlloc;
+pub(crate) struct StaticAlloc;
 
 impl StaticAlloc {
     /// Build the baseline controller.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StaticAlloc
     }
 }

@@ -22,7 +22,7 @@ use crate::types::{Allocation, Limits, SyncObservation};
 
 /// Time-aware configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeAwareConfig {
+pub(crate) struct TimeAwareConfig {
     /// Global power budget, watts.
     pub budget_w: f64,
     /// Hardware per-node cap limits.
@@ -40,7 +40,7 @@ pub struct TimeAwareConfig {
 
 impl TimeAwareConfig {
     /// Defaults mirroring GEOPM's balancer behaviour at paper scale.
-    pub fn paper_default(n_nodes: usize) -> Self {
+    pub(crate) fn paper_default(n_nodes: usize) -> Self {
         TimeAwareConfig {
             budget_w: 110.0 * n_nodes as f64,
             limits: Limits::theta(),
@@ -57,29 +57,18 @@ impl TimeAwareConfig {
 
 /// The GEOPM-style time-aware controller.
 #[derive(Debug, Clone)]
-pub struct TimeAware {
+pub(crate) struct TimeAware {
     cfg: TimeAwareConfig,
     pub(crate) caps: NodeMap,
     step_w: f64,
-    allocations: u64,
 }
 
 impl TimeAware {
     /// Build a controller.
-    pub fn new(cfg: TimeAwareConfig) -> Self {
+    pub(crate) fn new(cfg: TimeAwareConfig) -> Self {
         assert!(cfg.margin >= 0.0 && cfg.margin < 1.0);
         assert!(cfg.step_decay > 0.0 && cfg.step_decay <= 1.0);
-        TimeAware { cfg, caps: NodeMap::default(), step_w: cfg.initial_step_w, allocations: 0 }
-    }
-
-    /// Current power step, watts.
-    pub fn step_w(&self) -> f64 {
-        self.step_w
-    }
-
-    /// Number of reallocations performed so far.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
+        TimeAware { cfg, caps: NodeMap::default(), step_w: cfg.initial_step_w }
     }
 }
 
@@ -142,14 +131,12 @@ impl Controller for TimeAware {
         }
         // Decay the rate of change down to the configured minimum.
         self.step_w = (self.step_w * self.cfg.step_decay).max(self.cfg.min_step_w);
-        self.allocations += 1;
         Some(self.caps.allocation(obs))
     }
 
     fn reset(&mut self) {
         self.caps.clear();
         self.step_w = self.cfg.initial_step_w;
-        self.allocations = 0;
     }
 
     fn budget_w(&self) -> Option<f64> {
@@ -202,12 +189,12 @@ mod tests {
                 sample(1, Role::Analysis, 2.0, 110.0),
             ],
         };
-        let first = c.step_w();
+        let first = c.step_w;
         for _ in 0..60 {
             let _ = c.on_sync(&obs);
         }
-        assert!(c.step_w() < first);
-        assert!((c.step_w() - cfg().min_step_w).abs() < 1e-12);
+        assert!(c.step_w < first);
+        assert!((c.step_w - cfg().min_step_w).abs() < 1e-12);
     }
 
     #[test]

@@ -13,14 +13,6 @@ pub enum Role {
 }
 
 impl Role {
-    /// The opposite partition.
-    pub fn peer(self) -> Role {
-        match self {
-            Role::Simulation => Role::Analysis,
-            Role::Analysis => Role::Simulation,
-        }
-    }
-
     /// Stable lowercase tag for serialized traces.
     pub fn tag(self) -> &'static str {
         match self {
@@ -59,7 +51,7 @@ pub struct SyncObservation {
 impl SyncObservation {
     /// Aggregate a partition: `(slowest node time, summed power, node count,
     /// current per-node cap)`. Returns `None` if the partition is empty.
-    pub fn partition(&self, role: Role) -> Option<PartitionView> {
+    pub(crate) fn partition(&self, role: Role) -> Option<PartitionView> {
         let mut time_s: f64 = 0.0;
         let mut power_w = 0.0;
         let mut cap_sum = 0.0;
@@ -81,7 +73,7 @@ impl SyncObservation {
 
 /// Aggregated view of one partition at a sync point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionView {
+pub(crate) struct PartitionView {
     /// Slowest node's time to reach the sync, seconds.
     pub time_s: f64,
     /// Total measured power across the partition's nodes, watts.
@@ -90,14 +82,6 @@ pub struct PartitionView {
     pub nodes: usize,
     /// Mean allocated per-node cap, watts.
     pub cap_per_node_w: f64,
-}
-
-impl PartitionView {
-    /// Energy consumed over the interval, joules (the paper's feedback
-    /// metric: `E = T × P`).
-    pub fn energy_j(&self) -> f64 {
-        self.time_s * self.power_w
-    }
 }
 
 /// Hardware power-cap limits per node (δ_min / δ_max in the paper).
@@ -116,7 +100,7 @@ impl Limits {
     }
 
     /// Clamp one per-node cap.
-    pub fn clamp(&self, w: f64) -> f64 {
+    pub(crate) fn clamp(&self, w: f64) -> f64 {
         w.clamp(self.min_w, self.max_w)
     }
 }
@@ -142,7 +126,7 @@ pub struct Allocation {
 
 impl Allocation {
     /// A uniform allocation.
-    pub fn uniform(sim_node_w: f64, analysis_node_w: f64) -> Self {
+    pub(crate) fn uniform(sim_node_w: f64, analysis_node_w: f64) -> Self {
         Allocation { sim_node_w, analysis_node_w, per_node_w: Vec::new() }
     }
 
@@ -163,10 +147,13 @@ impl Allocation {
         };
         CapLookup { alloc: self, overrides, cursor: 0 }
     }
+}
 
+#[cfg(test)]
+impl Allocation {
     /// Cap for one node under this allocation. Costs a pass over
     /// `per_node_w`; to resolve many nodes use [`Allocation::caps`].
-    pub fn cap_for(&self, node: usize, role: Role) -> f64 {
+    pub(crate) fn cap_for(&self, node: usize, role: Role) -> f64 {
         self.caps().cap_for(node, role)
     }
 }
@@ -215,7 +202,7 @@ impl CapLookup<'_> {
 /// (`budget_w < δ_min × (sim_nodes + ana_nodes)` — a hardware floor the
 /// caller must budget for); budget goes *unused* only when both sides
 /// saturate at δ_max.
-pub fn split_with_limits(
+pub(crate) fn split_with_limits(
     limits: Limits,
     budget_w: f64,
     sim_total_w: f64,
@@ -313,19 +300,6 @@ mod tests {
     fn empty_partition_is_none() {
         let o = SyncObservation { step: 0, nodes: vec![] };
         assert!(o.partition(Role::Simulation).is_none());
-    }
-
-    #[test]
-    fn energy_is_time_times_power() {
-        let o = obs();
-        let s = o.partition(Role::Simulation).unwrap();
-        assert!((s.energy_j() - 4.2 * 217.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn role_peer() {
-        assert_eq!(Role::Simulation.peer(), Role::Analysis);
-        assert_eq!(Role::Analysis.peer(), Role::Simulation);
     }
 
     #[test]

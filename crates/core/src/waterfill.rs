@@ -74,7 +74,7 @@ pub fn water_fill(desired: &[f64], lo: &[f64], hi: &[f64], total: f64) -> Vec<f6
 }
 
 /// [`water_fill`] with uniform bounds for every item.
-pub fn water_fill_uniform(desired: &[f64], lo: f64, hi: f64, total: f64) -> Vec<f64> {
+pub(crate) fn water_fill_uniform(desired: &[f64], lo: f64, hi: f64, total: f64) -> Vec<f64> {
     let lo_v = vec![lo; desired.len()];
     let hi_v = vec![hi; desired.len()];
     water_fill(desired, &lo_v, &hi_v, total)

@@ -8,18 +8,18 @@
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Seed the generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -98,11 +98,6 @@ impl Rng {
             return mean;
         }
         mean + sigma * self.normal().clamp(-4.0, 4.0)
-    }
-
-    /// Derive an independent child generator (stream splitting).
-    pub fn split(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
     }
 }
 
@@ -196,14 +191,5 @@ mod tests {
             let x = r.normal_clamped(1.0, 0.1);
             assert!((x - 1.0).abs() <= 0.4 + 1e-12);
         }
-    }
-
-    #[test]
-    fn split_streams_differ() {
-        let mut parent = Rng::seed_from_u64(21);
-        let mut a = parent.split();
-        let mut b = parent.split();
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

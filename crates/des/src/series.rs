@@ -40,11 +40,6 @@ impl TimeSeries {
         self.times.iter().copied().zip(self.values.iter().copied())
     }
 
-    /// Sample timestamps.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
     /// Sample values.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -96,13 +91,8 @@ impl PeriodicSampler {
         PeriodicSampler { period, next: start }
     }
 
-    /// Next instant at which a sample is due.
-    pub fn next_at(&self) -> SimTime {
-        self.next
-    }
-
     /// Advance past one firing and return the instant it fired at.
-    pub fn fire(&mut self) -> SimTime {
+    pub(crate) fn fire(&mut self) -> SimTime {
         let t = self.next;
         self.next += self.period;
         t
@@ -172,7 +162,7 @@ mod tests {
         assert_eq!(fired.len(), 5);
         assert_eq!(fired[0], SimTime::ZERO);
         assert_eq!(fired[4], SimTime::from_secs_f64(0.8));
-        assert_eq!(p.next_at(), SimTime::from_secs_f64(1.0));
+        assert_eq!(p.next, SimTime::from_secs_f64(1.0));
     }
 
     #[test]

@@ -20,9 +20,6 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Largest representable instant; useful as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Construct from whole nanoseconds.
     #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
@@ -106,12 +103,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn infinity_saturates_to_max() {
-        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+        assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime(u64::MAX));
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! recovery action.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use des::Rng;
 
@@ -200,11 +201,6 @@ impl Default for FaultIntensity {
 }
 
 impl FaultIntensity {
-    /// No faults at all.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// The `fault_sweep` profile: one knob `x ∈ [0, 1]` scaling a mixed
     /// workload of the paper-relevant fault kinds. At `x = 1` roughly
     /// every tenth node-interval sees a corrupted sample, actuation
@@ -342,21 +338,11 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// All scheduled events, ordered by `(sync, node)`.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// Events firing at synchronization interval `sync`.
     pub fn events_at(&self, sync: u64) -> impl Iterator<Item = &FaultEvent> {
         // The plan is generated sync-major, so a partition point would be
         // faster; plans are short (≤ a few hundred events), linear is fine.
         self.events.iter().filter(move |e| e.sync == sync)
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -413,16 +399,6 @@ impl JobFaultPlan {
         JobFaultPlan { events }
     }
 
-    /// True if the plan kills nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All scheduled kills, ordered by `(epoch, job)`.
-    pub fn events(&self) -> &[JobFault] {
-        &self.events
-    }
-
     /// Jobs killed at scheduling epoch `epoch`.
     pub fn kills_at(&self, epoch: u64) -> impl Iterator<Item = usize> + '_ {
         self.events.iter().filter(move |e| e.epoch == epoch).map(|e| e.job)
@@ -449,17 +425,6 @@ pub enum MachineFaultKind {
         /// Slowdown length in fleet epochs.
         epochs: u64,
     },
-}
-
-impl MachineFaultKind {
-    /// Stable lowercase tag for logs and JSON.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            MachineFaultKind::Crash => "machine_crash",
-            MachineFaultKind::Partition { .. } => "partition",
-            MachineFaultKind::Slow { .. } => "slow_machine",
-        }
-    }
 }
 
 /// A machine-level fault scheduled at one fleet epoch.
@@ -583,24 +548,9 @@ impl MachineFaultPlan {
         MachineFaultPlan { events }
     }
 
-    /// True if the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// All scheduled faults, ordered by `(epoch, machine)`.
-    pub fn events(&self) -> &[MachineFault] {
-        &self.events
-    }
-
     /// Faults firing at fleet epoch `epoch`.
     pub fn faults_at(&self, epoch: u64) -> impl Iterator<Item = &MachineFault> {
         self.events.iter().filter(move |e| e.epoch == epoch)
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 }
 
@@ -614,10 +564,10 @@ mod tests {
         let b = JobFaultPlan::generate(11, 6, 40, 0.1);
         assert_eq!(a, b);
         for job in 0..6 {
-            let kills = a.events().iter().filter(|e| e.job == job).count();
+            let kills = a.events.iter().filter(|e| e.job == job).count();
             assert!(kills <= 1, "job {job} killed {kills} times");
         }
-        assert!(JobFaultPlan::generate(11, 6, 40, 0.0).is_empty());
+        assert!(JobFaultPlan::generate(11, 6, 40, 0.0).events.is_empty());
     }
 
     #[test]
@@ -629,7 +579,7 @@ mod tests {
         assert_eq!(plan.kills_at(0).collect::<Vec<_>>(), vec![2]);
         assert_eq!(plan.kills_at(3).collect::<Vec<_>>(), vec![1]);
         assert_eq!(plan.kills_at(1).count(), 0);
-        assert_eq!(plan.events()[0].epoch, 0, "from_events sorts");
+        assert_eq!(plan.events[0].epoch, 0, "from_events sorts");
     }
 
     #[test]
@@ -637,7 +587,7 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.is_empty());
         assert_eq!(p.events_at(0).count(), 0);
-        assert_eq!(FaultPlan::generate(1, &FaultIntensity::none(), 8, 100), p);
+        assert_eq!(FaultPlan::generate(1, &FaultIntensity::default(), 8, 100), p);
     }
 
     #[test]
@@ -653,7 +603,7 @@ mod tests {
     #[test]
     fn full_intensity_covers_many_kinds() {
         let plan = FaultPlan::generate(7, &FaultIntensity::scaled(1.0), 16, 200);
-        let mut tags: Vec<&str> = plan.events().iter().map(|e| e.kind.tag()).collect();
+        let mut tags: Vec<&str> = plan.events.iter().map(|e| e.kind.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
         assert!(tags.len() >= 5, "expected a mixed workload, got {tags:?}");
@@ -661,12 +611,11 @@ mod tests {
 
     #[test]
     fn at_most_one_crash_per_node() {
-        let mut i = FaultIntensity::none();
-        i.node_crash = 0.5;
+        let i = FaultIntensity { node_crash: 0.5, ..FaultIntensity::default() };
         let plan = FaultPlan::generate(3, &i, 4, 100);
         for node in 0..4 {
             let crashes = plan
-                .events()
+                .events
                 .iter()
                 .filter(|e| e.node == node && e.kind == FaultKind::NodeCrash)
                 .count();
@@ -683,13 +632,13 @@ mod tests {
         assert_eq!(plan.events_at(0).count(), 1);
         assert_eq!(plan.events_at(1).count(), 0);
         assert_eq!(plan.events_at(2).count(), 1);
-        assert_eq!(plan.events()[0].sync, 0, "from_events sorts");
+        assert_eq!(plan.events[0].sync, 0, "from_events sorts");
     }
 
     #[test]
     fn intensity_scaling_monotone() {
-        let lo = FaultPlan::generate(9, &FaultIntensity::scaled(0.1), 16, 100).len();
-        let hi = FaultPlan::generate(9, &FaultIntensity::scaled(1.0), 16, 100).len();
+        let lo = FaultPlan::generate(9, &FaultIntensity::scaled(0.1), 16, 100).events.len();
+        let hi = FaultPlan::generate(9, &FaultIntensity::scaled(1.0), 16, 100).events.len();
         assert!(hi > lo, "more intensity should mean more events ({lo} vs {hi})");
     }
 
@@ -699,10 +648,13 @@ mod tests {
         let a = MachineFaultPlan::generate(11, &i, 4, 200);
         let b = MachineFaultPlan::generate(11, &i, 4, 200);
         assert_eq!(a, b);
-        assert!(!a.is_empty(), "full storm over 200 epochs should inject something");
+        assert!(!a.events.is_empty(), "full storm over 200 epochs should inject something");
         let c = MachineFaultPlan::generate(12, &i, 4, 200);
         assert_ne!(a, c, "different seed should change the plan");
-        assert_eq!(MachineFaultPlan::generate(11, &MachineFaultIntensity::none(), 4, 200).len(), 0);
+        assert_eq!(
+            MachineFaultPlan::generate(11, &MachineFaultIntensity::none(), 4, 200).events.len(),
+            0
+        );
     }
 
     #[test]
@@ -712,7 +664,7 @@ mod tests {
         for machine in 0..3 {
             let mut crashed_at = None;
             let mut busy_until = 0u64;
-            for f in plan.events().iter().filter(|f| f.machine == machine) {
+            for f in plan.events.iter().filter(|f| f.machine == machine) {
                 assert!(crashed_at.is_none(), "machine {machine} faulted after a crash");
                 assert!(f.epoch >= busy_until, "machine {machine} overlapping faults");
                 match f.kind {
@@ -733,9 +685,9 @@ mod tests {
             MachineFault { epoch: 5, machine: 1, kind: MachineFaultKind::Crash },
             MachineFault { epoch: 2, machine: 0, kind: MachineFaultKind::Partition { epochs: 3 } },
         ]);
-        assert_eq!(plan.events()[0].epoch, 2, "from_events sorts");
+        assert_eq!(plan.events[0].epoch, 2, "from_events sorts");
         assert_eq!(plan.faults_at(5).count(), 1);
         assert_eq!(plan.faults_at(3).count(), 0);
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.events.len(), 2);
     }
 }

@@ -30,14 +30,14 @@ impl RetryPolicy {
 
     /// The paper-default schedule: 1, 2, 4, 8, 8, … epochs, three
     /// retries.
-    pub fn default_policy() -> Self {
+    pub(crate) fn default_policy() -> Self {
         RetryPolicy::new(1, 8, 3)
     }
 
     /// Backoff before retry `attempt` (1-based), fleet epochs.
     /// Saturates instead of overflowing, then clamps to the ceiling, so
     /// the sequence is non-decreasing for any `u64` attempt.
-    pub fn backoff_epochs(&self, attempt: u64) -> u64 {
+    pub(crate) fn backoff_epochs(&self, attempt: u64) -> u64 {
         assert!(attempt >= 1, "attempts are 1-based");
         let doubled = if attempt > 63 {
             u64::MAX

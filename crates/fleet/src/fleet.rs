@@ -317,13 +317,8 @@ impl Fleet {
     }
 
     /// True once every job is terminal.
-    pub fn all_jobs_terminal(&self) -> bool {
+    pub(crate) fn all_jobs_terminal(&self) -> bool {
         self.jobs.iter().all(|j| matches!(j.phase, Phase::Completed | Phase::Failed))
-    }
-
-    /// The next fleet epoch to execute.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Execute one fleet epoch: fire machine faults, heal partitions,

@@ -22,6 +22,7 @@
 //! by the `AUDIT0010` fleet battery in the `audit` crate.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod backoff;
 mod fleet;

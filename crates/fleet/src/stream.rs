@@ -57,12 +57,7 @@ impl JobStream {
     }
 
     /// Number of jobs in the stream.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if the stream holds no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }

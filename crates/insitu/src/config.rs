@@ -65,12 +65,12 @@ impl JobConfig {
     }
 
     /// Initial per-node cap on the simulation partition.
-    pub fn sim_cap0_w(&self) -> f64 {
+    pub(crate) fn sim_cap0_w(&self) -> f64 {
         self.initial_sim_cap_w.unwrap_or(self.budget_per_node_w)
     }
 
     /// Initial per-node cap on the analysis partition.
-    pub fn analysis_cap0_w(&self) -> f64 {
+    pub(crate) fn analysis_cap0_w(&self) -> f64 {
         self.initial_analysis_cap_w.unwrap_or(self.budget_per_node_w)
     }
 

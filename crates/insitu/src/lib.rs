@@ -19,6 +19,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod colocated;
 mod config;

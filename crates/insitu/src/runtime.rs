@@ -191,11 +191,6 @@ impl Runtime {
         }
     }
 
-    /// Job configuration.
-    pub fn config(&self) -> &JobConfig {
-        &self.cfg
-    }
-
     /// Attach a trace sink to every layer of the stack: the cluster's
     /// nodes (phase/wait spans, cap actuation), the power manager
     /// (samples, exchanges, degradation) and — through it — the

@@ -7,13 +7,16 @@
 //! reports the work it performed, which the cluster model converts into
 //! simulated time under the analysis partition's power cap.
 
-mod msd;
+pub(crate) mod msd;
 mod rdf;
 mod vacf;
 
-pub use msd::{Msd, MsdConfig, MsdVariant};
-pub use rdf::{Rdf, RdfConfig};
-pub use vacf::{Vacf, VacfConfig};
+pub use rdf::Rdf;
+pub use vacf::Vacf;
+
+use msd::{Msd, MsdConfig};
+use rdf::RdfConfig;
+use vacf::VacfConfig;
 
 use crate::species::Species;
 use crate::vec3::Vec3;
@@ -24,7 +27,7 @@ pub struct Snapshot<'a> {
     /// Periodic box side.
     pub box_len: f64,
     /// Species per particle.
-    pub species: &'a [Species],
+    pub(crate) species: &'a [Species],
     /// Wrapped positions.
     pub pos: &'a [Vec3],
     /// Unwrapped positions (for displacement analyses).
@@ -46,18 +49,18 @@ impl<'a> Snapshot<'a> {
     }
 
     /// Number of particles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pos.len()
     }
 
     /// True if the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos.is_empty()
     }
 
     /// Bytes a simulation rank must ship for this snapshot: positions and
     /// velocities (step 2 of the flow), 6 `f64` per particle.
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         (self.len() * 6 * std::mem::size_of::<f64>()) as u64
     }
 }
@@ -68,13 +71,6 @@ pub struct AnalysisWork {
     /// Arithmetic operations on particle data (distance evaluations, dot
     /// products, …).
     pub ops: u64,
-}
-
-impl AnalysisWork {
-    /// Accumulate.
-    pub fn add(&mut self, other: AnalysisWork) {
-        self.ops += other.ops;
-    }
 }
 
 /// The analysis kinds of the paper's evaluation.
@@ -103,7 +99,7 @@ impl AnalysisKind {
     ];
 
     /// The matching machine phase classification.
-    pub fn phase_kind(self) -> theta_sim::PhaseKind {
+    pub(crate) fn phase_kind(self) -> theta_sim::PhaseKind {
         match self {
             AnalysisKind::Rdf => theta_sim::PhaseKind::AnalysisRdf,
             AnalysisKind::Vacf => theta_sim::PhaseKind::AnalysisVacf,

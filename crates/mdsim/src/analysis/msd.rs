@@ -14,7 +14,7 @@ use crate::vec3::Vec3;
 
 /// Which MSD variant to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsdVariant {
+pub(crate) enum MsdVariant {
     /// Full MSD: 1-D + 2-D components + all-particle average over multiple
     /// time origins.
     Full,
@@ -26,7 +26,7 @@ pub enum MsdVariant {
 
 /// MSD configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsdConfig {
+pub(crate) struct MsdConfig {
     /// Variant.
     pub variant: MsdVariant,
     /// Spatial bins per axis.
@@ -39,17 +39,17 @@ pub struct MsdConfig {
 
 impl MsdConfig {
     /// Full MSD defaults.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         MsdConfig { variant: MsdVariant::Full, bins: 16, origin_interval: 5, max_origins: 20 }
     }
 
     /// MSD1D defaults.
-    pub fn one_d() -> Self {
+    pub(crate) fn one_d() -> Self {
         MsdConfig { variant: MsdVariant::OneD, bins: 16, origin_interval: 0, max_origins: 1 }
     }
 
     /// MSD2D defaults.
-    pub fn two_d() -> Self {
+    pub(crate) fn two_d() -> Self {
         MsdConfig { variant: MsdVariant::TwoD, bins: 16, origin_interval: 0, max_origins: 1 }
     }
 }
@@ -57,7 +57,7 @@ impl MsdConfig {
 /// MSD accumulator. Every buffer is reused across frames, so a warmed
 /// accumulator observes without allocating.
 #[derive(Debug, Clone)]
-pub struct Msd {
+pub(crate) struct Msd {
     cfg: MsdConfig,
     /// Unwrapped positions at each live time origin, oldest first.
     origins: Vec<Vec<Vec3>>,
@@ -76,7 +76,7 @@ pub struct Msd {
 
 impl Msd {
     /// Build an MSD accumulator.
-    pub fn new(cfg: MsdConfig) -> Self {
+    pub(crate) fn new(cfg: MsdConfig) -> Self {
         assert!(cfg.bins > 0 && cfg.max_origins > 0);
         Msd {
             cfg,
@@ -88,27 +88,6 @@ impl Msd {
             last_binned: Vec::new(),
             last_overall: 0.0,
         }
-    }
-
-    /// Configuration.
-    pub fn config(&self) -> MsdConfig {
-        self.cfg
-    }
-
-    /// Latest per-bin MSD values (length `bins` for 1-D, `bins²` for 2-D;
-    /// `bins + bins²` for Full, 1-D block first).
-    pub fn binned(&self) -> &[f64] {
-        &self.last_binned
-    }
-
-    /// Latest all-particle MSD.
-    pub fn overall(&self) -> f64 {
-        self.last_overall
-    }
-
-    /// Number of live time origins.
-    pub fn origins(&self) -> usize {
-        self.origins.len()
     }
 
     fn nbins_total(&self) -> usize {
@@ -246,6 +225,20 @@ impl Analysis for Msd {
 }
 
 #[cfg(test)]
+impl Msd {
+    /// Latest per-bin MSD values (length `bins` for 1-D, `bins²` for 2-D;
+    /// `bins + bins²` for Full, 1-D block first).
+    pub(crate) fn binned(&self) -> &[f64] {
+        &self.last_binned
+    }
+
+    /// Latest all-particle MSD.
+    pub(crate) fn overall(&self) -> f64 {
+        self.last_overall
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::Snapshot;
@@ -299,10 +292,10 @@ mod tests {
         let mut w_full = AnalysisWork::default();
         let mut w_one = AnalysisWork::default();
         for step in 0..25 {
-            w_full.add(full.observe(step, &Snapshot::of(&sys)));
-            w_one.add(one.observe(step, &Snapshot::of(&sys)));
+            w_full.ops += full.observe(step, &Snapshot::of(&sys)).ops;
+            w_one.ops += one.observe(step, &Snapshot::of(&sys)).ops;
         }
-        assert!(full.origins() > 1, "{}", full.origins());
+        assert!(full.origins.len() > 1, "{}", full.origins.len());
         assert!(
             w_full.ops > 2 * w_one.ops,
             "full MSD should be the high-demand analysis: {} vs {}",
@@ -319,7 +312,7 @@ mod tests {
         for step in 0..20 {
             msd.observe(step, &Snapshot::of(&sys));
         }
-        assert_eq!(msd.origins(), 4);
+        assert_eq!(msd.origins.len(), 4);
     }
 
     #[test]
@@ -328,7 +321,7 @@ mod tests {
         let mut msd = Msd::new(MsdConfig::full());
         msd.observe(0, &Snapshot::of(&sys));
         msd.reset();
-        assert_eq!(msd.origins(), 0);
+        assert_eq!(msd.origins.len(), 0);
         assert_eq!(msd.overall(), 0.0);
     }
 }

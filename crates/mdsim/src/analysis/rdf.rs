@@ -26,7 +26,7 @@ const BATCH: usize = u64::BITS as usize;
 
 /// RDF configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RdfConfig {
+pub(crate) struct RdfConfig {
     /// Number of radial bins.
     pub bins: usize,
     /// Maximum radius; a frame whose half box is smaller bins out to the
@@ -59,7 +59,7 @@ pub struct Rdf {
 
 impl Rdf {
     /// Build an RDF accumulator.
-    pub fn new(cfg: RdfConfig) -> Self {
+    pub(crate) fn new(cfg: RdfConfig) -> Self {
         assert!(cfg.bins > 0 && cfg.r_max > 0.0);
         Rdf {
             cfg,
@@ -71,16 +71,6 @@ impl Rdf {
             r_max: cfg.r_max,
             water: Default::default(),
         }
-    }
-
-    /// Configuration.
-    pub fn config(&self) -> RdfConfig {
-        self.cfg
-    }
-
-    /// Frames accumulated.
-    pub fn frames(&self) -> u64 {
-        self.frames
     }
 
     /// Bin every water within `r_max` of each `target`-species particle
@@ -252,7 +242,7 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         assert_eq!(w1.ops, w2.ops);
-        assert_eq!(rdf.frames(), 2);
+        assert_eq!(rdf.frames, 2);
     }
 
     #[test]
@@ -303,7 +293,7 @@ mod tests {
         let mut rdf = Rdf::new(RdfConfig::default());
         rdf.observe(0, &Snapshot::of(&sys));
         rdf.reset();
-        assert_eq!(rdf.frames(), 0);
+        assert_eq!(rdf.frames, 0);
         assert!(rdf.g_hydronium().iter().all(|&g| g == 0.0));
     }
 }

@@ -9,7 +9,7 @@ use crate::vec3::Vec3;
 
 /// VACF configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VacfConfig {
+pub(crate) struct VacfConfig {
     /// Re-anchor the time origin every this many observed frames (0 =
     /// single origin for the whole run).
     pub origin_interval: u64,
@@ -28,7 +28,7 @@ pub struct Vacf {
 
 impl Vacf {
     /// Build a VACF accumulator.
-    pub fn new(cfg: VacfConfig) -> Self {
+    pub(crate) fn new(cfg: VacfConfig) -> Self {
         Vacf {
             cfg,
             origin_vel: Vec::new(),
@@ -36,11 +36,6 @@ impl Vacf {
             frames_since_origin: 0,
             series: Vec::new(),
         }
-    }
-
-    /// The normalized correlation series `(lag, C)`; `C(0) = 1`.
-    pub fn series(&self) -> &[(u64, f64)] {
-        &self.series
     }
 
     fn set_origin(&mut self, snap: &Snapshot<'_>) {
@@ -84,6 +79,14 @@ impl Analysis for Vacf {
         self.origin_norm = 0.0;
         self.frames_since_origin = 0;
         self.series.clear();
+    }
+}
+
+#[cfg(test)]
+impl Vacf {
+    /// The normalized correlation series `(lag, C)`; `C(0) = 1`.
+    pub(crate) fn series(&self) -> &[(u64, f64)] {
+        &self.series
     }
 }
 

@@ -20,7 +20,7 @@ pub(crate) const LANE_WIDTH: usize = 4;
 /// a counting sort into the existing arrays, so a steady-state simulation
 /// re-bins every timestep without touching the allocator.
 #[derive(Debug, Clone)]
-pub struct CellList {
+pub(crate) struct CellList {
     /// Cells per box edge.
     pub cells_per_side: usize,
     /// Box side length.
@@ -46,7 +46,7 @@ pub struct CellList {
 impl CellList {
     /// Build the grid and bin all positions. `min_cell` is typically the
     /// cutoff plus skin.
-    pub fn build(positions: &[Vec3], box_len: f64, min_cell: f64) -> Self {
+    pub(crate) fn build(positions: &[Vec3], box_len: f64, min_cell: f64) -> Self {
         assert!(box_len > 0.0 && min_cell > 0.0);
         let cells_per_side = ((box_len / min_cell).floor() as usize).max(1);
         let ncells = cells_per_side.pow(3);
@@ -88,7 +88,7 @@ impl CellList {
     /// in atom order — so every cell lists its members in ascending atom
     /// index: the property the neighbor list's pair ordering (and
     /// therefore the force kernel's reduction order) relies on.
-    pub fn rebin(&mut self, positions: &[Vec3]) {
+    pub(crate) fn rebin(&mut self, positions: &[Vec3]) {
         let n = self.cells_per_side;
         let ncells = self.ncells();
         let inv = n as f64 / self.box_len;
@@ -146,13 +146,8 @@ impl CellList {
         self.start[idx] as usize..self.start[idx + 1] as usize
     }
 
-    /// Particles in a cell, in ascending atom index.
-    pub fn cell(&self, idx: usize) -> &[u32] {
-        &self.order[self.span(idx)]
-    }
-
     /// Number of cells.
-    pub fn ncells(&self) -> usize {
+    pub(crate) fn ncells(&self) -> usize {
         self.start.len() - 1
     }
 
@@ -209,9 +204,17 @@ impl CellList {
         }
         (cells, len)
     }
+}
+
+#[cfg(test)]
+impl CellList {
+    /// Particles in a cell, in ascending atom index.
+    pub(crate) fn cell(&self, idx: usize) -> &[u32] {
+        &self.order[self.span(idx)]
+    }
 
     /// Total binned particles (sanity checks).
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.start[self.ncells()] as usize
     }
 }

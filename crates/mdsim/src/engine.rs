@@ -44,7 +44,7 @@ impl MdEngine {
     }
 
     /// Build from an existing system.
-    pub fn from_system(mut system: System) -> Self {
+    pub(crate) fn from_system(mut system: System) -> Self {
         let params = ForceParams::default();
         let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
         let mut scratch = ForceScratch::new();
@@ -62,23 +62,8 @@ impl MdEngine {
         }
     }
 
-    /// Current step count.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// Last force evaluation (energy/virial).
-    pub fn last_eval(&self) -> ForceEval {
-        self.last_eval
-    }
-
-    /// Pairs currently stored in the neighbor list.
-    pub fn neighbor_pairs(&self) -> usize {
-        self.nl.npairs()
-    }
-
     /// Run the initial half of a velocity-Verlet step (flow step 1).
-    pub fn initial_integrate(&mut self) -> u64 {
+    pub(crate) fn initial_integrate(&mut self) -> u64 {
         self.integrator.initial_integrate(&mut self.system);
         self.system.len() as u64
     }
@@ -86,7 +71,7 @@ impl MdEngine {
     /// Rebuild the neighbor list (in place, reusing its storage) if the
     /// skin criterion demands it (flow step 5). Returns pairs stored if
     /// rebuilt.
-    pub fn update_neighbors(&mut self) -> Option<u64> {
+    pub(crate) fn update_neighbors(&mut self) -> Option<u64> {
         if self.nl.needs_rebuild(&self.system.pos) {
             let _t = obs::profile::timer("md.neighbor_rebuild");
             self.nl.rebuild(&self.system.pos);
@@ -97,14 +82,14 @@ impl MdEngine {
     }
 
     /// Force the neighbor list to rebuild regardless of displacement.
-    pub fn force_neighbor_rebuild(&mut self) -> u64 {
+    pub(crate) fn force_neighbor_rebuild(&mut self) -> u64 {
         let _t = obs::profile::timer("md.neighbor_rebuild");
         self.nl.rebuild(&self.system.pos);
         self.nl.npairs() as u64
     }
 
     /// Compute forces and run the final half-kick (flow step 6).
-    pub fn force_and_final_integrate(&mut self) -> u64 {
+    pub(crate) fn force_and_final_integrate(&mut self) -> u64 {
         let _t = obs::profile::timer("md.force_eval");
         self.last_eval =
             compute_forces_into(&mut self.scratch, &mut self.system, &self.nl, &self.coeffs, None);
@@ -130,7 +115,7 @@ impl MdEngine {
 
     /// Advance the step counter without running a step (used by drivers
     /// like [`crate::SplitAnalysis`] that invoke the phases individually).
-    pub fn bump_step(&mut self) {
+    pub(crate) fn bump_step(&mut self) {
         self.step += 1;
     }
 
@@ -150,7 +135,7 @@ mod tests {
         let c = e.step();
         assert_eq!(c.atoms_integrated, 2 * 1568);
         assert!(c.force_pairs > 10_000);
-        assert_eq!(e.step_count(), 1);
+        assert_eq!(e.step, 1);
     }
 
     #[test]
@@ -181,7 +166,7 @@ mod tests {
     fn forced_rebuild_counts_pairs() {
         let mut e = MdEngine::water_ion_benchmark(1, 74);
         let pairs = e.force_neighbor_rebuild();
-        assert_eq!(pairs as usize, e.neighbor_pairs());
+        assert_eq!(pairs as usize, e.nl.npairs());
     }
 
     #[test]

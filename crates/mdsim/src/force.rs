@@ -40,7 +40,7 @@ use crate::vec3::Vec3;
 /// Coulomb prefactor in reduced units. Scaled to a Bjerrum length of a few
 /// σ (as in water at room temperature, l_B ≈ 7 Å ≈ 2.3 σ) so that ionic
 /// interactions are meaningfully stronger than dispersion at mid range.
-pub const COULOMB_K: f64 = 4.0;
+pub(crate) const COULOMB_K: f64 = 4.0;
 
 /// Force-field parameters.
 #[derive(Debug, Clone, Copy)]
@@ -138,11 +138,6 @@ impl CoeffTable {
             inv_rc_sq: 1.0 / (cutoff * cutoff),
             coeff,
         }
-    }
-
-    /// The cutoff radius the table was built for.
-    pub fn cutoff(&self) -> f64 {
-        self.cutoff
     }
 
     #[inline]
@@ -467,8 +462,8 @@ mod tests {
     /// Potential energy only (no force mutation), the gradient tests' oracle.
     ///
     /// Shares the lane-batched chunk kernel with `compute_forces_into` and
-    /// reduces chunk partials in ascending chunk order, so the value is
-    /// bit-identical at any thread count.
+    /// folds chunk partials serially in ascending chunk order, the order
+    /// the force evaluation merges them in at any thread count.
     fn compute_potential(
         sys: &System,
         nl: &NeighborList,
@@ -485,23 +480,20 @@ mod tests {
             box_len: sys.box_len,
             inv_box: 1.0 / sys.box_len,
         };
-        par::global()
-            .par_chunks_fold(
-                nl.pairs(),
-                PAIR_CHUNK,
-                |_, chunk| {
-                    let mut u_acc = [0.0f64; LANES];
-                    for window in chunk.chunks(LANES) {
-                        let g = eval_lane_group(&ctx, window);
-                        for (acc, u) in u_acc.iter_mut().zip(g.u) {
-                            *acc += u;
-                        }
+        nl.pairs()
+            .chunks(PAIR_CHUNK)
+            .map(|chunk| {
+                let mut u_acc = [0.0f64; LANES];
+                for window in chunk.chunks(LANES) {
+                    let g = eval_lane_group(&ctx, window);
+                    for (acc, u) in u_acc.iter_mut().zip(g.u) {
+                        *acc += u;
                     }
-                    // Same ascending-lane fold as `eval_chunk`.
-                    u_acc.iter().copied().fold(0.0, |a, b| a + b)
-                },
-                |a, b| a + b,
-            )
+                }
+                // Same ascending-lane fold as `eval_chunk`.
+                u_acc.iter().copied().fold(0.0, |a, b| a + b)
+            })
+            .reduce(|a, b| a + b)
             .unwrap_or(0.0)
     }
 

@@ -9,7 +9,7 @@ use crate::system::System;
 
 /// Integration parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct Integrator {
+pub(crate) struct Integrator {
     /// Timestep (reduced units; 0.004 ≈ stable for LJ liquids).
     pub dt: f64,
 }
@@ -23,7 +23,7 @@ impl Default for Integrator {
 impl Integrator {
     /// Step 1 of the Verlet flow: `v += f/m·dt/2; x += v·dt`, updating both
     /// wrapped and unwrapped coordinates.
-    pub fn initial_integrate(&self, sys: &mut System) {
+    pub(crate) fn initial_integrate(&self, sys: &mut System) {
         let dt = self.dt;
         let box_len = sys.box_len;
         for i in 0..sys.len() {
@@ -37,7 +37,7 @@ impl Integrator {
     }
 
     /// Step 6's second half: `v += f/m·dt/2` with the fresh forces.
-    pub fn final_integrate(&self, sys: &mut System) {
+    pub(crate) fn final_integrate(&self, sys: &mut System) {
         let dt = self.dt;
         for i in 0..sys.len() {
             let inv_m = 1.0 / sys.species[i].mass();

@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod alloc_probe;
 pub mod analysis;
@@ -45,15 +46,13 @@ mod vec3;
 pub mod workload;
 
 pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
-pub use cell_list::CellList;
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{
     compute_forces, compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch,
 };
-pub use integrate::Integrator;
 pub use neighbor::NeighborList;
-pub use species::{PairTable, Species, NSPECIES};
+pub use species::PairTable;
 pub use splitanalysis::{AnalysisSchedule, SplitAnalysis, StepRecord};
-pub use system::{water_ion_box, System, DENSITY, UNIT_CELL_ATOMS};
+pub use system::{water_ion_box, System};
 pub use thermo::{thermo, ThermoRecord};
 pub use vec3::Vec3;

@@ -81,7 +81,7 @@ impl NeighborList {
 
     /// True if any particle has moved more than half the skin since the
     /// list was built (the standard rebuild criterion).
-    pub fn needs_rebuild(&self, positions: &[Vec3]) -> bool {
+    pub(crate) fn needs_rebuild(&self, positions: &[Vec3]) -> bool {
         let limit_sq = (0.5 * self.skin) * (0.5 * self.skin);
         positions
             .iter()

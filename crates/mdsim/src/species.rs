@@ -15,7 +15,7 @@
 
 /// Particle species.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Species {
+pub(crate) enum Species {
     /// Coarse-grained water molecule (neutral, single site).
     Water,
     /// Hydronium ion, charge +1.
@@ -25,14 +25,14 @@ pub enum Species {
 }
 
 /// Number of species (parameter-table dimension).
-pub const NSPECIES: usize = 3;
+pub(crate) const NSPECIES: usize = 3;
 
 impl Species {
     /// All species, in storage order.
-    pub const ALL: [Species; NSPECIES] = [Species::Water, Species::Hydronium, Species::Ion];
+    pub(crate) const ALL: [Species; NSPECIES] = [Species::Water, Species::Hydronium, Species::Ion];
 
     /// Particle mass (reduced units; one water molecule = 1).
-    pub fn mass(self) -> f64 {
+    pub(crate) fn mass(self) -> f64 {
         match self {
             Species::Water => 1.0,
             Species::Hydronium => 1.056, // 19 amu / 18 amu
@@ -41,7 +41,7 @@ impl Species {
     }
 
     /// Charge in reduced units.
-    pub fn charge(self) -> f64 {
+    pub(crate) fn charge(self) -> f64 {
         match self {
             Species::Water => 0.0,
             Species::Hydronium => 1.0,
@@ -50,7 +50,7 @@ impl Species {
     }
 
     /// Lennard-Jones σ (reduced).
-    pub fn sigma(self) -> f64 {
+    pub(crate) fn sigma(self) -> f64 {
         match self {
             Species::Water => 1.0,
             Species::Hydronium => 0.98,
@@ -59,7 +59,7 @@ impl Species {
     }
 
     /// Lennard-Jones ε (reduced).
-    pub fn epsilon(self) -> f64 {
+    pub(crate) fn epsilon(self) -> f64 {
         match self {
             Species::Water => 1.0,
             Species::Hydronium => 1.1,
@@ -68,7 +68,7 @@ impl Species {
     }
 
     /// Dense index for parameter tables.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Species::Water => 0,
             Species::Hydronium => 1,
@@ -107,19 +107,19 @@ impl PairTable {
 
     /// Mixed σ for a species pair.
     #[inline]
-    pub fn sigma(&self, a: Species, b: Species) -> f64 {
+    pub(crate) fn sigma(&self, a: Species, b: Species) -> f64 {
         self.sigma[a.index()][b.index()]
     }
 
     /// Mixed ε for a species pair.
     #[inline]
-    pub fn epsilon(&self, a: Species, b: Species) -> f64 {
+    pub(crate) fn epsilon(&self, a: Species, b: Species) -> f64 {
         self.epsilon[a.index()][b.index()]
     }
 
     /// Product of charges for a species pair.
     #[inline]
-    pub fn charge_product(&self, a: Species, b: Species) -> f64 {
+    pub(crate) fn charge_product(&self, a: Species, b: Species) -> f64 {
         self.charge_product[a.index()][b.index()]
     }
 }

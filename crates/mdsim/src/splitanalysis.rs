@@ -42,7 +42,7 @@ impl AnalysisSchedule {
     }
 
     /// True if the analysis is due at `step`.
-    pub fn due(&self, step: u64) -> bool {
+    pub(crate) fn due(&self, step: u64) -> bool {
         step.is_multiple_of(self.every.max(1))
     }
 }
@@ -97,18 +97,8 @@ impl SplitAnalysis {
         &self.engine
     }
 
-    /// Steps taken so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// The verified particle count from the last synchronization.
-    pub fn verified_count(&self) -> Option<usize> {
-        self.verified_count
-    }
-
     /// Whether step `step` (1-based) synchronizes.
-    pub fn is_sync_step(&self, step: u64) -> bool {
+    pub(crate) fn is_sync_step(&self, step: u64) -> bool {
         step.is_multiple_of(self.sync_every)
     }
 
@@ -234,9 +224,9 @@ mod tests {
     fn particle_count_verification_persists() {
         let mut d = driver(1);
         d.advance();
-        assert_eq!(d.verified_count(), Some(1568));
+        assert_eq!(d.verified_count, Some(1568));
         d.advance();
-        assert_eq!(d.verified_count(), Some(1568));
+        assert_eq!(d.verified_count, Some(1568));
     }
 
     #[test]
@@ -285,7 +275,8 @@ mod tests {
     /// analysis's final result bits.
     #[test]
     fn analysis_partition_is_pinned_bit_for_bit() {
-        use crate::analysis::{Msd, Rdf, Vacf};
+        use crate::analysis::msd::Msd;
+        use crate::analysis::{Rdf, Vacf};
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (dim, steps) in [(1usize, 110), (2, 12)] {
             let engine = MdEngine::water_ion_benchmark(dim, 42);

@@ -6,13 +6,13 @@ use des::Rng;
 
 /// Number of particles in one unit cell of the benchmark (paper §VII: "our
 /// benchmark has 1568 atoms, so the total number of atoms is 1568 × dim³").
-pub const UNIT_CELL_ATOMS: usize = 1568;
+pub(crate) const UNIT_CELL_ATOMS: usize = 1568;
 /// Hydronium ions per unit cell.
-pub const UNIT_CELL_HYDRONIUM: usize = 16;
+pub(crate) const UNIT_CELL_HYDRONIUM: usize = 16;
 /// Counter-ions per unit cell.
-pub const UNIT_CELL_IONS: usize = 16;
+pub(crate) const UNIT_CELL_IONS: usize = 16;
 /// Reduced number density of the liquid.
-pub const DENSITY: f64 = 0.85;
+pub(crate) const DENSITY: f64 = 0.85;
 
 /// The particle system (structure-of-arrays storage).
 #[derive(Debug, Clone)]
@@ -20,7 +20,7 @@ pub struct System {
     /// Cubic box side length (reduced units), periodic in all directions.
     pub box_len: f64,
     /// Species per particle.
-    pub species: Vec<Species>,
+    pub(crate) species: Vec<Species>,
     /// Wrapped positions in `[0, box_len)³`.
     pub pos: Vec<Vec3>,
     /// Velocities.
@@ -33,22 +33,22 @@ pub struct System {
 
 impl System {
     /// Number of particles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pos.len()
     }
 
     /// True if the system holds no particles.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos.is_empty()
     }
 
     /// Kinetic energy `Σ ½ m v²`.
-    pub fn kinetic_energy(&self) -> f64 {
+    pub(crate) fn kinetic_energy(&self) -> f64 {
         self.species.iter().zip(&self.vel).map(|(s, v)| 0.5 * s.mass() * v.norm_sq()).sum()
     }
 
     /// Instantaneous temperature `2·KE / (3N)` (reduced units, k_B = 1).
-    pub fn temperature(&self) -> f64 {
+    pub(crate) fn temperature(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
@@ -56,12 +56,12 @@ impl System {
     }
 
     /// Total linear momentum.
-    pub fn momentum(&self) -> Vec3 {
+    pub(crate) fn momentum(&self) -> Vec3 {
         self.species.iter().zip(&self.vel).fold(Vec3::ZERO, |acc, (s, v)| acc + *v * s.mass())
     }
 
     /// Remove center-of-mass drift.
-    pub fn zero_momentum(&mut self) {
+    pub(crate) fn zero_momentum(&mut self) {
         let p = self.momentum();
         let m_total: f64 = self.species.iter().map(|s| s.mass()).sum();
         if m_total <= 0.0 {
@@ -75,7 +75,7 @@ impl System {
 
     /// Rescale velocities to the target temperature (simple Berendsen-style
     /// hard rescale, used for initialization only).
-    pub fn rescale_to_temperature(&mut self, target: f64) {
+    pub(crate) fn rescale_to_temperature(&mut self, target: f64) {
         let t = self.temperature();
         if t <= 0.0 {
             return;
@@ -84,11 +84,6 @@ impl System {
         for v in &mut self.vel {
             *v = *v * s;
         }
-    }
-
-    /// Count particles of a species.
-    pub fn count(&self, s: Species) -> usize {
-        self.species.iter().filter(|&&x| x == s).count()
     }
 }
 
@@ -164,20 +159,24 @@ pub fn water_ion_box(dim: usize, temperature: f64, seed: u64) -> System {
 mod tests {
     use super::*;
 
+    fn count(s: &System, species: Species) -> usize {
+        s.species.iter().filter(|&&x| x == species).count()
+    }
+
     #[test]
     fn unit_cell_counts() {
         let s = water_ion_box(1, 1.0, 42);
         assert_eq!(s.len(), 1568);
-        assert_eq!(s.count(Species::Hydronium), 16);
-        assert_eq!(s.count(Species::Ion), 16);
-        assert_eq!(s.count(Species::Water), 1536);
+        assert_eq!(count(&s, Species::Hydronium), 16);
+        assert_eq!(count(&s, Species::Ion), 16);
+        assert_eq!(count(&s, Species::Water), 1536);
     }
 
     #[test]
     fn dim_scaling_is_cubic() {
         let s = water_ion_box(2, 1.0, 42);
         assert_eq!(s.len(), 1568 * 8);
-        assert_eq!(s.count(Species::Hydronium), 16 * 8);
+        assert_eq!(count(&s, Species::Hydronium), 16 * 8);
     }
 
     #[test]

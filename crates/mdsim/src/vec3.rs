@@ -15,30 +15,24 @@ pub struct Vec3 {
 
 impl Vec3 {
     /// The zero vector.
-    pub const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
+    pub(crate) const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
 
     /// Construct from components.
     #[inline]
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
+    pub(crate) const fn new(x: f64, y: f64, z: f64) -> Self {
         Vec3 { x, y, z }
     }
 
     /// Dot product.
     #[inline]
-    pub fn dot(self, o: Vec3) -> f64 {
+    pub(crate) fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
     /// Squared Euclidean norm.
     #[inline]
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// Euclidean norm.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.norm_sq().sqrt()
     }
 
     /// Component-wise minimum image under a cubic box of side `l`
@@ -49,7 +43,7 @@ impl Vec3 {
     /// positions — take the divide-free form of
     /// `min_image_within_box` (crate-private), which returns the same bits.
     #[inline]
-    pub fn minimum_image(self, l: f64) -> Vec3 {
+    pub(crate) fn minimum_image(self, l: f64) -> Vec3 {
         let half = 0.5 * l;
         let one = |d: f64| {
             if d.abs() <= l {
@@ -63,7 +57,7 @@ impl Vec3 {
 
     /// Wrap a position into `[0, l)` per component (periodic boundary).
     #[inline]
-    pub fn wrap(self, l: f64) -> Vec3 {
+    pub(crate) fn wrap(self, l: f64) -> Vec3 {
         Vec3 { x: wrap1(self.x, l), y: wrap1(self.y, l), z: wrap1(self.z, l) }
     }
 }
@@ -148,6 +142,14 @@ impl Neg for Vec3 {
     #[inline]
     fn neg(self) -> Vec3 {
         Vec3::new(-self.x, -self.y, -self.z)
+    }
+}
+
+#[cfg(test)]
+impl Vec3 {
+    /// Euclidean norm.
+    pub(crate) fn norm(self) -> f64 {
+        self.norm_sq().sqrt()
     }
 }
 

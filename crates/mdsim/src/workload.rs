@@ -53,17 +53,17 @@ impl WorkloadSpec {
     }
 
     /// Total atoms in the job.
-    pub fn total_atoms(&self) -> f64 {
+    pub(crate) fn total_atoms(&self) -> f64 {
         1568.0 * (self.dim as f64).powi(3)
     }
 
     /// Atoms per simulation node.
-    pub fn atoms_per_sim_node(&self) -> f64 {
+    pub(crate) fn atoms_per_sim_node(&self) -> f64 {
         self.total_atoms() / self.sim_nodes as f64
     }
 
     /// Atoms per analysis node.
-    pub fn atoms_per_analysis_node(&self) -> f64 {
+    pub(crate) fn atoms_per_analysis_node(&self) -> f64 {
         self.total_atoms() / self.analysis_nodes as f64
     }
 
@@ -74,7 +74,7 @@ impl WorkloadSpec {
 
     /// True if any scheduled analysis includes full MSD (drives the
     /// paper's observed setup transient).
-    pub fn has_full_msd(&self) -> bool {
+    pub(crate) fn has_full_msd(&self) -> bool {
         self.analyses.iter().any(|s| s.kind == AnalysisKind::MsdFull)
     }
 
@@ -159,13 +159,13 @@ pub struct CostModel {
     /// MSD2D, s/atom.
     pub msd2d_per_atom: f64,
     /// Extra simulation work fraction during the first
-    /// [`CostModel::SETUP_STEPS`] steps of runs containing full MSD
+    /// `CostModel::SETUP_STEPS` (2) steps of runs containing full MSD
     /// (consistent setup transient, §VII-B1).
     pub msd_setup_overhead: f64,
     /// Full MSD warm-up: the analysis accumulates time origins, so its
     /// per-sync cost ramps from `msd_warmup_floor` to 1.0 over
     /// `msd_warmup_syncs` invocations (this is exactly how the real
-    /// [`crate::analysis::Msd`] behaves — cost is proportional to live
+    /// full-MSD accumulator behaves — cost is proportional to live
     /// origins). An early power controller reading therefore *understates*
     /// the analysis's steady-state needs.
     pub msd_warmup_floor: f64,
@@ -174,7 +174,7 @@ pub struct CostModel {
     /// All analyses' first invocation is cheap (origin/histogram setup).
     pub first_sync_factor: f64,
     /// Job-startup overhead charged to the simulation partition during the
-    /// first [`CostModel::SETUP_STEPS`] steps, seconds per log₂(total
+    /// first `CostModel::SETUP_STEPS` (2) steps, seconds per log₂(total
     /// nodes): MPI wireup, first-touch page faults and I/O initialization
     /// grow with scale and make the simulation look transiently slow —
     /// the early wrong read that misleads the time-aware baseline
@@ -189,19 +189,19 @@ pub struct CostModel {
 /// `dim = 16` on 128 nodes (≈100 k atoms/node) the simulation draws
 /// ≈102–106 W regardless of a higher cap (paper §VII-B1), while at
 /// ≥1 M atoms/node the nominal ceiling is reached.
-pub fn sim_utilization(atoms_per_node: f64) -> f64 {
+pub(crate) fn sim_utilization(atoms_per_node: f64) -> f64 {
     (0.50 + 0.50 * (atoms_per_node / 3.0e6).sqrt()).min(1.0)
 }
 
 /// Analysis kernels are data-local sweeps without halo communication; their
 /// ceiling degrades much less at small sizes.
-pub fn analysis_utilization(atoms_per_node: f64) -> f64 {
+pub(crate) fn analysis_utilization(atoms_per_node: f64) -> f64 {
     (0.93 + 0.07 * (atoms_per_node / 1.2e6).sqrt()).min(1.0)
 }
 
 impl CostModel {
     /// Steps affected by the MSD setup transient.
-    pub const SETUP_STEPS: u64 = 2;
+    pub(crate) const SETUP_STEPS: u64 = 2;
 
     /// Paper-calibrated constants.
     pub fn calibrated() -> Self {
@@ -232,7 +232,7 @@ impl CostModel {
     /// Cost multiplier for an analysis at its `invocation`-th run
     /// (1-based): models origin accumulation (full MSD) and cheap first
     /// frames.
-    pub fn warmup_factor(&self, kind: AnalysisKind, invocation: u64) -> f64 {
+    pub(crate) fn warmup_factor(&self, kind: AnalysisKind, invocation: u64) -> f64 {
         match kind {
             AnalysisKind::MsdFull => {
                 let ramp = self.msd_warmup_floor
@@ -246,7 +246,7 @@ impl CostModel {
     }
 
     /// Per-atom kernel cost for an analysis kind.
-    pub fn analysis_per_atom(&self, kind: AnalysisKind) -> f64 {
+    pub(crate) fn analysis_per_atom(&self, kind: AnalysisKind) -> f64 {
         match kind {
             AnalysisKind::Rdf => self.rdf_per_atom,
             AnalysisKind::Vacf => self.vacf_per_atom,
@@ -278,11 +278,6 @@ impl AnalyticWorkload {
         assert!(spec.sim_nodes >= 1 && spec.analysis_nodes >= 1);
         let invocations = vec![0; spec.analyses.len()];
         AnalyticWorkload { spec, cost, invocations }
-    }
-
-    /// The cost model in force.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     fn comm_extra(&self) -> f64 {
@@ -394,11 +389,6 @@ impl MeasuredWorkload {
         let driver = SplitAnalysis::new(engine, spec.analyses.clone(), spec.sync_every);
         let real_atoms = driver.engine().system.len() as f64;
         MeasuredWorkload { spec, cost: CostModel::calibrated(), driver, real_atoms }
-    }
-
-    /// Read access to the live driver (e.g. to extract analysis results).
-    pub fn driver(&self) -> &SplitAnalysis {
-        &self.driver
     }
 }
 

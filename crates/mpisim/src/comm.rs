@@ -27,7 +27,7 @@ impl JobLayout {
     }
 
     /// Number of nodes in the job.
-    pub fn nnodes(&self) -> usize {
+    pub(crate) fn nnodes(&self) -> usize {
         self.nranks / self.ranks_per_node
     }
 }

@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod coll;
 mod comm;

@@ -46,7 +46,7 @@ impl NetworkModel {
     }
 
     /// Allreduce of `bytes` across `nodes` nodes (recursive doubling).
-    pub fn allreduce(&self, nodes: usize, bytes: u64) -> SimDuration {
+    pub(crate) fn allreduce(&self, nodes: usize, bytes: u64) -> SimDuration {
         let t = self.sw_overhead_s + Self::rounds(nodes) as f64 * self.transfer(bytes);
         SimDuration::from_secs_f64(t)
     }

@@ -717,7 +717,7 @@ impl TraceEvent {
     }
 
     /// Append the compact JSON form to `out`.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{{\"t\":{},\"ev\":\"{}\"", self.t.as_nanos(), self.ev.tag());
         self.ev.write_fields(out);
         out.push('}');

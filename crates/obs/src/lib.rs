@@ -37,6 +37,7 @@
 //! Activation: the bins accept `--trace <path>` (JSONL) and
 //! `--trace-perfetto <path>`.
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod event;
 pub mod hist;

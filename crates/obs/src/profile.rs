@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Schema version stamped into `profile_<bin>.json` (bumped on any
 /// layout change so the differs can refuse cross-version comparisons).
-pub const PROFILE_SCHEMA_VERSION: u32 = 1;
+pub(crate) const PROFILE_SCHEMA_VERSION: u32 = 1;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 

@@ -31,13 +31,6 @@ impl Reporter {
         }
     }
 
-    /// Print a blank separator line (suppressed by `--quiet`).
-    pub fn blank(&self) {
-        if !self.quiet {
-            println!();
-        }
-    }
-
     /// Print a warning to stderr. **Not** suppressed by `--quiet` — quiet
     /// mode silences progress, not problems.
     pub fn warn(&self, line: impl std::fmt::Display) {

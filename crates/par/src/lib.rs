@@ -40,13 +40,14 @@
 //! for the flat fan-outs this workspace needs.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Upper bound on pool width; guards absurd `POLIMER_THREADS` values.
-pub const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 
 thread_local! {
     /// Per-thread override installed by [`with_threads`].
@@ -57,7 +58,7 @@ thread_local! {
 ///
 /// Unset, empty, unparsable or zero values fall back to
 /// [`std::thread::available_parallelism`] (or 1 if even that is unknown).
-pub fn threads_from_env(value: Option<&str>) -> usize {
+pub(crate) fn threads_from_env(value: Option<&str>) -> usize {
     match value.and_then(|s| s.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n.min(MAX_THREADS),
         _ => std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_THREADS),
@@ -111,14 +112,9 @@ impl Drop for ActiveGuard<'_> {
 
 impl Pool {
     /// A pool that fans out to `threads` workers (must be >= 1).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a pool needs at least one thread");
         Pool { threads: threads.min(MAX_THREADS), active: AtomicBool::new(false) }
-    }
-
-    /// Configured width (ignores any [`with_threads`] override).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Width in effect for calls from this thread: the [`with_threads`]
@@ -136,43 +132,6 @@ impl Pool {
     /// Try to claim the pool for one parallel region.
     fn try_begin(&self) -> bool {
         !self.active.swap(true, Ordering::Acquire)
-    }
-
-    /// Deterministic chunked fold: split `items` into `chunk_size`-sized
-    /// chunks, compute `map(chunk_index, chunk)` for each (in parallel),
-    /// and combine the partials with `fold` in ascending chunk order.
-    ///
-    /// Chunk boundaries depend only on `items.len()` and `chunk_size`, and
-    /// the merge order is fixed, so the result is bit-identical at any
-    /// thread count. Returns `None` for empty input.
-    ///
-    /// Partials land in slots indexed by chunk (one [`Pool::par_fill`]
-    /// over an `Option<A>` slot per chunk), so the merge is a single
-    /// in-order pass — no per-worker buffers, no sort by chunk index.
-    pub fn par_chunks_fold<T, A>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        map: impl Fn(usize, &[T]) -> A + Sync,
-        mut fold: impl FnMut(A, A) -> A,
-    ) -> Option<A>
-    where
-        T: Sync,
-        A: Send,
-    {
-        assert!(chunk_size >= 1, "chunk_size must be >= 1");
-        let n_chunks = items.len().div_ceil(chunk_size);
-        let threads = self.effective_threads().min(n_chunks);
-        if threads <= 1 || self.is_busy() {
-            return items.chunks(chunk_size).enumerate().map(|(ci, c)| map(ci, c)).reduce(fold);
-        }
-        let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-        self.par_fill(&mut slots, 1, |ci, out| {
-            let lo = ci * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            out[0] = Some(map(ci, &items[lo..hi]));
-        });
-        slots.into_iter().map(|s| s.expect("par_fill visits every slot")).reduce(&mut fold)
     }
 
     /// Fill `out` in place: `fill(start_index, chunk)` is invoked for each
@@ -246,43 +205,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chunks_fold_matches_serial_reference() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let pool = Pool::new(7);
-        let total =
-            pool.par_chunks_fold(&items, 64, |_, c| c.iter().sum::<u64>(), |a, b| a + b).unwrap();
-        assert_eq!(total, items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn chunks_fold_f64_bit_identical_across_thread_counts() {
-        // Values chosen so the reduction order matters: naive left-to-right
-        // over items differs from chunked partials, and different chunk
-        // *groupings* differ from each other. Fixed-size chunks merged in
-        // index order must erase the thread count entirely.
-        let items: Vec<f64> =
-            (0..50_000).map(|i| ((i * 2654435761_u64) as f64).sqrt() * 1e-3 + 1e9).collect();
-        let sum_with = |threads: usize| {
-            Pool::new(threads)
-                .par_chunks_fold(&items, 512, |_, c| c.iter().sum::<f64>(), |a, b| a + b)
-                .unwrap()
-        };
-        let serial = sum_with(1);
-        for threads in [2, 3, 8, 61] {
-            assert_eq!(serial.to_bits(), sum_with(threads).to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_fold_empty_and_single_chunk() {
-        let pool = Pool::new(4);
-        let empty: Vec<u32> = Vec::new();
-        assert!(pool.par_chunks_fold(&empty, 8, |_, c| c.len(), |a, b| a + b).is_none());
-        let one = [1u32, 2, 3];
-        assert_eq!(pool.par_chunks_fold(&one, 8, |_, c| c.len(), |a, b| a + b), Some(3));
-    }
-
-    #[test]
     fn map_indexed_slots_by_index() {
         let pool = Pool::new(5);
         let out = pool.par_map_indexed(1000, |i| i * i);
@@ -324,17 +246,6 @@ mod tests {
                 chunk.fill(start as u32);
             });
             assert_eq!(out[63], 60);
-            let data: Vec<u64> = (0..64).collect();
-            let sum = pool.par_chunks_fold(
-                &data,
-                4,
-                |_, c| {
-                    here();
-                    c.iter().sum::<u64>()
-                },
-                |a, b| a + b,
-            );
-            assert_eq!(sum, Some(2016));
             let mapped = pool.par_map_indexed(64, |i| {
                 here();
                 i
@@ -421,17 +332,11 @@ mod tests {
     #[test]
     fn worker_panic_propagates_to_caller() {
         let pool = Pool::new(4);
-        let items: Vec<u32> = (0..1000).collect();
         let result = std::panic::catch_unwind(|| {
-            pool.par_chunks_fold(
-                &items,
-                16,
-                |ci, _| {
-                    assert!(ci != 31, "injected failure");
-                    0u32
-                },
-                |a, b| a + b,
-            )
+            pool.par_map_indexed(1000, |i| {
+                assert!(i != 31 * 16, "injected failure");
+                0u32
+            })
         });
         assert!(result.is_err(), "worker panic must unwind into the caller");
         assert!(!pool.is_busy(), "busy flag must clear after a panicking region");
@@ -453,15 +358,12 @@ mod tests {
         let pool = Pool::new(4);
         // From inside a parallel region, further pool calls must complete
         // serially (no new spawn wave) and still produce correct results.
-        let inner: Vec<u64> = (0..256).collect();
         let out = pool.par_map_indexed(8, |i| {
             assert!(pool.is_busy(), "outer region should hold the pool");
-            let s = pool
-                .par_chunks_fold(&inner, 16, |_, c| c.iter().sum::<u64>(), |a, b| a + b)
-                .unwrap();
+            let s: u64 = pool.par_map_indexed(256, |j| j as u64).iter().sum();
             s + i as u64
         });
-        let base: u64 = inner.iter().sum();
+        let base: u64 = (0..256).sum();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, base + i as u64);
         }

@@ -31,12 +31,12 @@
 //! caps.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod manager;
 
 pub use manager::{
     AllocOutcome, ExchangeFaults, PowerManager, PowerManagerConfig, MAX_COLLECTIVE_RETRIES,
-    MAX_PLAUSIBLE_POWER_W,
 };
 
 /// Raw feedback for one node over one synchronization interval: the

@@ -13,7 +13,7 @@ pub const MAX_COLLECTIVE_RETRIES: u32 = 3;
 /// Per-node power readings above this are treated as sensor corruption
 /// and rejected (Theta nodes top out at a 215 W TDP; nothing plausible
 /// approaches a kilowatt).
-pub const MAX_PLAUSIBLE_POWER_W: f64 = 1000.0;
+pub(crate) const MAX_PLAUSIBLE_POWER_W: f64 = 1000.0;
 
 /// The interconnect the measurement exchange is priced on.
 const NET: NetworkModel = NetworkModel::aries();
@@ -92,7 +92,6 @@ pub struct PowerManager {
     /// recorded for the open interval (the paper includes allocation time
     /// in the measured interval, §VI-B).
     carry_s: f64,
-    rejected_samples: u64,
     tracer: obs::Tracer,
 }
 
@@ -136,7 +135,6 @@ impl PowerManager {
             initial_budget_w,
             obs: SyncObservation { step: 0, nodes: Vec::new() },
             carry_s: 0.0,
-            rejected_samples: 0,
             tracer: obs::Tracer::off(),
         }
     }
@@ -153,29 +151,19 @@ impl PowerManager {
         &self.monitor_ranks
     }
 
-    /// Per-node partition roles.
-    pub fn roles(&self) -> &[Role] {
-        &self.roles
-    }
-
     /// Completed synchronization count.
     pub fn sync_index(&self) -> u64 {
         self.obs.step
     }
 
     /// Nodes still participating in aggregation.
-    pub fn alive_nodes(&self) -> usize {
+    pub(crate) fn alive_nodes(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
 
     /// Whether a node is still participating.
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive.get(node).copied().unwrap_or(false)
-    }
-
-    /// Samples rejected as corrupt or stale (recovery-state counter).
-    pub fn rejected_samples(&self) -> u64 {
-        self.rejected_samples
     }
 
     /// Exclude a crashed node from aggregation and release its budget
@@ -238,21 +226,17 @@ impl PowerManager {
         self.controller.set_budget_w(share * self.alive_nodes() as f64);
     }
 
-    /// The job's baseline budget, if the controller has one.
-    pub fn budget_w(&self) -> Option<f64> {
-        self.initial_budget_w
-    }
-
     /// Record one node's feedback for the interval that is about to close.
     /// The runtime calls this for every node before `power_alloc`. Returns
     /// `false` when the sample is rejected: the node is dead, or the
     /// reading is implausible (non-finite or non-positive time/power, or
-    /// power beyond [`MAX_PLAUSIBLE_POWER_W`]). Rejected samples never
+    /// power beyond `MAX_PLAUSIBLE_POWER_W`, 1 000 W). Rejected samples never
     /// reach the controller — α = 1/(T·P) in Eq. 1 must only ever see
     /// finite, positive energy. An accepted sample's time gains the
     /// previous exchange's overhead.
     pub fn record(&mut self, interval: NodeInterval) -> bool {
         debug_assert!(interval.node < self.world_nodes);
+        debug_assert_eq!(interval.role, self.roles[interval.node], "role differs from init's");
         let plausible = interval.time_s.is_finite()
             && interval.time_s > 0.0
             && interval.power_w.is_finite()
@@ -260,7 +244,6 @@ impl PowerManager {
             && interval.power_w <= MAX_PLAUSIBLE_POWER_W
             && interval.cap_w.is_finite();
         if !self.is_alive(interval.node) || !plausible {
-            self.rejected_samples += 1;
             if self.tracer.is_enabled() {
                 self.tracer.emit(obs::Event::SampleRejected { node: interval.node });
             }
@@ -311,9 +294,7 @@ impl PowerManager {
             (retried_gather_cost(n, MAX_COLLECTIVE_RETRIES), None)
         } else {
             if !faults.lost_nodes.is_empty() {
-                let before = self.obs.nodes.len();
                 self.obs.nodes.retain(|s| !faults.lost_nodes.contains(&s.node));
-                self.rejected_samples += (before - self.obs.nodes.len()) as u64;
                 for &node in &faults.lost_nodes {
                     recoveries.push(RecoveryEvent {
                         sync,
@@ -390,7 +371,7 @@ mod tests {
         let mgr = manager("seesaw");
         assert_eq!(mgr.monitor_ranks(), &[0, 2, 4, 6]);
         assert_eq!(
-            mgr.roles(),
+            mgr.roles,
             &[Role::Simulation, Role::Simulation, Role::Analysis, Role::Analysis]
         );
     }
@@ -487,7 +468,6 @@ mod tests {
         assert!(!mgr.record(NodeInterval { power_w: 0.0, ..good }));
         assert!(!mgr.record(NodeInterval { power_w: f64::INFINITY, ..good }));
         assert!(!mgr.record(NodeInterval { power_w: 5_000.0, ..good }), "spike beyond TDP");
-        assert_eq!(mgr.rejected_samples(), 4);
     }
 
     #[test]
@@ -579,9 +559,9 @@ mod tests {
     #[test]
     fn set_budget_w_rebases_renormalization_baseline() {
         let mut mgr = manager("seesaw");
-        assert_eq!(mgr.budget_w(), Some(440.0), "paper default: 110 W x 4 nodes");
+        assert_eq!(mgr.initial_budget_w, Some(440.0), "paper default: 110 W x 4 nodes");
         mgr.set_budget_w(600.0);
-        assert_eq!(mgr.budget_w(), Some(600.0));
+        assert_eq!(mgr.initial_budget_w, Some(600.0));
         // A node death renormalizes against the rebased budget.
         mgr.mark_node_dead(3);
         feed(&mut mgr, 4.0, 2.0);
@@ -610,7 +590,6 @@ mod tests {
             .recoveries
             .iter()
             .any(|r| r.kind == faults::RecoveryKind::SampleRejected && r.node == 3));
-        assert_eq!(mgr.rejected_samples(), 1);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 use std::io;
@@ -121,11 +122,6 @@ impl MockFs {
     pub fn set_energy_uj(&mut self, id: usize, energy_uj: u64) {
         let path = PathBuf::from(format!("/sys/class/powercap/intel-rapl:{id}/energy_uj"));
         self.files.insert(path, format!("{energy_uj}\n"));
-    }
-
-    /// Inspect a file (test assertions).
-    pub fn get(&self, path: &Path) -> Option<&str> {
-        self.files.get(path).map(String::as_str)
     }
 }
 

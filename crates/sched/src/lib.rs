@@ -33,6 +33,7 @@
 //! water-filling in [`seesaw::water_fill`].
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod machine;
 mod queue;

@@ -369,11 +369,6 @@ impl Scheduler {
         }
     }
 
-    /// Next epoch ordinal (equivalently: epochs executed so far).
-    pub fn epoch(&self) -> u64 {
-        self.next_epoch
-    }
-
     /// Machine clock, seconds.
     pub fn now_s(&self) -> f64 {
         self.machine_t.as_secs_f64()
@@ -382,16 +377,6 @@ impl Scheduler {
     /// Nodes currently free in the lease pool.
     pub fn free_nodes(&self) -> usize {
         self.pool.free_count()
-    }
-
-    /// Total node count.
-    pub fn nodes(&self) -> usize {
-        self.spec.nodes
-    }
-
-    /// Current power envelope, watts.
-    pub fn envelope_w(&self) -> f64 {
-        self.spec.envelope_w
     }
 
     /// Retarget the machine's power envelope (fleet renormalization after

@@ -24,7 +24,7 @@ impl JobSpec {
     }
 
     /// Node count the job needs.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.config.workload.nodes_total()
     }
 }
@@ -52,12 +52,12 @@ pub enum JobState {
 
 impl JobState {
     /// True once the job can no longer run.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, JobState::Completed | JobState::Killed | JobState::Rejected)
     }
 
     /// Stable lowercase tag for serialized results.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             JobState::Waiting => "waiting",
             JobState::Queued => "queued",

@@ -184,7 +184,7 @@ impl Cluster {
     /// `ZERO`, at the last [`Cluster::compact_history`] instant, where the
     /// node's current interval began ([`NodeMut::begin_interval`]), or
     /// inside its current draw segment; panics on any other.
-    pub fn energy(&self, id: usize, from: SimTime, to: SimTime) -> f64 {
+    pub(crate) fn energy(&self, id: usize, from: SimTime, to: SimTime) -> f64 {
         self.windows[id]
             .read(self.open[id], self.since, from, to)
             .expect("no energy window starts there")

@@ -75,7 +75,7 @@ impl MachineConfig {
     }
 
     /// Nominal Theta TDP (the reference for power-domain scaling).
-    pub const THETA_TDP_W: f64 = 215.0;
+    pub(crate) const THETA_TDP_W: f64 = 215.0;
 
     /// Scale every wattage by `factor` (durations unchanged): models a
     /// finer power domain, e.g. a per-half-socket domain for the paper's
@@ -98,12 +98,12 @@ impl MachineConfig {
     }
 
     /// The wattage scale of this machine relative to a Theta node.
-    pub fn power_scale(&self) -> f64 {
+    pub(crate) fn power_scale(&self) -> f64 {
         self.tdp_w / Self::THETA_TDP_W
     }
 
     /// Clamp a requested per-node cap into the RAPL-supported range.
-    pub fn clamp_cap(&self, watts: f64) -> f64 {
+    pub(crate) fn clamp_cap(&self, watts: f64) -> f64 {
         watts.clamp(self.min_cap_w, self.tdp_w)
     }
 }

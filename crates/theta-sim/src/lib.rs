@@ -20,6 +20,7 @@
 //! by the real mini-MD engine (crate `mdsim`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cluster;
 mod config;
@@ -27,7 +28,7 @@ mod machine;
 mod node;
 mod noise;
 mod phase;
-pub mod power;
+mod power;
 mod rapl;
 
 pub use cluster::Cluster;
@@ -36,15 +37,13 @@ pub use machine::{MachineNodes, NodeLease};
 pub use node::NodeMut;
 pub use noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 pub use phase::{PhaseKind, Work};
-pub use power::{
-    cliff_factor, duration_secs, operating_point, rate, OpMemo, OperatingPoint, CLIFF_FLOOR_FACTOR,
-    CLIFF_START_W, MIN_RATE,
-};
+pub use power::{rate, OpMemo, CLIFF_START_W};
 pub use rapl::RaplDomain;
 
 #[cfg(test)]
 mod randomized {
     use super::*;
+    use crate::power::duration_secs;
     use des::{Rng, SimTime};
 
     fn pick_kind(rng: &mut Rng) -> PhaseKind {

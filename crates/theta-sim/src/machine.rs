@@ -29,11 +29,6 @@ impl MachineNodes {
         MachineNodes { used: vec![false; total] }
     }
 
-    /// Total node count.
-    pub fn total(&self) -> usize {
-        self.used.len()
-    }
-
     /// Nodes currently free.
     pub fn free_count(&self) -> usize {
         self.used.iter().filter(|&&u| !u).count()

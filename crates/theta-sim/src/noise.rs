@@ -78,7 +78,7 @@ pub struct NoiseModel {
 impl NoiseModel {
     /// Build the model for `nodes` nodes with `sigmas` (usually
     /// [`NoiseSigmas::for_mode`]), deterministically from `seed`.
-    pub fn with_sigmas(nodes: usize, sigmas: NoiseSigmas, seed: NoiseSeed) -> Self {
+    pub(crate) fn with_sigmas(nodes: usize, sigmas: NoiseSigmas, seed: NoiseSeed) -> Self {
         let mut job_rng = Rng::seed_from_u64(seed.job.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut run_rng = Rng::seed_from_u64(
             seed.job.wrapping_mul(31).wrapping_add(seed.run).wrapping_mul(0xD1B5_4A32_D192_ED03),
@@ -99,7 +99,7 @@ impl NoiseModel {
     }
 
     /// Static efficiency multiplier for a node (1.0 = nominal).
-    pub fn node_efficiency(&self, node: usize) -> f64 {
+    pub(crate) fn node_efficiency(&self, node: usize) -> f64 {
         self.node_efficiency[node]
     }
 

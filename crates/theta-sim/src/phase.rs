@@ -47,7 +47,7 @@ impl PhaseKind {
     /// Maximum useful power draw for this phase on the given machine, watts.
     /// Capping above the demand yields no further speedup; the node also
     /// never draws more than the demand.
-    pub fn demand_w(self, m: &MachineConfig) -> f64 {
+    pub(crate) fn demand_w(self, m: &MachineConfig) -> f64 {
         m.power_scale() * self.base_demand_w(m)
     }
 
@@ -75,7 +75,7 @@ impl PhaseKind {
     /// simulation "is not able to utilize the assigned 120 W" (§VII-B1) and
     /// low time difference at low power "is not indicative of an
     /// energy-efficient state" (§VII-B3).
-    pub fn sensitivity(self) -> f64 {
+    pub(crate) fn sensitivity(self) -> f64 {
         match self {
             PhaseKind::Integrate => 0.95,
             PhaseKind::Force => 1.0,
@@ -92,7 +92,7 @@ impl PhaseKind {
     }
 
     /// True for phases that represent blocking rather than forward progress.
-    pub fn is_wait(self) -> bool {
+    pub(crate) fn is_wait(self) -> bool {
         matches!(self, PhaseKind::Wait)
     }
 
@@ -135,7 +135,7 @@ impl PhaseKind {
 /// `ref_secs` is the wall time the work takes at the machine's reference
 /// effective power ([`MachineConfig::ref_power_w`]) on a nominal node;
 /// the actual duration scales with the power cap through the linear
-/// power→rate model in [`crate::power`].
+/// power→rate model of [`rate`](crate::rate).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Work {
     /// Phase classification (fixes demand ceiling and power sensitivity).
@@ -169,13 +169,13 @@ impl Work {
     }
 
     /// Zero-length work (useful as a neutral element when composing).
-    pub fn none(kind: PhaseKind) -> Self {
+    pub(crate) fn none(kind: PhaseKind) -> Self {
         Work { kind, ref_secs: 0.0, demand_scale: 1.0 }
     }
 
     /// Effective demand ceiling on the given machine, watts (never below
     /// the machine's wait power — an active phase draws at least that).
-    pub fn demand_w(&self, m: &MachineConfig) -> f64 {
+    pub(crate) fn demand_w(&self, m: &MachineConfig) -> f64 {
         (self.kind.demand_w(m) * self.demand_scale).max(m.wait_power_w.min(self.kind.demand_w(m)))
     }
 }

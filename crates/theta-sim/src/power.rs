@@ -20,7 +20,7 @@ use crate::phase::Work;
 
 /// Outcome of evaluating the model at one operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingPoint {
+pub(crate) struct OperatingPoint {
     /// Power the node actually draws, watts.
     pub draw_w: f64,
     /// Progress rate relative to reference power (1.0 = reference speed).
@@ -30,7 +30,7 @@ pub struct OperatingPoint {
 /// Smallest progress rate: even at the RAPL floor a node crawls forward
 /// rather than deadlocking (matches "running barely above the system
 /// operating power", paper §VII-B3).
-pub const MIN_RATE: f64 = 0.02;
+pub(crate) const MIN_RATE: f64 = 0.02;
 
 /// Caps below this suffer the δ_min cliff (paper §VII-D: "the minimum
 /// supported power cap by RAPL on Theta's nodes is 98 W, at which
@@ -42,10 +42,10 @@ pub const CLIFF_START_W: f64 = 103.0;
 /// partition pinned at 98 W ran ~12 % behind its 110 W pace, so the cliff
 /// contributes a moderate penalty on top of the sensitivity model rather
 /// than a collapse.
-pub const CLIFF_FLOOR_FACTOR: f64 = 0.93;
+pub(crate) const CLIFF_FLOOR_FACTOR: f64 = 0.93;
 
 /// Multiplicative penalty for operating at or near the RAPL floor.
-pub fn cliff_factor(m: &MachineConfig, enforced_cap_w: f64) -> f64 {
+pub(crate) fn cliff_factor(m: &MachineConfig, enforced_cap_w: f64) -> f64 {
     if enforced_cap_w >= CLIFF_START_W {
         return 1.0;
     }
@@ -55,7 +55,11 @@ pub fn cliff_factor(m: &MachineConfig, enforced_cap_w: f64) -> f64 {
 }
 
 /// Evaluate phase progress under an *effective* (enforced) cap.
-pub fn operating_point(m: &MachineConfig, work: Work, enforced_cap_w: f64) -> OperatingPoint {
+pub(crate) fn operating_point(
+    m: &MachineConfig,
+    work: Work,
+    enforced_cap_w: f64,
+) -> OperatingPoint {
     let mut phase = OpMemo::default();
     phase.reset(m, work);
     phase.evaluate(m, enforced_cap_w)
@@ -120,20 +124,26 @@ impl OpMemo {
     }
 }
 
+/// Progress rate for a unit of `work` at a cap (tests, calibration).
+pub fn rate(m: &MachineConfig, work: Work, enforced_cap_w: f64) -> f64 {
+    operating_point(m, work, enforced_cap_w).rate
+}
+
+#[cfg(test)]
 /// Duration in seconds for `work` under a constant enforced cap, on a node
 /// with efficiency multiplier `efficiency` (1.0 = nominal).
-pub fn duration_secs(m: &MachineConfig, work: Work, enforced_cap_w: f64, efficiency: f64) -> f64 {
+pub(crate) fn duration_secs(
+    m: &MachineConfig,
+    work: Work,
+    enforced_cap_w: f64,
+    efficiency: f64,
+) -> f64 {
     if work.ref_secs <= 0.0 {
         return 0.0;
     }
     let op = operating_point(m, work, enforced_cap_w);
     debug_assert!(op.rate > 0.0, "productive phase must progress");
     work.ref_secs / (op.rate * efficiency.max(1e-6))
-}
-
-/// Progress rate for a unit of `work` at a cap (tests, calibration).
-pub fn rate(m: &MachineConfig, work: Work, enforced_cap_w: f64) -> f64 {
-    operating_point(m, work, enforced_cap_w).rate
 }
 
 #[cfg(test)]

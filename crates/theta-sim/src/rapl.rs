@@ -33,7 +33,7 @@ pub struct RaplDomain {
 
 impl RaplDomain {
     /// A domain with capping disabled (enforces TDP).
-    pub fn uncapped(m: &MachineConfig) -> Self {
+    pub(crate) fn uncapped(m: &MachineConfig) -> Self {
         RaplDomain {
             mode: CapMode::None,
             active_cap: m.tdp_w,
@@ -46,7 +46,7 @@ impl RaplDomain {
 
     /// A domain capped at `initial_w` from t = 0 (no actuation delay for the
     /// initial job-launch cap, which is set before the application starts).
-    pub fn capped(m: &MachineConfig, mode: CapMode, initial_w: f64) -> Self {
+    pub(crate) fn capped(m: &MachineConfig, mode: CapMode, initial_w: f64) -> Self {
         let cap = Self::enforceable(m, mode, initial_w);
         RaplDomain {
             mode,
@@ -65,11 +65,6 @@ impl RaplDomain {
             // Both windows capped: enforcement sits slightly below request.
             CapMode::LongShort => m.clamp_cap(watts) * (1.0 - m.short_cap_bias),
         }
-    }
-
-    /// Capping mode.
-    pub fn mode(&self) -> CapMode {
-        self.mode
     }
 
     /// The most recently requested (clamped) cap, watts. This is what a
@@ -96,7 +91,7 @@ impl RaplDomain {
     /// Request a new cap at time `now`; it takes effect after the machine's
     /// actuation latency. A newer request replaces any pending one.
     /// Returns the clamped value that was accepted.
-    pub fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
+    pub(crate) fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
         if self.mode == CapMode::None {
             return m.tdp_w;
         }
@@ -124,7 +119,7 @@ impl RaplDomain {
     }
 
     /// Commit any pending change whose effective time is ≤ `now`.
-    pub fn advance(&mut self, now: SimTime) {
+    pub(crate) fn advance(&mut self, now: SimTime) {
         if let Some((at, cap)) = self.pending {
             if at <= now {
                 self.active_cap = cap;

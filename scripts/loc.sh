@@ -68,6 +68,15 @@ printf '%-12s %8d %8d\n' total "$total_lines" "$total_pub"
 # and doc comments reach it.
 #
 # A name shared with an unrelated item elsewhere hides a candidate.
+#
+# A third list, "pub names nothing outside the crate names", covers every
+# non-test `pub` item of a library crate (perfbench, a binary, is left
+# out), methods included: its name word-matches nothing outside the
+# crate — no other crate's .rs file, none of its own src/bin/, no tests/
+# or examples/ file — and no doc comment of its own crate (doctests are
+# outside). rustc's `unreachable_pub` catches such an item only when no
+# `pub` path reaches it; one inside a `pub mod`, or reached through type
+# inference (returned by a `pub fn` and used unnamed), shows up here.
 no_reexports() {
     awk '
         skip { if (/;/) skip = 0; next }
@@ -107,3 +116,24 @@ printf '\npub fn nothing calls:\n'
 sed -n 's/^nothing /  /p' "$tmp/worklist"
 printf '\npub fn reached only from tests:\n'
 sed -n 's/^tests /  /p' "$tmp/worklist"
+
+printf '\npub names nothing outside the crate names:\n'
+for dir in crates/*/; do
+    dir="${dir%/}"
+    [ "${dir##*/}" != perfbench ] || continue
+    for f in $all_rs; do
+        case "$f" in
+            "$dir"/src/bin/*) cat "$f" ;;
+            "$dir"/src/*) grep -E '^[[:space:]]*//[/!]' "$f" || true ;;
+            *) cat "$f" ;;
+        esac
+    done >"$tmp/outside"
+    for f in $all_rs; do
+        case "$f" in "$dir"/src/bin/*) continue ;; "$dir"/src/*) ;; *) continue ;; esac
+        non_test "$f" |
+            sed -n -E 's/^([0-9]+):[[:space:]]*pub ((const|unsafe) )?(fn|struct|enum|trait|type|const|static) ([A-Za-z0-9_]+).*/\1 \5/p' |
+            while read -r line name; do
+                grep -q -w -e "$name" "$tmp/outside" || printf '  %s:%s %s\n' "$f" "$line" "$name"
+            done
+    done
+done

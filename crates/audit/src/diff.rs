@@ -14,7 +14,7 @@
 //!   causal context window: the last K events per involved node /
 //!   machine / job before the divergence point.
 //! - [`diff_artifacts`] compares two persisted JSON documents (a
-//!   `run_*` run document or a `profile_*` stage profile): a byte-equal
+//!   `run_*` run document or a figure's rows): a byte-equal
 //!   fast path, a `schema_version` gate (`DIFF0005`), a generic
 //!   field-level walk with a relative noise threshold (`DIFF0003`), and
 //!   attribution notes read from a run document's `report` and `metrics`
@@ -564,8 +564,8 @@ fn registry_notes(a: &Value, b: &Value, notes: &mut Vec<String>) {
     }
 }
 
-/// Compare two persisted JSON artifacts (run documents or wall-clock
-/// profiles). Byte-equal documents short circuit; otherwise both must
+/// Compare two persisted JSON artifacts (run documents or figure
+/// rows). Byte-equal documents short circuit; otherwise both must
 /// parse (`DIFF0004`) and carry matching `schema_version`s (`DIFF0005`)
 /// before the field walk attributes the deltas (`DIFF0003`, with
 /// per-phase and critical-path notes from the `report` section and

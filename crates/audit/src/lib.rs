@@ -51,6 +51,7 @@
 
 pub mod diag;
 pub mod diff;
+mod hist;
 mod invariants;
 mod ledger;
 mod metrics;
@@ -59,9 +60,10 @@ mod stream;
 
 pub use diag::{DiagCode, Diagnostic, Violation};
 pub use diff::{diff_artifacts, diff_readers, ArtifactDiff, TraceDiffer};
+pub use hist::Histogram;
 pub use metrics::AuditReport;
 pub use obs::json;
-pub use registry::{Histogram, Registry};
+pub use registry::Registry;
 pub use stream::{RunHealth, StreamAuditor, StreamOutcome, RUN_SCHEMA_VERSION};
 
 /// Audit `events` in one pass: how the unit tests run the engine.

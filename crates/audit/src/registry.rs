@@ -11,14 +11,10 @@
 //! State is O(names × buckets) — independent of event volume — which is
 //! what lets an at-scale sweep keep its metrics without keeping its
 //! trace.
-//!
-//! The [`Histogram`] itself lives in [`obs::hist`] so the wall-clock
-//! stage profiler can share it; it is re-exported here.
 
+use crate::hist::Histogram;
 use crate::json::Value;
 use std::collections::BTreeMap;
-
-pub use obs::hist::{Histogram, HISTOGRAM_BUCKETS};
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,7 +105,7 @@ impl Registry {
         self.gauges.get(name).filter(|g| g.t_ns > 0 || g.value.is_finite()).map(|g| g.value)
     }
 
-    /// Read a histogram (None when absent).
+    /// Read a [`Histogram`] (None when absent).
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
@@ -179,7 +175,7 @@ mod tests {
 
     #[test]
     fn registry_json_quantile_summaries_pin_to_hand_computed_buckets() {
-        // Same hand-built contents as the obs::hist pinning test, checked
+        // Same hand-built contents as the hist pinning test, checked
         // end-to-end through the serialized metrics document: 10×3 ns
         // (bucket 1), 5×12 ns (bucket 3), 5×100 ns (bucket 6); n = 20.
         let mut r = Registry::default();

@@ -180,7 +180,6 @@ impl StreamAuditor {
     /// Fold the closed interval's spans into the per-kind attribution, in
     /// record order, each at its node's sampled power in its interval.
     fn fold_spans(&mut self) {
-        let _t = obs::profile::timer("audit.fold_spans");
         for (interval, node, kind, dur) in self.cur_spans.drain(..) {
             let a = named(&mut self.by_kind, &kind, || PhaseAttribution {
                 kind: kind.to_string(),

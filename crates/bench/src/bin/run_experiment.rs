@@ -29,7 +29,7 @@ const USAGE: &str =
                       [--window W] [--seed S] [--sim-cap W --analysis-cap W]
                       [--no-baseline] [--dump-syncs] [--quiet]
                       [--quiet-noise]
-                      [--trace FILE] [--trace-perfetto FILE] [--audit] [--profile]";
+                      [--trace FILE] [--trace-perfetto FILE] [--audit]";
 
 /// Largest `--nodes`: 15× Theta's 4 392. Beyond it the cluster model
 /// dies in the allocator instead of answering.
@@ -100,7 +100,6 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
             "--trace" => common.trace = Some(args.value(flag)?.into()),
             "--trace-perfetto" => common.perfetto = Some(args.value(flag)?.into()),
             "--audit" => common.audit = true,
-            "--profile" => common.profile = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -118,13 +117,12 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Opts { cfg, baseline, dump_syncs, common } =
         parse(&argv).unwrap_or_else(|msg| cli::exit_usage(BIN, USAGE, &msg));
-    obs::profile::set_enabled(common.profile);
     let rep = common.reporter();
 
     // The controller run itself carries the tracer: `--trace` captures the
     // exact run being summarized, not a separate representative run. Under
     // `--audit` a streaming auditor rides the subscriber seam.
-    let (mut failures, documents) = cli::observe(BIN, &common, &rep, |tracer| {
+    let (mut failures, document) = cli::observe(BIN, &common, &rep, |tracer| {
         let fail = |e| -> ! {
             eprintln!("{BIN}: error: {e}");
             std::process::exit(2);
@@ -147,8 +145,8 @@ fn main() {
             println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
         }
     });
-    let dir = bench::results_dir();
-    for (file, body) in &documents {
+    if let Some((file, body)) = &document {
+        let dir = bench::results_dir();
         failures += usize::from(bench::put_result(&rep, &dir, false, file, body).is_err());
     }
     if failures > 0 {
@@ -241,7 +239,6 @@ mod tests {
             "--steps 0",
             "--sync-every 0",
             "--window 0",
-            "--budget nan",
             "--budget -5",
             "--sim-cap 120",
             "--analysis-cap 100",
@@ -251,12 +248,15 @@ mod tests {
             "--analyses rdf,",
             "--nodes 4000000000 --steps 2",
             "--nodes 8 --dim 4000000000 --steps 2",
+            "--profile",
         ];
         for args in hostile {
             let msg = parse(&argv(args)).err().unwrap_or_else(|| panic!("{args:?} parsed"));
             assert!(!msg.is_empty(), "{args:?} must say what is wrong");
         }
         assert_eq!(parse(&argv("--help")).err().as_deref(), Some(""));
+        let nan = parse(&argv("--budget nan")).err();
+        assert_eq!(nan.as_deref(), Some("--budget: not a valid number: \"nan\""));
     }
 
     /// Seeded mutation of valid command lines through every argv parser
@@ -294,7 +294,7 @@ mod tests {
                  --analysis-cap 105 --dump-syncs",
             ),
             argv("--quick --quiet --trace t.jsonl --trace-perfetto p.json"),
-            argv("--audit --profile --no-baseline --quiet-noise"),
+            argv("--audit --no-baseline --quiet-noise"),
             argv("fig1_trace --quick --trace t.jsonl"),
             argv("fig3_analyses fault_sweep --quiet --audit"),
             argv("--check --quiet"),
@@ -330,7 +330,7 @@ mod tests {
                 if let Ok(sel) = cli::Selection::parse(&args) {
                     assert!(!sel.experiments.is_empty());
                     assert!(!sel.args.wants_trace() || sel.experiments.len() == 1);
-                    assert!(!sel.check || !(sel.args.quick || sel.args.profile));
+                    assert!(!sel.check || !sel.args.quick);
                     selected += 1;
                 }
                 if let Ok(a) = cli::AuditTraceArgs::parse(&args) {

@@ -12,7 +12,7 @@
 //!   the event kind, or a payload value) plus the last K events per
 //!   involved node/machine/job before the divergence point.
 //! - **Artifact mode** (`--artifact`) compares JSON documents — `run_*`
-//!   run documents, `profile_*` stage profiles, figure rows:
+//!   run documents, figure rows:
 //!   `schema_version` gate, per-field deltas under an optional
 //!   `--rel-tol` noise threshold, and, for run documents, attribution
 //!   notes (per-phase time/energy movement, critical-path shift, registry
@@ -33,8 +33,8 @@ const USAGE: &str = "usage: trace_diff [--artifact] [--context K] [--rel-tol X] 
   \n\
   \x20 A B            the two files to compare (JSONL traces, or JSON artifacts\n\
   \x20                with --artifact)\n\
-  \x20 --artifact     compare JSON documents (run_/profile_ documents, figure\n\
-  \x20                rows) and attribute a run document's deltas (phases,\n\
+  \x20 --artifact     compare JSON documents (run_ documents, figure rows)\n\
+  \x20                and attribute a run document's deltas (phases,\n\
   \x20                critical path, counters)\n\
   \x20 --context K    events of causal context per involved entity (default 5,\n\
   \x20                at most 1000)\n\

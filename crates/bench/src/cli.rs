@@ -4,12 +4,11 @@
 //! `Result<_, String>`: a bad command line never exits from inside a
 //! parser, and each bin hands the `Err` to [`exit_usage`] (usage text,
 //! exit 2). The common flags — `--quick`, `--quiet`, `--trace FILE`,
-//! `--trace-perfetto FILE`, `--audit`, `--profile` — are parsed strictly:
-//! an unknown flag is a usage error, never silently ignored. A flag is
-//! the only way to set one; the environment sets none. `repro` adds
-//! `--check` (compare every output with `results/` instead of writing
-//! it), which refuses `--quick` and `--profile`: the committed files are
-//! full size, and a stage profile is wall-clock, never compared.
+//! `--trace-perfetto FILE`, `--audit` — are parsed strictly: an unknown
+//! flag is a usage error, never silently ignored. A flag is the only way
+//! to set one; the environment sets none. `repro` adds `--check` (compare
+//! every output with `results/` instead of writing it), which refuses
+//! `--quick`: the committed files are full size.
 
 use crate::experiments::{self, Experiment};
 use obs::Reporter;
@@ -34,14 +33,16 @@ impl<'a> Argv<'a> {
         self.next().ok_or_else(|| format!("{flag} requires a value"))
     }
 
-    /// The token after `flag` as a number in `range`. NaN is in no range.
+    /// The token after `flag` as a number in `range`. NaN, which no range
+    /// holds, is not a valid number.
     pub fn number<T: FromStr + PartialOrd + Debug>(
         &mut self,
         flag: &str,
         range: RangeInclusive<T>,
     ) -> Result<T, String> {
         let v = self.value(flag)?;
-        let n: T = v.parse().map_err(|_| format!("{flag}: not a valid number: {v:?}"))?;
+        let n = v.parse::<T>().ok().filter(|n| n.partial_cmp(n).is_some());
+        let n = n.ok_or_else(|| format!("{flag}: not a valid number: {v:?}"))?;
         if range.contains(&n) {
             Ok(n)
         } else if n > *range.end() {
@@ -86,12 +87,6 @@ pub struct CommonArgs {
     /// `results/run_<name>.json` (report, run-health snapshots and metric
     /// registry), and exit nonzero on any violation.
     pub audit: bool,
-    /// Profile wall-clock stage timings (`--profile`): opt-in monotonic
-    /// timers around the pipeline stages feed log₂-bucket histograms,
-    /// written to `results/profile_<name>.json`. Wall-clock readings are
-    /// inherently nondeterministic, so this artifact never enters a
-    /// byte-diff gate.
-    pub profile: bool,
 }
 
 impl CommonArgs {
@@ -160,8 +155,8 @@ impl Selection {
                 experiments.len()
             ));
         }
-        if check && (args.quick || args.profile) {
-            return Err("--check compares full-size outputs: no --quick, no --profile".into());
+        if check && args.quick {
+            return Err("--check compares full-size outputs: no --quick".into());
         }
         Ok(Selection { experiments, args, check })
     }
@@ -179,7 +174,6 @@ fn parse_with(
             "--quick" => out.quick = true,
             "--quiet" => out.quiet = true,
             "--audit" => out.audit = true,
-            "--profile" => out.profile = true,
             "--trace" => out.trace = Some(args.value(arg)?.into()),
             "--trace-perfetto" => out.perfetto = Some(args.value(arg)?.into()),
             "--help" | "-h" => return Err(String::new()),
@@ -274,17 +268,16 @@ impl TraceDiffArgs {
 /// live [`audit::StreamAuditor`] and drops them, so an audited run never
 /// materializes its events; with neither it is off. Returns the number of
 /// failures — trace writes that failed, plus one for an audit with
-/// violations — for the caller to exit 1 on, and the documents bound for
-/// `results/`, for the caller to put through [`crate::put_result`]:
-/// `profile_<name>.json` under `--profile`, and under `--audit` the run
-/// document `run_<name>.json` (the report, the per-interval run-health
-/// snapshots and the metric registry).
+/// violations — for the caller to exit 1 on, and under `--audit` the run
+/// document bound for `results/`, for the caller to put through
+/// [`crate::put_result`]: `run_<name>.json` (the report, the per-interval
+/// run-health snapshots and the metric registry).
 pub fn observe(
     name: &str,
     args: &CommonArgs,
     rep: &Reporter,
     run: impl FnOnce(&obs::Tracer),
-) -> (usize, Vec<(String, String)>) {
+) -> (usize, Option<(String, String)>) {
     let tracer = if args.wants_trace() {
         obs::Tracer::enabled()
     } else if args.audit {
@@ -305,17 +298,14 @@ pub fn observe(
     if let Some(path) = &args.perfetto {
         written.push(crate::write_file(rep, path, &obs::chrome_trace(&tracer.events())));
     }
-    let mut documents = Vec::new();
-    if args.profile {
-        documents.push((format!("profile_{name}.json"), obs::profile::to_value().pretty()));
-    }
+    let mut document = None;
     let mut violated = false;
     if let Some(auditor) = auditor {
         // The run may have left tracer clones behind (scheduler handles),
         // so take the auditor's state out through the shared cell rather
         // than trying to unwrap the Arc.
         let outcome = std::mem::take(&mut *auditor.lock().expect("auditor poisoned")).finish();
-        documents.push((format!("run_{name}.json"), outcome.to_json()));
+        document = Some((format!("run_{name}.json"), outcome.to_json()));
         let report = outcome.report;
         rep.note(report.summary());
         if !report.clean() {
@@ -326,7 +316,7 @@ pub fn observe(
             violated = true;
         }
     }
-    (written.iter().filter(|w| w.is_err()).count() + usize::from(violated), documents)
+    (written.iter().filter(|w| w.is_err()).count() + usize::from(violated), document)
 }
 
 #[cfg(test)]
@@ -357,18 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_parses() {
-        let a = try_parse(&argv(&["--profile"])).unwrap();
-        assert!(a.profile);
-        assert!(!a.audit && !a.wants_trace());
-    }
-
-    #[test]
     fn unknown_flags_are_rejected() {
-        let err = try_parse(&argv(&["--bogus"])).unwrap_err();
-        assert!(err.contains("--bogus"), "{err}");
+        for flag in ["--bogus", "--profile"] {
+            let err = try_parse(&argv(&[flag])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
         // A value-less --trace is also an error, not a silent skip.
         assert!(try_parse(&argv(&["--trace"])).is_err());
+        // NaN fails every range comparison; it is reported as what it is.
+        let err = TraceDiffArgs::parse(&argv(&["--rel-tol", "nan", "a", "b"])).unwrap_err();
+        assert_eq!(err, "--rel-tol: not a valid number: \"nan\"");
     }
 
     #[test]
@@ -404,7 +392,7 @@ mod tests {
         assert!(all.check && all.experiments.len() == experiments::TABLE.len());
         let one = parse(&["fleet_sweep", "--check", "--audit", "--trace", "t.jsonl"]).unwrap();
         assert!(one.check && one.args.audit && one.args.wants_trace());
-        for refused in [&["--check", "--quick"][..], &["fig1_trace", "--profile", "--check"]] {
+        for refused in [&["--check", "--quick"][..], &["fig1_trace", "--quick", "--check"]] {
             assert!(parse(refused).unwrap_err().contains("--check"), "{refused:?}");
         }
         // `--check` is `repro`'s alone.

@@ -188,14 +188,14 @@ impl Output {
 #[derive(Debug)]
 pub struct Experiment {
     /// The name on `repro`'s command line; also the `results/<name>.*`
-    /// stem and the `run_/profile_<name>.json` suffix.
+    /// stem and the `run_<name>.json` suffix.
     pub name: &'static str,
     /// Every run the experiment needs, in a fixed order.
     keys: fn(quick: bool) -> Vec<RunKey>,
     /// From the finished runs, positionally matching `keys(quick)`, to
     /// the experiment's console output and files.
     reduce: fn(quick: bool, runs: &[&Run]) -> Output,
-    /// The run `--trace` / `--audit` / `--profile` observe — an extra run
+    /// The run `--trace` / `--audit` observe — an extra run
     /// after the sweep, so the sweep's output never depends on tracing.
     representative: fn(quick: bool) -> RunKey,
 }

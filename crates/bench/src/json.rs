@@ -90,8 +90,7 @@ mod tests {
     /// Every kind of document the workspace writes reads back as the
     /// value it was printed from: a figure's rows, the run document's
     /// sections (a report with violations, health rows, a registry with a
-    /// histogram) and a stage profile. Non-finite floats, which print as
-    /// `null`, are left out.
+    /// histogram). Non-finite floats, which print as `null`, are left out.
     #[test]
     fn every_written_document_reads_back() {
         let reads_back = |v: Value| assert_eq!(parse(&v.pretty()), Ok(v.clone()), "{}", v.pretty());
@@ -114,12 +113,5 @@ mod tests {
         run.health.iter().for_each(|h| reads_back(h.to_value()));
         reads_back(run.registry.to_value());
         reads_back(parse(&run.to_json()).expect("the run document parses"));
-
-        obs::profile::set_enabled(true);
-        obs::profile::record("json.test_stage", 7);
-        obs::profile::set_enabled(false);
-        let profile = obs::profile::to_value();
-        assert!(profile.get("stages").and_then(|s| s.get("json.test_stage")).is_some());
-        reads_back(profile);
     }
 }

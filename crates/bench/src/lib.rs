@@ -5,7 +5,7 @@
 //! Each experiment prints a human-readable table mirroring the paper's
 //! presentation and writes the raw rows as JSON (some also an SVG chart)
 //! under `results/`. Every JSON document the harness writes — figure
-//! rows, run documents, stage profiles — is an [`obs::json::Value`]
+//! rows and run documents — is an [`obs::json::Value`]
 //! printed by its one writer. Host timings are not this crate's job:
 //! `perfbench` reports every one of them, end to end and per layer.
 //!

@@ -269,7 +269,6 @@ impl Runtime {
         if self.is_done() {
             return false;
         }
-        let _t = obs::profile::timer("insitu.step_sync");
         let sync_k = self.next_sync;
         self.next_sync += 1;
         let mut scratch = std::mem::take(&mut self.scratch);

@@ -73,7 +73,6 @@ impl MdEngine {
     /// rebuilt.
     pub(crate) fn update_neighbors(&mut self) -> Option<u64> {
         if self.nl.needs_rebuild(&self.system.pos) {
-            let _t = obs::profile::timer("md.neighbor_rebuild");
             self.nl.rebuild(&self.system.pos);
             Some(self.nl.npairs() as u64)
         } else {
@@ -83,14 +82,12 @@ impl MdEngine {
 
     /// Force the neighbor list to rebuild regardless of displacement.
     pub(crate) fn force_neighbor_rebuild(&mut self) -> u64 {
-        let _t = obs::profile::timer("md.neighbor_rebuild");
         self.nl.rebuild(&self.system.pos);
         self.nl.npairs() as u64
     }
 
     /// Compute forces and run the final half-kick (flow step 6).
     pub(crate) fn force_and_final_integrate(&mut self) -> u64 {
-        let _t = obs::profile::timer("md.force_eval");
         self.last_eval =
             compute_forces_into(&mut self.scratch, &mut self.system, &self.nl, &self.coeffs, None);
         self.integrator.final_integrate(&mut self.system);

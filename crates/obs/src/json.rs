@@ -2,8 +2,8 @@
 //! (the workspace carries no registry dependencies, so all three are
 //! hand-rolled). It lives beside the event schema, whose strict line
 //! reader is the parser's main client; `audit::json` re-exports it. Every
-//! JSON document the bins persist under `results/` — figure rows, run
-//! documents, stage profiles — is a [`Value`] printed by
+//! JSON document the bins persist under `results/` — figure rows and run
+//! documents — is a [`Value`] printed by
 //! [`Value::pretty`]; only the hot-path trace formats (the JSONL event line
 //! and the Chrome-trace export) keep generated writers of their own.
 //!

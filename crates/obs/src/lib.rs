@@ -1,7 +1,7 @@
 //! Deterministic sim-time observability for the PoLiMER stack.
 //!
-//! Everything in this crate is keyed on **simulated time**
-//! ([`des::SimTime`]) rather than wall-clock, so a trace is a pure
+//! Everything in this crate, without exception, is keyed on **simulated
+//! time** ([`des::SimTime`]) rather than wall-clock, so a trace is a pure
 //! function of `(config, seed)`: two same-seed runs — at any
 //! `POLIMER_THREADS` setting — serialize byte-identical JSONL, the same
 //! reproducibility contract the rest of the workspace gives for results.
@@ -40,15 +40,12 @@
 #![warn(unreachable_pub)]
 
 mod event;
-pub mod hist;
 pub mod json;
 mod perfetto;
-pub mod profile;
 mod report;
 mod sink;
 
 pub use event::{to_jsonl, DecisionInfo, Event, EventError, Tag, TraceEvent};
-pub use hist::{Histogram, HISTOGRAM_BUCKETS};
 pub use perfetto::chrome_trace;
 pub use report::Reporter;
 pub use sink::{EventSubscriber, Tracer};

@@ -302,10 +302,7 @@ impl Scheduler {
             .filter(|(_, j)| matches!(j.state, JobState::Running { .. }))
             .map(|(i, _)| i)
             .collect();
-        let (allocated_w, pool_w, budgets) = {
-            let _t = obs::profile::timer("sched.governor_epoch");
-            self.govern(&running)
-        };
+        let (allocated_w, pool_w, budgets) = self.govern(&running);
         self.tracer.set_now(self.machine_t);
         if self.tracer.is_enabled() {
             self.tracer.emit(obs::Event::MachineBudget { epoch, allocated_w, pool_w });

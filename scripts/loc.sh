@@ -91,10 +91,10 @@ mkdir "$tmp/all"
 for f in $all_rs; do
     mkdir -p "$tmp/all/${f%/*}"
     no_reexports <"$f" >"$tmp/all/$f"
+    case "$f" in crates/*/src/* | examples/*) ;; *) continue ;; esac
     case "$f" in
         crates/*/src/*) non_test "$f" | cut -d: -f2- ;;
-        examples/*) cat "$f" ;;
-        *) continue ;;
+        *) cat "$f" ;;
     esac | no_reexports | grep -v -E '^[[:space:]]*//' >>"$tmp/production" || true
 done
 for f in $all_rs; do

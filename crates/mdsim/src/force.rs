@@ -21,16 +21,22 @@
 //!   so the inner loop does one divide and one square root per pair and
 //!   zero table arithmetic.
 //! * **Chunk-merged accumulation** — the pair list is cut into fixed
-//!   chunks; each chunk accumulates its own force/energy partials
-//!   ([`ForceScratch`] slots), and partials merge in ascending chunk
-//!   order. Chunk boundaries depend only on the pair count, and lane
-//!   grouping depends only on position within the chunk, so the full
-//!   floating-point op sequence is a pure function of the input:
-//!   `POLIMER_THREADS=1` reproduces any other thread count bit for bit.
+//!   chunks; one `par_fill` region evaluates each chunk into its own
+//!   force/energy partials ([`ForceScratch`] slots), and a second one,
+//!   over atoms, merges them in ascending chunk order. Chunk boundaries
+//!   depend only on the pair count, and lane grouping depends only on
+//!   position within the chunk, so the full floating-point op sequence
+//!   is a pure function of the input: `POLIMER_THREADS=1` reproduces any
+//!   other thread count bit for bit. At width 1, from inside a busy pool,
+//!   or for a one-chunk list, a region runs every item on the calling
+//!   thread in the same order.
 //!
-//! All buffers live in a caller-owned [`ForceScratch`], so steady-state
-//! force evaluation performs no heap allocation (asserted by the
-//! `alloc_free` test with a counting global allocator).
+//! All buffers live in a caller-owned [`ForceScratch`]. At width 1
+//! steady-state force evaluation performs no heap allocation (asserted
+//! by the `alloc_free` test with a counting global allocator, under
+//! `par::with_threads(1, ..)`); at width `w ≥ 2` each of the two regions
+//! pays a fixed spawn cost: `w − 1` scoped threads and the `Vec` of their
+//! join handles.
 
 use crate::neighbor::NeighborList;
 use crate::species::{PairTable, NSPECIES};
@@ -77,10 +83,6 @@ const LANES: usize = 8;
 /// it costs under 10 bytes of buffer traffic per pair) while still
 /// splitting production pair lists into enough chunks to balance.
 const PAIR_CHUNK: usize = 32_768;
-
-/// Below this many pairs the per-chunk partial buffers + spawn overhead
-/// cannot pay for themselves; the kernel stays on the serial path.
-const PAR_MIN_PAIRS: usize = 8_192;
 
 /// Ceiling on chunk count: for huge pair lists the chunk size grows so
 /// the per-chunk force partials (one `Vec<Vec3>` of atom length each)
@@ -158,17 +160,13 @@ struct ChunkSlot {
 
 /// Reusable scratch owned by the caller (typically [`crate::MdEngine`]):
 /// per-chunk partial accumulators and the species-index cache. Once the
-/// buffers reach steady-state size, [`compute_forces_into`] allocates
-/// nothing.
+/// buffers reach steady-state size, [`compute_forces_into`] at width 1
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ForceScratch {
-    /// Chunk-size override for tests; 0 means the production size.
-    chunk_pairs: usize,
     /// Species index per atom as `u8` (dense gather in the inner loop).
     sp_idx: Vec<u8>,
-    /// The serial path's single reused chunk slot.
-    serial: ChunkSlot,
-    /// Per-chunk slots for the parallel path.
+    /// One partial-result slot per chunk.
     slots: Vec<ChunkSlot>,
 }
 
@@ -176,22 +174,6 @@ impl ForceScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Test hook: force a specific chunk size so determinism tests can
-    /// vary the canonical op sequence (the result is bit-stable across
-    /// *thread counts* for a fixed chunk size, not across chunk sizes).
-    pub fn with_chunk_pairs(chunk_pairs: usize) -> Self {
-        assert!(chunk_pairs >= 1, "chunk size must be >= 1");
-        ForceScratch { chunk_pairs, ..Self::default() }
-    }
-
-    fn effective_chunk(&self, npairs: usize) -> usize {
-        if self.chunk_pairs != 0 {
-            self.chunk_pairs
-        } else {
-            PAIR_CHUNK.max(npairs.div_ceil(MAX_CHUNKS))
-        }
     }
 }
 
@@ -324,30 +306,16 @@ fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlo
     slot.evaluated = evaluated;
 }
 
-/// Evaluate forces into `sys.force`, returning energy/virial/work counts.
+/// The force kernel: evaluate forces into `sys.force` using caller-owned
+/// scratch and a prebuilt coefficient table, returning energy, virial and
+/// work counts. `exclusions`, if given, is a sorted slice of `(min, max)`
+/// index pairs the kernel skips.
 ///
-/// Convenience wrapper that builds a [`CoeffTable`] and a throwaway
-/// [`ForceScratch`] per call; hot paths hold both and call
-/// [`compute_forces_into`].
-pub fn compute_forces(
-    sys: &mut System,
-    nl: &NeighborList,
-    params: ForceParams,
-    table: &PairTable,
-) -> ForceEval {
-    let coeffs = CoeffTable::new(table, params.cutoff);
-    compute_forces_into(&mut ForceScratch::new(), sys, nl, &coeffs, None)
-}
-
-/// The allocation-free force kernel: evaluate forces into `sys.force`
-/// using caller-owned scratch and a prebuilt coefficient table.
-/// `exclusions`, if given, is a sorted slice of `(min, max)` index pairs
-/// the kernel skips.
-///
-/// Dispatches to the serial path when the pool is trivial or the pair
-/// list is small; otherwise chunks are evaluated in parallel and merged
-/// in ascending chunk order — the identical op sequence either way, so
-/// results are bit-identical at any `POLIMER_THREADS`.
+/// Chunks are evaluated in one pool region and merged in ascending chunk
+/// order in another — the identical op sequence at any width, so results
+/// are bit-identical at any `POLIMER_THREADS`. With warm scratch it
+/// allocates nothing at width 1; above that each region spawns its
+/// workers.
 pub fn compute_forces_into(
     scratch: &mut ForceScratch,
     sys: &mut System,
@@ -355,21 +323,34 @@ pub fn compute_forces_into(
     coeffs: &CoeffTable,
     exclusions: Option<&[(u32, u32)]>,
 ) -> ForceEval {
-    let pool = par::global();
-    if pool.effective_threads() <= 1 || nl.npairs() < PAR_MIN_PAIRS || pool.is_busy() {
-        return compute_forces_serial(scratch, sys, nl, coeffs, exclusions);
-    }
+    // Above MAX_CHUNKS · PAIR_CHUNK ≈ 2.1 M pairs the chunk grows; that
+    // growth is part of the op sequence, so it fixes those lists' bits.
+    let chunk = PAIR_CHUNK.max(nl.npairs().div_ceil(MAX_CHUNKS));
+    forces_chunked(scratch, sys, nl, coeffs, exclusions, chunk)
+}
+
+/// [`compute_forces_into`] at an explicit chunk size. The chunk size
+/// *defines* the canonical op sequence: results are bit-stable across
+/// thread counts for a fixed chunk size, not across chunk sizes.
+fn forces_chunked(
+    scratch: &mut ForceScratch,
+    sys: &mut System,
+    nl: &NeighborList,
+    coeffs: &CoeffTable,
+    exclusions: Option<&[(u32, u32)]>,
+    chunk: usize,
+) -> ForceEval {
     debug_assert!(
         exclusions.is_none_or(|ex| ex.windows(2).all(|w| w[0] < w[1])),
         "exclusions must be sorted for binary search"
     );
+    let pool = par::global();
     let pairs = nl.pairs();
-    let chunk = scratch.effective_chunk(pairs.len());
     let n_chunks = pairs.len().div_ceil(chunk);
     let n = sys.len();
 
     let System { box_len, species, pos, force, .. } = sys;
-    let ForceScratch { sp_idx, slots, .. } = scratch;
+    let ForceScratch { sp_idx, slots } = scratch;
     sp_idx.clear();
     sp_idx.extend(species.iter().map(|s| s.index() as u8));
     if slots.len() < n_chunks {
@@ -384,9 +365,7 @@ pub fn compute_forces_into(
     });
 
     // Merge in ascending chunk order. Each particle's additions happen in
-    // chunk order regardless of how the merge itself is split, so this
-    // parallel fill is bit-identical to the serial path's interleaved
-    // per-chunk merge.
+    // chunk order regardless of how the merge itself is split.
     let done: &[ChunkSlot] = &slots[..n_chunks];
     force.clear();
     force.resize(n, Vec3::ZERO);
@@ -409,48 +388,18 @@ pub fn compute_forces_into(
     ForceEval { potential, virial, pairs_evaluated: evaluated }
 }
 
-/// The canonical serial kernel: chunks evaluated and merged one at a time
-/// through a single reused slot, in ascending chunk order. Every other
-/// execution strategy reproduces this op sequence bit for bit.
-pub(crate) fn compute_forces_serial(
-    scratch: &mut ForceScratch,
+#[cfg(test)]
+/// Evaluate forces into `sys.force` with a [`CoeffTable`] and a throwaway
+/// [`ForceScratch`] built per call; the engine holds both and calls
+/// [`compute_forces_into`].
+pub(crate) fn compute_forces(
     sys: &mut System,
     nl: &NeighborList,
-    coeffs: &CoeffTable,
-    exclusions: Option<&[(u32, u32)]>,
+    params: ForceParams,
+    table: &PairTable,
 ) -> ForceEval {
-    debug_assert!(
-        exclusions.is_none_or(|ex| ex.windows(2).all(|w| w[0] < w[1])),
-        "exclusions must be sorted for binary search"
-    );
-    let pairs = nl.pairs();
-    let chunk = scratch.effective_chunk(pairs.len());
-    let n = sys.len();
-
-    let System { box_len, species, pos, force, .. } = sys;
-    let ForceScratch { sp_idx, serial, .. } = scratch;
-    sp_idx.clear();
-    sp_idx.extend(species.iter().map(|s| s.index() as u8));
-    let ctx =
-        LaneCtx { pos, sp: sp_idx, coeffs, exclusions, box_len: *box_len, inv_box: 1.0 / *box_len };
-    force.clear();
-    force.resize(n, Vec3::ZERO);
-    let mut potential = 0.0;
-    let mut virial = 0.0;
-    let mut evaluated = 0u64;
-    let mut lo = 0;
-    while lo < pairs.len() {
-        let hi = (lo + chunk).min(pairs.len());
-        eval_chunk(&ctx, &pairs[lo..hi], n, serial);
-        for (f, p) in force.iter_mut().zip(&serial.forces) {
-            *f += *p;
-        }
-        potential += serial.u;
-        virial += serial.vir;
-        evaluated += serial.evaluated;
-        lo = hi;
-    }
-    ForceEval { potential, virial, pairs_evaluated: evaluated }
+    let coeffs = CoeffTable::new(table, params.cutoff);
+    compute_forces_into(&mut ForceScratch::new(), sys, nl, &coeffs, None)
 }
 
 #[cfg(test)]
@@ -691,15 +640,52 @@ mod tests {
         let (f_ref, u_ref, count_ref) = scalar_reference(&sys, &nl, &coeffs, Some(&ex));
         assert!(count_ref > 0);
         for chunk in [3usize, 5, 64, 16_384] {
-            let mut scratch = ForceScratch::with_chunk_pairs(chunk);
             let mut s = sys.clone();
-            let ev = compute_forces_into(&mut scratch, &mut s, &nl, &coeffs, Some(&ex));
+            let ev =
+                forces_chunked(&mut ForceScratch::new(), &mut s, &nl, &coeffs, Some(&ex), chunk);
             assert_eq!(ev.pairs_evaluated, count_ref, "chunk {chunk}: evaluated count");
             let rel = (ev.potential - u_ref).abs() / u_ref.abs().max(1.0);
             assert!(rel < 1e-9, "chunk {chunk}: potential {} vs {u_ref}", ev.potential);
             for (k, (a, b)) in s.force.iter().zip(&f_ref).enumerate() {
                 let scale = b.norm().max(1.0);
                 assert!((*a - *b).norm() < 1e-9 * scale, "chunk {chunk} atom {k}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// Force evaluation with an explicit chunk size, as raw bits. The chunk
+    /// size *defines* the canonical reduction order, so different chunk sizes
+    /// legitimately differ in the last ulp — but for any fixed chunk size,
+    /// every thread count must reproduce the same bits.
+    fn force_bits_chunked(threads: usize, chunk_pairs: usize) -> (u64, u64, u64, Vec<u64>) {
+        par::with_threads(threads, || {
+            let mut sys = water_ion_box(1, 1.0, 55);
+            let params = ForceParams::default();
+            let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
+            let nl = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
+            let ev =
+                forces_chunked(&mut ForceScratch::new(), &mut sys, &nl, &coeffs, None, chunk_pairs);
+            let fbits = sys
+                .force
+                .iter()
+                .flat_map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()])
+                .collect();
+            (ev.potential.to_bits(), ev.virial.to_bits(), ev.pairs_evaluated, fbits)
+        })
+    }
+
+    #[test]
+    fn force_eval_bit_identical_across_threads_and_chunk_sizes() {
+        // 5000 is deliberately not a multiple of the lane width, so every
+        // chunk ends in a partially-filled lane group.
+        for chunk_pairs in [1_024, 5_000, 16_384] {
+            let serial = force_bits_chunked(1, chunk_pairs);
+            for threads in [2, 4, 7] {
+                assert_eq!(
+                    serial,
+                    force_bits_chunked(threads, chunk_pairs),
+                    "chunk={chunk_pairs} drifted at T={threads}"
+                );
             }
         }
     }

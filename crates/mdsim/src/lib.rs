@@ -47,9 +47,7 @@ pub mod workload;
 
 pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
 pub use engine::{EngineStepCounts, MdEngine};
-pub use force::{
-    compute_forces, compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch,
-};
+pub use force::{compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch};
 pub use neighbor::NeighborList;
 pub use species::PairTable;
 pub use splitanalysis::{AnalysisSchedule, SplitAnalysis, StepRecord};

@@ -28,9 +28,11 @@
 //! One spawn and join (a width-2 region) reads 15–60 µs on the quiet
 //! 2-core reference box and up to 105 µs on a loaded one, so a region
 //! pays only over items worth a millisecond together. Callers own that
-//! grain — `par` never guesses item cost: `mdsim::force` stays serial
-//! below `PAR_MIN_PAIRS`, the experiment drivers hand over whole runs,
-//! and `sched`, whose epochs are tens of microseconds, does not enter one.
+//! grain — `par` never guesses item cost: `mdsim::force` hands over
+//! 32 768-pair chunks and 4 096-atom merge ranges (a list of one chunk
+//! is a one-item region, which runs on the caller), the experiment
+//! drivers hand over whole runs, and `sched`, whose epochs are tens of
+//! microseconds, does not enter one.
 //!
 //! Nested use is *rejected*: a `par_*` call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)
@@ -119,13 +121,14 @@ impl Pool {
 
     /// Width in effect for calls from this thread: the [`with_threads`]
     /// override if one is installed, the configured width otherwise.
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         THREAD_OVERRIDE.with(|c| c.get()).unwrap_or(self.threads)
     }
 
     /// True while a parallel region is executing on this pool. A `par_*`
     /// call finding the pool busy runs serially (nested-use rejection).
-    pub fn is_busy(&self) -> bool {
+    #[cfg(test)]
+    fn is_busy(&self) -> bool {
         self.active.load(Ordering::Acquire)
     }
 

@@ -136,7 +136,22 @@ for row in machine_sweep machine_sweep_theta fleet_sweep; do
 done
 ./target/release/trace_diff --artifact "$c/replay/run_t1.json" "$c/1/run_run_experiment.json"
 
+# The examples are the only real-MD runs end to end outside perfbench.
+# Each must exit 0, and each that reads no host state must print the same
+# bytes at widths 1 and 2: `lammps_insitu`'s pair list spans two force
+# chunks, so width 2 really dispatches. `power_trace` reads
+# /sys/class/powercap where the host has it, so only its exit status counts.
+stage "examples: every example runs; stdout identical at POLIMER_THREADS=1 and 2"
+cargo build --release --offline --examples
+for ex in lammps_insitu quickstart controller_comparison; do
+    for t in 1 2; do
+        POLIMER_THREADS=$t "./target/release/examples/$ex" >"$c/example_${ex}_$t.txt"
+    done
+    diff "$c/example_${ex}_1.txt" "$c/example_${ex}_2.txt"
+done
+./target/release/examples/power_trace >/dev/null
+
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt + rustdoc clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live)"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt + rustdoc clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), examples run (width-invariant output)"

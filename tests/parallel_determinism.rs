@@ -1,73 +1,51 @@
 //! Cross-thread-count determinism gates for the `par` execution layer.
 //!
-//! Every parallel code path in the stack must produce *bit-identical*
-//! results at any `POLIMER_THREADS` value: the MD force kernel, the
-//! neighbor/cell-list builders, a full integrated trajectory, and the
-//! coupled-runtime sweeps built on them. Each test runs the same
-//! computation under `par::with_threads(1, ..)` (the exact serial path)
-//! and at several worker counts, then compares raw f64 bits — not
-//! approximate equality — so any reduction-order drift fails loudly.
+//! Every code path in the stack must produce *bit-identical* results at
+//! any `POLIMER_THREADS` value: the MD force kernel (the one kernel with
+//! parallel regions), the neighbor list, a full integrated trajectory, and
+//! the coupled-runtime sweeps built on them. Each test runs the same
+//! computation under `par::with_threads(1, ..)` (every region on the
+//! calling thread) and at several worker counts, then compares raw f64
+//! bits — not approximate equality — so any reduction-order drift fails
+//! loudly. The force kernel's chunk-size variations live beside it, in
+//! `mdsim`'s `force::tests`.
 
 use insitu::{run_paired, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{
-    compute_forces, compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams,
-    ForceScratch, MdEngine, NeighborList, PairTable,
+    compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams, ForceScratch,
+    MdEngine, NeighborList, PairTable,
 };
 
-/// Force evaluation on the 12 544-atom cell (dim 2 — comfortably above
-/// the kernel's parallel threshold), as raw bits.
-fn force_bits(threads: usize) -> (u64, u64, u64, Vec<u64>) {
-    par::with_threads(threads, || {
-        let mut sys = water_ion_box(2, 1.0, 99);
-        let params = ForceParams::default();
-        let table = PairTable::new();
-        let nl = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
-        let ev = compute_forces(&mut sys, &nl, params, &table);
-        let fbits =
-            sys.force.iter().flat_map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect();
-        (ev.potential.to_bits(), ev.virial.to_bits(), ev.pairs_evaluated, fbits)
-    })
+/// Force evaluation on the 12 544-atom cell (dim 2), as raw bits, over the
+/// pairs among its first `atoms` atoms: all of them make a list of many
+/// chunks, 400 a list under one chunk (32 768 pairs).
+fn force_bits(atoms: usize) -> (u64, u64, u64, Vec<u64>) {
+    let mut sys = water_ion_box(2, 1.0, 99);
+    let params = ForceParams::default();
+    let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
+    let nl = NeighborList::build(&sys.pos[..atoms], sys.box_len, params.cutoff, 0.4);
+    assert_eq!(nl.npairs() < 32_768, atoms == 400, "{atoms} atoms, {} pairs", nl.npairs());
+    let ev = compute_forces_into(&mut ForceScratch::new(), &mut sys, &nl, &coeffs, None);
+    let fbits =
+        sys.force.iter().flat_map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect();
+    (ev.potential.to_bits(), ev.virial.to_bits(), ev.pairs_evaluated, fbits)
 }
 
 #[test]
 fn force_eval_bit_identical_across_thread_counts() {
-    let serial = force_bits(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(serial, force_bits(threads), "force kernel drifted at T={threads}");
-    }
-}
-
-/// Force evaluation with an explicit chunk size, as raw bits. The chunk
-/// size *defines* the canonical reduction order, so different chunk sizes
-/// legitimately differ in the last ulp — but for any fixed chunk size,
-/// every thread count must reproduce the same bits.
-fn force_bits_chunked(threads: usize, chunk_pairs: usize) -> (u64, u64, u64, Vec<u64>) {
-    par::with_threads(threads, || {
-        let mut sys = water_ion_box(1, 1.0, 55);
-        let params = ForceParams::default();
-        let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
-        let nl = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
-        let mut scratch = ForceScratch::with_chunk_pairs(chunk_pairs);
-        let ev = compute_forces_into(&mut scratch, &mut sys, &nl, &coeffs, None);
-        let fbits =
-            sys.force.iter().flat_map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect();
-        (ev.potential.to_bits(), ev.virial.to_bits(), ev.pairs_evaluated, fbits)
-    })
-}
-
-#[test]
-fn force_eval_bit_identical_across_threads_and_chunk_sizes() {
-    // 5000 is deliberately not a multiple of the lane width, so every
-    // chunk ends in a partially-filled lane group.
-    for chunk_pairs in [1_024, 5_000, 16_384] {
-        let serial = force_bits_chunked(1, chunk_pairs);
-        for threads in [2, 4, 7] {
-            assert_eq!(
-                serial,
-                force_bits_chunked(threads, chunk_pairs),
-                "chunk={chunk_pairs} drifted at T={threads}"
-            );
+    for atoms in [12_544, 400] {
+        let serial = par::with_threads(1, || force_bits(atoms));
+        for threads in [2, 4, 8] {
+            let bits = par::with_threads(threads, || force_bits(atoms));
+            assert_eq!(serial, bits, "force kernel drifted at T={threads}, {atoms} atoms");
+        }
+        // Called from inside a width-4 region the kernel finds the pool
+        // busy and runs each of its regions on the calling thread.
+        let nested =
+            par::with_threads(4, || par::global().par_map_indexed(2, |_| force_bits(atoms)));
+        for bits in nested {
+            assert_eq!(serial, bits, "force kernel drifted inside a busy region, {atoms} atoms");
         }
     }
 }

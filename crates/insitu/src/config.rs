@@ -24,7 +24,8 @@ pub struct JobConfig {
     pub initial_analysis_cap_w: Option<f64>,
     /// Noise seed (job identity + run identity).
     pub seed: NoiseSeed,
-    /// Record 200 ms power traces (Figs. 1, 4, 5, 7); costs memory.
+    /// Record 200 ms power traces (Fig. 1's `fig1_trace` and the
+    /// `power_trace` example set it); costs memory.
     pub record_traces: bool,
     /// The machine model (a Theta node by default; a scaled config models
     /// finer power domains, e.g. per-half-socket co-location — §III).

@@ -301,7 +301,8 @@ macro_rules! event_schema {
                 }
             }
 
-            fn write_fields(&self, out: &mut String) {
+            /// Append every field as `,"key":value`, in wire order.
+            pub(crate) fn write_fields(&self, out: &mut String) {
                 match self {
                     $( Event::$V { $($f),* } => { $( write_field(out, stringify!($f), $f); )* } )*
                     Event::$BV(b) => { $( write_field(out, stringify!($bf), &b.$bf); )* }

@@ -26,8 +26,10 @@
 //!   the line on the [`json`] field cursor), so there is one event type
 //!   whether an event is emitted or read back from a file.
 //! - [`to_jsonl`] / [`chrome_trace`] — exporters: a JSONL event log and a
-//!   Chrome-trace (Perfetto) timeline with per-node cap/power counter
-//!   tracks and phase activity lanes.
+//!   Chrome-trace (Perfetto) timeline with phase activity lanes, per-node
+//!   cap/power counter tracks and controller counters. Every other event
+//!   (but `arrival` and `node_energy`) is an instant named by its JSONL
+//!   tag, its `args` written by the same schema writer as its JSONL line.
 //! - [`json`] — the workspace's one JSON value: its strict parser, and
 //!   the one writer every persisted document goes through
 //!   ([`json::Value::pretty`]).

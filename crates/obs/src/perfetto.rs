@@ -1,29 +1,40 @@
 //! Chrome-trace (Perfetto) export.
 //!
 //! Renders a recorded trace as the JSON object format understood by
-//! `chrome://tracing` and <https://ui.perfetto.dev>: each node becomes a
-//! process row with phase/wait activity spans and `cap_w` / `power_w`
-//! counter tracks, and controller-level happenings (sync boundaries,
-//! decisions, holds) land on a synthetic "controller" process. Machine
-//! and fleet traces contribute controller-row counter tracks too:
-//! `allocated_w` / `pool_w` from each governor epoch, `budget_w` from
-//! renormalizations, and a derived `jobs_running` gauge (+1 on job
-//! start/dispatch, −1 on completion, kill, retry, or failure).
-//! Timestamps are microseconds of **simulated** time, so the export is as
-//! deterministic as the trace itself.
+//! `chrome://tracing` and <https://ui.perfetto.dev>. Each node is a process
+//! row, and a synthetic "controller" row sorts after them. Timestamps are
+//! microseconds of **simulated** time, so the export is as deterministic
+//! as the trace itself.
+//!
+//! Only what has a timeline shape is drawn as one:
+//!
+//! - `phase` and `wait` are spans on their node's row;
+//! - `cap_request` (`cap_w`, at the actuation-effective time) and `sample`
+//!   (`power_w`) are node counters;
+//! - `sync_energy` (`sync_energy_j`), `machine_budget` (`allocated_w`,
+//!   `pool_w`) and `budget_renormalized` (`budget_w`) are controller
+//!   counters, and a derived `jobs_running` gauge steps +1 on a job start
+//!   or dispatch and −1 on a completion, kill, retry or failure.
+//!
+//! `arrival` and `node_energy` are left out. Every other event, the
+//! renormalization and the job events included, is one instant named by
+//! its JSONL tag, whose `args` are the event's own fields as the schema's
+//! writer prints them. `fault`, `recovery`, `node_excluded` and
+//! `sample_rejected` sit on their node's row, the rest on the controller
+//! row. A new schema row is therefore exported without an edit here.
 
 use crate::event::{Event, TraceEvent};
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-/// Synthetic pid for controller/runtime-level instant events, far above
-/// any plausible node id so node rows sort first.
+/// Synthetic pid of the controller row, far above any plausible node id
+/// so node rows sort first.
 const CONTROLLER_PID: usize = 1_000_000;
 
-/// One pre-rendered trace entry plus its sort key.
+/// One rendered trace entry plus its sort key.
 struct Entry {
     ts_ns: u64,
     pid: usize,
-    seq: usize,
     json: String,
 }
 
@@ -31,295 +42,122 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
-fn span(name: &str, pid: usize, start_ns: u64, end_ns: u64) -> String {
-    let dur = end_ns.saturating_sub(start_ns);
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"dur\":{}}}",
-        us(start_ns),
-        us(dur)
-    )
-}
+/// The entries rendered so far, in emission order.
+struct Timeline(Vec<Entry>);
 
-fn counter(name: &str, pid: usize, ts_ns: u64, value: f64) -> String {
-    let v = if value.is_finite() { value } else { 0.0 };
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{\"{name}\":{v}}}}}",
-        us(ts_ns)
-    )
-}
+impl Timeline {
+    /// Start an entry with the keys every kind shares; the caller appends
+    /// the rest and the closing brace.
+    fn open(&mut self, name: &str, ph: &str, pid: usize, ts_ns: u64) -> &mut String {
+        let mut json = String::with_capacity(128);
+        let ts = us(ts_ns);
+        let _ = write!(
+            json,
+            "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":0,\"ts\":{ts}"
+        );
+        let i = self.0.len();
+        self.0.push(Entry { ts_ns, pid, json });
+        &mut self.0[i].json
+    }
 
-fn instant(name: &str, pid: usize, ts_ns: u64, args: &str) -> String {
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{{args}}}}}",
-        us(ts_ns)
-    )
-}
+    fn span(&mut self, name: &str, pid: usize, start_ns: u64, end_ns: u64) {
+        let dur = us(end_ns.saturating_sub(start_ns));
+        let _ = write!(self.open(name, "X", pid, start_ns), ",\"dur\":{dur}}}");
+    }
 
-fn process_name(pid: usize, name: &str) -> String {
-    format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{name}\"}}}}"
-    )
-}
+    /// One counter sample; a non-finite value reads as 0.
+    fn counter(&mut self, name: &str, pid: usize, ts_ns: u64, value: f64) {
+        let v = if value.is_finite() { value } else { 0.0 };
+        let _ = write!(self.open(name, "C", pid, ts_ns), ",\"args\":{{\"{name}\":{v}}}}}");
+    }
 
-fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+    /// The event as an instant: its tag, and its fields as `args`.
+    fn instant(&mut self, ev: &Event, pid: usize, ts_ns: u64) {
+        let json = self.open(ev.tag(), "i", pid, ts_ns);
+        json.push_str(",\"s\":\"p\",\"args\":{");
+        let fields = json.len();
+        ev.write_fields(json);
+        // The writer puts a comma before every field, the first included.
+        if json[fields..].starts_with(',') {
+            json.remove(fields);
+        }
+        json.push_str("}}");
     }
 }
 
 /// Render `events` as a Chrome-trace JSON document.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let mut entries: Vec<Entry> = Vec::with_capacity(events.len());
-    let mut pids: BTreeSet<usize> = BTreeSet::new();
-    let mut controller_used = false;
-    // Derived jobs-in-flight counter for machine/fleet traces: +1 on
-    // start/dispatch, −1 when a job leaves the machine for any reason.
+    let mut t = Timeline(Vec::with_capacity(events.len()));
     let mut jobs_running: u64 = 0;
-    let push = |entries: &mut Vec<Entry>, ts_ns: u64, pid: usize, json: String| {
-        let seq = entries.len();
-        entries.push(Entry { ts_ns, pid, seq, json });
-    };
-
     for te in events {
         let t_ns = te.t.as_nanos();
         match &te.ev {
             Event::Phase { node, kind, start_ns, end_ns } => {
-                pids.insert(*node);
-                push(&mut entries, *start_ns, *node, span(kind, *node, *start_ns, *end_ns));
+                t.span(kind, *node, *start_ns, *end_ns)
             }
-            Event::Wait { node, start_ns, end_ns } => {
-                pids.insert(*node);
-                push(&mut entries, *start_ns, *node, span("wait", *node, *start_ns, *end_ns));
-            }
+            Event::Wait { node, start_ns, end_ns } => t.span("wait", *node, *start_ns, *end_ns),
             Event::CapRequest { node, granted_w, effective_ns, .. } => {
-                pids.insert(*node);
-                push(
-                    &mut entries,
-                    *effective_ns,
-                    *node,
-                    counter("cap_w", *node, *effective_ns, *granted_w),
-                );
+                t.counter("cap_w", *node, *effective_ns, *granted_w)
             }
-            Event::Sample { node, power_w, .. } => {
-                pids.insert(*node);
-                push(&mut entries, t_ns, *node, counter("power_w", *node, t_ns, *power_w));
-            }
-            Event::SyncStart { sync } => {
-                controller_used = true;
-                let args = format!("\"sync\":{sync}");
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("sync_start", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::SyncEnd { sync, overhead_s } => {
-                controller_used = true;
-                let args = format!("\"sync\":{sync},\"overhead_s\":{}", f(*overhead_s));
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("sync_end", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::Rendezvous { sync, slack, .. } => {
-                controller_used = true;
-                let args = format!("\"sync\":{sync},\"slack\":{}", f(*slack));
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("rendezvous", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::Decision(d) => {
-                controller_used = true;
-                let args = format!(
-                    "\"sync\":{},\"sim_node_w\":{},\"analysis_node_w\":{},\"clamped\":{}",
-                    d.sync,
-                    f(d.sim_node_w),
-                    f(d.analysis_node_w),
-                    d.clamped
-                );
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("decision", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::ControllerHold { sync, reason } => {
-                controller_used = true;
-                let args = format!("\"sync\":{sync},\"reason\":\"{reason}\"");
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("hold", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::ExchangeDone { sync, overhead_s, decided } => {
-                controller_used = true;
-                let args = format!(
-                    "\"sync\":{sync},\"overhead_s\":{},\"decided\":{decided}",
-                    f(*overhead_s)
-                );
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("exchange", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::AllocationHeld { sync } => {
-                controller_used = true;
-                let args = format!("\"sync\":{sync}");
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("allocation_held", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::BudgetRenormalized { budget_w } => {
-                controller_used = true;
-                let args = format!("\"budget_w\":{}", f(*budget_w));
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("budget_renormalized", CONTROLLER_PID, t_ns, &args),
-                );
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("budget_w", CONTROLLER_PID, t_ns, *budget_w),
-                );
-            }
-            Event::MonitorReelected { node, new_rank } => {
-                controller_used = true;
-                let args = format!("\"node\":{node},\"new_rank\":{new_rank}");
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    instant("monitor_reelected", CONTROLLER_PID, t_ns, &args),
-                );
-            }
-            Event::NodeExcluded { node } => {
-                pids.insert(*node);
-                push(&mut entries, t_ns, *node, instant("node_excluded", *node, t_ns, ""));
-            }
-            Event::SampleRejected { node } => {
-                pids.insert(*node);
-                push(&mut entries, t_ns, *node, instant("sample_rejected", *node, t_ns, ""));
-            }
-            Event::Fault { node, tag, .. } => {
-                pids.insert(*node);
-                let args = format!("\"tag\":\"{tag}\"");
-                push(&mut entries, t_ns, *node, instant("fault", *node, t_ns, &args));
-            }
-            Event::Recovery { node, tag, .. } => {
-                pids.insert(*node);
-                let args = format!("\"tag\":\"{tag}\"");
-                push(&mut entries, t_ns, *node, instant("recovery", *node, t_ns, &args));
-            }
-            Event::SyncEnergy { sync: _, energy_j } => {
-                controller_used = true;
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("sync_energy_j", CONTROLLER_PID, t_ns, *energy_j),
-                );
-            }
-            Event::Arrival { .. } | Event::RunStart { .. } | Event::RunEnd { .. } => {
-                // Arrivals are covered by the per-node wait spans and
-                // rendezvous instants; the run header/footer are audit
-                // context, not timeline content.
-            }
-            Event::NodeEnergy { .. } => {
-                // A whole-run scalar per node; no sensible timeline shape.
+            Event::Sample { node, power_w, .. } => t.counter("power_w", *node, t_ns, *power_w),
+            Event::SyncEnergy { energy_j, .. } => {
+                t.counter("sync_energy_j", CONTROLLER_PID, t_ns, *energy_j)
             }
             Event::MachineBudget { allocated_w, pool_w, .. } => {
-                controller_used = true;
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("allocated_w", CONTROLLER_PID, t_ns, *allocated_w),
-                );
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("pool_w", CONTROLLER_PID, t_ns, *pool_w),
-                );
+                t.counter("allocated_w", CONTROLLER_PID, t_ns, *allocated_w);
+                t.counter("pool_w", CONTROLLER_PID, t_ns, *pool_w);
             }
-            Event::JobStarted { .. } | Event::JobDispatched { .. } => {
-                controller_used = true;
-                jobs_running += 1;
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("jobs_running", CONTROLLER_PID, t_ns, jobs_running as f64),
-                );
-            }
-            Event::JobCompleted { .. }
-            | Event::JobKilled { .. }
-            | Event::JobRetry { .. }
-            | Event::JobFailed { .. } => {
-                controller_used = true;
-                jobs_running = jobs_running.saturating_sub(1);
-                push(
-                    &mut entries,
-                    t_ns,
-                    CONTROLLER_PID,
-                    counter("jobs_running", CONTROLLER_PID, t_ns, jobs_running as f64),
-                );
-            }
-            Event::MachineStart { .. }
-            | Event::JobArrived { .. }
-            | Event::FleetStart { .. }
-            | Event::MachineDown { .. }
-            | Event::MachineUp { .. }
-            | Event::JobMigrated { .. }
-            | Event::EnvelopeRenorm { .. } => {
-                // The remaining scheduling events have no per-node row and
-                // no counter shape; the JSONL trace carries them, the
-                // Perfetto view omits them.
+            // Arrivals are covered by the per-node wait spans and the
+            // rendezvous instants; a node's whole-run energy is one scalar
+            // with no timeline shape.
+            Event::Arrival { .. } | Event::NodeEnergy { .. } => {}
+            ev => {
+                let pid = match ev {
+                    Event::Fault { node, .. }
+                    | Event::Recovery { node, .. }
+                    | Event::NodeExcluded { node }
+                    | Event::SampleRejected { node } => *node,
+                    _ => CONTROLLER_PID,
+                };
+                t.instant(ev, pid, t_ns);
+                jobs_running = match ev {
+                    Event::JobStarted { .. } | Event::JobDispatched { .. } => jobs_running + 1,
+                    Event::JobCompleted { .. }
+                    | Event::JobKilled { .. }
+                    | Event::JobRetry { .. }
+                    | Event::JobFailed { .. } => jobs_running.saturating_sub(1),
+                    Event::BudgetRenormalized { budget_w } => {
+                        t.counter("budget_w", CONTROLLER_PID, t_ns, *budget_w);
+                        continue;
+                    }
+                    _ => continue,
+                };
+                t.counter("jobs_running", CONTROLLER_PID, t_ns, jobs_running as f64);
             }
         }
     }
 
-    // Stable order: by timestamp, then row, then original emission order —
-    // the monotone-ts invariant the round-trip test asserts.
-    entries.sort_by_key(|e| (e.ts_ns, e.pid, e.seq));
+    // By timestamp, then row; the sort is stable, so emission order breaks
+    // ties. Monotone `ts` is what the round-trip test asserts.
+    let mut entries = t.0;
+    entries.sort_by_key(|e| (e.ts_ns, e.pid));
+    let rows: BTreeSet<usize> = entries.iter().map(|e| e.pid).collect();
 
     let mut out = String::with_capacity(entries.len() * 96 + 256);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut emit = |out: &mut String, json: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(json);
-    };
-    for pid in &pids {
-        emit(&mut out, &process_name(*pid, &format!("node {pid}")));
-    }
-    if controller_used {
-        emit(&mut out, &process_name(CONTROLLER_PID, "controller"));
+    for pid in rows {
+        let name = if pid == CONTROLLER_PID { "controller".into() } else { format!("node {pid}") };
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{name}\"}}}},"
+        );
     }
     for e in &entries {
-        emit(&mut out, &e.json);
+        out.push_str(&e.json);
+        out.push(',');
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     out.push_str("]}");
     out
@@ -328,6 +166,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
     use des::SimTime;
 
     fn te(ns: u64, ev: Event) -> TraceEvent {
@@ -389,5 +228,39 @@ mod tests {
     #[test]
     fn empty_trace_is_still_a_document() {
         assert_eq!(chrome_trace(&[]), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
+    }
+
+    /// Each event exported alone: the skipped two yield nothing, every
+    /// other at least one entry, and each instant is the event's tag with
+    /// exactly its JSONL fields as `args`. Every mismatch is listed.
+    #[test]
+    fn every_instant_is_its_event_tag_and_fields() {
+        let mut bad = Vec::new();
+        for te in TraceEvent::one_of_each() {
+            let tag = te.ev.tag();
+            let doc = json::parse(&chrome_trace(std::slice::from_ref(&te))).expect("valid JSON");
+            let entries: Vec<&Value> = doc
+                .get("traceEvents")
+                .and_then(Value::as_arr)
+                .expect("traceEvents array")
+                .iter()
+                .filter(|e| e.get("ph").and_then(Value::as_str) != Some("M"))
+                .collect();
+            let skipped = matches!(te.ev, Event::Arrival { .. } | Event::NodeEnergy { .. });
+            if skipped != entries.is_empty() {
+                bad.push(format!("{tag}: {} entries", entries.len()));
+            }
+            let line = json::parse(&te.to_json_line()).expect("valid JSONL");
+            let fields =
+                line.as_obj().expect("object").iter().filter(|(k, _)| k != "t" && k != "ev");
+            let fields = Value::Obj(fields.cloned().collect());
+            for e in entries.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("i")) {
+                let name = e.get("name").and_then(Value::as_str);
+                if name != Some(tag) || e.get("args") != Some(&fields) {
+                    bad.push(format!("{tag}: instant {name:?} args {:?}", e.get("args")));
+                }
+            }
+        }
+        assert!(bad.is_empty(), "export differs from the schema:\n{}", bad.join("\n"));
     }
 }

@@ -53,15 +53,21 @@ stage "every committed artifact regenerates: repro --check at POLIMER_THREADS=4"
 POLIMER_THREADS=4 ./target/release/repro --check --quiet
 
 # The sweep rows again, audited and traced: their run documents are
-# committed too, and each trace is replayed below.
-stage "sweeps: repro <row> --check --audit --trace at POLIMER_THREADS=1 and 4"
+# committed too, and each trace is replayed below. Their Perfetto exports
+# carry the scheduler and fleet instants, and must not depend on the width
+# either: `trace_diff --artifact` parses both documents and compares them
+# exactly.
+stage "sweeps: repro <row> --check --audit --trace --trace-perfetto at POLIMER_THREADS=1 and 4"
 for t in 1 4; do
     for row in machine_sweep machine_sweep_theta fleet_sweep; do
         POLIMER_THREADS=$t ./target/release/repro "$row" --check --audit --quiet \
-            --trace "$c/$t/$row.jsonl"
+            --trace "$c/$t/$row.jsonl" --trace-perfetto "$c/$t/$row.perfetto.json"
     done
 done
 ./target/release/trace_diff "$c/1/fleet_sweep.jsonl" "$c/4/fleet_sweep.jsonl"
+for row in machine_sweep machine_sweep_theta fleet_sweep; do
+    ./target/release/trace_diff --artifact "$c/1/$row.perfetto.json" "$c/4/$row.perfetto.json"
+done
 
 stage "trace determinism: run_experiment JSONL + run document at POLIMER_THREADS=1 vs 4"
 for t in 1 4; do
@@ -154,4 +160,4 @@ done
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
 sh scripts/loc.sh || true
 
-echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt + rustdoc clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), examples run (width-invariant output)"
+echo "OK [${SECONDS} s, +$((SECONDS - mark)) s]: build + tests green, clippy + fmt + rustdoc clean, every committed artifact regenerated byte-identical (repro --check, at two widths for the sweeps), traces and Perfetto exports thread-count invariant (gated by trace_diff, self-tested), audits clean (file replay ≡ live), examples run (width-invariant output)"

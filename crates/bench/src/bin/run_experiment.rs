@@ -14,10 +14,11 @@
 //! prints the per-sync records as JSON. Unknown flags are a usage error.
 
 use bench::cli;
-use insitu::{improvement_pct, run_job_traced, run_paired_traced, JobConfig, RunResult};
+use insitu::{improvement_pct, run_job_traced, JobConfig, RunResult};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{AnalysisKind, AnalysisSchedule};
-use obs::Reporter;
+use obs::{Reporter, Tracer};
+use seesaw::UnknownController;
 use std::ops::RangeInclusive;
 
 const BIN: &str = "run_experiment";
@@ -128,7 +129,7 @@ fn main() {
             std::process::exit(2);
         };
         let r = if baseline && cfg.controller != "static" {
-            let (ctl, base) = run_paired_traced(&cfg, tracer).unwrap_or_else(|e| fail(e));
+            let (ctl, base) = run_pair(&cfg, tracer).unwrap_or_else(|e| fail(e));
             print_summary(&rep, &ctl, tracer);
             let imp = improvement_pct(base.total_time_s, ctl.total_time_s);
             rep.say(format!(
@@ -154,7 +155,20 @@ fn main() {
     }
 }
 
-fn print_summary(rep: &Reporter, r: &RunResult, tracer: &obs::Tracer) {
+/// `cfg`'s run and its paired static baseline (`JobConfig::static_baseline`,
+/// §VII-A), as two independent runs on the pool. Only the controller run
+/// carries `tracer`: the baseline's timeline is not the object of study,
+/// and one sink shared by concurrent runs would interleave their events.
+fn run_pair(cfg: &JobConfig, tracer: &Tracer) -> Result<(RunResult, RunResult), UnknownController> {
+    let runs = [(cfg.clone(), tracer.clone()), (cfg.static_baseline(), Tracer::off())];
+    let mut results = par::global()
+        .par_map_indexed(runs.len(), |i| run_job_traced(runs[i].0.clone(), &runs[i].1))
+        .into_iter();
+    let ctl = results.next().expect("two results")?;
+    Ok((ctl, results.next().expect("two results")?))
+}
+
+fn print_summary(rep: &Reporter, r: &RunResult, tracer: &Tracer) {
     let last = r.syncs.last().expect("at least one sync");
     rep.say(format!(
         "{}: total {:.1} s, energy {:.2} MJ, {} syncs, end caps S/A {:.1}/{:.1} W, late slack {:.1} %",
@@ -226,6 +240,46 @@ mod tests {
         );
         assert!(!o.baseline && o.dump_syncs && o.cfg.quiet_noise);
         assert!(o.common.quiet && o.common.audit && o.common.wants_trace());
+    }
+
+    fn quick_cfg(controller: &str) -> JobConfig {
+        let mut spec = WorkloadSpec::paper(16, 8, 1, &[AnalysisKind::Vacf]);
+        spec.total_steps = 40;
+        JobConfig::new(spec, controller)
+    }
+
+    /// Only the controller run writes to the pair's trace: what it records
+    /// is the controller run's own trace, byte for byte, at width 1 and 4.
+    #[test]
+    fn the_pair_traces_only_the_controller_run() {
+        let alone = Tracer::enabled();
+        run_job_traced(quick_cfg("seesaw"), &alone).unwrap();
+        let alone = alone.to_jsonl();
+        assert!(!alone.is_empty());
+        for threads in [1, 4] {
+            let tracer = Tracer::enabled();
+            let (ctl, base) =
+                par::with_threads(threads, || run_pair(&quick_cfg("seesaw"), &tracer)).unwrap();
+            assert!(tracer.to_jsonl() == alone, "pair trace differs at T={threads}");
+            assert_eq!((ctl.controller.as_str(), base.controller.as_str()), ("seesaw", "static"));
+        }
+    }
+
+    /// An off tracer records nothing, each run of the pair is the run
+    /// alone, bit for bit, and an unknown controller is the pair's error.
+    #[test]
+    fn an_untraced_pair_is_its_two_runs() {
+        let (cfg, off) = (quick_cfg("seesaw"), Tracer::off());
+        let (ctl, base) = run_pair(&cfg, &off).unwrap();
+        assert!(off.is_empty());
+        for (run, alone) in [(ctl, cfg.clone()), (base, cfg.static_baseline())] {
+            let alone = insitu::run_job(alone).unwrap();
+            assert_eq!(run.total_time_s.to_bits(), alone.total_time_s.to_bits());
+            assert_eq!(run.total_energy_j.to_bits(), alone.total_energy_j.to_bits());
+            assert_eq!(run.syncs, alone.syncs);
+        }
+        let err = run_pair(&quick_cfg("nonsense"), &off).expect_err("unknown controller");
+        assert_eq!(err.name, "nonsense");
     }
 
     /// Each of these used to reach an `assert!` (or an `expect`) in the

@@ -1731,25 +1731,6 @@ mod tests {
         }
     }
 
-    /// The pairing rule exists once: `JobConfig::static_baseline` is the
-    /// baseline `run_paired` runs, bit for bit, and what `paired` keys.
-    #[test]
-    fn the_baseline_rule_cannot_fork() {
-        let cfg = JobConfig::new(spec(true, 16, 8, 1, &[K::Vacf]), "seesaw").with_seed(7, 3);
-        let (ctl, base) = insitu::run_paired(&cfg).unwrap();
-        let keys = paired(&cfg, 1);
-        assert_eq!(keys, [RunKey::job(cfg.static_baseline()), RunKey::job(cfg.clone())]);
-        for (key, expected) in keys.iter().zip([&base, &ctl]) {
-            let run = key.run(&obs::Tracer::off());
-            let run = RunResult::of(&run);
-            assert_eq!(run.controller, expected.controller);
-            assert_eq!(run.total_time_s.to_bits(), expected.total_time_s.to_bits());
-            assert_eq!(run.total_energy_j.to_bits(), expected.total_energy_j.to_bits());
-            assert_eq!(run.syncs, expected.syncs);
-        }
-        assert_eq!(base.controller, "static");
-    }
-
     /// The sweep rows' representative runs — what `repro <row> --audit`
     /// observes — stream through the live invariant battery clean.
     #[test]

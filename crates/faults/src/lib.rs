@@ -155,7 +155,7 @@ pub struct RecoveryEvent {
 /// All fields are probabilities in `[0, 1]`. The default is all-zero
 /// (no faults). [`FaultIntensity::scaled`] gives the single-knob profile
 /// the `fault_sweep` experiment sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultIntensity {
     /// Probability a node crashes (at most one crash fires per node).
     pub node_crash: f64,
@@ -182,24 +182,6 @@ pub struct FaultIntensity {
     pub collective_timeout: f64,
 }
 
-impl Default for FaultIntensity {
-    fn default() -> Self {
-        FaultIntensity {
-            node_crash: 0.0,
-            straggler: 0.0,
-            rapl_stuck: 0.0,
-            rapl_delayed: 0.0,
-            rapl_write_error: 0.0,
-            sample_nan: 0.0,
-            sample_spike: 0.0,
-            sample_dropout: 0.0,
-            monitor_death: 0.0,
-            message_loss: 0.0,
-            collective_timeout: 0.0,
-        }
-    }
-}
-
 impl FaultIntensity {
     /// The `fault_sweep` profile: one knob `x ∈ [0, 1]` scaling a mixed
     /// workload of the paper-relevant fault kinds. At `x = 1` roughly
@@ -224,17 +206,7 @@ impl FaultIntensity {
     }
 
     fn is_zero(&self) -> bool {
-        self.node_crash == 0.0
-            && self.straggler == 0.0
-            && self.rapl_stuck == 0.0
-            && self.rapl_delayed == 0.0
-            && self.rapl_write_error == 0.0
-            && self.sample_nan == 0.0
-            && self.sample_spike == 0.0
-            && self.sample_dropout == 0.0
-            && self.monitor_death == 0.0
-            && self.message_loss == 0.0
-            && self.collective_timeout == 0.0
+        *self == Self::default()
     }
 }
 
@@ -245,6 +217,8 @@ impl FaultIntensity {
 /// a plan exists.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
+    /// Sync-major (ascending `sync`), which [`FaultPlan::events_at`]
+    /// bisects.
     events: Vec<FaultEvent>,
 }
 
@@ -338,11 +312,12 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Events firing at synchronization interval `sync`.
-    pub fn events_at(&self, sync: u64) -> impl Iterator<Item = &FaultEvent> {
-        // The plan is generated sync-major, so a partition point would be
-        // faster; plans are short (≤ a few hundred events), linear is fine.
-        self.events.iter().filter(move |e| e.sync == sync)
+    /// Events firing at synchronization interval `sync`: a slice of the
+    /// sync-major plan.
+    pub fn events_at(&self, sync: u64) -> &[FaultEvent] {
+        let start = self.events.partition_point(|e| e.sync < sync);
+        let end = self.events.partition_point(|e| e.sync <= sync);
+        &self.events[start..end]
     }
 }
 
@@ -466,7 +441,7 @@ impl MachineFaultIntensity {
     }
 
     fn is_zero(&self) -> bool {
-        self.crash == 0.0 && self.partition == 0.0 && self.slow == 0.0
+        *self == Self::default()
     }
 }
 
@@ -586,7 +561,7 @@ mod tests {
     fn empty_plan_is_free() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert_eq!(p.events_at(0).count(), 0);
+        assert_eq!(p.events_at(0).len(), 0);
         assert_eq!(FaultPlan::generate(1, &FaultIntensity::default(), 8, 100), p);
     }
 
@@ -629,10 +604,14 @@ mod tests {
             FaultEvent { sync: 2, node: 1, kind: FaultKind::RaplStuck },
             FaultEvent { sync: 0, node: 0, kind: FaultKind::SampleNan },
         ]);
-        assert_eq!(plan.events_at(0).count(), 1);
-        assert_eq!(plan.events_at(1).count(), 0);
-        assert_eq!(plan.events_at(2).count(), 1);
+        assert_eq!(plan.events_at(0).len(), 1);
+        assert_eq!(plan.events_at(1).len(), 0);
+        assert_eq!(plan.events_at(2).len(), 1);
         assert_eq!(plan.events[0].sync, 0, "from_events sorts");
+        // A generated plan is sync-major: its per-sync slices tile it.
+        let plan = FaultPlan::generate(3, &FaultIntensity::scaled(1.0), 16, 50);
+        let tiled: Vec<FaultEvent> = (0..50).flat_map(|k| plan.events_at(k).to_vec()).collect();
+        assert!(!tiled.is_empty() && tiled == plan.events);
     }
 
     #[test]

@@ -31,10 +31,7 @@ mod timeshared;
 pub use colocated::run_colocated;
 pub use config::JobConfig;
 pub use result::{improvement_pct, median, variability_pct, RunResult, SyncRecord};
-pub use runtime::{
-    build_controller, median_improvement, paired_improvement, run_job, run_job_traced, run_paired,
-    run_paired_traced, Runtime,
-};
+pub use runtime::{build_controller, run_job, run_job_traced, Runtime};
 pub use timeshared::run_time_shared;
 
 // Re-export the fault model so experiment drivers and tests can build
@@ -118,6 +115,13 @@ mod tests {
         spec
     }
 
+    /// Improvement of `cfg`'s run over its paired static baseline.
+    fn improvement_over_baseline(cfg: &JobConfig) -> f64 {
+        let base = run_job(cfg.static_baseline()).expect("static is a known controller");
+        let run = run_job(cfg.clone()).expect("known controller");
+        improvement_pct(base.total_time_s, run.total_time_s)
+    }
+
     #[test]
     fn unknown_controller_surfaces_as_typed_error() {
         let cfg = JobConfig::new(quick_spec(&[AnalysisKind::Vacf]), "bogus");
@@ -165,14 +169,14 @@ mod tests {
     #[test]
     fn seesaw_beats_static_on_low_demand_analysis() {
         let cfg = JobConfig::new(quick_spec(&[AnalysisKind::Vacf]), "seesaw");
-        let imp = paired_improvement(&cfg).expect("known controller");
+        let imp = improvement_over_baseline(&cfg);
         assert!(imp > 2.0, "seesaw should beat static on VACF, got {imp}%");
     }
 
     #[test]
     fn power_aware_never_helps_much() {
         let cfg = JobConfig::new(quick_spec(&[AnalysisKind::MsdFull]), "power-aware");
-        let imp = paired_improvement(&cfg).expect("known controller");
+        let imp = improvement_over_baseline(&cfg);
         assert!(imp < 5.0, "power-aware should not outperform, got {imp}%");
     }
 

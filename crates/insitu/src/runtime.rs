@@ -303,7 +303,7 @@ impl Runtime {
         let faults_before = self.fault_log.len();
         let recoveries_before = self.recovery_log.len();
         sc.events.clear();
-        sc.events.extend(self.cfg.faults.events_at(sync0).copied());
+        sc.events.extend_from_slice(self.cfg.faults.events_at(sync0));
         let sf = self.inject_faults(&sc.events);
         if self.tracer.is_enabled() {
             // Trace-side sync indices are uniformly 1-based (matching
@@ -689,65 +689,6 @@ pub fn run_job_traced(
     let mut rt = Runtime::new(cfg)?;
     rt.set_tracer(tracer);
     Ok(rt.run())
-}
-
-/// Run `controller` and the static baseline in the same "job" (identical
-/// placement — same job seed, consecutive run seeds, as the paper does to
-/// sidestep job-to-job variability, §VII-A). Returns
-/// `(controller result, baseline result)`.
-///
-/// The two runs are independent discrete-event simulations with disjoint
-/// RNG streams, so they execute on the shared worker pool; results come
-/// back slotted by index and errors are surfaced in controller-first
-/// order, matching the former serial code exactly.
-pub fn run_paired(cfg: &JobConfig) -> Result<(RunResult, RunResult), UnknownController> {
-    run_paired_traced(cfg, &obs::Tracer::off())
-}
-
-/// [`run_paired`] with a trace sink attached to the *controller* run (the
-/// static baseline runs untraced — its timeline is not the object of
-/// study, and sharing a sink across concurrent runs would interleave
-/// their events nondeterministically).
-pub fn run_paired_traced(
-    cfg: &JobConfig,
-    tracer: &obs::Tracer,
-) -> Result<(RunResult, RunResult), UnknownController> {
-    let cfgs = [cfg.clone(), cfg.static_baseline()];
-    let tracers = [tracer.clone(), obs::Tracer::off()];
-    let mut results = par::global()
-        .par_map_indexed(cfgs.len(), |i| {
-            let mut rt = Runtime::new(cfgs[i].clone())?;
-            rt.set_tracer(&tracers[i]);
-            Ok(rt.run())
-        })
-        .into_iter();
-    let ctl = results.next().expect("two results")?;
-    let base = results.next().expect("two results")?;
-    Ok((ctl, base))
-}
-
-/// Percentage improvement of `controller` over the paired static baseline
-/// for one job seed (positive = faster than static).
-pub fn paired_improvement(cfg: &JobConfig) -> Result<f64, UnknownController> {
-    let (ctl, base) = run_paired(cfg)?;
-    Ok(crate::result::improvement_pct(base.total_time_s, ctl.total_time_s))
-}
-
-/// Median paired improvement over `runs` different jobs (the paper reports
-/// the median of 3). Jobs are dispatched across the worker pool (each
-/// paired run inside then falls back to serial — the pool rejects nested
-/// use); the error short-circuit walks results in ascending run order, so
-/// the returned error matches the serial loop's.
-pub fn median_improvement(cfg: &JobConfig, runs: u64) -> Result<f64, UnknownController> {
-    let vals: Result<Vec<f64>, UnknownController> = par::global()
-        .par_map_indexed(runs as usize, |r| {
-            let mut c = cfg.clone();
-            c.seed.job = cfg.seed.job + 1000 * r as u64;
-            paired_improvement(&c)
-        })
-        .into_iter()
-        .collect();
-    Ok(crate::result::median(&vals?))
 }
 
 #[cfg(test)]

@@ -166,6 +166,25 @@ mod tests {
         assert_eq!(pairs as usize, e.nl.npairs());
     }
 
+    /// A 25-step velocity-Verlet trajectory (neighbor rebuilds included),
+    /// as raw position bits: any single-ulp force difference compounds and
+    /// shows up here.
+    #[test]
+    fn trajectory_bit_identical_across_thread_counts() {
+        let trajectory = |threads| {
+            par::with_threads(threads, || {
+                let mut e = MdEngine::water_ion_benchmark(1, 123);
+                for _ in 0..25 {
+                    e.step();
+                }
+                let pos = &e.system.pos;
+                pos.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+            })
+        };
+        let serial: Vec<u64> = trajectory(1);
+        assert!(serial == trajectory(8), "trajectory drifted at T=8");
+    }
+
     #[test]
     fn thermo_step_tracks_engine() {
         let mut e = MdEngine::water_ion_benchmark(1, 75);

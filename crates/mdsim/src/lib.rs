@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod alloc_probe;
 pub mod analysis;
 mod cell_list;
 mod engine;

@@ -30,9 +30,10 @@
 //! pays only over items worth a millisecond together. Callers own that
 //! grain — `par` never guesses item cost: `mdsim::force` hands over
 //! 32 768-pair chunks and 4 096-atom merge ranges (a list of one chunk
-//! is a one-item region, which runs on the caller), the experiment
-//! drivers hand over whole runs, and `sched`, whose epochs are tens of
-//! microseconds, does not enter one.
+//! is a one-item region, which runs on the caller), `repro`'s batch and
+//! `run_experiment`'s controller/baseline pair hand over whole runs, and
+//! neither `sched`, whose epochs are tens of microseconds, nor an
+//! `insitu::Runtime` enters one.
 //!
 //! Nested use is *rejected*: a `par_*` call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)

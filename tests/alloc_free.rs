@@ -1,7 +1,7 @@
 //! Zero-allocation gate for the MD hot path and the sync stepper.
 //!
-//! This test binary registers [`mdsim::alloc_probe::CountingAlloc`] as its
-//! global allocator (its own process, so the counter sees nothing else)
+//! This test binary registers [`CountingAlloc`] as its global allocator
+//! (its own process, so the counter sees nothing else)
 //! and asserts that the warmed hot paths — force evaluation through
 //! caller-owned scratch, in-place neighbor rebuilds, and whole engine
 //! steps — perform **zero** heap allocations at one thread. At higher
@@ -38,7 +38,6 @@
 
 use audit::{StreamAuditor, TraceDiffer};
 use insitu::{build_controller, run_job_traced, JobConfig, Runtime};
-use mdsim::alloc_probe::{allocations, CountingAlloc};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{
     analysis, compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams,
@@ -46,8 +45,44 @@ use mdsim::{
 };
 use obs::{Event, TraceEvent, Tracer};
 use seesaw::{Allocation, Controller, SyncObservation};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Pass-through to the system allocator that counts allocation requests
+/// (`alloc`, `alloc_zeroed`, `realloc`) process-wide — exactly the signal
+/// a "no allocation after warmup" gate needs; frees are not counted.
+struct CountingAlloc;
+
+// SAFETY: pure pass-through to the system allocator; the counter has no
+// effect on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocation requests observed so far (monotonic).
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 /// Delegates to a controller and counts the allocations it decides on.
 struct CountDecisions(Box<dyn Controller>, Arc<AtomicU64>);

@@ -1,9 +1,10 @@
 //! Integration tests for the §VIII future-work extensions and the §III
 //! alternative execution modes, run through the full coupled stack.
 
-use insitu::{
-    improvement_pct, paired_improvement, run_colocated, run_job, run_time_shared, JobConfig,
-};
+mod common;
+
+use common::improvement_over_baseline;
+use insitu::{improvement_pct, run_colocated, run_job, run_time_shared, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
 
@@ -18,9 +19,8 @@ fn spec(dim: u32, nodes: usize, steps: u64, kinds: &[K]) -> WorkloadSpec {
 #[test]
 fn hierarchical_matches_or_beats_plain_seesaw() {
     let s = spec(36, 32, 80, &[K::Vacf]);
-    let plain = paired_improvement(&JobConfig::new(s.clone(), "seesaw")).expect("known controller");
-    let hier =
-        paired_improvement(&JobConfig::new(s, "hierarchical-seesaw")).expect("known controller");
+    let plain = improvement_over_baseline(&JobConfig::new(s.clone(), "seesaw"));
+    let hier = improvement_over_baseline(&JobConfig::new(s, "hierarchical-seesaw"));
     assert!(
         hier > plain - 2.0,
         "hierarchical should not regress: plain {plain:.2} %, hierarchical {hier:.2} %"

@@ -3,7 +3,10 @@
 //! controller). Sizes are reduced from the paper's 400 steps to keep debug
 //! CI fast; every assertion is a *shape* claim, not an absolute number.
 
-use insitu::{improvement_pct, paired_improvement, run_job, JobConfig};
+mod common;
+
+use common::improvement_over_baseline;
+use insitu::{improvement_pct, run_job, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind as K;
 
@@ -24,7 +27,7 @@ fn seesaw_always_improves() {
         (36, vec![K::Rdf, K::Msd1d, K::Msd2d, K::Vacf]),
     ] {
         let cfg = JobConfig::new(spec(dim, 32, 80, &kinds), "seesaw");
-        let imp = paired_improvement(&cfg).expect("known controller");
+        let imp = improvement_over_baseline(&cfg);
         assert!(imp > 0.0, "{kinds:?}: SeeSAw regressed ({imp:.2} %)");
     }
 }
@@ -35,7 +38,7 @@ fn seesaw_always_improves() {
 fn power_aware_never_wins() {
     for (dim, kinds) in [(36, vec![K::Vacf]), (16, vec![K::MsdFull])] {
         let cfg = JobConfig::new(spec(dim, 32, 80, &kinds), "power-aware");
-        let imp = paired_improvement(&cfg).expect("known controller");
+        let imp = improvement_over_baseline(&cfg);
         assert!(imp < 3.0, "{kinds:?}: power-aware won ({imp:.2} %)?");
     }
 }
@@ -45,8 +48,8 @@ fn power_aware_never_wins() {
 #[test]
 fn seesaw_beats_time_aware_on_full_msd() {
     let s = spec(16, 64, 100, &[K::MsdFull]);
-    let see = paired_improvement(&JobConfig::new(s.clone(), "seesaw")).expect("known controller");
-    let ta = paired_improvement(&JobConfig::new(s, "time-aware")).expect("known controller");
+    let see = improvement_over_baseline(&JobConfig::new(s.clone(), "seesaw"));
+    let ta = improvement_over_baseline(&JobConfig::new(s, "time-aware"));
     assert!(see > ta, "seesaw {see:.2} % must beat time-aware {ta:.2} %");
     assert!(ta < 1.0, "time-aware should not profit from MSD, got {ta:.2} %");
 }
@@ -119,8 +122,9 @@ fn unbalanced_starts_are_recovered() {
 fn improvement_peaks_at_tight_but_feasible_budgets() {
     let kinds = [K::MsdFull, K::Rdf, K::Msd1d, K::Msd2d, K::Vacf];
     let imp_at = |cap: f64| {
-        paired_improvement(&JobConfig::new(spec(16, 32, 60, &kinds), "seesaw").with_budget(cap))
-            .expect("known controller")
+        improvement_over_baseline(
+            &JobConfig::new(spec(16, 32, 60, &kinds), "seesaw").with_budget(cap),
+        )
     };
     let at_min = imp_at(98.0);
     let at_sweet = imp_at(112.0);
@@ -154,7 +158,7 @@ fn infrequent_syncs_cap_the_benefit() {
     let imp_j = |j: u64| {
         let mut s = WorkloadSpec::paper(36, 32, j, &kinds);
         s.total_steps = 120;
-        paired_improvement(&JobConfig::new(s, "seesaw")).expect("known controller")
+        improvement_over_baseline(&JobConfig::new(s, "seesaw"))
     };
     let frequent = imp_j(1);
     let rare = imp_j(40);

@@ -11,10 +11,7 @@
 //! parse under [`audit::json`] with monotone timestamps.
 
 use audit::StreamAuditor;
-use insitu::{
-    run_job, run_job_traced, run_paired, run_paired_traced, FaultEvent, FaultKind, FaultPlan,
-    JobConfig,
-};
+use insitu::{run_job, run_job_traced, FaultEvent, FaultKind, FaultPlan, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
 use obs::{chrome_trace, TraceEvent, Tracer};
@@ -50,20 +47,6 @@ fn jsonl_trace_byte_identical_across_repeats() {
 }
 
 #[test]
-fn paired_trace_byte_identical_across_thread_counts() {
-    let paired = |threads: usize| {
-        par::with_threads(threads, || {
-            let tracer = Tracer::enabled();
-            run_paired_traced(&quick_cfg("seesaw"), &tracer).expect("known controller");
-            tracer.to_jsonl()
-        })
-    };
-    let serial = paired(1);
-    assert!(!serial.is_empty());
-    assert_eq!(serial, paired(4), "paired trace drifted at T=4");
-}
-
-#[test]
 fn tracing_has_zero_behavioural_footprint() {
     // The traced run must compute bit-for-bit the same result as the
     // untraced run: tracing only observes, never perturbs.
@@ -72,9 +55,9 @@ fn tracing_has_zero_behavioural_footprint() {
     assert_eq!(plain.total_time_s.to_bits(), traced.total_time_s.to_bits());
     assert_eq!(plain.total_energy_j.to_bits(), traced.total_energy_j.to_bits());
     assert_eq!(plain.syncs, traced.syncs);
-    // And run_paired's default path is the off-tracer path.
-    let (ctl, _) = run_paired(&quick_cfg("seesaw")).expect("known controller");
-    assert_eq!(ctl.total_time_s.to_bits(), plain.total_time_s.to_bits());
+    // And run_job's default path is the off-tracer path.
+    let off = run_job_traced(quick_cfg("seesaw"), &Tracer::off()).expect("known controller");
+    assert_eq!(off.total_time_s.to_bits(), plain.total_time_s.to_bits());
 }
 
 #[test]

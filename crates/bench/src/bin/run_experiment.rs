@@ -159,7 +159,9 @@ fn main() {
 /// §VII-A), as two independent runs on the pool. Only the controller run
 /// carries `tracer`: the baseline's timeline is not the object of study,
 /// and one sink shared by concurrent runs would interleave their events.
+/// An unknown controller is reported before either run starts.
 fn run_pair(cfg: &JobConfig, tracer: &Tracer) -> Result<(RunResult, RunResult), UnknownController> {
+    insitu::build_controller(cfg)?;
     let runs = [(cfg.clone(), tracer.clone()), (cfg.static_baseline(), Tracer::off())];
     let mut results = par::global()
         .par_map_indexed(runs.len(), |i| run_job_traced(runs[i].0.clone(), &runs[i].1))
@@ -279,6 +281,17 @@ mod tests {
             assert_eq!(run.syncs, alone.syncs);
         }
         let err = run_pair(&quick_cfg("nonsense"), &off).expect_err("unknown controller");
+        assert_eq!(err.name, "nonsense");
+    }
+
+    /// The controller is checked before the pair is dispatched: the
+    /// baseline of a job no run can be built from (no simulation nodes)
+    /// would panic, and would cost a whole run on a large one.
+    #[test]
+    fn an_unknown_controller_fails_before_either_run() {
+        let mut cfg = quick_cfg("nonsense");
+        cfg.workload.sim_nodes = 0;
+        let err = run_pair(&cfg, &Tracer::off()).expect_err("unknown controller");
         assert_eq!(err.name, "nonsense");
     }
 

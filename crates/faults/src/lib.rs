@@ -15,12 +15,17 @@
 //! | `polimer`   | sample aggregation, monitor rank       | [`FaultKind::SampleNan`], [`FaultKind::SampleSpike`], [`FaultKind::SampleDropout`], [`FaultKind::MonitorDeath`] |
 //! | `rapl`      | sysfs writes (mock FS)                 | [`FaultKind::RaplWriteError`] |
 //!
+//! Node faults per synchronization interval ([`FaultPlan`]), job kills per
+//! scheduler epoch ([`JobFaultPlan`]) and machine faults per fleet epoch
+//! ([`MachineFaultPlan`]) are one tick-major [`Plan`] type: each layer
+//! reads one tick's events as a slice through [`Plan::at`].
+//!
 //! Two invariants the rest of the workspace relies on:
 //!
 //! 1. **Determinism** — the same `(seed, intensity, nodes, syncs)` tuple
 //!    always yields the same plan, so a faulty run is exactly replayable
 //!    (`scripts/verify.sh` diffs two `repro fault_sweep` runs byte-for-byte).
-//! 2. **Happy-path transparency** — an empty plan ([`FaultPlan::none`])
+//! 2. **Happy-path transparency** — an empty plan ([`Plan::none`])
 //!    injects nothing and perturbs no RNG stream, so runs with faults
 //!    disabled are byte-identical to a build without this crate.
 //!
@@ -210,30 +215,63 @@ impl FaultIntensity {
     }
 }
 
+/// A fault a [`Plan`] schedules: it fires at one tick (a synchronization
+/// interval or a scheduling epoch) against one target (a node, a job or a
+/// machine).
+pub trait PlanEvent {
+    /// `(tick, target)`, the plan's sort key.
+    fn key(&self) -> (u64, usize);
+}
+
+impl PlanEvent for FaultEvent {
+    fn key(&self) -> (u64, usize) {
+        (self.sync, self.node)
+    }
+}
+
 /// A fully materialized, replayable fault schedule.
 ///
 /// Generated up front so injection never draws from the simulation's RNG
 /// streams — the happy path's random sequence is untouched whether or not
-/// a plan exists.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    /// Sync-major (ascending `sync`), which [`FaultPlan::events_at`]
-    /// bisects.
-    events: Vec<FaultEvent>,
+/// a plan exists. Generation is deterministic in all arguments, and the
+/// empty plan injects nothing. Each layer reads its tick's events through
+/// [`Plan::at`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan<E> {
+    /// Tick-major (ascending tick), which [`Plan::at`] bisects.
+    events: Vec<E>,
 }
 
-impl FaultPlan {
+impl<E: PlanEvent> Plan<E> {
     /// The empty plan: injects nothing, costs nothing.
     pub fn none() -> Self {
-        FaultPlan::default()
+        Plan { events: Vec::new() }
     }
 
     /// Build a plan from an explicit event list (tests, bespoke scenarios).
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.sync, e.node));
-        FaultPlan { events }
+    pub fn from_events(mut events: Vec<E>) -> Self {
+        events.sort_by_key(E::key);
+        Plan { events }
     }
 
+    /// True if the plan injects nothing (the happy path).
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Events firing at tick `tick`, in plan order: a slice of the
+    /// tick-major plan.
+    pub fn at(&self, tick: u64) -> &[E] {
+        let start = self.events.partition_point(|e| e.key().0 < tick);
+        let end = self.events.partition_point(|e| e.key().0 <= tick);
+        &self.events[start..end]
+    }
+}
+
+/// Node faults, one tick per synchronization interval.
+pub type FaultPlan = Plan<FaultEvent>;
+
+impl FaultPlan {
     /// Generate a plan for a `nodes`-node job over `syncs` intervals.
     ///
     /// Deterministic in all arguments. Node crashes and monitor deaths
@@ -241,7 +279,7 @@ impl FaultPlan {
     /// monitor does not die again in this model).
     pub fn generate(seed: u64, intensity: &FaultIntensity, nodes: usize, syncs: u64) -> Self {
         if intensity.is_zero() || nodes == 0 || syncs == 0 {
-            return FaultPlan::none();
+            return Plan::none();
         }
         // Domain-separated from every simulation stream: the plan has its
         // own root, so identical seeds elsewhere cannot correlate with it.
@@ -304,20 +342,7 @@ impl FaultPlan {
                 }
             }
         }
-        FaultPlan { events }
-    }
-
-    /// True if the plan injects nothing (the happy path).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events firing at synchronization interval `sync`: a slice of the
-    /// sync-major plan.
-    pub fn events_at(&self, sync: u64) -> &[FaultEvent] {
-        let start = self.events.partition_point(|e| e.sync < sync);
-        let end = self.events.partition_point(|e| e.sync <= sync);
-        &self.events[start..end]
+        Plan { events }
     }
 }
 
@@ -331,32 +356,22 @@ pub struct JobFault {
     pub job: usize,
 }
 
-/// A replayable schedule of job kills for the machine-level scheduler.
-///
-/// Same invariants as [`FaultPlan`]: generation is deterministic in all
-/// arguments, and the empty plan injects nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JobFaultPlan {
-    events: Vec<JobFault>,
+impl PlanEvent for JobFault {
+    fn key(&self) -> (u64, usize) {
+        (self.epoch, self.job)
+    }
 }
 
+/// Job kills for the machine-level scheduler, one tick per scheduling
+/// epoch.
+pub type JobFaultPlan = Plan<JobFault>;
+
 impl JobFaultPlan {
-    /// The empty plan.
-    pub fn none() -> Self {
-        JobFaultPlan::default()
-    }
-
-    /// Build from an explicit kill list (tests, bespoke scenarios).
-    pub fn from_events(mut events: Vec<JobFault>) -> Self {
-        events.sort_by_key(|e| (e.epoch, e.job));
-        JobFaultPlan { events }
-    }
-
     /// Generate kills for `jobs` jobs over `epochs` scheduling epochs,
     /// each job dying at most once with per-epoch probability `kill_prob`.
     pub fn generate(seed: u64, jobs: usize, epochs: u64, kill_prob: f64) -> Self {
         if kill_prob <= 0.0 || jobs == 0 || epochs == 0 {
-            return JobFaultPlan::none();
+            return Plan::none();
         }
         // Domain-separated from both the node-fault plans and every
         // simulation stream.
@@ -371,12 +386,7 @@ impl JobFaultPlan {
                 }
             }
         }
-        JobFaultPlan { events }
-    }
-
-    /// Jobs killed at scheduling epoch `epoch`.
-    pub fn kills_at(&self, epoch: u64) -> impl Iterator<Item = usize> + '_ {
-        self.events.iter().filter(move |e| e.epoch == epoch).map(|e| e.job)
+        Plan { events }
     }
 }
 
@@ -445,31 +455,19 @@ impl MachineFaultIntensity {
     }
 }
 
-/// A replayable schedule of machine-level faults for the fleet scheduler.
-///
-/// Same invariants as [`FaultPlan`]: generation is deterministic in all
-/// arguments, the plan is materialized up front so injection never draws
-/// from a simulation RNG stream, and the empty plan injects nothing. At
+impl PlanEvent for MachineFault {
+    fn key(&self) -> (u64, usize) {
+        (self.epoch, self.machine)
+    }
+}
+
+/// Machine faults for the fleet scheduler, one tick per fleet epoch. At
 /// most one fault is active per machine at a time (a partitioned machine
 /// does not also slow down mid-outage), and a crashed machine schedules
 /// nothing further.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MachineFaultPlan {
-    events: Vec<MachineFault>,
-}
+pub type MachineFaultPlan = Plan<MachineFault>;
 
 impl MachineFaultPlan {
-    /// The empty plan.
-    pub fn none() -> Self {
-        MachineFaultPlan::default()
-    }
-
-    /// Build from an explicit fault list (tests, bespoke scenarios).
-    pub fn from_events(mut events: Vec<MachineFault>) -> Self {
-        events.sort_by_key(|e| (e.epoch, e.machine));
-        MachineFaultPlan { events }
-    }
-
     /// Generate a storm for `machines` machines over `epochs` fleet
     /// epochs. Deterministic in all arguments.
     pub fn generate(
@@ -479,7 +477,7 @@ impl MachineFaultPlan {
         epochs: u64,
     ) -> Self {
         if intensity.is_zero() || machines == 0 || epochs == 0 {
-            return MachineFaultPlan::none();
+            return Plan::none();
         }
         // Domain-separated from the node-level and job-level plans and
         // from every simulation stream.
@@ -520,12 +518,7 @@ impl MachineFaultPlan {
                 }
             }
         }
-        MachineFaultPlan { events }
-    }
-
-    /// Faults firing at fleet epoch `epoch`.
-    pub fn faults_at(&self, epoch: u64) -> impl Iterator<Item = &MachineFault> {
-        self.events.iter().filter(move |e| e.epoch == epoch)
+        Plan { events }
     }
 }
 
@@ -551,9 +544,10 @@ mod tests {
             JobFault { epoch: 3, job: 1 },
             JobFault { epoch: 0, job: 2 },
         ]);
-        assert_eq!(plan.kills_at(0).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(plan.kills_at(3).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(plan.kills_at(1).count(), 0);
+        let kills_at = |epoch| plan.at(epoch).iter().map(|k| k.job).collect::<Vec<_>>();
+        assert_eq!(kills_at(0), vec![2]);
+        assert_eq!(kills_at(3), vec![1]);
+        assert_eq!(plan.at(1).len(), 0);
         assert_eq!(plan.events[0].epoch, 0, "from_events sorts");
     }
 
@@ -561,7 +555,7 @@ mod tests {
     fn empty_plan_is_free() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert_eq!(p.events_at(0).len(), 0);
+        assert_eq!(p.at(0).len(), 0);
         assert_eq!(FaultPlan::generate(1, &FaultIntensity::default(), 8, 100), p);
     }
 
@@ -604,13 +598,13 @@ mod tests {
             FaultEvent { sync: 2, node: 1, kind: FaultKind::RaplStuck },
             FaultEvent { sync: 0, node: 0, kind: FaultKind::SampleNan },
         ]);
-        assert_eq!(plan.events_at(0).len(), 1);
-        assert_eq!(plan.events_at(1).len(), 0);
-        assert_eq!(plan.events_at(2).len(), 1);
+        assert_eq!(plan.at(0).len(), 1);
+        assert_eq!(plan.at(1).len(), 0);
+        assert_eq!(plan.at(2).len(), 1);
         assert_eq!(plan.events[0].sync, 0, "from_events sorts");
         // A generated plan is sync-major: its per-sync slices tile it.
         let plan = FaultPlan::generate(3, &FaultIntensity::scaled(1.0), 16, 50);
-        let tiled: Vec<FaultEvent> = (0..50).flat_map(|k| plan.events_at(k).to_vec()).collect();
+        let tiled: Vec<FaultEvent> = (0..50).flat_map(|k| plan.at(k).to_vec()).collect();
         assert!(!tiled.is_empty() && tiled == plan.events);
     }
 
@@ -665,8 +659,55 @@ mod tests {
             MachineFault { epoch: 2, machine: 0, kind: MachineFaultKind::Partition { epochs: 3 } },
         ]);
         assert_eq!(plan.events[0].epoch, 2, "from_events sorts");
-        assert_eq!(plan.faults_at(5).count(), 1);
-        assert_eq!(plan.faults_at(3).count(), 0);
+        assert_eq!(plan.at(5).len(), 1);
+        assert_eq!(plan.at(3).len(), 0);
         assert_eq!(plan.events.len(), 2);
+    }
+
+    /// Every tick's slice is the whole-plan filter for that tick, and the
+    /// slices, concatenated in tick order, are the plan.
+    fn assert_slices_tile<E: PlanEvent + Clone + PartialEq + std::fmt::Debug>(plan: &Plan<E>) {
+        assert!(!plan.is_empty());
+        let last = plan.events.last().map_or(0, |e| e.key().0);
+        let mut tiled = Vec::new();
+        for tick in 0..=last + 1 {
+            let filtered: Vec<E> =
+                plan.events.iter().filter(|e| e.key().0 == tick).cloned().collect();
+            assert_eq!(plan.at(tick), filtered.as_slice(), "tick {tick}");
+            tiled.extend_from_slice(plan.at(tick));
+        }
+        assert_eq!(tiled, plan.events);
+    }
+
+    #[test]
+    fn every_plan_kind_is_tiled_by_its_tick_slices() {
+        assert_slices_tile(&FaultPlan::generate(3, &FaultIntensity::scaled(1.0), 16, 50));
+        assert_slices_tile(&FaultPlan::from_events(vec![
+            FaultEvent { sync: 4, node: 2, kind: FaultKind::RaplStuck },
+            FaultEvent { sync: 1, node: 3, kind: FaultKind::SampleNan },
+            FaultEvent { sync: 4, node: 0, kind: FaultKind::MessageLoss },
+            FaultEvent { sync: 1, node: 1, kind: FaultKind::SampleDropout },
+        ]));
+        assert_slices_tile(&JobFaultPlan::generate(11, 6, 40, 0.1));
+        assert_slices_tile(&JobFaultPlan::from_events(vec![
+            JobFault { epoch: 7, job: 0 },
+            JobFault { epoch: 2, job: 5 },
+            JobFault { epoch: 2, job: 1 },
+        ]));
+        assert_slices_tile(&MachineFaultPlan::generate(
+            11,
+            &MachineFaultIntensity::storm(1.0),
+            4,
+            200,
+        ));
+        assert_slices_tile(&MachineFaultPlan::from_events(vec![
+            MachineFault { epoch: 9, machine: 2, kind: MachineFaultKind::Crash },
+            MachineFault { epoch: 3, machine: 1, kind: MachineFaultKind::Partition { epochs: 2 } },
+            MachineFault {
+                epoch: 3,
+                machine: 0,
+                kind: MachineFaultKind::Slow { factor: 2.0, epochs: 3 },
+            },
+        ]));
     }
 }

@@ -194,6 +194,16 @@ struct JobTrack {
     phase: Phase,
 }
 
+impl JobTrack {
+    /// Fold one attempt's checkpointed progress — `(completed syncs,
+    /// energy in joules, simulated job time in seconds)` — into the ledger.
+    fn bank(&mut self, (syncs, energy_j, time_s): (u64, f64, f64)) {
+        self.synced += syncs;
+        self.energy_j += energy_j;
+        self.job_time_s += time_s;
+    }
+}
+
 /// The fleet scheduler. See the module docs for the model.
 pub struct Fleet {
     spec: FleetSpec,
@@ -336,7 +346,7 @@ impl Fleet {
         let mut membership_changed = e == 0;
 
         // 1. Machine faults scheduled for this epoch.
-        for f in self.plan.faults_at(e) {
+        for f in self.plan.at(e) {
             let m = &mut self.members[f.machine];
             match f.kind {
                 MachineFaultKind::Crash => m.crashed = true,
@@ -386,9 +396,7 @@ impl Fleet {
                 let job = self.members[i].slots[ev.job];
                 let t = &mut self.jobs[job];
                 debug_assert!(matches!(t.phase, Phase::Running { machine, .. } if machine == i));
-                t.synced += ev.completed_syncs;
-                t.energy_j += ev.energy_j;
-                t.job_time_s += ev.job_time_s;
+                t.bank((ev.completed_syncs, ev.energy_j, ev.job_time_s));
                 self.retry_or_fail(job, e);
             }
         }
@@ -478,11 +486,8 @@ impl Fleet {
             let Phase::Running { machine, slot } = self.jobs[job].phase else { continue };
             match self.members[machine].sched.job_state(slot) {
                 JobState::Completed => {
-                    let (syncs, energy_j, time_s) = self.members[machine].sched.job_progress(slot);
                     let t = &mut self.jobs[job];
-                    t.synced += syncs;
-                    t.energy_j += energy_j;
-                    t.job_time_s += time_s;
+                    t.bank(self.members[machine].sched.job_progress(slot));
                     t.phase = Phase::Completed;
                     let time_s = t.job_time_s;
                     self.emit(Event::JobCompleted { job, time_s });
@@ -492,11 +497,7 @@ impl Fleet {
                 // fleet treats it like an eviction with whatever
                 // checkpoint the member banked.
                 JobState::Killed | JobState::Rejected => {
-                    let (syncs, energy_j, time_s) = self.members[machine].sched.job_progress(slot);
-                    let t = &mut self.jobs[job];
-                    t.synced += syncs;
-                    t.energy_j += energy_j;
-                    t.job_time_s += time_s;
+                    self.jobs[job].bank(self.members[machine].sched.job_progress(slot));
                     self.retry_or_fail(job, e);
                 }
                 _ => {}
@@ -589,11 +590,7 @@ impl Fleet {
             match t.phase {
                 Phase::Completed | Phase::Failed => continue,
                 Phase::Running { machine, slot } => {
-                    let (syncs, energy_j, time_s) = self.members[machine].sched.job_progress(slot);
-                    let t = &mut self.jobs[job];
-                    t.synced += syncs;
-                    t.energy_j += energy_j;
-                    t.job_time_s += time_s;
+                    self.jobs[job].bank(self.members[machine].sched.job_progress(slot));
                 }
                 Phase::NotArrived | Phase::Pending { .. } => {}
             }

@@ -17,7 +17,8 @@
 //!
 //! Everything is a pure function of the spec, the seeded
 //! [`JobStream`], and the materialized
-//! [`faults::MachineFaultPlan`] — byte-identical at any
+//! [`faults::MachineFaultPlan`] (read one epoch's slice at a time,
+//! [`faults::Plan::at`]) — byte-identical at any
 //! `POLIMER_THREADS`, replayable from the trace, and checked end-to-end
 //! by the `AUDIT0010` fleet battery in the `audit` crate.
 

@@ -35,9 +35,10 @@ pub struct JobConfig {
     /// build.
     pub faults: FaultPlan,
     /// Silence the noise model entirely (all sigmas zero, nominal
-    /// efficiencies). Quiet runs evolve deterministically per node state,
-    /// so homogeneous nodes share one walk per interval — the scaling
-    /// configuration for full-Theta node counts.
+    /// efficiencies). The nodes of a quiet partition share one
+    /// operating-point evaluation per distinct cap and phase
+    /// ([`theta_sim::OpMemo`]) — the scaling configuration for
+    /// full-Theta node counts.
     pub quiet_noise: bool,
 }
 
@@ -122,8 +123,8 @@ impl JobConfig {
         self
     }
 
-    /// Builder: silence the noise model (homogeneous nodes then share one
-    /// walk per interval).
+    /// Builder: silence the noise model (a partition's nodes then share one
+    /// operating-point evaluation per distinct cap and phase).
     pub fn with_quiet_noise(mut self) -> Self {
         self.quiet_noise = true;
         self

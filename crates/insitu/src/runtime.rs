@@ -303,7 +303,7 @@ impl Runtime {
         let faults_before = self.fault_log.len();
         let recoveries_before = self.recovery_log.len();
         sc.events.clear();
-        sc.events.extend_from_slice(self.cfg.faults.events_at(sync0));
+        sc.events.extend_from_slice(self.cfg.faults.at(sync0));
         let sf = self.inject_faults(&sc.events);
         if self.tracer.is_enabled() {
             // Trace-side sync indices are uniformly 1-based (matching
@@ -814,8 +814,9 @@ mod tests {
 
     #[test]
     fn one_walk_equals_reference_on_a_noisy_run() {
-        // Under default noise every node draws, so nobody may adopt: this
-        // trips if a change lets a drawing node share a walk.
+        // Under default noise every node draws its own jitters: this trips
+        // if the phase-major walk consumes the shared jitter stream in
+        // another order than the node-major reference.
         let mut spec = WorkloadSpec::paper(16, 8, 1, &[K::Vacf]);
         spec.total_steps = 20;
         assert_matches_reference(|| JobConfig::new(spec.clone(), "seesaw"));

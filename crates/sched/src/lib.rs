@@ -9,7 +9,8 @@
 //!
 //! The scheduler is a deterministic epoch loop:
 //!
-//! 1. **failures** — the [`faults::JobFaultPlan`] kills jobs;
+//! 1. **failures** — the [`faults::JobFaultPlan`] kills the jobs its
+//!    epoch's slice ([`faults::Plan::at`]) names;
 //! 2. **arrivals** — jobs enter a FIFO queue at their arrival epoch;
 //! 3. **admission** — FIFO with backfill against the machine's node pool
 //!    ([`theta_sim::MachineNodes`], first-fit contiguous leases), gated on

@@ -135,8 +135,6 @@ impl MachineResult {
 pub struct Evacuee {
     /// Job id on the evacuated machine (submission ordinal there).
     pub job: usize,
-    /// The job's configuration as submitted to that machine.
-    pub config: JobConfig,
     /// Synchronizations completed before the machine was lost.
     pub completed_syncs: u64,
     /// Energy already spent on the lost machine, joules.
@@ -162,6 +160,24 @@ struct JobSlot {
 }
 
 impl JobSlot {
+    /// A job that has not run: no runtime, budget or feedback yet.
+    fn new(spec: JobSpec, state: JobState) -> Self {
+        JobSlot {
+            spec,
+            state,
+            runtime: None,
+            budget_w: 0.0,
+            last_energy_j: 0.0,
+            last_dt_s: 0.0,
+            has_feedback: false,
+            start_s: 0.0,
+            finish_s: 0.0,
+            job_time_s: 0.0,
+            energy_j: 0.0,
+            syncs_done: 0,
+        }
+    }
+
     fn floor_w(&self) -> f64 {
         self.spec.nodes() as f64 * self.spec.config.machine.min_cap_w
     }
@@ -208,23 +224,7 @@ impl Scheduler {
             insitu::build_controller(&j.config)?;
         }
         let pool = MachineNodes::new(spec.nodes);
-        let jobs = jobs
-            .into_iter()
-            .map(|spec| JobSlot {
-                spec,
-                state: JobState::Waiting,
-                runtime: None,
-                budget_w: 0.0,
-                last_energy_j: 0.0,
-                last_dt_s: 0.0,
-                has_feedback: false,
-                start_s: 0.0,
-                finish_s: 0.0,
-                job_time_s: 0.0,
-                energy_j: 0.0,
-                syncs_done: 0,
-            })
-            .collect();
+        let jobs = jobs.into_iter().map(|spec| JobSlot::new(spec, JobState::Waiting)).collect();
         Ok(Scheduler {
             spec,
             jobs,
@@ -400,20 +400,7 @@ impl Scheduler {
     pub fn submit(&mut self, config: JobConfig) -> Result<usize, UnknownController> {
         insitu::build_controller(&config)?;
         let job = self.jobs.len();
-        self.jobs.push(JobSlot {
-            spec: JobSpec::arriving(self.next_epoch, config),
-            state: JobState::Queued,
-            runtime: None,
-            budget_w: 0.0,
-            last_energy_j: 0.0,
-            last_dt_s: 0.0,
-            has_feedback: false,
-            start_s: 0.0,
-            finish_s: 0.0,
-            job_time_s: 0.0,
-            energy_j: 0.0,
-            syncs_done: 0,
-        });
+        self.jobs.push(JobSlot::new(JobSpec::arriving(self.next_epoch, config), JobState::Queued));
         Ok(job)
     }
 
@@ -455,7 +442,6 @@ impl Scheduler {
             let slot = &self.jobs[job];
             out.push(Evacuee {
                 job,
-                config: slot.spec.config.clone(),
                 completed_syncs: slot.syncs_done,
                 energy_j: slot.energy_j,
                 job_time_s: slot.job_time_s,
@@ -465,7 +451,7 @@ impl Scheduler {
     }
 
     fn fire_kills(&mut self, epoch: u64) {
-        let victims: Vec<usize> = self.job_faults.kills_at(epoch).collect();
+        let victims: Vec<usize> = self.job_faults.at(epoch).iter().map(|k| k.job).collect();
         for job in victims {
             if job < self.jobs.len() && !self.jobs[job].state.is_terminal() {
                 self.kill_job(job);

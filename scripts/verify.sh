@@ -77,6 +77,15 @@ done
 ./target/release/trace_diff "$c/t1.jsonl" "$c/t4.jsonl"
 test -s "$c/t1.jsonl"
 ./target/release/trace_diff --artifact "$c/1/run_run_experiment.json" "$c/4/run_run_experiment.json"
+# An unknown controller is a usage-level error: exit 2, the message on
+# stderr.
+set +e
+./target/release/run_experiment --controller nonsense --nodes 8 --dim 16 --steps 40 --quiet \
+    2> "$c/unknown_controller.txt"
+ru=$?
+set -e
+test "$ru" -eq 2 || { echo "unknown controller: exit $ru, expected 2"; exit 1; }
+grep -q 'unknown controller' "$c/unknown_controller.txt"
 
 # The gates above only ever feed trace_diff identical files; prove it
 # still *fails* — right code, right line, causal context — on seeded

@@ -38,7 +38,7 @@ pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownC
 /// Run-to-run variability increases near the RAPL floor (paper §VII-D):
 /// nodes capped close to δ_min get amplified phase jitter.
 pub(crate) fn low_cap_jitter_scale(cluster: &Cluster, node: usize) -> f64 {
-    let cap = cluster.rapl(node).requested_cap();
+    let cap = cluster.requested_cap(node);
     let start = theta_sim::CLIFF_START_W;
     if cap >= start {
         1.0
@@ -97,6 +97,11 @@ struct SyncScratch {
     /// Per arriving node, simulation partition first: the cap in force
     /// during the interval and the node's true feedback.
     feedback: Vec<NodeFeedback>,
+    /// Per arriving node, in the same order: true mean power over its
+    /// active window, then its id and the cap it is asked to take.
+    power: Vec<f64>,
+    cap_nodes: Vec<usize>,
+    targets: Vec<f64>,
 }
 
 /// What the runtime knows about one node at the rendezvous.
@@ -411,15 +416,14 @@ impl Runtime {
         // NaN/spike/dropout) happens here, before PoLiMER's plausibility
         // gate — rejected samples never reach Eq. 1.
         sc.feedback.clear();
-        for (&(node, arrival), role) in by_role() {
-            self.cluster.node_mut(node).wait_until(arrival, rendezvous);
+        sc.power.clear();
+        for arrivals in [sim_arrivals, ana_arrivals] {
+            self.cluster.rendezvous(t0, rendezvous, arrivals, &mut sc.power);
+        }
+        for ((&(node, arrival), role), &true_power_w) in by_role().zip(&sc.power) {
             let time_s = arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S);
-            let (true_power_w, mut power_w) = self.cluster.measure_node_power(
-                node,
-                t0,
-                arrival.max(t0 + SimDuration::from_nanos(1)),
-            );
-            let cap_w = self.cluster.rapl(node).requested_cap();
+            let mut power_w = self.cluster.noise_mut().noisy_power(true_power_w);
+            let cap_w = self.cluster.requested_cap(node);
             sc.feedback.push(NodeFeedback { node, role, cap_w, true_power_w });
             if sf.dropout.contains(&node) {
                 // The monitor missed the window: nothing to record.
@@ -453,23 +457,32 @@ impl Runtime {
         // then blocks while the allocation call runs.
         let mut caps = outcome.allocation.as_ref().map(|alloc| alloc.caps());
         let t_end = rendezvous + outcome.overhead;
+        sc.cap_nodes.clear();
+        sc.targets.clear();
         for fb in &sc.feedback {
+            sc.cap_nodes.push(fb.node);
             if let Some(caps) = &mut caps {
-                let target = caps.cap_for(fb.node, fb.role);
+                sc.targets.push(caps.cap_for(fb.node, fb.role));
                 if sf.write_error.contains(&fb.node) {
                     // Transient EIO on the powercap write; the retried
                     // write lands ~1 ms late but the cap does apply.
-                    self.cluster.node_mut(fb.node).rapl_mut().inject_extra_latency(1.0e-3);
+                    self.cluster.node_mut(fb.node).inject_extra_latency(1.0e-3);
                     self.recovery_log.push(RecoveryEvent {
                         sync: sync0,
                         node: fb.node,
                         kind: RecoveryKind::CapWriteRetried,
                     });
                 }
-                self.cluster.node_mut(fb.node).request_cap(&self.machine, rendezvous, target);
             }
-            self.cluster.node_mut(fb.node).wait_until(rendezvous, t_end);
         }
+        let targets = caps.is_some().then_some(&sc.targets[..]);
+        self.cluster.request_caps_and_wait(
+            &self.machine,
+            rendezvous,
+            t_end,
+            &sc.cap_nodes,
+            targets,
+        );
         self.t = t_end;
         self.tracer.set_now(t_end);
         if self.tracer.is_enabled() {
@@ -602,11 +615,11 @@ impl Runtime {
                     self.fault_log.push(ev);
                 }
                 FaultKind::RaplStuck => {
-                    self.cluster.node_mut(ev.node).rapl_mut().inject_ignore_requests(1);
+                    self.cluster.node_mut(ev.node).inject_ignore_requests(1);
                     self.fault_log.push(ev);
                 }
                 FaultKind::RaplDelayed { extra_s } => {
-                    self.cluster.node_mut(ev.node).rapl_mut().inject_extra_latency(extra_s);
+                    self.cluster.node_mut(ev.node).inject_extra_latency(extra_s);
                     self.fault_log.push(ev);
                 }
                 FaultKind::RaplWriteError => {
@@ -778,6 +791,30 @@ mod tests {
             let evaluated = evaluations(&walked) - before.0;
             let distinct = evaluations(&counted) - before.1;
             assert_eq!(evaluated, distinct, "sync {}", walked.completed_syncs());
+        }
+    }
+
+    #[test]
+    fn a_quiet_theta_sync_takes_the_column_pass() {
+        // The same quiet 4 392-node seesaw job: the walk leaves to the
+        // scalar step exactly the node-phases with a cap change pending
+        // after their start, as counted by the node-major reference.
+        let cfg = || {
+            let mut spec = WorkloadSpec::paper(48, 4392, 1, &[K::Rdf, K::Vacf]);
+            spec.total_steps = 4;
+            JobConfig::new(spec, "seesaw").with_quiet_noise()
+        };
+        let mut walked = Runtime::new(cfg()).expect("known controller");
+        let mut counted = Runtime::new(cfg()).expect("known controller");
+        let scalar_steps = |rt: &Runtime| rt.scratch.walk.scalar_steps;
+        while !walked.is_done() {
+            let before = (scalar_steps(&walked), scalar_steps(&counted));
+            assert!(walked.step_sync());
+            assert!(counted.step_with(stepper::tests::advance_counting_late));
+            assert_eq!(walked.now(), counted.now());
+            let took = scalar_steps(&walked) - before.0;
+            let late = scalar_steps(&counted) - before.1;
+            assert_eq!(took, late, "sync {}", walked.completed_syncs());
         }
     }
 

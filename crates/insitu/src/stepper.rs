@@ -4,12 +4,13 @@
 //! Phase-major over the cluster's node columns. Every node's phase jitters
 //! are drawn first, node by node and phase by phase: the order a
 //! node-major walk draws them in, so the shared jitter stream ends where
-//! that walk leaves it. Then each phase is one loop over the partition in
-//! which every node steps its own segments (`NodeMut::run_phase_with`),
-//! the phase's operating points evaluated once per distinct enforced cap.
-//! A node's step reads and writes only that node's columns and its own
-//! span buffer (flushed per node, in id order), so the order in which
-//! nodes step is unobservable.
+//! that walk leaves it. Then `Cluster::walk` runs each phase as one column
+//! pass over the partition: nodes with no cap change in flight after their
+//! start step as lanes of one branch-free pass, the rest take the scalar
+//! step (`NodeMut::run_phase_with`), and the phase's operating points are
+//! evaluated once per distinct enforced cap. A node's step reads and
+//! writes only that node's columns and its own span buffer (flushed per
+//! node, in id order), so the order in which nodes step is unobservable.
 
 use des::SimTime;
 use theta_sim::{Cluster, MachineConfig, OpMemo, Work};
@@ -27,10 +28,16 @@ pub(crate) struct NodeCtx {
 /// Reused scratch of the partition walk.
 #[derive(Default)]
 pub(crate) struct Walk {
-    /// Phase jitters, node-major: the partition's `i`-th node's phase `p`
-    /// at `i * phases + p`.
+    /// The partition's node ids and work stretches, in `ctx` order.
+    nodes: Vec<usize>,
+    stretch: Vec<f64>,
+    /// Phase jitters, phase-major: phase `p` of the partition's `i`-th
+    /// node at `p * nodes + i`.
     jitter: Vec<f64>,
     pub memo: OpMemo,
+    /// Node-phases that took the scalar step: a cap change was pending
+    /// after their start.
+    pub scalar_steps: u64,
 }
 
 /// How the runtime advances a partition; tests substitute the node-major
@@ -45,9 +52,9 @@ pub(crate) type Advance = fn(
     &mut Vec<(usize, SimTime)>,
 );
 
-/// Advance every node in `ctx` (already filtered to survivors, in node
-/// order) from `t0` through `phases`, appending `(node, arrival)` pairs to
-/// `arrivals` in node order.
+/// Advance every node in `ctx` (already filtered to survivors, in
+/// ascending node order) from `t0` through `phases`, appending `(node,
+/// arrival)` pairs to `arrivals` in node order.
 pub(crate) fn advance_partition(
     cluster: &mut Cluster,
     machine: &MachineConfig,
@@ -57,42 +64,24 @@ pub(crate) fn advance_partition(
     walk: &mut Walk,
     arrivals: &mut Vec<(usize, SimTime)>,
 ) {
-    let Walk { jitter, memo } = walk;
+    let Walk { nodes, stretch, jitter, memo, scalar_steps } = walk;
+    let n = ctx.len();
+    nodes.clear();
+    nodes.extend(ctx.iter().map(|c| c.node));
+    stretch.clear();
+    stretch.extend(ctx.iter().map(|c| c.stretch));
+    // Exactly what a draw returns where there is none, without the call.
     jitter.clear();
-    for c in ctx {
-        cluster.node_mut(c.node).begin_interval(t0);
-        let noise = cluster.noise_mut();
+    jitter.resize(n * phases.len(), 1.0);
+    let noise = cluster.noise_mut();
+    for (i, c) in ctx.iter().enumerate() {
         if noise.draws_phase_jitter(c.sigma_scale) {
-            jitter.extend(phases.iter().map(|_| noise.phase_jitter_scaled(c.sigma_scale)));
-        } else {
-            // Exactly what a draw returns here, without the call.
-            jitter.extend(phases.iter().map(|_| 1.0));
+            for p in 0..phases.len() {
+                jitter[p * n + i] = noise.phase_jitter_scaled(c.sigma_scale);
+            }
         }
     }
-    for (p, &work) in phases.iter().enumerate() {
-        memo.reset(machine, work);
-        let jitters = jitter[p..].iter().step_by(phases.len());
-        for (c, &jit) in ctx.iter().zip(jitters) {
-            let mut node = cluster.node_mut(c.node);
-            let start = if p == 0 { t0 } else { node.busy_until() };
-            node.run_phase_with(machine, start, stretched(work, c.stretch), jit, Some(memo));
-        }
-    }
-    for c in ctx {
-        let mut node = cluster.node_mut(c.node);
-        node.end_walk();
-        arrivals.push((c.node, node.busy_until().max(t0)));
-    }
-}
-
-/// `w` stretched by `stretch`; an unstretched phase stays untouched, bit
-/// for bit.
-fn stretched(w: Work, stretch: f64) -> Work {
-    if stretch == 1.0 {
-        w
-    } else {
-        Work::scaled(w.kind, w.ref_secs * stretch, w.demand_scale)
-    }
+    *scalar_steps += cluster.walk(machine, nodes, t0, phases, stretch, jitter, memo, arrivals);
 }
 
 #[cfg(test)]
@@ -101,6 +90,16 @@ pub(crate) mod tests {
     use crate::runtime::low_cap_jitter_scale;
     use des::{Rng, SimDuration};
     use theta_sim::{CapMode, NoiseSeed, NoiseSigmas, PhaseKind, CLIFF_START_W};
+
+    /// `w` stretched by `stretch`; an unstretched phase stays untouched,
+    /// bit for bit.
+    fn stretched(w: Work, stretch: f64) -> Work {
+        if stretch == 1.0 {
+            w
+        } else {
+            Work::scaled(w.kind, w.ref_secs * stretch, w.demand_scale)
+        }
+    }
 
     /// The node-major reference the walk is held to: each node in turn
     /// draws and runs every phase through the single-node entry.
@@ -151,15 +150,16 @@ pub(crate) mod tests {
                 let w = stretched(w, c.stretch);
                 // The cap in force at the start, and a pending change the
                 // phase met if it was consumed (the segment split there).
-                let rapl = cluster.rapl(c.node);
-                let first = rapl.enforced_at(at);
-                let pending = rapl.next_change_after(at).map(|change| rapl.enforced_at(change));
+                let first = cluster.enforced_at(c.node, at);
+                let pending = cluster
+                    .next_change_after(c.node, at)
+                    .map(|change| cluster.enforced_at(c.node, change));
                 let start = at;
                 at = cluster.node_mut(c.node).run_phase(machine, at, w, jitter);
                 if w.ref_secs > 0.0 {
                     pairs.insert((p, first.to_bits()));
                 }
-                if cluster.rapl(c.node).next_change_after(start).is_none() {
+                if cluster.next_change_after(c.node, start).is_none() {
                     pairs.extend(pending.map(|cap| (p, cap.to_bits())));
                 }
             }
@@ -167,6 +167,36 @@ pub(crate) mod tests {
             arrivals.push((c.node, at));
         }
         walk.memo.evaluations += pairs.len() as u64;
+    }
+
+    /// [`advance_reference`] that also counts, into `walk.scalar_steps`,
+    /// the node-phases with a cap change pending after their start: the
+    /// ones the column pass should leave to the scalar step.
+    pub(crate) fn advance_counting_late(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        ctx: &[NodeCtx],
+        phases: &[Work],
+        t0: SimTime,
+        walk: &mut Walk,
+        arrivals: &mut Vec<(usize, SimTime)>,
+    ) {
+        for c in ctx {
+            cluster.node_mut(c.node).begin_interval(t0);
+            let mut at = t0;
+            for &w in phases {
+                let jitter = cluster.noise_mut().phase_jitter_scaled(c.sigma_scale);
+                walk.scalar_steps += u64::from(cluster.next_change_after(c.node, at).is_some());
+                at = cluster.node_mut(c.node).run_phase(
+                    machine,
+                    at,
+                    stretched(w, c.stretch),
+                    jitter,
+                );
+            }
+            cluster.node_mut(c.node).end_walk();
+            arrivals.push((c.node, at));
+        }
     }
 
     /// The hand-picked scenarios: eight nodes in one partition, traced.
@@ -364,10 +394,10 @@ pub(crate) mod tests {
             }
             for c in [&mut a, &mut b] {
                 if let Some((n, _)) = case.stuck.filter(|&(_, at)| at == k) {
-                    c.node_mut(n).rapl_mut().inject_ignore_requests(1);
+                    c.node_mut(n).inject_ignore_requests(1);
                 }
                 if let Some((n, _, extra_s)) = case.delayed.filter(|&(_, at, _)| at == k) {
-                    c.node_mut(n).rapl_mut().inject_extra_latency(extra_s);
+                    c.node_mut(n).inject_extra_latency(extra_s);
                 }
             }
             let (mut arr_a, mut arr_b) = (Vec::new(), Vec::new());

@@ -2,31 +2,30 @@
 //! model.
 
 use crate::config::{CapMode, MachineConfig};
-use crate::node::{NodeMut, Segment, Windows};
+use crate::node::{NodeMut, Nodes};
 use crate::noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 use crate::phase::{PhaseKind, Work};
-use crate::rapl::RaplDomain;
+use crate::rapl::Rapl;
 use des::{PeriodicSampler, SimTime, TimeSeries};
 
 /// A simulated cluster of homogeneous nodes (heterogeneity enters only
 /// through the noise model's per-node efficiency).
 ///
 /// Per-node state is one column per field, indexed by node id: the RAPL
-/// domain, the simulated clock, the open draw segment and the energy
+/// columns, the simulated clock, the open draw segment and the energy
 /// windows. Nothing per node grows with run length; a node's full draw
 /// series is kept only after [`Cluster::keep_draw_log`].
 #[derive(Debug)]
 pub struct Cluster {
     config: MachineConfig,
+    /// Every node's RAPL enforcement mode.
+    pub(crate) cap_mode: CapMode,
     /// What a node of this machine draws waiting, uncapped.
     pub(crate) wait_demand_w: f64,
     /// Jitter and measurement streams; also holds each node's efficiency.
     pub(crate) noise: NoiseModel,
-    pub(crate) rapl: Vec<RaplDomain>,
-    /// Time up to which each node's activity has been simulated.
-    pub(crate) busy_until: Vec<SimTime>,
-    pub(crate) open: Vec<Segment>,
-    pub(crate) windows: Vec<Windows>,
+    pub(crate) rapl: Rapl,
+    pub(crate) nodes: Nodes,
     /// Where every node's `since` window starts (see
     /// [`Cluster::compact_history`]).
     pub(crate) since: SimTime,
@@ -65,21 +64,13 @@ impl Cluster {
         let n = caps_w.len();
         let noise = NoiseModel::with_sigmas(n, sigmas, seed);
         assert!((0..n).all(|k| noise.node_efficiency(k) > 0.0), "efficiency must be positive");
-        let rapl = caps_w
-            .iter()
-            .map(|&cap| match cap_mode {
-                CapMode::None => RaplDomain::uncapped(&config),
-                _ => RaplDomain::capped(&config, cap_mode, cap),
-            })
-            .collect();
         Cluster {
             wait_demand_w: Work::none(PhaseKind::Wait).demand_w(&config),
+            rapl: Rapl::new(&config, cap_mode, caps_w),
             config,
+            cap_mode,
             noise,
-            rapl,
-            busy_until: vec![SimTime::ZERO; n],
-            open: vec![Segment { start: SimTime::ZERO, watts: 0.0 }; n],
-            windows: vec![Windows::default(); n],
+            nodes: Nodes::new(n),
             since: SimTime::ZERO,
             tracer: obs::Tracer::off(),
             spans: Vec::new(),
@@ -100,18 +91,20 @@ impl Cluster {
     }
 
     /// Machine configuration.
+    #[inline]
     pub fn config(&self) -> &MachineConfig {
         &self.config
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.rapl.len()
+        self.nodes.busy_until.len()
     }
 
     /// True if the cluster has no nodes (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.rapl.is_empty()
+        self.nodes.busy_until.is_empty()
     }
 
     /// A mutable view of node `id`: phases, waits, cap requests.
@@ -121,12 +114,28 @@ impl Cluster {
         NodeMut { cluster: self, id }
     }
 
-    /// Node `id`'s RAPL domain.
-    pub fn rapl(&self, id: usize) -> &RaplDomain {
-        &self.rapl[id]
+    /// The most recently requested (clamped) cap of node `id`, watts: what
+    /// a controller reads back as "allocated power".
+    #[inline]
+    pub fn requested_cap(&self, id: usize) -> f64 {
+        self.rapl.requested_w[id]
+    }
+
+    /// The cap node `id` enforces at `t`, watts (its pending change
+    /// included once due).
+    #[inline]
+    pub fn enforced_at(&self, id: usize, t: SimTime) -> f64 {
+        self.rapl.enforced_at(id, t)
+    }
+
+    /// When node `id`'s pending cap change lands, if that is after `t`.
+    #[inline]
+    pub fn next_change_after(&self, id: usize, t: SimTime) -> Option<SimTime> {
+        self.rapl.next_change_after(id, t)
     }
 
     /// Mutable access to the noise model (jitter/measurement streams).
+    #[inline]
     pub fn noise_mut(&mut self) -> &mut NoiseModel {
         &mut self.noise
     }
@@ -134,7 +143,10 @@ impl Cluster {
     /// Keep every node's full draw series from here on (for
     /// [`Cluster::sample_trace`]). Call before any node is stepped.
     pub fn keep_draw_log(&mut self) {
-        assert!(self.busy_until.iter().all(|&t| t == SimTime::ZERO), "draw log kept after t = 0");
+        assert!(
+            self.nodes.busy_until.iter().all(|&t| t == SimTime::ZERO),
+            "draw log kept after t = 0"
+        );
         let mut draw = TimeSeries::new();
         draw.push(SimTime::ZERO, 0.0);
         self.log = vec![draw; self.len()];
@@ -145,18 +157,23 @@ impl Cluster {
     /// at `ZERO`, at `at`, or where a node's current interval began.
     pub fn compact_history(&mut self, at: SimTime) {
         self.since = at;
-        for w in &mut self.windows {
-            w.since_j = 0.0;
-        }
+        self.nodes.since_j.fill(0.0);
     }
 
-    /// Heap bytes held by per-node state (memory-bound tests).
+    /// Heap bytes held by per-node state (memory-bound tests): every
+    /// column's `len × size_of`, plus what the span buffers and draw logs
+    /// hold.
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
-        let node = size_of::<(RaplDomain, SimTime, Segment, Windows, Vec<obs::TraceEvent>)>();
         let spans: usize = self.spans.iter().map(Vec::capacity).sum();
         let log: usize = self.log.iter().map(TimeSeries::len).sum();
-        self.len() * node + spans * size_of::<obs::TraceEvent>() + log * size_of::<(SimTime, f64)>()
+        self.rapl.heap_bytes()
+            + self.nodes.heap_bytes()
+            + self.noise.heap_bytes()
+            + self.spans.len() * size_of::<Vec<obs::TraceEvent>>()
+            + spans * size_of::<obs::TraceEvent>()
+            + self.log.len() * size_of::<TimeSeries>()
+            + log * size_of::<(SimTime, f64)>()
     }
 
     /// Attach a trace sink (pass [`obs::Tracer::off`] to detach). Each
@@ -185,16 +202,14 @@ impl Cluster {
     /// node's current interval began ([`NodeMut::begin_interval`]), or
     /// inside its current draw segment; panics on any other.
     pub(crate) fn energy(&self, id: usize, from: SimTime, to: SimTime) -> f64 {
-        self.windows[id]
-            .read(self.open[id], self.since, from, to)
-            .expect("no energy window starts there")
+        self.nodes.read(id, self.since, from, to).expect("no energy window starts there")
     }
 
     /// True (noise-free) mean power of node `id` over `[from, to)`, watts.
     pub fn mean_power(&self, id: usize, from: SimTime, to: SimTime) -> f64 {
         let dt = to.saturating_since(from).as_secs_f64();
         if dt <= 0.0 {
-            return self.open[id].watts;
+            return self.nodes.open_w[id];
         }
         self.energy(id, from, to) / dt
     }
@@ -233,7 +248,7 @@ impl Cluster {
             for &id in ids {
                 let log = self.log.get(id).expect("the draw log was not kept");
                 let true_w =
-                    if dt > 0.0 { log.integrate(w0, w1) / dt } else { self.open[id].watts };
+                    if dt > 0.0 { log.integrate(w0, w1) / dt } else { self.nodes.open_w[id] };
                 total += self.noise.noisy_power(true_w);
             }
             out.push(t, total);
@@ -268,11 +283,8 @@ mod tests {
         }
         // After actuation, enforcement differs between groups.
         let t = SimTime::from_secs_f64(1.0);
-        for id in 0..4 {
-            c.node_mut(id).rapl_mut().advance(t);
-        }
-        assert_eq!(c.rapl(0).enforced_at(t), 130.0);
-        assert_eq!(c.rapl(3).enforced_at(t), 110.0);
+        assert_eq!(c.enforced_at(0, t), 130.0);
+        assert_eq!(c.enforced_at(3, t), 110.0);
     }
 
     #[test]

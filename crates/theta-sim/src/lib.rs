@@ -22,11 +22,33 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+/// Declares a struct of per-node columns, every field a `Vec` indexed by
+/// node id, and its `heap_bytes`: `len × size_of` summed over every column
+/// declared, so a column added here is counted where it is declared.
+macro_rules! node_columns {
+    ($(#[$attr:meta])* $vis:vis struct $name:ident {
+        $($(#[$field_attr:meta])* $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* pub(crate) $field: Vec<$ty>,)*
+        }
+
+        impl $name {
+            /// Heap bytes of the columns: `len × size_of` of each.
+            pub(crate) fn heap_bytes(&self) -> usize {
+                0 $(+ self.$field.len() * std::mem::size_of::<$ty>())*
+            }
+        }
+    };
+}
+
 mod cluster;
 mod config;
 mod machine;
 mod node;
 mod noise;
+mod pass;
 mod phase;
 mod power;
 mod rapl;
@@ -38,7 +60,6 @@ pub use node::NodeMut;
 pub use noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 pub use phase::{PhaseKind, Work};
 pub use power::{rate, OpMemo, CLIFF_START_W};
-pub use rapl::RaplDomain;
 
 #[cfg(test)]
 mod randomized {
@@ -131,7 +152,7 @@ mod randomized {
             let mut plain = Cluster::noiseless(m.clone(), 1, CapMode::Long, cap);
             let mut poked = Cluster::noiseless(m, 1, CapMode::Long, cap);
             let cfg = plain.config().clone();
-            poked.node_mut(0).rapl_mut().request_cap(&cfg, SimTime::ZERO, cap);
+            poked.node_mut(0).request_cap(&cfg, SimTime::ZERO, cap);
             let e1 = plain.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
             let e2 = poked.node_mut(0).run_phase(&cfg, SimTime::ZERO, Work::new(kind, work), 1.0);
             assert_eq!(e1, e2);

@@ -6,89 +6,107 @@ use crate::cluster::Cluster;
 use crate::config::MachineConfig;
 use crate::phase::Work;
 use crate::power::{operating_point, OpMemo};
-use crate::rapl::RaplDomain;
 use des::SimTime;
 
-/// The draw segment a node is in: `watts` from `start` on.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Segment {
-    pub start: SimTime,
-    pub watts: f64,
-}
+/// The `active_to` of a node whose walk has not ended.
+pub(crate) const NO_END: SimTime = SimTime::from_nanos(u64::MAX);
 
 /// `watts` held over `[from, to)`, joules: one term of
 /// `TimeSeries::integrate`'s fold, computed the same way.
 #[inline]
-fn term(watts: f64, from: SimTime, to: SimTime) -> f64 {
+pub(crate) fn term(watts: f64, from: SimTime, to: SimTime) -> f64 {
     watts * to.saturating_since(from).as_secs_f64()
 }
 
-/// One node's energy over the windows its readers ask for. Each draw
-/// segment is folded in as it closes, in the order `TimeSeries::integrate`
-/// folds the same segments, so every read is bit-identical to integrating
-/// the node's full draw series over that window.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Windows {
-    /// `[ZERO, open segment)`: the run total.
-    total_j: f64,
-    /// `[interval_from, open segment)`: since the node's last walk began.
-    interval_from: SimTime,
-    interval_j: f64,
-    /// `[since, open segment)`, `since` being the cluster's last
-    /// `compact_history` instant.
-    pub(crate) since_j: f64,
-    /// The active window `[interval_from, active_to)` once its walk ended:
-    /// its value is fixed when a segment closes at or after `active_to`.
-    active_to: Option<SimTime>,
-    active_j: Option<f64>,
+node_columns! {
+    /// Every node's clock, the draw segment it is in, and its energy over
+    /// the windows its readers ask for. Each draw segment is folded in as
+    /// it closes, in the order `TimeSeries::integrate` folds the same
+    /// segments, so every read is bit-identical to integrating the node's
+    /// full draw series over that window.
+    #[derive(Debug)]
+    pub(crate) struct Nodes {
+        /// Time up to which the node's activity has been simulated.
+        busy_until: SimTime,
+        /// The draw segment in force: `open_w` watts from `open_from` on.
+        open_from: SimTime,
+        open_w: f64,
+        /// `[ZERO, open segment)`: the run total.
+        total_j: f64,
+        /// `[interval_from, open segment)`: since the node's last walk
+        /// began.
+        interval_from: SimTime,
+        interval_j: f64,
+        /// `[since, open segment)`, `since` being the cluster's last
+        /// `compact_history` instant.
+        since_j: f64,
+        /// Where the active window `[interval_from, active_to)` ends once
+        /// the walk ended ([`NO_END`] before) ...
+        active_to: SimTime,
+        /// ... and its value, fixed (`active_fixed`) when a segment closes
+        /// at or after `active_to`.
+        active_j: f64,
+        active_fixed: bool,
+    }
 }
 
-impl Windows {
-    /// Fold in `seg`, which a new segment replaces at `t`.
-    #[inline]
-    fn close(&mut self, seg: Segment, t: SimTime, since: SimTime) {
-        let from = seg.start.max(self.interval_from);
-        if let Some(end) = self.active_to.filter(|&end| t >= end && self.active_j.is_none()) {
-            self.active_j = Some(self.interval_j + term(seg.watts, from, end));
+impl Nodes {
+    /// `n` nodes at t = 0, drawing nothing yet.
+    pub(crate) fn new(n: usize) -> Self {
+        Nodes {
+            busy_until: vec![SimTime::ZERO; n],
+            open_from: vec![SimTime::ZERO; n],
+            open_w: vec![0.0; n],
+            total_j: vec![0.0; n],
+            interval_from: vec![SimTime::ZERO; n],
+            interval_j: vec![0.0; n],
+            since_j: vec![0.0; n],
+            active_to: vec![NO_END; n],
+            active_j: vec![0.0; n],
+            active_fixed: vec![false; n],
         }
-        // A segment that began inside a window adds the same term to it.
-        let full = term(seg.watts, seg.start, t);
-        let clipped =
-            |from: SimTime| if seg.start >= from { full } else { term(seg.watts, from, t) };
-        self.total_j += full;
-        self.interval_j += clipped(self.interval_from);
-        self.since_j += clipped(since);
     }
 
-    /// Energy over `[from, to)` with `open` the segment in force, or `None`
-    /// if no window starts at `from`. Besides `[interval_from,
-    /// active_to)`, a window must not end before the open segment begins.
-    pub(crate) fn read(
-        &self,
-        open: Segment,
-        since: SimTime,
-        from: SimTime,
-        to: SimTime,
-    ) -> Option<f64> {
+    /// Fold node `k`'s open segment into its windows: a new segment
+    /// replaces it at `t`.
+    #[inline]
+    pub(crate) fn close(&mut self, k: usize, t: SimTime, since: SimTime) {
+        let (start, watts) = (self.open_from[k], self.open_w[k]);
+        let (interval_from, end) = (self.interval_from[k], self.active_to[k]);
+        if end != NO_END && t >= end && !self.active_fixed[k] {
+            self.active_j[k] = self.interval_j[k] + term(watts, start.max(interval_from), end);
+            self.active_fixed[k] = true;
+        }
+        // A segment that began inside a window adds the same term to it.
+        let full = term(watts, start, t);
+        let clipped = |from: SimTime| if start >= from { full } else { term(watts, from, t) };
+        self.total_j[k] += full;
+        self.interval_j[k] += clipped(interval_from);
+        self.since_j[k] += clipped(since);
+    }
+
+    /// Node `k`'s energy over `[from, to)`, or `None` if no window starts
+    /// at `from`. Besides `[interval_from, active_to)`, a window must not
+    /// end before the open segment begins.
+    pub(crate) fn read(&self, k: usize, since: SimTime, from: SimTime, to: SimTime) -> Option<f64> {
         if to <= from {
             return Some(0.0);
         }
-        if let Some(j) =
-            self.active_j.filter(|_| (from, Some(to)) == (self.interval_from, self.active_to))
-        {
-            return Some(j);
+        if self.active_fixed[k] && (from, to) == (self.interval_from[k], self.active_to[k]) {
+            return Some(self.active_j[k]);
         }
-        assert!(open.start <= to, "energy window [{from:?}, {to:?}) ends before {:?}", open.start);
-        let upto = |acc: f64| acc + term(open.watts, open.start.max(from), to);
+        let (start, watts) = (self.open_from[k], self.open_w[k]);
+        assert!(start <= to, "energy window [{from:?}, {to:?}) ends before {start:?}");
+        let upto = |acc: f64| acc + term(watts, start.max(from), to);
         if from == SimTime::ZERO {
-            Some(upto(self.total_j))
-        } else if from == self.interval_from {
-            Some(upto(self.interval_j))
+            Some(upto(self.total_j[k]))
+        } else if from == self.interval_from[k] {
+            Some(upto(self.interval_j[k]))
         } else if from == since {
-            Some(upto(self.since_j))
-        } else if open.start <= from {
+            Some(upto(self.since_j[k]))
+        } else if start <= from {
             // Nothing closed since `from`: the fold is one term (0.0 + x).
-            Some(term(open.watts, from, to))
+            Some(term(watts, from, to))
         } else {
             None
         }
@@ -101,36 +119,48 @@ pub struct NodeMut<'a> {
     pub(crate) id: usize,
 }
 
+impl Cluster {
+    /// Node `id` draws `watts` from `t` on: a change beyond the 1e-9 merge
+    /// tolerance closes the open segment into the windows (and the log).
+    #[inline]
+    pub(crate) fn record_draw(&mut self, id: usize, t: SimTime, watts: f64) {
+        if (watts - self.nodes.open_w[id]).abs() > 1e-9 {
+            self.nodes.close(id, t, self.since);
+            (self.nodes.open_from[id], self.nodes.open_w[id]) = (t, watts);
+            if let Some(log) = self.log.get_mut(id) {
+                log.push(t, watts);
+            }
+        }
+    }
+}
+
 impl NodeMut<'_> {
     /// Time up to which this node has been simulated.
+    #[inline]
     pub fn busy_until(&self) -> SimTime {
-        self.cluster.busy_until[self.id]
+        self.cluster.nodes.busy_until[self.id]
     }
 
-    /// Mutable access to the RAPL domain (fault injection, raw requests).
-    pub fn rapl_mut(&mut self) -> &mut RaplDomain {
-        &mut self.cluster.rapl[self.id]
+    /// Fault injection: the PCU silently drops the next `n` cap requests
+    /// (the write appears to succeed but the enforced cap never changes —
+    /// the "stuck RAPL" failure observed on production nodes).
+    pub fn inject_ignore_requests(&mut self, n: u32) {
+        self.cluster.rapl.inject_ignore_requests(self.id, n);
+    }
+
+    /// Fault injection: the next cap request takes `extra_s` additional
+    /// seconds beyond the normal actuation latency to land.
+    pub fn inject_extra_latency(&mut self, extra_s: f64) {
+        self.cluster.rapl.inject_extra_latency(self.id, extra_s);
     }
 
     /// Request a new RAPL cap, recording the request/grant/enforcement
     /// triple on the trace. Returns the clamped value RAPL accepted.
     pub fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
         let c = &mut *self.cluster;
-        let rapl = &mut c.rapl[self.id];
-        let granted = rapl.request_cap(m, now, watts);
+        let granted = c.rapl.request_cap(m, c.cap_mode, self.id, now, watts);
         if c.tracer.is_enabled() {
-            // Actuation latency: when the request is a no-op or the PCU is
-            // stuck, enforcement never changes — report the request time.
-            let effective = rapl.next_change_after(now).unwrap_or(now);
-            c.spans[self.id].push(obs::TraceEvent {
-                t: now,
-                ev: obs::Event::CapRequest {
-                    node: self.id,
-                    requested_w: watts,
-                    granted_w: granted,
-                    effective_ns: effective.as_nanos(),
-                },
-            });
+            c.push_cap_request(self.id, now, watts, granted);
         }
         granted
     }
@@ -138,33 +168,19 @@ impl NodeMut<'_> {
     /// Open this node's interval and active windows at `t0`, where its
     /// next walk begins.
     pub fn begin_interval(&mut self, t0: SimTime) {
-        let w = &mut self.cluster.windows[self.id];
-        w.interval_from = t0;
-        w.interval_j = 0.0;
-        w.active_to = None;
-        w.active_j = None;
+        let (nodes, k) = (&mut self.cluster.nodes, self.id);
+        nodes.interval_from[k] = t0;
+        nodes.interval_j[k] = 0.0;
+        nodes.active_to[k] = NO_END;
+        nodes.active_fixed[k] = false;
     }
 
     /// Close this node's active window where its walk ended: at its arrival,
     /// or 1 ns after the interval began if it did no timed work.
     pub fn end_walk(&mut self) {
-        let id = self.id;
-        let w = &mut self.cluster.windows[id];
-        let floor = w.interval_from + des::SimDuration::from_nanos(1);
-        w.active_to = Some(self.cluster.busy_until[id].max(floor));
-    }
-
-    #[inline]
-    fn record_draw(&mut self, t: SimTime, watts: f64) {
-        let c = &mut *self.cluster;
-        let open = c.open[self.id];
-        if (watts - open.watts).abs() > 1e-9 {
-            c.windows[self.id].close(open, t, c.since);
-            c.open[self.id] = Segment { start: t, watts };
-            if let Some(log) = c.log.get_mut(self.id) {
-                log.push(t, watts);
-            }
-        }
+        let (nodes, k) = (&mut self.cluster.nodes, self.id);
+        let floor = nodes.interval_from[k] + des::SimDuration::from_nanos(1);
+        nodes.active_to[k] = nodes.busy_until[k].max(floor);
     }
 
     /// Execute `work` starting at `start`, honouring any cap change that
@@ -185,7 +201,7 @@ impl NodeMut<'_> {
 
     /// [`NodeMut::run_phase`], with the phase's operating points taken
     /// from `memo` (one per distinct cap across a partition's nodes).
-    #[inline]
+    #[inline(always)]
     pub fn run_phase_with(
         &mut self,
         m: &MachineConfig,
@@ -197,30 +213,30 @@ impl NodeMut<'_> {
         let id = self.id;
         debug_assert!(start >= self.busy_until(), "node {id} scheduled into its past");
         debug_assert!(jitter > 0.0);
-        self.rapl_mut().advance(start);
+        self.cluster.rapl.advance(id, start);
         // Remaining work measured in reference-seconds, inflated by jitter
         // and this node's (in)efficiency.
         let mut remaining = work.ref_secs * jitter / self.cluster.noise.node_efficiency(id);
         let mut t = start;
         if remaining <= 0.0 {
-            self.cluster.busy_until[id] = t;
+            self.cluster.nodes.busy_until[id] = t;
             return t;
         }
+        let c = &mut *self.cluster;
         loop {
-            let cap = self.cluster.rapl[id].enforced_at(t);
+            let cap = c.rapl.enforced_at(id, t);
             let point = match memo.as_deref_mut() {
                 Some(memo) => memo.point(m, cap),
                 None => operating_point(m, work, cap),
             };
-            self.record_draw(t, point.draw_w);
+            c.record_draw(id, t, point.draw_w);
             debug_assert!(point.rate > 0.0, "productive phase stalled");
             let end = t + des::SimDuration::from_secs_f64(remaining / point.rate);
-            let rapl = self.rapl_mut();
-            match rapl.next_change_after(t) {
+            match c.rapl.next_change_after(id, t) {
                 Some(change) if change < end => {
                     remaining -= change.saturating_since(t).as_secs_f64() * point.rate;
                     t = change;
-                    rapl.advance(t);
+                    c.rapl.advance(id, t);
                 }
                 _ => {
                     t = end;
@@ -228,18 +244,9 @@ impl NodeMut<'_> {
                 }
             }
         }
-        let c = &mut *self.cluster;
-        c.busy_until[id] = t;
+        c.nodes.busy_until[id] = t;
         if c.tracer.is_enabled() {
-            c.spans[id].push(obs::TraceEvent {
-                t: start,
-                ev: obs::Event::Phase {
-                    node: id,
-                    kind: work.kind.tag().into(),
-                    start_ns: start.as_nanos(),
-                    end_ns: t.as_nanos(),
-                },
-            });
+            c.push_phase(id, work, start, t);
         }
         t
     }
@@ -250,36 +257,28 @@ impl NodeMut<'_> {
         let id = self.id;
         debug_assert!(from >= self.busy_until());
         if until <= from {
-            self.cluster.busy_until[id] = self.busy_until().max(from);
+            self.cluster.nodes.busy_until[id] = self.busy_until().max(from);
             return;
         }
-        self.rapl_mut().advance(from);
+        let c = &mut *self.cluster;
+        c.rapl.advance(id, from);
         // Waiting draws the wait demand, capped (`operating_point` of a wait).
-        let demand = self.cluster.wait_demand_w;
+        let demand = c.wait_demand_w;
         let mut t = from;
         while t < until {
-            let cap = self.cluster.rapl[id].enforced_at(t);
-            self.record_draw(t, demand.min(cap));
-            let rapl = self.rapl_mut();
-            match rapl.next_change_after(t) {
+            let cap = c.rapl.enforced_at(id, t);
+            c.record_draw(id, t, demand.min(cap));
+            match c.rapl.next_change_after(id, t) {
                 Some(change) if change < until => {
                     t = change;
-                    rapl.advance(t);
+                    c.rapl.advance(id, t);
                 }
                 _ => t = until,
             }
         }
-        let c = &mut *self.cluster;
-        c.busy_until[id] = until;
+        c.nodes.busy_until[id] = until;
         if c.tracer.is_enabled() {
-            c.spans[id].push(obs::TraceEvent {
-                t: from,
-                ev: obs::Event::Wait {
-                    node: id,
-                    start_ns: from.as_nanos(),
-                    end_ns: until.as_nanos(),
-                },
-            });
+            c.push_wait(id, from, until);
         }
     }
 }
@@ -326,7 +325,7 @@ mod tests {
         let mut c = capped_node(110.0);
         c.keep_draw_log();
         // Raise the cap 10 ms into a 2 s phase: the tail runs faster.
-        c.node_mut(0).rapl_mut().request_cap(&m, SimTime::ZERO, 135.0);
+        c.node_mut(0).request_cap(&m, SimTime::ZERO, 135.0);
         let end = c.node_mut(0).run_phase(&m, SimTime::ZERO, Work::new(PhaseKind::Force, 2.0), 1.0);
         let t_uniform_110 = 2.0;
         let t_uniform_135 = 2.0 * (110.0 - m.floor_w) / (135.0 - m.floor_w);

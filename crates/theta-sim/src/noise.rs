@@ -103,6 +103,16 @@ impl NoiseModel {
         self.node_efficiency[node]
     }
 
+    /// Every node's efficiency multiplier, indexed by node id.
+    pub(crate) fn efficiencies(&self) -> &[f64] {
+        &self.node_efficiency
+    }
+
+    /// Heap bytes of the per-node efficiency column.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.node_efficiency.len() * std::mem::size_of::<f64>()
+    }
+
     /// Multiplicative jitter on one phase duration (≥ 0.5), with an
     /// amplified sigma — operating near the RAPL floor
     /// increases run-to-run variability (paper §VII-D), so the runtime
@@ -129,6 +139,7 @@ impl NoiseModel {
     }
 
     /// Apply measurement noise to a true power reading.
+    #[inline]
     pub fn noisy_power(&mut self, true_watts: f64) -> f64 {
         // Zero-sigma fast path mirrors `phase_jitter_scaled`: same value as
         // the sigma-0 draw (× exactly 1.0), zero stream consumed.
@@ -142,6 +153,7 @@ impl NoiseModel {
     /// the jitter stream: phase sigma above zero, or the straggler lottery
     /// (scale > 1). When false the jitter is exactly 1.0 with no draw, and
     /// a node's walk is a pure function of its state, caps and work.
+    #[inline]
     pub fn draws_phase_jitter(&self, sigma_scale: f64) -> bool {
         !(self.sigmas.phase == 0.0 && sigma_scale <= 1.0)
     }

@@ -13,52 +13,60 @@
 use crate::config::{CapMode, MachineConfig};
 use des::SimTime;
 
-/// One node's RAPL control state.
-#[derive(Debug, Clone)]
-pub struct RaplDomain {
-    mode: CapMode,
-    /// Cap currently enforced by the PCU, watts.
-    active_cap: f64,
-    /// Most recently *requested* cap (clamped), watts.
-    requested: f64,
-    /// A cap change waiting out the actuation latency: `(effective_at, cap)`.
-    pending: Option<(SimTime, f64)>,
-    /// Fault injection: number of upcoming requests the PCU will silently
-    /// ignore (a stuck MSR write — the firmware acks but nothing changes).
-    ignore_requests: u32,
-    /// Fault injection: extra actuation latency applied to the next request
-    /// only, seconds.
-    extra_latency_s: f64,
+/// The `pending_at` of a node with no cap change in flight.
+pub(crate) const NO_CHANGE: SimTime = SimTime::from_nanos(u64::MAX);
+
+node_columns! {
+    /// Every node's RAPL control state, one column per field. The cap mode
+    /// is the cluster's, passed in where a rule depends on it.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Rapl {
+        /// Cap currently enforced by the PCU, watts.
+        active_w: f64,
+        /// Most recently *requested* (clamped) cap, watts.
+        requested_w: f64,
+        /// When the cap change waiting out the actuation latency lands
+        /// ([`NO_CHANGE`] if none is in flight; a change due at
+        /// `u64::MAX` ns never lands either way) ...
+        pending_at: SimTime,
+        /// ... and the cap it enforces, watts.
+        pending_w: f64,
+        /// Fault injection: number of upcoming requests the PCU will
+        /// silently ignore (a stuck MSR write — the firmware acks but
+        /// nothing changes).
+        stuck: u32,
+        /// Fault injection: extra actuation latency applied to the next
+        /// request only, seconds.
+        extra_latency_s: f64,
+    }
 }
 
-impl RaplDomain {
-    /// A domain with capping disabled (enforces TDP).
-    pub(crate) fn uncapped(m: &MachineConfig) -> Self {
-        RaplDomain {
-            mode: CapMode::None,
-            active_cap: m.tdp_w,
-            requested: m.tdp_w,
-            pending: None,
-            ignore_requests: 0,
-            extra_latency_s: 0.0,
+impl Rapl {
+    /// Domains capped at `caps_w` from t = 0 (no actuation delay for the
+    /// initial job-launch cap, which is set before the application
+    /// starts); under [`CapMode::None`] every domain enforces TDP.
+    pub(crate) fn new(m: &MachineConfig, mode: CapMode, caps_w: &[f64]) -> Self {
+        let n = caps_w.len();
+        let (active_w, requested_w) = caps_w
+            .iter()
+            .map(|&cap| match mode {
+                CapMode::None => (m.tdp_w, m.tdp_w),
+                _ => (Self::enforceable(m, mode, cap), m.clamp_cap(cap)),
+            })
+            .unzip();
+        Rapl {
+            active_w,
+            requested_w,
+            pending_at: vec![NO_CHANGE; n],
+            pending_w: vec![0.0; n],
+            stuck: vec![0; n],
+            extra_latency_s: vec![0.0; n],
         }
     }
 
-    /// A domain capped at `initial_w` from t = 0 (no actuation delay for the
-    /// initial job-launch cap, which is set before the application starts).
-    pub(crate) fn capped(m: &MachineConfig, mode: CapMode, initial_w: f64) -> Self {
-        let cap = Self::enforceable(m, mode, initial_w);
-        RaplDomain {
-            mode,
-            active_cap: cap,
-            requested: m.clamp_cap(initial_w),
-            pending: None,
-            ignore_requests: 0,
-            extra_latency_s: 0.0,
-        }
-    }
-
-    fn enforceable(m: &MachineConfig, mode: CapMode, watts: f64) -> f64 {
+    /// The cap RAPL enforces for a request of `watts`.
+    #[inline]
+    pub(crate) fn enforceable(m: &MachineConfig, mode: CapMode, watts: f64) -> f64 {
         match mode {
             CapMode::None => m.tdp_w,
             CapMode::Long => m.clamp_cap(watts),
@@ -67,83 +75,129 @@ impl RaplDomain {
         }
     }
 
-    /// The most recently requested (clamped) cap, watts. This is what a
-    /// controller reads back as "allocated power".
-    pub fn requested_cap(&self) -> f64 {
-        self.requested
+    /// Fault injection: node `k`'s PCU silently drops the next `n` cap
+    /// requests.
+    pub(crate) fn inject_ignore_requests(&mut self, k: usize, n: u32) {
+        self.stuck[k] = self.stuck[k].saturating_add(n);
     }
 
-    /// Fault injection: the PCU silently drops the next `n` cap requests
-    /// (the write appears to succeed but the enforced cap never changes —
-    /// the "stuck RAPL" failure observed on production nodes).
-    pub fn inject_ignore_requests(&mut self, n: u32) {
-        self.ignore_requests = self.ignore_requests.saturating_add(n);
-    }
-
-    /// Fault injection: the next cap request takes `extra_s` additional
-    /// seconds beyond the normal actuation latency to land.
-    pub fn inject_extra_latency(&mut self, extra_s: f64) {
+    /// Fault injection: node `k`'s next cap request takes `extra_s`
+    /// additional seconds to land.
+    pub(crate) fn inject_extra_latency(&mut self, k: usize, extra_s: f64) {
         if extra_s.is_finite() && extra_s > 0.0 {
-            self.extra_latency_s += extra_s;
+            self.extra_latency_s[k] += extra_s;
         }
     }
 
-    /// Request a new cap at time `now`; it takes effect after the machine's
-    /// actuation latency. A newer request replaces any pending one.
-    /// Returns the clamped value that was accepted.
-    pub(crate) fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
-        if self.mode == CapMode::None {
+    /// Request a new cap for node `k` at time `now`; it takes effect after
+    /// the machine's actuation latency. A newer request replaces any
+    /// pending one. Returns the clamped value that was accepted.
+    pub(crate) fn request_cap(
+        &mut self,
+        m: &MachineConfig,
+        mode: CapMode,
+        k: usize,
+        now: SimTime,
+        watts: f64,
+    ) -> f64 {
+        if mode == CapMode::None {
             return m.tdp_w;
         }
         let clamped = m.clamp_cap(watts);
-        if self.ignore_requests > 0 {
+        if self.stuck[k] > 0 {
             // Stuck PCU: the caller sees a normal ack, the hardware holds
-            // the old cap. `requested` keeps the *previous* accepted value
-            // so the controller's read-back matches what is enforced.
-            self.ignore_requests -= 1;
+            // the old cap. `requested_w` keeps the *previous* accepted
+            // value so the controller's read-back matches what is enforced.
+            self.stuck[k] -= 1;
             return clamped;
         }
-        self.requested = clamped;
-        let enforce = Self::enforceable(m, self.mode, watts);
-        if (enforce - self.active_cap).abs() < f64::EPSILON {
-            self.pending = None;
+        self.requested_w[k] = clamped;
+        let enforce = Self::enforceable(m, mode, watts);
+        if (enforce - self.active_w[k]).abs() < f64::EPSILON {
+            self.pending_at[k] = NO_CHANGE;
             return clamped;
         }
         let mut latency = m.cap_actuation;
-        if self.extra_latency_s > 0.0 {
-            latency += des::SimDuration::from_secs_f64(self.extra_latency_s);
-            self.extra_latency_s = 0.0;
+        if self.extra_latency_s[k] > 0.0 {
+            latency += des::SimDuration::from_secs_f64(self.extra_latency_s[k]);
+            self.extra_latency_s[k] = 0.0;
         }
-        self.pending = Some((now + latency, enforce));
+        self.pending_at[k] = now + latency;
+        self.pending_w[k] = enforce;
         clamped
     }
 
-    /// Commit any pending change whose effective time is ≤ `now`.
-    pub(crate) fn advance(&mut self, now: SimTime) {
-        if let Some((at, cap)) = self.pending {
-            if at <= now {
-                self.active_cap = cap;
-                self.pending = None;
-            }
+    /// Commit node `k`'s pending change if it is due by `now`.
+    #[inline]
+    pub(crate) fn advance(&mut self, k: usize, now: SimTime) {
+        if self.pending_at[k] != NO_CHANGE && self.pending_at[k] <= now {
+            self.active_w[k] = self.pending_w[k];
+            self.pending_at[k] = NO_CHANGE;
         }
     }
 
-    /// Cap enforced at time `t` (assumes `advance` has been called up to the
-    /// last change before `t`; also looks one pending change ahead).
-    pub fn enforced_at(&self, t: SimTime) -> f64 {
-        match self.pending {
-            Some((at, cap)) if at <= t => cap,
-            _ => self.active_cap,
+    /// Cap node `k` enforces at time `t` (assumes `advance` has been called
+    /// up to the last change before `t`; also looks one pending change
+    /// ahead).
+    #[inline]
+    pub(crate) fn enforced_at(&self, k: usize, t: SimTime) -> f64 {
+        if self.pending_at[k] != NO_CHANGE && self.pending_at[k] <= t {
+            self.pending_w[k]
+        } else {
+            self.active_w[k]
         }
     }
 
-    /// Instant of the next scheduled enforcement change strictly after `t`,
-    /// if any. Phase execution segments work around this boundary.
-    pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        match self.pending {
-            Some((at, _)) if at > t => Some(at),
-            _ => None,
-        }
+    /// Instant of node `k`'s next scheduled enforcement change strictly
+    /// after `t`, if any. Phase execution segments work around this
+    /// boundary.
+    #[inline]
+    pub(crate) fn next_change_after(&self, k: usize, t: SimTime) -> Option<SimTime> {
+        let at = self.pending_at[k];
+        (at != NO_CHANGE && at > t).then_some(at)
+    }
+}
+
+/// One node's domain, for the rule tests below.
+#[cfg(test)]
+struct One(Rapl, CapMode);
+
+#[cfg(test)]
+impl One {
+    fn capped(m: &MachineConfig, mode: CapMode, initial_w: f64) -> Self {
+        One(Rapl::new(m, mode, &[initial_w]), mode)
+    }
+
+    fn uncapped(m: &MachineConfig) -> Self {
+        One::capped(m, CapMode::None, m.tdp_w)
+    }
+
+    fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
+        self.0.request_cap(m, self.1, 0, now, watts)
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        self.0.advance(0, now)
+    }
+
+    fn enforced_at(&self, t: SimTime) -> f64 {
+        self.0.enforced_at(0, t)
+    }
+
+    fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
+        self.0.next_change_after(0, t)
+    }
+
+    fn requested_cap(&self) -> f64 {
+        self.0.requested_w[0]
+    }
+
+    fn inject_ignore_requests(&mut self, n: u32) {
+        self.0.inject_ignore_requests(0, n)
+    }
+
+    fn inject_extra_latency(&mut self, extra_s: f64) {
+        self.0.inject_extra_latency(0, extra_s)
     }
 }
 
@@ -160,7 +214,7 @@ mod randomized {
         for case in 0..64 {
             let m = MachineConfig::theta();
             let mode = if case % 2 == 0 { CapMode::LongShort } else { CapMode::Long };
-            let mut d = RaplDomain::capped(&m, mode, 110.0);
+            let mut d = One::capped(&m, mode, 110.0);
             let mut now = SimTime::ZERO;
             let len = 1 + rng.next_below(29) as usize;
             for _ in 0..len {
@@ -185,7 +239,7 @@ mod randomized {
         for _case in 0..128 {
             let w = rng.uniform(99.0, 214.0);
             let m = MachineConfig::theta();
-            let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+            let mut d = One::capped(&m, CapMode::Long, 110.0);
             d.request_cap(&m, SimTime::ZERO, w);
             let just_before = SimTime::ZERO + (m.cap_actuation - SimDuration::from_nanos(1));
             assert_eq!(d.enforced_at(just_before), 110.0);
@@ -211,7 +265,7 @@ mod tests {
     #[test]
     fn uncapped_enforces_tdp() {
         let m = m();
-        let mut d = RaplDomain::uncapped(&m);
+        let mut d = One::uncapped(&m);
         assert_eq!(d.enforced_at(t(0)), 215.0);
         d.request_cap(&m, t(0), 100.0);
         d.advance(t(100));
@@ -221,7 +275,7 @@ mod tests {
     #[test]
     fn initial_cap_applies_immediately() {
         let m = m();
-        let d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let d = One::capped(&m, CapMode::Long, 110.0);
         assert_eq!(d.enforced_at(t(0)), 110.0);
         assert_eq!(d.requested_cap(), 110.0);
     }
@@ -229,7 +283,7 @@ mod tests {
     #[test]
     fn cap_change_has_actuation_latency() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         d.request_cap(&m, t(0), 120.0);
         assert_eq!(d.enforced_at(t(5)), 110.0, "before 10 ms the old cap holds");
         assert_eq!(d.enforced_at(t(10)), 120.0, "at 10 ms the new cap applies");
@@ -242,7 +296,7 @@ mod tests {
     #[test]
     fn requests_clamp_to_rapl_range() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         let accepted = d.request_cap(&m, t(0), 50.0);
         assert_eq!(accepted, 98.0);
         d.advance(t(10));
@@ -254,7 +308,7 @@ mod tests {
     #[test]
     fn newer_request_replaces_pending() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         d.request_cap(&m, t(0), 130.0);
         d.request_cap(&m, t(2), 105.0);
         d.advance(t(12));
@@ -265,7 +319,7 @@ mod tests {
     #[test]
     fn no_op_request_clears_pending() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         d.request_cap(&m, t(0), 120.0);
         d.request_cap(&m, t(1), 110.0); // back to current
         assert_eq!(d.next_change_after(t(1)), None);
@@ -276,7 +330,7 @@ mod tests {
     #[test]
     fn stuck_injection_drops_exactly_n_requests() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         d.inject_ignore_requests(2);
         d.request_cap(&m, t(0), 130.0); // dropped
         d.advance(t(50));
@@ -293,7 +347,7 @@ mod tests {
     #[test]
     fn delay_injection_stretches_one_actuation() {
         let m = m();
-        let mut d = RaplDomain::capped(&m, CapMode::Long, 110.0);
+        let mut d = One::capped(&m, CapMode::Long, 110.0);
         d.inject_extra_latency(0.1); // +100 ms on top of the normal 10 ms
         d.request_cap(&m, t(0), 120.0);
         assert_eq!(d.enforced_at(t(50)), 110.0, "still in flight at 50 ms");
@@ -308,7 +362,7 @@ mod tests {
     #[test]
     fn longshort_enforces_below_request() {
         let m = m();
-        let d = RaplDomain::capped(&m, CapMode::LongShort, 110.0);
+        let d = One::capped(&m, CapMode::LongShort, 110.0);
         let enforced = d.enforced_at(t(0));
         assert!(enforced < 110.0, "enforced {enforced}");
         assert!(enforced > 105.0);

@@ -10,10 +10,12 @@ mod common;
 
 use audit::StreamAuditor;
 use common::{audit_events, audit_jsonl};
+use faults::{JobFault, JobFaultPlan};
 use insitu::{run_job_traced, JobConfig};
 use mdsim::workload::WorkloadSpec;
 use mdsim::AnalysisKind;
 use obs::Tracer;
+use sched::{JobSpec, MachineSpec, Policy, Scheduler};
 use std::sync::{Arc, Mutex};
 
 fn quick_cfg() -> JobConfig {
@@ -110,4 +112,38 @@ fn doctored_trace_fails_streaming_and_batch_alike() {
         streamed.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>()
     );
     assert_eq!(streamed.to_json(), batch.to_json(), "engines must agree on the failure");
+}
+
+#[test]
+fn killed_job_trace_audits_clean_live_and_replayed() {
+    // sched's kill path on a trace: a two-job machine under a job-fault
+    // plan that kills job 1 mid-run, audited live through the subscriber
+    // seam and again by replaying the serialized lines.
+    let job = |seed: u64, kind: AnalysisKind| {
+        let mut spec = WorkloadSpec::paper(16, 4, 1, &[kind]);
+        spec.total_steps = 30;
+        JobSpec::at_start(JobConfig::new(spec, "seesaw").with_seed(seed, 0))
+    };
+    let spec = MachineSpec::new(8, 880.0, Policy::EnergyFeedback);
+    let plan = JobFaultPlan::from_events(vec![JobFault { epoch: 3, job: 1 }]);
+    let jobs = vec![job(11, AnalysisKind::Rdf), job(12, AnalysisKind::Vacf)];
+    let mut sched = Scheduler::new(spec, jobs).expect("known controller").with_job_faults(plan);
+    let tracer = Tracer::enabled();
+    let live = Arc::new(Mutex::new(StreamAuditor::new()));
+    tracer.attach(Box::new(Arc::clone(&live)));
+    sched.set_tracer(&tracer);
+    let result = sched.run();
+    assert!(result.outcomes.iter().any(|o| o.outcome == "killed"), "{:?}", result.outcomes);
+    let jsonl = tracer.to_jsonl();
+    assert!(jsonl.contains("\"ev\":\"job_killed\""), "the kill must reach the trace");
+    drop(tracer);
+
+    let live = Arc::try_unwrap(live)
+        .unwrap_or_else(|_| panic!("sole handle"))
+        .into_inner()
+        .expect("poisoned")
+        .finish();
+    assert!(live.report.clean(), "killed-job run must audit clean: {:?}", live.report.violations);
+    let replay = audit_jsonl(&jsonl).expect("serialized lines re-parse");
+    assert_eq!(replay.to_json(), live.to_json(), "file replay vs live run document");
 }

@@ -425,7 +425,7 @@ impl Runtime {
             let mut power_w = self.cluster.noise_mut().noisy_power(true_power_w);
             let cap_w = self.cluster.requested_cap(node);
             sc.feedback.push(NodeFeedback { node, role, cap_w, true_power_w });
-            if sf.dropout.contains(&node) {
+            if has(&sf.dropout, node) {
                 // The monitor missed the window: nothing to record.
                 self.recovery_log.push(RecoveryEvent {
                     sync: sync0,
@@ -434,7 +434,7 @@ impl Runtime {
                 });
                 continue;
             }
-            if sf.nan.contains(&node) {
+            if has(&sf.nan, node) {
                 power_w = f64::NAN;
             }
             if let Some(factor) = sf.spike_factor(node) {
@@ -463,7 +463,7 @@ impl Runtime {
             sc.cap_nodes.push(fb.node);
             if let Some(caps) = &mut caps {
                 sc.targets.push(caps.cap_for(fb.node, fb.role));
-                if sf.write_error.contains(&fb.node) {
+                if has(&sf.write_error, fb.node) {
                     // Transient EIO on the powercap write; the retried
                     // write lands ~1 ms late but the cap does apply.
                     self.cluster.node_mut(fb.node).inject_extra_latency(1.0e-3);
@@ -659,6 +659,7 @@ impl Runtime {
                 }
             }
         }
+        debug_assert!(sf.ascends(), "a sync's fault lists ascend by node");
         sf
     }
 }
@@ -676,13 +677,32 @@ struct SyncFaults {
     exchange: ExchangeFaults,
 }
 
+/// The factor of `node`'s first entry in `list`, which ascends by node.
+fn factor_of(list: &[(usize, f64)], node: usize) -> Option<f64> {
+    let i = list.partition_point(|&(n, _)| n < node);
+    list.get(i).filter(|&&(n, _)| n == node).map(|&(_, f)| f)
+}
+
+/// Whether `node` is in `list`, which ascends.
+fn has(list: &[usize], node: usize) -> bool {
+    list.get(list.partition_point(|&n| n < node)) == Some(&node)
+}
+
 impl SyncFaults {
+    /// Every list ascends by node: the plan sorts a tick's events by node,
+    /// stably, and they are pushed in plan order.
+    fn ascends(&self) -> bool {
+        self.straggle.is_sorted_by_key(|&(n, _)| n)
+            && self.spike.is_sorted_by_key(|&(n, _)| n)
+            && [&self.write_error, &self.nan, &self.dropout].iter().all(|l| l.is_sorted())
+    }
+
     fn straggle_factor(&self, node: usize) -> f64 {
-        self.straggle.iter().find(|&&(n, _)| n == node).map_or(1.0, |&(_, f)| f)
+        factor_of(&self.straggle, node).unwrap_or(1.0)
     }
 
     fn spike_factor(&self, node: usize) -> Option<f64> {
-        self.spike.iter().find(|&&(n, _)| n == node).map(|&(_, f)| f)
+        factor_of(&self.spike, node)
     }
 }
 
@@ -796,9 +816,9 @@ mod tests {
 
     #[test]
     fn a_quiet_theta_sync_takes_the_column_pass() {
-        // The same quiet 4 392-node seesaw job: the walk leaves to the
-        // scalar step exactly the node-phases with a cap change pending
-        // after their start, as counted by the node-major reference.
+        // The same quiet 4 392-node seesaw job: the walk finds exactly the
+        // node-phases with a cap change pending after their start, as
+        // counted by the node-major reference.
         let cfg = || {
             let mut spec = WorkloadSpec::paper(48, 4392, 1, &[K::Rdf, K::Vacf]);
             spec.total_steps = 4;
@@ -806,15 +826,35 @@ mod tests {
         };
         let mut walked = Runtime::new(cfg()).expect("known controller");
         let mut counted = Runtime::new(cfg()).expect("known controller");
-        let scalar_steps = |rt: &Runtime| rt.scratch.walk.scalar_steps;
+        let late_phases = |rt: &Runtime| rt.scratch.walk.late_phases;
         while !walked.is_done() {
-            let before = (scalar_steps(&walked), scalar_steps(&counted));
+            let before = (late_phases(&walked), late_phases(&counted));
             assert!(walked.step_sync());
             assert!(counted.step_with(stepper::tests::advance_counting_late));
             assert_eq!(walked.now(), counted.now());
-            let took = scalar_steps(&walked) - before.0;
-            let late = scalar_steps(&counted) - before.1;
+            let took = late_phases(&walked) - before.0;
+            let late = late_phases(&counted) - before.1;
             assert_eq!(took, late, "sync {}", walked.completed_syncs());
+        }
+    }
+
+    #[test]
+    fn fault_lookups_find_the_first_entry_like_a_linear_scan() {
+        // Ascending lists with duplicates, as a sync's fault lists are: the
+        // binary searches agree with `contains` and with `find`'s first
+        // entry, for nodes in the lists, between them and past the ends.
+        let mut rng = des::Rng::seed_from_u64(0xFA17_1157);
+        for _ in 0..8 {
+            let len = 1_000 + rng.next_below(1_000) as usize;
+            let mut nodes: Vec<usize> = (0..len).map(|_| rng.next_below(600) as usize).collect();
+            nodes.sort_unstable();
+            let pairs: Vec<(usize, f64)> =
+                nodes.iter().map(|&n| (n, rng.uniform(1.0, 2.0))).collect();
+            for node in 0..650 {
+                assert_eq!(has(&nodes, node), nodes.contains(&node), "node {node}");
+                let first = pairs.iter().find(|&&(n, _)| n == node).map(|&(_, f)| f.to_bits());
+                assert_eq!(factor_of(&pairs, node).map(f64::to_bits), first, "node {node}");
+            }
         }
     }
 

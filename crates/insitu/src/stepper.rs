@@ -5,12 +5,12 @@
 //! are drawn first, node by node and phase by phase: the order a
 //! node-major walk draws them in, so the shared jitter stream ends where
 //! that walk leaves it. Then `Cluster::walk` runs each phase as one column
-//! pass over the partition: nodes with no cap change in flight after their
-//! start step as lanes of one branch-free pass, the rest take the scalar
-//! step (`NodeMut::run_phase_with`), and the phase's operating points are
-//! evaluated once per distinct enforced cap. A node's step reads and
-//! writes only that node's columns and its own span buffer (flushed per
-//! node, in id order), so the order in which nodes step is unobservable.
+//! pass over the partition: every node is a lane, a node whose pending cap
+//! change lands inside the phase is split there in a second sub-step, and
+//! the phase's operating points are evaluated once per distinct enforced
+//! cap. A node's step reads and writes only that node's columns and its
+//! own span buffer (flushed per node, in id order), so the order in which
+//! nodes step is unobservable.
 
 use des::SimTime;
 use theta_sim::{Cluster, MachineConfig, OpMemo, Work};
@@ -35,9 +35,9 @@ pub(crate) struct Walk {
     /// node at `p * nodes + i`.
     jitter: Vec<f64>,
     pub memo: OpMemo,
-    /// Node-phases that took the scalar step: a cap change was pending
-    /// after their start.
-    pub scalar_steps: u64,
+    /// Node-phases with a cap change pending after their start: the ones
+    /// split where the change lands, if it lands inside.
+    pub late_phases: u64,
 }
 
 /// How the runtime advances a partition; tests substitute the node-major
@@ -64,7 +64,7 @@ pub(crate) fn advance_partition(
     walk: &mut Walk,
     arrivals: &mut Vec<(usize, SimTime)>,
 ) {
-    let Walk { nodes, stretch, jitter, memo, scalar_steps } = walk;
+    let Walk { nodes, stretch, jitter, memo, late_phases } = walk;
     let n = ctx.len();
     nodes.clear();
     nodes.extend(ctx.iter().map(|c| c.node));
@@ -81,7 +81,7 @@ pub(crate) fn advance_partition(
             }
         }
     }
-    *scalar_steps += cluster.walk(machine, nodes, t0, phases, stretch, jitter, memo, arrivals);
+    *late_phases += cluster.walk(machine, nodes, t0, phases, stretch, jitter, memo, arrivals);
 }
 
 #[cfg(test)]
@@ -91,18 +91,26 @@ pub(crate) mod tests {
     use des::{Rng, SimDuration};
     use theta_sim::{CapMode, NoiseSeed, NoiseSigmas, PhaseKind, CLIFF_START_W};
 
-    /// `w` stretched by `stretch`; an unstretched phase stays untouched,
-    /// bit for bit.
-    fn stretched(w: Work, stretch: f64) -> Work {
-        if stretch == 1.0 {
-            w
-        } else {
-            Work::scaled(w.kind, w.ref_secs * stretch, w.demand_scale)
-        }
+    /// Node `c` walked alone from `t0` through `phases`, its jitters drawn
+    /// first, phase by phase: a one-node `Cluster::walk`, with a memo of
+    /// its own.
+    fn walk_alone(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        c: &NodeCtx,
+        phases: &[Work],
+        t0: SimTime,
+        arrivals: &mut Vec<(usize, SimTime)>,
+    ) {
+        let noise = cluster.noise_mut();
+        let jitter: Vec<f64> =
+            phases.iter().map(|_| noise.phase_jitter_scaled(c.sigma_scale)).collect();
+        let mut memo = OpMemo::default();
+        cluster.walk(machine, &[c.node], t0, phases, &[c.stretch], &jitter, &mut memo, arrivals);
     }
 
     /// The node-major reference the walk is held to: each node in turn
-    /// draws and runs every phase through the single-node entry.
+    /// draws its jitters and walks alone.
     pub(crate) fn advance_reference(
         cluster: &mut Cluster,
         machine: &MachineConfig,
@@ -113,20 +121,48 @@ pub(crate) mod tests {
         arrivals: &mut Vec<(usize, SimTime)>,
     ) {
         for c in ctx {
-            cluster.node_mut(c.node).begin_interval(t0);
-            let mut at = t0;
-            for &w in phases {
-                let jitter = cluster.noise_mut().phase_jitter_scaled(c.sigma_scale);
-                at = cluster.node_mut(c.node).run_phase(
-                    machine,
-                    at,
-                    stretched(w, c.stretch),
-                    jitter,
-                );
-            }
-            cluster.node_mut(c.node).end_walk();
-            arrivals.push((c.node, at));
+            walk_alone(cluster, machine, c, phases, t0, arrivals);
         }
+    }
+
+    /// [`walk_alone`], observed: returns the bounds of its phases, phase
+    /// `p` running over `[bounds[p], bounds[p + 1])`, read from the phase
+    /// spans of a tracer attached for this walk alone (a phase with no
+    /// work has no span: it starts and ends where the one before ended).
+    /// For a runtime without a tracer: it is detached again afterwards.
+    fn walk_alone_observed(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        c: &NodeCtx,
+        phases: &[Work],
+        t0: SimTime,
+        arrivals: &mut Vec<(usize, SimTime)>,
+    ) -> Vec<SimTime> {
+        let tracer = obs::Tracer::enabled();
+        cluster.set_tracer(&tracer);
+        walk_alone(cluster, machine, c, phases, t0, arrivals);
+        cluster.flush_trace();
+        cluster.set_tracer(&obs::Tracer::off());
+        let mut spans = tracer.events().into_iter().map(|e| match e.ev {
+            obs::Event::Phase { node, start_ns, end_ns, .. } if node == c.node => {
+                (start_ns, end_ns)
+            }
+            ev => panic!("node {}'s walk alone traced {ev:?}: is a tracer attached?", c.node),
+        });
+        let mut bounds = vec![t0];
+        for w in phases {
+            let start = bounds[bounds.len() - 1];
+            let end = if w.ref_secs * c.stretch > 0.0 {
+                let (from, to) = spans.next().expect("a span per phase with work");
+                assert_eq!(from, start.as_nanos(), "node {}'s phases run back to back", c.node);
+                SimTime::from_nanos(to)
+            } else {
+                start
+            };
+            bounds.push(end);
+        }
+        assert!(spans.next().is_none(), "a span per phase with work");
+        bounds
     }
 
     /// [`advance_reference`] that also counts, into
@@ -143,35 +179,31 @@ pub(crate) mod tests {
     ) {
         let mut pairs = std::collections::BTreeSet::new();
         for c in ctx {
-            cluster.node_mut(c.node).begin_interval(t0);
-            let mut at = t0;
+            // The cap in force at t0, and the change pending after it.
+            let first = cluster.enforced_at(c.node, t0);
+            let change = cluster.next_change_after(c.node, t0);
+            let next = change.map_or(first, |at| cluster.enforced_at(c.node, at));
+            let bounds = walk_alone_observed(cluster, machine, c, phases, t0, arrivals);
             for (p, &w) in phases.iter().enumerate() {
-                let jitter = cluster.noise_mut().phase_jitter_scaled(c.sigma_scale);
-                let w = stretched(w, c.stretch);
-                // The cap in force at the start, and a pending change the
-                // phase met if it was consumed (the segment split there).
-                let first = cluster.enforced_at(c.node, at);
-                let pending = cluster
-                    .next_change_after(c.node, at)
-                    .map(|change| cluster.enforced_at(c.node, change));
-                let start = at;
-                at = cluster.node_mut(c.node).run_phase(machine, at, w, jitter);
-                if w.ref_secs > 0.0 {
-                    pairs.insert((p, first.to_bits()));
-                }
-                if cluster.next_change_after(c.node, start).is_none() {
-                    pairs.extend(pending.map(|cap| (p, cap.to_bits())));
+                if w.ref_secs * c.stretch > 0.0 {
+                    // The cap at the phase's start, and the new one if the
+                    // change lands strictly inside the phase.
+                    let (start, end) = (bounds[p], bounds[p + 1]);
+                    let landed = change.is_some_and(|at| at <= start);
+                    pairs.insert((p, if landed { next } else { first }.to_bits()));
+                    if change.is_some_and(|at| start < at && at < end) {
+                        pairs.insert((p, next.to_bits()));
+                    }
                 }
             }
-            cluster.node_mut(c.node).end_walk();
-            arrivals.push((c.node, at));
         }
         walk.memo.evaluations += pairs.len() as u64;
     }
 
-    /// [`advance_reference`] that also counts, into `walk.scalar_steps`,
+    /// [`advance_reference`] that also counts, into `walk.late_phases`,
     /// the node-phases with a cap change pending after their start: the
-    /// ones the column pass should leave to the scalar step.
+    /// change read before the node walks, each phase's start read from
+    /// its walk's spans.
     pub(crate) fn advance_counting_late(
         cluster: &mut Cluster,
         machine: &MachineConfig,
@@ -182,20 +214,11 @@ pub(crate) mod tests {
         arrivals: &mut Vec<(usize, SimTime)>,
     ) {
         for c in ctx {
-            cluster.node_mut(c.node).begin_interval(t0);
-            let mut at = t0;
-            for &w in phases {
-                let jitter = cluster.noise_mut().phase_jitter_scaled(c.sigma_scale);
-                walk.scalar_steps += u64::from(cluster.next_change_after(c.node, at).is_some());
-                at = cluster.node_mut(c.node).run_phase(
-                    machine,
-                    at,
-                    stretched(w, c.stretch),
-                    jitter,
-                );
-            }
-            cluster.node_mut(c.node).end_walk();
-            arrivals.push((c.node, at));
+            let change = cluster.next_change_after(c.node, t0);
+            let bounds = walk_alone_observed(cluster, machine, c, phases, t0, arrivals);
+            let starts = &bounds[..phases.len()];
+            let late = starts.iter().filter(|&&start| change.is_some_and(|at| start < at));
+            walk.late_phases += late.count() as u64;
         }
     }
 
@@ -336,9 +359,10 @@ pub(crate) mod tests {
     }
 
     /// Everything observable about `cluster` at the close of an interval
-    /// that ran `[t0, rendezvous)` and arrived at `arrivals`: the bits of
-    /// each node's measured active window before and after the
-    /// allocation wait, each granted cap, every node's `[t0, ·)`,
+    /// that ran `[t0, rendezvous)` and arrived at `arrivals`, each node
+    /// stepped alone: the bits of each node's measured active window
+    /// before and after the allocation wait, each read-back cap, every
+    /// node's `[t0, ·)`,
     /// `[since, ·)` and `[ZERO, ·)` energy and mean power at `t_end`, and
     /// the next draw of both noise streams.
     fn close_interval(
@@ -352,17 +376,17 @@ pub(crate) mod tests {
         let active_end = |arrival: SimTime| arrival.max(t0 + SimDuration::from_nanos(1));
         let mut seen = Vec::new();
         for &(node, arrival) in arrivals {
-            cluster.node_mut(node).wait_until(arrival, rendezvous);
+            cluster.request_caps_and_wait(&machine, arrival, rendezvous, &[node], None);
         }
         for &(node, arrival) in arrivals {
-            let (true_w, noisy_w) = cluster.measure_node_power(node, t0, active_end(arrival));
+            let true_w = cluster.mean_power(node, t0, active_end(arrival));
+            let noisy_w = cluster.noise_mut().noisy_power(true_w);
             seen.extend([true_w.to_bits(), noisy_w.to_bits()]);
         }
         for &(node, _) in arrivals {
-            let granted =
-                cluster.node_mut(node).request_cap(&machine, rendezvous, case.caps[node] + shift);
-            seen.push(granted.to_bits());
-            cluster.node_mut(node).wait_until(rendezvous, t_end);
+            let target = [case.caps[node] + shift];
+            cluster.request_caps_and_wait(&machine, rendezvous, t_end, &[node], Some(&target));
+            seen.push(cluster.requested_cap(node).to_bits());
         }
         for &(node, arrival) in arrivals {
             seen.push(cluster.true_total_power(&[node], t0, active_end(arrival)).to_bits());

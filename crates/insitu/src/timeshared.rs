@@ -105,7 +105,7 @@ fn epoch(
     advance_partition(cluster, machine, &ctx, phases, start, walk, &mut arrivals);
     let end = arrivals.iter().fold(start, |end, &(_, arrival)| end.max(arrival));
     for (node, arrival) in arrivals {
-        cluster.node_mut(node).wait_until(arrival, end);
+        cluster.request_caps_and_wait(machine, arrival, end, &[node], None);
     }
     end
 }

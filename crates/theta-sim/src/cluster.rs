@@ -199,8 +199,8 @@ impl Cluster {
     /// True energy node `id` consumed over `[from, to)`, joules, bit-identical
     /// to integrating its full draw series. Answers windows starting at
     /// `ZERO`, at the last [`Cluster::compact_history`] instant, where the
-    /// node's current interval began ([`NodeMut::begin_interval`]), or
-    /// inside its current draw segment; panics on any other.
+    /// node's current walk began ([`Cluster::walk`]), or inside its current
+    /// draw segment; panics on any other.
     pub(crate) fn energy(&self, id: usize, from: SimTime, to: SimTime) -> f64 {
         self.nodes.read(id, self.since, from, to).expect("no energy window starts there")
     }
@@ -218,14 +218,6 @@ impl Cluster {
     /// `[from, to)`, watts.
     pub fn true_total_power(&self, ids: &[usize], from: SimTime, to: SimTime) -> f64 {
         ids.iter().map(|&id| self.mean_power(id, from, to)).sum()
-    }
-
-    /// One node's mean power over `[from, to)`, watts, as `(true, measured)`:
-    /// the noise-free reading and the same reading with one draw of
-    /// measurement noise applied.
-    pub fn measure_node_power(&mut self, id: usize, from: SimTime, to: SimTime) -> (f64, f64) {
-        let true_w = self.mean_power(id, from, to);
-        (true_w, self.noise.noisy_power(true_w))
     }
 
     /// Total true energy for `ids` over `[from, to)`, joules.
@@ -308,8 +300,8 @@ mod tests {
         }
         let to = SimTime::from_secs_f64(1.0);
         for id in 0..2 {
-            let (truth, measured) = c.measure_node_power(id, SimTime::ZERO, to);
-            assert_eq!(truth, measured);
+            let truth = c.mean_power(id, SimTime::ZERO, to);
+            assert_eq!(truth, c.noise_mut().noisy_power(truth));
         }
     }
 

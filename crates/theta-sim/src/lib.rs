@@ -48,6 +48,8 @@ mod config;
 mod machine;
 mod node;
 mod noise;
+#[cfg(test)]
+mod oracle;
 mod pass;
 mod phase;
 mod power;

@@ -1,11 +1,11 @@
-//! One node of a [`Cluster`]: the borrowed view that executes phases, waits
-//! and cap requests on it, and the energy fold that stands in for its draw
-//! history.
+//! One node of a [`Cluster`]: the borrowed view that runs a phase on it
+//! (one node through the phase pass) and arms its PCU faults, and the
+//! energy fold that stands in for every node's draw history.
 
 use crate::cluster::Cluster;
 use crate::config::MachineConfig;
 use crate::phase::Work;
-use crate::power::{operating_point, OpMemo};
+use crate::power::OpMemo;
 use des::SimTime;
 
 /// The `active_to` of a node whose walk has not ended.
@@ -67,24 +67,6 @@ impl Nodes {
         }
     }
 
-    /// Fold node `k`'s open segment into its windows: a new segment
-    /// replaces it at `t`.
-    #[inline]
-    pub(crate) fn close(&mut self, k: usize, t: SimTime, since: SimTime) {
-        let (start, watts) = (self.open_from[k], self.open_w[k]);
-        let (interval_from, end) = (self.interval_from[k], self.active_to[k]);
-        if end != NO_END && t >= end && !self.active_fixed[k] {
-            self.active_j[k] = self.interval_j[k] + term(watts, start.max(interval_from), end);
-            self.active_fixed[k] = true;
-        }
-        // A segment that began inside a window adds the same term to it.
-        let full = term(watts, start, t);
-        let clipped = |from: SimTime| if start >= from { full } else { term(watts, from, t) };
-        self.total_j[k] += full;
-        self.interval_j[k] += clipped(interval_from);
-        self.since_j[k] += clipped(since);
-    }
-
     /// Node `k`'s energy over `[from, to)`, or `None` if no window starts
     /// at `from`. Besides `[interval_from, active_to)`, a window must not
     /// end before the open segment begins.
@@ -119,21 +101,6 @@ pub struct NodeMut<'a> {
     pub(crate) id: usize,
 }
 
-impl Cluster {
-    /// Node `id` draws `watts` from `t` on: a change beyond the 1e-9 merge
-    /// tolerance closes the open segment into the windows (and the log).
-    #[inline]
-    pub(crate) fn record_draw(&mut self, id: usize, t: SimTime, watts: f64) {
-        if (watts - self.nodes.open_w[id]).abs() > 1e-9 {
-            self.nodes.close(id, t, self.since);
-            (self.nodes.open_from[id], self.nodes.open_w[id]) = (t, watts);
-            if let Some(log) = self.log.get_mut(id) {
-                log.push(t, watts);
-            }
-        }
-    }
-}
-
 impl NodeMut<'_> {
     /// Time up to which this node has been simulated.
     #[inline]
@@ -154,38 +121,10 @@ impl NodeMut<'_> {
         self.cluster.rapl.inject_extra_latency(self.id, extra_s);
     }
 
-    /// Request a new RAPL cap, recording the request/grant/enforcement
-    /// triple on the trace. Returns the clamped value RAPL accepted.
-    pub fn request_cap(&mut self, m: &MachineConfig, now: SimTime, watts: f64) -> f64 {
-        let c = &mut *self.cluster;
-        let granted = c.rapl.request_cap(m, c.cap_mode, self.id, now, watts);
-        if c.tracer.is_enabled() {
-            c.push_cap_request(self.id, now, watts, granted);
-        }
-        granted
-    }
-
-    /// Open this node's interval and active windows at `t0`, where its
-    /// next walk begins.
-    pub fn begin_interval(&mut self, t0: SimTime) {
-        let (nodes, k) = (&mut self.cluster.nodes, self.id);
-        nodes.interval_from[k] = t0;
-        nodes.interval_j[k] = 0.0;
-        nodes.active_to[k] = NO_END;
-        nodes.active_fixed[k] = false;
-    }
-
-    /// Close this node's active window where its walk ended: at its arrival,
-    /// or 1 ns after the interval began if it did no timed work.
-    pub fn end_walk(&mut self) {
-        let (nodes, k) = (&mut self.cluster.nodes, self.id);
-        let floor = nodes.interval_from[k] + des::SimDuration::from_nanos(1);
-        nodes.active_to[k] = nodes.busy_until[k].max(floor);
-    }
-
     /// Execute `work` starting at `start`, honouring any cap change that
-    /// lands mid-phase. `jitter` is a per-phase duration multiplier from the
-    /// noise model. Returns the completion time.
+    /// lands mid-phase: this node alone through the phase pass
+    /// [`Cluster::walk`] runs. `jitter` is a per-phase duration multiplier
+    /// from the noise model. Returns the completion time.
     ///
     /// Panics in debug builds if `start` precedes previously simulated
     /// activity on this node.
@@ -196,90 +135,14 @@ impl NodeMut<'_> {
         work: Work,
         jitter: f64,
     ) -> SimTime {
-        self.run_phase_with(m, start, work, jitter, None)
-    }
-
-    /// [`NodeMut::run_phase`], with the phase's operating points taken
-    /// from `memo` (one per distinct cap across a partition's nodes).
-    #[inline(always)]
-    pub fn run_phase_with(
-        &mut self,
-        m: &MachineConfig,
-        start: SimTime,
-        work: Work,
-        jitter: f64,
-        mut memo: Option<&mut OpMemo>,
-    ) -> SimTime {
         let id = self.id;
         debug_assert!(start >= self.busy_until(), "node {id} scheduled into its past");
         debug_assert!(jitter > 0.0);
-        self.cluster.rapl.advance(id, start);
-        // Remaining work measured in reference-seconds, inflated by jitter
-        // and this node's (in)efficiency.
-        let mut remaining = work.ref_secs * jitter / self.cluster.noise.node_efficiency(id);
-        let mut t = start;
-        if remaining <= 0.0 {
-            self.cluster.nodes.busy_until[id] = t;
-            return t;
-        }
+        let mut memo = OpMemo::default();
+        memo.reset(m, work);
         let c = &mut *self.cluster;
-        loop {
-            let cap = c.rapl.enforced_at(id, t);
-            let point = match memo.as_deref_mut() {
-                Some(memo) => memo.point(m, cap),
-                None => operating_point(m, work, cap),
-            };
-            c.record_draw(id, t, point.draw_w);
-            debug_assert!(point.rate > 0.0, "productive phase stalled");
-            let end = t + des::SimDuration::from_secs_f64(remaining / point.rate);
-            match c.rapl.next_change_after(id, t) {
-                Some(change) if change < end => {
-                    remaining -= change.saturating_since(t).as_secs_f64() * point.rate;
-                    t = change;
-                    c.rapl.advance(id, t);
-                }
-                _ => {
-                    t = end;
-                    break;
-                }
-            }
-        }
-        c.nodes.busy_until[id] = t;
-        if c.tracer.is_enabled() {
-            c.push_phase(id, work, start, t);
-        }
-        t
-    }
-
-    /// Block at a synchronization point from `from` until `until`, drawing
-    /// the cluster machine's wait power (subject to the cap).
-    pub fn wait_until(&mut self, from: SimTime, until: SimTime) {
-        let id = self.id;
-        debug_assert!(from >= self.busy_until());
-        if until <= from {
-            self.cluster.nodes.busy_until[id] = self.busy_until().max(from);
-            return;
-        }
-        let c = &mut *self.cluster;
-        c.rapl.advance(id, from);
-        // Waiting draws the wait demand, capped (`operating_point` of a wait).
-        let demand = c.wait_demand_w;
-        let mut t = from;
-        while t < until {
-            let cap = c.rapl.enforced_at(id, t);
-            c.record_draw(id, t, demand.min(cap));
-            match c.rapl.next_change_after(id, t) {
-                Some(change) if change < until => {
-                    t = change;
-                    c.rapl.advance(id, t);
-                }
-                _ => t = until,
-            }
-        }
-        c.nodes.busy_until[id] = until;
-        if c.tracer.is_enabled() {
-            c.push_wait(id, from, until);
-        }
+        c.run_phase_columns(m, &[id], Some(start), work, &[1.0], &[jitter], &mut memo);
+        c.nodes.busy_until[id]
     }
 }
 

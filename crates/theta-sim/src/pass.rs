@@ -1,22 +1,28 @@
 //! The column passes: one phase, one wait and one round of cap requests
 //! over many nodes' columns, a block of consecutive node ids at a time.
+//! They are the only rule that steps a node; a one-node block is a node
+//! stepped alone.
 //!
-//! Each pass applies the rules of [`NodeMut`](crate::NodeMut)'s scalar
-//! steps, with the same IEEE operations in the same order per node, so
-//! every bit matches: division is correctly rounded packed or not, and
-//! rustc forms no FMA. A block is one straight loop over its nodes'
-//! columns into stack arrays, which the loop vectorizer turns into 4-wide
-//! AVX2 under `x86-64-v3` (`.cargo/config.toml`). What cannot run
-//! branch-free is then done per node from a lane mask, as the RDF kernel
-//! bins its hits: a cap change landing inside the step (the node takes the
-//! scalar step instead), a draw change closing a segment, and a duration
-//! the packed conversion does not cover. Spans are pushed per node when a
+//! Each pass applies the node rules of the per-node steps (the
+//! `#[cfg(test)]` oracle in `oracle.rs`, which `pass::tests` holds them
+//! to) with the same IEEE operations in the same order per node, so every
+//! bit matches: division is correctly rounded packed or not, and rustc
+//! forms no FMA. A block is one straight loop over its nodes' columns into
+//! stack arrays of 64 lanes, which the loop vectorizer turns into 4-wide
+//! AVX2 under `x86-64-v3` (`.cargo/config.toml`); a block of fewer than 8
+//! nodes runs one node at a time as one-lane blocks, where the same code
+//! compiles loop-free. What cannot run branch-free is then done per
+//! node from a lane mask, as the RDF kernel bins its hits: a draw change
+//! closing a segment, a cap change landing inside the step (a second
+//! sub-step at the change: a node holds at most one change in flight), and
+//! a duration the packed conversion does not cover. A faulted PCU is a
+//! lane predicate of the request pass. Spans are pushed per node when a
 //! tracer is attached.
 
 use crate::cluster::Cluster;
 use crate::config::{CapMode, MachineConfig};
 use crate::node::{Nodes, NO_END};
-use crate::phase::Work;
+use crate::phase::{PhaseKind, Work};
 use crate::power::OpMemo;
 use crate::rapl::{Rapl, NO_CHANGE};
 use des::{SimDuration, SimTime};
@@ -24,9 +30,10 @@ use des::{SimDuration, SimTime};
 /// Most nodes in a block: one `u64` lane mask.
 const BLOCK: usize = 64;
 
-/// Fewest nodes a block runs as lanes: a shorter one takes the per-node
-/// steps, since its fixed cost would outweigh what its lanes save.
-const MIN_BLOCK: usize = 16;
+/// Blocks of fewer nodes run one node at a time, as one-lane blocks
+/// inlined into their pass: at 2 to 7 nodes that measured faster than one
+/// block of lanes, and the one-lane code has no loops left.
+const NARROW: usize = 8;
 
 /// 2⁵² as an `f64`: adding it to an integral value in `[0, 2⁵²]` leaves
 /// that integer in the mantissa bits, exactly.
@@ -43,6 +50,26 @@ fn lane_nanos(secs: f64) -> (u64, bool) {
     let ok = (secs > 0.0) & (ns < TWO_52);
     let bits = (ns.round() + TWO_52).to_bits().wrapping_sub(TWO_52.to_bits());
     (if ok { bits } else { 0 }, ok)
+}
+
+/// `t + secs` in nanoseconds, as `SimTime + SimDuration::from_secs_f64`:
+/// the packed conversion where it covers `secs`, else the scalar one.
+#[inline(always)]
+fn after(t: u64, secs: f64) -> u64 {
+    match lane_nanos(secs) {
+        (ns, true) => t.saturating_add(ns),
+        _ => (SimTime::from_nanos(t) + SimDuration::from_secs_f64(secs)).as_nanos(),
+    }
+}
+
+/// Panics as `Work::scaled` refuses a stretched phase that is negative or
+/// not finite, as a caller stepping one node would.
+#[cold]
+#[inline(never)]
+fn refuse_stretch(work: Work, stretch: &[f64]) {
+    for &s in stretch.iter().filter(|&&s| s != 1.0) {
+        Work::scaled(work.kind, work.ref_secs * s, work.demand_scale);
+    }
 }
 
 /// The blocks of the `len` ascending ids `id(0..len)`: `(i, k, n)` for
@@ -90,14 +117,10 @@ impl Cluster {
     /// exactly 1.0, and phase `p`'s duration by `jitter[p * nodes.len() +
     /// i]`), close its active window and append `(node, arrival)`, the
     /// arrival no earlier than `t0`, to `arrivals`. Each phase's operating
-    /// points come from `memo`, reset for it. Every node ends where the
-    /// per-node steps would leave it, bit for bit: `begin_interval`,
-    /// [`NodeMut::run_phase_with`] per phase, `end_walk`.
+    /// points come from `memo`, reset for it.
     ///
-    /// Returns how many node-phases took that scalar step because a cap
-    /// change was pending after their start.
-    ///
-    /// [`NodeMut::run_phase_with`]: crate::NodeMut::run_phase_with
+    /// Returns how many node-phases had a cap change pending after their
+    /// start: the ones split where the change lands, if it lands inside.
     #[allow(clippy::too_many_arguments)]
     pub fn walk(
         &mut self,
@@ -112,48 +135,24 @@ impl Cluster {
     ) -> u64 {
         let n = nodes.len();
         assert!(stretch.len() == n && jitter.len() == n * phases.len());
-        let mut scalar = 0;
-        if n < MIN_BLOCK {
-            // Too few nodes for lanes: the per-node steps, phase by phase.
-            for &id in nodes {
-                self.node_mut(id).begin_interval(t0);
-            }
-            for (p, &work) in phases.iter().enumerate() {
-                memo.reset(m, work);
-                let (first, jitter) = ((p == 0).then_some(t0), &jitter[p * n..(p + 1) * n]);
-                for (i, &id) in nodes.iter().enumerate() {
-                    scalar += self.phase_node(m, id, first, work, stretch[i], jitter[i], memo);
-                }
-            }
-            for &id in nodes {
-                let mut node = self.node_mut(id);
-                node.end_walk();
-                arrivals.push((id, node.busy_until().max(t0)));
-            }
-            return scalar;
-        }
         self.begin_intervals(nodes, t0);
+        let mut late = 0;
         for (p, &work) in phases.iter().enumerate() {
             memo.reset(m, work);
             let (first, jitter) = ((p == 0).then_some(t0), &jitter[p * n..(p + 1) * n]);
-            scalar += self.run_phase_columns(m, nodes, first, work, stretch, jitter, memo);
+            late += self.run_phase_columns(m, nodes, first, work, stretch, jitter, memo);
         }
         self.end_walks(nodes, t0, arrivals);
-        scalar
+        late
     }
 
     /// Run phase `work` on every node of `nodes` (ascending ids) from
     /// `start`, or from each node's own clock if `None`: node `nodes[i]`'s
     /// work is stretched by `stretch[i]` (left untouched at exactly 1.0)
     /// and its duration by `jitter[i]`, the operating points taken from
-    /// `memo`. Every node ends where [`NodeMut::run_phase_with`] would
-    /// leave it, bit for bit, spans and draw log included.
+    /// `memo`. A cap change landing inside the phase splits it there.
     ///
-    /// Returns how many nodes took that scalar step instead: those with a
-    /// pending cap change after their start, which may land inside the
-    /// phase.
-    ///
-    /// [`NodeMut::run_phase_with`]: crate::NodeMut::run_phase_with
+    /// Returns how many nodes had a cap change pending after their start.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_phase_columns(
         &mut self,
@@ -166,51 +165,39 @@ impl Cluster {
         memo: &mut OpMemo,
     ) -> u64 {
         assert!(nodes.len() == stretch.len() && nodes.len() == jitter.len());
-        let mut scalar = 0;
+        let mut late = 0;
         for (i, k, n) in blocks(nodes.len(), |i| nodes[i]) {
-            if n < MIN_BLOCK {
+            if n < NARROW {
                 for j in i..i + n {
-                    scalar +=
-                        self.phase_node(m, nodes[j], start, work, stretch[j], jitter[j], memo);
+                    let inputs = (&stretch[j..j + 1], &jitter[j..j + 1]);
+                    late += self.phase_lanes::<1>(m, nodes[j], start, work, inputs, memo);
                 }
             } else {
                 let inputs = (&stretch[i..i + n], &jitter[i..i + n]);
-                scalar += self.phase_block(m, k, start, work, inputs, memo);
+                late += self.phase_block(m, k, start, work, inputs, memo);
             }
         }
-        scalar
+        late
     }
 
-    /// Node `id`'s phase by the scalar step; 1 if a cap change was pending
-    /// after its start.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn phase_node(
+    /// [`Cluster::phase_lanes`], out of line: a block of [`NARROW`] nodes or more.
+    #[inline(never)]
+    fn phase_block(
         &mut self,
         m: &MachineConfig,
-        id: usize,
+        k: usize,
         first: Option<SimTime>,
         work: Work,
-        stretch: f64,
-        jitter: f64,
+        inputs: (&[f64], &[f64]),
         memo: &mut OpMemo,
     ) -> u64 {
-        let start = first.unwrap_or(self.nodes.busy_until[id]);
-        let late = self.rapl.next_change_after(id, start).is_some();
-        let work = if stretch == 1.0 {
-            work
-        } else {
-            Work::scaled(work.kind, work.ref_secs * stretch, work.demand_scale)
-        };
-        self.node_mut(id).run_phase_with(m, start, work, jitter, Some(memo));
-        u64::from(late)
+        self.phase_lanes::<BLOCK>(m, k, first, work, inputs, memo)
     }
 
     /// [`Cluster::run_phase_columns`] over the nodes `k..k + n`, `n` the
-    /// length of `stretch` and `jitter`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(never)]
-    fn phase_block(
+    /// length of `stretch` and `jitter`, at most `W`.
+    #[inline(always)]
+    fn phase_lanes<const W: usize>(
         &mut self,
         m: &MachineConfig,
         k: usize,
@@ -220,31 +207,28 @@ impl Cluster {
         memo: &mut OpMemo,
     ) -> u64 {
         let n = stretch.len();
+        assert!(n <= W);
         let nodes = k..k + n;
         let jitter = &jitter[..n];
-        // Commit what is due by each start (`Rapl::advance`); a change
-        // still pending after it sends the node to the scalar step.
+        // Commit what is due by each start; a change still pending after
+        // it makes the node late.
         let Rapl { active_w, pending_at, pending_w, .. } = &mut self.rapl;
         let active_w = &mut active_w[nodes.clone()];
         let pending_at = &mut pending_at[nodes.clone()];
         let pending_w = &pending_w[nodes.clone()];
         let efficiency = &self.noise.efficiencies()[nodes.clone()];
-        let busy = &mut self.nodes.busy_until[nodes.clone()];
-        let (mut start, mut remaining, mut late) = ([0u64; BLOCK], [0.0; BLOCK], [false; BLOCK]);
-        let (start, remaining, late) = (&mut start[..n], &mut remaining[..n], &mut late[..n]);
-        let (mut rate, mut draw) = ([1.0; BLOCK], [0.0; BLOCK]);
+        let (mut start, mut end, mut remaining) = ([0u64; W], [0u64; W], [0.0; W]);
+        let (start, end, remaining) = (&mut start[..n], &mut end[..n], &mut remaining[..n]);
+        let (mut rate, mut draw) = ([1.0; W], [0.0; W]);
         let (rate, draw) = (&mut rate[..n], &mut draw[..n]);
-        let (mut closes, mut todo) = ([false; BLOCK], [false; BLOCK]);
-        let (closes, todo) = (&mut closes[..n], &mut todo[..n]);
+        let (mut late, mut closes, mut far) = ([false; W], [false; W], [false; W]);
+        let (late, closes, far) = (&mut late[..n], &mut closes[..n], &mut far[..n]);
         let first = first.map(SimTime::as_nanos);
-        let start_of = |busy: SimTime| first.unwrap_or(busy.as_nanos());
-        // The first node's cap once committed: the block's one cap if all
-        // share it.
-        let due0 = pending_at[0] != NO_CHANGE && pending_at[0].as_nanos() <= start_of(busy[0]);
-        let cap0 = if due0 { pending_w[0] } else { active_w[0] }.to_bits();
-        let (mut any_live, mut one_cap, mut bad_stretch) = (false, true, false);
+        let busy = &self.nodes.busy_until[nodes.clone()];
+        let start_of = |j: usize| first.unwrap_or(busy[j].as_nanos());
+        let (mut any_live, mut bad_stretch, mut lates) = (false, false, 0);
         for j in 0..n {
-            let s = start_of(busy[j]);
+            let s = start_of(j);
             let at = pending_at[j].as_nanos();
             let pending = at != NO_CHANGE.as_nanos();
             let due = pending & (at <= s);
@@ -255,76 +239,96 @@ impl Cluster {
             let ref_secs = if stretched { work.ref_secs * stretch[j] } else { work.ref_secs };
             remaining[j] = ref_secs * jitter[j] / efficiency[j];
             start[j] = s;
-            any_live |= !late[j] & (remaining[j] > 0.0);
-            one_cap &= active_w[j].to_bits() == cap0;
+            any_live |= remaining[j] > 0.0;
             bad_stretch |= stretched & !(ref_secs.is_finite() & (ref_secs >= 0.0));
+            lates += u64::from(late[j]);
         }
-        let stretched =
-            |j: usize| Work::scaled(work.kind, work.ref_secs * stretch[j], work.demand_scale);
         if bad_stretch {
-            // `Work::scaled` refuses it, as the scalar step's caller would.
-            for j in (0..n).filter(|&j| stretch[j] != 1.0) {
-                stretched(j);
-            }
+            refuse_stretch(work, stretch);
         }
         // One operating point for a block under one cap, else one a node.
+        let one_cap = active_w.iter().all(|&cap| cap.to_bits() == active_w[0].to_bits());
         if any_live && one_cap {
             let point = memo.point(m, active_w[0]);
             rate.fill(point.rate);
             draw.fill(point.draw_w);
         } else if any_live {
-            for j in (0..n).filter(|&j| !late[j] && remaining[j] > 0.0) {
+            for j in (0..n).filter(|&j| remaining[j] > 0.0) {
                 let point = memo.point(m, active_w[j]);
                 (rate[j], draw[j]) = (point.rate, point.draw_w);
             }
         }
-        // With no change in flight the phase is one segment,
-        // `start + from_secs_f64(remaining / rate)`, drawn from the start:
-        // a draw change closes the open segment (`record_draw`). A late
-        // node, or one whose conversion was not packed, is finished per
-        // node.
+        // The phase unsplit is one segment, `start + from_secs_f64(remaining
+        // / rate)`, drawn from the start: a draw change closes the open
+        // segment. A late node's change splits it if due before that end.
         let open_w = &self.nodes.open_w[nodes.clone()];
-        let (mut any_close, mut any_todo) = (false, false);
+        let (mut live, mut at) = ([false; W], [0u64; W]);
+        let (live, at) = (&mut live[..n], &mut at[..n]);
+        let (mut any_close, mut any_far, mut any_split) = (false, false, false);
         for j in 0..n {
             let (ns, packed) = lane_nanos(remaining[j] / rate[j]);
-            let end = if remaining[j] > 0.0 { start[j].saturating_add(ns) } else { start[j] };
-            busy[j] = if late[j] { busy[j] } else { SimTime::from_nanos(end) };
-            let live = !late[j] & (remaining[j] > 0.0);
-            closes[j] = live & ((draw[j] - open_w[j]).abs() > 1e-9);
-            todo[j] = late[j] | (live & !packed);
+            live[j] = remaining[j] > 0.0;
+            end[j] = if live[j] { start[j].saturating_add(ns) } else { start[j] };
+            closes[j] = live[j] & ((draw[j] - open_w[j]).abs() > 1e-9);
+            far[j] = live[j] & !packed;
             any_close |= closes[j];
-            any_todo |= todo[j];
+            any_far |= far[j];
+            any_split |= late[j] & live[j];
+        }
+        for j in set_lanes(if any_far { mask(far) } else { 0 }) {
+            end[j] = after(start[j], remaining[j] / rate[j]);
         }
         if any_close {
             self.close_block(k, start, draw, closes);
         }
-        let mut scalar = 0;
-        for j in set_lanes(if any_todo { mask(todo) } else { 0 }) {
-            let (id, start) = (k + j, SimTime::from_nanos(start[j]));
-            if late[j] {
-                let work = if stretch[j] == 1.0 { work } else { stretched(j) };
-                self.node_mut(id).run_phase_with(m, start, work, jitter[j], Some(memo));
-                scalar += 1;
-            } else {
-                let end = start + SimDuration::from_secs_f64(remaining[j] / rate[j]);
-                self.nodes.busy_until[id] = end;
+        if any_split {
+            // The second sub-step, from the change: commit it, take off the
+            // work the first segment did, look up the new cap's operating
+            // point, and close the segment if the draw changes. A change
+            // due exactly at the unsplit end does not split.
+            let Rapl { active_w, pending_at, pending_w, .. } = &mut self.rapl;
+            let active_w = &mut active_w[nodes.clone()];
+            let pending_at = &mut pending_at[nodes.clone()];
+            let pending_w = &pending_w[nodes.clone()];
+            let open_w = &self.nodes.open_w[nodes.clone()];
+            let mut any_close = false;
+            for j in 0..n {
+                at[j] = pending_at[j].as_nanos();
+                late[j] &= live[j] & (at[j] < end[j]);
+                closes[j] = false;
             }
+            for j in set_lanes(mask(late)) {
+                remaining[j] -= (at[j] - start[j]) as f64 * 1e-9 * rate[j];
+                (active_w[j], pending_at[j]) = (pending_w[j], NO_CHANGE);
+                let point = memo.point(m, active_w[j]);
+                (rate[j], draw[j]) = (point.rate, point.draw_w);
+                closes[j] = (draw[j] - open_w[j]).abs() > 1e-9;
+                any_close |= closes[j];
+                end[j] = after(at[j], remaining[j] / rate[j]);
+            }
+            if any_close {
+                self.close_block(k, at, draw, closes);
+            }
+        }
+        let busy = &mut self.nodes.busy_until[nodes];
+        for j in 0..n {
+            busy[j] = SimTime::from_nanos(end[j]);
         }
         if self.tracer.is_enabled() {
-            for j in (0..n).filter(|&j| !late[j] && remaining[j] > 0.0) {
-                let (id, start) = (k + j, SimTime::from_nanos(start[j]));
-                let work = if stretch[j] == 1.0 { work } else { stretched(j) };
-                self.push_phase(id, work, start, self.nodes.busy_until[id]);
+            for j in (0..n).filter(|&j| live[j]) {
+                let (start, end) = (SimTime::from_nanos(start[j]), SimTime::from_nanos(end[j]));
+                self.push_phase(k + j, work.kind, start, end);
             }
         }
-        scalar
+        lates
     }
 
     /// Every node `k + j` with `closes[j]` set starts drawing `draw[j]`
-    /// watts at `t[j]` ns, folding its open segment into its windows: what
-    /// `record_draw` does on a change, [`Nodes::close`] lane by lane.
-    ///
-    /// [`Nodes::close`]: crate::node::Nodes::close
+    /// watts at `t[j]` ns, folding its open segment into its windows: a
+    /// segment that began inside a window adds its full term to it, one
+    /// that began before adds the term from the window's start, and the
+    /// active window is fixed by the first segment closing at or after its
+    /// end.
     #[inline(always)]
     fn close_block(&mut self, k: usize, t: &[u64], draw: &[f64], closes: &[bool]) {
         let n = t.len();
@@ -358,18 +362,17 @@ impl Cluster {
             let (start, watts, tj) = (open_from[j].as_nanos(), open_w[j], t[j]);
             let (from, end) = (interval_from[j].as_nanos(), active_to[j].as_nanos());
             let fix = closes[j] & (end != NO_END.as_nanos()) & (tj >= end) & !active_fixed[j];
-            let fixed = interval_j[j] + term(watts, start.max(from), end);
-            let full = term(watts, start, tj);
-            let clipped_interval = if start >= from { full } else { term(watts, from, tj) };
-            let clipped_since = if start >= since { full } else { term(watts, since, tj) };
-            active_j[j] = if fix { fixed } else { active_j[j] };
+            if fix {
+                active_j[j] = interval_j[j] + term(watts, start.max(from), end);
+            }
             active_fixed[j] |= fix;
-            total_j[j] = if closes[j] { total_j[j] + full } else { total_j[j] };
-            interval_j[j] =
-                if closes[j] { interval_j[j] + clipped_interval } else { interval_j[j] };
-            since_j[j] = if closes[j] { since_j[j] + clipped_since } else { since_j[j] };
-            open_from[j] = if closes[j] { SimTime::from_nanos(tj) } else { open_from[j] };
-            open_w[j] = if closes[j] { draw[j] } else { watts };
+            if closes[j] {
+                total_j[j] += term(watts, start, tj);
+                interval_j[j] += term(watts, start.max(from), tj);
+                since_j[j] += term(watts, start.max(since), tj);
+                open_from[j] = SimTime::from_nanos(tj);
+                open_w[j] = draw[j];
+            }
         }
         if !self.log.is_empty() {
             for j in set_lanes(mask(closes)) {
@@ -378,12 +381,23 @@ impl Cluster {
         }
     }
 
-    /// Every node `k..k + n` waits from `from(j)` until `until`, as
-    /// [`NodeMut::wait_until`] would, bit for bit.
-    ///
-    /// [`NodeMut::wait_until`]: crate::NodeMut::wait_until
+    /// [`Cluster::wait_lanes`], out of line: a block of [`NARROW`] nodes or more.
     #[inline(never)]
     fn wait_block(&mut self, k: usize, n: usize, from: impl Fn(usize) -> SimTime, until: SimTime) {
+        self.wait_lanes::<BLOCK>(k, n, from, until)
+    }
+
+    /// Every node `k..k + n` (`n` at most `W`) waits from `from(j)` until
+    /// `until`, drawing the wait demand under its cap; a cap change landing
+    /// inside the wait starts a second segment there.
+    #[inline(always)]
+    fn wait_lanes<const W: usize>(
+        &mut self,
+        k: usize,
+        n: usize,
+        from: impl Fn(usize) -> SimTime,
+        until: SimTime,
+    ) {
         let nodes = k..k + n;
         let Rapl { active_w, pending_at, pending_w, .. } = &mut self.rapl;
         let active_w = &mut active_w[nodes.clone()];
@@ -392,9 +406,9 @@ impl Cluster {
         let busy = &mut self.nodes.busy_until[nodes.clone()];
         let open_w = &self.nodes.open_w[nodes.clone()];
         let (until_ns, demand) = (until.as_nanos(), self.wait_demand_w);
-        let (mut waits, mut late, mut closes) = ([false; BLOCK], [false; BLOCK], [false; BLOCK]);
+        let (mut waits, mut late, mut closes) = ([false; W], [false; W], [false; W]);
         let (waits, late, closes) = (&mut waits[..n], &mut late[..n], &mut closes[..n]);
-        let (mut at, mut draw) = ([0u64; BLOCK], [0.0; BLOCK]);
+        let (mut at, mut draw) = ([0u64; W], [0.0; W]);
         let (at, draw) = (&mut at[..n], &mut draw[..n]);
         let (mut any_close, mut any_late) = (false, false);
         for j in 0..n {
@@ -408,9 +422,8 @@ impl Cluster {
             pending_at[j] = if due { NO_CHANGE } else { pending_at[j] };
             draw[j] = demand.min(active_w[j]);
             let b = busy[j].as_nanos();
-            let rest = if waits[j] { until_ns } else { b.max(f) };
-            busy[j] = SimTime::from_nanos(if late[j] { b } else { rest });
-            closes[j] = waits[j] & !late[j] & ((draw[j] - open_w[j]).abs() > 1e-9);
+            busy[j] = SimTime::from_nanos(if waits[j] { until_ns } else { b.max(f) });
+            closes[j] = waits[j] & ((draw[j] - open_w[j]).abs() > 1e-9);
             at[j] = f;
             any_close |= closes[j];
             any_late |= late[j];
@@ -418,11 +431,26 @@ impl Cluster {
         if any_close {
             self.close_block(k, at, draw, closes);
         }
-        for j in set_lanes(if any_late { mask(late) } else { 0 }) {
-            self.node_mut(k + j).wait_until(from(j), until);
+        if any_late {
+            // The second segment, from the change: commit it and close the
+            // segment if the capped wait draw changes.
+            let Rapl { active_w, pending_at, pending_w, .. } = &mut self.rapl;
+            let open_w = &self.nodes.open_w[nodes.clone()];
+            let mut any_close = false;
+            closes.fill(false);
+            for j in set_lanes(mask(late)) {
+                at[j] = pending_at[k + j].as_nanos();
+                (active_w[k + j], pending_at[k + j]) = (pending_w[k + j], NO_CHANGE);
+                draw[j] = demand.min(active_w[k + j]);
+                closes[j] = (draw[j] - open_w[j]).abs() > 1e-9;
+                any_close |= closes[j];
+            }
+            if any_close {
+                self.close_block(k, at, draw, closes);
+            }
         }
         if self.tracer.is_enabled() {
-            for j in (0..n).filter(|&j| waits[j] && !late[j]) {
+            for j in (0..n).filter(|&j| waits[j]) {
                 self.push_wait(k + j, from(j), until);
             }
         }
@@ -431,10 +459,7 @@ impl Cluster {
     /// The rendezvous: every node of `arrivals` (`(node, arrival)`,
     /// ascending ids) waits from its arrival until `until`, then its true
     /// mean power over its active window, `[t0, max(arrival, t0 + 1 ns))`,
-    /// is appended to `power`. Each node ends as after
-    /// [`NodeMut::wait_until`] and [`Cluster::mean_power`] in turn.
-    ///
-    /// [`NodeMut::wait_until`]: crate::NodeMut::wait_until
+    /// is appended to `power` (as [`Cluster::mean_power`] reads it).
     pub fn rendezvous(
         &mut self,
         t0: SimTime,
@@ -445,10 +470,10 @@ impl Cluster {
         let floor = t0 + SimDuration::from_nanos(1);
         for (i, k, n) in blocks(arrivals.len(), |i| arrivals[i].0) {
             let block = &arrivals[i..i + n];
-            if n < MIN_BLOCK {
+            if n < NARROW {
                 for &(id, arrival) in block {
-                    self.node_mut(id).wait_until(arrival, until);
-                    power.push(self.mean_power(id, t0, arrival.max(floor)));
+                    self.wait_lanes::<1>(id, 1, |_| arrival, until);
+                    self.mean_power_lanes::<1>(id, 1, t0, |_| arrival.max(floor), power);
                 }
             } else {
                 self.wait_block(k, n, |j| block[j].1, until);
@@ -457,12 +482,25 @@ impl Cluster {
         }
     }
 
-    /// [`Cluster::mean_power`] of every node `k..k + n` over `[from,
-    /// to(j))`, appended to `out`: the window read and the one division,
-    /// lane by lane. A window the lanes do not answer is read per node,
-    /// which panics where the scalar read does.
+    /// [`Cluster::mean_power_lanes`], out of line: a block of [`NARROW`] nodes or more.
     #[inline(never)]
     fn mean_power_block(
+        &self,
+        k: usize,
+        n: usize,
+        from: SimTime,
+        to: impl Fn(usize) -> SimTime,
+        out: &mut Vec<f64>,
+    ) {
+        self.mean_power_lanes::<BLOCK>(k, n, from, to, out)
+    }
+
+    /// [`Cluster::mean_power`] of every node `k..k + n` (`n` at most `W`)
+    /// over `[from, to(j))`, appended to `out`: the window read and the one
+    /// division, lane by lane. A window the lanes do not answer is read per
+    /// node, which panics where that read does.
+    #[inline(always)]
+    fn mean_power_lanes<const W: usize>(
         &self,
         k: usize,
         n: usize,
@@ -479,7 +517,7 @@ impl Cluster {
         let (active_to, active_j) = (&nd.active_to[nodes.clone()], &nd.active_j[nodes.clone()]);
         let active_fixed = &nd.active_fixed[nodes.clone()];
         let (from, since) = (from.as_nanos(), self.since.as_nanos());
-        let (mut mean, mut odd) = ([0.0; BLOCK], [false; BLOCK]);
+        let (mut mean, mut odd) = ([0.0; W], [false; W]);
         let (mean, odd) = (&mut mean[..n], &mut odd[..n]);
         let term = |watts: f64, from: u64, to: u64| watts * (to.saturating_sub(from) as f64 * 1e-9);
         for j in 0..n {
@@ -518,52 +556,40 @@ impl Cluster {
     }
 
     /// Open the interval and active windows of every node of `nodes`
-    /// (ascending ids) at `t0`: [`NodeMut::begin_interval`] per node.
-    ///
-    /// [`NodeMut::begin_interval`]: crate::NodeMut::begin_interval
+    /// (ascending ids) at `t0`, where its walk begins.
     pub(crate) fn begin_intervals(&mut self, nodes: &[usize], t0: SimTime) {
-        for (_, k, n) in blocks(nodes.len(), |i| nodes[i]) {
-            let nodes = k..k + n;
-            let nd = &mut self.nodes;
-            nd.interval_from[nodes.clone()].fill(t0);
-            nd.interval_j[nodes.clone()].fill(0.0);
-            nd.active_to[nodes.clone()].fill(NO_END);
-            nd.active_fixed[nodes].fill(false);
+        let nd = &mut self.nodes;
+        for &k in nodes {
+            nd.interval_from[k] = t0;
+            nd.interval_j[k] = 0.0;
+            nd.active_to[k] = NO_END;
+            nd.active_fixed[k] = false;
         }
     }
 
     /// Close the active window of every node of `nodes` (ascending ids)
-    /// where its walk ended ([`NodeMut::end_walk`]) and append `(node,
-    /// arrival)`, the arrival no earlier than `t0`, to `arrivals`.
-    ///
-    /// [`NodeMut::end_walk`]: crate::NodeMut::end_walk
+    /// where its walk ended, at its arrival or 1 ns after the interval
+    /// began if it did no timed work, and append `(node, arrival)`, the
+    /// arrival no earlier than `t0`, to `arrivals`.
     pub(crate) fn end_walks(
         &mut self,
         nodes: &[usize],
         t0: SimTime,
         arrivals: &mut Vec<(usize, SimTime)>,
     ) {
-        for (_, k, n) in blocks(nodes.len(), |i| nodes[i]) {
-            let nodes = k..k + n;
-            let nd = &mut self.nodes;
-            let busy = &nd.busy_until[nodes.clone()];
-            let interval_from = &nd.interval_from[nodes.clone()];
-            let active_to = &mut nd.active_to[nodes];
-            for j in 0..n {
-                let floor = interval_from[j] + SimDuration::from_nanos(1);
-                active_to[j] = busy[j].max(floor);
-            }
-            arrivals.extend(busy.iter().enumerate().map(|(j, &b)| (k + j, b.max(t0))));
+        let nd = &mut self.nodes;
+        for &k in nodes {
+            let floor = nd.interval_from[k] + SimDuration::from_nanos(1);
+            nd.active_to[k] = nd.busy_until[k].max(floor);
         }
+        // One exact reservation: regrowing it node by node moved a traced
+        // 32-node job's peak RSS from 9.9 to 12.5 MB (the heap's layout).
+        arrivals.extend(nodes.iter().map(|&k| (k, nd.busy_until[k].max(t0))));
     }
 
     /// Node `nodes[i]` requests `targets[i]` at `at` when `targets` is
-    /// given, then every node waits from `at` until `until`: what
-    /// [`NodeMut::request_cap`] and [`NodeMut::wait_until`] do per node,
-    /// bit for bit, spans included.
-    ///
-    /// [`NodeMut::request_cap`]: crate::NodeMut::request_cap
-    /// [`NodeMut::wait_until`]: crate::NodeMut::wait_until
+    /// given, then every node waits from `at` until `until`, spans
+    /// included.
     pub fn request_caps_and_wait(
         &mut self,
         m: &MachineConfig,
@@ -576,34 +602,49 @@ impl Cluster {
             assert_eq!(nodes.len(), targets.len());
         }
         for (i, k, n) in blocks(nodes.len(), |i| nodes[i]) {
-            if n < MIN_BLOCK {
+            if n < NARROW {
                 for j in i..i + n {
-                    let mut node = self.node_mut(nodes[j]);
                     if let Some(targets) = targets {
-                        node.request_cap(m, at, targets[j]);
+                        self.request_lanes::<1>(m, nodes[j], at, &targets[j..j + 1]);
                     }
-                    node.wait_until(at, until);
+                    self.wait_lanes::<1>(nodes[j], 1, |_| at, until);
                 }
-                continue;
+            } else {
+                if let Some(targets) = targets {
+                    self.request_block(m, k, at, &targets[i..i + n]);
+                }
+                self.wait_block(k, n, |_| at, until);
             }
-            if let Some(targets) = targets {
-                self.request_block(m, k, at, &targets[i..i + n]);
-            }
-            self.wait_block(k, n, |_| at, until);
         }
     }
 
-    /// Nodes `k..k + n` request `watts` at `now`, as
-    /// [`NodeMut::request_cap`] would.
-    ///
-    /// [`NodeMut::request_cap`]: crate::NodeMut::request_cap
+    /// [`Cluster::request_lanes`], out of line: a block of [`NARROW`] nodes or more.
     #[inline(never)]
     fn request_block(&mut self, m: &MachineConfig, k: usize, now: SimTime, watts: &[f64]) {
+        self.request_lanes::<BLOCK>(m, k, now, watts)
+    }
+
+    /// Nodes `k..k + n` request `watts` at `now` (`n`, its length, at most
+    /// `W`). Under [`CapMode::None`] nothing changes and TDP is granted.
+    /// Otherwise the clamped request is granted, and:
+    /// - a stuck PCU drops the request: one fewer to drop, nothing else;
+    /// - a request whose enforced cap equals the one in force cancels any
+    ///   pending change (an armed extra latency stays armed);
+    /// - any other lands after the actuation latency, plus the armed extra
+    ///   latency, which it uses up.
+    #[inline(always)]
+    fn request_lanes<const W: usize>(
+        &mut self,
+        m: &MachineConfig,
+        k: usize,
+        now: SimTime,
+        watts: &[f64],
+    ) {
         let n = watts.len();
         let nodes = k..k + n;
         let mode = self.cap_mode;
-        let (mut granted, mut faulty) = ([m.tdp_w; BLOCK], [false; BLOCK]);
-        let (granted, faulty) = (&mut granted[..n], &mut faulty[..n]);
+        let (mut granted, mut delayed) = ([m.tdp_w; W], [false; W]);
+        let (granted, delayed) = (&mut granted[..n], &mut delayed[..n]);
         if mode != CapMode::None {
             let Rapl { active_w, requested_w, pending_at, pending_w, stuck, extra_latency_s } =
                 &mut self.rapl;
@@ -611,22 +652,29 @@ impl Cluster {
             let requested_w = &mut requested_w[nodes.clone()];
             let pending_at = &mut pending_at[nodes.clone()];
             let pending_w = &mut pending_w[nodes.clone()];
-            let (stuck, extra) = (&stuck[nodes.clone()], &extra_latency_s[nodes.clone()]);
+            let stuck = &mut stuck[nodes.clone()];
+            let extra = &mut extra_latency_s[nodes.clone()];
             let landing = now + m.cap_actuation;
+            let mut any_delayed = false;
             for j in 0..n {
-                // A stuck PCU or an extra latency takes the scalar rule.
-                faulty[j] = (stuck[j] > 0) | (extra[j] > 0.0);
+                let dropped = stuck[j] > 0;
                 let clamped = m.clamp_cap(watts[j]);
                 let enforce = Rapl::enforceable(m, mode, watts[j]);
                 let same = (enforce - active_w[j]).abs() < f64::EPSILON;
+                let moves = !dropped & !same;
                 granted[j] = clamped;
-                requested_w[j] = if faulty[j] { requested_w[j] } else { clamped };
+                stuck[j] -= u32::from(dropped);
+                requested_w[j] = if dropped { requested_w[j] } else { clamped };
                 let at = if same { NO_CHANGE } else { landing };
-                pending_at[j] = if faulty[j] { pending_at[j] } else { at };
-                pending_w[j] = if faulty[j] | same { pending_w[j] } else { enforce };
+                pending_at[j] = if dropped { pending_at[j] } else { at };
+                pending_w[j] = if moves { enforce } else { pending_w[j] };
+                delayed[j] = moves & (extra[j] > 0.0);
+                any_delayed |= delayed[j];
             }
-            for j in set_lanes(mask(faulty)) {
-                granted[j] = self.rapl.request_cap(m, mode, k + j, now, watts[j]);
+            // A change put in flight uses up the armed extra latency.
+            for j in set_lanes(if any_delayed { mask(delayed) } else { 0 }) {
+                let latency = m.cap_actuation + SimDuration::from_secs_f64(extra[j]);
+                (pending_at[j], extra[j]) = (now + latency, 0.0);
             }
         }
         if self.tracer.is_enabled() {
@@ -636,13 +684,13 @@ impl Cluster {
         }
     }
 
-    /// Node `id`'s phase span, `[start, end)`.
-    pub(crate) fn push_phase(&mut self, id: usize, work: Work, start: SimTime, end: SimTime) {
+    /// Node `id`'s span of a `kind` phase, `[start, end)`.
+    pub(crate) fn push_phase(&mut self, id: usize, kind: PhaseKind, start: SimTime, end: SimTime) {
         self.spans[id].push(obs::TraceEvent {
             t: start,
             ev: obs::Event::Phase {
                 node: id,
-                kind: work.kind.tag().into(),
+                kind: kind.tag().into(),
                 start_ns: start.as_nanos(),
                 end_ns: end.as_nanos(),
             },
@@ -868,5 +916,217 @@ mod tests {
             assert_eq!(a.rapl.active_w[k], 120.0 + k as f64, "node {k}'s change is committed");
         }
         assert_same(a, b, "changes due at the start");
+    }
+
+    /// A Theta-sized machine, 4 392 nodes in blocks of [`BLOCK`] lanes,
+    /// in rounds of one cap request and four phases from each node's own
+    /// clock, the jitter spreading the nodes' phase boundaries around the
+    /// change. The late count of every phase pass is the oracle's count
+    /// of nodes with a change pending after their start, read before each
+    /// node steps.
+    #[test]
+    fn a_theta_sized_pass_counts_late_lanes_like_the_oracle() {
+        let m = MachineConfig::theta();
+        let n = 4392;
+        let mut rng = Rng::seed_from_u64(0x7E7A_4392);
+        let caps: Vec<f64> = (0..n).map(|_| rng.uniform(98.0, 140.0)).collect();
+        let sigmas = NoiseSigmas::for_mode(CapMode::Long);
+        let seed = NoiseSeed::new(rng.next_u64(), 1);
+        let [mut a, mut b] = [0, 1]
+            .map(|_| Cluster::with_caps_sigmas(m.clone(), &caps, CapMode::Long, sigmas, seed));
+        let nodes: Vec<usize> = (0..n).collect();
+        let (mut t, mut lates) = (SimTime::ZERO, 0);
+        for round in 0..3 {
+            let targets: Vec<f64> = nodes
+                .iter()
+                .map(|&k| if k % 5 == 0 { a.requested_cap(k) } else { rng.uniform(90.0, 150.0) })
+                .collect();
+            a.request_caps_and_wait(&m, t, t, &nodes, Some(&targets));
+            for &k in &nodes {
+                b.node_mut(k).request_cap(&m, t, targets[k]);
+                b.node_mut(k).wait_until(t, t);
+            }
+            assert_same(&mut a, &mut b, &format!("round {round}, cap requests"));
+            let work = Work::new(PhaseKind::Force, rng.uniform(2.0e-3, 6.0e-3));
+            for p in 0..4 {
+                let what = format!("round {round}, phase {p}");
+                let jitter: Vec<f64> = nodes.iter().map(|_| rng.uniform(0.5, 1.5)).collect();
+                let mut memo = (OpMemo::default(), OpMemo::default());
+                memo.0.reset(&m, work);
+                memo.1.reset(&m, work);
+                let start = (p == 0).then_some(t);
+                let ones = vec![1.0; n];
+                let late =
+                    a.run_phase_columns(&m, &nodes, start, work, &ones, &jitter, &mut memo.0);
+                let mut pending = 0;
+                for &k in &nodes {
+                    let at = start.unwrap_or(b.node_mut(k).busy_until());
+                    pending += u64::from(b.next_change_after(k, at).is_some());
+                    b.node_mut(k).run_phase_with(&m, at, work, jitter[k], Some(&mut memo.1));
+                }
+                assert_eq!(late, pending, "{what}: late count");
+                assert_same(&mut a, &mut b, &what);
+                lates += late;
+            }
+            let last = nodes.iter().map(|&k| a.node_mut(k).busy_until()).max().unwrap();
+            t = last + SimDuration::from_millis(1);
+        }
+        assert!(lates > 0, "some phases start before the change lands");
+    }
+
+    /// One step of a boundary scenario over nodes `0..n`: the passes take
+    /// it on one cluster, the per-node steps on the other.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Every node requests `watts(k)` at `at`.
+        Request(SimTime, fn(usize) -> f64),
+        /// Every node runs `work` from `start`, or from its own clock.
+        Phase(Option<SimTime>, Work),
+        /// Every node waits from the first instant until the second.
+        Wait(SimTime, SimTime),
+        /// Every even node's PCU drops the next `stuck` requests and adds
+        /// `extra` seconds to the next one that lands.
+        Faults(u32, f64),
+    }
+
+    /// `steps` at block lengths on each side of both edges (one lane at a
+    /// time below [`NARROW`], [`BLOCK`] lanes from there, a second block
+    /// past it), every column, draw log, span and late count compared
+    /// after each step.
+    fn steps_like_each_node_alone(what: &str, steps: &[Step]) {
+        let m = MachineConfig::theta();
+        for n in [1, 2, 3, 7, 8, 63, 64, 65] {
+            let nodes: Vec<usize> = (0..n).collect();
+            let tracers = [obs::Tracer::enabled(), obs::Tracer::enabled()];
+            let [mut a, mut b] = [0, 1].map(|i| {
+                let mut c = Cluster::noiseless(m.clone(), n, CapMode::Long, 110.0);
+                c.keep_draw_log();
+                c.set_tracer(&tracers[i]);
+                c
+            });
+            for (s, &step) in steps.iter().enumerate() {
+                let what = format!("{what}, {n} nodes, step {s}");
+                match step {
+                    Step::Request(at, watts) => {
+                        let targets: Vec<f64> = nodes.iter().map(|&k| watts(k)).collect();
+                        a.request_caps_and_wait(&m, at, at, &nodes, Some(&targets));
+                        for &k in &nodes {
+                            b.node_mut(k).request_cap(&m, at, targets[k]);
+                            b.node_mut(k).wait_until(at, at);
+                        }
+                    }
+                    Step::Phase(start, work) => {
+                        let mut memo = (OpMemo::default(), OpMemo::default());
+                        memo.0.reset(&m, work);
+                        memo.1.reset(&m, work);
+                        let ones = vec![1.0; n];
+                        let late =
+                            a.run_phase_columns(&m, &nodes, start, work, &ones, &ones, &mut memo.0);
+                        let mut pending = 0;
+                        for &k in &nodes {
+                            let at = start.unwrap_or(b.node_mut(k).busy_until());
+                            pending += u64::from(b.next_change_after(k, at).is_some());
+                            b.node_mut(k).run_phase_with(&m, at, work, 1.0, Some(&mut memo.1));
+                        }
+                        assert_eq!(late, pending, "{what}: late count");
+                    }
+                    Step::Wait(from, until) => {
+                        a.request_caps_and_wait(&m, from, until, &nodes, None);
+                        for &k in &nodes {
+                            b.node_mut(k).wait_until(from, until);
+                        }
+                    }
+                    Step::Faults(stuck, extra) => {
+                        for c in [&mut a, &mut b] {
+                            for k in (0..n).step_by(2) {
+                                c.node_mut(k).inject_ignore_requests(stuck);
+                                c.node_mut(k).inject_extra_latency(extra);
+                            }
+                        }
+                    }
+                }
+                assert_same(&mut a, &mut b, &what);
+            }
+            assert_eq!(tracers[0].to_jsonl(), tracers[1].to_jsonl(), "{what}, {n} nodes: spans");
+        }
+    }
+
+    /// A change landing at the edges of a phase or a wait, and faulted
+    /// PCUs, at block lengths 1, 2, 3, 7, 8, 63, 64 and 65, bit for
+    /// bit against the per-node steps: even nodes move their cap, odd nodes
+    /// request the one they hold.
+    #[test]
+    fn split_and_faulted_lanes_step_like_each_node_alone() {
+        let m = MachineConfig::theta();
+        let ns = SimTime::from_nanos;
+        let act = m.cap_actuation.as_nanos();
+        let work = Work::new(PhaseKind::Force, 0.005);
+        let up: fn(usize) -> f64 = |k| if k % 2 == 0 { 130.0 } else { 110.0 };
+        let down: fn(usize) -> f64 = |k| if k % 2 == 0 { 125.0 } else { 110.0 };
+        let hold: fn(usize) -> f64 = |_| 110.0;
+        // A phase from 20 ms, and where it ends under 110 W throughout.
+        let s = 20_000_000;
+        let mut probe = Cluster::noiseless(m.clone(), 1, CapMode::Long, 110.0);
+        let end = probe.node_mut(0).run_phase_with(&m, ns(s), work, 1.0, None).as_nanos();
+        assert!(end - s < act, "the request lands before the phase starts");
+        let phase = |change: u64| {
+            [
+                Step::Request(ns(change - act), up),
+                Step::Phase(Some(ns(s)), work),
+                Step::Phase(None, work),
+                Step::Wait(ns(s + 40_000_000), ns(s + 45_000_000)),
+            ]
+        };
+        steps_like_each_node_alone("a change 1 ns into the phase", &phase(s + 1));
+        steps_like_each_node_alone("a change at the unsplit end", &phase(end));
+        steps_like_each_node_alone("a change 1 ns past the end", &phase(end + 1));
+        // Splits whose first segment runs under 120 W, at a rate other
+        // than 1, at three offsets into the phase.
+        let raise: fn(usize) -> f64 = |k| if k % 2 == 0 { 120.0 } else { 110.0 };
+        for change in [s + 1_234_567, s + 2_718_282, s + 3_141_593] {
+            steps_like_each_node_alone(
+                "a change mid-phase from 120 W",
+                &[
+                    Step::Request(ns(0), raise),
+                    Step::Wait(ns(0), ns(change - act)),
+                    Step::Request(ns(change - act), up),
+                    Step::Phase(Some(ns(s)), work),
+                ],
+            );
+        }
+        let until = s + 5_000_000;
+        let wait =
+            |change: u64| [Step::Request(ns(change - act), up), Step::Wait(ns(s), ns(until))];
+        steps_like_each_node_alone("a change inside a wait", &wait(s + 3_000_000));
+        steps_like_each_node_alone("a change at the wait's end", &wait(until));
+        steps_like_each_node_alone(
+            "stuck and extra latency on one node",
+            &[
+                Step::Faults(1, 2.0e-3),
+                Step::Request(ns(0), up),
+                Step::Wait(ns(0), ns(s)),
+                Step::Request(ns(s), down),
+                Step::Phase(Some(ns(s + 9_000_000)), work),
+                Step::Wait(ns(s + 40_000_000), ns(s + 45_000_000)),
+            ],
+        );
+        steps_like_each_node_alone(
+            "a no-op request with extra latency armed",
+            &[
+                Step::Faults(0, 2.0e-3),
+                Step::Request(ns(0), hold),
+                Step::Request(ns(5_000_000), up),
+                Step::Wait(ns(5_000_000), ns(s)),
+            ],
+        );
+        steps_like_each_node_alone(
+            "an extra latency above 2^52 ns",
+            &[
+                Step::Faults(0, 1.5 * TWO_52 * 1e-9),
+                Step::Request(ns(0), up),
+                Step::Phase(Some(ns(s)), work),
+                Step::Wait(ns(s + 40_000_000), ns(s + 45_000_000)),
+            ],
+        );
     }
 }

@@ -19,7 +19,7 @@ use crate::config::MachineConfig;
 use crate::phase::Work;
 
 /// Outcome of evaluating the model at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub(crate) struct OperatingPoint {
     /// Power the node actually draws, watts.
     pub draw_w: f64,
@@ -77,8 +77,10 @@ pub struct OpMemo {
     denom: f64,
     sensitivity: f64,
     wait: bool,
-    /// `(cap bits, point)`, most recently evaluated last.
-    points: Vec<(u64, OperatingPoint)>,
+    /// `(cap bits, point)` of the first `len` caps, most recently
+    /// evaluated last: a fixed array, so a fresh memo allocates nothing.
+    points: [(u64, OperatingPoint); Self::CAPS],
+    len: usize,
     /// `operating_point` evaluations so far.
     pub evaluations: u64,
 }
@@ -93,20 +95,21 @@ impl OpMemo {
         self.sensitivity = work.kind.sensitivity();
         self.wait = work.kind.is_wait();
         debug_assert!(self.wait || self.denom > 0.0, "phase demand must exceed the floor");
-        self.points.clear();
+        self.len = 0;
     }
 
     /// `operating_point(m, work, cap)` of the phase begun by `reset`.
     #[inline]
     pub(crate) fn point(&mut self, m: &MachineConfig, cap: f64) -> OperatingPoint {
         let key = cap.to_bits();
-        if let Some(&(_, point)) = self.points.iter().rev().find(|&&(k, _)| k == key) {
+        if let Some(&(_, point)) = self.points[..self.len].iter().rev().find(|&&(k, _)| k == key) {
             return point;
         }
         let point = self.evaluate(m, cap);
         self.evaluations += 1;
-        if self.points.len() < Self::CAPS {
-            self.points.push((key, point));
+        if self.len < Self::CAPS {
+            self.points[self.len] = (key, point);
+            self.len += 1;
         }
         point
     }

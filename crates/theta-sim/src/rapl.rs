@@ -1,4 +1,6 @@
-//! Per-node RAPL power-cap domain model.
+//! Per-node RAPL power-cap domain model: the state columns. The rules that
+//! move them (requests, actuation, enforcement) are applied by the column
+//! passes (`pass.rs`).
 //!
 //! Captures the three behaviours of Intel RAPL on Theta that the paper's
 //! evaluation depends on (§VII-A, §VII-E):
@@ -89,56 +91,8 @@ impl Rapl {
         }
     }
 
-    /// Request a new cap for node `k` at time `now`; it takes effect after
-    /// the machine's actuation latency. A newer request replaces any
-    /// pending one. Returns the clamped value that was accepted.
-    pub(crate) fn request_cap(
-        &mut self,
-        m: &MachineConfig,
-        mode: CapMode,
-        k: usize,
-        now: SimTime,
-        watts: f64,
-    ) -> f64 {
-        if mode == CapMode::None {
-            return m.tdp_w;
-        }
-        let clamped = m.clamp_cap(watts);
-        if self.stuck[k] > 0 {
-            // Stuck PCU: the caller sees a normal ack, the hardware holds
-            // the old cap. `requested_w` keeps the *previous* accepted
-            // value so the controller's read-back matches what is enforced.
-            self.stuck[k] -= 1;
-            return clamped;
-        }
-        self.requested_w[k] = clamped;
-        let enforce = Self::enforceable(m, mode, watts);
-        if (enforce - self.active_w[k]).abs() < f64::EPSILON {
-            self.pending_at[k] = NO_CHANGE;
-            return clamped;
-        }
-        let mut latency = m.cap_actuation;
-        if self.extra_latency_s[k] > 0.0 {
-            latency += des::SimDuration::from_secs_f64(self.extra_latency_s[k]);
-            self.extra_latency_s[k] = 0.0;
-        }
-        self.pending_at[k] = now + latency;
-        self.pending_w[k] = enforce;
-        clamped
-    }
-
-    /// Commit node `k`'s pending change if it is due by `now`.
-    #[inline]
-    pub(crate) fn advance(&mut self, k: usize, now: SimTime) {
-        if self.pending_at[k] != NO_CHANGE && self.pending_at[k] <= now {
-            self.active_w[k] = self.pending_w[k];
-            self.pending_at[k] = NO_CHANGE;
-        }
-    }
-
-    /// Cap node `k` enforces at time `t` (assumes `advance` has been called
-    /// up to the last change before `t`; also looks one pending change
-    /// ahead).
+    /// Cap node `k` enforces at time `t`: its pending change included once
+    /// due (a node holds at most one change in flight).
     #[inline]
     pub(crate) fn enforced_at(&self, k: usize, t: SimTime) -> f64 {
         if self.pending_at[k] != NO_CHANGE && self.pending_at[k] <= t {

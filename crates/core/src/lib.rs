@@ -64,7 +64,7 @@ use time_aware::{TimeAware, TimeAwareConfig};
 pub use controller::Controller;
 pub use power_aware::PowerAware;
 pub use seesaw::{EwmaMode, SeeSaw, SeeSawConfig};
-pub use types::{Allocation, CapLookup, Limits, NodeSample, Role, SyncObservation};
+pub use types::{Allocation, Limits, NodeSample, Role, SyncObservation};
 pub use waterfill::water_fill;
 
 /// The controller names [`controller_by_name`] accepts.

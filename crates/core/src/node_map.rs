@@ -195,11 +195,16 @@ mod tests {
     /// takes the full path: donors, claimants, slack, a per-node
     /// allocation.
     fn feed_back(obs: &mut SyncObservation, decided: Option<&Allocation>, call: usize) {
-        let mut caps = decided.map(Allocation::caps);
-        for s in &mut obs.nodes {
-            if let Some(caps) = &mut caps {
-                s.cap_w = caps.cap_for(s.node, s.role);
+        if let Some(a) = decided {
+            let nodes: Vec<usize> = obs.nodes.iter().map(|s| s.node).collect();
+            let sim = obs.nodes.iter().filter(|s| s.role == Role::Simulation).count();
+            let mut caps = Vec::new();
+            a.write_caps(&nodes, sim, &mut caps);
+            for (s, cap_w) in obs.nodes.iter_mut().zip(caps) {
+                s.cap_w = cap_w;
             }
+        }
+        for s in &mut obs.nodes {
             let pinned = (s.node + call).is_multiple_of(3);
             s.power_w = if pinned { s.cap_w - 0.5 } else { s.cap_w - 4.0 - (s.node % 5) as f64 };
             s.time_s = 4.0 + ((s.node * 7 + call) % 11) as f64 * 0.05;

@@ -3,7 +3,7 @@
 //! These are the node-granular baselines and the per-node cap lookup
 //! exactly as they stood before their state moved to the dense
 //! [`crate::node_map::NodeMap`] and the lookup to
-//! [`crate::types::CapLookup`]: `BTreeMap` state with an O(n²) drop-out
+//! [`crate::Allocation::write_caps`]: `BTreeMap` state with an O(n²) drop-out
 //! `retain`, and a linear `find`. The equivalence tests below drive old
 //! and new through the same seeded streams and demand bit-equal output.
 
@@ -414,10 +414,13 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "n={n} seed={seed:#x} sync {step}");
             if let Some(a) = &got {
                 acted += 1;
-                let mut lookup = a.caps();
-                for node in (0..n).filter(|&node| alive[node]) {
-                    caps[node] = lookup.cap_for(node, role(node));
-                    assert_eq!(caps[node].to_bits(), linear_cap_for(a, node, role(node)).to_bits());
+                let nodes: Vec<usize> = (0..n).filter(|&node| alive[node]).collect();
+                let sim = nodes.iter().filter(|&&node| role(node) == Role::Simulation).count();
+                let mut column = Vec::new();
+                a.write_caps(&nodes, sim, &mut column);
+                for (&node, cap) in nodes.iter().zip(column) {
+                    caps[node] = cap;
+                    assert_eq!(cap.to_bits(), linear_cap_for(a, node, role(node)).to_bits());
                 }
             }
         }

@@ -22,7 +22,7 @@
 
 use crate::controller::Controller;
 use crate::model::{optimal_split, LinearTask};
-use crate::types::{split_with_limits, Allocation, Limits, Role, SyncObservation};
+use crate::types::{split_with_limits, Allocation, Limits, SyncObservation};
 
 /// How Eq. 4's moving average is interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +116,9 @@ impl Controller for SeeSaw {
         if self.cfg.skip_step_zero && obs.step == 0 {
             return None;
         }
-        let sim = obs.partition(Role::Simulation)?;
-        let ana = obs.partition(Role::Analysis)?;
+        let [Some(sim), Some(ana)] = obs.partitions() else {
+            return None;
+        };
         // Validate BEFORE buffering: a corrupt sample held in `buf_*` would
         // poison the whole window mean. Hold the current allocation instead.
         if !Self::usable(sim.time_s, sim.power_w)
@@ -229,7 +230,7 @@ impl Controller for SeeSaw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeSample;
+    use crate::types::{NodeSample, Role};
 
     /// Build an observation for 1 sim + 1 analysis node.
     fn obs(

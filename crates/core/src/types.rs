@@ -1,7 +1,5 @@
 //! Shared vocabulary for power controllers.
 
-use std::borrow::Cow;
-
 /// Whether a node (or rank) belongs to the simulation or analysis partition
 /// of a space-shared in-situ job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,24 +47,57 @@ pub struct SyncObservation {
 }
 
 impl SyncObservation {
-    /// Aggregate a partition: `(slowest node time, summed power, node count,
-    /// current per-node cap)`. Returns `None` if the partition is empty.
-    pub(crate) fn partition(&self, role: Role) -> Option<PartitionView> {
-        let mut time_s: f64 = 0.0;
-        let mut power_w = 0.0;
-        let mut cap_sum = 0.0;
-        let mut count = 0usize;
-        for n in self.nodes.iter().filter(|n| n.role == role) {
-            time_s = time_s.max(n.time_s);
-            power_w += n.power_w;
-            cap_sum += n.cap_w;
-            count += 1;
+    /// Aggregate both partitions in one pass, simulation first: each one's
+    /// slowest node time, summed power, node count and mean per-node cap,
+    /// the sums folded in node order. A partition with no samples is
+    /// `None`.
+    ///
+    /// The slowest time is kept as two running maxima, over even and odd
+    /// positions, so the two `max` chains run side by side. `max` ignores
+    /// NaN, so the maximum is the same in any order; only the sign of a
+    /// zero result can differ, and a partition whose slowest time is zero
+    /// is held by every controller that reads it.
+    pub(crate) fn partitions(&self) -> [Option<PartitionView>; 2] {
+        #[derive(Clone, Copy)]
+        struct Fold {
+            time_s: [f64; 2],
+            power_w: f64,
+            cap_sum: f64,
+            count: usize,
         }
-        (count > 0).then(|| PartitionView {
-            time_s,
-            power_w,
-            nodes: count,
-            cap_per_node_w: cap_sum / count as f64,
+        impl Fold {
+            #[inline(always)]
+            fn add<const L: usize>(&mut self, n: &NodeSample) {
+                self.time_s[L] = self.time_s[L].max(n.time_s);
+                self.power_w += n.power_w;
+                self.cap_sum += n.cap_w;
+                self.count += 1;
+            }
+        }
+        #[inline(always)]
+        fn add<const L: usize>(sim: &mut Fold, ana: &mut Fold, n: &NodeSample) {
+            match n.role {
+                Role::Simulation => sim.add::<L>(n),
+                Role::Analysis => ana.add::<L>(n),
+            }
+        }
+        let zero = Fold { time_s: [0.0; 2], power_w: 0.0, cap_sum: 0.0, count: 0 };
+        let (mut sim, mut ana) = (zero, zero);
+        let mut pairs = self.nodes.chunks_exact(2);
+        for pair in &mut pairs {
+            add::<0>(&mut sim, &mut ana, &pair[0]);
+            add::<1>(&mut sim, &mut ana, &pair[1]);
+        }
+        if let [n] = pairs.remainder() {
+            add::<0>(&mut sim, &mut ana, n);
+        }
+        [sim, ana].map(|f| {
+            (f.count > 0).then(|| PartitionView {
+                time_s: f.time_s[0].max(f.time_s[1]),
+                power_w: f.power_w,
+                nodes: f.count,
+                cap_per_node_w: f.cap_sum / f.count as f64,
+            })
         })
     }
 }
@@ -130,64 +161,50 @@ impl Allocation {
         Allocation { sim_node_w, analysis_node_w, per_node_w: Vec::new() }
     }
 
-    /// A resolver for looking up many nodes' caps (O(nodes) to build, then
-    /// O(1) per node asked in ascending order). Borrows `per_node_w` when
-    /// it honours the ascending-unique contract and allocates only to
-    /// normalize a hand-built list that does not.
-    pub fn caps(&self) -> CapLookup<'_> {
-        let ascending_unique = self.per_node_w.windows(2).all(|w| w[0].0 < w[1].0);
-        let overrides = if ascending_unique {
-            Cow::Borrowed(self.per_node_w.as_slice())
+    /// Write the cap of every node in `nodes` into `caps`, lane for lane:
+    /// the first `sim` nodes are simulation nodes, the rest analysis
+    /// nodes, and `nodes` ascends. Two fills give each lane its role's
+    /// uniform cap, then the overrides are merged in: in lock-step when
+    /// `per_node_w` honours the ascending-unique contract, else one search
+    /// per entry, last entry first, so a node's first entry wins.
+    pub fn write_caps(&self, nodes: &[usize], sim: usize, caps: &mut Vec<f64>) {
+        debug_assert!(
+            sim <= nodes.len() && nodes.is_sorted(),
+            "sim nodes, then analysis, ascending"
+        );
+        caps.clear();
+        caps.resize(sim, self.sim_node_w);
+        caps.resize(nodes.len(), self.analysis_node_w);
+        if self.per_node_w.windows(2).all(|w| w[0].0 < w[1].0) {
+            let mut lane = 0;
+            for &(node, w) in &self.per_node_w {
+                while nodes.get(lane).is_some_and(|&n| n < node) {
+                    lane += 1;
+                }
+                match nodes.get(lane) {
+                    Some(&n) if n == node => caps[lane] = w,
+                    Some(_) => {}
+                    None => break,
+                }
+            }
         } else {
-            // Stable sort, then keep the first of each run: first match wins.
-            let mut sorted = self.per_node_w.clone();
-            sorted.sort_by_key(|&(n, _)| n);
-            sorted.dedup_by_key(|&mut (n, _)| n);
-            Cow::Owned(sorted)
-        };
-        CapLookup { alloc: self, overrides, cursor: 0 }
+            for &(node, w) in self.per_node_w.iter().rev() {
+                if let Ok(lane) = nodes.binary_search(&node) {
+                    caps[lane] = w;
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 impl Allocation {
-    /// Cap for one node under this allocation. Costs a pass over
-    /// `per_node_w`; to resolve many nodes use [`Allocation::caps`].
+    /// Cap for one node under this allocation: [`Allocation::write_caps`]
+    /// over that node alone.
     pub(crate) fn cap_for(&self, node: usize, role: Role) -> f64 {
-        self.caps().cap_for(node, role)
-    }
-}
-
-/// Per-node cap resolver over one [`Allocation`] — see [`Allocation::caps`].
-#[derive(Debug, Clone)]
-pub struct CapLookup<'a> {
-    alloc: &'a Allocation,
-    /// The overrides in strictly ascending node order.
-    overrides: Cow<'a, [(usize, f64)]>,
-    /// Where the next node is expected: producers list nodes ascending and
-    /// callers ask in the same order, so the walk stays in lock-step.
-    cursor: usize,
-}
-
-impl CapLookup<'_> {
-    /// Cap for a given node: its override if listed, else its role's
-    /// uniform cap.
-    pub fn cap_for(&mut self, node: usize, role: Role) -> f64 {
-        // Out of step (a gap, an unlisted node, a caller jumping around):
-        // find where `node` is, or would be.
-        if self.overrides.get(self.cursor).is_none_or(|&(n, _)| n != node) {
-            self.cursor = self.overrides.partition_point(|&(n, _)| n < node);
-        }
-        match self.overrides.get(self.cursor) {
-            Some(&(n, w)) if n == node => {
-                self.cursor += 1;
-                w
-            }
-            _ => match role {
-                Role::Simulation => self.alloc.sim_node_w,
-                Role::Analysis => self.alloc.analysis_node_w,
-            },
-        }
+        let mut caps = Vec::with_capacity(1);
+        self.write_caps(&[node], usize::from(role == Role::Simulation), &mut caps);
+        caps[0]
     }
 }
 
@@ -286,20 +303,65 @@ mod tests {
 
     #[test]
     fn partition_aggregates_slowest_and_sum() {
-        let o = obs();
-        let s = o.partition(Role::Simulation).unwrap();
+        let [s, a] = obs().partitions().map(Option::unwrap);
         assert_eq!(s.time_s, 4.2);
         assert_eq!(s.power_w, 217.0);
         assert_eq!(s.nodes, 2);
-        let a = o.partition(Role::Analysis).unwrap();
         assert_eq!(a.time_s, 2.0);
         assert_eq!(a.nodes, 2);
+    }
+
+    /// The one-pass, two-chain aggregate against a serial pass per role,
+    /// on generated observations: odd and even lengths, roles in any
+    /// order, NaN, zero and negative times. The sums and counts match bit
+    /// for bit, and the slowest time too unless it is a zero.
+    #[test]
+    fn partitions_fold_like_a_serial_pass_per_role() {
+        let mut rng = des::Rng::seed_from_u64(0x9A27);
+        for len in (0..=9).chain([64, 257]) {
+            for _ in 0..50 {
+                let odd = [f64::NAN, 0.0, -0.0, -1.0];
+                let nodes = (0..len)
+                    .map(|node| NodeSample {
+                        node,
+                        role: if rng.next_f64() < 0.5 { Role::Simulation } else { Role::Analysis },
+                        time_s: if rng.next_f64() < 0.2 {
+                            odd[rng.next_below(4) as usize]
+                        } else {
+                            rng.uniform(0.1, 9.0)
+                        },
+                        power_w: rng.uniform(50.0, 200.0),
+                        cap_w: rng.uniform(98.0, 215.0),
+                    })
+                    .collect();
+                let o = SyncObservation { step: 1, nodes };
+                let serial = |role| {
+                    let of_role = o.nodes.iter().filter(|n| n.role == role);
+                    let count = of_role.clone().count();
+                    (count > 0).then(|| {
+                        let time_s = of_role.clone().fold(0.0, |t: f64, n| t.max(n.time_s));
+                        let power_w = of_role.clone().fold(0.0, |p, n| p + n.power_w);
+                        let cap_sum = of_role.fold(0.0, |c, n| c + n.cap_w);
+                        (time_s, power_w, count, cap_sum / count as f64)
+                    })
+                };
+                let got = o.partitions();
+                for (view, role) in got.iter().zip([Role::Simulation, Role::Analysis]) {
+                    let want = serial(role);
+                    assert_eq!(view.is_some(), want.is_some(), "len {len}");
+                    let (Some(v), Some((t, p, k, c))) = (view, want) else { continue };
+                    assert!(v.time_s.to_bits() == t.to_bits() || (v.time_s == 0.0 && t == 0.0));
+                    assert_eq!((v.power_w.to_bits(), v.nodes), (p.to_bits(), k));
+                    assert_eq!(v.cap_per_node_w.to_bits(), c.to_bits());
+                }
+            }
+        }
     }
 
     #[test]
     fn empty_partition_is_none() {
         let o = SyncObservation { step: 0, nodes: vec![] };
-        assert!(o.partition(Role::Simulation).is_none());
+        assert_eq!(o.partitions(), [None, None]);
     }
 
     #[test]
@@ -311,14 +373,16 @@ mod tests {
         assert_eq!(a.cap_for(3, Role::Analysis), 98.0);
     }
 
-    /// The `per_node_w` contract: the resolver (walked in any order, and
+    /// The `per_node_w` contract: the caps column (over ascending node
+    /// sets with gaps, split anywhere into simulation then analysis, and
     /// through the one-off `cap_for`) answers exactly like a linear
     /// first-match scan, for ascending-unique lists as the controllers
     /// produce them and for unsorted, duplicate-bearing hand-built ones.
     #[test]
-    fn cap_lookup_equals_linear_first_match_on_random_allocations() {
+    fn write_caps_equals_linear_first_match_on_random_allocations() {
         use crate::reference::linear_cap_for;
         let mut rng = des::Rng::seed_from_u64(0xCA9_F02);
+        let mut caps = Vec::new();
         for case in 0..400 {
             let span = 1 + rng.next_below(40) as usize;
             let len = rng.next_below(60) as usize;
@@ -340,32 +404,31 @@ mod tests {
                     }
                 }
             }
-            let role = |n: usize| if n & 1 == 0 { Role::Simulation } else { Role::Analysis };
-            // Ascending walk (the runtime's cap-apply order), two past the end.
-            let mut caps = a.caps();
-            for n in 0..span + 2 {
-                let want = linear_cap_for(&a, n, role(n));
-                assert_eq!(caps.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
-                assert_eq!(a.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
-            }
-            // Random-order walk with repeats on one resolver.
-            let mut caps = a.caps();
-            for _ in 0..3 * span {
-                let n = rng.next_below(span as u64 + 2) as usize;
-                let want = linear_cap_for(&a, n, role(n));
-                assert_eq!(caps.cap_for(n, role(n)).to_bits(), want.to_bits(), "case {case} n {n}");
+            // Ascending nodes with gaps, two past the end of the span.
+            let nodes: Vec<usize> = (0..span + 2).filter(|_| rng.next_f64() < 0.8).collect();
+            let sim = rng.next_below(nodes.len() as u64 + 1) as usize;
+            let role = |lane: usize| if lane < sim { Role::Simulation } else { Role::Analysis };
+            a.write_caps(&nodes, sim, &mut caps);
+            assert_eq!(caps.len(), nodes.len());
+            for (lane, &n) in nodes.iter().enumerate() {
+                let want = linear_cap_for(&a, n, role(lane)).to_bits();
+                assert_eq!(caps[lane].to_bits(), want, "case {case} n {n}");
+                assert_eq!(a.cap_for(n, role(lane)).to_bits(), want, "case {case} n {n}");
             }
         }
     }
 
     #[test]
-    fn cap_lookup_first_match_wins_and_absent_falls_back() {
+    fn write_caps_first_match_wins_and_absent_falls_back() {
         let mut a = Allocation::uniform(120.0, 100.0);
         a.per_node_w = vec![(5, 101.0), (2, 102.0), (5, 103.0), (2, 104.0)];
         assert_eq!(a.cap_for(5, Role::Simulation), 101.0);
         assert_eq!(a.cap_for(2, Role::Analysis), 102.0);
         assert_eq!(a.cap_for(3, Role::Simulation), 120.0);
         assert_eq!(a.cap_for(9, Role::Analysis), 100.0);
+        let mut caps = Vec::new();
+        a.write_caps(&[2, 3, 5, 9], 2, &mut caps);
+        assert_eq!(caps, [102.0, 120.0, 101.0, 100.0]);
     }
 
     #[test]

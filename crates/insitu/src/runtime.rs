@@ -20,7 +20,7 @@ use des::{SimDuration, SimTime};
 use faults::{FaultEvent, FaultKind, RecoveryEvent, RecoveryKind};
 use mdsim::workload::{AnalyticWorkload, WorkloadGen};
 use mpisim::{Communicator, JobLayout};
-use polimer::{ExchangeFaults, NodeInterval, PowerManager};
+use polimer::{ExchangeFaults, PowerManager};
 use seesaw::{Controller, Limits, Role, UnknownController};
 use theta_sim::{Cluster, MachineConfig, NoiseSigmas, Work};
 
@@ -94,24 +94,18 @@ struct SyncScratch {
     ana_arrivals: Vec<(usize, SimTime)>,
     /// The stepper's scratch.
     walk: Walk,
-    /// Per arriving node, simulation partition first: the cap in force
-    /// during the interval and the node's true feedback.
-    feedback: Vec<NodeFeedback>,
-    /// Per arriving node, in the same order: true mean power over its
-    /// active window, then its id and the cap it is asked to take.
-    power: Vec<f64>,
+    /// The feedback columns, one lane per arriving node, simulation
+    /// partition first (so ascending by node): its id, time to arrival,
+    /// mean power over its active window (true, then as measured), and
+    /// the cap in force during the interval, then the cap it is asked to
+    /// take.
     cap_nodes: Vec<usize>,
+    times: Vec<f64>,
+    power: Vec<f64>,
     targets: Vec<f64>,
-}
-
-/// What the runtime knows about one node at the rendezvous.
-struct NodeFeedback {
-    node: usize,
-    role: Role,
-    /// Requested cap in force during the interval, watts.
-    cap_w: f64,
-    /// True (noise-free) mean power over the node's active window, watts.
-    true_power_w: f64,
+    /// Fault-list entries searched for plus lanes walked against a fault
+    /// list: at most nodes + faults per interval.
+    fault_lookups: u64,
 }
 
 impl Runtime {
@@ -331,11 +325,19 @@ impl Runtime {
         for (nodes, ctx) in [(&self.sim_nodes, &mut sc.sim_ctx), (&self.ana_nodes, &mut sc.ana_ctx)]
         {
             ctx.clear();
-            ctx.extend(nodes.iter().filter(|&&n| self.manager.is_alive(n)).map(|&node| NodeCtx {
+            ctx.extend(nodes.iter().map(|&node| NodeCtx {
                 node,
                 sigma_scale: low_cap_jitter_scale(&self.cluster, node),
-                stretch: sf.straggle_factor(node),
+                stretch: 1.0,
             }));
+            ctx.retain(|c| self.manager.is_alive(c.node));
+        }
+        for &(node, factor) in firsts(&sf.straggle, |&(n, _)| n) {
+            let ctx = if node < self.sim_nodes.len() { &mut sc.sim_ctx } else { &mut sc.ana_ctx };
+            sc.fault_lookups += 1;
+            if let Ok(i) = ctx.binary_search_by_key(&node, |c| c.node) {
+                ctx[i].stretch = factor;
+            }
         }
         if sc.sim_ctx.is_empty() || sc.ana_ctx.is_empty() {
             self.halted = true;
@@ -412,70 +414,89 @@ impl Runtime {
 
         // --- Feedback: each node waits out the rendezvous, then reports
         // time to arrival, measured power over the active window and the
-        // current requested cap. Monitor-side corruption (injected
-        // NaN/spike/dropout) happens here, before PoLiMER's plausibility
-        // gate — rejected samples never reach Eq. 1.
-        sc.feedback.clear();
+        // current requested cap, as columns. Monitor-side corruption
+        // (injected NaN/spike/dropout) happens here, before PoLiMER's
+        // plausibility gate — rejected samples never reach Eq. 1.
         sc.power.clear();
         for arrivals in [sim_arrivals, ana_arrivals] {
             self.cluster.rendezvous(t0, rendezvous, arrivals, &mut sc.power);
         }
-        for ((&(node, arrival), role), &true_power_w) in by_role().zip(&sc.power) {
-            let time_s = arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S);
-            let mut power_w = self.cluster.noise_mut().noisy_power(true_power_w);
-            let cap_w = self.cluster.requested_cap(node);
-            sc.feedback.push(NodeFeedback { node, role, cap_w, true_power_w });
-            if has(&sf.dropout, node) {
-                // The monitor missed the window: nothing to record.
-                self.recovery_log.push(RecoveryEvent {
-                    sync: sync0,
-                    node,
-                    kind: RecoveryKind::SampleRejected,
-                });
-                continue;
+        let ns = sim_arrivals.len();
+        sc.cap_nodes.clear();
+        sc.times.clear();
+        for arrivals in [sim_arrivals, ana_arrivals] {
+            sc.cap_nodes.extend(arrivals.iter().map(|&(node, _)| node));
+            sc.times.extend(arrivals.iter().map(|&(_, arrival)| {
+                arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S)
+            }));
+        }
+        sc.targets.clear();
+        sc.targets.extend(sc.cap_nodes.iter().map(|&node| self.cluster.requested_cap(node)));
+        // The record's true mean power and cap in force, before the noise
+        // and the new caps overwrite them.
+        let [(mut sim_power_w, sim_cap_w), (mut ana_power_w, ana_cap_w)] =
+            [0..ns, ns..sc.power.len()].map(|l| means(&sc.power[l.clone()], &sc.targets[l]));
+        self.cluster.noise_mut().noisy_powers(&mut sc.power);
+        for &node in firsts(&sf.nan, |&n| n) {
+            if let Some(lane) = lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups) {
+                sc.power[lane] = f64::NAN;
             }
-            if has(&sf.nan, node) {
-                power_w = f64::NAN;
+        }
+        for &(node, factor) in firsts(&sf.spike, |&(n, _)| n) {
+            if let Some(lane) = lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups) {
+                sc.power[lane] *= factor;
             }
-            if let Some(factor) = sf.spike_factor(node) {
-                power_w *= factor;
+        }
+        // A dropout (the monitor missed the window) records nothing: the
+        // manager walks each partition's dropouts in lock-step with its
+        // lanes.
+        let cut = sf.dropout.partition_point(|&n| n < self.sim_nodes.len());
+        for (role, lanes, skip) in [
+            (Role::Simulation, 0..ns, &sf.dropout[..cut]),
+            (Role::Analysis, ns..sc.cap_nodes.len(), &sf.dropout[cut..]),
+        ] {
+            if !skip.is_empty() {
+                sc.fault_lookups += (lanes.len() + skip.len()) as u64;
             }
-            if !self.manager.record(NodeInterval { node, role, time_s, power_w, cap_w }) {
-                self.recovery_log.push(RecoveryEvent {
-                    sync: sync0,
-                    node,
-                    kind: RecoveryKind::SampleRejected,
-                });
-            }
+            let nodes = &sc.cap_nodes[lanes.clone()];
+            let rejected = self.manager.record_partition(
+                role,
+                nodes,
+                &sc.times[lanes.clone()],
+                &sc.power[lanes.clone()],
+                &sc.targets[lanes],
+                skip,
+            );
+            self.recovery_log.extend(rejected.iter().map(|&lane| RecoveryEvent {
+                sync: sync0,
+                node: nodes[lane],
+                kind: RecoveryKind::SampleRejected,
+            }));
         }
 
         // --- poli_power_alloc(): exchange, decide, apply.
         let outcome = self.manager.power_alloc_with(&sf.exchange);
         self.recovery_log.extend(outcome.recoveries.iter().copied());
-        // Feedback is in ascending node order, like the allocation's
-        // per-node list: the lookup walks the two in lock-step. Every node
-        // then blocks while the allocation call runs.
-        let mut caps = outcome.allocation.as_ref().map(|alloc| alloc.caps());
+        // The allocation writes every arriving node's new cap into the
+        // caps column; every node then blocks while the allocation call
+        // runs.
         let t_end = rendezvous + outcome.overhead;
-        sc.cap_nodes.clear();
-        sc.targets.clear();
-        for fb in &sc.feedback {
-            sc.cap_nodes.push(fb.node);
-            if let Some(caps) = &mut caps {
-                sc.targets.push(caps.cap_for(fb.node, fb.role));
-                if has(&sf.write_error, fb.node) {
+        let targets = outcome.allocation.as_ref().map(|alloc| {
+            alloc.write_caps(&sc.cap_nodes, ns, &mut sc.targets);
+            for &node in firsts(&sf.write_error, |&n| n) {
+                if lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups).is_some() {
                     // Transient EIO on the powercap write; the retried
                     // write lands ~1 ms late but the cap does apply.
-                    self.cluster.node_mut(fb.node).inject_extra_latency(1.0e-3);
+                    self.cluster.node_mut(node).inject_extra_latency(1.0e-3);
                     self.recovery_log.push(RecoveryEvent {
                         sync: sync0,
-                        node: fb.node,
+                        node,
                         kind: RecoveryKind::CapWriteRetried,
                     });
                 }
             }
-        }
-        let targets = caps.is_some().then_some(&sc.targets[..]);
+            &sc.targets[..]
+        });
         self.cluster.request_caps_and_wait(
             &self.machine,
             rendezvous,
@@ -514,35 +535,25 @@ impl Runtime {
             // Nobody did any work: every active window was padded to 1 ns
             // and so reaches past the rendezvous, into the allocation wait
             // recorded since the feedback read it. Read the windows again.
-            for (fb, (&(node, arrival), _)) in sc.feedback.iter_mut().zip(by_role()) {
+            let window = |&(node, arrival): &(usize, SimTime)| {
                 let end = arrival.max(t0 + SimDuration::from_nanos(1));
-                fb.true_power_w = self.cluster.mean_power(node, t0, end);
-            }
+                self.cluster.mean_power(node, t0, end)
+            };
+            let mean_window = |arrivals: &[(usize, SimTime)]| {
+                arrivals.iter().map(window).sum::<f64>() / arrivals.len() as f64
+            };
+            (sim_power_w, ana_power_w) = (mean_window(sim_arrivals), mean_window(ana_arrivals));
         }
-        // Feedback lists the simulation partition first.
-        let (sim_fb, ana_fb) = sc.feedback.split_at(sim_arrivals.len());
-        let mean_power = |fb: &[NodeFeedback]| -> f64 {
-            fb.iter().map(|f| f.true_power_w).sum::<f64>() / fb.len() as f64
-        };
-        // Caps during the interval: read before new caps take effect is
-        // awkward post-request; use the recorded values instead.
-        let mean_cap = |fb: &[NodeFeedback]| -> f64 {
-            if fb.is_empty() {
-                0.0
-            } else {
-                fb.iter().fold(0.0, |s, f| s + f.cap_w) / fb.len() as f64
-            }
-        };
         self.syncs.push(SyncRecord {
             index: sync_k,
             start_s: t0.as_secs_f64(),
             end_s: t_end.as_secs_f64(),
             sim_time_s: sim_time,
             analysis_time_s: ana_time,
-            sim_cap_w: mean_cap(sim_fb),
-            analysis_cap_w: mean_cap(ana_fb),
-            sim_power_w: mean_power(sim_fb),
-            analysis_power_w: mean_power(ana_fb),
+            sim_cap_w,
+            analysis_cap_w: ana_cap_w,
+            sim_power_w,
+            analysis_power_w: ana_power_w,
             slack: (sim_time - ana_time).abs() / slack_den,
             overhead_s: outcome.overhead.as_secs_f64(),
         });
@@ -677,15 +688,26 @@ struct SyncFaults {
     exchange: ExchangeFaults,
 }
 
-/// The factor of `node`'s first entry in `list`, which ascends by node.
-fn factor_of(list: &[(usize, f64)], node: usize) -> Option<f64> {
-    let i = list.partition_point(|&(n, _)| n < node);
-    list.get(i).filter(|&&(n, _)| n == node).map(|&(_, f)| f)
+/// One partition's mean power and mean cap, each summed in lane order in
+/// one pass: the power as `Iterator::sum` folds it (from -0.0), the caps
+/// from 0.0 (so no lanes reads 0).
+fn means(power: &[f64], caps: &[f64]) -> (f64, f64) {
+    let (p, c) = power.iter().zip(caps).fold((-0.0, 0.0), |(p, c), (w, cap)| (p + w, c + cap));
+    let n = power.len() as f64;
+    (p / n, if caps.is_empty() { 0.0 } else { c / n })
 }
 
-/// Whether `node` is in `list`, which ascends.
-fn has(list: &[usize], node: usize) -> bool {
-    list.get(list.partition_point(|&n| n < node)) == Some(&node)
+/// Each node's first entry in `list`, which ascends by node: the entry
+/// that applies when the plan lists a node twice in one interval.
+fn firsts<T>(list: &[T], node: impl Fn(&T) -> usize) -> impl Iterator<Item = &T> {
+    list.chunk_by(move |a, b| node(a) == node(b)).map(|run| &run[0])
+}
+
+/// The lane of `node` among the ascending `ids`, if it arrived: one fault
+/// lookup.
+fn lane_of(ids: &[usize], node: usize, lookups: &mut u64) -> Option<usize> {
+    *lookups += 1;
+    ids.binary_search(&node).ok()
 }
 
 impl SyncFaults {
@@ -694,15 +716,9 @@ impl SyncFaults {
     fn ascends(&self) -> bool {
         self.straggle.is_sorted_by_key(|&(n, _)| n)
             && self.spike.is_sorted_by_key(|&(n, _)| n)
-            && [&self.write_error, &self.nan, &self.dropout].iter().all(|l| l.is_sorted())
-    }
-
-    fn straggle_factor(&self, node: usize) -> f64 {
-        factor_of(&self.straggle, node).unwrap_or(1.0)
-    }
-
-    fn spike_factor(&self, node: usize) -> Option<f64> {
-        factor_of(&self.spike, node)
+            && [&self.write_error, &self.nan, &self.dropout, &self.exchange.lost_nodes]
+                .iter()
+                .all(|l| l.is_sorted())
     }
 }
 
@@ -839,23 +855,68 @@ mod tests {
     }
 
     #[test]
-    fn fault_lookups_find_the_first_entry_like_a_linear_scan() {
-        // Ascending lists with duplicates, as a sync's fault lists are: the
-        // binary searches agree with `contains` and with `find`'s first
-        // entry, for nodes in the lists, between them and past the ends.
-        let mut rng = des::Rng::seed_from_u64(0xFA17_1157);
-        for _ in 0..8 {
-            let len = 1_000 + rng.next_below(1_000) as usize;
-            let mut nodes: Vec<usize> = (0..len).map(|_| rng.next_below(600) as usize).collect();
-            nodes.sort_unstable();
-            let pairs: Vec<(usize, f64)> =
-                nodes.iter().map(|&n| (n, rng.uniform(1.0, 2.0))).collect();
-            for node in 0..650 {
-                assert_eq!(has(&nodes, node), nodes.contains(&node), "node {node}");
-                let first = pairs.iter().find(|&&(n, _)| n == node).map(|&(_, f)| f.to_bits());
-                assert_eq!(factor_of(&pairs, node).map(f64::to_bits), first, "node {node}");
+    fn fault_lookups_are_bounded_by_nodes_plus_faults() {
+        // A quiet 4 392-node seesaw job whose third interval carries well
+        // over a thousand sample faults and as many cap-write errors (some
+        // nodes listed twice): each fault-list entry is applied by one
+        // search or one lock-step walk, never by a per-node lookup in
+        // every list.
+        const SYNC: u64 = 2;
+        let mut events = Vec::new();
+        for node in 0..4392 {
+            let mut fault = |kind| events.push(FaultEvent { sync: SYNC, node, kind });
+            match node % 4 {
+                0 => fault(FaultKind::SampleNan),
+                1 => fault(FaultKind::SampleSpike { factor: 1.5 }),
+                2 if node % 3 == 0 => fault(FaultKind::SampleDropout),
+                _ => {}
+            }
+            if node % 3 == 0 {
+                fault(FaultKind::RaplWriteError);
+            }
+            if node % 97 == 0 {
+                fault(FaultKind::Straggler { factor: 1.2 });
+                fault(FaultKind::SampleSpike { factor: 3.0 });
             }
         }
+        let plan = FaultPlan::from_events(events);
+        let faults = plan.at(SYNC).len() as u64;
+        let mut spec = WorkloadSpec::paper(48, 4392, 1, &[K::Rdf, K::Vacf]);
+        spec.total_steps = 4;
+        let cfg = JobConfig::new(spec, "seesaw").with_quiet_noise().with_faults(plan);
+        let mut rt = Runtime::new(cfg).expect("known controller");
+        for _ in 0..SYNC {
+            assert!(rt.step_sync());
+        }
+        let before = rt.scratch.fault_lookups;
+        assert!(rt.step_sync());
+        let lookups = rt.scratch.fault_lookups - before;
+        let applied = |kind| rt.recovery_log.iter().filter(|r| r.kind == kind).count();
+        assert!(faults > 2_000, "{faults} faults");
+        assert!(applied(RecoveryKind::CapWriteRetried) > 1_000, "the writes must fail");
+        assert!(applied(RecoveryKind::SampleRejected) > 1_000, "the samples must be corrupt");
+        assert!(lookups > 0 && lookups <= 4392 + faults, "{lookups} lookups, {faults} faults");
+    }
+
+    #[test]
+    fn a_node_listed_twice_in_one_interval_takes_its_first_entry() {
+        // Two spikes on one node and two stragglers on another, in one
+        // interval: the run is the run of the first entries alone, and
+        // not the run of the second ones.
+        let run = |entries: &[(FaultKind, FaultKind)]| {
+            let mut events = Vec::new();
+            for &(spike, straggle) in entries {
+                events.push(FaultEvent { sync: 4, node: 2, kind: spike });
+                events.push(FaultEvent { sync: 4, node: 7, kind: straggle });
+            }
+            let r = run_job(quiet_cfg(12, 12).with_faults(FaultPlan::from_events(events)))
+                .expect("known controller");
+            (r.syncs, r.total_energy_j.to_bits())
+        };
+        let first = (FaultKind::SampleSpike { factor: 1.5 }, FaultKind::Straggler { factor: 1.3 });
+        let second = (FaultKind::SampleSpike { factor: 3.0 }, FaultKind::Straggler { factor: 2.0 });
+        assert_eq!(run(&[first, second]), run(&[first]));
+        assert_ne!(run(&[first]), run(&[second]), "the entries must matter");
     }
 
     #[test]

@@ -35,7 +35,7 @@ const DECISION_BYTES: u64 = 16;
 /// leaves `power_alloc` byte-identical to the fault-free path.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeFaults {
-    /// Nodes whose monitor contribution is lost in the gather.
+    /// Nodes whose monitor contribution is lost in the gather, ascending.
     pub lost_nodes: Vec<usize>,
     /// Collective attempts that time out before one succeeds. Beyond
     /// [`MAX_COLLECTIVE_RETRIES`] the whole exchange is abandoned for the
@@ -92,6 +92,8 @@ pub struct PowerManager {
     /// recorded for the open interval (the paper includes allocation time
     /// in the measured interval, §VI-B).
     carry_s: f64,
+    /// The lanes the last `record_partition` did not record.
+    rejected: Vec<usize>,
     tracer: obs::Tracer,
 }
 
@@ -135,6 +137,7 @@ impl PowerManager {
             initial_budget_w,
             obs: SyncObservation { step: 0, nodes: Vec::new() },
             carry_s: 0.0,
+            rejected: Vec::new(),
             tracer: obs::Tracer::off(),
         }
     }
@@ -162,6 +165,7 @@ impl PowerManager {
     }
 
     /// Whether a node is still participating.
+    #[inline]
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive.get(node).copied().unwrap_or(false)
     }
@@ -226,24 +230,82 @@ impl PowerManager {
         self.controller.set_budget_w(share * self.alive_nodes() as f64);
     }
 
-    /// Record one node's feedback for the interval that is about to close.
-    /// The runtime calls this for every node before `power_alloc`. Returns
-    /// `false` when the sample is rejected: the node is dead, or the
-    /// reading is implausible (non-finite or non-positive time/power, or
-    /// power beyond `MAX_PLAUSIBLE_POWER_W`, 1 000 W). Rejected samples never
-    /// reach the controller — α = 1/(T·P) in Eq. 1 must only ever see
-    /// finite, positive energy. An accepted sample's time gains the
-    /// previous exchange's overhead.
+    /// Record one node's feedback for the interval that is about to close:
+    /// [`PowerManager::record_partition`] over one lane. Returns `false`
+    /// when the sample is rejected.
     pub fn record(&mut self, interval: NodeInterval) -> bool {
-        debug_assert!(interval.node < self.world_nodes);
-        debug_assert_eq!(interval.role, self.roles[interval.node], "role differs from init's");
-        let plausible = interval.time_s.is_finite()
-            && interval.time_s > 0.0
-            && interval.power_w.is_finite()
-            && interval.power_w > 0.0
-            && interval.power_w <= MAX_PLAUSIBLE_POWER_W
-            && interval.cap_w.is_finite();
-        if !self.is_alive(interval.node) || !plausible {
+        let NodeInterval { node, role, time_s, power_w, cap_w } = interval;
+        self.record_partition(role, &[node], &[time_s], &[power_w], &[cap_w], &[]).is_empty()
+    }
+
+    /// Record one partition's feedback for the interval that is about to
+    /// close, one lane per node: ids (ascending), times to arrival,
+    /// measured powers and caps in force. The runtime calls this for each
+    /// partition before `power_alloc`. A node listed in `skip` (ascending;
+    /// its monitor missed the window) is not recorded and emits nothing.
+    /// Any other lane is rejected when the node is dead or the reading is
+    /// implausible (non-finite or non-positive time/power, power beyond
+    /// `MAX_PLAUSIBLE_POWER_W`, 1 000 W, or a non-finite cap). Rejected
+    /// samples never reach the controller — α = 1/(T·P) in Eq. 1 must only
+    /// ever see finite, positive energy. An accepted sample's time gains
+    /// the previous exchange's overhead. Returns the lanes not recorded,
+    /// skipped or rejected, ascending.
+    pub fn record_partition(
+        &mut self,
+        role: Role,
+        nodes: &[usize],
+        times: &[f64],
+        powers: &[f64],
+        caps: &[f64],
+        skip: &[usize],
+    ) -> &[usize] {
+        let n = nodes.len();
+        assert!(times.len() == n && powers.len() == n && caps.len() == n, "one lane per node");
+        debug_assert!(nodes.is_sorted() && skip.is_sorted(), "nodes and skip ascend");
+        debug_assert!(
+            nodes.iter().all(|&k| self.roles.get(k) == Some(&role)),
+            "role differs from init's"
+        );
+        self.rejected.clear();
+        if skip.is_empty() && !self.tracer.is_enabled() {
+            // The gate as branch-free folds: the readings (packed), then
+            // liveness (a gather).
+            let lanes = times.iter().zip(powers).zip(caps);
+            let plausible = lanes.fold(true, |ok, ((&t, &p), &c)| ok & plausible(t, p, c));
+            let alive = nodes.iter().fold(true, |ok, &k| ok & self.is_alive(k));
+            if plausible & alive {
+                let carry_s = self.carry_s;
+                let lanes = nodes.iter().zip(times).zip(powers).zip(caps);
+                self.obs.nodes.extend(lanes.map(|(((&node, &time_s), &power_w), &cap_w)| {
+                    NodeInterval { node, role, time_s: time_s + carry_s, power_w, cap_w }
+                }));
+                return &self.rejected;
+            }
+        }
+        let mut skip = skip.iter().peekable();
+        for lane in 0..n {
+            let node = nodes[lane];
+            while skip.next_if(|&&k| k < node).is_some() {}
+            let recorded = skip.peek() != Some(&&node)
+                && self.record_lane(NodeInterval {
+                    node,
+                    role,
+                    time_s: times[lane],
+                    power_w: powers[lane],
+                    cap_w: caps[lane],
+                });
+            if !recorded {
+                self.rejected.push(lane);
+            }
+        }
+        &self.rejected
+    }
+
+    /// One lane of [`PowerManager::record_partition`] with its trace event.
+    fn record_lane(&mut self, interval: NodeInterval) -> bool {
+        if !self.is_alive(interval.node)
+            || !plausible(interval.time_s, interval.power_w, interval.cap_w)
+        {
             if self.tracer.is_enabled() {
                 self.tracer.emit(obs::Event::SampleRejected { node: interval.node });
             }
@@ -294,7 +356,7 @@ impl PowerManager {
             (retried_gather_cost(n, MAX_COLLECTIVE_RETRIES), None)
         } else {
             if !faults.lost_nodes.is_empty() {
-                self.obs.nodes.retain(|s| !faults.lost_nodes.contains(&s.node));
+                drop_lost(&mut self.obs.nodes, &faults.lost_nodes);
                 for &node in &faults.lost_nodes {
                     recoveries.push(RecoveryEvent {
                         sync,
@@ -331,6 +393,35 @@ impl PowerManager {
         }
         AllocOutcome { allocation, overhead, recoveries }
     }
+}
+
+/// Whether one node's reading can enter Eq. 1, without a branch: finite,
+/// positive time and power, power at most `MAX_PLAUSIBLE_POWER_W`, and a
+/// finite cap.
+#[inline]
+fn plausible(time_s: f64, power_w: f64, cap_w: f64) -> bool {
+    time_s.is_finite()
+        & (time_s > 0.0)
+        & power_w.is_finite()
+        & (power_w > 0.0)
+        & (power_w <= MAX_PLAUSIBLE_POWER_W)
+        & cap_w.is_finite()
+}
+
+/// Drop every sample whose node is in `lost` (ascending): a lock-step walk
+/// while the samples ascend by node, a search where one steps back.
+fn drop_lost(samples: &mut Vec<NodeInterval>, lost: &[usize]) {
+    debug_assert!(lost.is_sorted(), "lost nodes ascend");
+    let mut i = 0;
+    samples.retain(|s| {
+        if i > 0 && lost[i - 1] >= s.node {
+            i = lost.partition_point(|&k| k < s.node);
+        }
+        while lost.get(i).is_some_and(|&k| k < s.node) {
+            i += 1;
+        }
+        lost.get(i) != Some(&s.node)
+    });
 }
 
 /// Simulated cost of a measurement gather over `nodes` that times out
@@ -575,6 +666,174 @@ mod tests {
         let total = 2.0 * alloc.sim_node_w + alloc.analysis_node_w;
         assert!(total <= 450.0 + 1e-6, "3 alive x 150 W share: {total}");
         assert!(total > 330.0, "rebased budget (not the init 440) is in play: {total}");
+    }
+
+    /// One generated partition: ascending node ids with gaps, every lane's
+    /// time, power and cap drawn from plausible values and each corruption
+    /// the gate knows, a few dead nodes and a sorted skip list with repeats
+    /// (or, with `clean`, every lane plausible, alive and unskipped).
+    struct Lanes {
+        nodes: Vec<usize>,
+        times: Vec<f64>,
+        powers: Vec<f64>,
+        caps: Vec<f64>,
+        dead: Vec<usize>,
+        skip: Vec<usize>,
+    }
+
+    fn lanes(rng: &mut des::Rng, len: usize, clean: bool) -> Lanes {
+        let mut nodes = Vec::with_capacity(len);
+        let mut node = 0;
+        while nodes.len() < len {
+            node += rng.next_below(3) as usize;
+            nodes.push(node);
+            node += 1;
+        }
+        let corrupt = |rng: &mut des::Rng, good: f64| {
+            let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0, 1000.5, 5e3];
+            if clean || rng.next_f64() < 0.8 {
+                good
+            } else {
+                odd[rng.next_below(odd.len() as u64) as usize]
+            }
+        };
+        let times = (0..len)
+            .map(|_| {
+                let good = rng.uniform(1e-6, 9.0);
+                corrupt(rng, good)
+            })
+            .collect();
+        let powers = (0..len)
+            .map(|_| {
+                let good = rng.uniform(50.0, 1000.0);
+                corrupt(rng, good)
+            })
+            .collect();
+        let caps = (0..len)
+            .map(|_| if clean || rng.next_f64() < 0.95 { 110.0 } else { f64::NAN })
+            .collect();
+        let pick = |rng: &mut des::Rng, p: f64| -> Vec<usize> {
+            let mut picked: Vec<usize> = (0..=node)
+                .filter(|_| !clean && rng.next_f64() < p)
+                .flat_map(|k| std::iter::repeat_n(k, 1 + (k % 2)))
+                .collect();
+            picked.sort_unstable();
+            picked
+        };
+        let dead = pick(rng, 0.05);
+        let skip = pick(rng, 0.1);
+        Lanes { nodes, times, powers, caps, dead, skip }
+    }
+
+    /// A manager over `n` simulation nodes, its dead nodes marked, the
+    /// previous exchange's overhead set, traced or not.
+    fn manager_over(n: usize, dead: &[usize], traced: bool) -> (PowerManager, obs::Tracer) {
+        let world = Communicator::world(JobLayout::new(2 * n.max(1), 2));
+        let cfg = PowerManagerConfig::with_controller("seesaw");
+        let mut mgr = PowerManager::init(&world, |_| Role::Simulation, cfg).expect("known");
+        let tracer = if traced { obs::Tracer::enabled() } else { obs::Tracer::off() };
+        mgr.set_tracer(&tracer);
+        for &node in dead {
+            mgr.mark_node_dead(node);
+        }
+        mgr.carry_s = 1.25e-4;
+        (mgr, tracer)
+    }
+
+    fn bits(mgr: &PowerManager) -> Vec<[u64; 4]> {
+        let sample = |s: &NodeInterval| {
+            [s.node as u64, s.time_s.to_bits(), s.power_w.to_bits(), s.cap_w.to_bits()]
+        };
+        mgr.obs.nodes.iter().map(sample).collect()
+    }
+
+    /// `record_partition` is `record` node by node: the same samples bit
+    /// for bit, the same lanes left out (a skipped lane is left out without
+    /// a `record` call), and the same trace, event for event.
+    #[test]
+    fn record_partition_matches_record_per_node() {
+        let mut rng = des::Rng::seed_from_u64(0x009E_C04D);
+        for len in [0usize, 1, 2, 7, 8, 63, 64, 65, 4392] {
+            // Corrupt with skips, corrupt without (the gate's own fallback),
+            // clean (the one-extend path), each untraced and traced.
+            let variants = [(false, true), (false, false), (true, false)];
+            for (case, ((clean, skips), traced)) in
+                variants.into_iter().flat_map(|v| [(v, false), (v, true)]).enumerate()
+            {
+                let mut l = lanes(&mut rng, len, clean);
+                if !skips {
+                    l.skip.clear();
+                }
+                let world = l.nodes.last().map_or(1, |&k| k + 1);
+                let (mut whole, whole_trace) = manager_over(world, &l.dead, traced);
+                let (mut each, each_trace) = manager_over(world, &l.dead, traced);
+                let rejected = whole
+                    .record_partition(
+                        Role::Simulation,
+                        &l.nodes,
+                        &l.times,
+                        &l.powers,
+                        &l.caps,
+                        &l.skip,
+                    )
+                    .to_vec();
+                let mut want = Vec::new();
+                for lane in 0..len {
+                    let iv = NodeInterval {
+                        node: l.nodes[lane],
+                        role: Role::Simulation,
+                        time_s: l.times[lane],
+                        power_w: l.powers[lane],
+                        cap_w: l.caps[lane],
+                    };
+                    if l.skip.contains(&iv.node) || !each.record(iv) {
+                        want.push(lane);
+                    }
+                }
+                let what = format!("len {len} case {case}");
+                assert_eq!(rejected, want, "{what}: rejected lanes");
+                assert_eq!(bits(&whole), bits(&each), "{what}: samples");
+                assert_eq!(whole_trace.to_jsonl(), each_trace.to_jsonl(), "{what}: trace");
+                if clean {
+                    assert!(rejected.is_empty() && whole.obs.nodes.len() == len, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The lock-step drop of lost contributions removes exactly what a
+    /// `contains` scan removes, at Theta's size with 2 000 losses (repeats
+    /// included), for samples in node order and shuffled.
+    #[test]
+    fn losing_2000_of_4392_contributions_drops_what_contains_drops() {
+        let mut rng = des::Rng::seed_from_u64(0x1057);
+        let sample = |node: usize| NodeInterval {
+            node,
+            role: if node < 2196 { Role::Simulation } else { Role::Analysis },
+            time_s: 1.0 + node as f64 * 1e-3,
+            power_w: 100.0 + (node % 17) as f64,
+            cap_w: 110.0,
+        };
+        let mut lost: Vec<usize> = (0..2000).map(|_| rng.next_below(4500) as usize).collect();
+        lost.sort_unstable();
+        let ascending: Vec<NodeInterval> = (0..4392).map(sample).collect();
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for samples in [ascending, shuffled] {
+            let mut want = samples.clone();
+            want.retain(|s| !lost.contains(&s.node));
+            let mut got = samples;
+            drop_lost(&mut got, &lost);
+            let bits = |v: &[NodeInterval]| {
+                v.iter()
+                    .map(|s| (s.node, s.role, s.time_s.to_bits(), s.power_w.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert!(want.len() < 4392 - 1500, "the losses must bite: {} kept", want.len());
+            assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     #[test]

@@ -22,27 +22,8 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-/// Declares a struct of per-node columns, every field a `Vec` indexed by
-/// node id, and its `heap_bytes`: `len × size_of` summed over every column
-/// declared, so a column added here is counted where it is declared.
-macro_rules! node_columns {
-    ($(#[$attr:meta])* $vis:vis struct $name:ident {
-        $($(#[$field_attr:meta])* $field:ident: $ty:ty,)*
-    }) => {
-        $(#[$attr])*
-        $vis struct $name {
-            $($(#[$field_attr])* pub(crate) $field: Vec<$ty>,)*
-        }
-
-        impl $name {
-            /// Heap bytes of the columns: `len × size_of` of each.
-            pub(crate) fn heap_bytes(&self) -> usize {
-                0 $(+ self.$field.len() * std::mem::size_of::<$ty>())*
-            }
-        }
-    };
-}
-
+#[macro_use]
+mod column;
 mod cluster;
 mod config;
 mod machine;

@@ -24,7 +24,6 @@ node_columns! {
     /// it closes, in the order `TimeSeries::integrate` folds the same
     /// segments, so every read is bit-identical to integrating the node's
     /// full draw series over that window.
-    #[derive(Debug)]
     pub(crate) struct Nodes {
         /// Time up to which the node's activity has been simulated.
         busy_until: SimTime,
@@ -53,18 +52,9 @@ node_columns! {
 impl Nodes {
     /// `n` nodes at t = 0, drawing nothing yet.
     pub(crate) fn new(n: usize) -> Self {
-        Nodes {
-            busy_until: vec![SimTime::ZERO; n],
-            open_from: vec![SimTime::ZERO; n],
-            open_w: vec![0.0; n],
-            total_j: vec![0.0; n],
-            interval_from: vec![SimTime::ZERO; n],
-            interval_j: vec![0.0; n],
-            since_j: vec![0.0; n],
-            active_to: vec![NO_END; n],
-            active_j: vec![0.0; n],
-            active_fixed: vec![false; n],
-        }
+        let mut nodes = Nodes::with_len(n);
+        nodes.active_to.fill(NO_END);
+        nodes
     }
 
     /// Node `k`'s energy over `[from, to)`, or `None` if no window starts

@@ -149,6 +149,21 @@ impl NoiseModel {
         (true_watts * self.measure_rng.normal_clamped(1.0, self.sigmas.measure)).max(0.0)
     }
 
+    /// [`NoiseModel::noisy_power`] over a column of true readings, in
+    /// place and in order: the same values and the same stream consumed
+    /// as one call per reading.
+    pub fn noisy_powers(&mut self, watts: &mut [f64]) {
+        if self.sigmas.measure == 0.0 {
+            for w in watts {
+                *w = w.max(0.0);
+            }
+        } else {
+            for w in watts {
+                *w = self.noisy_power(*w);
+            }
+        }
+    }
+
     /// Whether [`NoiseModel::phase_jitter_scaled`] at this scale consumes
     /// the jitter stream: phase sigma above zero, or the straggler lottery
     /// (scale > 1). When false the jitter is exactly 1.0 with no draw, and

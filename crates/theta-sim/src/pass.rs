@@ -646,8 +646,9 @@ impl Cluster {
         let (mut granted, mut delayed) = ([m.tdp_w; W], [false; W]);
         let (granted, delayed) = (&mut granted[..n], &mut delayed[..n]);
         if mode != CapMode::None {
-            let Rapl { active_w, requested_w, pending_at, pending_w, stuck, extra_latency_s } =
-                &mut self.rapl;
+            let Rapl {
+                active_w, requested_w, pending_at, pending_w, stuck, extra_latency_s, ..
+            } = &mut self.rapl;
             let active_w = &active_w[nodes.clone()];
             let requested_w = &mut requested_w[nodes.clone()];
             let pending_at = &mut pending_at[nodes.clone()];

@@ -21,7 +21,6 @@ pub(crate) const NO_CHANGE: SimTime = SimTime::from_nanos(u64::MAX);
 node_columns! {
     /// Every node's RAPL control state, one column per field. The cap mode
     /// is the cluster's, passed in where a rule depends on it.
-    #[derive(Debug, Clone)]
     pub(crate) struct Rapl {
         /// Cap currently enforced by the PCU, watts.
         active_w: f64,
@@ -48,22 +47,16 @@ impl Rapl {
     /// initial job-launch cap, which is set before the application
     /// starts); under [`CapMode::None`] every domain enforces TDP.
     pub(crate) fn new(m: &MachineConfig, mode: CapMode, caps_w: &[f64]) -> Self {
-        let n = caps_w.len();
-        let (active_w, requested_w) = caps_w
-            .iter()
-            .map(|&cap| match mode {
-                CapMode::None => (m.tdp_w, m.tdp_w),
-                _ => (Self::enforceable(m, mode, cap), m.clamp_cap(cap)),
-            })
-            .unzip();
-        Rapl {
-            active_w,
-            requested_w,
-            pending_at: vec![NO_CHANGE; n],
-            pending_w: vec![0.0; n],
-            stuck: vec![0; n],
-            extra_latency_s: vec![0.0; n],
+        let mut rapl = Rapl::with_len(caps_w.len());
+        for (k, &cap) in caps_w.iter().enumerate() {
+            rapl.active_w[k] = Self::enforceable(m, mode, cap);
+            rapl.requested_w[k] = match mode {
+                CapMode::None => m.tdp_w,
+                _ => m.clamp_cap(cap),
+            };
         }
+        rapl.pending_at.fill(NO_CHANGE);
+        rapl
     }
 
     /// The cap RAPL enforces for a request of `watts`.

@@ -752,6 +752,60 @@ mod tests {
         }
     }
 
+    /// Every force component, the potential, the virial and the evaluated
+    /// pair count of the production kernel at dims 1 and 2, on the built
+    /// list and on a rebuild after every atom moved, with and without
+    /// every 7th stored pair excluded: one FNV-1a digest, fixed across
+    /// commits. A kernel or pair-list change that moves one bit fails it.
+    #[test]
+    fn force_bits_are_pinned_across_commits() {
+        fn fnv(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let coeffs = CoeffTable::new(&PairTable::new(), ForceParams::default().cutoff);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for dim in [1usize, 2] {
+            let mut sys = water_ion_box(dim, 1.0, 11);
+            let mut nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
+            let mut rng = des::Rng::seed_from_u64(dim as u64);
+            for round in 0..2 {
+                if round == 1 {
+                    let l = sys.box_len;
+                    for p in &mut sys.pos {
+                        let d = Vec3::new(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 0.1);
+                        *p = (*p + d).wrap(l);
+                    }
+                    nl.rebuild(&sys.pos);
+                }
+                let mut ex = every_seventh_pair(&nl);
+                ex.sort_unstable();
+                for exclusions in [None, Some(ex.as_slice())] {
+                    let ev = compute_forces_into(
+                        &mut ForceScratch::new(),
+                        &mut sys,
+                        &nl,
+                        &coeffs,
+                        exclusions,
+                    );
+                    for f in &sys.force {
+                        [f.x, f.y, f.z].iter().for_each(|c| fnv(&mut h, c.to_bits()));
+                    }
+                    fnv(&mut h, ev.potential.to_bits());
+                    fnv(&mut h, ev.virial.to_bits());
+                    fnv(&mut h, ev.pairs_evaluated);
+                }
+            }
+        }
+        assert_eq!(h, 0xf3c8_a955_f49e_7d23, "force bits digest");
+    }
+
+    /// Every 7th stored pair as `(min, max)`, in list order.
+    fn every_seventh_pair(nl: &NeighborList) -> Vec<(u32, u32)> {
+        nl.pairs().iter().step_by(7).copied().collect()
+    }
+
     #[test]
     fn potential_matches_force_eval_bits() {
         // Both paths share the chunked lane kernel; with the default chunk

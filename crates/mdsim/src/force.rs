@@ -72,10 +72,16 @@ pub struct ForceEval {
     pub pairs_evaluated: u64,
 }
 
-/// SIMD-friendly lane width: pairs are evaluated in groups of this many.
-/// Two 4-wide registers' worth, so the divide and square-root chains of
-/// consecutive half-groups overlap in the divider pipeline.
+/// Energy and virial accumulator lanes: pair `p` of a chunk adds to lane
+/// `p % LANES`, and the lanes fold in ascending order at the chunk's end.
+/// Part of the op sequence, so it fixes the bits of both sums.
 const LANES: usize = 8;
+
+/// Pairs per batch: the unit of [`eval_chunk`]'s gather, arithmetic and
+/// scatter loops. A multiple of [`LANES`], so pair `t` of a batch starting
+/// at a multiple of it in the chunk adds to lane `t % LANES`.
+const BATCH: usize = 64;
+const _: () = assert!(BATCH.is_multiple_of(LANES));
 
 /// Pairs per chunk: the unit of parallel work and of the deterministic
 /// merge order. Sized so the per-chunk clear + merge of an atom-length
@@ -187,92 +193,121 @@ struct LaneCtx<'a> {
     inv_box: f64,
 }
 
-/// One lane group's worth of evaluated pair terms.
-struct LaneGroup {
-    ii: [usize; LANES],
-    jj: [usize; LANES],
-    active: [bool; LANES],
-    dx: [f64; LANES],
-    dy: [f64; LANES],
-    dz: [f64; LANES],
-    r2: [f64; LANES],
-    u: [f64; LANES],
-    fr: [f64; LANES],
+/// One batch of pairs as structure-of-arrays columns: the gathered raw
+/// separations and species coefficients, then the evaluated terms.
+/// Lanes past the batch's pairs hold a zero separation, so `r² = 0`
+/// makes them inactive and their terms exact zeros.
+struct Batch {
+    dx: [f64; BATCH],
+    dy: [f64; BATCH],
+    dz: [f64; BATCH],
+    excluded: [bool; BATCH],
+    sig2: [f64; BATCH],
+    e4: [f64; BATCH],
+    e24: [f64; BATCH],
+    ush: [f64; BATCH],
+    kqq: [f64; BATCH],
+    r2: [f64; BATCH],
+    u: [f64; BATCH],
+    fr: [f64; BATCH],
+    active: [bool; BATCH],
 }
 
-/// Evaluate up to [`LANES`] pairs as fixed-width lane arrays. Inactive
-/// lanes (excluded, out of cutoff, coincident, or tail padding) run the
-/// arithmetic on a guarded `r² = 1` and are selected to exact zero.
-#[inline]
-fn eval_lane_group(ctx: &LaneCtx, window: &[(u32, u32)]) -> LaneGroup {
-    let mut ii = [0usize; LANES];
-    let mut jj = [0usize; LANES];
-    // Padding lanes keep i == j == 0: their r² is exactly 0, which the
-    // active mask rejects, so they contribute exact zeros.
-    let mut masked = [false; LANES];
-    for (l, &(i, j)) in window.iter().enumerate() {
-        ii[l] = i as usize;
-        jj[l] = j as usize;
-        masked[l] = ctx.exclusions.is_some_and(|ex| ex.binary_search(&(i, j)).is_ok());
-    }
-    let mut dx = [0.0; LANES];
-    let mut dy = [0.0; LANES];
-    let mut dz = [0.0; LANES];
-    let mut r2 = [0.0; LANES];
-    let (bl, ib) = (ctx.box_len, ctx.inv_box);
-    for l in 0..LANES {
-        let d = ctx.pos[ii[l]] - ctx.pos[jj[l]];
-        dx[l] = d.x - bl * (d.x * ib).round();
-        dy[l] = d.y - bl * (d.y * ib).round();
-        dz[l] = d.z - bl * (d.z * ib).round();
-        r2[l] = dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l];
-    }
-    let c = ctx.coeffs;
-    let mut active = [false; LANES];
-    let mut r2g = [1.0; LANES];
-    for l in 0..LANES {
-        active[l] = !masked[l] && r2[l] <= c.cutoff_sq && r2[l] > 0.0;
-        if active[l] {
-            r2g[l] = r2[l];
+impl Batch {
+    fn new() -> Self {
+        let z = [0.0; BATCH];
+        Batch {
+            dx: z,
+            dy: z,
+            dz: z,
+            excluded: [false; BATCH],
+            sig2: z,
+            e4: z,
+            e24: z,
+            ush: z,
+            kqq: z,
+            r2: z,
+            u: z,
+            fr: z,
+            active: [false; BATCH],
         }
     }
-    let mut sig2 = [0.0; LANES];
-    let mut e4 = [0.0; LANES];
-    let mut e24 = [0.0; LANES];
-    let mut ush = [0.0; LANES];
-    let mut kqq = [0.0; LANES];
-    for l in 0..LANES {
-        let pc = c.at(ctx.sp[ii[l]], ctx.sp[jj[l]]);
-        sig2[l] = pc.sigma_sq;
-        e4[l] = pc.eps4;
-        e24[l] = pc.eps24;
-        ush[l] = pc.u_shift;
-        kqq[l] = pc.kqq;
+
+    /// Gather `pairs` (at most [`BATCH`]) into the input columns: raw
+    /// `pos[i] − pos[j]`, the species pair's coefficients and, only when
+    /// the call has exclusions, the exclusion mask.
+    #[inline]
+    fn gather(&mut self, ctx: &LaneCtx, pairs: &[(u32, u32)]) {
+        for (t, &(i, j)) in pairs.iter().enumerate() {
+            let (i, j) = (i as usize, j as usize);
+            let d = ctx.pos[i] - ctx.pos[j];
+            self.dx[t] = d.x;
+            self.dy[t] = d.y;
+            self.dz[t] = d.z;
+            let pc = ctx.coeffs.at(ctx.sp[i], ctx.sp[j]);
+            self.sig2[t] = pc.sigma_sq;
+            self.e4[t] = pc.eps4;
+            self.e24[t] = pc.eps24;
+            self.ush[t] = pc.u_shift;
+            self.kqq[t] = pc.kqq;
+        }
+        if let Some(ex) = ctx.exclusions {
+            for (t, p) in pairs.iter().enumerate() {
+                self.excluded[t] = ex.binary_search(p).is_ok();
+            }
+        }
+        for t in pairs.len()..BATCH {
+            self.dx[t] = 0.0;
+            self.dy[t] = 0.0;
+            self.dz[t] = 0.0;
+        }
     }
-    let (irc, irc2, rc) = (c.inv_rc, c.inv_rc_sq, c.cutoff);
-    let mut u = [0.0; LANES];
-    let mut fr = [0.0; LANES];
-    for l in 0..LANES {
-        // One divide + one sqrt per pair; 1/r comes from r·(1/r²).
-        let inv_r2 = 1.0 / r2g[l];
-        let r = r2g[l].sqrt();
-        let inv_r = r * inv_r2;
-        let sr2 = sig2[l] * inv_r2;
-        let sr6 = sr2 * sr2 * sr2;
-        let sr12 = sr6 * sr6;
-        let u_lj = e4[l] * (sr12 - sr6) - ush[l];
-        let f_lj = e24[l] * (2.0 * sr12 - sr6) * inv_r2;
-        let u_c = kqq[l] * (inv_r - irc + (r - rc) * irc2);
-        let f_c = kqq[l] * (inv_r2 - irc2) * inv_r;
-        u[l] = if active[l] { u_lj + u_c } else { 0.0 };
-        fr[l] = if active[l] { f_lj + f_c } else { 0.0 };
+
+    /// The pair terms of every lane, branch-free: inactive lanes
+    /// (excluded, out of cutoff, coincident, or past the batch's pairs)
+    /// run the arithmetic on a guarded `r² = 1` and are selected to exact
+    /// zero — never multiplied by a mask, so no `inf · 0` NaN can leak.
+    /// Fixed-length and select-only, so the divide and the square root
+    /// compile to packed instructions.
+    #[inline]
+    fn eval(&mut self, ctx: &LaneCtx) {
+        let c = ctx.coeffs;
+        let (bl, ib) = (ctx.box_len, ctx.inv_box);
+        let (irc, irc2, rc, rc2) = (c.inv_rc, c.inv_rc_sq, c.cutoff, c.cutoff_sq);
+        for t in 0..BATCH {
+            let dx = self.dx[t] - bl * (self.dx[t] * ib).round();
+            let dy = self.dy[t] - bl * (self.dy[t] * ib).round();
+            let dz = self.dz[t] - bl * (self.dz[t] * ib).round();
+            let r2 = dx * dx + dy * dy + dz * dz;
+            let active = !self.excluded[t] & (r2 <= rc2) & (r2 > 0.0);
+            let r2g = if active { r2 } else { 1.0 };
+            // One divide + one sqrt per pair; 1/r comes from r·(1/r²).
+            let inv_r2 = 1.0 / r2g;
+            let r = r2g.sqrt();
+            let inv_r = r * inv_r2;
+            let sr2 = self.sig2[t] * inv_r2;
+            let sr6 = sr2 * sr2 * sr2;
+            let sr12 = sr6 * sr6;
+            let u_lj = self.e4[t] * (sr12 - sr6) - self.ush[t];
+            let f_lj = self.e24[t] * (2.0 * sr12 - sr6) * inv_r2;
+            let u_c = self.kqq[t] * (inv_r - irc + (r - rc) * irc2);
+            let f_c = self.kqq[t] * (inv_r2 - irc2) * inv_r;
+            self.dx[t] = dx;
+            self.dy[t] = dy;
+            self.dz[t] = dz;
+            self.r2[t] = r2;
+            self.u[t] = if active { u_lj + u_c } else { 0.0 };
+            self.fr[t] = if active { f_lj + f_c } else { 0.0 };
+            self.active[t] = active;
+        }
     }
-    LaneGroup { ii, jj, active, dx, dy, dz, r2, u, fr }
 }
 
-/// Evaluate one chunk of pairs into `slot` (zeroed first). The lane
-/// grouping and the scatter order depend only on the chunk contents, so
-/// the slot is a pure function of the chunk — where it runs is irrelevant.
+/// Evaluate one chunk of pairs into `slot` (zeroed first), batch by
+/// batch: gather, evaluate, then accumulate and scatter in pair order.
+/// Pair `p` of the chunk adds its energy and virial to lane `p % LANES`,
+/// and each atom's force sees its pairs' additions in pair order, so the
+/// slot is a pure function of the chunk — where it runs is irrelevant.
 fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlot) {
     slot.forces.clear();
     slot.forces.resize(n, Vec3::ZERO);
@@ -280,24 +315,26 @@ fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlo
     let mut u_acc = [0.0f64; LANES];
     let mut vir_acc = [0.0f64; LANES];
     let mut evaluated = 0u64;
-    for window in pairs.chunks(LANES) {
-        let g = eval_lane_group(ctx, window);
-        for l in 0..LANES {
-            u_acc[l] += g.u[l];
-            vir_acc[l] += g.fr[l] * g.r2[l];
-            evaluated += g.active[l] as u64;
+    let mut b = Batch::new();
+    for batch in pairs.chunks(BATCH) {
+        b.gather(ctx, batch);
+        b.eval(ctx);
+        // Lanes past the batch's pairs add `+0.0`, which leaves an
+        // accumulator unchanged (it starts at `+0.0`, and round-to-nearest
+        // never makes `-0.0` of a sum), so whole lane groups are summed.
+        for l in 0..BATCH {
+            u_acc[l % LANES] += b.u[l];
+            vir_acc[l % LANES] += b.fr[l] * b.r2[l];
+            evaluated += b.active[l] as u64;
         }
-        // Branchless scatter: inactive and padding lanes carry `fr == 0`,
-        // so their force components are `±0.0` — and adding a signed zero
-        // never changes an accumulator (it starts at `+0.0` and
-        // round-to-nearest can never produce `-0.0` from a sum), so the
-        // unconditional form is bit-identical to skipping them. The
-        // active split is ~2:1 in a typical skin shell, which makes a
-        // per-lane branch here mispredict constantly.
-        for l in 0..LANES {
-            let f = Vec3::new(g.dx[l] * g.fr[l], g.dy[l] * g.fr[l], g.dz[l] * g.fr[l]);
-            forces[g.ii[l]] += f;
-            forces[g.jj[l]] -= f;
+        // Branchless scatter: inactive pairs carry `fr == 0`, so their
+        // force components are `±0.0`, which by the same argument changes
+        // no accumulator. The active split is ~2:1 in a typical skin
+        // shell, which makes a per-pair branch mispredict constantly.
+        for (t, &(i, j)) in batch.iter().enumerate() {
+            let f = Vec3::new(b.dx[t] * b.fr[t], b.dy[t] * b.fr[t], b.dz[t] * b.fr[t]);
+            forces[i as usize] += f;
+            forces[j as usize] -= f;
         }
     }
     // Fixed fold order over the lane accumulators: ascending lane index.
@@ -408,11 +445,125 @@ mod tests {
     use crate::neighbor::NeighborList;
     use crate::system::water_ion_box;
 
-    /// Potential energy only (no force mutation), the gradient tests' oracle.
-    ///
-    /// Shares the lane-batched chunk kernel with `compute_forces_into` and
-    /// folds chunk partials serially in ascending chunk order, the order
-    /// the force evaluation merges them in at any thread count.
+    /// One lane group's worth of evaluated pair terms.
+    struct LaneGroup {
+        ii: [usize; LANES],
+        jj: [usize; LANES],
+        active: [bool; LANES],
+        dx: [f64; LANES],
+        dy: [f64; LANES],
+        dz: [f64; LANES],
+        r2: [f64; LANES],
+        u: [f64; LANES],
+        fr: [f64; LANES],
+    }
+
+    /// The lane-group kernel the batch kernel replaced, kept as its
+    /// oracle: up to [`LANES`] pairs as fixed-width lane arrays, inactive
+    /// lanes on a guarded `r² = 1` selected to exact zero.
+    fn eval_lane_group(ctx: &LaneCtx, window: &[(u32, u32)]) -> LaneGroup {
+        let mut ii = [0usize; LANES];
+        let mut jj = [0usize; LANES];
+        // Padding lanes keep i == j == 0: their r² is exactly 0, which the
+        // active mask rejects, so they contribute exact zeros.
+        let mut masked = [false; LANES];
+        for (l, &(i, j)) in window.iter().enumerate() {
+            ii[l] = i as usize;
+            jj[l] = j as usize;
+            masked[l] = ctx.exclusions.is_some_and(|ex| ex.binary_search(&(i, j)).is_ok());
+        }
+        let mut dx = [0.0; LANES];
+        let mut dy = [0.0; LANES];
+        let mut dz = [0.0; LANES];
+        let mut r2 = [0.0; LANES];
+        let (bl, ib) = (ctx.box_len, ctx.inv_box);
+        for l in 0..LANES {
+            let d = ctx.pos[ii[l]] - ctx.pos[jj[l]];
+            dx[l] = d.x - bl * (d.x * ib).round();
+            dy[l] = d.y - bl * (d.y * ib).round();
+            dz[l] = d.z - bl * (d.z * ib).round();
+            r2[l] = dx[l] * dx[l] + dy[l] * dy[l] + dz[l] * dz[l];
+        }
+        let c = ctx.coeffs;
+        let mut active = [false; LANES];
+        let mut r2g = [1.0; LANES];
+        for l in 0..LANES {
+            active[l] = !masked[l] && r2[l] <= c.cutoff_sq && r2[l] > 0.0;
+            if active[l] {
+                r2g[l] = r2[l];
+            }
+        }
+        let (irc, irc2, rc) = (c.inv_rc, c.inv_rc_sq, c.cutoff);
+        let mut u = [0.0; LANES];
+        let mut fr = [0.0; LANES];
+        for l in 0..LANES {
+            let pc = c.at(ctx.sp[ii[l]], ctx.sp[jj[l]]);
+            let inv_r2 = 1.0 / r2g[l];
+            let r = r2g[l].sqrt();
+            let inv_r = r * inv_r2;
+            let sr2 = pc.sigma_sq * inv_r2;
+            let sr6 = sr2 * sr2 * sr2;
+            let sr12 = sr6 * sr6;
+            let u_lj = pc.eps4 * (sr12 - sr6) - pc.u_shift;
+            let f_lj = pc.eps24 * (2.0 * sr12 - sr6) * inv_r2;
+            let u_c = pc.kqq * (inv_r - irc + (r - rc) * irc2);
+            let f_c = pc.kqq * (inv_r2 - irc2) * inv_r;
+            u[l] = if active[l] { u_lj + u_c } else { 0.0 };
+            fr[l] = if active[l] { f_lj + f_c } else { 0.0 };
+        }
+        LaneGroup { ii, jj, active, dx, dy, dz, r2, u, fr }
+    }
+
+    /// The oracle's whole evaluation, serially: each chunk of `chunk`
+    /// pairs through lane groups into its own partial forces, the
+    /// partials merged in ascending chunk order. Returns the forces, the
+    /// potential, the virial and the evaluated pair count.
+    fn oracle_forces(
+        sys: &System,
+        pairs: &[(u32, u32)],
+        coeffs: &CoeffTable,
+        exclusions: Option<&[(u32, u32)]>,
+        chunk: usize,
+    ) -> (Vec<Vec3>, f64, f64, u64) {
+        let sp: Vec<u8> = sys.species.iter().map(|s| s.index() as u8).collect();
+        let ctx = LaneCtx {
+            pos: &sys.pos,
+            sp: &sp,
+            coeffs,
+            exclusions,
+            box_len: sys.box_len,
+            inv_box: 1.0 / sys.box_len,
+        };
+        let mut total = vec![Vec3::ZERO; sys.len()];
+        let (mut potential, mut virial, mut evaluated) = (0.0, 0.0, 0u64);
+        for pairs in pairs.chunks(chunk) {
+            let mut forces = vec![Vec3::ZERO; sys.len()];
+            let mut u_acc = [0.0f64; LANES];
+            let mut vir_acc = [0.0f64; LANES];
+            for window in pairs.chunks(LANES) {
+                let g = eval_lane_group(&ctx, window);
+                for l in 0..LANES {
+                    u_acc[l] += g.u[l];
+                    vir_acc[l] += g.fr[l] * g.r2[l];
+                    evaluated += g.active[l] as u64;
+                }
+                for l in 0..LANES {
+                    let f = Vec3::new(g.dx[l] * g.fr[l], g.dy[l] * g.fr[l], g.dz[l] * g.fr[l]);
+                    forces[g.ii[l]] += f;
+                    forces[g.jj[l]] -= f;
+                }
+            }
+            for (t, f) in total.iter_mut().zip(&forces) {
+                *t += *f;
+            }
+            potential += u_acc.iter().copied().fold(0.0, |a, b| a + b);
+            virial += vir_acc.iter().copied().fold(0.0, |a, b| a + b);
+        }
+        (total, potential, virial, evaluated)
+    }
+
+    /// Potential energy only (no force mutation), the gradient tests'
+    /// oracle: the lane-group oracle at the kernel's own chunk size.
     fn compute_potential(
         sys: &System,
         nl: &NeighborList,
@@ -420,30 +571,7 @@ mod tests {
         table: &PairTable,
     ) -> f64 {
         let coeffs = CoeffTable::new(table, params.cutoff);
-        let sp: Vec<u8> = sys.species.iter().map(|s| s.index() as u8).collect();
-        let ctx = LaneCtx {
-            pos: &sys.pos,
-            sp: &sp,
-            coeffs: &coeffs,
-            exclusions: None,
-            box_len: sys.box_len,
-            inv_box: 1.0 / sys.box_len,
-        };
-        nl.pairs()
-            .chunks(PAIR_CHUNK)
-            .map(|chunk| {
-                let mut u_acc = [0.0f64; LANES];
-                for window in chunk.chunks(LANES) {
-                    let g = eval_lane_group(&ctx, window);
-                    for (acc, u) in u_acc.iter_mut().zip(g.u) {
-                        *acc += u;
-                    }
-                }
-                // Same ascending-lane fold as `eval_chunk`.
-                u_acc.iter().copied().fold(0.0, |a, b| a + b)
-            })
-            .reduce(|a, b| a + b)
-            .unwrap_or(0.0)
+        oracle_forces(sys, nl.pairs(), &coeffs, None, PAIR_CHUNK).1
     }
 
     fn setup() -> (System, NeighborList, ForceParams, PairTable) {
@@ -750,6 +878,82 @@ mod tests {
             assert_eq!(a.y.to_bits(), b.y.to_bits());
             assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
+    }
+
+    /// The first `m` atoms of `sys` as a system of their own, with atom 1
+    /// moved onto atom 0 so the list holds one pair at `r² = 0`.
+    fn subset(sys: &System, m: usize) -> System {
+        let mut s = System {
+            box_len: sys.box_len,
+            species: sys.species[..m].to_vec(),
+            pos: sys.pos[..m].to_vec(),
+            vel: vec![Vec3::ZERO; m],
+            force: vec![Vec3::ZERO; m],
+            unwrapped: vec![Vec3::ZERO; m],
+        };
+        s.pos[1] = s.pos[0];
+        s
+    }
+
+    /// The batch kernel against the lane-group oracle, bit for bit:
+    /// forces, potential, virial and evaluated pairs. At dims 1 and 2 it
+    /// takes, for each residue 1…63 of the pair count mod [`BATCH`], the
+    /// smallest atom prefix whose list has it, so every batch tail length
+    /// occurs; each list holds a coincident pair and skin pairs beyond
+    /// the cutoff. Each runs at six chunk sizes, with no exclusions and
+    /// with every 7th pair excluded, at widths 1, 2 and 4.
+    #[test]
+    fn batch_kernel_equals_the_lane_group_oracle() {
+        let coeffs = CoeffTable::new(&PairTable::new(), ForceParams::default().cutoff);
+        let bits = |forces: &[Vec3], u: f64, vir: f64, n: u64| {
+            let f: Vec<u64> =
+                forces.iter().flat_map(|f| [f.x, f.y, f.z]).map(f64::to_bits).collect();
+            (f, u.to_bits(), vir.to_bits(), n)
+        };
+        let mut skin_pairs = false;
+        for dim in [1usize, 2] {
+            let full = water_ion_box(dim, 1.0, 29);
+            let mut seen = [false; BATCH];
+            seen[0] = true;
+            for m in 2..full.len() {
+                if seen.iter().all(|&s| s) {
+                    break;
+                }
+                let sys = subset(&full, m);
+                let nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
+                if std::mem::replace(&mut seen[nl.npairs() % BATCH], true) {
+                    continue;
+                }
+                let pairs = nl.pairs().to_vec();
+                let mut ex = every_seventh_pair(&nl);
+                ex.sort_unstable();
+                for exclusions in [None, Some(ex.as_slice())] {
+                    for chunk in [3, 5, 64, 1_024, 5_000, PAIR_CHUNK] {
+                        let (f, u, vir, n) =
+                            oracle_forces(&sys, &pairs, &coeffs, exclusions, chunk);
+                        skin_pairs |= exclusions.is_none() && n < pairs.len() as u64 - 1;
+                        let want = bits(&f, u, vir, n);
+                        for threads in [1, 2, 4] {
+                            let mut s = sys.clone();
+                            let ev = par::with_threads(threads, || {
+                                let scratch = &mut ForceScratch::new();
+                                forces_chunked(scratch, &mut s, &nl, &coeffs, exclusions, chunk)
+                            });
+                            let got = bits(&s.force, ev.potential, ev.virial, ev.pairs_evaluated);
+                            assert!(
+                                got == want,
+                                "dim {dim}, {m} atoms, {} pairs, chunk {chunk}, width \
+                                 {threads}, exclusions {}: batch kernel differs",
+                                pairs.len(),
+                                exclusions.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "dim {dim}: a residue mod {BATCH} never occurred");
+        }
+        assert!(skin_pairs, "no list held a pair beyond the cutoff");
     }
 
     /// Every force component, the potential, the virial and the evaluated

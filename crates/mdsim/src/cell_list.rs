@@ -41,6 +41,11 @@ pub(crate) struct CellList {
     /// index, in [`CellList::neighborhood`] order, as runs of consecutive
     /// cell indices. Fixed by the geometry.
     higher: Vec<Range<u32>>,
+    /// Per run of `higher`, at 4 or more cells per side (where a run stays
+    /// in one (x, y) row): the row's x and y offsets from the owning cell
+    /// and the z offsets of the run's first and last cells, each −1, 0 or
+    /// +1. Empty below 4 cells per side, where no run is trimmed.
+    higher_offsets: Vec<[i8; 4]>,
 }
 
 impl CellList {
@@ -52,6 +57,7 @@ impl CellList {
         let ncells = cells_per_side.pow(3);
         let mut higher_start = Vec::with_capacity(ncells + 1);
         let mut higher: Vec<Range<u32>> = Vec::new();
+        let mut higher_offsets = Vec::new();
         higher_start.push(0);
         for cell in 0..ncells {
             let (nbhd, len) = Self::neighborhood(cells_per_side, cell);
@@ -60,6 +66,23 @@ impl CellList {
                 match higher[first_run..].last_mut() {
                     Some(run) if run.end == nc as u32 => run.end += 1,
                     _ => higher.push(nc as u32..nc as u32 + 1),
+                }
+            }
+            if cells_per_side >= 4 {
+                let n = cells_per_side;
+                let coords = |c: usize| [c / (n * n), (c / n) % n, c % n];
+                let offset = |to: usize, from: usize| match (to + n - from) % n {
+                    0 => 0i8,
+                    1 => 1,
+                    _ => -1,
+                };
+                let own = coords(cell);
+                for run in &higher[first_run..] {
+                    let [x0, y0, z0] = coords(run.start as usize);
+                    let [x1, y1, z1] = coords(run.end as usize - 1);
+                    assert!((x0, y0) == (x1, y1), "a run of neighbor cells left its row");
+                    let (ox, oy) = (offset(x0, own[0]), offset(y0, own[1]));
+                    higher_offsets.push([ox, oy, offset(z0, own[2]), offset(z1, own[2])]);
                 }
             }
             higher_start.push(higher.len() as u32);
@@ -75,6 +98,7 @@ impl CellList {
             atom_cells: Vec::new(),
             higher_start,
             higher,
+            higher_offsets,
         };
         cl.rebin(positions);
         cl
@@ -163,17 +187,45 @@ impl CellList {
     }
 
     /// Slot ranges of the cells in `idx`'s periodic neighborhood with a
-    /// larger index, in [`CellList::neighborhood`] order. Consecutive
-    /// cells are adjacent in slot order too, so each run of them comes as
-    /// one range.
+    /// larger index, in [`CellList::neighborhood`] order, for the atom at
+    /// `p` in cell `idx`. Consecutive cells are adjacent in slot order
+    /// too, so each run of them comes as one range. At 4 or more cells
+    /// per side a run's end cells are left out while the box distance
+    /// from `p` to them exceeds `sqrt(trim_sq)`: no atom binned there can
+    /// be that close, so the range loses only candidates the reach test
+    /// would reject.
     #[inline]
     pub(crate) fn higher_neighbor_spans(
         &self,
         idx: usize,
+        p: [f64; 3],
+        trim_sq: f64,
     ) -> impl Iterator<Item = Range<usize>> + '_ {
         let runs = self.higher_start[idx] as usize..self.higher_start[idx + 1] as usize;
-        self.higher[runs].iter().map(|run| {
-            self.start[run.start as usize] as usize..self.start[run.end as usize] as usize
+        // Distance from `p` to its own cell's lower and upper face per
+        // axis, indexed by the neighbor's offset + 1.
+        let n = self.cells_per_side;
+        let w = self.box_len / n as f64;
+        let own = [idx / (n * n), (idx / n) % n, idx % n];
+        let face: [[f64; 3]; 3] = std::array::from_fn(|a| {
+            let lo = p[a] - own[a] as f64 * w;
+            let hi = (own[a] + 1) as f64 * w - p[a];
+            [lo * lo, 0.0, hi * hi]
+        });
+        let offsets = if self.higher_offsets.is_empty() { None } else { Some(runs.clone()) };
+        self.higher[runs].iter().enumerate().map(move |(r, run)| {
+            let (mut c0, mut c1) = (run.start as usize, run.end as usize);
+            if let Some(offsets) = &offsets {
+                let [ox, oy, oz0, oz1] = self.higher_offsets[offsets.start + r];
+                let row = face[0][(ox + 1) as usize] + face[1][(oy + 1) as usize];
+                if row + face[2][(oz0 + 1) as usize] > trim_sq {
+                    c0 += 1;
+                }
+                if c1 > c0 && row + face[2][(oz1 + 1) as usize] > trim_sq {
+                    c1 -= 1;
+                }
+            }
+            self.start[c0] as usize..self.start[c1] as usize
         })
     }
 

@@ -38,7 +38,7 @@
 //! pays a fixed spawn cost: `w − 1` scoped threads and the `Vec` of their
 //! join handles.
 
-use crate::neighbor::NeighborList;
+use crate::neighbor::{NeighborList, Runs};
 use crate::species::{PairTable, NSPECIES};
 use crate::system::System;
 use crate::vec3::Vec3;
@@ -194,9 +194,10 @@ struct LaneCtx<'a> {
 }
 
 /// One batch of pairs as structure-of-arrays columns: the gathered raw
-/// separations and species coefficients, then the evaluated terms.
-/// Lanes past the batch's pairs hold a zero separation, so `r² = 0`
-/// makes them inactive and their terms exact zeros.
+/// separations and species coefficients, then the evaluated terms, and
+/// the pieces of runs the batch holds. Lanes past the batch's pairs hold
+/// a zero separation, so `r² = 0` makes them inactive and their terms
+/// exact zeros.
 struct Batch {
     dx: [f64; BATCH],
     dy: [f64; BATCH],
@@ -211,6 +212,10 @@ struct Batch {
     u: [f64; BATCH],
     fr: [f64; BATCH],
     active: [bool; BATCH],
+    /// Per piece of a run, in order: the lane it ends before and its
+    /// sweep atom.
+    pieces: [(usize, usize); BATCH],
+    npieces: usize,
 }
 
 impl Batch {
@@ -230,33 +235,54 @@ impl Batch {
             u: z,
             fr: z,
             active: [false; BATCH],
+            pieces: [(0, 0); BATCH],
+            npieces: 0,
         }
     }
 
-    /// Gather `pairs` (at most [`BATCH`]) into the input columns: raw
-    /// `pos[i] − pos[j]`, the species pair's coefficients and, only when
-    /// the call has exclusions, the exclusion mask.
+    /// Gather the pairs `lo..hi` of the list (at most [`BATCH`]) into the
+    /// input columns, run piece by run piece from run `*k` on (left at
+    /// the run holding the last pair): raw `pos[i] − pos[j]` with the
+    /// sweep atom `i` held across its piece, the species pair's
+    /// coefficients and, only when the call has exclusions, the exclusion
+    /// mask.
     #[inline]
-    fn gather(&mut self, ctx: &LaneCtx, pairs: &[(u32, u32)]) {
-        for (t, &(i, j)) in pairs.iter().enumerate() {
-            let (i, j) = (i as usize, j as usize);
-            let d = ctx.pos[i] - ctx.pos[j];
-            self.dx[t] = d.x;
-            self.dy[t] = d.y;
-            self.dz[t] = d.z;
-            let pc = ctx.coeffs.at(ctx.sp[i], ctx.sp[j]);
-            self.sig2[t] = pc.sigma_sq;
-            self.e4[t] = pc.eps4;
-            self.e24[t] = pc.eps24;
-            self.ush[t] = pc.u_shift;
-            self.kqq[t] = pc.kqq;
-        }
-        if let Some(ex) = ctx.exclusions {
-            for (t, p) in pairs.iter().enumerate() {
-                self.excluded[t] = ex.binary_search(p).is_ok();
+    fn gather(&mut self, ctx: &LaneCtx, runs: &Runs, k: &mut usize, lo: usize, hi: usize) {
+        let Runs { sweep, first, partners } = *runs;
+        self.npieces = 0;
+        let mut p = lo;
+        while p < hi {
+            while first[*k + 1] as usize <= p {
+                *k += 1;
             }
+            let end = (first[*k + 1] as usize).min(hi);
+            let i = sweep[*k] as usize;
+            let (pi, row) = (ctx.pos[i], ctx.sp[i]);
+            let lanes = p - lo..end - lo;
+            for (t, &j) in lanes.clone().zip(&partners[p..end]) {
+                let j = j as usize;
+                let d = pi - ctx.pos[j];
+                self.dx[t] = d.x;
+                self.dy[t] = d.y;
+                self.dz[t] = d.z;
+                let pc = ctx.coeffs.at(row, ctx.sp[j]);
+                self.sig2[t] = pc.sigma_sq;
+                self.e4[t] = pc.eps4;
+                self.e24[t] = pc.eps24;
+                self.ush[t] = pc.u_shift;
+                self.kqq[t] = pc.kqq;
+            }
+            if let Some(ex) = ctx.exclusions {
+                let i = i as u32;
+                for (t, &j) in lanes.clone().zip(&partners[p..end]) {
+                    self.excluded[t] = ex.binary_search(&(i.min(j), i.max(j))).is_ok();
+                }
+            }
+            self.pieces[self.npieces] = (lanes.end, i);
+            self.npieces += 1;
+            p = end;
         }
-        for t in pairs.len()..BATCH {
+        for t in hi - lo..BATCH {
             self.dx[t] = 0.0;
             self.dy[t] = 0.0;
             self.dz[t] = 0.0;
@@ -303,12 +329,19 @@ impl Batch {
     }
 }
 
-/// Evaluate one chunk of pairs into `slot` (zeroed first), batch by
-/// batch: gather, evaluate, then accumulate and scatter in pair order.
-/// Pair `p` of the chunk adds its energy and virial to lane `p % LANES`,
-/// and each atom's force sees its pairs' additions in pair order, so the
-/// slot is a pure function of the chunk — where it runs is irrelevant.
-fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlot) {
+/// Evaluate the pairs `lo..hi` of the list into `slot` (zeroed first),
+/// batch by batch: gather, evaluate, then accumulate and scatter in pair
+/// order. Pair `p` of the chunk adds its energy and virial to lane
+/// `p % LANES`, and each atom's force sees its pairs' additions in pair
+/// order, so the slot is a pure function of the chunk — where it runs is
+/// irrelevant.
+///
+/// A pair is evaluated as (sweep atom `i`, partner `j`), where the old
+/// flat list held `(min, max)`. Swapping the two only flips signs: `a −
+/// b = −(b − a)` and the rounding minimum image is odd, so `d` and `f`
+/// change sign while `r²`, `u` and `fr` keep their bits, and `x − f` is
+/// `x + (−f)`. So every accumulator sees the same additions.
+fn eval_chunk(ctx: &LaneCtx, runs: &Runs, lo: usize, hi: usize, n: usize, slot: &mut ChunkSlot) {
     slot.forces.clear();
     slot.forces.resize(n, Vec3::ZERO);
     let forces = slot.forces.as_mut_slice();
@@ -316,8 +349,11 @@ fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlo
     let mut vir_acc = [0.0f64; LANES];
     let mut evaluated = 0u64;
     let mut b = Batch::new();
-    for batch in pairs.chunks(BATCH) {
-        b.gather(ctx, batch);
+    // The run holding pair `lo`: the last whose offset is at most `lo`.
+    let mut k = runs.first.partition_point(|&f| f as usize <= lo) - 1;
+    for lo in (lo..hi).step_by(BATCH) {
+        let hi = (lo + BATCH).min(hi);
+        b.gather(ctx, runs, &mut k, lo, hi);
         b.eval(ctx);
         // Lanes past the batch's pairs add `+0.0`, which leaves an
         // accumulator unchanged (it starts at `+0.0`, and round-to-nearest
@@ -327,14 +363,21 @@ fn eval_chunk(ctx: &LaneCtx, pairs: &[(u32, u32)], n: usize, slot: &mut ChunkSlo
             vir_acc[l % LANES] += b.fr[l] * b.r2[l];
             evaluated += b.active[l] as u64;
         }
-        // Branchless scatter: inactive pairs carry `fr == 0`, so their
-        // force components are `±0.0`, which by the same argument changes
-        // no accumulator. The active split is ~2:1 in a typical skin
-        // shell, which makes a per-pair branch mispredict constantly.
-        for (t, &(i, j)) in batch.iter().enumerate() {
-            let f = Vec3::new(b.dx[t] * b.fr[t], b.dy[t] * b.fr[t], b.dz[t] * b.fr[t]);
-            forces[i as usize] += f;
-            forces[j as usize] -= f;
+        // Branchless scatter, the sweep atom's force held across its
+        // piece: inactive pairs carry `fr == 0`, so their force components
+        // are `±0.0`, which by the same argument changes no accumulator.
+        // The active split is ~2:1 in a typical skin shell, which makes a
+        // per-pair branch mispredict constantly.
+        let mut start = 0;
+        for &(end, i) in &b.pieces[..b.npieces] {
+            let mut fi = forces[i];
+            for (t, &j) in (start..end).zip(&runs.partners[lo + start..lo + end]) {
+                let f = Vec3::new(b.dx[t] * b.fr[t], b.dy[t] * b.fr[t], b.dz[t] * b.fr[t]);
+                fi += f;
+                forces[j as usize] -= f;
+            }
+            forces[i] = fi;
+            start = end;
         }
     }
     // Fixed fold order over the lane accumulators: ascending lane index.
@@ -382,8 +425,9 @@ fn forces_chunked(
         "exclusions must be sorted for binary search"
     );
     let pool = par::global();
-    let pairs = nl.pairs();
-    let n_chunks = pairs.len().div_ceil(chunk);
+    let runs = nl.runs();
+    let npairs = nl.npairs();
+    let n_chunks = npairs.div_ceil(chunk);
     let n = sys.len();
 
     let System { box_len, species, pos, force, .. } = sys;
@@ -397,8 +441,8 @@ fn forces_chunked(
         LaneCtx { pos, sp: sp_idx, coeffs, exclusions, box_len: *box_len, inv_box: 1.0 / *box_len };
     pool.par_fill(&mut slots[..n_chunks], 1, |ci, out| {
         let lo = ci * chunk;
-        let hi = (lo + chunk).min(pairs.len());
-        eval_chunk(&ctx, &pairs[lo..hi], n, &mut out[0]);
+        let hi = (lo + chunk).min(npairs);
+        eval_chunk(&ctx, &runs, lo, hi, n, &mut out[0]);
     });
 
     // Merge in ascending chunk order. Each particle's additions happen in
@@ -571,7 +615,7 @@ mod tests {
         table: &PairTable,
     ) -> f64 {
         let coeffs = CoeffTable::new(table, params.cutoff);
-        oracle_forces(sys, nl.pairs(), &coeffs, None, PAIR_CHUNK).1
+        oracle_forces(sys, &nl.pairs(), &coeffs, None, PAIR_CHUNK).1
     }
 
     fn setup() -> (System, NeighborList, ForceParams, PairTable) {
@@ -724,7 +768,7 @@ mod tests {
         let mut forces = vec![Vec3::ZERO; sys.len()];
         let mut u_total = 0.0;
         let mut evaluated = 0u64;
-        for &(i, j) in nl.pairs() {
+        for &(i, j) in &nl.pairs() {
             if exclusions.is_some_and(|ex| ex.binary_search(&(i, j)).is_ok()) {
                 continue;
             }
@@ -924,7 +968,7 @@ mod tests {
                 if std::mem::replace(&mut seen[nl.npairs() % BATCH], true) {
                     continue;
                 }
-                let pairs = nl.pairs().to_vec();
+                let pairs = nl.pairs();
                 let mut ex = every_seventh_pair(&nl);
                 ex.sort_unstable();
                 for exclusions in [None, Some(ex.as_slice())] {

@@ -1,14 +1,18 @@
 //! Verlet neighbor lists built from the cell grid.
 //!
-//! A half list (each pair stored once, `i < j`) with a skin margin: the
+//! A half list (each pair stored once) with a skin margin: the
 //! list remains valid until some particle has moved more than half the
 //! skin since the last build, at which point LAMMPS-style engines rebuild —
 //! this is the "update neighbor lists" step 5 of the Verlet-Splitanalysis
 //! flow and is communication/memory intensive on real machines.
 //!
+//! Stored as LAMMPS stores its half list: per sweep atom, the run of its
+//! partners (CSR), so a pair costs one `u32` and the force kernel keeps
+//! the sweep atom's position and force in registers across its run.
+//!
 //! The list owns its storage across rebuilds: [`NeighborList::rebuild`]
 //! re-bins the persistent cell grid and sweeps it straight into the
-//! existing pair vector, so a steady-state engine rebuilds without
+//! existing run vectors, so a steady-state engine rebuilds without
 //! allocating. The sweep is one serial pass in cell order, so the pair
 //! stream does not depend on the thread count.
 
@@ -20,20 +24,46 @@ use crate::vec3::{min_image_within_box, Vec3};
 const BATCH: usize = u64::BITS as usize;
 const _: () = assert!(BATCH.is_multiple_of(LANE_WIDTH));
 
-/// A half neighbor list.
+/// A half neighbor list in LAMMPS's CSR shape: one run of partners per
+/// sweep atom.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     /// Cutoff radius the list was built for.
     pub cutoff: f64,
     /// Extra margin beyond the cutoff.
     pub skin: f64,
-    /// Flat `(i, j)` pairs, `i < j`, in cell-sweep order.
-    pairs: Vec<(u32, u32)>,
+    /// Run offsets, one per cell-sorted slot plus one: the atom in slot
+    /// `k` (the sweep atom `cells.order()[k]`) has the partners
+    /// `partners[first[k]..first[k + 1]]`.
+    first: Vec<u32>,
+    /// Partner atom ids, run after run, in cell-sweep order.
+    partners: Vec<u32>,
+    /// What the last sweep did.
+    counts: SweepCounts,
     /// Positions at build time (displacement tracking).
     ref_pos: Vec<Vec3>,
     box_len: f64,
     /// Persistent cell grid, re-binned in place on rebuild.
     cells: CellList,
+}
+
+/// Work counts of one sweep: plain counters, bumped once per candidate
+/// range and once per kept pair.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SweepCounts {
+    /// Candidate partners whose distance was tested.
+    pub(crate) candidates: u64,
+    /// Pairs kept (within the reach).
+    pub(crate) pairs: u64,
+}
+
+/// The list as the force kernel walks it: the atom `sweep[k]` has the
+/// partners `partners[first[k]..first[k + 1]]`, and the runs follow one
+/// another in `k` order.
+pub(crate) struct Runs<'a> {
+    pub(crate) sweep: &'a [u32],
+    pub(crate) first: &'a [u32],
+    pub(crate) partners: &'a [u32],
 }
 
 impl NeighborList {
@@ -45,8 +75,16 @@ impl NeighborList {
         assert!(cutoff > 0.0 && skin >= 0.0);
         let reach = cutoff + skin;
         let cells = CellList::build(positions, box_len, reach);
-        let mut nl =
-            NeighborList { cutoff, skin, pairs: Vec::new(), ref_pos: Vec::new(), box_len, cells };
+        let mut nl = NeighborList {
+            cutoff,
+            skin,
+            first: Vec::new(),
+            partners: Vec::new(),
+            counts: SweepCounts::default(),
+            ref_pos: Vec::new(),
+            box_len,
+            cells,
+        };
         nl.scan();
         nl.ref_pos.extend_from_slice(positions);
         nl
@@ -62,21 +100,25 @@ impl NeighborList {
         self.ref_pos.extend_from_slice(positions);
     }
 
-    /// Sweep the (already binned) cell grid into `self.pairs`.
+    /// Sweep the (already binned) cell grid into the runs.
     fn scan(&mut self) {
         let reach = self.cutoff + self.skin;
-        self.pairs.clear();
-        sweep(&self.cells, reach * reach, &mut self.pairs);
+        self.counts = sweep(&self.cells, reach * reach, &mut self.first, &mut self.partners);
     }
 
-    /// The half pair list.
-    pub fn pairs(&self) -> &[(u32, u32)] {
-        &self.pairs
+    /// The runs, for the force kernel.
+    pub(crate) fn runs(&self) -> Runs<'_> {
+        Runs { sweep: self.cells.order(), first: &self.first, partners: &self.partners }
+    }
+
+    /// What the last build or rebuild tested and kept.
+    pub(crate) fn counts(&self) -> SweepCounts {
+        self.counts
     }
 
     /// Number of stored pairs (the force kernel's work measure).
     pub fn npairs(&self) -> usize {
-        self.pairs.len()
+        self.partners.len()
     }
 
     /// True if any particle has moved more than half the skin since the
@@ -90,11 +132,24 @@ impl NeighborList {
     }
 }
 
-/// Append every pair within `sqrt(reach_sq)` to `out`, in the order the
+#[cfg(test)]
+impl NeighborList {
+    /// Every stored pair as `(min, max)`, in list order: the flat pair
+    /// stream the runs encode.
+    pub(crate) fn pairs(&self) -> Vec<(u32, u32)> {
+        let r = self.runs();
+        let run = |k: usize| &r.partners[r.first[k] as usize..r.first[k + 1] as usize];
+        (0..r.sweep.len())
+            .flat_map(|k| run(k).iter().map(move |&j| (r.sweep[k].min(j), r.sweep[k].max(j))))
+            .collect()
+    }
+}
+
+/// Sweep every pair within `sqrt(reach_sq)` into runs, in the order the
 /// force kernel's reduction is pinned to: cells ascending; within a cell
-/// its atoms in ascending id; per atom the rest of its own cell, then the
-/// higher-indexed neighbor cells in [`CellList::neighborhood`] order, each
-/// in ascending atom id.
+/// its atoms in ascending id, each the sweep atom of one run; per sweep
+/// atom the rest of its own cell, then the higher-indexed neighbor cells
+/// in [`CellList::neighborhood`] order, each in ascending atom id.
 ///
 /// Every one of those candidate sets is a contiguous slot range of the
 /// cell-sorted coordinate arrays. Per range, one branch-free loop over
@@ -105,18 +160,32 @@ impl NeighborList {
 /// or the arrays' padding. `r² <= reach²` over the range proper then
 /// folds into a bitmask, whose set bits (about one candidate in eight)
 /// are emitted lowest first.
-fn sweep(cells: &CellList, reach_sq: f64, out: &mut Vec<(u32, u32)>) {
+fn sweep(
+    cells: &CellList,
+    reach_sq: f64,
+    first: &mut Vec<u32>,
+    partners: &mut Vec<u32>,
+) -> SweepCounts {
     let l = cells.box_len;
     let half = 0.5 * l;
     let [sx, sy, sz] = cells.sorted_coords();
     let order = cells.order();
+    // A cell is trimmed only past the reach by a relative margin far above
+    // the rounding of binning and of the face distances.
+    let trim_sq = reach_sq * (1.0 + 1e-9);
     let mut r2 = [0.0f64; BATCH];
+    let mut candidates = 0u64;
+    first.clear();
+    partners.clear();
+    first.push(0);
     for cell in 0..cells.ncells() {
         let own = cells.span(cell);
         for k in own.clone() {
-            let (i, xi, yi, zi) = (order[k], sx[k], sy[k], sz[k]);
-            let ranges = std::iter::once(k + 1..own.end).chain(cells.higher_neighbor_spans(cell));
+            let (xi, yi, zi) = (sx[k], sy[k], sz[k]);
+            let higher = cells.higher_neighbor_spans(cell, [xi, yi, zi], trim_sq);
+            let ranges = std::iter::once(k + 1..own.end).chain(higher);
             for range in ranges {
+                candidates += range.len() as u64;
                 for base in range.clone().step_by(BATCH) {
                     let n = (range.end - base).min(BATCH);
                     let lanes = base..base + n.next_multiple_of(LANE_WIDTH);
@@ -133,14 +202,15 @@ fn sweep(cells: &CellList, reach_sq: f64, out: &mut Vec<(u32, u32)>) {
                         hits |= u64::from(r <= reach_sq) << t;
                     }
                     while hits != 0 {
-                        let j = order[base + hits.trailing_zeros() as usize];
-                        out.push((i.min(j), i.max(j)));
+                        partners.push(order[base + hits.trailing_zeros() as usize]);
                         hits &= hits - 1;
                     }
                 }
             }
+            first.push(u32::try_from(partners.len()).expect("pair offsets are u32"));
         }
     }
+    SweepCounts { candidates, pairs: partners.len() as u64 }
 }
 
 #[cfg(test)]
@@ -251,8 +321,46 @@ mod tests {
             let nl = NeighborList::build(pos, sys.box_len, reach, 0.0);
             assert_eq!(nl.cells.cells_per_side, n);
             let brute = brute_force_pairs(pos, sys.box_len, reach);
-            assert_eq!(sorted(nl.pairs().to_vec()), brute, "cells_per_side {n}");
+            assert_eq!(sorted(nl.pairs()), brute, "cells_per_side {n}");
             assert!(nl.pairs() == reference_pairs(&nl, pos), "cells_per_side {n}");
+        }
+    }
+
+    /// The trim leaves out only cells no candidate of reaches: with a
+    /// third of the atoms snapped onto cell faces, or one ulp to either
+    /// side, where binning and the face distances round, the pair stream
+    /// at 4 to 6 cells per side is still the untrimmed scalar scan's.
+    #[test]
+    fn trimmed_runs_lose_no_pair_at_cell_faces() {
+        let sys = water_ion_box(1, 1.0, 21);
+        let l = sys.box_len;
+        for n in 4..=6usize {
+            let w = l / n as f64;
+            let pos: Vec<Vec3> = sys
+                .pos
+                .iter()
+                .enumerate()
+                .map(|(a, &p)| {
+                    let snap = |x: f64| {
+                        let face = (x / w).round() * w;
+                        let face = match a % 9 {
+                            0 => face,
+                            3 => face.next_up(),
+                            _ => face.next_down(),
+                        };
+                        face.clamp(0.0, l.next_down())
+                    };
+                    if a % 3 == 0 {
+                        Vec3::new(snap(p.x), snap(p.y), snap(p.z))
+                    } else {
+                        p
+                    }
+                })
+                .collect();
+            let nl = NeighborList::build(&pos, l, w - 1e-9, 0.0);
+            assert_eq!(nl.cells.cells_per_side, n);
+            assert!(nl.counts().candidates < untrimmed_candidates(&nl.cells), "{n}: no trim");
+            assert!(nl.pairs() == reference_pairs(&nl, &pos), "{n} cells per side");
         }
     }
 
@@ -263,7 +371,7 @@ mod tests {
         let pos = &sys.pos[..400];
         let nl = NeighborList::build(pos, sys.box_len, 2.5, 0.3);
         let brute = sorted(brute_force_pairs(pos, sys.box_len, 2.8));
-        let fast = sorted(nl.pairs().to_vec());
+        let fast = sorted(nl.pairs());
         assert_eq!(fast, brute);
     }
 
@@ -316,10 +424,69 @@ mod tests {
     fn pairs_are_half_list() {
         let sys = water_ion_box(1, 1.0, 8);
         let nl = NeighborList::build(&sys.pos[..200], sys.box_len, 2.5, 0.3);
-        for &(i, j) in nl.pairs() {
-            assert!(i < j, "({i},{j}) not ordered");
+        let r = nl.runs();
+        for (k, &i) in r.sweep.iter().enumerate() {
+            for &j in &r.partners[r.first[k] as usize..r.first[k + 1] as usize] {
+                assert_ne!(i, j, "atom {i} is its own partner");
+            }
         }
-        let s = sorted(nl.pairs().to_vec());
+        let s = sorted(nl.pairs());
         assert_eq!(s.len(), nl.npairs(), "duplicate pairs found");
+    }
+
+    /// Candidates the sweep tests without trimming: per cell member, the
+    /// rest of its cell and every atom of its higher neighbor cells.
+    fn untrimmed_candidates(cells: &CellList) -> u64 {
+        let mut candidates = 0u64;
+        for cell in 0..cells.ncells() {
+            let m = cells.cell(cell).len() as u64;
+            let (nbhd, len) = CellList::neighborhood(cells.cells_per_side, cell);
+            let higher: u64 = nbhd[..len]
+                .iter()
+                .filter(|&&nc| nc > cell)
+                .map(|&nc| cells.cell(nc).len() as u64)
+                .sum();
+            candidates += m * m.saturating_sub(1) / 2 + m * higher;
+        }
+        candidates
+    }
+
+    /// The sweep's counters, exactly. Below 4 cells per side no run is
+    /// trimmed, so the candidates are [`untrimmed_candidates`]. At dims 1
+    /// and 2 (4 and 8 cells per side), after a build and after a rebuild,
+    /// they are pinned: the trim must cut them below that count, and a
+    /// candidate counted twice or a trim lost moves them. The pairs are
+    /// the scalar scan's, every time.
+    #[test]
+    fn sweep_counts_candidates_and_pairs_exactly() {
+        let sys = water_ion_box(1, 1.0, 3);
+        for n in 1..=3usize {
+            let reach = sys.box_len / n as f64 - 1e-9;
+            let nl = NeighborList::build(&sys.pos[..500], sys.box_len, reach, 0.0);
+            assert_eq!(nl.cells.cells_per_side, n);
+            let pairs = reference_pairs(&nl, &sys.pos[..500]).len() as u64;
+            let candidates = untrimmed_candidates(&nl.cells);
+            assert_eq!(nl.counts(), SweepCounts { candidates, pairs }, "{n} cells per side");
+        }
+        let pinned = [
+            (1usize, [(365_166u64, 63_171u64), (396_903, 63_171)]),
+            (2, [(3_022_306, 519_960), (3_309_086, 519_960)]),
+        ];
+        for (dim, want) in pinned {
+            let sys = water_ion_box(dim, 1.0, 3);
+            let moved: Vec<Vec3> = sys
+                .pos
+                .iter()
+                .map(|&p| (p + Vec3::new(0.3, -0.2, 0.1)).wrap(sys.box_len))
+                .collect();
+            let mut nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
+            for (positions, (candidates, pairs)) in [&sys.pos, &moved].into_iter().zip(want) {
+                nl.rebuild(positions);
+                let counts = nl.counts();
+                assert_eq!(counts.pairs, reference_pairs(&nl, positions).len() as u64);
+                assert!(counts.candidates < untrimmed_candidates(&nl.cells), "dim {dim}");
+                assert_eq!(counts, SweepCounts { candidates, pairs }, "dim {dim}");
+            }
+        }
     }
 }

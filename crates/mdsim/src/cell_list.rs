@@ -41,11 +41,22 @@ pub(crate) struct CellList {
     /// index, in [`CellList::neighborhood`] order, as runs of consecutive
     /// cell indices. Fixed by the geometry.
     higher: Vec<Range<u32>>,
-    /// Per run of `higher`, at 4 or more cells per side (where a run stays
-    /// in one (x, y) row): the row's x and y offsets from the owning cell
-    /// and the z offsets of the run's first and last cells, each −1, 0 or
-    /// +1. Empty below 4 cells per side, where no run is trimmed.
-    higher_offsets: Vec<[i8; 4]>,
+    /// Where each run of `higher` lies, at 4 or more cells per side.
+    /// Empty below that, where no run is trimmed or shifted.
+    places: Vec<RunPlace>,
+}
+
+/// Where a run of neighbor cells lies from the cell owning it, at 4 or
+/// more cells per side, where a run stays in one (x, y) row.
+#[derive(Debug, Clone, Copy)]
+struct RunPlace {
+    /// The row's x and y offsets from the owning cell and the z offsets of
+    /// the run's first and last cells, each −1, 0 or +1.
+    offset: [i8; 4],
+    /// Per axis, the box lengths (−1, 0 or +1) that take a separation from
+    /// the owning cell into the run to its minimum image: nonzero where
+    /// the run lies across the periodic boundary.
+    wrap: [i8; 3],
 }
 
 impl CellList {
@@ -57,7 +68,7 @@ impl CellList {
         let ncells = cells_per_side.pow(3);
         let mut higher_start = Vec::with_capacity(ncells + 1);
         let mut higher: Vec<Range<u32>> = Vec::new();
-        let mut higher_offsets = Vec::new();
+        let mut places = Vec::new();
         higher_start.push(0);
         for cell in 0..ncells {
             let (nbhd, len) = Self::neighborhood(cells_per_side, cell);
@@ -76,13 +87,30 @@ impl CellList {
                     1 => 1,
                     _ => -1,
                 };
+                // A neighbor one cell below the first, or above the last,
+                // lies across the boundary: its separations are a box
+                // length off their minimum image.
+                let wrap = |o: i8, at: usize| match (o, at) {
+                    (-1, 0) => -1i8,
+                    (1, a) if a == n - 1 => 1,
+                    _ => 0,
+                };
                 let own = coords(cell);
                 for run in &higher[first_run..] {
                     let [x0, y0, z0] = coords(run.start as usize);
                     let [x1, y1, z1] = coords(run.end as usize - 1);
                     assert!((x0, y0) == (x1, y1), "a run of neighbor cells left its row");
                     let (ox, oy) = (offset(x0, own[0]), offset(y0, own[1]));
-                    higher_offsets.push([ox, oy, offset(z0, own[2]), offset(z1, own[2])]);
+                    let (oz0, oz1) = (offset(z0, own[2]), offset(z1, own[2]));
+                    let wz = wrap(oz0, own[2]);
+                    assert!(
+                        wz == wrap(oz1, own[2]),
+                        "a run of neighbor cells crossed the boundary"
+                    );
+                    places.push(RunPlace {
+                        offset: [ox, oy, oz0, oz1],
+                        wrap: [wrap(ox, own[0]), wrap(oy, own[1]), wz],
+                    });
                 }
             }
             higher_start.push(higher.len() as u32);
@@ -98,7 +126,7 @@ impl CellList {
             atom_cells: Vec::new(),
             higher_start,
             higher,
-            higher_offsets,
+            places,
         };
         cl.rebin(positions);
         cl
@@ -175,6 +203,12 @@ impl CellList {
         self.start.len() - 1
     }
 
+    /// Whether [`CellList::higher_neighbor_spans`] shifts and trims its
+    /// ranges: at 4 or more cells per side.
+    pub(crate) fn shifted(&self) -> bool {
+        !self.places.is_empty()
+    }
+
     /// Atom ids in cell-sorted slot order.
     pub(crate) fn order(&self) -> &[u32] {
         &self.order
@@ -189,34 +223,37 @@ impl CellList {
     /// Slot ranges of the cells in `idx`'s periodic neighborhood with a
     /// larger index, in [`CellList::neighborhood`] order, for the atom at
     /// `p` in cell `idx`. Consecutive cells are adjacent in slot order
-    /// too, so each run of them comes as one range. At 4 or more cells
-    /// per side a run's end cells are left out while the box distance
-    /// from `p` to them exceeds `sqrt(trim_sq)`: no atom binned there can
-    /// be that close, so the range loses only candidates the reach test
-    /// would reject.
+    /// too, so each run of them comes as one range.
+    ///
+    /// At 4 or more cells per side each range comes with its image shift:
+    /// per axis the multiple of the box length (−l, 0 or +l) that takes a
+    /// separation from `p` into the run to its minimum image. And a run's
+    /// end cells are left out while the box distance from `p` to them
+    /// exceeds `sqrt(trim_sq)`: no atom binned there can be that close,
+    /// so the range loses only candidates the reach test would reject.
     #[inline]
     pub(crate) fn higher_neighbor_spans(
         &self,
         idx: usize,
         p: [f64; 3],
         trim_sq: f64,
-    ) -> impl Iterator<Item = Range<usize>> + '_ {
+    ) -> impl Iterator<Item = (Range<usize>, Option<[f64; 3]>)> + '_ {
         let runs = self.higher_start[idx] as usize..self.higher_start[idx + 1] as usize;
-        // Distance from `p` to its own cell's lower and upper face per
-        // axis, indexed by the neighbor's offset + 1.
+        // Squared distance from `p` to its own cell's lower and upper face
+        // per axis, indexed by the neighbor's offset + 1.
         let n = self.cells_per_side;
-        let w = self.box_len / n as f64;
+        let (l, w) = (self.box_len, self.box_len / n as f64);
         let own = [idx / (n * n), (idx / n) % n, idx % n];
         let face: [[f64; 3]; 3] = std::array::from_fn(|a| {
             let lo = p[a] - own[a] as f64 * w;
             let hi = (own[a] + 1) as f64 * w - p[a];
             [lo * lo, 0.0, hi * hi]
         });
-        let offsets = if self.higher_offsets.is_empty() { None } else { Some(runs.clone()) };
+        let places = if self.places.is_empty() { None } else { Some(runs.start) };
         self.higher[runs].iter().enumerate().map(move |(r, run)| {
             let (mut c0, mut c1) = (run.start as usize, run.end as usize);
-            if let Some(offsets) = &offsets {
-                let [ox, oy, oz0, oz1] = self.higher_offsets[offsets.start + r];
+            let shift = places.map(|first| {
+                let RunPlace { offset: [ox, oy, oz0, oz1], wrap } = self.places[first + r];
                 let row = face[0][(ox + 1) as usize] + face[1][(oy + 1) as usize];
                 if row + face[2][(oz0 + 1) as usize] > trim_sq {
                     c0 += 1;
@@ -224,8 +261,9 @@ impl CellList {
                 if c1 > c0 && row + face[2][(oz1 + 1) as usize] > trim_sq {
                     c1 -= 1;
                 }
-            }
-            self.start[c0] as usize..self.start[c1] as usize
+                wrap.map(|k| f64::from(k) * l)
+            });
+            (self.start[c0] as usize..self.start[c1] as usize, shift)
         })
     }
 
@@ -302,6 +340,67 @@ mod tests {
     fn neighborhood(cl: &CellList, idx: usize) -> Vec<usize> {
         let (cells, len) = CellList::neighborhood(cl.cells_per_side, idx);
         cells[..len].to_vec()
+    }
+
+    /// The per-run image shift against the divide-free minimum image, to
+    /// the bit, wherever either puts a pair within the reach (one cell
+    /// width): at 4 to 9 cells per side, for points binned into random
+    /// cells and into every cell of each of their higher neighbor runs,
+    /// a third of coordinates on a cell face or one ulp off it. Past the
+    /// reach the two may differ (a separation of about half the box can
+    /// round to either image), but then neither is kept.
+    #[test]
+    fn run_shift_is_the_minimum_image_wherever_a_pair_is_in_reach() {
+        use crate::vec3::min_image_within_box;
+        let mut rng = des::Rng::seed_from_u64(9);
+        let mut compared = 0u64;
+        for n in 4..=9usize {
+            let l = rng.uniform(8.0, 30.0);
+            let cl = CellList::build(&[], l, l / n as f64 * (1.0 - 1e-9));
+            assert_eq!(cl.cells_per_side, n);
+            let w = l / n as f64;
+            let point_in = |c: usize, rng: &mut des::Rng| -> Option<[f64; 3]> {
+                let at = [c / (n * n), (c / n) % n, c % n];
+                let q = at.map(|a| {
+                    let face = a as f64 * w;
+                    let x = match rng.next_below(9) {
+                        0 => face,
+                        1 => face.next_up(),
+                        2 => face.next_down(),
+                        _ => face + rng.uniform(0.0, w),
+                    };
+                    x.clamp(0.0, l.next_down())
+                });
+                (cl.cell_of(Vec3::new(q[0], q[1], q[2])) == c).then_some(q)
+            };
+            let r2 = |d: [f64; 3]| d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            for _ in 0..300 {
+                let cell = rng.next_below(cl.ncells() as u64) as usize;
+                let Some(p) = point_in(cell, &mut rng) else { continue };
+                let runs = cl.higher_start[cell] as usize..cl.higher_start[cell + 1] as usize;
+                for (run, place) in cl.higher[runs.clone()].iter().zip(&cl.places[runs]) {
+                    let shift = place.wrap.map(|k| f64::from(k) * l);
+                    for c in run.start as usize..run.end as usize {
+                        for _ in 0..20 {
+                            let Some(q) = point_in(c, &mut rng) else { continue };
+                            let image: [f64; 3] = std::array::from_fn(|a| {
+                                min_image_within_box(q[a] - p[a], l, l / 2.0)
+                            });
+                            let shifted: [f64; 3] = std::array::from_fn(|a| q[a] - p[a] + shift[a]);
+                            if r2(image) <= w * w || r2(shifted) <= w * w {
+                                assert_eq!(
+                                    r2(image).to_bits(),
+                                    r2(shifted).to_bits(),
+                                    "{p:?} {q:?}"
+                                );
+                                compared += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "{compared} pairs in reach");
     }
 
     #[test]

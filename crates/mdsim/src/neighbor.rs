@@ -173,6 +173,8 @@ fn sweep(
     // A cell is trimmed only past the reach by a relative margin far above
     // the rounding of binning and of the face distances.
     let trim_sq = reach_sq * (1.0 + 1e-9);
+    // At 4 or more cells per side an atom's own cell never wraps.
+    let own_shift = cells.shifted().then_some([0.0; 3]);
     let mut r2 = [0.0f64; BATCH];
     let mut candidates = 0u64;
     first.clear();
@@ -183,19 +185,26 @@ fn sweep(
         for k in own.clone() {
             let (xi, yi, zi) = (sx[k], sy[k], sz[k]);
             let higher = cells.higher_neighbor_spans(cell, [xi, yi, zi], trim_sq);
-            let ranges = std::iter::once(k + 1..own.end).chain(higher);
-            for range in ranges {
+            let ranges = std::iter::once((k + 1..own.end, own_shift)).chain(higher);
+            for (range, shift) in ranges {
                 candidates += range.len() as u64;
                 for base in range.clone().step_by(BATCH) {
                     let n = (range.end - base).min(BATCH);
                     let lanes = base..base + n.next_multiple_of(LANE_WIDTH);
                     let r2 = &mut r2[..lanes.len()];
                     let coords = sx[lanes.clone()].iter().zip(&sy[lanes.clone()]).zip(&sz[lanes]);
-                    for (r, ((&x, &y), &z)) in r2.iter_mut().zip(coords) {
-                        let dx = min_image_within_box(x - xi, l, half);
-                        let dy = min_image_within_box(y - yi, l, half);
-                        let dz = min_image_within_box(z - zi, l, half);
-                        *r = dx * dx + dy * dy + dz * dz;
+                    if let Some([hx, hy, hz]) = shift {
+                        for (r, ((&x, &y), &z)) in r2.iter_mut().zip(coords) {
+                            let (dx, dy, dz) = (x - xi + hx, y - yi + hy, z - zi + hz);
+                            *r = dx * dx + dy * dy + dz * dz;
+                        }
+                    } else {
+                        for (r, ((&x, &y), &z)) in r2.iter_mut().zip(coords) {
+                            let dx = min_image_within_box(x - xi, l, half);
+                            let dy = min_image_within_box(y - yi, l, half);
+                            let dz = min_image_within_box(z - zi, l, half);
+                            *r = dx * dx + dy * dy + dz * dz;
+                        }
                     }
                     let mut hits = 0u64;
                     for (t, &r) in r2[..n].iter().enumerate() {

@@ -104,7 +104,7 @@ impl MdEngine {
         };
         if let Some(pairs) = self.update_neighbors() {
             counts.neighbor_pairs = pairs;
-            counts.neighbor_candidates = self.nl.counts().candidates;
+            counts.neighbor_candidates = self.nl.candidates();
             counts.rebuilt = true;
         }
         counts.force_pairs = self.force_and_final_integrate();

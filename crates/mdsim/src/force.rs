@@ -10,12 +10,19 @@
 //! exactly as in LAMMPS. It is built for raw speed without giving up
 //! bitwise determinism:
 //!
-//! * **Lane batching** — pairs are processed in groups of [`LANES`]
-//!   through fixed-width `[f64; LANES]` arrays, which the autovectorizer
-//!   lowers to SIMD (no external crates). Masked lanes (excluded pairs,
-//!   out-of-cutoff pairs, tail padding) compute on a guarded `r² = 1` and
-//!   are then *selected* to exact `0.0` — never multiplied by a mask, so
-//!   no `inf · 0` NaNs can leak.
+//! * **Batches** — a chunk's pairs go through batches of [`BATCH`] in
+//!   three loops: a gather of the raw separations and the species
+//!   coefficients into structure-of-arrays columns, with each run's
+//!   sweep atom held in registers; one branch-free arithmetic loop over
+//!   all [`BATCH`] lanes; and an accumulate-and-scatter loop in pair
+//!   order. Only the middle loop is vectorized: under the x86-64-v3 floor
+//!   of `.cargo/config.toml` its divide and square root compile to packed
+//!   4-wide `vdivpd`/`vsqrtpd` (IEEE `/` and `sqrt` are correctly rounded
+//!   at any width, so the bits do not depend on it); on the SSE2 baseline
+//!   the libm `round` call keeps it scalar. Inactive lanes (excluded
+//!   pairs, out-of-cutoff pairs, tail padding) compute on a guarded
+//!   `r² = 1` and are then *selected* to exact `0.0` — never multiplied
+//!   by a mask, so no `inf · 0` NaNs can leak.
 //! * **Coefficient table** — per-species-pair σ², 4ε, 24ε, the LJ shift
 //!   and the Coulomb prefactor live in a flat [`CoeffTable`] built once,
 //!   so the inner loop does one divide and one square root per pair and
@@ -24,12 +31,12 @@
 //!   chunks; one `par_fill` region evaluates each chunk into its own
 //!   force/energy partials ([`ForceScratch`] slots), and a second one,
 //!   over atoms, merges them in ascending chunk order. Chunk boundaries
-//!   depend only on the pair count, and lane grouping depends only on
-//!   position within the chunk, so the full floating-point op sequence
-//!   is a pure function of the input: `POLIMER_THREADS=1` reproduces any
-//!   other thread count bit for bit. At width 1, from inside a busy pool,
-//!   or for a one-chunk list, a region runs every item on the calling
-//!   thread in the same order.
+//!   depend only on the pair count, and each pair's energy lane depends
+//!   only on its position within the chunk, so the full floating-point op
+//!   sequence is a pure function of the input: `POLIMER_THREADS=1`
+//!   reproduces any other thread count bit for bit. At width 1, from
+//!   inside a busy pool, or for a one-chunk list, a region runs every
+//!   item on the calling thread in the same order.
 //!
 //! All buffers live in a caller-owned [`ForceScratch`]. At width 1
 //! steady-state force evaluation performs no heap allocation (asserted
@@ -336,11 +343,13 @@ impl Batch {
 /// order, so the slot is a pure function of the chunk — where it runs is
 /// irrelevant.
 ///
-/// A pair is evaluated as (sweep atom `i`, partner `j`), where the old
-/// flat list held `(min, max)`. Swapping the two only flips signs: `a −
-/// b = −(b − a)` and the rounding minimum image is odd, so `d` and `f`
-/// change sign while `r²`, `u` and `fr` keep their bits, and `x − f` is
-/// `x + (−f)`. So every accumulator sees the same additions.
+/// A pair is evaluated as (sweep atom `i`, partner `j`), whichever of the
+/// two ids is smaller; exclusions are keyed `(min, max)`. Which atom comes
+/// first only flips signs: `a − b = −(b − a)` and the rounding minimum
+/// image is odd, so `d` and `f` change sign while `r²`, `u` and `fr` keep
+/// their bits, and `x − f` is `x + (−f)`. So every accumulator sees the
+/// same additions in either orientation, which the lane-group oracle (on
+/// `(min, max)` pairs) checks bit for bit.
 fn eval_chunk(ctx: &LaneCtx, runs: &Runs, lo: usize, hi: usize, n: usize, slot: &mut ChunkSlot) {
     slot.forces.clear();
     slot.forces.resize(n, Vec3::ZERO);

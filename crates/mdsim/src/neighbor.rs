@@ -38,23 +38,14 @@ pub struct NeighborList {
     first: Vec<u32>,
     /// Partner atom ids, run after run, in cell-sweep order.
     partners: Vec<u32>,
-    /// What the last sweep did.
-    counts: SweepCounts,
+    /// Candidate partners the last sweep tested: a plain counter, bumped
+    /// once per candidate range. The pairs it kept are `partners.len()`.
+    candidates: u64,
     /// Positions at build time (displacement tracking).
     ref_pos: Vec<Vec3>,
     box_len: f64,
     /// Persistent cell grid, re-binned in place on rebuild.
     cells: CellList,
-}
-
-/// Work counts of one sweep: plain counters, bumped once per candidate
-/// range and once per kept pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SweepCounts {
-    /// Candidate partners whose distance was tested.
-    pub(crate) candidates: u64,
-    /// Pairs kept (within the reach).
-    pub(crate) pairs: u64,
 }
 
 /// The list as the force kernel walks it: the atom `sweep[k]` has the
@@ -80,7 +71,7 @@ impl NeighborList {
             skin,
             first: Vec::new(),
             partners: Vec::new(),
-            counts: SweepCounts::default(),
+            candidates: 0,
             ref_pos: Vec::new(),
             box_len,
             cells,
@@ -103,7 +94,7 @@ impl NeighborList {
     /// Sweep the (already binned) cell grid into the runs.
     fn scan(&mut self) {
         let reach = self.cutoff + self.skin;
-        self.counts = sweep(&self.cells, reach * reach, &mut self.first, &mut self.partners);
+        self.candidates = sweep(&self.cells, reach * reach, &mut self.first, &mut self.partners);
     }
 
     /// The runs, for the force kernel.
@@ -111,9 +102,9 @@ impl NeighborList {
         Runs { sweep: self.cells.order(), first: &self.first, partners: &self.partners }
     }
 
-    /// What the last build or rebuild tested and kept.
-    pub(crate) fn counts(&self) -> SweepCounts {
-        self.counts
+    /// Candidate pairs the last build or rebuild tested.
+    pub(crate) fn candidates(&self) -> u64 {
+        self.candidates
     }
 
     /// Number of stored pairs (the force kernel's work measure).
@@ -154,18 +145,17 @@ impl NeighborList {
 /// Every one of those candidate sets is a contiguous slot range of the
 /// cell-sorted coordinate arrays. Per range, one branch-free loop over
 /// the three coordinate slices — which the compiler vectorizes — stores
-/// exactly `(pj - pi).minimum_image(l).norm_sq()` per candidate
-/// (positions are wrapped, so `|d| < l` and the divide-free minimum image
-/// applies); it runs whole lanes, past the range's end into the next cell
-/// or the arrays' padding. `r² <= reach²` over the range proper then
-/// folds into a bitmask, whose set bits (about one candidate in eight)
-/// are emitted lowest first.
-fn sweep(
-    cells: &CellList,
-    reach_sq: f64,
-    first: &mut Vec<u32>,
-    partners: &mut Vec<u32>,
-) -> SweepCounts {
+/// `r²` per candidate; it runs whole lanes, past the range's end into the
+/// next cell or the arrays' padding. Below 4 cells per side `r²` is
+/// exactly `(pj - pi).minimum_image(l).norm_sq()` (positions are wrapped,
+/// so `|d| < l` and the divide-free minimum image applies). From 4 on,
+/// each range comes trimmed and with its run's image shift (see
+/// [`CellList::higher_neighbor_spans`]); the shifted `r²` has those bits
+/// wherever either is within the reach, so the same candidates pass.
+/// `r² <= reach²` over the range proper then folds into a bitmask, whose
+/// set bits (about one candidate in six) are emitted lowest first.
+/// Returns the candidates tested.
+fn sweep(cells: &CellList, reach_sq: f64, first: &mut Vec<u32>, partners: &mut Vec<u32>) -> u64 {
     let l = cells.box_len;
     let half = 0.5 * l;
     let [sx, sy, sz] = cells.sorted_coords();
@@ -219,7 +209,7 @@ fn sweep(
             first.push(u32::try_from(partners.len()).expect("pair offsets are u32"));
         }
     }
-    SweepCounts { candidates, pairs: partners.len() as u64 }
+    candidates
 }
 
 #[cfg(test)]
@@ -368,7 +358,7 @@ mod tests {
                 .collect();
             let nl = NeighborList::build(&pos, l, w - 1e-9, 0.0);
             assert_eq!(nl.cells.cells_per_side, n);
-            assert!(nl.counts().candidates < untrimmed_candidates(&nl.cells), "{n}: no trim");
+            assert!(nl.candidates() < untrimmed_candidates(&nl.cells), "{n}: no trim");
             assert!(nl.pairs() == reference_pairs(&nl, &pos), "{n} cells per side");
         }
     }
@@ -473,12 +463,12 @@ mod tests {
             let reach = sys.box_len / n as f64 - 1e-9;
             let nl = NeighborList::build(&sys.pos[..500], sys.box_len, reach, 0.0);
             assert_eq!(nl.cells.cells_per_side, n);
-            let pairs = reference_pairs(&nl, &sys.pos[..500]).len() as u64;
-            let candidates = untrimmed_candidates(&nl.cells);
-            assert_eq!(nl.counts(), SweepCounts { candidates, pairs }, "{n} cells per side");
+            let pairs = reference_pairs(&nl, &sys.pos[..500]).len();
+            let want = (untrimmed_candidates(&nl.cells), pairs);
+            assert_eq!((nl.candidates(), nl.npairs()), want, "{n} cells per side");
         }
         let pinned = [
-            (1usize, [(365_166u64, 63_171u64), (396_903, 63_171)]),
+            (1usize, [(365_166u64, 63_171usize), (396_903, 63_171)]),
             (2, [(3_022_306, 519_960), (3_309_086, 519_960)]),
         ];
         for (dim, want) in pinned {
@@ -491,10 +481,9 @@ mod tests {
             let mut nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
             for (positions, (candidates, pairs)) in [&sys.pos, &moved].into_iter().zip(want) {
                 nl.rebuild(positions);
-                let counts = nl.counts();
-                assert_eq!(counts.pairs, reference_pairs(&nl, positions).len() as u64);
-                assert!(counts.candidates < untrimmed_candidates(&nl.cells), "dim {dim}");
-                assert_eq!(counts, SweepCounts { candidates, pairs }, "dim {dim}");
+                assert_eq!(nl.npairs(), reference_pairs(&nl, positions).len(), "dim {dim}");
+                assert!(nl.candidates() < untrimmed_candidates(&nl.cells), "dim {dim}");
+                assert_eq!((nl.candidates(), nl.npairs()), (candidates, pairs), "dim {dim}");
             }
         }
     }

@@ -28,22 +28,19 @@
 //!   so the inner loop does one divide and one square root per pair and
 //!   zero table arithmetic.
 //! * **Chunk-merged accumulation** — the pair list is cut into fixed
-//!   chunks; one `par_fill` region evaluates each chunk into its own
-//!   force/energy partials ([`ForceScratch`] slots), and a second one,
-//!   over atoms, merges them in ascending chunk order. Chunk boundaries
-//!   depend only on the pair count, and each pair's energy lane depends
-//!   only on its position within the chunk, so the full floating-point op
-//!   sequence is a pure function of the input: `POLIMER_THREADS=1`
-//!   reproduces any other thread count bit for bit. At width 1, from
-//!   inside a busy pool, or for a one-chunk list, a region runs every
-//!   item on the calling thread in the same order.
+//!   chunks of [`PAIR_CHUNK`] pairs, evaluated one after another on the
+//!   calling thread into the one reused partial slot of [`ForceScratch`];
+//!   each chunk's partial forces are added into `sys.force`, and its
+//!   energy, virial and pair count into the totals, before the next chunk
+//!   starts. Chunk boundaries depend only on the pair count, and each
+//!   pair's energy lane depends only on its position within the chunk, so
+//!   the full floating-point op sequence is a pure function of the input.
 //!
-//! All buffers live in a caller-owned [`ForceScratch`]. At width 1
-//! steady-state force evaluation performs no heap allocation (asserted
-//! by the `alloc_free` test with a counting global allocator, under
-//! `par::with_threads(1, ..)`); at width `w ≥ 2` each of the two regions
-//! pays a fixed spawn cost: `w − 1` scoped threads and the `Vec` of their
-//! join handles.
+//! The kernel never enters the `par` pool, so `POLIMER_THREADS` cannot
+//! reach it: the pool fans out over whole runs only. All buffers live in
+//! a caller-owned [`ForceScratch`], and steady-state force evaluation
+//! performs no heap allocation at any width (asserted by the `alloc_free`
+//! test with a counting global allocator, at widths 1 and 2).
 
 use crate::neighbor::{NeighborList, Runs};
 use crate::species::{PairTable, NSPECIES};
@@ -90,17 +87,14 @@ const LANES: usize = 8;
 const BATCH: usize = 64;
 const _: () = assert!(BATCH.is_multiple_of(LANES));
 
-/// Pairs per chunk: the unit of parallel work and of the deterministic
-/// merge order. Sized so the per-chunk clear + merge of an atom-length
-/// partial buffer is amortized over many pairs (at the 12k-atom benchmark
-/// it costs under 10 bytes of buffer traffic per pair) while still
-/// splitting production pair lists into enough chunks to balance.
+/// Pairs per chunk. The chunk fixes the op sequence, nothing else: its
+/// pairs accumulate into a zeroed partial, and the partials add into the
+/// total in ascending chunk order, so changing it moves the last bits of
+/// every force and of both sums. The one partial slot is reused, so the
+/// chunk count costs no memory; the per-chunk clear and merge of that
+/// atom-length slot is amortized over many pairs (under 10 bytes of
+/// buffer traffic per pair at the 12k-atom benchmark).
 const PAIR_CHUNK: usize = 32_768;
-
-/// Ceiling on chunk count: for huge pair lists the chunk size grows so
-/// the per-chunk force partials (one `Vec<Vec3>` of atom length each)
-/// stay bounded in memory.
-const MAX_CHUNKS: usize = 64;
 
 /// Per-species-pair coefficients with everything liftable lifted out of
 /// the inner loop: σ², 4ε and 24ε pre-multiplied, the LJ cutoff shift
@@ -162,7 +156,7 @@ impl CoeffTable {
 }
 
 /// One chunk's partial results: a full-length force buffer plus scalar
-/// accumulators. Merged into the system in ascending chunk order.
+/// accumulators, added into the totals before the next chunk reuses it.
 #[derive(Debug, Clone, Default)]
 struct ChunkSlot {
     forces: Vec<Vec3>,
@@ -172,15 +166,14 @@ struct ChunkSlot {
 }
 
 /// Reusable scratch owned by the caller (typically [`crate::MdEngine`]):
-/// per-chunk partial accumulators and the species-index cache. Once the
-/// buffers reach steady-state size, [`compute_forces_into`] at width 1
-/// allocates nothing.
+/// the one chunk partial and the species-index cache. Once the buffers
+/// reach steady-state size, [`compute_forces_into`] allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ForceScratch {
     /// Species index per atom as `u8` (dense gather in the inner loop).
     sp_idx: Vec<u8>,
-    /// One partial-result slot per chunk.
-    slots: Vec<ChunkSlot>,
+    /// The partial-result slot every chunk reuses in turn.
+    slot: ChunkSlot,
 }
 
 impl ForceScratch {
@@ -340,8 +333,7 @@ impl Batch {
 /// batch by batch: gather, evaluate, then accumulate and scatter in pair
 /// order. Pair `p` of the chunk adds its energy and virial to lane
 /// `p % LANES`, and each atom's force sees its pairs' additions in pair
-/// order, so the slot is a pure function of the chunk — where it runs is
-/// irrelevant.
+/// order, so the slot is a pure function of the chunk.
 ///
 /// A pair is evaluated as (sweep atom `i`, partner `j`), whichever of the
 /// two ids is smaller; exclusions are keyed `(min, max)`. Which atom comes
@@ -400,11 +392,10 @@ fn eval_chunk(ctx: &LaneCtx, runs: &Runs, lo: usize, hi: usize, n: usize, slot: 
 /// work counts. `exclusions`, if given, is a sorted slice of `(min, max)`
 /// index pairs the kernel skips.
 ///
-/// Chunks are evaluated in one pool region and merged in ascending chunk
-/// order in another — the identical op sequence at any width, so results
-/// are bit-identical at any `POLIMER_THREADS`. With warm scratch it
-/// allocates nothing at width 1; above that each region spawns its
-/// workers.
+/// Runs on the calling thread: chunks of 32 768 pairs are evaluated in
+/// turn into the scratch's one slot and added in ascending chunk order,
+/// one fixed op sequence, so `POLIMER_THREADS` cannot move a bit. With
+/// warm scratch it allocates nothing.
 pub fn compute_forces_into(
     scratch: &mut ForceScratch,
     sys: &mut System,
@@ -412,15 +403,12 @@ pub fn compute_forces_into(
     coeffs: &CoeffTable,
     exclusions: Option<&[(u32, u32)]>,
 ) -> ForceEval {
-    // Above MAX_CHUNKS · PAIR_CHUNK ≈ 2.1 M pairs the chunk grows; that
-    // growth is part of the op sequence, so it fixes those lists' bits.
-    let chunk = PAIR_CHUNK.max(nl.npairs().div_ceil(MAX_CHUNKS));
-    forces_chunked(scratch, sys, nl, coeffs, exclusions, chunk)
+    forces_chunked(scratch, sys, nl, coeffs, exclusions, PAIR_CHUNK)
 }
 
 /// [`compute_forces_into`] at an explicit chunk size. The chunk size
-/// *defines* the canonical op sequence: results are bit-stable across
-/// thread counts for a fixed chunk size, not across chunk sizes.
+/// *defines* the canonical op sequence: results are bit-stable for a
+/// fixed chunk size, not across chunk sizes.
 fn forces_chunked(
     scratch: &mut ForceScratch,
     sys: &mut System,
@@ -433,44 +421,27 @@ fn forces_chunked(
         exclusions.is_none_or(|ex| ex.windows(2).all(|w| w[0] < w[1])),
         "exclusions must be sorted for binary search"
     );
-    let pool = par::global();
     let runs = nl.runs();
     let npairs = nl.npairs();
-    let n_chunks = npairs.div_ceil(chunk);
     let n = sys.len();
 
     let System { box_len, species, pos, force, .. } = sys;
-    let ForceScratch { sp_idx, slots } = scratch;
+    let ForceScratch { sp_idx, slot } = scratch;
     sp_idx.clear();
     sp_idx.extend(species.iter().map(|s| s.index() as u8));
-    if slots.len() < n_chunks {
-        slots.resize_with(n_chunks, ChunkSlot::default);
-    }
     let ctx =
         LaneCtx { pos, sp: sp_idx, coeffs, exclusions, box_len: *box_len, inv_box: 1.0 / *box_len };
-    pool.par_fill(&mut slots[..n_chunks], 1, |ci, out| {
-        let lo = ci * chunk;
-        let hi = (lo + chunk).min(npairs);
-        eval_chunk(&ctx, &runs, lo, hi, n, &mut out[0]);
-    });
-
-    // Merge in ascending chunk order. Each particle's additions happen in
-    // chunk order regardless of how the merge itself is split.
-    let done: &[ChunkSlot] = &slots[..n_chunks];
+    // Chunk after chunk through the one slot, each added in as it is done:
+    // every atom's force is `0 + p₀ + p₁ + …` in ascending chunk order, and
+    // the scalars fold the same way.
     force.clear();
     force.resize(n, Vec3::ZERO);
-    pool.par_fill(force, 4_096, |start, out| {
-        for slot in done {
-            let part = &slot.forces[start..start + out.len()];
-            for (f, p) in out.iter_mut().zip(part) {
-                *f += *p;
-            }
+    let (mut potential, mut virial, mut evaluated) = (0.0, 0.0, 0u64);
+    for lo in (0..npairs).step_by(chunk) {
+        eval_chunk(&ctx, &runs, lo, (lo + chunk).min(npairs), n, slot);
+        for (f, p) in force.iter_mut().zip(&slot.forces) {
+            *f += *p;
         }
-    });
-    let mut potential = 0.0;
-    let mut virial = 0.0;
-    let mut evaluated = 0u64;
-    for slot in done {
         potential += slot.u;
         virial += slot.vir;
         evaluated += slot.evaluated;
@@ -853,7 +824,7 @@ mod tests {
 
     /// Asserts that `force_bits(atoms, chunk_pairs)` is the same at widths
     /// 2, 4 and 7 as on one thread, and when called from inside a busy
-    /// region.
+    /// region: the kernel reads no pool state, so nothing may move it.
     fn assert_width_invariant(atoms: usize, chunk_pairs: usize) {
         let what = format!("{atoms} atoms, chunk={chunk_pairs}");
         let serial = par::with_threads(1, || force_bits(atoms, chunk_pairs));
@@ -861,8 +832,8 @@ mod tests {
             let bits = par::with_threads(threads, || force_bits(atoms, chunk_pairs));
             assert!(serial == bits, "{what} drifted at T={threads}");
         }
-        // Called from inside a width-4 region the kernel finds the pool
-        // busy and runs each of its regions on the calling thread.
+        // Called from the workers of a width-4 region, two evaluations
+        // run at once, each on its own scratch.
         let nested = par::with_threads(4, || {
             par::global().par_map_indexed(2, |_| force_bits(atoms, chunk_pairs))
         });
@@ -1056,6 +1027,42 @@ mod tests {
             }
         }
         assert_eq!(h, 0xf3c8_a955_f49e_7d23, "force bits digest");
+    }
+
+    /// However many chunks a list spans, the scratch holds the species
+    /// cache and one atom-length partial slot, nothing else, and the bits
+    /// are the lane-group oracle's at that chunk size: a dim-2 list of
+    /// about 16 chunks through [`compute_forces_into`], then, on the same
+    /// scratch, a dim-1 list through [`forces_chunked`] at 1 024 pairs.
+    #[test]
+    fn one_slot_serves_every_chunk() {
+        let coeffs = CoeffTable::new(&PairTable::new(), ForceParams::default().cutoff);
+        let bits = |forces: &[Vec3]| -> Vec<u64> {
+            forces.iter().flat_map(|f| [f.x, f.y, f.z]).map(f64::to_bits).collect()
+        };
+        let mut scratch = ForceScratch::new();
+        for (dim, chunk) in [(2usize, PAIR_CHUNK), (1, 1_024)] {
+            let mut sys = water_ion_box(dim, 1.0, 31);
+            let nl = NeighborList::build(&sys.pos, sys.box_len, 2.5, 0.4);
+            let chunks = nl.npairs().div_ceil(chunk);
+            assert!(chunks >= 12, "dim {dim}: only {chunks} chunks");
+            let ev = if chunk == PAIR_CHUNK {
+                compute_forces_into(&mut scratch, &mut sys, &nl, &coeffs, None)
+            } else {
+                forces_chunked(&mut scratch, &mut sys, &nl, &coeffs, None, chunk)
+            };
+            let ForceScratch { sp_idx, slot } = &scratch;
+            assert_eq!(
+                (sp_idx.len(), slot.forces.len()),
+                (sys.len(), sys.len()),
+                "dim {dim}, {chunks} chunks: scratch is not one atom-length slot"
+            );
+            let (f, u, vir, n) = oracle_forces(&sys, &nl.pairs(), &coeffs, None, chunk);
+            assert_eq!(ev.pairs_evaluated, n, "dim {dim}");
+            assert_eq!(ev.potential.to_bits(), u.to_bits(), "dim {dim}");
+            assert_eq!(ev.virial.to_bits(), vir.to_bits(), "dim {dim}");
+            assert!(bits(&sys.force) == bits(&f), "dim {dim}: forces differ from the oracle");
+        }
     }
 
     /// Every 7th stored pair as `(min, max)`, in list order.

@@ -1,26 +1,25 @@
 //! # par — deterministic zero-dependency parallelism
 //!
-//! The offline build bans registry crates (no rayon), yet the MD force
-//! kernel and the experiment sweeps are embarrassingly parallel. This
-//! crate provides the one thing rayon cannot promise anyway: parallel
-//! primitives whose results are **bit-identical at any thread count**,
-//! including 1 — so the committed `results/*.json` stay byte-for-byte
-//! stable whether a figure is regenerated on a laptop core or a 64-way
-//! node.
+//! The offline build bans registry crates (no rayon), yet the experiment
+//! sweeps are embarrassingly parallel: whole independent runs. This crate
+//! provides the one thing rayon cannot promise anyway: a parallel map
+//! whose results are **bit-identical at any thread count**, including 1
+//! — so the committed `results/*.json` stay byte-for-byte stable whether
+//! a figure is regenerated on a laptop core or a 64-way node.
 //!
 //! Determinism comes from two rules:
 //!
-//! * **Fixed decomposition** — work is split into chunks whose boundaries
-//!   depend only on the input length and chunk size, never on the thread
-//!   count or timing.
-//! * **Fixed merge order** — per-chunk partial results are identified by
-//!   chunk index and merged in ascending index order on the calling
-//!   thread. Floating-point reduction order is therefore a pure function
-//!   of the input.
+//! * **Independent items** — item `i` is computed by `f(i)` alone, never
+//!   from state another item touched, so which worker runs it and when
+//!   cannot change its result.
+//! * **Fixed placement** — each result lands in slot `i` of the returned
+//!   `Vec`, and any reduction over them is the caller's, in ascending
+//!   index order on the calling thread. Floating-point reduction order is
+//!   therefore a pure function of the input.
 //!
 //! The pool is sized by `POLIMER_THREADS` (defaulting to
 //! [`std::thread::available_parallelism`]); `POLIMER_THREADS=1` makes
-//! every primitive take its serial path. A region of width `w` runs on
+//! every call take its serial path. A region of width `w` runs on
 //! the calling thread — worker 0 — plus `w - 1` threads spawned with
 //! [`std::thread::scope`], so closures may borrow from the caller's stack
 //! and worker panics propagate to the caller.
@@ -28,14 +27,14 @@
 //! One spawn and join (a width-2 region) reads 15–60 µs on the quiet
 //! 2-core reference box and up to 105 µs on a loaded one, so a region
 //! pays only over items worth a millisecond together. Callers own that
-//! grain — `par` never guesses item cost: `mdsim::force` hands over
-//! 32 768-pair chunks and 4 096-atom merge ranges (a list of one chunk
-//! is a one-item region, which runs on the caller), `repro`'s batch and
+//! grain — `par` never guesses item cost: `repro`'s batch and
 //! `run_experiment`'s controller/baseline pair hand over whole runs, and
-//! neither `sched`, whose epochs are tens of microseconds, nor an
-//! `insitu::Runtime` enters one.
+//! no kernel enters a region: not the MD force kernel (finer regions
+//! there bought at most a tenth of throughput for a fifth more CPU), not
+//! `sched`, whose epochs are tens of microseconds, and not an
+//! `insitu::Runtime`.
 //!
-//! Nested use is *rejected*: a `par_*` call made while the same pool is
+//! Nested use is *rejected*: a pool call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)
 //! runs serially instead of spawning. Results are unaffected — that is
 //! the whole point of the determinism rules — and the alternative
@@ -126,8 +125,8 @@ impl Pool {
         THREAD_OVERRIDE.with(|c| c.get()).unwrap_or(self.threads)
     }
 
-    /// True while a parallel region is executing on this pool. A `par_*`
-    /// call finding the pool busy runs serially (nested-use rejection).
+    /// True while a parallel region is executing on this pool. A call
+    /// finding the pool busy runs serially (nested-use rejection).
     #[cfg(test)]
     fn is_busy(&self) -> bool {
         self.active.load(Ordering::Acquire)
@@ -138,12 +137,13 @@ impl Pool {
         !self.active.swap(true, Ordering::Acquire)
     }
 
-    /// Fill `out` in place: `fill(start_index, chunk)` is invoked for each
-    /// `chunk_size`-sized chunk of `out` (in parallel), where
-    /// `start_index` is the chunk's offset into `out`. Chunks are disjoint
-    /// `&mut` slices, so every element is written by exactly one worker
-    /// and the result is independent of scheduling.
-    pub fn par_fill<R: Send>(
+    /// The region behind [`Pool::par_map_indexed`]: fill `out` in place,
+    /// invoking `fill(start_index, chunk)` for each `chunk_size`-sized
+    /// chunk of `out` (in parallel), where `start_index` is the chunk's
+    /// offset into `out`. Chunks are disjoint `&mut` slices, so every
+    /// element is written by exactly one worker and the result is
+    /// independent of scheduling.
+    fn par_fill<R: Send>(
         &self,
         out: &mut [R],
         chunk_size: usize,

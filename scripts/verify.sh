@@ -28,6 +28,18 @@ stage() {
     mark=$SECONDS
 }
 
+# The `par` pool fans out over whole runs only: `repro`'s batch and
+# `run_experiment`'s controller/baseline pair (bench), and perfbench's
+# harness. A kernel crate that took a normal dependency on it could
+# re-enter the pool inside one run; a `[dev-dependencies]` edge (tests
+# looping over widths) is not listed here.
+stage "deps: only par, bench and perfbench reach par by a normal edge"
+par_users="$(cargo tree --offline -e normal -i par --prefix none | cut -d' ' -f1 | sort -u | xargs)"
+test "$par_users" = "bench par perfbench" || {
+    echo "par is reached by: $par_users (expected: bench par perfbench)"
+    exit 1
+}
+
 stage "tier-1: cargo build --release (offline)"
 cargo build --release --offline
 
@@ -153,9 +165,8 @@ done
 
 # The examples are the only real-MD runs end to end outside perfbench.
 # Each must exit 0, and each that reads no host state must print the same
-# bytes at widths 1 and 2: `lammps_insitu`'s pair list spans two force
-# chunks, so width 2 really dispatches. `power_trace` reads
-# /sys/class/powercap where the host has it, so only its exit status counts.
+# bytes at widths 1 and 2. `power_trace` reads /sys/class/powercap where
+# the host has it, so only its exit status counts.
 stage "examples: every example runs; stdout identical at POLIMER_THREADS=1 and 2"
 cargo build --release --offline --examples
 for ex in lammps_insitu quickstart controller_comparison; do

@@ -4,10 +4,10 @@
 //! (its own process, so the counter sees nothing else)
 //! and asserts that the warmed hot paths — force evaluation through
 //! caller-owned scratch, in-place neighbor rebuilds, and whole engine
-//! steps — perform **zero** heap allocations at one thread. At higher
-//! thread counts the scoped pool spawns OS threads per call, which
-//! allocate; the kernels themselves still only write into reused buffers,
-//! which is what this gate pins down.
+//! steps — perform **zero** heap allocations. The MD kernels never enter
+//! the `par` pool, so the force and rebuild loop is held to zero at width
+//! 2 as well as at width 1: a kernel that spawned workers would allocate
+//! their join handles.
 //!
 //! The same holds one layer up: a warmed `insitu::Runtime` steps a
 //! synchronization interval (node walks, PoLiMER feedback and exchange,
@@ -130,6 +130,16 @@ fn hot_paths_are_allocation_free_after_warmup() {
             nl.rebuild(&s.pos);
         }
         assert_eq!(allocations(), before, "force/neighbor hot path allocated");
+        // The same warmed loop at width 2: the pair list spans two force
+        // chunks, so a kernel that fanned its chunks out would spawn here.
+        par::with_threads(2, || {
+            let before = allocations();
+            for _ in 0..5 {
+                compute_forces_into(&mut scratch, &mut s, &nl, &coeffs, None);
+                nl.rebuild(&s.pos);
+            }
+            assert_eq!(allocations(), before, "force/neighbor hot path allocated at width 2");
+        });
 
         // A full engine: velocity-Verlet steps with skin-triggered
         // rebuilds on moving atoms. Generous warmup so the pair list has

@@ -55,10 +55,11 @@
 //! Every violation carries a namespaced diagnostic code ([`crate::diag`]):
 //! `AUDIT0001` (clock) through `AUDIT0012` (halt).
 
+use crate::column::{column_len, NodeColumn};
 use crate::diag::{self, DiagCode, Severity, Violation};
 use crate::ledger::{Ledger, RenormGroup};
 use obs::{Event, Tag, TraceEvent};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Absolute slack for watt-level comparisons (budget/cap arithmetic is
 /// exact modulo float association).
@@ -97,6 +98,10 @@ pub(crate) struct StreamChecker {
     faults: Faults,
     /// Findings per check, battery order.
     out: [Vec<Violation>; 11],
+    /// Error-severity findings in `out[i][..counted[i]]`: the findings are
+    /// counted once each, as the health rows ask.
+    errors: u64,
+    counted: [usize; 11],
 }
 
 impl StreamChecker {
@@ -131,10 +136,16 @@ impl StreamChecker {
     /// Error-severity findings so far (advisories excluded). Checks that
     /// only conclude at end of stream (energy identities, the lost-job
     /// scan) are not yet reflected — this is the live count a health
-    /// snapshot quotes mid-run.
-    pub(crate) fn errors_so_far(&self) -> u64 {
-        let errors = self.out.iter().flatten().filter(|x| x.severity() == Severity::Error);
-        errors.count() as u64
+    /// snapshot quotes mid-run. Each finding is counted once, on the first
+    /// call after it was found, so a row costs O(new findings), not
+    /// O(all findings).
+    pub(crate) fn errors_so_far(&mut self) -> u64 {
+        for (out, counted) in self.out.iter().zip(&mut self.counted) {
+            let new = out[*counted..].iter().filter(|x| x.severity() == Severity::Error);
+            self.errors += new.count() as u64;
+            *counted = out.len();
+        }
+        self.errors
     }
 
     /// Run the end-of-stream checks; every finding, per check.
@@ -294,7 +305,8 @@ fn check_sync(l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
 
 #[derive(Debug, Default)]
 struct Spans {
-    last_end: BTreeMap<usize, u64>,
+    /// Each node's latest span end, ns.
+    last_end: NodeColumn<u64>,
     /// (node, start, end, what) of spans awaiting the interval close.
     pending: Vec<(usize, u64, u64, &'static str)>,
 }
@@ -302,6 +314,9 @@ struct Spans {
 impl Spans {
     fn feed(&mut self, l: &Ledger, ev: &TraceEvent, out: &mut Vec<Violation>) {
         match &ev.ev {
+            Event::RunStart { sim_nodes, analysis_nodes, .. } => {
+                self.last_end.size(column_len(*sim_nodes, *analysis_nodes));
+            }
             Event::SyncStart { .. } => self.pending.clear(),
             Event::SyncEnd { sync, .. } => {
                 let t_end = ev.t.as_nanos();
@@ -330,7 +345,7 @@ impl Spans {
                         ),
                     );
                 }
-                let prev = self.last_end.entry(*node).or_insert(0);
+                let prev = self.last_end.get_or_insert_with(*node, || 0);
                 if *start_ns < *prev {
                     v(
                         out,
@@ -537,10 +552,11 @@ struct Faults {
     /// (sync, node, tag) of every recovery in the open evidence window
     /// (1-based sync, matching SyncStart/SyncEnd).
     recoveries: BTreeSet<(u64, usize, Tag)>,
-    /// Intervals (1-based) in the window with at least one cap request.
-    cap_intervals: BTreeSet<u64>,
-    /// (interval, node) pairs in the window with an accepted sample.
-    samples: BTreeSet<(u64, usize)>,
+    /// Intervals (1-based) in the window with at least one cap request,
+    /// each once.
+    cap_intervals: Vec<u64>,
+    /// (interval, node) of every sample in the window, record order.
+    samples: Vec<(u64, usize)>,
     /// Faults awaiting their evidence interval's close: (sync, node, tag).
     pending: Vec<(u64, usize, Tag)>,
 }
@@ -612,7 +628,11 @@ impl Faults {
                 self.samples.retain(|(ri, _)| ri > k);
                 self.cap_intervals.retain(|ri| ri > k);
             }
-            Event::CapRequest { .. } => self.cap_intervals.extend(open),
+            Event::CapRequest { .. } => {
+                if let Some(k) = open.filter(|k| !self.cap_intervals.contains(k)) {
+                    self.cap_intervals.push(k);
+                }
+            }
             Event::Sample { node, .. } => self.samples.extend(open.map(|k| (k, *node))),
             Event::Recovery { sync, node, tag } => {
                 self.recoveries.insert((*sync, *node, tag.clone()));
@@ -1367,6 +1387,26 @@ mod tests {
         assert!(batch.iter().any(|x| x.check() == "spans"));
         assert!(batch.iter().any(|x| x.check() == "budget"));
         assert!(batch.iter().any(|x| x.check() == "faults"));
+    }
+
+    /// The running count is the full recount at every row, however the
+    /// findings and the rows interleave.
+    #[test]
+    fn errors_so_far_is_the_recount() {
+        let mut checker = StreamChecker::default();
+        let recount = |c: &StreamChecker| {
+            c.out.iter().flatten().filter(|x| x.severity() == Severity::Error).count() as u64
+        };
+        checker.feed(&run_start(1760.0));
+        for k in [2, 2, 5, 3, 9] {
+            checker.feed(&ev(0, Event::SyncStart { sync: k }));
+            checker.feed(&decision(0, 5000.0, 5000.0));
+            if k != 2 {
+                assert_eq!(checker.errors_so_far(), recount(&checker));
+            }
+        }
+        assert_eq!(checker.errors_so_far(), recount(&checker));
+        assert!(recount(&checker) > 5);
     }
 
     #[test]

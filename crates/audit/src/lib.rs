@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+mod column;
 pub mod diag;
 pub mod diff;
 mod hist;

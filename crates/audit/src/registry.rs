@@ -2,19 +2,25 @@
 //! deterministic histograms maintained incrementally as events stream
 //! past — the constant-memory replacement for whole-trace report walks.
 //!
+//! **Fixed slots.** The streaming auditor writes exactly twelve metrics:
+//! six counters, three gauges and three histograms. Each is a slot of a
+//! fixed array, indexed by its `CounterId`, `GaugeId` or
+//! `HistogramId`, so a write costs an index, not a name lookup. A slot
+//! is empty until its first write, and only written slots appear in the
+//! document, each under its name. The ids are declared in name order, so
+//! the document is name-sorted.
+//!
 //! **Determinism.** Every accumulator is a pure fold over its inputs
 //! with no wall-clock, no hashing, no allocation-order dependence: fixed
-//! bucket edges (powers of two over nanoseconds), integer sums, and
-//! `BTreeMap` name tables. Feeding the same events always yields
-//! bit-identical state.
+//! bucket edges (powers of two over nanoseconds) and integer sums.
+//! Feeding the same events always yields bit-identical state.
 //!
-//! State is O(names × buckets) — independent of event volume — which is
+//! State is O(slots × buckets) — independent of event volume — which is
 //! what lets an at-scale sweep keep its metrics without keeping its
 //! trace.
 
 use crate::hist::Histogram;
 use crate::json::Value;
-use std::collections::BTreeMap;
 
 /// A monotone event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,59 +61,91 @@ impl Default for Gauge {
     }
 }
 
-/// A named collection of counters, gauges, and histograms.
-///
-/// Names are `BTreeMap` keys, so iteration (and therefore
-/// serialization) is name-sorted regardless of registration order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Registry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
+/// Declares one id enum, in name order, and its names.
+macro_rules! slots {
+    ($(#[$doc:meta])* $id:ident, $names:ident: $($variant:ident = $name:literal),+ $(,)?) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum $id {
+            $(#[doc = $name] $variant),+
+        }
+
+        /// Every name, in slot (and so in name) order.
+        const $names: &[&str] = &[$($name),+];
+    };
 }
 
-/// `map[name]`, created on first use — the only time the name is copied
-/// (`entry` would want an owned key on every lookup).
-pub(crate) fn named<'m, T>(
-    map: &'m mut BTreeMap<String, T>,
-    name: &str,
-    new: impl FnOnce() -> T,
-) -> &'m mut T {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), new());
-    }
-    map.get_mut(name).expect("present or just inserted")
+slots!(
+    /// A counter slot.
+    CounterId, COUNTERS:
+    CapImmediate = "cap_immediate",
+    Events = "events",
+    Faults = "faults",
+    Recoveries = "recoveries",
+    Samples = "samples",
+    Syncs = "syncs",
+);
+
+slots!(
+    /// A gauge slot.
+    GaugeId, GAUGES:
+    AllocatedW = "allocated_w",
+    BudgetW = "budget_w",
+    JobsRunning = "jobs_running",
+);
+
+slots!(
+    /// A histogram slot.
+    HistogramId, HISTOGRAMS:
+    CapActuationLatency = "cap_actuation_latency_ns",
+    Phase = "phase_ns",
+    Wait = "wait_ns",
+);
+
+/// The streaming auditor's counters, gauges, and histograms.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Registry {
+    counters: [Option<Counter>; COUNTERS.len()],
+    gauges: [Option<Gauge>; GAUGES.len()],
+    histograms: [Option<Histogram>; HISTOGRAMS.len()],
+}
+
+/// The slot named `name` among `slots` (`names` in slot order).
+fn by_name<'s, T>(names: &[&str], slots: &'s [Option<T>], name: &str) -> Option<&'s T> {
+    slots[names.iter().position(|n| *n == name)?].as_ref()
 }
 
 impl Registry {
-    /// Named counter, created on first use.
-    pub(crate) fn counter(&mut self, name: &str) -> &mut Counter {
-        named(&mut self.counters, name, Counter::default)
+    /// A counter, created on first use.
+    pub(crate) fn counter(&mut self, id: CounterId) -> &mut Counter {
+        self.counters[id as usize].get_or_insert_with(Counter::default)
     }
 
-    /// Named gauge, created on first use.
-    pub(crate) fn gauge(&mut self, name: &str) -> &mut Gauge {
-        named(&mut self.gauges, name, Gauge::default)
+    /// A gauge, created on first use.
+    pub(crate) fn gauge(&mut self, id: GaugeId) -> &mut Gauge {
+        self.gauges[id as usize].get_or_insert_with(Gauge::default)
     }
 
-    /// Named histogram, created on first use.
-    pub(crate) fn histogram(&mut self, name: &str) -> &mut Histogram {
-        named(&mut self.histograms, name, Histogram::default)
+    /// A histogram, created on first use.
+    pub(crate) fn histogram(&mut self, id: HistogramId) -> &mut Histogram {
+        self.histograms[id as usize].get_or_insert_with(Histogram::default)
     }
 
-    /// Read a counter (0 when absent).
+    /// Read a counter by name (0 when absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, |c| c.0)
+        by_name(COUNTERS, &self.counters, name).map_or(0, |c| c.0)
     }
 
-    /// Read a gauge's retained value (None when absent or never set).
+    /// Read a gauge's retained value by name (None when absent or never
+    /// set).
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).filter(|g| g.t_ns > 0 || g.value.is_finite()).map(|g| g.value)
+        let g = by_name(GAUGES, &self.gauges, name)?;
+        (g.t_ns > 0 || g.value.is_finite()).then_some(g.value)
     }
 
-    /// Read a [`Histogram`] (None when absent).
+    /// Read a [`Histogram`] by name (None when absent).
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        by_name(HISTOGRAMS, &self.histograms, name)
     }
 
     /// The registry as the `metrics` section of the run document,
@@ -116,8 +154,9 @@ impl Registry {
     /// over the fixed log₂ buckets, clamped into the observed range —
     /// deterministic).
     pub fn to_value(&self) -> Value {
-        fn named<T>(map: &BTreeMap<String, T>, f: impl Fn(&T) -> Value) -> Value {
-            Value::Obj(map.iter().map(|(name, x)| (name.clone(), f(x))).collect())
+        fn written<T>(names: &[&str], slots: &[Option<T>], f: impl Fn(&T) -> Value) -> Value {
+            let slots = names.iter().zip(slots);
+            Value::Obj(slots.filter_map(|(n, x)| Some((n.to_string(), f(x.as_ref()?)))).collect())
         }
         let histogram = |h: &Histogram| {
             let buckets = h.nonzero_buckets().into_iter();
@@ -134,9 +173,9 @@ impl Registry {
             ])
         };
         Value::obj([
-            ("counters", named(&self.counters, |c| c.0.into())),
-            ("gauges", named(&self.gauges, |g| obs::json_fields!(g, t_ns, value))),
-            ("histograms", named(&self.histograms, histogram)),
+            ("counters", written(COUNTERS, &self.counters, |c| c.0.into())),
+            ("gauges", written(GAUGES, &self.gauges, |g| obs::json_fields!(g, t_ns, value))),
+            ("histograms", written(HISTOGRAMS, &self.histograms, histogram)),
         ])
     }
 }
@@ -166,11 +205,19 @@ mod tests {
     #[test]
     fn registry_json_is_name_sorted_and_stable() {
         let mut r = Registry::default();
-        r.counter("zeta").inc();
-        r.counter("alpha").inc();
+        r.counter(CounterId::Syncs).inc();
+        r.counter(CounterId::CapImmediate).inc();
         let j = r.to_value().pretty();
-        assert!(j.starts_with("{\n  \"counters\": {\n    \"alpha\": 1,"), "{j}");
-        assert!(j.find("alpha").unwrap() < j.find("zeta").unwrap());
+        assert!(j.starts_with("{\n  \"counters\": {\n    \"cap_immediate\": 1,"), "{j}");
+        assert!(j.find("cap_immediate").unwrap() < j.find("syncs").unwrap());
+        assert!(!j.contains("events"), "an unwritten slot stays out: {j}");
+    }
+
+    #[test]
+    fn slots_are_declared_in_name_order() {
+        for names in [COUNTERS, GAUGES, HISTOGRAMS] {
+            assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        }
     }
 
     #[test]
@@ -180,16 +227,16 @@ mod tests {
         // (bucket 1), 5×12 ns (bucket 3), 5×100 ns (bucket 6); n = 20.
         let mut r = Registry::default();
         for _ in 0..10 {
-            r.histogram("stage_ns").observe(3);
+            r.histogram(HistogramId::Phase).observe(3);
         }
         for _ in 0..5 {
-            r.histogram("stage_ns").observe(12);
+            r.histogram(HistogramId::Phase).observe(12);
         }
         for _ in 0..5 {
-            r.histogram("stage_ns").observe(100);
+            r.histogram(HistogramId::Phase).observe(100);
         }
         let v = r.to_value();
-        let h = v.get("histograms").and_then(|h| h.get("stage_ns")).expect("histogram");
+        let h = v.get("histograms").and_then(|h| h.get("phase_ns")).expect("histogram");
         let field = |k: &str| h.get(k).and_then(Value::as_u64);
         // p50 rank 10 → bucket 1, upper edge 3; p95 rank 19 and p99 rank
         // 20 → bucket 6, upper edge 127 clamped to max 100.

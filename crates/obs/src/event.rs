@@ -238,8 +238,14 @@ trait FieldSource {
 struct Fields<'a>(json::Fields<'a>);
 
 impl<'a> Fields<'a> {
-    /// The next field's value; the field must be keyed `key`.
+    /// The next field's value; the field must be keyed `key`. A field
+    /// spelled as the writer spells it skips its key as a literal; any
+    /// other spelling takes the generic cursor, and its errors.
+    #[inline]
     fn value_of(&mut self, key: &str) -> Result<Scalar<'a>, EventError> {
+        if let Some(v) = self.0.value_keyed(key).map_err(invalid_json)? {
+            return Ok(v);
+        }
         match self.0.next_field().map_err(invalid_json)? {
             Some((k, v)) if k == key => Ok(v),
             Some((k, _)) => err(format!("expected field \"{key}\", found \"{k}\"")),

@@ -336,6 +336,36 @@ impl<'a> Fields<'a> {
         };
         Ok(Some((key, self.p.scalar()?)))
     }
+
+    /// The next field's value when the bytes at the cursor are exactly
+    /// `"key":` (behind a `,` unless it is the first field), the compact
+    /// writer's spelling: the key is skipped as a literal. Any other
+    /// spelling consumes nothing and answers `None`, and the caller takes
+    /// [`next_field`](Fields::next_field), which reads the same field the
+    /// same way — so this changes no result and no error, only the cost.
+    /// `key` must need no escaping.
+    #[inline]
+    pub(crate) fn value_keyed(&mut self, key: &str) -> Result<Option<Scalar<'a>>, ParseError> {
+        let rest = &self.p.input.as_bytes()[self.p.pos..];
+        let rest = match (self.first, rest.split_first()) {
+            (true, _) => rest,
+            (false, Some((b',', rest))) => rest,
+            _ => return Ok(None),
+        };
+        let n = key.len();
+        let spelled = rest.len() > n + 2
+            && rest[0] == b'"'
+            && &rest[1..=n] == key.as_bytes()
+            && rest[n + 1] == b'"'
+            && rest[n + 2] == b':';
+        if self.p.depth == 0 || !spelled {
+            return Ok(None);
+        }
+        self.p.pos += usize::from(!self.first) + n + 3;
+        self.first = false;
+        self.p.skip_ws();
+        self.p.scalar().map(Some)
+    }
 }
 
 #[derive(Debug)]
@@ -728,6 +758,48 @@ mod tests {
         assert_eq!(walk("{}").unwrap(), []);
         assert!(Fields::open("[1,2]").unwrap().is_none());
         assert!(Fields::open("[1,2").is_err());
+    }
+
+    /// Reading a field by its key literal reads what the generic cursor
+    /// reads, error for error, whatever the spelling: compact, spaced,
+    /// escaped, misnamed, truncated.
+    #[test]
+    fn keyed_reads_match_the_generic_cursor() {
+        fn keyed<'a>(
+            input: &'a str,
+            keys: &[&str],
+        ) -> Result<Vec<(String, Scalar<'a>)>, ParseError> {
+            let mut fields = Fields::open(input)?.expect("an object");
+            let mut out = Vec::new();
+            for key in keys {
+                match fields.value_keyed(key)? {
+                    Some(v) => out.push((key.to_string(), v)),
+                    None => match fields.next_field()? {
+                        Some((k, v)) => out.push((k.into_owned(), v)),
+                        None => return Ok(out),
+                    },
+                }
+            }
+            while let Some((k, v)) = fields.next_field()? {
+                out.push((k.into_owned(), v));
+            }
+            Ok(out)
+        }
+        let lines = [
+            "{\"t\":1,\"ev\":\"x\",\"node\":3}",
+            "{ \"t\" : 1 , \"ev\":\"x\",\"node\":3 }",
+            "{\"\\u0074\":1,\"ev\":\"x\",\"node\":3}",
+            "{\"t\":1,\"node\":3,\"ev\":\"x\"}",
+            "{\"t\":1,\"ev\":\"x\",\"node\":}",
+            "{\"t\":1,\"ev\":\"x\",\"node\"",
+            "{\"t\":1,\"ev\":\"x\",\"nodes\":3}",
+            "{\"t\":1,\"ev\":\"x\",\"node\": [1,{\"a\":2}]}",
+            "{\"t\":1,\"ev\":\"x\",\"node\":3}}",
+            "{}",
+        ];
+        for line in lines {
+            assert_eq!(keyed(line, &["t", "ev", "node"]), walk(line), "{line}");
+        }
     }
 
     /// The cursor is the tree parser's grammar, error for error: whatever

@@ -152,6 +152,40 @@ awk -v n="$bad" -v line="$(sed -n "${bad}p" "$c/t1.jsonl")" \
 cmp "$c/restored.jsonl" "$c/t1.jsonl"
 ./target/release/audit_trace --quiet "$c/restored.jsonl"
 
+# A trace is untrusted input. Node ids far past `run_start`'s count (up to
+# i64::MAX) and a `run_start` that claims 2^60 nodes must be audited, not
+# allocated or trusted: the auditor sizes its per-node columns with a cap
+# and spills the rest. The doctored trace also carries one overlapping
+# span, so it must exit 1 with that finding alone and write the run
+# document pinned here by its `cksum`, as the auditor did before it kept
+# per-node columns.
+stage "audit_trace self-test: hostile node ids and run_start node count are audited, not trusted"
+awk '
+/"ev":"run_start"/ { sub(/"sim_nodes":[0-9]+/, "\"sim_nodes\":1152921504606846976") }
+/"ev":"sync_end","sync":2,/ {
+    match($0, /"t":[0-9]+/); t = substr($0, RSTART + 4, RLENGTH - 4)
+    printf "{\"t\":%s,\"ev\":\"phase\",\"node\":4096,\"kind\":\"force\",\"start_ns\":%s,\"end_ns\":%s}\n", t, t, t
+    printf "{\"t\":%s,\"ev\":\"phase\",\"node\":4096,\"kind\":\"force\",\"start_ns\":%.0f,\"end_ns\":%s}\n", t, t - 5, t
+    printf "{\"t\":%s,\"ev\":\"sample\",\"node\":9223372036854775807,\"role\":\"sim\",\"time_s\":1,\"power_w\":120,\"cap_w\":110}\n", t
+    printf "{\"t\":%s,\"ev\":\"arrival\",\"sync\":2,\"node\":9223372036854775806,\"role\":\"analysis\",\"time_s\":1}\n", t
+}
+/"ev":"run_end"/ {
+    match($0, /"t":[0-9]+/); t = substr($0, RSTART + 4, RLENGTH - 4)
+    printf "{\"t\":%s,\"ev\":\"node_energy\",\"node\":9223372036854775807,\"energy_j\":0}\n", t
+}
+{ print }' "$c/t1.jsonl" >"$c/hostile.jsonl"
+mkdir "$c/hostile"
+set +e
+./target/release/audit_trace --quiet --json "$c/hostile" "$c/hostile.jsonl" 2>"$c/hostile.err"
+rh=$?
+set -e
+test "$rh" -eq 1 || { echo "hostile trace: exit $rh, expected 1"; exit 1; }
+grep -q '1 violation(s)' "$c/hostile.err"
+grep -q 'error\[AUDIT0003\] spans: .* on node 4096 overlaps' "$c/hostile.err"
+test "$(cksum <"$c/hostile/run_hostile.json")" = "3883942756 22919" || {
+    echo "hostile trace: the run document moved"; exit 1
+}
+
 # Replaying a saved trace from disk (line by line, constant memory) must
 # reproduce the live in-process audit of the same run. `--check` has shown
 # the sweeps' live run documents equal the committed ones, so each replay

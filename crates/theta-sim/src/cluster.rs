@@ -189,11 +189,7 @@ impl Cluster {
     /// runtime calls this at every interval close — and once more at run
     /// end — so spans always land before their interval's `sync_end`.
     pub fn flush_trace(&mut self) {
-        for spans in &mut self.spans {
-            if !spans.is_empty() {
-                self.tracer.emit_drain(spans);
-            }
-        }
+        self.tracer.emit_drain_all(&mut self.spans);
     }
 
     /// True energy node `id` consumed over `[from, to)`, joules, bit-identical

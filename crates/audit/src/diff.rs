@@ -166,8 +166,12 @@ fn entities(line: &str) -> impl Iterator<Item = Entity> {
         let (mut ids, mut seen) = ([None; 3], [false; 3]);
         while let Some((key, v)) = fields.next_field().ok()? {
             let Some(i) = ENTITY_KEYS.iter().position(|k| *k == key) else { continue };
-            if let (false, Scalar::Int(n)) = (seen[i], v) {
-                ids[i] = u64::try_from(n).ok();
+            if !seen[i] {
+                ids[i] = match v {
+                    Scalar::Int(n) => u64::try_from(n).ok(),
+                    Scalar::UInt(n) => Some(n),
+                    _ => None,
+                };
             }
             seen[i] = true;
         }
@@ -737,6 +741,17 @@ mod tests {
         let rendered = d.render("A", "B");
         assert!(rendered.contains("error[DIFF0001]"));
         assert!(rendered.contains("node 0:"));
+    }
+
+    /// Every id the trace writer can write is attributed, to `u64::MAX`;
+    /// an integer past it is no id.
+    #[test]
+    fn entity_ids_are_read_to_u64_max() {
+        let line = "{\"t\":1,\"ev\":\"job_dispatched\",\"job\":18446744073709551615,\
+                    \"machine\":9223372036854775808}";
+        assert_eq!(entities(line).collect::<Vec<_>>(), [("machine", 1 << 63), ("job", u64::MAX)]);
+        let line = "{\"t\":1,\"ev\":\"node_excluded\",\"node\":18446744073709551616}";
+        assert_eq!(entities(line).count(), 0);
     }
 
     #[test]

@@ -689,8 +689,9 @@ mod tests {
         let lines: Vec<String> =
             TraceEvent::one_of_each().iter().map(TraceEvent::to_json_line).collect();
         // Values a field may be swapped for, each in the writer's spelling:
-        // every wire type, `null`, and integers past i64::MAX and past
-        // u64::MAX (which only a float field takes, as 2^63 and 2^64).
+        // every wire type, `null`, an integer past i64::MAX (which an
+        // integer field reads exactly) and one past u64::MAX (which only a
+        // float field takes, as 2^64).
         const VALUES: [&str; 9] = [
             "7",
             "0.5",

@@ -36,11 +36,13 @@
 //!   pair's energy lane depends only on its position within the chunk, so
 //!   the full floating-point op sequence is a pure function of the input.
 //!
-//! The kernel never enters the `par` pool, so `POLIMER_THREADS` cannot
-//! reach it: the pool fans out over whole runs only. All buffers live in
+//! `mdsim` has no edge to the `par` pool, normal or dev, so
+//! `POLIMER_THREADS` cannot reach the kernel and its tests run it once,
+//! with no width axis (`scripts/verify.sh`'s first stage fails if any
+//! crate but `bench` and `perfbench` reaches `par`). All buffers live in
 //! a caller-owned [`ForceScratch`], and steady-state force evaluation
-//! performs no heap allocation at any width (asserted by the `alloc_free`
-//! test with a counting global allocator, at widths 1 and 2).
+//! performs no heap allocation (asserted by the `alloc_free` test with a
+//! counting global allocator).
 
 use crate::neighbor::{NeighborList, Runs};
 use crate::species::{PairTable, NSPECIES};
@@ -805,70 +807,6 @@ mod tests {
         }
     }
 
-    /// Force evaluation over the pairs among the first `atoms` atoms of the
-    /// one-cell system, with an explicit chunk size, as raw bits. The chunk
-    /// size *defines* the canonical reduction order, so different chunk
-    /// sizes legitimately differ in the last ulp — but for any fixed chunk
-    /// size, every thread count must reproduce the same bits.
-    fn force_bits(atoms: usize, chunk_pairs: usize) -> (u64, u64, u64, Vec<u64>) {
-        let mut sys = water_ion_box(1, 1.0, 55);
-        let params = ForceParams::default();
-        let coeffs = CoeffTable::new(&PairTable::new(), params.cutoff);
-        let nl = NeighborList::build(&sys.pos[..atoms], sys.box_len, params.cutoff, 0.4);
-        let ev =
-            forces_chunked(&mut ForceScratch::new(), &mut sys, &nl, &coeffs, None, chunk_pairs);
-        let fbits =
-            sys.force.iter().flat_map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect();
-        (ev.potential.to_bits(), ev.virial.to_bits(), ev.pairs_evaluated, fbits)
-    }
-
-    /// Asserts that `force_bits(atoms, chunk_pairs)` is the same at widths
-    /// 2, 4 and 7 as on one thread, and when called from inside a busy
-    /// region: the kernel reads no pool state, so nothing may move it.
-    fn assert_width_invariant(atoms: usize, chunk_pairs: usize) {
-        let what = format!("{atoms} atoms, chunk={chunk_pairs}");
-        let serial = par::with_threads(1, || force_bits(atoms, chunk_pairs));
-        for threads in [2, 4, 7] {
-            let bits = par::with_threads(threads, || force_bits(atoms, chunk_pairs));
-            assert!(serial == bits, "{what} drifted at T={threads}");
-        }
-        // Called from the workers of a width-4 region, two evaluations
-        // run at once, each on its own scratch.
-        let nested = par::with_threads(4, || {
-            par::global().par_map_indexed(2, |_| force_bits(atoms, chunk_pairs))
-        });
-        for bits in nested {
-            assert!(serial == bits, "{what} drifted inside a busy region");
-        }
-    }
-
-    #[test]
-    fn force_eval_bit_identical_across_threads_and_chunk_sizes() {
-        // 5000 is deliberately not a multiple of the lane width, so every
-        // chunk ends in a partially-filled lane group.
-        let all = water_ion_box(1, 1.0, 55).pos.len();
-        for chunk_pairs in [1_024, 5_000, 16_384] {
-            assert_width_invariant(all, chunk_pairs);
-        }
-    }
-
-    #[test]
-    fn force_eval_bit_identical_across_thread_counts() {
-        // At the kernel's own chunk size, the whole cell makes a list of
-        // many chunks and its first 400 atoms a list of one.
-        let sys = water_ion_box(1, 1.0, 55);
-        for atoms in [sys.pos.len(), 400] {
-            let nl = NeighborList::build(&sys.pos[..atoms], sys.box_len, 2.5, 0.4);
-            assert_eq!(
-                nl.npairs() < PAIR_CHUNK,
-                atoms == 400,
-                "{atoms} atoms, {} pairs",
-                nl.npairs()
-            );
-            assert_width_invariant(atoms, PAIR_CHUNK);
-        }
-    }
-
     #[test]
     fn lane_kernel_matches_scalar_reference_without_exclusions() {
         let (sys, nl, params, table) = setup();
@@ -925,7 +863,7 @@ mod tests {
     /// smallest atom prefix whose list has it, so every batch tail length
     /// occurs; each list holds a coincident pair and skin pairs beyond
     /// the cutoff. Each runs at six chunk sizes, with no exclusions and
-    /// with every 7th pair excluded, at widths 1, 2 and 4.
+    /// with every 7th pair excluded.
     #[test]
     fn batch_kernel_equals_the_lane_group_oracle() {
         let coeffs = CoeffTable::new(&PairTable::new(), ForceParams::default().cutoff);
@@ -956,22 +894,17 @@ mod tests {
                         let (f, u, vir, n) =
                             oracle_forces(&sys, &pairs, &coeffs, exclusions, chunk);
                         skin_pairs |= exclusions.is_none() && n < pairs.len() as u64 - 1;
-                        let want = bits(&f, u, vir, n);
-                        for threads in [1, 2, 4] {
-                            let mut s = sys.clone();
-                            let ev = par::with_threads(threads, || {
-                                let scratch = &mut ForceScratch::new();
-                                forces_chunked(scratch, &mut s, &nl, &coeffs, exclusions, chunk)
-                            });
-                            let got = bits(&s.force, ev.potential, ev.virial, ev.pairs_evaluated);
-                            assert!(
-                                got == want,
-                                "dim {dim}, {m} atoms, {} pairs, chunk {chunk}, width \
-                                 {threads}, exclusions {}: batch kernel differs",
-                                pairs.len(),
-                                exclusions.is_some()
-                            );
-                        }
+                        let mut s = sys.clone();
+                        let scratch = &mut ForceScratch::new();
+                        let ev = forces_chunked(scratch, &mut s, &nl, &coeffs, exclusions, chunk);
+                        let got = bits(&s.force, ev.potential, ev.virial, ev.pairs_evaluated);
+                        assert!(
+                            got == bits(&f, u, vir, n),
+                            "dim {dim}, {m} atoms, {} pairs, chunk {chunk}, exclusions {}: \
+                             batch kernel differs",
+                            pairs.len(),
+                            exclusions.is_some()
+                        );
                     }
                 }
             }

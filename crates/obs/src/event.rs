@@ -96,6 +96,7 @@ impl Wire for u64 {
     fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
         match v {
             Scalar::Int(i) if *i >= 0 => Ok(*i as u64),
+            Scalar::UInt(u) => Ok(*u),
             _ => Err("is not a non-negative integer"),
         }
     }
@@ -146,6 +147,7 @@ impl Wire for f64 {
     fn read(v: &Scalar<'_>) -> Result<Self, &'static str> {
         match v {
             Scalar::Int(i) => Ok(*i as f64),
+            Scalar::UInt(u) => Ok(*u as f64),
             Scalar::Num(x) => Ok(*x),
             Scalar::Null => Ok(f64::NAN),
             _ => Err("is not a number"),
@@ -839,6 +841,7 @@ mod tests {
             "{\"t\":9,\"ev\":\"job_migrated\",\"job\":2,\"from_machine\":1,\"to_machine\":0}",
             "{\"t\":9,\"ev\":\"job_failed\",\"job\":5,\"attempts\":4}",
             "{\"t\":7,\"ev\":\"envelope_renorm\",\"epoch\":4,\"machine\":0,\"share_w\":1050.5,\"cap_w\":1100}",
+            "{\"t\":18446744073709551615,\"ev\":\"fault\",\"sync\":9223372036854775808,\"node\":18446744073709551615,\"tag\":\"straggler\"}",
         ];
         for line in lines {
             let ev = parse(line).expect(line);
@@ -899,9 +902,9 @@ mod tests {
                 "{\"t\":1,\"ev\":\"sync_start\",\"sync\":-1}",
                 "\"sync\" is not a non-negative integer",
             ),
-            // Past i64::MAX an integer literal reads as a float.
+            // Past u64::MAX an integer literal reads as a float.
             (
-                "{\"t\":1,\"ev\":\"sync_start\",\"sync\":9223372036854775808}",
+                "{\"t\":1,\"ev\":\"sync_start\",\"sync\":18446744073709551616}",
                 "\"sync\" is not a non-negative integer",
             ),
             (
@@ -1014,6 +1017,14 @@ mod tests {
         Ok(TraceEvent { t: SimTime::from_nanos(t), ev })
     }
 
+    /// The one integer the two readers read apart by design: it fits
+    /// `u64` but not `i64`, so the line cursor reads an integer and the
+    /// tree a float. The tree reader is handed [`NARROW`] in its place,
+    /// the same number of bytes, so the two results differ only there.
+    const WIDE: &str = "9223372036854776000";
+    /// `i64::MAX`, which both readers read as an integer.
+    const NARROW: &str = "9223372036854775807";
+
     /// One seeded mutation of `line`. Field-level mutations cut the line
     /// at its commas (no sample value contains one), whatever an earlier
     /// mutation left of it.
@@ -1028,7 +1039,7 @@ mod tests {
             "null",
             "\"sim\"",
             "\"gremlin\"",
-            "9223372036854776000",
+            WIDE,
             "18446744073709552000",
             "[{\"k\":[]}]",
             "{}",
@@ -1073,12 +1084,14 @@ mod tests {
     /// same message, except that where the old reader put any syntax error
     /// first, the new one reports the first defect in byte order — which
     /// is to say, the same message it gives the line cut off at the syntax
-    /// error.
+    /// error. Where a line holds [`WIDE`], the tree reader reads it with
+    /// [`NARROW`] instead, and its result is compared with `NARROW` spelled
+    /// back as `WIDE`.
     #[test]
     fn single_pass_reader_matches_the_tree_walking_reader() {
         let lines: Vec<String> =
             TraceEvent::one_of_each().iter().map(TraceEvent::to_json_line).collect();
-        let (mut accepted, mut same_message, mut earlier_defect) = (0, 0, 0);
+        let (mut accepted, mut same_message, mut earlier_defect, mut wide) = (0, 0, 0, 0);
         for seed in [1, 7] {
             let mut rng = des::Rng::seed_from_u64(seed);
             let mut below = |n: usize| rng.next_below(n as u64) as usize;
@@ -1088,13 +1101,15 @@ mod tests {
                     if below(2) == 1 {
                         mutated = mutate(&mutated, &mut below);
                     }
-                    match (parse(&mutated), reference_parse_line(&mutated)) {
+                    match (parse(&mutated), reference_parse_line(&mutated.replace(WIDE, NARROW))) {
                         (Ok(new), Ok(old)) => {
                             accepted += 1;
                             // Debug tells NaN from NaN's absence and -0 from
                             // 0, which `==` and the wire form do not.
-                            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{mutated}");
-                            assert_eq!(new.to_json_line(), old.to_json_line(), "{mutated}");
+                            let widen = |s: String| s.replace(NARROW, WIDE);
+                            assert_eq!(format!("{new:?}"), widen(format!("{old:?}")), "{mutated}");
+                            assert_eq!(new.to_json_line(), widen(old.to_json_line()), "{mutated}");
+                            wide += usize::from(new.to_json_line().contains(WIDE));
                         }
                         (Err(new), Err(old)) if new == old => same_message += 1,
                         (Err(new), Err(old)) => {
@@ -1115,6 +1130,7 @@ mod tests {
         }
         assert_eq!(accepted + same_message + earlier_defect, 2 * 140 * lines.len());
         assert!(accepted > 500 && same_message > 5000 && earlier_defect > 50, "vacuous");
+        assert!(wide > 0, "no line read an integer past i64::MAX");
     }
 
     #[test]

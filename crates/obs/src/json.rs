@@ -286,6 +286,9 @@ pub enum Scalar<'a> {
     Bool(bool),
     /// An integral number that fits `i64`.
     Int(i64),
+    /// An integral number past `i64::MAX` that fits `u64`. The tree
+    /// [`Value`] has no such case: there it reads as [`Value::Num`].
+    UInt(u64),
     /// Any other number.
     Num(f64),
     /// A string: a slice of the input unless it held an escape.
@@ -426,6 +429,8 @@ impl<'a> Parser<'a> {
                 Scalar::Null => Value::Null,
                 Scalar::Bool(b) => Value::Bool(b),
                 Scalar::Int(i) => Value::Int(i),
+                // Correctly rounded, as the float parse of its text is.
+                Scalar::UInt(u) => Value::Num(u as f64),
                 Scalar::Num(x) => Value::Num(x),
                 Scalar::Str(s) => Value::Str(s.into_owned()),
                 Scalar::Container => unreachable!("no bracket at pos"),
@@ -632,16 +637,17 @@ impl<'a> Parser<'a> {
         let text = &self.input[start..self.pos];
         if !is_float {
             // Up to 18 digits cannot overflow an `i64`; a longer integer
-            // takes the checked parse, and reads as a float if that fails.
+            // takes the checked parses, `i64` and then `u64`, and reads as
+            // a float if both fail.
             let digits = &text[first_digit - start..];
             let int = if digits.len() <= 18 {
                 let magnitude = digits.bytes().fold(0, |acc, d| acc * 10 + i64::from(d - b'0'));
-                Some(if digits.len() < text.len() { -magnitude } else { magnitude })
+                Some(Scalar::Int(if digits.len() < text.len() { -magnitude } else { magnitude }))
             } else {
-                text.parse().ok()
+                text.parse().map(Scalar::Int).or_else(|_| text.parse().map(Scalar::UInt)).ok()
             };
-            if let Some(i) = int {
-                return Ok(Scalar::Int(i));
+            if let Some(int) = int {
+                return Ok(int);
             }
         }
         text.parse::<f64>()
@@ -753,6 +759,20 @@ mod tests {
             ("n", Scalar::Null),
             ("f", Scalar::Num(-2.5)),
             ("t", Scalar::Bool(true)),
+        ];
+        assert_eq!(got, want.map(|(k, v)| (k.to_string(), v)));
+        // Integers to u64::MAX read exactly; past it, or below i64::MIN,
+        // they read as floats, as in the tree.
+        let got = walk(
+            "{\"i\":9223372036854775807,\"u\":18446744073709551615,\"f\":18446744073709551616,\
+             \"m\":-9223372036854775809}",
+        )
+        .unwrap();
+        let want = [
+            ("i", Scalar::Int(i64::MAX)),
+            ("u", Scalar::UInt(u64::MAX)),
+            ("f", Scalar::Num(18_446_744_073_709_551_616.0)),
+            ("m", Scalar::Num(-9_223_372_036_854_775_808.0)),
         ];
         assert_eq!(got, want.map(|(k, v)| (k.to_string(), v)));
         assert_eq!(walk("{}").unwrap(), []);

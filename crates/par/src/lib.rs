@@ -34,6 +34,13 @@
 //! `sched`, whose epochs are tens of microseconds, and not an
 //! `insitu::Runtime`.
 //!
+//! That makes one width contract: only `bench` and `perfbench` depend on
+//! this crate, by a normal or a dev edge (`scripts/verify.sh`'s first
+//! stage checks `cargo tree`), so the width is tested only where the pool
+//! is entered — these tests, `bench`'s batch and pair tests, and the
+//! width-1/width-4 runs of `verify.sh` and CI. Code that cannot reach the
+//! pool is tested once, with no width.
+//!
 //! Nested use is *rejected*: a pool call made while the same pool is
 //! already executing one (from a worker closure, or from a second thread)
 //! runs serially instead of spawning. Results are unaffected — that is

@@ -223,8 +223,8 @@ fn hostile_traces_write_the_pinned_run_documents() {
     assert!(wrong.is_empty(), "run documents moved:\n  {}", wrong.join("\n  "));
 }
 
-/// The cases whose lines the strict reader takes replay to the live
-/// document; node ids past `i64::MAX` are written but not read back.
+/// Every case replays to the live document: the strict reader reads back
+/// every line the writer wrote, node ids to `usize::MAX` included.
 #[test]
 fn hostile_traces_replay_like_their_live_audit() {
     let real = real_trace();
@@ -233,13 +233,11 @@ fn hostile_traces_replay_like_their_live_audit() {
         mutate(&mut events);
         let mut live = StreamAuditor::new();
         let mut replay = StreamAuditor::new();
-        let mut readable = true;
         for e in &events {
             live.feed(e);
-            readable &= replay.feed_line(&e.to_json_line()).is_ok();
+            let line = e.to_json_line();
+            replay.feed_line(&line).unwrap_or_else(|err| panic!("{name}: {line}: {err}"));
         }
-        if readable {
-            assert_eq!(live.finish().to_json(), replay.finish().to_json(), "{name}");
-        }
+        assert_eq!(live.finish().to_json(), replay.finish().to_json(), "{name}");
     }
 }

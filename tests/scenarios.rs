@@ -291,8 +291,9 @@ fn a_non_finite_straggle_factor_does_not_apply() {
     check(&Scenario::draw(0xc4087a5c2b14e2ce)).unwrap();
 }
 
-/// A collective timeout aimed at node `usize::MAX` was traced with that
-/// node, which the strict reader cannot read back (it is past `i64::MAX`).
+/// A collective timeout aimed at node `usize::MAX`, outside the job, was
+/// traced as applied to that node (and the strict reader, which then read
+/// integers only to `i64::MAX`, refused the line).
 #[test]
 fn a_fault_outside_the_job_does_not_apply() {
     check(&Scenario::draw(0x2ff7dcc3dffc1e3d)).unwrap();

@@ -1,9 +1,11 @@
 //! Determinism and round-trip gates for the `obs` tracing subsystem.
 //!
 //! Traces are keyed on simulated time, so the serialized JSONL of a
-//! fixed-seed run must be **byte-identical** across repeats and across
-//! `POLIMER_THREADS` settings — the same contract PR 1/PR 2 established
-//! for results. These tests also gate the zero-behavioural-footprint
+//! fixed-seed run must be **byte-identical** across repeats. A job never
+//! enters the `par` pool, so the pool width is no axis here: the trace of
+//! a run that does enter it (`run_experiment`'s controller/baseline pair)
+//! is compared across widths by that bin's own test and by
+//! `scripts/verify.sh`. These tests also gate the zero-behavioural-footprint
 //! property (tracing on/off never changes what the run computes) and the
 //! exporters' well-formedness, validated by the schema's strict reader:
 //! every line must round-trip **byte-for-byte** through
@@ -23,27 +25,18 @@ fn quick_cfg(controller: &str) -> JobConfig {
     JobConfig::new(spec, controller)
 }
 
-/// JSONL trace of one fixed-seed run at a given worker-pool size.
-fn trace_at(threads: usize) -> String {
-    par::with_threads(threads, || {
-        let tracer = Tracer::enabled();
-        run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
-        tracer.to_jsonl()
-    })
-}
-
-#[test]
-fn jsonl_trace_byte_identical_across_thread_counts() {
-    let serial = trace_at(1);
-    assert!(!serial.is_empty(), "traced run must record events");
-    for threads in [2, 4] {
-        assert_eq!(serial, trace_at(threads), "trace drifted at T={threads}");
-    }
+/// JSONL trace of one fixed-seed run.
+fn trace() -> String {
+    let tracer = Tracer::enabled();
+    run_job_traced(quick_cfg("seesaw"), &tracer).expect("known controller");
+    tracer.to_jsonl()
 }
 
 #[test]
 fn jsonl_trace_byte_identical_across_repeats() {
-    assert_eq!(trace_at(1), trace_at(1), "same-seed repeat must serialize identically");
+    let first = trace();
+    assert!(!first.is_empty(), "traced run must record events");
+    assert_eq!(first, trace(), "same-seed repeat must serialize identically");
 }
 
 #[test]

@@ -9,10 +9,6 @@
 //! - identical runs produce an empty diff;
 //! - a doctored trace (flipped value, dropped line, reordered events) is
 //!   caught at the exact line with the right `DIFF00xx` code;
-//! - the explainer's own output is byte-identical across
-//!   `POLIMER_THREADS`-style worker-pool sizes, so `trace_diff` can sit
-//!   inside a determinism gate without becoming a source of
-//!   nondeterminism itself;
 //! - a doctored run document is attributed to the phase and the counter
 //!   that moved, and one of the retired per-document layouts is refused.
 
@@ -32,13 +28,11 @@ fn quick_cfg() -> JobConfig {
     JobConfig::new(spec, "seesaw")
 }
 
-/// JSONL trace of one fixed-seed run at a given worker-pool size.
-fn trace_at(threads: usize) -> String {
-    par::with_threads(threads, || {
-        let tracer = Tracer::enabled();
-        run_job_traced(quick_cfg(), &tracer).expect("known controller");
-        tracer.to_jsonl()
-    })
+/// JSONL trace of one fixed-seed run.
+fn trace() -> String {
+    let tracer = Tracer::enabled();
+    run_job_traced(quick_cfg(), &tracer).expect("known controller");
+    tracer.to_jsonl()
 }
 
 fn diff_strs(a: &str, b: &str) -> Option<TraceDivergence> {
@@ -47,15 +41,15 @@ fn diff_strs(a: &str, b: &str) -> Option<TraceDivergence> {
 
 #[test]
 fn identical_runs_produce_an_empty_diff() {
-    let a = trace_at(1);
+    let a = trace();
     assert!(!a.is_empty(), "traced run must record events");
-    let b = trace_at(1);
+    let b = trace();
     assert_eq!(diff_strs(&a, &b), None, "same-seed runs must not diverge");
 }
 
 #[test]
 fn flipped_value_in_a_real_trace_is_caught_at_the_exact_line() {
-    let a = trace_at(1);
+    let a = trace();
     let lines: Vec<&str> = a.lines().collect();
     // Doctor a line in the middle that carries a numeric payload field.
     let (idx, doctored) = lines
@@ -86,7 +80,7 @@ fn flipped_value_in_a_real_trace_is_caught_at_the_exact_line() {
 
 #[test]
 fn dropped_line_is_caught_where_the_streams_skew() {
-    let a = trace_at(1);
+    let a = trace();
     let lines: Vec<&str> = a.lines().collect();
     let drop_at = lines.len() / 2;
     let b = lines
@@ -104,7 +98,7 @@ fn dropped_line_is_caught_where_the_streams_skew() {
 
 #[test]
 fn reordered_events_are_caught_at_the_swap_point() {
-    let a = trace_at(1);
+    let a = trace();
     let mut lines: Vec<&str> = a.lines().collect();
     let i = lines.len() / 2;
     // Adjacent trace lines are never byte-equal (timestamps or payloads
@@ -119,7 +113,7 @@ fn reordered_events_are_caught_at_the_swap_point() {
 
 #[test]
 fn truncated_trace_gets_the_truncation_code() {
-    let a = trace_at(1);
+    let a = trace();
     let lines: Vec<&str> = a.lines().collect();
     let keep = lines.len() - 3;
     let b = lines[..keep].join("\n") + "\n";
@@ -127,22 +121,6 @@ fn truncated_trace_gets_the_truncation_code() {
     assert_eq!(d.line, keep as u64 + 1);
     assert_eq!(d.aspect, Aspect::Truncation);
     assert_eq!(d.diagnostic().code_str(), "DIFF0002");
-}
-
-#[test]
-fn explainer_output_is_byte_identical_across_thread_counts() {
-    // Build the same doctored pair from traces generated at 1 and 4
-    // workers; the rendered explanation must not depend on the pool size.
-    let render_at = |threads: usize| {
-        let a = trace_at(threads);
-        let flipped = a.replacen("\"sync\":1", "\"sync\":91", 1);
-        assert_ne!(a, flipped, "trace must contain a sync field to doctor");
-        let d = diff_strs(&a, &flipped).expect("doctored trace must diverge");
-        d.render("a.jsonl", "b.jsonl")
-    };
-    let serial = render_at(1);
-    assert!(serial.contains("error[DIFF0001]"));
-    assert_eq!(serial, render_at(4), "explainer output drifted with the worker pool");
 }
 
 /// The field at `path` (object keys and array indices) of `v`.
@@ -156,7 +134,7 @@ fn field<'v>(v: &'v mut Value, path: &[&str]) -> &'v mut Value {
 
 #[test]
 fn doctored_run_document_is_attributed_and_the_old_layout_refused() {
-    let run = common::audit_jsonl(&trace_at(1)).expect("the writer's lines");
+    let run = common::audit_jsonl(&trace()).expect("the writer's lines");
     let doc = run.to_json();
     let mut doctored = json::parse(&doc).expect("the run document parses");
     let kind = field(&mut doctored, &["report", "phases", "0", "kind"]).clone();

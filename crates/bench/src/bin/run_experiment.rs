@@ -143,7 +143,7 @@ fn main() {
             r
         };
         if dump_syncs {
-            println!("{}", bench::json::ToJson::to_json(&r.syncs).pretty());
+            println!("{}", bench::sync_rows(&r.syncs).pretty());
         }
     });
     if let Some((file, body)) = &document {
@@ -161,7 +161,7 @@ fn main() {
 /// and one sink shared by concurrent runs would interleave their events.
 /// An unknown controller is reported before either run starts.
 fn run_pair(cfg: &JobConfig, tracer: &Tracer) -> Result<(RunResult, RunResult), UnknownController> {
-    insitu::build_controller(cfg)?;
+    seesaw::check_controller_name(&cfg.controller)?;
     let runs = [(cfg.clone(), tracer.clone()), (cfg.static_baseline(), Tracer::off())];
     let mut results = par::global()
         .par_map_indexed(runs.len(), |i| run_job_traced(runs[i].0.clone(), &runs[i].1))

@@ -10,7 +10,6 @@
 //! baseline shared by three controllers, or a run two figures both plot,
 //! is simulated once.
 
-use crate::json::ToJson;
 use crate::svg::{bar_chart, line_chart, Series};
 use fleet::FleetResult;
 use insitu::{improvement_pct, median, JobConfig, RunResult, SyncRecord};
@@ -179,8 +178,8 @@ impl Output {
         self.files.push((format!("{name}.svg"), svg));
     }
 
-    fn json<T: ToJson + ?Sized>(&mut self, name: &str, rows: &T) {
-        self.files.push((format!("{name}.json"), rows.to_json().pretty()));
+    fn json(&mut self, name: &str, rows: Vec<Value>) {
+        self.files.push((format!("{name}.json"), Value::Arr(rows).pretty()));
     }
 }
 
@@ -337,7 +336,7 @@ fn line<const N: usize>(cells: [&dyn Display; N]) -> Vec<String> {
 /// One JSON row: `row!(a, b = x)` is the object `{"a": a, "b": x}`.
 macro_rules! row {
     ($($key:ident $(= $val:expr)?),+ $(,)?) => {
-        Value::obj([$((stringify!($key), row!(@ $key $($val)?).to_json())),+])
+        Value::obj([$((stringify!($key), Value::from(row!(@ $key $($val)?)))),+])
     };
     (@ $key:ident) => { $key };
     (@ $key:ident $val:expr) => { $val };
@@ -355,7 +354,6 @@ mod fig1_trace {
         sim_w_per_node: f64,
         analysis_w_per_node: f64,
     }
-    crate::json_struct!(Sample { t_s, sim_w_per_node, analysis_w_per_node });
 
     // A VACF-style low-demand analysis exposes the idle clearly: it
     // finishes early and waits at ~105 W.
@@ -422,7 +420,9 @@ mod fig1_trace {
                 ],
             ),
         );
-        out.json("fig1_trace", &samples);
+        let rows =
+            samples.iter().map(|s| obs::json_fields!(s, t_s, sim_w_per_node, analysis_w_per_node));
+        out.json("fig1_trace", rows.collect());
         out
     }
 }
@@ -496,7 +496,7 @@ mod table1_variability {
         out.blank();
         out.say("paper reference: run-to-run 0.2–0.8 (None/Long), 2.1–5.5 (Long+Short);");
         out.say("                 job-to-job 0.8–2.0 (None), 5.7–6.0 (Long), 2.4–8.7 (Long+Short)");
-        out.json("table1_variability", &rows);
+        out.json("table1_variability", rows);
         out
     }
 }
@@ -584,7 +584,7 @@ mod fig3_analyses {
         let title = "Fig. 3a — improvement over static, 128 nodes \
                      (blue seesaw, red time-aware, green power-aware)";
         out.svg("fig3_analyses", bar_chart(title, "improvement (%)", &bars));
-        out.json("fig3_analyses", &rows);
+        out.json("fig3_analyses", rows);
         out
     }
 }
@@ -704,8 +704,8 @@ mod fig4_power_alloc {
                 &series,
             ),
         );
-        out.json("fig4_power_alloc", &points);
-        out.json("fig4_baseline", &baseline);
+        out.json("fig4_power_alloc", points);
+        out.json("fig4_baseline", baseline);
         out
     }
 }
@@ -785,7 +785,7 @@ mod fig5_scale {
         out.say("at scale has lower power utilization (measured < allocated). The");
         out.say("time-aware approach drives the gap to δ_min and degrades severely even");
         out.say("though its normalized slack looks near zero.");
-        out.json("fig5_scale", &points);
+        out.json("fig5_scale", points);
         out
     }
 }
@@ -850,7 +850,7 @@ mod fig6_sensitivity {
                 &series,
             ),
         );
-        out.json("fig6_sensitivity", &rows);
+        out.json("fig6_sensitivity", rows);
         out
     }
 }
@@ -906,7 +906,7 @@ mod table2_mixed {
         out.say("paper reference: MSD-varied 5.03 / 0.94 / 0.90 %; VACF-varied");
         out.say("16.76 / 15.09 / 16.24 % — infrequent high-demand analyses make w = 1");
         out.say("over-reactive, while a low-demand analysis at any interval is benign.");
-        out.json("table2_mixed", &rows);
+        out.json("table2_mixed", rows);
         out
     }
 }
@@ -974,7 +974,7 @@ mod fig7_initial_power {
                 &bars,
             ),
         );
-        out.json("fig7_initial_power", &rows);
+        out.json("fig7_initial_power", rows);
         out
     }
 }
@@ -1031,7 +1031,7 @@ mod fig8_power_caps {
                 &[Series::new("SeeSAw vs static", "#1f77b4", points)],
             ),
         );
-        out.json("fig8_power_caps", &rows);
+        out.json("fig8_power_caps", rows);
         out
     }
 }
@@ -1081,7 +1081,7 @@ mod fig9_overhead {
         out.say("Fig. 9b (host-measured controller step cost across caps) is perfbench's");
         out.say("`core.on_sync_ns_128`/`_4392` and `polimer.power_alloc_us_128`/`_4392`;");
         out.say("the price of enabled tracing is its `obs.emit_ns`, per event.");
-        out.json("fig9_overhead", &rows);
+        out.json("fig9_overhead", rows);
         out
     }
 }
@@ -1156,7 +1156,7 @@ mod ablation {
         let nodes = representative(quick).workload.nodes_total();
         out.say(format!("Ablations ({nodes} nodes, improvement vs space-shared static)"));
         out.table(&["study", "variant", "improvement %"], &table);
-        out.json("ablation", &rows);
+        out.json("ablation", rows);
         out
     }
 }
@@ -1250,7 +1250,7 @@ mod fault_sweep {
                 &[Series::new("improvement retained", "#d62728", points)],
             ),
         );
-        out.json("fault_sweep", &rows);
+        out.json("fault_sweep", rows);
         out
     }
 }
@@ -1370,7 +1370,7 @@ mod machine_sweep {
                 100.0 * (base - fb) / base
             ));
         }
-        out.json("machine_sweep", &rows);
+        out.json("machine_sweep", rows);
         out
     }
 
@@ -1445,7 +1445,7 @@ mod machine_sweep_theta {
         let mut out = Output::default();
         out.say("Machine sweep — full Theta (4392 nodes), one machine-spanning job");
         let rows = machine_sweep::table(&mut out, THETA..THETA + 1, &policies(quick), runs);
-        out.json("machine_sweep_theta", &rows);
+        out.json("machine_sweep_theta", rows);
         out
     }
 }
@@ -1597,7 +1597,7 @@ mod fleet_sweep {
                 100.0 * (mixed_s - base_s) / base_s,
             ));
         }
-        out.json("fleet_sweep", &rows);
+        out.json("fleet_sweep", rows);
         out
     }
 }

@@ -30,9 +30,9 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod json;
 mod svg;
 
+use obs::json::Value;
 use obs::Reporter;
 use std::path::{Path, PathBuf};
 
@@ -138,20 +138,27 @@ pub fn write_file(rep: &Reporter, path: &Path, body: &str) -> std::io::Result<()
     }
 }
 
-// Shared JSON shape for per-sync rows (`run_experiment --dump-syncs`).
-json_struct!(insitu::SyncRecord {
-    index,
-    start_s,
-    end_s,
-    sim_time_s,
-    analysis_time_s,
-    sim_cap_w,
-    analysis_cap_w,
-    sim_power_w,
-    analysis_power_w,
-    slack,
-    overhead_s,
-});
+/// Per-sync rows as `run_experiment --dump-syncs` prints them: one
+/// object per sync, fields in declaration order.
+pub fn sync_rows(syncs: &[insitu::SyncRecord]) -> Value {
+    let row = |s: &insitu::SyncRecord| {
+        obs::json_fields!(
+            s,
+            index,
+            start_s,
+            end_s,
+            sim_time_s,
+            analysis_time_s,
+            sim_cap_w,
+            analysis_cap_w,
+            sim_power_w,
+            analysis_power_w,
+            slack,
+            overhead_s,
+        )
+    };
+    Value::Arr(syncs.iter().map(row).collect())
+}
 
 fn display_rel(path: &Path) -> String {
     std::env::current_dir()
@@ -163,6 +170,7 @@ fn display_rel(path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::json::parse;
 
     #[test]
     fn results_dir_is_formed() {
@@ -243,5 +251,66 @@ mod tests {
         assert!(err.contains("run_fleet_sweep.json is missing"), "{err}");
         assert!(!dir.join("run_fleet_sweep.json").exists(), "a check writes nothing");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_sync_row_prints_its_fields_in_order_under_the_number_rule() {
+        let sync = insitu::SyncRecord {
+            index: 3,
+            start_s: 12.0,
+            end_s: 12.5,
+            sim_time_s: 0.1,
+            analysis_time_s: 1e15,
+            sim_cap_w: 110.0,
+            analysis_cap_w: 98.25,
+            sim_power_w: f64::NAN,
+            analysis_power_w: -0.0,
+            slack: 1.0 / 3.0,
+            overhead_s: 2.5e-5,
+        };
+        let want = r#"[
+  {
+    "index": 3,
+    "start_s": 12.0,
+    "end_s": 12.5,
+    "sim_time_s": 0.1,
+    "analysis_time_s": 1e15,
+    "sim_cap_w": 110.0,
+    "analysis_cap_w": 98.25,
+    "sim_power_w": null,
+    "analysis_power_w": 0.0,
+    "slack": 0.3333333333333333,
+    "overhead_s": 0.000025
+  }
+]"#;
+        assert_eq!(sync_rows(&[sync]).pretty(), want);
+    }
+
+    /// Every kind of document the workspace writes reads back as the
+    /// value it was printed from: a figure's rows, the run document's
+    /// sections (a report with violations, health rows, a registry with a
+    /// histogram). Non-finite floats, which print as `null`, are left out.
+    #[test]
+    fn every_written_document_reads_back() {
+        let reads_back = |v: Value| assert_eq!(parse(&v.pretty()), Ok(v.clone()), "{}", v.pretty());
+
+        let quick = crate::experiments::find("fig8_power_caps").expect("a row of the table");
+        for (name, body) in &crate::experiments::run_selection(&[quick], true)[0].files {
+            if name.ends_with(".json") {
+                let rows = parse(body).expect("the figure's rows parse");
+                assert_eq!(&rows.pretty(), body, "{name} prints back byte for byte");
+            }
+        }
+
+        let mut auditor = audit::StreamAuditor::new();
+        let events = obs::TraceEvent::one_of_each();
+        events.iter().for_each(|e| auditor.feed(e));
+        let run = auditor.finish();
+        assert!(!run.report.violations.is_empty(), "one event of each kind breaks invariants");
+        assert!(run.registry.get_histogram("phase_ns").is_some());
+        reads_back(run.report.to_value());
+        run.health.iter().for_each(|h| reads_back(h.to_value()));
+        reads_back(run.registry.to_value());
+        reads_back(parse(&run.to_json()).expect("the run document parses"));
     }
 }

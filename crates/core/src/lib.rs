@@ -71,10 +71,22 @@ pub use waterfill::water_fill;
 pub const CONTROLLER_NAMES: [&str; 5] =
     ["seesaw", "power-aware", "time-aware", "static", "hierarchical-seesaw"];
 
+/// Check `name` against [`CONTROLLER_NAMES`] without building anything:
+/// where a job is admitted long before its controller runs, the name is
+/// rejected here, and [`controller_by_name`] builds it later.
+pub fn check_controller_name(name: &str) -> Result<(), UnknownController> {
+    if CONTROLLER_NAMES.contains(&name) {
+        Ok(())
+    } else {
+        Err(UnknownController { name: name.to_string() })
+    }
+}
+
 /// A controller name that [`controller_by_name`] does not recognize.
 ///
-/// `polimer::PowerManager::init` and `insitu::build_controller` return it:
-/// a recoverable error listing the valid names instead of an abort.
+/// [`check_controller_name`], `polimer::PowerManager::init` and
+/// `insitu::build_controller` return it: a recoverable error listing the
+/// valid names instead of an abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownController {
     /// The rejected name, verbatim.
@@ -97,8 +109,10 @@ impl std::error::Error for UnknownController {}
 /// Construct a controller from a name — the paper's four (`seesaw`,
 /// `power-aware`, `time-aware`, `static`) plus the §VIII extension
 /// `hierarchical-seesaw` — over a job's budget, window and per-node limits;
-/// every other parameter keeps its paper default. Unknown names yield
-/// [`UnknownController`].
+/// every other parameter keeps its paper default. A name outside
+/// [`CONTROLLER_NAMES`] yields [`UnknownController`];
+/// [`check_controller_name`] gives the same answer without building, and
+/// so without the constructors' asserts on `window` and the budget.
 pub fn controller_by_name(
     name: &str,
     budget_w: f64,

@@ -253,7 +253,7 @@ impl Fleet {
         }
         let mut jobs = Vec::with_capacity(stream.len());
         for entry in stream.entries() {
-            insitu::build_controller(&entry.config)?;
+            seesaw::check_controller_name(&entry.config.controller)?;
             let w = &entry.config.workload;
             jobs.push(JobTrack {
                 arrival_epoch: entry.arrival_epoch,

@@ -179,6 +179,16 @@ fn oversized_job_is_reported_failed_not_lost() {
     assert_eq!(violations(&trace), Vec::new());
 }
 
+/// A stream job naming a controller outside `seesaw::CONTROLLER_NAMES`
+/// fails `Fleet::new` with a typed error naming it.
+#[test]
+fn an_unknown_controller_in_the_stream_is_a_typed_error_naming_it() {
+    let bad = JobConfig { controller: "nonsense".to_string(), ..job(53, 8) };
+    let stream = JobStream::at_start(vec![job(52, 8), bad]);
+    let err = Fleet::new(fleet_spec(2), stream, MachineFaultPlan::none()).err();
+    assert_eq!(err.expect("an unknown name fails").name, "nonsense");
+}
+
 #[test]
 fn seeded_streams_and_storms_are_reproducible() {
     let configs = || (0..4).map(|k| job(60 + k, 16)).collect::<Vec<_>>();

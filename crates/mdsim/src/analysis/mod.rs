@@ -8,15 +8,12 @@
 //! simulated time under the analysis partition's power cap.
 
 pub(crate) mod msd;
-mod rdf;
-mod vacf;
-
-pub use rdf::Rdf;
-pub use vacf::Vacf;
+pub(crate) mod rdf;
+pub(crate) mod vacf;
 
 use msd::{Msd, MsdConfig};
-use rdf::RdfConfig;
-use vacf::VacfConfig;
+use rdf::{Rdf, RdfConfig};
+use vacf::{Vacf, VacfConfig};
 
 use crate::species::Species;
 use crate::vec3::Vec3;
@@ -121,25 +118,37 @@ impl AnalysisKind {
     }
 }
 
-/// Common interface: observe a snapshot, report the work done.
-pub trait Analysis: Send {
-    /// Which analysis this is.
-    fn kind(&self) -> AnalysisKind;
-    /// Process one snapshot.
-    fn observe(&mut self, step: u64, snap: &Snapshot<'_>) -> AnalysisWork;
-    /// Reset accumulated state.
-    fn reset(&mut self);
-    /// Downcast support for extracting concrete results.
-    fn as_any(&self) -> &dyn std::any::Any;
+/// One analysis instance with the benchmark's defaults: each kind's
+/// accumulator, matched on to read its results.
+#[derive(Debug, Clone)]
+pub enum Analysis {
+    /// [`AnalysisKind::Rdf`].
+    Rdf(Rdf),
+    /// [`AnalysisKind::Vacf`].
+    Vacf(Vacf),
+    /// [`AnalysisKind::MsdFull`], [`AnalysisKind::Msd1d`] or
+    /// [`AnalysisKind::Msd2d`].
+    Msd(Msd),
 }
 
-/// Build an analysis instance with benchmark-appropriate defaults.
-pub fn build(kind: AnalysisKind) -> Box<dyn Analysis> {
-    match kind {
-        AnalysisKind::Rdf => Box::new(Rdf::new(RdfConfig::default())),
-        AnalysisKind::Vacf => Box::new(Vacf::new(VacfConfig::default())),
-        AnalysisKind::MsdFull => Box::new(Msd::new(MsdConfig::full())),
-        AnalysisKind::Msd1d => Box::new(Msd::new(MsdConfig::one_d())),
-        AnalysisKind::Msd2d => Box::new(Msd::new(MsdConfig::two_d())),
+impl Analysis {
+    /// Build the analysis `kind` names.
+    pub fn new(kind: AnalysisKind) -> Self {
+        match kind {
+            AnalysisKind::Rdf => Analysis::Rdf(Rdf::new(RdfConfig::default())),
+            AnalysisKind::Vacf => Analysis::Vacf(Vacf::new(VacfConfig::default())),
+            AnalysisKind::MsdFull => Analysis::Msd(Msd::new(MsdConfig::full())),
+            AnalysisKind::Msd1d => Analysis::Msd(Msd::new(MsdConfig::one_d())),
+            AnalysisKind::Msd2d => Analysis::Msd(Msd::new(MsdConfig::two_d())),
+        }
+    }
+
+    /// Process one snapshot; returns the work done.
+    pub fn observe(&mut self, snap: &Snapshot<'_>) -> AnalysisWork {
+        match self {
+            Analysis::Rdf(a) => a.observe(snap),
+            Analysis::Vacf(a) => a.observe(snap),
+            Analysis::Msd(a) => a.observe(snap),
+        }
     }
 }

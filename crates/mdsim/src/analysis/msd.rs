@@ -9,7 +9,7 @@
 //!   high-CPU, high-memory workload that the paper runs at `dim = 16`
 //!   because of its memory needs.
 
-use super::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
+use super::{AnalysisWork, Snapshot};
 use crate::vec3::Vec3;
 
 /// Which MSD variant to compute.
@@ -57,7 +57,7 @@ impl MsdConfig {
 /// MSD accumulator. Every buffer is reused across frames, so a warmed
 /// accumulator observes without allocating.
 #[derive(Debug, Clone)]
-pub(crate) struct Msd {
+pub struct Msd {
     cfg: MsdConfig,
     /// Unwrapped positions at each live time origin, oldest first.
     origins: Vec<Vec<Vec3>>,
@@ -160,18 +160,9 @@ impl Msd {
         }
         total / n.max(1) as f64
     }
-}
 
-impl Analysis for Msd {
-    fn kind(&self) -> AnalysisKind {
-        match self.cfg.variant {
-            MsdVariant::Full => AnalysisKind::MsdFull,
-            MsdVariant::OneD => AnalysisKind::Msd1d,
-            MsdVariant::TwoD => AnalysisKind::Msd2d,
-        }
-    }
-
-    fn observe(&mut self, _step: u64, snap: &Snapshot<'_>) -> AnalysisWork {
+    /// Displacements of one frame against every live origin.
+    pub(super) fn observe(&mut self, snap: &Snapshot<'_>) -> AnalysisWork {
         if snap.is_empty() {
             return AnalysisWork::default();
         }
@@ -210,18 +201,6 @@ impl Analysis for Msd {
         self.frames += 1;
         AnalysisWork { ops: (snap.len() * n_origins) as u64 }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn reset(&mut self) {
-        self.origins.clear();
-        self.bin_of.clear();
-        self.frames = 0;
-        self.last_binned.clear();
-        self.last_overall = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +227,7 @@ mod tests {
     fn msd_zero_at_first_frame() {
         let sys = water_ion_box(1, 1.0, 61);
         let mut msd = Msd::new(MsdConfig::full());
-        msd.observe(0, &Snapshot::of(&sys));
+        msd.observe(&Snapshot::of(&sys));
         assert_eq!(msd.overall(), 0.0);
     }
 
@@ -256,13 +235,13 @@ mod tests {
     fn msd_grows_with_displacement() {
         let sys = water_ion_box(1, 1.0, 62);
         let mut msd = Msd::new(MsdConfig::one_d());
-        msd.observe(0, &Snapshot::of(&sys));
+        msd.observe(&Snapshot::of(&sys));
         // Displace every particle by the same vector.
         let mut moved = sys.clone();
         for u in &mut moved.unwrapped {
             u.x += 1.5;
         }
-        msd.observe(1, &Snapshot::of(&moved));
+        msd.observe(&Snapshot::of(&moved));
         assert!((msd.overall() - 2.25).abs() < 1e-9, "{}", msd.overall());
         // Every bin sees the same uniform displacement.
         for (b, &v) in msd.binned().iter().enumerate() {
@@ -274,13 +253,13 @@ mod tests {
     fn one_d_and_two_d_bin_counts() {
         let sys = water_ion_box(1, 1.0, 63);
         let mut m1 = Msd::new(MsdConfig::one_d());
-        m1.observe(0, &Snapshot::of(&sys));
+        m1.observe(&Snapshot::of(&sys));
         assert_eq!(m1.binned().len(), 16);
         let mut m2 = Msd::new(MsdConfig::two_d());
-        m2.observe(0, &Snapshot::of(&sys));
+        m2.observe(&Snapshot::of(&sys));
         assert_eq!(m2.binned().len(), 256);
         let mut mf = Msd::new(MsdConfig::full());
-        mf.observe(0, &Snapshot::of(&sys));
+        mf.observe(&Snapshot::of(&sys));
         assert_eq!(mf.binned().len(), 16 + 256);
     }
 
@@ -291,9 +270,9 @@ mod tests {
         let mut one = Msd::new(MsdConfig::one_d());
         let mut w_full = AnalysisWork::default();
         let mut w_one = AnalysisWork::default();
-        for step in 0..25 {
-            w_full.ops += full.observe(step, &Snapshot::of(&sys)).ops;
-            w_one.ops += one.observe(step, &Snapshot::of(&sys)).ops;
+        for _ in 0..25 {
+            w_full.ops += full.observe(&Snapshot::of(&sys)).ops;
+            w_one.ops += one.observe(&Snapshot::of(&sys)).ops;
         }
         assert!(full.origins.len() > 1, "{}", full.origins.len());
         assert!(
@@ -309,19 +288,9 @@ mod tests {
         let sys = water_ion_box(1, 1.0, 65);
         let cfg = MsdConfig { origin_interval: 1, max_origins: 4, ..MsdConfig::full() };
         let mut msd = Msd::new(cfg);
-        for step in 0..20 {
-            msd.observe(step, &Snapshot::of(&sys));
+        for _ in 0..20 {
+            msd.observe(&Snapshot::of(&sys));
         }
         assert_eq!(msd.origins.len(), 4);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let sys = water_ion_box(1, 1.0, 66);
-        let mut msd = Msd::new(MsdConfig::full());
-        msd.observe(0, &Snapshot::of(&sys));
-        msd.reset();
-        assert_eq!(msd.origins.len(), 0);
-        assert_eq!(msd.overall(), 0.0);
     }
 }

@@ -17,7 +17,7 @@
 //! scalar `(pw - pt).minimum_image(l).norm_sq()` evaluates, so the
 //! integer histograms do not depend on the batching.
 
-use super::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
+use super::{AnalysisWork, Snapshot};
 use crate::species::Species;
 use crate::vec3::{min_image_within_box, Vec3};
 
@@ -149,14 +149,9 @@ impl Rdf {
     pub(crate) fn histograms(&self) -> [&[u64]; 2] {
         [&self.hist_hydronium, &self.hist_ion]
     }
-}
 
-impl Analysis for Rdf {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::Rdf
-    }
-
-    fn observe(&mut self, _step: u64, snap: &Snapshot<'_>) -> AnalysisWork {
+    /// Bin one frame.
+    pub(super) fn observe(&mut self, snap: &Snapshot<'_>) -> AnalysisWork {
         let l = snap.box_len;
         // The divide-free minimum image needs |pw - pt| <= l.
         debug_assert!(
@@ -187,17 +182,6 @@ impl Analysis for Rdf {
         self.frames += 1;
         AnalysisWork { ops }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn reset(&mut self) {
-        self.hist_hydronium.iter_mut().for_each(|x| *x = 0);
-        self.hist_ion.iter_mut().for_each(|x| *x = 0);
-        self.frames = 0;
-        self.r_max = self.cfg.r_max;
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +196,7 @@ mod tests {
         // and approach 1 at large r.
         let sys = water_ion_box(1, 1.0, 41);
         let mut rdf = Rdf::new(RdfConfig { bins: 100, r_max: 5.0 });
-        rdf.observe(0, &Snapshot::of(&sys));
+        rdf.observe(&Snapshot::of(&sys));
         let g = rdf.g_hydronium();
         let r = rdf.r_centers();
         // Deep core (< 0.5 σ) is empty.
@@ -233,9 +217,9 @@ mod tests {
     fn frames_average() {
         let sys = water_ion_box(1, 1.0, 42);
         let mut rdf = Rdf::new(RdfConfig::default());
-        let w1 = rdf.observe(0, &Snapshot::of(&sys));
+        let w1 = rdf.observe(&Snapshot::of(&sys));
         let g1 = rdf.g_hydronium();
-        let w2 = rdf.observe(1, &Snapshot::of(&sys));
+        let w2 = rdf.observe(&Snapshot::of(&sys));
         let g2 = rdf.g_hydronium();
         // Same frame twice: identical normalized g, double the work.
         for (a, b) in g1.iter().zip(&g2) {
@@ -249,7 +233,7 @@ mod tests {
     fn work_scales_with_targets_times_waters() {
         let sys = water_ion_box(1, 1.0, 43);
         let mut rdf = Rdf::new(RdfConfig::default());
-        let w = rdf.observe(0, &Snapshot::of(&sys));
+        let w = rdf.observe(&Snapshot::of(&sys));
         // 32 targets (16 + 16) × 1536 waters.
         assert_eq!(w.ops, 32 * 1536);
     }
@@ -273,7 +257,7 @@ mod tests {
         species[..8].fill(Species::Hydronium);
         let snap = Snapshot { box_len, species: &species, pos: &pos, unwrapped: &pos, vel: &pos };
         let mut rdf = Rdf::new(RdfConfig { bins: 40, r_max: 5.0 });
-        rdf.observe(0, &snap);
+        rdf.observe(&snap);
         let r = rdf.r_centers();
         assert!((r[39] - 3.95).abs() < 1e-12, "last bin centre {}", r[39]);
         let tail: Vec<f64> = rdf
@@ -285,15 +269,5 @@ mod tests {
             .collect();
         let mean_tail = tail.iter().sum::<f64>() / tail.len() as f64;
         assert!((mean_tail - 1.0).abs() < 0.2, "tail mean {mean_tail}");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let sys = water_ion_box(1, 1.0, 44);
-        let mut rdf = Rdf::new(RdfConfig::default());
-        rdf.observe(0, &Snapshot::of(&sys));
-        rdf.reset();
-        assert_eq!(rdf.frames, 0);
-        assert!(rdf.g_hydronium().iter().all(|&g| g == 0.0));
     }
 }

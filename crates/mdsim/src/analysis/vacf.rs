@@ -4,7 +4,7 @@
 //! (paper §VI-C). The paper characterizes VACF as having low memory and
 //! CPU utilization: it is a single O(N) dot-product sweep per frame.
 
-use super::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
+use super::{AnalysisWork, Snapshot};
 use crate::vec3::Vec3;
 
 /// VACF configuration.
@@ -44,14 +44,9 @@ impl Vacf {
             snap.vel.iter().map(|v| v.norm_sq()).sum::<f64>() / snap.len().max(1) as f64;
         self.frames_since_origin = 0;
     }
-}
 
-impl Analysis for Vacf {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::Vacf
-    }
-
-    fn observe(&mut self, _step: u64, snap: &Snapshot<'_>) -> AnalysisWork {
+    /// Correlate one frame with the current origin.
+    pub(super) fn observe(&mut self, snap: &Snapshot<'_>) -> AnalysisWork {
         if snap.is_empty() {
             return AnalysisWork::default();
         }
@@ -68,17 +63,6 @@ impl Analysis for Vacf {
         self.series.push((self.frames_since_origin, c));
         self.frames_since_origin += 1;
         AnalysisWork { ops: n as u64 }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn reset(&mut self) {
-        self.origin_vel.clear();
-        self.origin_norm = 0.0;
-        self.frames_since_origin = 0;
-        self.series.clear();
     }
 }
 
@@ -104,7 +88,7 @@ mod tests {
     fn lag_zero_is_unity() {
         let sys = water_ion_box(1, 1.0, 51);
         let mut vacf = Vacf::new(VacfConfig::default());
-        vacf.observe(0, &Snapshot::of(&sys));
+        vacf.observe(&Snapshot::of(&sys));
         let (lag, c) = vacf.series()[0];
         assert_eq!(lag, 0);
         assert!((c - 1.0).abs() < 1e-12, "{c}");
@@ -121,15 +105,15 @@ mod tests {
         let mut nl = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
         compute_forces(&mut sys, &nl, params, &table);
         let mut vacf = Vacf::new(VacfConfig::default());
-        vacf.observe(0, &Snapshot::of(&sys));
-        for step in 1..=30u64 {
+        vacf.observe(&Snapshot::of(&sys));
+        for _ in 0..30 {
             integ.initial_integrate(&mut sys);
             if nl.needs_rebuild(&sys.pos) {
                 nl = NeighborList::build(&sys.pos, sys.box_len, params.cutoff, 0.4);
             }
             compute_forces(&mut sys, &nl, params, &table);
             integ.final_integrate(&mut sys);
-            vacf.observe(step, &Snapshot::of(&sys));
+            vacf.observe(&Snapshot::of(&sys));
         }
         let c_last = vacf.series().last().unwrap().1;
         assert!(c_last < 0.9, "velocities should decorrelate, C = {c_last}");
@@ -140,7 +124,7 @@ mod tests {
     fn work_is_linear_in_particles() {
         let sys = water_ion_box(1, 1.0, 53);
         let mut vacf = Vacf::new(VacfConfig::default());
-        let w = vacf.observe(0, &Snapshot::of(&sys));
+        let w = vacf.observe(&Snapshot::of(&sys));
         assert_eq!(w.ops, sys.len() as u64);
     }
 
@@ -148,20 +132,11 @@ mod tests {
     fn origin_reanchoring() {
         let sys = water_ion_box(1, 1.0, 54);
         let mut vacf = Vacf::new(VacfConfig { origin_interval: 2 });
-        for step in 0..5 {
-            vacf.observe(step, &Snapshot::of(&sys));
+        for _ in 0..5 {
+            vacf.observe(&Snapshot::of(&sys));
         }
         // Lags go 0,1,0,1,0 with interval 2.
         let lags: Vec<u64> = vacf.series().iter().map(|&(l, _)| l).collect();
         assert_eq!(lags, vec![0, 1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn reset_clears_series() {
-        let sys = water_ion_box(1, 1.0, 55);
-        let mut vacf = Vacf::new(VacfConfig::default());
-        vacf.observe(0, &Snapshot::of(&sys));
-        vacf.reset();
-        assert!(vacf.series().is_empty());
     }
 }

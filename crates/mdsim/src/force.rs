@@ -737,91 +737,6 @@ mod tests {
         assert!(ev.pairs_evaluated as usize > nl.npairs() / 2);
     }
 
-    /// Straightforward scalar reference: same formulas, strict pair order,
-    /// no lanes, no chunks. Lane batching must agree to summation-order
-    /// tolerance and exactly on the evaluated-pair count.
-    fn scalar_reference(
-        sys: &System,
-        nl: &NeighborList,
-        coeffs: &CoeffTable,
-        exclusions: Option<&[(u32, u32)]>,
-    ) -> (Vec<Vec3>, f64, u64) {
-        let inv_box = 1.0 / sys.box_len;
-        let mut forces = vec![Vec3::ZERO; sys.len()];
-        let mut u_total = 0.0;
-        let mut evaluated = 0u64;
-        for &(i, j) in &nl.pairs() {
-            if exclusions.is_some_and(|ex| ex.binary_search(&(i, j)).is_ok()) {
-                continue;
-            }
-            let (iu, ju) = (i as usize, j as usize);
-            let d = sys.pos[iu] - sys.pos[ju];
-            let dx = d.x - sys.box_len * (d.x * inv_box).round();
-            let dy = d.y - sys.box_len * (d.y * inv_box).round();
-            let dz = d.z - sys.box_len * (d.z * inv_box).round();
-            let r2 = dx * dx + dy * dy + dz * dz;
-            if r2 > coeffs.cutoff_sq || r2 == 0.0 {
-                continue;
-            }
-            let pc = coeffs.at(sys.species[iu].index() as u8, sys.species[ju].index() as u8);
-            let inv_r2 = 1.0 / r2;
-            let r = r2.sqrt();
-            let inv_r = r * inv_r2;
-            let sr2 = pc.sigma_sq * inv_r2;
-            let sr6 = sr2 * sr2 * sr2;
-            let sr12 = sr6 * sr6;
-            let u = pc.eps4 * (sr12 - sr6) - pc.u_shift
-                + pc.kqq * (inv_r - coeffs.inv_rc + (r - coeffs.cutoff) * coeffs.inv_rc_sq);
-            let fr = pc.eps24 * (2.0 * sr12 - sr6) * inv_r2
-                + pc.kqq * (inv_r2 - coeffs.inv_rc_sq) * inv_r;
-            forces[iu] += Vec3::new(dx * fr, dy * fr, dz * fr);
-            forces[ju] -= Vec3::new(dx * fr, dy * fr, dz * fr);
-            u_total += u;
-            evaluated += 1;
-        }
-        (forces, u_total, evaluated)
-    }
-
-    #[test]
-    fn exclusions_survive_lane_batching() {
-        // Exclusion pairs land at arbitrary offsets inside lane groups and
-        // straddle chunk boundaries for tiny chunk sizes; every chunking
-        // must agree with the scalar reference.
-        let (sys, nl, params, table) = setup();
-        let coeffs = CoeffTable::new(&table, params.cutoff);
-        let mut ex: Vec<(u32, u32)> = nl.pairs().iter().step_by(7).copied().collect();
-        ex.sort_unstable();
-        let (f_ref, u_ref, count_ref) = scalar_reference(&sys, &nl, &coeffs, Some(&ex));
-        assert!(count_ref > 0);
-        for chunk in [3usize, 5, 64, 16_384] {
-            let mut s = sys.clone();
-            let ev =
-                forces_chunked(&mut ForceScratch::new(), &mut s, &nl, &coeffs, Some(&ex), chunk);
-            assert_eq!(ev.pairs_evaluated, count_ref, "chunk {chunk}: evaluated count");
-            let rel = (ev.potential - u_ref).abs() / u_ref.abs().max(1.0);
-            assert!(rel < 1e-9, "chunk {chunk}: potential {} vs {u_ref}", ev.potential);
-            for (k, (a, b)) in s.force.iter().zip(&f_ref).enumerate() {
-                let scale = b.norm().max(1.0);
-                assert!((*a - *b).norm() < 1e-9 * scale, "chunk {chunk} atom {k}: {a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_kernel_matches_scalar_reference_without_exclusions() {
-        let (sys, nl, params, table) = setup();
-        let coeffs = CoeffTable::new(&table, params.cutoff);
-        let (f_ref, u_ref, count_ref) = scalar_reference(&sys, &nl, &coeffs, None);
-        let mut s = sys.clone();
-        let ev = compute_forces_into(&mut ForceScratch::new(), &mut s, &nl, &coeffs, None);
-        assert_eq!(ev.pairs_evaluated, count_ref);
-        let rel = (ev.potential - u_ref).abs() / u_ref.abs().max(1.0);
-        assert!(rel < 1e-9, "{} vs {u_ref}", ev.potential);
-        for (a, b) in s.force.iter().zip(&f_ref) {
-            assert!((*a - *b).norm() < 1e-9 * b.norm().max(1.0));
-        }
-    }
-
     #[test]
     fn scratch_reuse_is_bit_stable() {
         // Re-running with warm scratch must reproduce the cold run exactly.

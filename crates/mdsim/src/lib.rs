@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod analysis;
+mod analysis;
 mod cell_list;
 mod engine;
 mod force;
@@ -44,7 +44,9 @@ mod thermo;
 mod vec3;
 pub mod workload;
 
-pub use analysis::{Analysis, AnalysisKind, AnalysisWork, Snapshot};
+pub use analysis::{
+    msd::Msd, rdf::Rdf, vacf::Vacf, Analysis, AnalysisKind, AnalysisWork, Snapshot,
+};
 pub use engine::{EngineStepCounts, MdEngine};
 pub use force::{compute_forces_into, CoeffTable, ForceEval, ForceParams, ForceScratch};
 pub use neighbor::NeighborList;

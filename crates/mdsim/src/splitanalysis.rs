@@ -75,7 +75,7 @@ pub struct StepRecord {
 /// The coupled simulation + analysis driver.
 pub struct SplitAnalysis {
     engine: MdEngine,
-    analyses: Vec<(AnalysisSchedule, Box<dyn Analysis>)>,
+    analyses: Vec<(AnalysisSchedule, Analysis)>,
     /// Synchronization interval `j`.
     sync_every: u64,
     step: u64,
@@ -88,7 +88,7 @@ impl SplitAnalysis {
     /// paper's `j`.
     pub fn new(engine: MdEngine, schedules: Vec<AnalysisSchedule>, sync_every: u64) -> Self {
         assert!(sync_every >= 1, "j must be at least 1");
-        let analyses = schedules.into_iter().map(|s| (s, crate::analysis::build(s.kind))).collect();
+        let analyses = schedules.into_iter().map(|s| (s, Analysis::new(s.kind))).collect();
         SplitAnalysis { engine, analyses, sync_every, step: 0, verified_count: None }
     }
 
@@ -144,7 +144,7 @@ impl SplitAnalysis {
             let snap = Snapshot::of(&self.engine.system);
             for (sched, analysis) in &mut self.analyses {
                 if sched.due(step) {
-                    let work = analysis.observe(step, &snap);
+                    let work = analysis.observe(&snap);
                     analysis_work.push((sched.kind, work));
                 }
             }
@@ -166,9 +166,11 @@ impl SplitAnalysis {
         }
     }
 
-    /// Access a completed analysis for result extraction.
-    pub fn analysis(&self, kind: AnalysisKind) -> Option<&dyn Analysis> {
-        self.analyses.iter().find(|(s, _)| s.kind == kind).map(|(_, a)| a.as_ref())
+    /// The first analysis scheduled as `kind`, to `match` on for its
+    /// results (`Analysis::Rdf` for [`AnalysisKind::Rdf`], and so on);
+    /// `None` if none was.
+    pub fn analysis(&self, kind: AnalysisKind) -> Option<&Analysis> {
+        self.analyses.iter().find(|(s, _)| s.kind == kind).map(|(_, a)| a)
     }
 }
 
@@ -257,8 +259,7 @@ mod tests {
         for _ in 0..3 {
             d.advance();
         }
-        let rdf = d.analysis(AnalysisKind::Rdf).expect("rdf present");
-        assert_eq!(rdf.kind(), AnalysisKind::Rdf);
+        assert!(matches!(d.analysis(AnalysisKind::Rdf), Some(Analysis::Rdf(_))));
         assert!(d.analysis(AnalysisKind::Msd2d).is_none());
     }
 
@@ -275,8 +276,6 @@ mod tests {
     /// analysis's final result bits.
     #[test]
     fn analysis_partition_is_pinned_bit_for_bit() {
-        use crate::analysis::msd::Msd;
-        use crate::analysis::{Rdf, Vacf};
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (dim, steps) in [(1usize, 110), (2, 12)] {
             let engine = MdEngine::water_ion_benchmark(dim, 42);
@@ -288,16 +287,16 @@ mod tests {
                     fnv(&mut h, work.ops);
                 }
             }
-            let any = |kind| d.analysis(kind).expect("scheduled").as_any();
-            let rdf = any(AnalysisKind::Rdf).downcast_ref::<Rdf>().expect("rdf");
+            let analysis = |kind| d.analysis(kind).expect("scheduled");
+            let Analysis::Rdf(rdf) = analysis(AnalysisKind::Rdf) else { panic!("rdf") };
             rdf.g_hydronium().iter().for_each(|g| fnv(&mut h, g.to_bits()));
             rdf.histograms().iter().flat_map(|hist| hist.iter()).for_each(|&c| fnv(&mut h, c));
             for kind in [AnalysisKind::MsdFull, AnalysisKind::Msd1d, AnalysisKind::Msd2d] {
-                let msd = any(kind).downcast_ref::<Msd>().expect("msd");
+                let Analysis::Msd(msd) = analysis(kind) else { panic!("msd") };
                 msd.binned().iter().for_each(|v| fnv(&mut h, v.to_bits()));
                 fnv(&mut h, msd.overall().to_bits());
             }
-            let vacf = any(AnalysisKind::Vacf).downcast_ref::<Vacf>().expect("vacf");
+            let Analysis::Vacf(vacf) = analysis(AnalysisKind::Vacf) else { panic!("vacf") };
             for &(lag, c) in vacf.series() {
                 fnv(&mut h, lag);
                 fnv(&mut h, c.to_bits());

@@ -167,6 +167,19 @@ impl From<u64> for Value {
     }
 }
 
+impl From<u32> for Value {
+    fn from(n: u32) -> Value {
+        Value::from(u64::from(n))
+    }
+}
+
+impl From<usize> for Value {
+    /// As the same `u64`.
+    fn from(n: usize) -> Value {
+        Value::from(n as u64)
+    }
+}
+
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
         Value::Str(s.to_string())
@@ -683,6 +696,19 @@ mod tests {
         assert_eq!(parse("2.5").unwrap(), Value::Num(2.5));
         assert_eq!(parse("1e3").unwrap(), Value::Num(1000.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".to_string()));
+    }
+
+    #[test]
+    fn unsigned_integers_are_int_to_i64_max_then_num() {
+        let max = i64::MAX as u64;
+        assert_eq!(Value::from(7u32), Value::Int(7));
+        assert_eq!(Value::from(u32::MAX), Value::Int(u32::MAX.into()));
+        assert_eq!(Value::from(7usize), Value::Int(7));
+        assert_eq!(Value::from(max as usize), Value::Int(i64::MAX));
+        assert_eq!(Value::from(max as usize + 1), Value::Num(9_223_372_036_854_775_808.0));
+        for n in [0, max, max + 1, u64::MAX] {
+            assert_eq!(Value::from(n as usize), Value::from(n), "{n}");
+        }
     }
 
     #[test]

@@ -215,13 +215,14 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Build a scheduler for a machine and a job list. Fails fast if any
-    /// job names an unknown controller (each job's runtime is constructed
-    /// at admission; validating here keeps failures out of the loop).
+    /// Build a scheduler for a machine and a job list. Fails fast with
+    /// [`UnknownController`] if any job names a controller outside
+    /// [`seesaw::CONTROLLER_NAMES`]; each job's controller is built when
+    /// it is admitted, so a name checked here never fails in the loop.
     pub fn new(spec: MachineSpec, jobs: Vec<JobSpec>) -> Result<Self, UnknownController> {
         assert!(spec.nodes > 0 && spec.envelope_w > 0.0 && spec.syncs_per_epoch > 0);
         for j in &jobs {
-            insitu::build_controller(&j.config)?;
+            seesaw::check_controller_name(&j.config.controller)?;
         }
         let pool = MachineNodes::new(spec.nodes);
         let jobs = jobs.into_iter().map(|spec| JobSlot::new(spec, JobState::Waiting)).collect();
@@ -398,7 +399,7 @@ impl Scheduler {
     /// caller's concern, since a fleet router only dispatches jobs that
     /// fit. Returns the machine-local job id.
     pub fn submit(&mut self, config: JobConfig) -> Result<usize, UnknownController> {
-        insitu::build_controller(&config)?;
+        seesaw::check_controller_name(&config.controller)?;
         let job = self.jobs.len();
         self.jobs.push(JobSlot::new(JobSpec::arriving(self.next_epoch, config), JobState::Queued));
         Ok(job)
@@ -551,7 +552,7 @@ impl Scheduler {
                 continue;
             };
             let rt = Runtime::new(self.jobs[job].spec.config.clone())
-                .expect("controller validated in Scheduler::new");
+                .expect("controller name checked by new or submit");
             let slot = &mut self.jobs[job];
             slot.runtime = Some(rt);
             slot.state = JobState::Running { lease };

@@ -272,6 +272,25 @@ fn mid_run_submission_is_admitted_next_epoch() {
     assert_eq!(result.outcomes[1].outcome, "completed");
 }
 
+/// A controller name outside `seesaw::CONTROLLER_NAMES` is a typed error
+/// naming it, from a job list and from a submission alike; a rejected
+/// submission takes no job id.
+#[test]
+fn unknown_controllers_are_typed_errors_naming_them() {
+    let named = |name: &str| JobConfig {
+        controller: name.to_string(),
+        ..small_job(92, 8, AnalysisKind::Rdf)
+    };
+    let jobs = vec![JobSpec::at_start(named("seesaw")), JobSpec::arriving(1, named("nonsense"))];
+    let err = Scheduler::new(machine(4, 600.0, Policy::EqualShare), jobs).err();
+    assert_eq!(err.expect("an unknown name fails").name, "nonsense");
+
+    let jobs = vec![JobSpec::at_start(named("seesaw"))];
+    let mut s = Scheduler::new(machine(4, 600.0, Policy::EqualShare), jobs).expect("valid");
+    assert_eq!(s.submit(named("Seesaw")).expect_err("names are case-sensitive").name, "Seesaw");
+    assert_eq!(s.submit(named("static")).expect("valid controller"), 1);
+}
+
 /// The scheduler's trace is emitted on the machine clock and carries the
 /// job lifecycle.
 #[test]

@@ -15,7 +15,7 @@
 
 use insitu::{JobConfig, Runtime};
 use mdsim::workload::{MeasuredWorkload, WorkloadSpec};
-use mdsim::{AnalysisKind, MdEngine, SplitAnalysis};
+use mdsim::{Analysis, AnalysisKind, MdEngine, SplitAnalysis};
 
 fn main() {
     println!("mini-LAMMPS in-situ run under SeeSAw\n");
@@ -65,19 +65,17 @@ fn main() {
     );
 
     // RDF: locate the first solvation peak of the hydronium–water g(r).
-    let rdf = insitu
-        .analysis(AnalysisKind::Rdf)
-        .and_then(|a| a.as_any().downcast_ref::<mdsim::analysis::Rdf>());
-    if let Some(rdf) = rdf {
-        let g = rdf.g_hydronium();
-        let r = rdf.r_centers();
-        let (peak_r, peak_g) = r
-            .iter()
-            .zip(&g)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(r, g)| (*r, *g))
-            .unwrap();
-        println!("  rdf        : first hydronium–water peak g({peak_r:.2}σ) = {peak_g:.2}");
-    }
+    let Some(Analysis::Rdf(rdf)) = insitu.analysis(AnalysisKind::Rdf) else {
+        panic!("the RDF scheduled above is missing");
+    };
+    let g = rdf.g_hydronium();
+    let r = rdf.r_centers();
+    let (peak_r, peak_g) = r
+        .iter()
+        .zip(&g)
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .map(|(r, g)| (*r, *g))
+        .unwrap();
+    println!("  rdf        : first hydronium–water peak g({peak_r:.2}σ) = {peak_g:.2}");
     println!("\ndone.");
 }

@@ -37,7 +37,7 @@ use audit::{StreamAuditor, TraceDiffer};
 use insitu::{build_controller, run_job_traced, JobConfig, Runtime};
 use mdsim::workload::WorkloadSpec;
 use mdsim::{
-    analysis, compute_forces_into, water_ion_box, AnalysisKind, CoeffTable, ForceParams,
+    compute_forces_into, water_ion_box, Analysis, AnalysisKind, CoeffTable, ForceParams,
     ForceScratch, MdEngine, NeighborList, PairTable, Snapshot,
 };
 use obs::{Event, TraceEvent, Tracer};
@@ -151,14 +151,14 @@ fn hot_paths_are_allocation_free_after_warmup() {
     // variant reuse their buffers. VACF's series grows by design.
     let kinds =
         [AnalysisKind::Rdf, AnalysisKind::MsdFull, AnalysisKind::Msd1d, AnalysisKind::Msd2d];
-    let mut analyses = kinds.map(analysis::build);
+    let mut analyses = kinds.map(Analysis::new);
     let mut e = MdEngine::water_ion_benchmark(1, 44);
     let mut observed = [0u64; 4];
     for frame in 0..130 {
         e.step();
         for (a, allocs) in analyses.iter_mut().zip(&mut observed) {
             let before = allocations();
-            a.observe(frame, &Snapshot::of(&e.system));
+            a.observe(&Snapshot::of(&e.system));
             if frame >= 110 {
                 *allocs += allocations() - before;
             }

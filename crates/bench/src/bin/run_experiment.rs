@@ -53,26 +53,19 @@ struct Opts {
     common: cli::CommonArgs,
 }
 
+/// The analysis `name` names, scheduled every sync.
 fn parse_kind(name: &str) -> Result<AnalysisSchedule, String> {
-    Ok(AnalysisSchedule::every_sync(match name {
-        "rdf" => AnalysisKind::Rdf,
-        "vacf" => AnalysisKind::Vacf,
-        "msd" => AnalysisKind::MsdFull,
-        "msd1d" => AnalysisKind::Msd1d,
-        "msd2d" => AnalysisKind::Msd2d,
-        other => return Err(format!("unknown analysis {other:?}")),
-    }))
+    let kind = AnalysisKind::ALL.into_iter().find(|k| k.name() == name);
+    Ok(AnalysisSchedule::every_sync(kind.ok_or_else(|| format!("unknown analysis {name:?}"))?))
 }
 
 /// Parse `argv` without exiting or reading the environment; `Err` carries
 /// the message for the usage error (empty for `--help`).
 fn parse(argv: &[String]) -> Result<Opts, String> {
     let spec = WorkloadSpec::paper(16, 128, 1, &[AnalysisKind::MsdFull]);
-    let (mut cfg, mut common) = (JobConfig::new(spec, "seesaw"), cli::CommonArgs::default());
+    let mut cfg = JobConfig::new(spec, "seesaw");
     let (mut baseline, mut dump_syncs) = (true, false);
-
-    let mut args = cli::Argv::new(argv);
-    while let Some(flag) = args.next() {
+    let common = cli::parse_with(argv, |flag, args| {
         match flag {
             "--controller" => cfg.controller = args.value(flag)?.to_string(),
             "--nodes" => {
@@ -97,14 +90,10 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
             "--no-baseline" => baseline = false,
             "--dump-syncs" => dump_syncs = true,
             "--quiet-noise" => cfg.quiet_noise = true,
-            "--quiet" => common.quiet = true,
-            "--trace" => common.trace = Some(args.value(flag)?.into()),
-            "--trace-perfetto" => common.perfetto = Some(args.value(flag)?.into()),
-            "--audit" => common.audit = true,
-            "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     if cfg.initial_sim_cap_w.is_some() != cfg.initial_analysis_cap_w.is_some() {
         return Err("--sim-cap and --analysis-cap only come as a pair".to_string());
     }
@@ -326,8 +315,31 @@ mod tests {
         assert_eq!(nan.as_deref(), Some("--budget: not a valid number: \"nan\""));
     }
 
+    /// The common flags are one set: each parses in this bin and in
+    /// `repro` to the same `CommonArgs`, `--quick` is `repro`'s alone, and
+    /// every analysis name round-trips through `--analyses`.
+    #[test]
+    fn every_common_flag_parses_in_both_bins() {
+        let flags = ["--quiet", "--audit", "--trace t.jsonl", "--trace-perfetto p.json"];
+        let unset = format!("{:?}", cli::CommonArgs::default());
+        for flag in flags {
+            let here = parse(&argv(flag)).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            let repro = cli::Selection::parse(&argv(&format!("fig1_trace {flag}")));
+            let repro = repro.unwrap_or_else(|e| panic!("repro {flag}: {e}"));
+            let common = format!("{:?}", here.common);
+            assert_ne!(common, unset, "{flag} set nothing");
+            assert_eq!(common, format!("{:?}", repro.args), "{flag}");
+        }
+        assert!(cli::Selection::parse(&argv("--quick")).unwrap().quick);
+        assert!(parse(&argv("--quick")).err().is_some_and(|e| e.contains("--quick")));
+        for kind in AnalysisKind::ALL {
+            let o = parse(&argv(&format!("--analyses {}", kind.name()))).unwrap();
+            assert_eq!(o.cfg.workload.analyses, [AnalysisSchedule::every_sync(kind)]);
+        }
+    }
+
     /// Seeded mutation of valid command lines through every argv parser
-    /// of the `bench` crate (this bin's, the common flags', `repro`'s,
+    /// of the `bench` crate (this bin's, `repro`'s,
     /// `audit_trace`'s, `trace_diff`'s): the outcome is `Ok` (and then in
     /// range) or `Err(msg)`, never a panic.
     #[test]
@@ -393,11 +405,10 @@ mod tests {
                     }
                     Err(_) => rejected += 1,
                 }
-                let _ = cli::try_parse(&args);
                 if let Ok(sel) = cli::Selection::parse(&args) {
                     assert!(!sel.experiments.is_empty());
                     assert!(!sel.args.wants_trace() || sel.experiments.len() == 1);
-                    assert!(!sel.check || !sel.args.quick);
+                    assert!(!sel.check || !sel.quick);
                     selected += 1;
                 }
                 if let Ok(a) = cli::AuditTraceArgs::parse(&args) {

@@ -3,12 +3,14 @@
 //! Every argv parser walks one [`Argv`] cursor and returns
 //! `Result<_, String>`: a bad command line never exits from inside a
 //! parser, and each bin hands the `Err` to [`exit_usage`] (usage text,
-//! exit 2). The common flags — `--quick`, `--quiet`, `--trace FILE`,
-//! `--trace-perfetto FILE`, `--audit` — are parsed strictly: an unknown
-//! flag is a usage error, never silently ignored. A flag is the only way
-//! to set one; the environment sets none. `repro` adds `--check` (compare
-//! every output with `results/` instead of writing it), which refuses
-//! `--quick`: the committed files are full size.
+//! exit 2). The common flags — `--quiet`, `--trace FILE`,
+//! `--trace-perfetto FILE`, `--audit` — mean the same in `repro` and
+//! `run_experiment`, which both parse them through [`parse_with`], strictly:
+//! an unknown flag is a usage error, never silently ignored. A flag is the
+//! only way to set one; the environment sets none. `repro` adds `--quick`
+//! (shrink every experiment) and `--check` (compare every output with
+//! `results/` instead of writing it), which refuses `--quick`: the
+//! committed files are full size.
 
 use crate::experiments::{self, Experiment};
 use obs::Reporter;
@@ -74,8 +76,6 @@ pub fn exit_usage(bin: &str, usage: &str, msg: &str) -> ! {
 /// Flags shared by `repro` and `run_experiment`.
 #[derive(Debug, Clone, Default)]
 pub struct CommonArgs {
-    /// Shrink the experiment for CI smoke tests (`--quick`).
-    pub quick: bool,
     /// Suppress progress output (`--quiet`); `results/*` is still written.
     pub quiet: bool,
     /// Write the JSONL event trace of a representative run here.
@@ -101,12 +101,6 @@ impl CommonArgs {
     }
 }
 
-/// Parse `argv` accepting only the common flags; `Err` carries the
-/// offending-flag message. Exit-free.
-pub fn try_parse(argv: &[String]) -> Result<CommonArgs, String> {
-    parse_with(argv, |arg| Err(unknown_flag(arg)))
-}
-
 fn unknown_flag(arg: &str) -> String {
     format!("unknown flag {arg:?}")
 }
@@ -118,32 +112,34 @@ pub struct Selection {
     pub experiments: Vec<&'static Experiment>,
     /// The common flags.
     pub args: CommonArgs,
+    /// Shrink every experiment for smoke tests (`--quick`).
+    pub quick: bool,
     /// Compare every output with `results/` instead of writing it
     /// (`--check`).
     pub check: bool,
 }
 
 impl Selection {
-    /// Parse `repro`'s `argv`: the common flags, `--check`, and experiment
-    /// names as positional arguments, each checked against the table.
-    /// Exit-free, like [`try_parse`].
+    /// Parse `repro`'s `argv`: the common flags, `--quick`, `--check`, and
+    /// experiment names as positional arguments, each checked against the
+    /// table. Exit-free, like [`parse_with`].
     pub fn parse(argv: &[String]) -> Result<Selection, String> {
         let mut named: Vec<&str> = Vec::new();
-        let mut check = false;
-        let args = parse_with(argv, |arg| {
-            if arg == "--check" {
-                check = true;
-                return Ok(());
+        let (mut quick, mut check) = (false, false);
+        let args = parse_with(argv, |arg, _| {
+            match arg {
+                "--quick" => quick = true,
+                "--check" => check = true,
+                flag if flag.starts_with('-') => return Err(unknown_flag(flag)),
+                name => {
+                    let known = experiments::find(name)
+                        .ok_or_else(|| format!("unknown experiment {name:?}"))?;
+                    if named.contains(&known.name) {
+                        return Err(format!("experiment {name:?} named twice"));
+                    }
+                    named.push(known.name);
+                }
             }
-            if arg.starts_with('-') {
-                return Err(unknown_flag(arg));
-            }
-            let known =
-                experiments::find(arg).ok_or_else(|| format!("unknown experiment {arg:?}"))?;
-            if named.contains(&known.name) {
-                return Err(format!("experiment {arg:?} named twice"));
-            }
-            named.push(known.name);
             Ok(())
         })?;
         let selected = |e: &&Experiment| named.is_empty() || named.contains(&e.name);
@@ -155,29 +151,31 @@ impl Selection {
                 experiments.len()
             ));
         }
-        if check && args.quick {
+        if check && quick {
             return Err("--check compares full-size outputs: no --quick".into());
         }
-        Ok(Selection { experiments, args, check })
+        Ok(Selection { experiments, args, quick, check })
     }
 }
 
-/// The common-flag parser; anything that is not a common flag goes to `other`.
-fn parse_with(
-    argv: &[String],
-    mut other: impl FnMut(&str) -> Result<(), String>,
+/// Parse `argv` as the common flags plus a bin's own: every token that is
+/// not a common flag goes to `other`, with the cursor, to take its value
+/// from. `Err` carries the message for the usage error (empty for
+/// `--help`). Exit-free.
+pub fn parse_with<'a>(
+    argv: &'a [String],
+    mut other: impl FnMut(&'a str, &mut Argv<'a>) -> Result<(), String>,
 ) -> Result<CommonArgs, String> {
     let mut out = CommonArgs::default();
     let mut args = Argv::new(argv);
     while let Some(arg) = args.next() {
         match arg {
-            "--quick" => out.quick = true,
             "--quiet" => out.quiet = true,
             "--audit" => out.audit = true,
             "--trace" => out.trace = Some(args.value(arg)?.into()),
             "--trace-perfetto" => out.perfetto = Some(args.value(arg)?.into()),
             "--help" | "-h" => return Err(String::new()),
-            arg => other(arg)?,
+            arg => other(arg, &mut args)?,
         }
     }
     Ok(out)
@@ -327,13 +325,18 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The common flags alone.
+    fn common(argv: &[String]) -> Result<CommonArgs, String> {
+        parse_with(argv, |arg, _| Err(unknown_flag(arg)))
+    }
+
     #[test]
     fn common_flags_parse() {
-        let a = try_parse(&argv(&["--quick", "--quiet"])).unwrap();
-        assert!(a.quick && a.quiet);
+        let a = common(&argv(&["--quiet"])).unwrap();
+        assert!(a.quiet);
         assert!(a.trace.is_none() && a.perfetto.is_none());
         assert!(!a.audit);
-        let a = try_parse(&argv(&["--trace", "t.jsonl", "--trace-perfetto", "p.json"])).unwrap();
+        let a = common(&argv(&["--trace", "t.jsonl", "--trace-perfetto", "p.json"])).unwrap();
         assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
         assert_eq!(a.perfetto.as_deref(), Some(std::path::Path::new("p.json")));
         assert!(a.wants_trace());
@@ -341,7 +344,7 @@ mod tests {
 
     #[test]
     fn audit_flag_parses() {
-        let a = try_parse(&argv(&["--audit"])).unwrap();
+        let a = common(&argv(&["--audit"])).unwrap();
         assert!(a.audit);
         assert!(!a.wants_trace(), "--audit alone requests no trace files");
     }
@@ -349,11 +352,11 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         for flag in ["--bogus", "--profile"] {
-            let err = try_parse(&argv(&[flag])).unwrap_err();
+            let err = common(&argv(&[flag])).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }
         // A value-less --trace is also an error, not a silent skip.
-        assert!(try_parse(&argv(&["--trace"])).is_err());
+        assert!(common(&argv(&["--trace"])).is_err());
         // NaN fails every range comparison; it is reported as what it is.
         let err = TraceDiffArgs::parse(&argv(&["--rel-tol", "nan", "a", "b"])).unwrap_err();
         assert_eq!(err, "--rel-tol: not a valid number: \"nan\"");
@@ -362,6 +365,7 @@ mod tests {
     #[test]
     fn selection_names_are_checked_against_the_table() {
         let all = Selection::parse(&argv(&["--quick"])).unwrap();
+        assert!(all.quick);
         assert_eq!(all.experiments.len(), experiments::TABLE.len());
         // Named experiments run in table order, whatever the argv order.
         let two = Selection::parse(&argv(&["fault_sweep", "--quiet", "fig1_trace"])).unwrap();
@@ -396,13 +400,13 @@ mod tests {
             assert!(parse(refused).unwrap_err().contains("--check"), "{refused:?}");
         }
         // `--check` is `repro`'s alone.
-        assert!(try_parse(&argv(&["--check"])).is_err());
+        assert!(common(&argv(&["--check"])).is_err());
     }
 
     #[test]
     fn empty_argv_is_fine() {
-        let a = try_parse(&[]).unwrap();
-        assert!(!a.quick && !a.quiet && !a.wants_trace());
+        let a = common(&[]).unwrap();
+        assert!(!a.quiet && !a.audit && !a.wants_trace());
     }
 
     /// A trace export that cannot be written is counted, not just warned

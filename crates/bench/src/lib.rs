@@ -20,9 +20,10 @@
 //! writes it or, under `repro --check`, compares it with the committed
 //! file and writes nothing. `repro` and `run_experiment` accept the same
 //! common flags (parsed strictly — unknown flags are a usage error):
-//! `--quick` shrinks steps/scales for smoke-testing, `--quiet` suppresses
-//! progress output, and `--trace`/`--trace-perfetto`/`--audit` observe a
-//! representative run (see [`cli`]). Every bin exits 1 when an output
+//! `--quiet` suppresses progress output, and
+//! `--trace`/`--trace-perfetto`/`--audit` observe a representative run
+//! (see [`cli`]); `repro`'s `--quick` shrinks steps/scales for
+//! smoke-testing. Every bin exits 1 when an output
 //! could not be written, or did not match.
 
 #![warn(missing_docs)]

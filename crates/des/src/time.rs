@@ -74,12 +74,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// Construct from seconds expressed as `f64`. Negative or non-finite
     /// inputs saturate to zero.
     #[inline]
@@ -252,7 +246,7 @@ mod tests {
 
     #[test]
     fn scalar_float_mul() {
-        let d = SimDuration::from_secs(10) * 0.25;
+        let d = SimDuration::from_millis(10_000) * 0.25;
         assert_eq!(d.as_nanos(), 2_500_000_000);
     }
 
@@ -266,7 +260,7 @@ mod tests {
 
     #[test]
     fn sum_of_durations() {
-        let total: SimDuration = (1..=4).map(SimDuration::from_secs).sum();
+        let total: SimDuration = (1..=4).map(|s| SimDuration::from_millis(s * 1_000)).sum();
         assert_eq!(total.as_nanos(), 10_000_000_000);
     }
 

@@ -35,9 +35,10 @@ pub struct JobConfig {
     /// build.
     pub faults: FaultPlan,
     /// Silence the noise model entirely (all sigmas zero, nominal
-    /// efficiencies). The nodes of a quiet partition share one
+    /// efficiencies). The nodes of a quiet partition capped at or above
+    /// [`theta_sim::CLIFF_START_W`] draw no jitter, and share one
     /// operating-point evaluation per distinct cap and phase
-    /// ([`theta_sim::OpMemo`]) — the scaling configuration for
+    /// ([`theta_sim::Cluster::walk`]) — the scaling configuration for
     /// full-Theta node counts.
     pub quiet_noise: bool,
 }

@@ -25,7 +25,6 @@ mod colocated;
 mod config;
 mod result;
 mod runtime;
-mod stepper;
 mod timeshared;
 
 pub use colocated::run_colocated;

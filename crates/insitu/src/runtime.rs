@@ -12,17 +12,23 @@
 //! 5. new caps are requested (honouring RAPL's actuation latency) and the
 //!    allocation overhead extends the interval, exactly as the paper
 //!    accounts it (§VI-B).
+//!
+//! An interval works over one survivor column, the live nodes with the
+//! simulation's lanes first and the analysis lanes from a split index,
+//! and columns parallel to it. Each partition's lanes walk its phase list
+//! through [`Cluster::walk`], which draws the phase jitter it consumes,
+//! into one arrival column; the rendezvous, the feedback and the cap
+//! requests read the same lanes.
 
 use crate::config::JobConfig;
 use crate::result::{RunResult, SyncRecord};
-use crate::stepper::{self, Advance, NodeCtx, Walk};
 use des::{SimDuration, SimTime};
 use faults::{FaultEvent, FaultKind, RecoveryEvent, RecoveryKind};
 use mdsim::workload::{AnalyticWorkload, WorkloadGen};
 use mpisim::{Communicator, JobLayout};
 use polimer::{ExchangeFaults, PowerManager};
 use seesaw::{Controller, Limits, Role, UnknownController};
-use theta_sim::{Cluster, MachineConfig, NoiseSigmas, Work};
+use theta_sim::{Cluster, MachineConfig, NoiseSigmas, Walk, Work};
 
 /// Minimum accounted interval time (guards division by zero on degenerate
 /// configurations).
@@ -35,17 +41,18 @@ pub fn build_controller(cfg: &JobConfig) -> Result<Box<dyn Controller>, UnknownC
     seesaw::controller_by_name(&cfg.controller, cfg.budget_w(), cfg.window, limits)
 }
 
-/// Run-to-run variability increases near the RAPL floor (paper §VII-D):
-/// nodes capped close to δ_min get amplified phase jitter.
-pub(crate) fn low_cap_jitter_scale(cluster: &Cluster, node: usize) -> f64 {
-    let cap = cluster.requested_cap(node);
-    let start = theta_sim::CLIFF_START_W;
-    if cap >= start {
-        1.0
-    } else {
-        1.0 + 3.0 * (start - cap) / (start - cluster.config().min_cap_w)
-    }
-}
+/// How an interval walks a partition: [`Cluster::walk`]; tests substitute
+/// the node-major reference.
+type Advance = fn(
+    &mut Cluster,
+    &MachineConfig,
+    &[usize],
+    &[f64],
+    SimTime,
+    &[Work],
+    &mut Walk,
+    &mut Vec<SimTime>,
+);
 
 /// The runtime for one job.
 ///
@@ -83,23 +90,22 @@ pub struct Runtime {
 struct SyncScratch {
     /// This interval's slice of the fault plan.
     events: Vec<FaultEvent>,
-    /// Surviving nodes of each partition with their stepping inputs.
-    sim_ctx: Vec<NodeCtx>,
-    ana_ctx: Vec<NodeCtx>,
+    /// The surviving nodes, simulation partition first (so ascending by
+    /// node): one lane each, through the walk, the rendezvous, the
+    /// feedback and the cap requests. Each one's work stretch (an injected
+    /// straggler fault) and arrival.
+    nodes: Vec<usize>,
+    stretch: Vec<f64>,
+    arrivals: Vec<SimTime>,
     /// The simulation's phases over the interval's steps, flattened in
     /// step order, and the sync step's analysis phases.
     sim_phases: Vec<Work>,
     ana_phases: Vec<Work>,
-    sim_arrivals: Vec<(usize, SimTime)>,
-    ana_arrivals: Vec<(usize, SimTime)>,
-    /// The stepper's scratch.
+    /// The walk's scratch.
     walk: Walk,
-    /// The feedback columns, one lane per arriving node, simulation
-    /// partition first (so ascending by node): its id, time to arrival,
-    /// mean power over its active window (true, then as measured), and
-    /// the cap in force during the interval, then the cap it is asked to
-    /// take.
-    cap_nodes: Vec<usize>,
+    /// The feedback columns, one lane per survivor: time to arrival, mean
+    /// power over its active window (true, then as measured), and the cap
+    /// in force during the interval, then the cap it is asked to take.
     times: Vec<f64>,
     power: Vec<f64>,
     targets: Vec<f64>,
@@ -273,7 +279,7 @@ impl Runtime {
         let sync_k = self.next_sync;
         self.next_sync += 1;
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.run_interval(sync_k, &mut scratch, stepper::advance_partition);
+        self.run_interval(sync_k, &mut scratch, Cluster::walk);
         self.scratch = scratch;
         true
     }
@@ -335,24 +341,20 @@ impl Runtime {
         // interval still closes with a balanced SyncEnd/SyncEnergy —
         // zero overhead, zero energy, no time elapsed — so the trace
         // needs no halted-run special case downstream.
-        for (nodes, ctx) in [(&self.sim_nodes, &mut sc.sim_ctx), (&self.ana_nodes, &mut sc.ana_ctx)]
-        {
-            ctx.clear();
-            ctx.extend(nodes.iter().map(|&node| NodeCtx {
-                node,
-                sigma_scale: low_cap_jitter_scale(&self.cluster, node),
-                stretch: 1.0,
-            }));
-            ctx.retain(|c| self.manager.is_alive(c.node));
-        }
+        // Each column beside the survivors is sized exactly, once: regrowing
+        // one moves a traced job's peak RSS (the heap's layout).
+        sc.nodes.clear();
+        sc.nodes.extend_from_slice(&self.all_nodes);
+        sc.nodes.retain(|&node| self.manager.is_alive(node));
+        let ns = sc.nodes.partition_point(|&node| node < self.sim_nodes.len());
+        sc.stretch.clear();
+        sc.stretch.resize(sc.nodes.len(), 1.0);
         for &(node, factor) in firsts(&sf.straggle, |&(n, _)| n) {
-            let ctx = if node < self.sim_nodes.len() { &mut sc.sim_ctx } else { &mut sc.ana_ctx };
-            sc.fault_lookups += 1;
-            if let Ok(i) = ctx.binary_search_by_key(&node, |c| c.node) {
-                ctx[i].stretch = factor;
+            if let Some(lane) = lane_of(&sc.nodes, node, &mut sc.fault_lookups) {
+                sc.stretch[lane] = factor;
             }
         }
-        if sc.sim_ctx.is_empty() || sc.ana_ctx.is_empty() {
+        if ns == 0 || ns == sc.nodes.len() {
             self.halted = true;
             if self.tracer.is_enabled() {
                 self.cluster.flush_trace();
@@ -380,33 +382,32 @@ impl Runtime {
         }
 
         // --- Each partition executes its phases.
-        for (ctx, phases, arrivals) in [
-            (&sc.sim_ctx, &sc.sim_phases, &mut sc.sim_arrivals),
-            (&sc.ana_ctx, &sc.ana_phases, &mut sc.ana_arrivals),
-        ] {
-            arrivals.clear();
-            advance(&mut self.cluster, &self.machine, ctx, phases, t0, &mut sc.walk, arrivals);
+        let lanes = [0..ns, ns..sc.nodes.len()];
+        sc.arrivals.clear();
+        sc.arrivals.reserve_exact(sc.nodes.len());
+        for (lanes, phases) in lanes.clone().into_iter().zip([&sc.sim_phases, &sc.ana_phases]) {
+            let (nodes, stretch) = (&sc.nodes[lanes.clone()], &sc.stretch[lanes]);
+            let (cluster, walk) = (&mut self.cluster, &mut sc.walk);
+            advance(cluster, &self.machine, nodes, stretch, t0, phases, walk, &mut sc.arrivals);
         }
-        let (sim_arrivals, ana_arrivals) = (&sc.sim_arrivals, &sc.ana_arrivals);
-        let by_role = || {
-            let sim = sim_arrivals.iter().map(|x| (x, Role::Simulation));
-            sim.chain(ana_arrivals.iter().map(|x| (x, Role::Analysis)))
-        };
+        let role = |lane: usize| if lane < ns { Role::Simulation } else { Role::Analysis };
 
         // --- Rendezvous: the earlier side waits.
-        let sim_latest = sim_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
-        let ana_latest = ana_arrivals.iter().map(|&(_, a)| a).max().unwrap_or(t0);
+        let latest =
+            |lanes: std::ops::Range<usize>| sc.arrivals[lanes].iter().copied().max().unwrap_or(t0);
+        let [sim_latest, ana_latest] = lanes.clone().map(latest);
         let rendezvous = sim_latest.max(ana_latest);
         let sim_time = sim_latest.saturating_since(t0).as_secs_f64();
         let ana_time = ana_latest.saturating_since(t0).as_secs_f64();
         let slack_den = sim_time.max(ana_time).max(MIN_INTERVAL_S);
         if self.tracer.is_enabled() {
-            sc.arrival_events.extend(by_role().map(|(&(node, arrival), role)| obs::TraceEvent {
+            let arrived = sc.nodes.iter().zip(&sc.arrivals).enumerate();
+            sc.arrival_events.extend(arrived.map(|(lane, (&node, &arrival))| obs::TraceEvent {
                 t: arrival,
                 ev: obs::Event::Arrival {
                     sync: sync_k,
                     node,
-                    role: role.tag().into(),
+                    role: role(lane).tag().into(),
                     time_s: arrival.saturating_since(t0).as_secs_f64(),
                 },
             }));
@@ -430,32 +431,25 @@ impl Runtime {
         // (injected NaN/spike/dropout) happens here, before PoLiMER's
         // plausibility gate — rejected samples never reach Eq. 1.
         sc.power.clear();
-        for arrivals in [sim_arrivals, ana_arrivals] {
-            self.cluster.rendezvous(t0, rendezvous, arrivals, &mut sc.power);
-        }
-        let ns = sim_arrivals.len();
-        sc.cap_nodes.clear();
+        self.cluster.rendezvous(t0, rendezvous, &sc.nodes, &sc.arrivals, &mut sc.power);
         sc.times.clear();
-        for arrivals in [sim_arrivals, ana_arrivals] {
-            sc.cap_nodes.extend(arrivals.iter().map(|&(node, _)| node));
-            sc.times.extend(arrivals.iter().map(|&(_, arrival)| {
-                arrival.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S)
-            }));
-        }
+        sc.times.extend(
+            sc.arrivals.iter().map(|a| a.saturating_since(t0).as_secs_f64().max(MIN_INTERVAL_S)),
+        );
         sc.targets.clear();
-        sc.targets.extend(sc.cap_nodes.iter().map(|&node| self.cluster.requested_cap(node)));
+        sc.targets.extend(sc.nodes.iter().map(|&node| self.cluster.requested_cap(node)));
         // The record's true mean power and cap in force, before the noise
         // and the new caps overwrite them.
         let [(mut sim_power_w, sim_cap_w), (mut ana_power_w, ana_cap_w)] =
-            [0..ns, ns..sc.power.len()].map(|l| means(&sc.power[l.clone()], &sc.targets[l]));
+            lanes.clone().map(|l| means(&sc.power[l.clone()], &sc.targets[l]));
         self.cluster.noise_mut().noisy_powers(&mut sc.power);
         for &node in firsts(&sf.nan, |&n| n) {
-            if let Some(lane) = lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups) {
+            if let Some(lane) = lane_of(&sc.nodes, node, &mut sc.fault_lookups) {
                 sc.power[lane] = f64::NAN;
             }
         }
         for &(node, factor) in firsts(&sf.spike, |&(n, _)| n) {
-            if let Some(lane) = lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups) {
+            if let Some(lane) = lane_of(&sc.nodes, node, &mut sc.fault_lookups) {
                 sc.power[lane] *= factor;
             }
         }
@@ -465,12 +459,12 @@ impl Runtime {
         let cut = sf.dropout.partition_point(|&n| n < self.sim_nodes.len());
         for (role, lanes, skip) in [
             (Role::Simulation, 0..ns, &sf.dropout[..cut]),
-            (Role::Analysis, ns..sc.cap_nodes.len(), &sf.dropout[cut..]),
+            (Role::Analysis, ns..sc.nodes.len(), &sf.dropout[cut..]),
         ] {
             if !skip.is_empty() {
                 sc.fault_lookups += (lanes.len() + skip.len()) as u64;
             }
-            let nodes = &sc.cap_nodes[lanes.clone()];
+            let nodes = &sc.nodes[lanes.clone()];
             let rejected = self.manager.record_partition(
                 role,
                 nodes,
@@ -494,9 +488,9 @@ impl Runtime {
         // runs.
         let t_end = rendezvous + outcome.overhead;
         let targets = outcome.allocation.as_ref().map(|alloc| {
-            alloc.write_caps(&sc.cap_nodes, ns, &mut sc.targets);
+            alloc.write_caps(&sc.nodes, ns, &mut sc.targets);
             for &node in firsts(&sf.write_error, |&n| n) {
-                if lane_of(&sc.cap_nodes, node, &mut sc.fault_lookups).is_some() {
+                if lane_of(&sc.nodes, node, &mut sc.fault_lookups).is_some() {
                     // Transient EIO on the powercap write; the retried
                     // write lands ~1 ms late but the cap does apply.
                     self.cluster.node_mut(node).inject_extra_latency(1.0e-3);
@@ -509,13 +503,7 @@ impl Runtime {
             }
             &sc.targets[..]
         });
-        self.cluster.request_caps_and_wait(
-            &self.machine,
-            rendezvous,
-            t_end,
-            &sc.cap_nodes,
-            targets,
-        );
+        self.cluster.request_caps_and_wait(&self.machine, rendezvous, t_end, &sc.nodes, targets);
         self.t = t_end;
         self.tracer.set_now(t_end);
         if self.tracer.is_enabled() {
@@ -547,14 +535,15 @@ impl Runtime {
             // Nobody did any work: every active window was padded to 1 ns
             // and so reaches past the rendezvous, into the allocation wait
             // recorded since the feedback read it. Read the windows again.
-            let window = |&(node, arrival): &(usize, SimTime)| {
-                let end = arrival.max(t0 + SimDuration::from_nanos(1));
-                self.cluster.mean_power(node, t0, end)
+            let mean_window = |lanes: std::ops::Range<usize>| {
+                let arrived = sc.nodes[lanes.clone()].iter().zip(&sc.arrivals[lanes.clone()]);
+                let window = arrived.map(|(&node, &arrival)| {
+                    let end = arrival.max(t0 + SimDuration::from_nanos(1));
+                    self.cluster.mean_power(node, t0, end)
+                });
+                window.sum::<f64>() / lanes.len() as f64
             };
-            let mean_window = |arrivals: &[(usize, SimTime)]| {
-                arrivals.iter().map(window).sum::<f64>() / arrivals.len() as f64
-            };
-            (sim_power_w, ana_power_w) = (mean_window(sim_arrivals), mean_window(ana_arrivals));
+            [sim_power_w, ana_power_w] = lanes.map(mean_window);
         }
         self.syncs.push(SyncRecord {
             index: sync_k,
@@ -766,40 +755,162 @@ pub fn run_job_traced(
     Ok(rt.run())
 }
 
-#[cfg(test)]
-impl Runtime {
-    /// Test seam: [`Runtime::step_sync`] with each partition advanced by
-    /// `advance`.
-    fn step_with(&mut self, advance: Advance) -> bool {
-        if self.is_done() {
-            return false;
-        }
-        let sync_k = self.next_sync;
-        self.next_sync += 1;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.run_interval(sync_k, &mut scratch, advance);
-        self.scratch = scratch;
-        true
-    }
-
-    /// [`Runtime::run`] with every interval stepped by the node-major
-    /// reference walk.
-    fn run_reference(mut self) -> RunResult {
-        while self.step_with(stepper::tests::advance_reference) {
-            self.compact_history();
-        }
-        self.finish()
-    }
-}
-
 /// Whole runs through the one walk against the same runs through the
-/// reference seam: same results, same serialized trace.
+/// node-major reference seam: same results, same serialized trace.
 #[cfg(test)]
 mod tests {
     use super::*;
     use faults::FaultPlan;
     use mdsim::workload::WorkloadSpec;
     use mdsim::AnalysisKind as K;
+
+    impl Runtime {
+        /// Test seam: [`Runtime::step_sync`] with each partition advanced
+        /// by `advance`.
+        fn step_with(&mut self, advance: Advance) -> bool {
+            if self.is_done() {
+                return false;
+            }
+            let sync_k = self.next_sync;
+            self.next_sync += 1;
+            let mut scratch = std::mem::take(&mut self.scratch);
+            self.run_interval(sync_k, &mut scratch, advance);
+            self.scratch = scratch;
+            true
+        }
+
+        /// [`Runtime::run`] with every interval stepped by the node-major
+        /// reference walk.
+        fn run_reference(mut self) -> RunResult {
+            while self.step_with(advance_reference) {
+                self.compact_history();
+            }
+            self.finish()
+        }
+    }
+
+    /// The node-major reference the walk is held to: each node in turn
+    /// walks alone (its jitters drawn first, phase by phase), with a
+    /// scratch of its own.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_reference(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        nodes: &[usize],
+        stretch: &[f64],
+        t0: SimTime,
+        phases: &[Work],
+        _walk: &mut Walk,
+        arrivals: &mut Vec<SimTime>,
+    ) {
+        for (&node, &stretch) in nodes.iter().zip(stretch) {
+            let alone = &mut Walk::default();
+            cluster.walk(machine, &[node], &[stretch], t0, phases, alone, arrivals);
+        }
+    }
+
+    /// Node `node` walked alone, observed: returns the bounds of its
+    /// phases, phase `p` running over `[bounds[p], bounds[p + 1])`, read
+    /// from the phase spans of a tracer attached for this walk alone (a
+    /// phase with no work has no span: it starts and ends where the one
+    /// before ended). For a runtime without a tracer: it is detached again
+    /// afterwards.
+    fn walk_alone_observed(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        (node, stretch): (usize, f64),
+        t0: SimTime,
+        phases: &[Work],
+        arrivals: &mut Vec<SimTime>,
+    ) -> Vec<SimTime> {
+        let tracer = obs::Tracer::enabled();
+        cluster.set_tracer(&tracer);
+        let alone = &mut Walk::default();
+        cluster.walk(machine, &[node], &[stretch], t0, phases, alone, arrivals);
+        cluster.flush_trace();
+        cluster.set_tracer(&obs::Tracer::off());
+        let mut spans = tracer.events().into_iter().map(|e| match e.ev {
+            obs::Event::Phase { node: n, start_ns, end_ns, .. } if n == node => (start_ns, end_ns),
+            ev => panic!("node {node}'s walk alone traced {ev:?}: is a tracer attached?"),
+        });
+        let mut bounds = vec![t0];
+        for w in phases {
+            let start = bounds[bounds.len() - 1];
+            let end = if w.ref_secs * stretch > 0.0 {
+                let (from, to) = spans.next().expect("a span per phase with work");
+                assert_eq!(from, start.as_nanos(), "node {node}'s phases run back to back");
+                SimTime::from_nanos(to)
+            } else {
+                start
+            };
+            bounds.push(end);
+        }
+        assert!(spans.next().is_none(), "a span per phase with work");
+        bounds
+    }
+
+    /// [`advance_reference`] that also counts, into `walk.evaluations`,
+    /// the distinct `(phase, cap bits)` pairs its
+    /// segments meet: what the memoized walk should evaluate.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_counting_pairs(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        nodes: &[usize],
+        stretch: &[f64],
+        t0: SimTime,
+        phases: &[Work],
+        walk: &mut Walk,
+        arrivals: &mut Vec<SimTime>,
+    ) {
+        let mut pairs = std::collections::BTreeSet::new();
+        for (&node, &stretch) in nodes.iter().zip(stretch) {
+            // The cap in force at t0, and the change pending after it.
+            let first = cluster.enforced_at(node, t0);
+            let change = cluster.next_change_after(node, t0);
+            let next = change.map_or(first, |at| cluster.enforced_at(node, at));
+            let bounds =
+                walk_alone_observed(cluster, machine, (node, stretch), t0, phases, arrivals);
+            for (p, &w) in phases.iter().enumerate() {
+                if w.ref_secs * stretch > 0.0 {
+                    // The cap at the phase's start, and the new one if the
+                    // change lands strictly inside the phase.
+                    let (start, end) = (bounds[p], bounds[p + 1]);
+                    let landed = change.is_some_and(|at| at <= start);
+                    pairs.insert((p, if landed { next } else { first }.to_bits()));
+                    if change.is_some_and(|at| start < at && at < end) {
+                        pairs.insert((p, next.to_bits()));
+                    }
+                }
+            }
+        }
+        walk.evaluations += pairs.len() as u64;
+    }
+
+    /// [`advance_reference`] that also counts, into `walk.late_phases`,
+    /// the node-phases with a cap change pending after their start: the
+    /// change read before the node walks, each phase's start read from
+    /// its walk's spans.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_counting_late(
+        cluster: &mut Cluster,
+        machine: &MachineConfig,
+        nodes: &[usize],
+        stretch: &[f64],
+        t0: SimTime,
+        phases: &[Work],
+        walk: &mut Walk,
+        arrivals: &mut Vec<SimTime>,
+    ) {
+        for (&node, &stretch) in nodes.iter().zip(stretch) {
+            let change = cluster.next_change_after(node, t0);
+            let bounds =
+                walk_alone_observed(cluster, machine, (node, stretch), t0, phases, arrivals);
+            let starts = &bounds[..phases.len()];
+            let late = starts.iter().filter(|&&start| change.is_some_and(|at| start < at));
+            walk.late_phases += late.count() as u64;
+        }
+    }
 
     fn quiet_cfg(nodes: usize, steps: u64) -> JobConfig {
         let mut spec = WorkloadSpec::paper(16, nodes, 1, &[K::Rdf, K::Vacf]);
@@ -844,11 +955,11 @@ mod tests {
         };
         let mut walked = Runtime::new(cfg()).expect("known controller");
         let mut counted = Runtime::new(cfg()).expect("known controller");
-        let evaluations = |rt: &Runtime| rt.scratch.walk.memo.evaluations;
+        let evaluations = |rt: &Runtime| rt.scratch.walk.evaluations;
         while !walked.is_done() {
             let before = (evaluations(&walked), evaluations(&counted));
             assert!(walked.step_sync());
-            assert!(counted.step_with(stepper::tests::advance_counting_pairs));
+            assert!(counted.step_with(advance_counting_pairs));
             assert_eq!(walked.now(), counted.now());
             let evaluated = evaluations(&walked) - before.0;
             let distinct = evaluations(&counted) - before.1;
@@ -872,7 +983,7 @@ mod tests {
         while !walked.is_done() {
             let before = (late_phases(&walked), late_phases(&counted));
             assert!(walked.step_sync());
-            assert!(counted.step_with(stepper::tests::advance_counting_late));
+            assert!(counted.step_with(advance_counting_late));
             assert_eq!(walked.now(), counted.now());
             let took = late_phases(&walked) - before.0;
             let late = late_phases(&counted) - before.1;
@@ -969,8 +1080,9 @@ mod tests {
     #[test]
     fn one_walk_equals_reference_below_the_power_cliff() {
         // Caps below CLIFF_START_W put every node in the straggler lottery
-        // (sigma_scale > 1): each walks itself, in node order, so the shared
-        // jitter stream is consumed exactly as the reference consumes it.
+        // (sigma scale > 1): the walk draws every lane's jitters node by
+        // node, so the shared jitter stream is consumed exactly as the
+        // reference, walking each node alone, consumes it.
         assert_matches_reference(|| {
             quiet_cfg(8, 20).with_budget(95.0).with_initial_caps(95.0, 95.0)
         });

@@ -12,17 +12,19 @@
 
 use crate::config::JobConfig;
 use crate::result::{RunResult, SyncRecord};
-use crate::stepper::{advance_partition, NodeCtx, Walk};
 use des::SimTime;
 use mdsim::workload::{AnalyticWorkload, StepWork, WorkloadGen};
-use theta_sim::{Cluster, MachineConfig, Work};
+use theta_sim::{Cluster, MachineConfig, Walk, Work};
 
 /// Execute the job's workload in time-shared mode: every node runs the
 /// simulation phases, then the analysis phases, sequentially at each step.
 /// All nodes stay at the equal per-node budget the whole time (no slack to
 /// move). Work per node shrinks relative to space-shared mode because the
 /// full machine serves each side: simulation phases scale by
-/// `sim_nodes / total`, analysis phases by `analysis_nodes / total`.
+/// `sim_nodes / total`, analysis phases by `analysis_nodes / total`. Phase
+/// jitter follows the space-shared rule ([`theta_sim::Cluster::walk`]):
+/// amplified when the per-node budget is below
+/// [`theta_sim::CLIFF_START_W`].
 pub fn run_time_shared(cfg: JobConfig) -> RunResult {
     let spec = cfg.workload.clone();
     let n = spec.nodes_total();
@@ -31,8 +33,8 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
     let mut cluster = Cluster::with_caps(machine.clone(), &caps, cfg.cap_mode, cfg.seed);
     let mut workload = AnalyticWorkload::new(spec.clone());
 
-    let sim_scale = spec.sim_nodes as f64 / n as f64;
-    let ana_scale = spec.analysis_nodes as f64 / n as f64;
+    let sim_stretch = vec![spec.sim_nodes as f64 / n as f64; n];
+    let ana_stretch = vec![spec.analysis_nodes as f64 / n as f64; n];
     let j = spec.sync_every;
     let all: Vec<usize> = (0..n).collect();
     let mut walk = Walk::default();
@@ -46,12 +48,13 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
 
         // Simulation epoch: every node works on a (smaller) sub-domain.
         let sim_phases: Vec<Work> = steps.iter().flat_map(|sw| sw.sim_phases.clone()).collect();
-        let sim_end = epoch(&mut cluster, &machine, &sim_phases, sim_scale, t0, &mut walk);
+        let sim_end = epoch(&mut cluster, &machine, &all, &sim_stretch, &sim_phases, t0, &mut walk);
         let sim_power_w = cluster.true_total_power(&all, t0, sim_end) / n as f64;
 
         // Analysis epoch (the sync step's phases), again on all nodes.
         let ana_phases = steps.last().map(|s| s.analysis_phases.clone()).unwrap_or_default();
-        let ana_end = epoch(&mut cluster, &machine, &ana_phases, ana_scale, sim_end, &mut walk);
+        let ana_end =
+            epoch(&mut cluster, &machine, &all, &ana_stretch, &ana_phases, sim_end, &mut walk);
 
         t = ana_end;
         let sim_time = sim_end.saturating_since(t0).as_secs_f64();
@@ -89,22 +92,22 @@ pub fn run_time_shared(cfg: JobConfig) -> RunResult {
     }
 }
 
-/// Every node runs `phases`, its work scaled by `scale`, from `start`; the
-/// early finishers wait for the last. Returns when the last finished.
+/// Every node of `all` runs `phases`, its work stretched by `stretch`,
+/// from `start`; the early finishers wait for the last. Returns when the
+/// last finished.
 fn epoch(
     cluster: &mut Cluster,
     machine: &MachineConfig,
+    all: &[usize],
+    stretch: &[f64],
     phases: &[Work],
-    scale: f64,
     start: SimTime,
     walk: &mut Walk,
 ) -> SimTime {
-    let ctx: Vec<NodeCtx> =
-        (0..cluster.len()).map(|node| NodeCtx { node, sigma_scale: 1.0, stretch: scale }).collect();
-    let mut arrivals = Vec::with_capacity(ctx.len());
-    advance_partition(cluster, machine, &ctx, phases, start, walk, &mut arrivals);
-    let end = arrivals.iter().fold(start, |end, &(_, arrival)| end.max(arrival));
-    for (node, arrival) in arrivals {
+    let mut arrivals = Vec::with_capacity(all.len());
+    cluster.walk(machine, all, stretch, start, phases, walk, &mut arrivals);
+    let end = arrivals.iter().fold(start, |end, &arrival| end.max(arrival));
+    for (&node, &arrival) in all.iter().zip(&arrivals) {
         cluster.request_caps_and_wait(machine, arrival, end, &[node], None);
     }
     end

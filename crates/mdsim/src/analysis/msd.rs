@@ -90,6 +90,11 @@ impl Msd {
         }
     }
 
+    /// Latest all-particle MSD (averaged over origins for Full).
+    pub fn overall(&self) -> f64 {
+        self.last_overall
+    }
+
     fn nbins_total(&self) -> usize {
         match self.cfg.variant {
             MsdVariant::OneD => self.cfg.bins,
@@ -209,11 +214,6 @@ impl Msd {
     /// `bins + bins²` for Full, 1-D block first).
     pub(crate) fn binned(&self) -> &[f64] {
         &self.last_binned
-    }
-
-    /// Latest all-particle MSD.
-    pub(crate) fn overall(&self) -> f64 {
-        self.last_overall
     }
 }
 

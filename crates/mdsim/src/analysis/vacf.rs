@@ -38,6 +38,11 @@ impl Vacf {
         }
     }
 
+    /// The normalized correlation series `(lag, C)`; `C(0) = 1`.
+    pub fn series(&self) -> &[(u64, f64)] {
+        &self.series
+    }
+
     fn set_origin(&mut self, snap: &Snapshot<'_>) {
         snap.vel.clone_into(&mut self.origin_vel);
         self.origin_norm =
@@ -63,14 +68,6 @@ impl Vacf {
         self.series.push((self.frames_since_origin, c));
         self.frames_since_origin += 1;
         AnalysisWork { ops: n as u64 }
-    }
-}
-
-#[cfg(test)]
-impl Vacf {
-    /// The normalized correlation series `(lag, C)`; `C(0) = 1`.
-    pub(crate) fn series(&self) -> &[(u64, f64)] {
-        &self.series
     }
 }
 

@@ -17,7 +17,7 @@ use des::{PeriodicSampler, SimTime, TimeSeries};
 /// series is kept only after [`Cluster::keep_draw_log`].
 #[derive(Debug)]
 pub struct Cluster {
-    config: MachineConfig,
+    pub(crate) config: MachineConfig,
     /// Every node's RAPL enforcement mode.
     pub(crate) cap_mode: CapMode,
     /// What a node of this machine draws waiting, uncapped.

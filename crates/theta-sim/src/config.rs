@@ -1,10 +1,12 @@
 //! Machine configuration constants.
 //!
 //! Defaults model a Theta (Cray XC40) compute node: single-socket 64-core
-//! Intel Xeon Phi 7230 (KNL), 1.3 GHz base / 1.5 GHz turbo, 215 W TDP,
-//! RAPL power capping with a 98 W floor, a 1 s long-term enforcement window
-//! and a 9.766 ms short-term window, and ~10 ms cap actuation latency
-//! (all constants from the SeeSAw paper, §VI-A, §VII-A, §VII-D/E).
+//! Intel Xeon Phi 7230 (KNL), 1.3 GHz base / 1.5 GHz turbo, 215 W TDP.
+//! RAPL capping is modeled as what the paper's evaluation depends on, not
+//! as its enforcement windows: a request is clamped to [δ_min = 98 W, TDP],
+//! takes effect after ~10 ms of actuation latency, and under long+short
+//! term capping is enforced 1.5 % below the request (constants from the
+//! SeeSAw paper, §VI-A, §VII-A, §VII-D/E).
 
 use des::SimDuration;
 
@@ -41,10 +43,6 @@ pub struct MachineConfig {
     /// Latency between requesting a new RAPL cap and it taking effect
     /// (~10 ms on Theta's CPUs, paper §VII-E).
     pub cap_actuation: SimDuration,
-    /// RAPL long-term enforcement window (1 s on Theta).
-    pub long_window: SimDuration,
-    /// RAPL short-term enforcement window (9.766 ms on Theta).
-    pub short_window: SimDuration,
     /// When both windows are capped, RAPL enforces slightly below the
     /// request; fraction of the requested cap withheld (paper §VII-A).
     pub short_cap_bias: f64,
@@ -62,8 +60,6 @@ impl MachineConfig {
             floor_w: 60.0,
             ref_power_w: 110.0,
             cap_actuation: SimDuration::from_millis(10),
-            long_window: SimDuration::from_secs(1),
-            short_window: SimDuration::from_micros(9766),
             short_cap_bias: 0.015,
             trace_period: SimDuration::from_millis(200),
         }
@@ -90,8 +86,6 @@ impl MachineConfig {
             floor_w: self.floor_w * factor,
             ref_power_w: self.ref_power_w * factor,
             cap_actuation: self.cap_actuation,
-            long_window: self.long_window,
-            short_window: self.short_window,
             short_cap_bias: self.short_cap_bias,
             trace_period: self.trace_period,
         }
@@ -124,9 +118,6 @@ mod tests {
         assert_eq!(c.tdp_w, 215.0);
         assert_eq!(c.min_cap_w, 98.0);
         assert_eq!(c.cap_actuation, SimDuration::from_millis(10));
-        assert_eq!(c.long_window, SimDuration::from_secs(1));
-        // 9.766 ms short-term window
-        assert_eq!(c.short_window.as_nanos(), 9_766_000);
         assert_eq!(c.trace_period, SimDuration::from_millis(200));
     }
 

@@ -35,6 +35,7 @@ mod pass;
 mod phase;
 mod power;
 mod rapl;
+mod walk;
 
 pub use cluster::Cluster;
 pub use config::{CapMode, MachineConfig};
@@ -42,7 +43,8 @@ pub use machine::{MachineNodes, NodeLease};
 pub use node::NodeMut;
 pub use noise::{NoiseModel, NoiseSeed, NoiseSigmas};
 pub use phase::{PhaseKind, Work};
-pub use power::{rate, OpMemo, CLIFF_START_W};
+pub use power::{rate, CLIFF_START_W};
+pub use walk::Walk;
 
 #[cfg(test)]
 mod randomized {

@@ -113,20 +113,40 @@ impl NoiseModel {
         self.node_efficiency.len() * std::mem::size_of::<f64>()
     }
 
-    /// Multiplicative jitter on one phase duration (≥ 0.5), with an
-    /// amplified sigma — operating near the RAPL floor
-    /// increases run-to-run variability (paper §VII-D), so the runtime
-    /// passes a scale > 1 for nodes capped near δ_min. Besides widening the
-    /// Gaussian, low-power operation occasionally produces *stragglers*
-    /// (multi-×10 % stalls from OS noise that the throttled cores cannot
-    /// hide) — the dominant tail effect at δ_min on KNL.
-    pub fn phase_jitter_scaled(&mut self, sigma_scale: f64) -> f64 {
-        // Zero-draw fast path: the clamped normal at sigma 0 is exactly 1.0,
-        // returned without touching the stream (the walk skips the call
-        // for such nodes).
-        if !self.draws_phase_jitter(sigma_scale) {
-            return 1.0;
+    /// The phase jitters of a walk through `phases` phases, one lane per
+    /// item of `scales`, into `jitter`, phase-major (lane `i`'s phase `p`
+    /// at `p * lanes + i`): drawn lane by lane and phase by phase, lane `i`
+    /// at sigma scale `scales[i]`. A lane with no phase sigma and no
+    /// straggler lottery (scale ≤ 1) draws nothing: its jitter is exactly
+    /// 1.0, what its draws would return, and its walk a pure function of
+    /// its state, caps and work.
+    pub(crate) fn draw_phase_jitters(
+        &mut self,
+        scales: impl ExactSizeIterator<Item = f64>,
+        phases: usize,
+        jitter: &mut Vec<f64>,
+    ) {
+        let lanes = scales.len();
+        jitter.clear();
+        jitter.resize(lanes * phases, 1.0);
+        for (i, scale) in scales.enumerate() {
+            if self.sigmas.phase == 0.0 && scale <= 1.0 {
+                continue;
+            }
+            for p in 0..phases {
+                jitter[p * lanes + i] = self.phase_jitter_scaled(scale);
+            }
         }
+    }
+
+    /// Multiplicative jitter on one phase duration (≥ 0.5), with an
+    /// amplified sigma — operating near the RAPL floor increases
+    /// run-to-run variability (paper §VII-D), so a node capped near δ_min
+    /// draws at a scale > 1. Besides widening the Gaussian, low-power
+    /// operation occasionally produces *stragglers* (multi-×10 % stalls
+    /// from OS noise that the throttled cores cannot hide) — the dominant
+    /// tail effect at δ_min on KNL.
+    pub(crate) fn phase_jitter_scaled(&mut self, sigma_scale: f64) -> f64 {
         let base =
             self.jitter_rng.normal_clamped(1.0, self.sigmas.phase * sigma_scale.max(0.0)).max(0.5);
         if sigma_scale > 1.0 {
@@ -141,8 +161,8 @@ impl NoiseModel {
     /// Apply measurement noise to a true power reading.
     #[inline]
     pub fn noisy_power(&mut self, true_watts: f64) -> f64 {
-        // Zero-sigma fast path mirrors `phase_jitter_scaled`: same value as
-        // the sigma-0 draw (× exactly 1.0), zero stream consumed.
+        // Zero-sigma fast path: the same value as the sigma-0 draw (×
+        // exactly 1.0), zero stream consumed.
         if self.sigmas.measure == 0.0 {
             return true_watts.max(0.0);
         }
@@ -162,15 +182,6 @@ impl NoiseModel {
                 *w = self.noisy_power(*w);
             }
         }
-    }
-
-    /// Whether [`NoiseModel::phase_jitter_scaled`] at this scale consumes
-    /// the jitter stream: phase sigma above zero, or the straggler lottery
-    /// (scale > 1). When false the jitter is exactly 1.0 with no draw, and
-    /// a node's walk is a pure function of its state, caps and work.
-    #[inline]
-    pub fn draws_phase_jitter(&self, sigma_scale: f64) -> bool {
-        !(self.sigmas.phase == 0.0 && sigma_scale <= 1.0)
     }
 }
 

@@ -1,7 +1,10 @@
 //! The column passes: one phase, one wait and one round of cap requests
 //! over many nodes' columns, a block of consecutive node ids at a time.
 //! They are the only rule that steps a node; a one-node block is a node
-//! stepped alone.
+//! stepped alone. `Cluster::walk` (`walk.rs`) runs the phase pass once per
+//! phase after drawing the partition's jitters; the rendezvous and the cap
+//! pass are called per interval, over the same ascending survivor ids,
+//! each with its columns parallel to them.
 //!
 //! Each pass applies the node rules of the per-node steps (the
 //! `#[cfg(test)]` oracle in `oracle.rs`, which `pass::tests` holds them
@@ -111,41 +114,6 @@ fn set_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl Cluster {
-    /// Walk every node of `nodes` (ascending ids) from `t0` through
-    /// `phases`: open its interval, run each phase in turn (node
-    /// `nodes[i]`'s work stretched by `stretch[i]`, left untouched at
-    /// exactly 1.0, and phase `p`'s duration by `jitter[p * nodes.len() +
-    /// i]`), close its active window and append `(node, arrival)`, the
-    /// arrival no earlier than `t0`, to `arrivals`. Each phase's operating
-    /// points come from `memo`, reset for it.
-    ///
-    /// Returns how many node-phases had a cap change pending after their
-    /// start: the ones split where the change lands, if it lands inside.
-    #[allow(clippy::too_many_arguments)]
-    pub fn walk(
-        &mut self,
-        m: &MachineConfig,
-        nodes: &[usize],
-        t0: SimTime,
-        phases: &[Work],
-        stretch: &[f64],
-        jitter: &[f64],
-        memo: &mut OpMemo,
-        arrivals: &mut Vec<(usize, SimTime)>,
-    ) -> u64 {
-        let n = nodes.len();
-        assert!(stretch.len() == n && jitter.len() == n * phases.len());
-        self.begin_intervals(nodes, t0);
-        let mut late = 0;
-        for (p, &work) in phases.iter().enumerate() {
-            memo.reset(m, work);
-            let (first, jitter) = ((p == 0).then_some(t0), &jitter[p * n..(p + 1) * n]);
-            late += self.run_phase_columns(m, nodes, first, work, stretch, jitter, memo);
-        }
-        self.end_walks(nodes, t0, arrivals);
-        late
-    }
-
     /// Run phase `work` on every node of `nodes` (ascending ids) from
     /// `start`, or from each node's own clock if `None`: node `nodes[i]`'s
     /// work is stretched by `stretch[i]` (left untouched at exactly 1.0)
@@ -456,28 +424,30 @@ impl Cluster {
         }
     }
 
-    /// The rendezvous: every node of `arrivals` (`(node, arrival)`,
-    /// ascending ids) waits from its arrival until `until`, then its true
-    /// mean power over its active window, `[t0, max(arrival, t0 + 1 ns))`,
-    /// is appended to `power` (as [`Cluster::mean_power`] reads it).
+    /// The rendezvous: every node of `nodes` (ascending ids) waits from
+    /// its arrival, `arrivals[i]`, until `until`, then its true mean power
+    /// over its active window, `[t0, max(arrival, t0 + 1 ns))`, is appended
+    /// to `power` (as [`Cluster::mean_power`] reads it).
     pub fn rendezvous(
         &mut self,
         t0: SimTime,
         until: SimTime,
-        arrivals: &[(usize, SimTime)],
+        nodes: &[usize],
+        arrivals: &[SimTime],
         power: &mut Vec<f64>,
     ) {
+        assert_eq!(nodes.len(), arrivals.len());
         let floor = t0 + SimDuration::from_nanos(1);
-        for (i, k, n) in blocks(arrivals.len(), |i| arrivals[i].0) {
+        for (i, k, n) in blocks(nodes.len(), |i| nodes[i]) {
             let block = &arrivals[i..i + n];
             if n < NARROW {
-                for &(id, arrival) in block {
+                for (&id, &arrival) in nodes[i..i + n].iter().zip(block) {
                     self.wait_lanes::<1>(id, 1, |_| arrival, until);
                     self.mean_power_lanes::<1>(id, 1, t0, |_| arrival.max(floor), power);
                 }
             } else {
-                self.wait_block(k, n, |j| block[j].1, until);
-                self.mean_power_block(k, n, t0, |j| block[j].1.max(floor), power);
+                self.wait_block(k, n, |j| block[j], until);
+                self.mean_power_block(k, n, t0, |j| block[j].max(floor), power);
             }
         }
     }
@@ -569,14 +539,9 @@ impl Cluster {
 
     /// Close the active window of every node of `nodes` (ascending ids)
     /// where its walk ended, at its arrival or 1 ns after the interval
-    /// began if it did no timed work, and append `(node, arrival)`, the
-    /// arrival no earlier than `t0`, to `arrivals`.
-    pub(crate) fn end_walks(
-        &mut self,
-        nodes: &[usize],
-        t0: SimTime,
-        arrivals: &mut Vec<(usize, SimTime)>,
-    ) {
+    /// began if it did no timed work, and append its arrival, no earlier
+    /// than `t0`, to `arrivals`.
+    pub(crate) fn end_walks(&mut self, nodes: &[usize], t0: SimTime, arrivals: &mut Vec<SimTime>) {
         let nd = &mut self.nodes;
         for &k in nodes {
             let floor = nd.interval_from[k] + SimDuration::from_nanos(1);
@@ -584,7 +549,7 @@ impl Cluster {
         }
         // One exact reservation: regrowing it node by node moved a traced
         // 32-node job's peak RSS from 9.9 to 12.5 MB (the heap's layout).
-        arrivals.extend(nodes.iter().map(|&k| (k, nd.busy_until[k].max(t0))));
+        arrivals.extend(nodes.iter().map(|&k| nd.busy_until[k].max(t0)));
     }
 
     /// Node `nodes[i]` requests `targets[i]` at `at` when `targets` is
@@ -823,15 +788,15 @@ mod tests {
                 for &k in &nodes {
                     let mut node = b.node_mut(k);
                     node.end_walk();
-                    arrivals.1.push((k, node.busy_until().max(t0)));
+                    arrivals.1.push(node.busy_until().max(t0));
                 }
                 assert_eq!(arrivals.0, arrivals.1, "{what}: arrivals");
-                let last = arrivals.0.iter().map(|&(_, t)| t).max().unwrap_or(t0);
+                let last = arrivals.0.iter().copied().max().unwrap_or(t0);
                 let until = last + SimDuration::from_nanos(rng.next_below(3) * 4_000);
                 let mut power = (Vec::new(), Vec::new());
-                a.rendezvous(t0, until, &arrivals.0, &mut power.0);
+                a.rendezvous(t0, until, &nodes, &arrivals.0, &mut power.0);
                 let floor = t0 + SimDuration::from_nanos(1);
-                for &(k, arrival) in &arrivals.1 {
+                for (&k, &arrival) in nodes.iter().zip(&arrivals.1) {
                     b.node_mut(k).wait_until(arrival, until);
                     power.1.push(b.mean_power(k, t0, arrival.max(floor)));
                 }

@@ -44,6 +44,18 @@ pub const CLIFF_START_W: f64 = 103.0;
 /// than a collapse.
 pub(crate) const CLIFF_FLOOR_FACTOR: f64 = 0.93;
 
+/// The phase-jitter sigma scale of a node whose requested cap is `cap_w`:
+/// run-to-run variability rises near the RAPL floor (paper §VII-D), so a
+/// cap below [`CLIFF_START_W`] amplifies the jitter, up to 4× at δ_min, and
+/// enters the straggler lottery.
+pub(crate) fn jitter_scale(m: &MachineConfig, cap_w: f64) -> f64 {
+    if cap_w >= CLIFF_START_W {
+        1.0
+    } else {
+        1.0 + 3.0 * (CLIFF_START_W - cap_w) / (CLIFF_START_W - m.min_cap_w)
+    }
+}
+
 /// Multiplicative penalty for operating at or near the RAPL floor.
 pub(crate) fn cliff_factor(m: &MachineConfig, enforced_cap_w: f64) -> f64 {
     if enforced_cap_w >= CLIFF_START_W {
@@ -70,7 +82,7 @@ pub(crate) fn operating_point(
 /// use beyond them. A partition under one cap per role meets one cap a
 /// phase, two when a pending change lands in it.
 #[derive(Debug, Default)]
-pub struct OpMemo {
+pub(crate) struct OpMemo {
     /// The phase's cap-independent terms: its demand, its draw above the
     /// floor at the reference cap, its sensitivity, and whether it waits.
     demand: f64,
@@ -82,14 +94,14 @@ pub struct OpMemo {
     points: [(u64, OperatingPoint); Self::CAPS],
     len: usize,
     /// `operating_point` evaluations so far.
-    pub evaluations: u64,
+    pub(crate) evaluations: u64,
 }
 
 impl OpMemo {
     const CAPS: usize = 4;
 
     /// Forget every point: phase `work` of machine `m` begins.
-    pub fn reset(&mut self, m: &MachineConfig, work: Work) {
+    pub(crate) fn reset(&mut self, m: &MachineConfig, work: Work) {
         self.demand = work.demand_w(m);
         self.denom = self.demand.min(m.ref_power_w) - m.floor_w;
         self.sensitivity = work.kind.sensitivity();

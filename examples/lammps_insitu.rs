@@ -64,10 +64,15 @@ fn main() {
         thermo.step, thermo.temperature, thermo.total, thermo.pressure
     );
 
-    // RDF: locate the first solvation peak of the hydronium–water g(r).
-    let Some(Analysis::Rdf(rdf)) = insitu.analysis(AnalysisKind::Rdf) else {
-        panic!("the RDF scheduled above is missing");
+    // Each scheduled analysis, as its accumulator.
+    let analysis = |kind| insitu.analysis(kind).expect("every kind is scheduled above");
+    let (Analysis::Rdf(rdf), Analysis::Vacf(vacf), Analysis::Msd(msd)) =
+        (analysis(AnalysisKind::Rdf), analysis(AnalysisKind::Vacf), analysis(kinds[2]))
+    else {
+        panic!("each kind builds its own accumulator");
     };
+
+    // RDF: locate the first solvation peak of the hydronium–water g(r).
     let g = rdf.g_hydronium();
     let r = rdf.r_centers();
     let (peak_r, peak_g) = r
@@ -77,5 +82,17 @@ fn main() {
         .map(|(r, g)| (*r, *g))
         .unwrap();
     println!("  rdf        : first hydronium–water peak g({peak_r:.2}σ) = {peak_g:.2}");
+
+    // MSD: how far the particles moved, averaged over the time origins.
+    println!("  msd        : all-particle MSD {:.4} σ² after 60 steps", msd.overall());
+
+    // VACF: the normalized correlation at the last lag, and the first lag
+    // at which it fell below 1/e.
+    let &(lag, c) = vacf.series().last().expect("the VACF observed every sync");
+    let decorrelated = vacf.series().iter().find(|&&(_, c)| c < (-1.0f64).exp());
+    match decorrelated {
+        Some((at, _)) => println!("  vacf       : C({lag}) = {c:.3}, below 1/e from lag {at}"),
+        None => println!("  vacf       : C({lag}) = {c:.3}, above 1/e throughout"),
+    }
     println!("\ndone.");
 }

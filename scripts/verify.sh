@@ -197,11 +197,19 @@ done
 
 # The examples are the only real-MD runs end to end outside perfbench.
 # Each must exit 0. They are built by `insitu`, which has no edge to the
-# pool, so the width cannot reach them and each runs once.
-stage "examples: every example runs"
+# pool, so the width cannot reach them and each runs once. lammps_insitu
+# must also print what each analysis computed: an RDF, MSD and VACF line.
+stage "examples: every example runs, lammps_insitu prints each analysis"
 cargo build --release --offline --examples
-for ex in lammps_insitu quickstart controller_comparison power_trace; do
+for ex in quickstart controller_comparison power_trace; do
     "./target/release/examples/$ex" >/dev/null
+done
+science="$(./target/release/examples/lammps_insitu)"
+for analysis in rdf msd vacf; do
+    if ! grep -q "^  $analysis *: " <<<"$science"; then
+        echo "lammps_insitu printed no $analysis line" >&2
+        exit 1
+    fi
 done
 
 stage "size report (informational, never a gate): non-test lines and pub items per crate"
